@@ -20,7 +20,7 @@ from .dataio import (DatasetSplit, build_graph, generate_conflicting_corpus,
                      save_molecular_table, split_dataset)
 from .errors import ConfigError, DataError, FmashError, NumericError, SchemaError
 from .evalkit import evaluate_run
-from .mlfie import MlfieParams, complete_pairs, train_property_alignment, train_vae, impute_missing
+from .mlfie import fit_mlfie, impute_missing
 from .pipeline import phase1_state, run_phase1
 from .recsys import GelramParams, PlainScorerParams, recommend, train_rs
 from .recsys import export_predictions as export_rs_predictions
@@ -244,14 +244,9 @@ def _cmd_impute_mol(args) -> int:
     missing = [h for h in herbs if not h.molecules]
     if not missing:
         raise DataError("no herbs with missing molecular data to impute")
-    params = MlfieParams(len(herbs), cfg.dims.p, cfg.dims.d_m, cfg.dims.d_k,
-                         cfg.dims.d_z, cfg.train.seed)
-    train_property_alignment(herbs, params, epochs=cfg.train.mlfie_epochs,
-                             lr=cfg.train.lr, seed=cfg.train.seed)
-    props, targets, _ = complete_pairs(herbs, params)
-    train_vae((props, targets), d_z=cfg.dims.d_z, epochs=cfg.train.vae_epochs,
-              lr=cfg.train.lr, seed=cfg.train.seed, params=params.vae)
-    table = {h.id: [impute_missing(h.properties, params.vae)] for h in missing}
+    params, _ = fit_mlfie(herbs, cfg)
+    imputed = impute_missing([h.properties for h in missing], params.vae)
+    table = {h.id: [row] for h, row in zip(missing, imputed)}
     save_molecular_table(args.out, table, d_m=cfg.dims.d_m,
                          imputed_ids=set(table))
     print(f"imputed {len(table)} herbs -> {args.out}")

@@ -131,50 +131,84 @@ def _edge_array(pairs: Iterable[tuple[int, int]]) -> np.ndarray:
 # corpus loading
 # ---------------------------------------------------------------------------
 
-def _read_jsonl(path: Path) -> list[dict]:
+def _read_jsonl(path: Path) -> list[tuple[str, dict]]:
+    """Rows of a JSONL file, each with its ``path:line`` for error messages."""
     rows = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
+            where = f"{path}:{lineno}"
             try:
-                rows.append(json.loads(line))
+                row = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise SchemaError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
+                raise SchemaError(f"{where}: invalid JSON ({exc})") from exc
+            if not isinstance(row, dict):
+                raise SchemaError(f"{where}: expected a JSON object")
+            rows.append((where, row))
     return rows
+
+
+def _field(row: dict, key: str, where: str):
+    if key not in row:
+        raise SchemaError(f"{where}: missing key {key!r}")
+    return row[key]
+
+
+def _int_field(row: dict, key: str, where: str) -> int:
+    value = _field(row, key, where)
+    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral:
+        raise SchemaError(f"{where}: {key!r} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _finite_vector(value, key: str, where: str) -> np.ndarray:
+    try:
+        vec = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{where}: {key!r} must be a list of numbers") from exc
+    if vec.ndim != 1:
+        raise SchemaError(f"{where}: {key!r} must be a flat list of numbers")
+    if not np.isfinite(vec).all():
+        raise SchemaError(f"{where}: {key!r} holds a non-finite value")
+    return vec
 
 
 def load_corpus(corpus_dir: str | Path, expected_p: int | None = None,
                 ) -> tuple[list[SymptomRecord], list[HerbRecord], list[PrescriptionInstance]]:
-    """Load a corpus directory and validate id density and cross-references."""
+    """Load a corpus directory and validate id density, cross-references and
+    that every numeric vector is finite."""
     corpus_dir = Path(corpus_dir)
     for fname in (SYMPTOMS_FILE, HERBS_FILE, PRESCRIPTIONS_FILE):
         if not (corpus_dir / fname).exists():
             raise SchemaError(f"missing corpus file: {corpus_dir / fname}")
 
     symptoms: list[SymptomRecord] = []
-    for row in _read_jsonl(corpus_dir / SYMPTOMS_FILE):
+    for where, row in _read_jsonl(corpus_dir / SYMPTOMS_FILE):
         emb = row.get("text_embedding")
         symptoms.append(SymptomRecord(
-            id=int(row["id"]), name=str(row["name"]),
-            text_embedding=None if emb is None else np.asarray(emb, dtype=np.float64)))
+            id=_int_field(row, "id", where), name=str(_field(row, "name", where)),
+            text_embedding=None if emb is None
+            else _finite_vector(emb, "text_embedding", where)))
     symptoms.sort(key=lambda r: r.id)
     _check_dense_ids([r.id for r in symptoms], "symptom")
     _check_unique_names([r.name for r in symptoms], "symptom")
 
     herbs: list[HerbRecord] = []
     p_dim = expected_p
-    for row in _read_jsonl(corpus_dir / HERBS_FILE):
-        props = np.asarray(row["properties"], dtype=np.float64)
+    for where, row in _read_jsonl(corpus_dir / HERBS_FILE):
+        herb_id = _int_field(row, "id", where)
+        name = str(_field(row, "name", where))
+        props = _finite_vector(_field(row, "properties", where), "properties", where)
         if p_dim is None:
             p_dim = props.size
         if props.size != p_dim:
             raise SchemaError(
-                f"herb {row['id']} ({row['name']}): property vector has length "
+                f"{where}: herb {herb_id} ({name}): property vector has length "
                 f"{props.size}, expected {p_dim}")
-        herbs.append(HerbRecord(id=int(row["id"]), name=str(row["name"]),
-                                properties=props,
+        herbs.append(HerbRecord(id=herb_id, name=name, properties=props,
                                 molecules=[str(m) for m in row.get("molecules", [])]))
     herbs.sort(key=lambda r: r.id)
     _check_dense_ids([r.id for r in herbs], "herb")
@@ -182,9 +216,9 @@ def load_corpus(corpus_dir: str | Path, expected_p: int | None = None,
 
     prescriptions: list[PrescriptionInstance] = []
     n_sym, n_herb = len(symptoms), len(herbs)
-    for idx, row in enumerate(_read_jsonl(corpus_dir / PRESCRIPTIONS_FILE)):
-        sym_ids = [int(s) for s in row["symptoms"]]
-        herb_ids = [int(h) for h in row["herbs"]]
+    for idx, (where, row) in enumerate(_read_jsonl(corpus_dir / PRESCRIPTIONS_FILE)):
+        sym_ids = [int(s) for s in _field(row, "symptoms", where)]
+        herb_ids = [int(h) for h in _field(row, "herbs", where)]
         if not sym_ids or not herb_ids:
             raise SchemaError(f"prescription {idx}: empty symptom or herb list")
         for s in sym_ids:

@@ -7,6 +7,11 @@ all get their pooled vector imputed by a VAE that maps the herb's property
 vector to the molecular embedding space (train on complete herbs, decode
 from the property encoding for incomplete ones).
 
+Pooling and gating run over many herbs at once: the herbs' molecules form
+one zero-padded ``(H, K, d_m)`` tensor with an ``(H, K)`` mask of real
+slots.  The single-herb functions are the ``H = 1`` case of the batched
+ones.
+
 Molecule embeddings come either from precomputed tables or from a
 deterministic hashed n-gram stub encoder standing in for an external
 molecular encoder.
@@ -20,10 +25,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import RunConfig
 from .dataio import HerbRecord
 from .errors import DataError, NumericError, SchemaError
-from .nn import Adam, Linear, Module, stage_rng
-from .tape import Tensor, no_grad, softmax, stack
+from .nn import NEG_INF, Adam, Linear, Module, stage_rng
+from .tape import Tensor, no_grad, softmax
 
 
 # ---------------------------------------------------------------------------
@@ -55,15 +61,44 @@ def stub_encode_molecule(smiles: str, d_m: int) -> np.ndarray:
     return vec / norm
 
 
-def molecule_embeddings(herb: HerbRecord, d_m: int) -> list[np.ndarray]:
-    """Precomputed embeddings if present, stub-encoded strings otherwise."""
+def molecule_embeddings(herb: HerbRecord, d_m: int,
+                        memo: dict[str, np.ndarray] | None = None,
+                        ) -> list[np.ndarray]:
+    """Precomputed embeddings if present, stub-encoded strings otherwise.
+
+    ``memo`` maps molecule strings to stub encodings already computed; it is
+    filled in place, so each distinct string is encoded once per memo.
+    """
     if herb.mol_embeddings is not None:
         if len(herb.mol_embeddings) != len(herb.molecules):
             raise SchemaError(
                 f"herb {herb.name}: {len(herb.mol_embeddings)} embeddings for "
                 f"{len(herb.molecules)} molecules")
         return [np.asarray(e, dtype=np.float64) for e in herb.mol_embeddings]
-    return [stub_encode_molecule(m, d_m) for m in herb.molecules]
+    if memo is None:
+        memo = {}
+    for m in herb.molecules:
+        if m not in memo:
+            memo[m] = stub_encode_molecule(m, d_m)
+    return [memo[m] for m in herb.molecules]
+
+
+def molecule_batch(herbs: list[HerbRecord], d_m: int,
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-padded ``(H, K, d_m)`` molecule embeddings of ``herbs`` and the
+    ``(H, K)`` mask of real slots, K being the largest molecule count.
+    Every herb must have at least one molecule."""
+    memo: dict[str, np.ndarray] = {}
+    rows = [molecule_embeddings(h, d_m, memo) for h in herbs]
+    if not all(rows):
+        raise DataError("molecule_batch needs at least one molecule per herb")
+    width = max((len(r) for r in rows), default=0)
+    embs = np.zeros((len(rows), width, d_m))
+    mask = np.zeros((len(rows), width), dtype=bool)
+    for i, row in enumerate(rows):
+        embs[i, :len(row)] = row
+        mask[i, :len(row)] = True
+    return embs, mask
 
 
 # ---------------------------------------------------------------------------
@@ -79,11 +114,36 @@ class AttentionParams(Module):
                           requires_grad=True)
 
 
+def attention_weights_batch(mol_embs: Tensor, props: Tensor, params: AttentionParams,
+                            mask: np.ndarray | None = None) -> Tensor:
+    """``(H, K)`` softmax weights of H herbs over their ``(H, K, d_m)``
+    molecules, queried by their ``(H, P)`` property vectors.
+
+    Slots where ``mask`` is False get an additive ``NEG_INF`` logit, which
+    underflows to exactly zero weight and exactly zero gradient.
+    """
+    h, k, d_m = mol_embs.shape
+    q = (props @ params.w_q).reshape(h, -1, 1)                               # (H, d_k, 1)
+    keys = (mol_embs.reshape(h * k, d_m) @ params.w_k).reshape(h, k, -1)    # (H, K, d_k)
+    logits = (keys @ q).reshape(h, k) / math.sqrt(params.d_k)
+    if mask is not None:
+        logits = logits + Tensor(np.where(mask, 0.0, NEG_INF))
+    return softmax(logits, axis=-1)
+
+
+def aggregate_attention_batch(mol_embs: Tensor, props: Tensor,
+                              params: AttentionParams,
+                              mask: np.ndarray | None = None) -> Tensor:
+    """``(H, d_m)`` property-guided attention pools of H herbs."""
+    h, k, _ = mol_embs.shape
+    alpha = attention_weights_batch(mol_embs, props, params, mask)
+    return (alpha.reshape(h, k, 1) * mol_embs).sum(axis=1)
+
+
 def attention_weights(mol_embs: Tensor, p_h: Tensor, params: AttentionParams) -> Tensor:
-    q = (p_h.reshape(1, -1) @ params.w_q)                       # (1, d_k)
-    k = mol_embs @ params.w_k                                   # (K, d_k)
-    logits = (k @ q.transpose(1, 0)) / math.sqrt(params.d_k)    # (K, 1)
-    return softmax(logits.reshape(1, -1), axis=-1).reshape(-1)  # (K,)
+    """``(K,)`` attention weights of one herb over its ``(K, d_m)`` molecules."""
+    return attention_weights_batch(mol_embs.reshape(1, *mol_embs.shape),
+                                   p_h.reshape(1, -1), params).reshape(-1)
 
 
 def aggregate_attention(mol_embs, p_h, params: AttentionParams) -> Tensor:
@@ -94,8 +154,8 @@ def aggregate_attention(mol_embs, p_h, params: AttentionParams) -> Tensor:
     if mol_embs.ndim != 2 or mol_embs.shape[0] < 1:
         raise DataError("aggregate_attention needs at least one molecule embedding")
     p_h = Tensor.ensure(p_h)
-    alpha = attention_weights(mol_embs, p_h, params)
-    return (alpha.reshape(-1, 1) * mol_embs).sum(axis=0)
+    return aggregate_attention_batch(mol_embs.reshape(1, *mol_embs.shape),
+                                     p_h.reshape(1, -1), params).reshape(-1)
 
 
 class GateParams(Module):
@@ -106,11 +166,17 @@ class GateParams(Module):
         self.b_g = Tensor(np.zeros(out_dim), requires_grad=True)
 
 
+def fuse_gate_batch(v_h: Tensor, h_e: Tensor, params: GateParams) -> Tensor:
+    """Row-wise convex blend of ``(H, d_m)`` pooled vectors and latent rows:
+    lambda*v_h + (1-lambda)*h_e with lambda = sigmoid(W v + b)."""
+    lam = (v_h @ params.w_g + params.b_g).sigmoid()
+    return lam * v_h + (1.0 - lam) * h_e
+
+
 def fuse_gate(v_h, h_e, params: GateParams) -> Tensor:
     """Convex blend lambda*v_h + (1-lambda)*h_e with lambda = sigmoid(W v + b)."""
     v_h, h_e = Tensor.ensure(v_h), Tensor.ensure(h_e)
-    lam = (v_h.reshape(1, -1) @ params.w_g + params.b_g).sigmoid().reshape(-1)
-    return lam * v_h + (1.0 - lam) * h_e
+    return fuse_gate_batch(v_h.reshape(1, -1), h_e.reshape(1, -1), params).reshape(-1)
 
 
 class LatentMolTable(Module):
@@ -209,23 +275,28 @@ def train_vae(complete_pairs: tuple[np.ndarray, np.ndarray], *, d_z: int = 16,
 def impute_missing(p_h: np.ndarray, params: VaeParams, mode: str = "mean",
                    rng: np.random.Generator | None = None) -> np.ndarray:
     """Algorithm: encode the property vector, take the posterior mean (or a
-    sample), decode to the molecular embedding space."""
+    sample), decode to the molecular embedding space.
+
+    ``p_h`` is one property vector ``(P,)`` or a batch ``(N, P)``; the result
+    is ``(d_m,)`` or ``(N, d_m)`` to match.
+    """
     p_h = np.asarray(p_h, dtype=np.float64)
-    if p_h.shape != (params.p_dim,):
+    if p_h.ndim not in (1, 2) or p_h.shape[-1] != params.p_dim:
         raise SchemaError(f"property vector has shape {p_h.shape}, "
-                          f"expected ({params.p_dim},)")
+                          f"expected ({params.p_dim},) or (N, {params.p_dim})")
     if mode not in ("mean", "sample"):
         raise DataError(f"unknown imputation mode {mode!r}")
+    p = p_h.reshape(-1, params.p_dim)
     with no_grad():
-        mu, logvar = params.encode(Tensor(p_h.reshape(1, -1)))
+        mu, logvar = params.encode(Tensor(p))
         if mode == "mean":
             z = mu
         else:
             if rng is None:
                 raise DataError("mode='sample' requires an rng")
-            eps = rng.standard_normal((1, params.d_z))
+            eps = rng.standard_normal((p.shape[0], params.d_z))
             z = mu + (0.5 * logvar).exp() * Tensor(eps)
-        return params.decode(z).data.reshape(-1)
+        return params.decode(z).data.reshape(p_h.shape[:-1] + (params.d_m,))
 
 
 # ---------------------------------------------------------------------------
@@ -248,19 +319,33 @@ def pooled_vector(herb: HerbRecord, params: MlfieParams) -> Tensor:
     return aggregate_attention(embs, herb.properties, params.attention)
 
 
+def _pooled_vectors(herbs: list[HerbRecord], params: MlfieParams) -> np.ndarray:
+    """``(H, d_m)`` pooled vectors of herbs that all have molecules, as one
+    unrecorded batch."""
+    embs, mask = molecule_batch(herbs, params.d_m)
+    props = np.asarray([h.properties for h in herbs])
+    with no_grad():
+        return aggregate_attention_batch(Tensor(embs), Tensor(props),
+                                         params.attention, mask).data
+
+
 def herb_representation(herb: HerbRecord, params: MlfieParams,
                         impute_mode: str = "mean",
                         rng: np.random.Generator | None = None) -> np.ndarray:
     """Dispatch on data availability: pool+gate when molecules exist, VAE
     imputation followed by the same gate when they do not."""
-    if herb.molecules:
-        v_h = pooled_vector(herb, params)
-    else:
-        v_h = Tensor(impute_missing(herb.properties, params.vae,
-                                    mode=impute_mode, rng=rng))
-    with no_grad():
-        fused = fuse_gate(v_h, params.latent.row(herb.id), params.gate)
-    return fused.data.copy()
+    return all_herb_representations([herb], params, impute_mode=impute_mode,
+                                    rng=rng)[0]
+
+
+def alignment_loss(mol_embs: Tensor, mask: np.ndarray, props: Tensor,
+                   ids: np.ndarray, params: MlfieParams) -> Tensor:
+    """Mean squared error of the linear probe that maps each fused herb
+    vector back to the herb's property vector (one batch of herbs)."""
+    pooled = aggregate_attention_batch(mol_embs, props, params.attention, mask)
+    fused = fuse_gate_batch(pooled, params.latent.weight[ids], params.gate)
+    err = params.probe(fused) - props
+    return (err * err).mean()
 
 
 def train_property_alignment(herbs: list[HerbRecord], params: MlfieParams, *,
@@ -273,20 +358,16 @@ def train_property_alignment(herbs: list[HerbRecord], params: MlfieParams, *,
     with_mols = [h for h in herbs if h.molecules]
     if not with_mols:
         raise DataError("no herbs with molecular data to align")
-    emb_cache = [np.asarray(molecule_embeddings(h, params.d_m)) for h in with_mols]
-    prop_mat = np.asarray([h.properties for h in with_mols])
+    embs, mask = molecule_batch(with_mols, params.d_m)
+    mol_embs = Tensor(embs)
+    props = Tensor(np.asarray([h.properties for h in with_mols]))
+    ids = np.array([h.id for h in with_mols], dtype=np.intp)
     opt = Adam(params.attention.parameters() + params.gate.parameters()
                + params.latent.parameters() + params.probe.parameters(), lr=lr)
     history = TrainingHistory()
     for _ in range(epochs):
         opt.zero_grad()
-        fused_rows = []
-        for h, embs in zip(with_mols, emb_cache):
-            v_h = aggregate_attention(embs, h.properties, params.attention)
-            fused_rows.append(fuse_gate(v_h, params.latent.row(h.id), params.gate))
-        fused = stack(fused_rows, axis=0)
-        err = params.probe(fused) - Tensor(prop_mat)
-        loss = (err * err).mean()
+        loss = alignment_loss(mol_embs, mask, props, ids, params)
         loss.backward()
         opt.step()
         history.losses.append(loss.item())
@@ -294,21 +375,49 @@ def train_property_alignment(herbs: list[HerbRecord], params: MlfieParams, *,
 
 
 def all_herb_representations(herbs: list[HerbRecord], params: MlfieParams,
+                             impute_mode: str = "mean",
+                             rng: np.random.Generator | None = None,
                              ) -> np.ndarray:
-    return np.asarray([herb_representation(h, params) for h in herbs])
+    """``(H, d_m)`` fused representations: herbs with molecules are pooled
+    in one batch, the rest are imputed in one VAE batch, then all are gated."""
+    have = np.array([bool(h.molecules) for h in herbs], dtype=bool)
+    pooled = np.empty((len(herbs), params.d_m))
+    if have.any():
+        pooled[have] = _pooled_vectors([h for h in herbs if h.molecules], params)
+    if not have.all():
+        pooled[~have] = impute_missing(
+            np.asarray([h.properties for h in herbs if not h.molecules]),
+            params.vae, mode=impute_mode, rng=rng)
+    ids = np.array([h.id for h in herbs], dtype=np.intp)
+    with no_grad():
+        return fuse_gate_batch(Tensor(pooled), params.latent.weight[ids],
+                               params.gate).data
 
 
 def complete_pairs(herbs: list[HerbRecord], params: MlfieParams,
                    ) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """(property, pooled-vector) training pairs from herbs that have
     molecules, plus their ids."""
-    ids = [h.id for h in herbs if h.molecules]
-    if not ids:
+    with_mols = [h for h in herbs if h.molecules]
+    if not with_mols:
         raise DataError("no complete herbs in the corpus")
-    props, targets = [], []
-    with no_grad():
-        for h in herbs:
-            if h.molecules:
-                props.append(h.properties)
-                targets.append(pooled_vector(h, params).data)
-    return np.asarray(props), np.asarray(targets), ids
+    props = np.asarray([h.properties for h in with_mols])
+    return props, _pooled_vectors(with_mols, params), [h.id for h in with_mols]
+
+
+def fit_mlfie(herbs: list[HerbRecord], cfg: RunConfig,
+              ) -> tuple[MlfieParams, dict[str, list[float]]]:
+    """Build the molecular stage and fit it: property alignment, then the
+    imputation VAE on the aligned pooled vectors.  Returns the parameters
+    and the loss history of each fit, keyed ``mlfie_alignment`` and ``vae``.
+    """
+    seed = cfg.train.seed
+    params = MlfieParams(len(herbs), herbs[0].properties.shape[0], cfg.dims.d_m,
+                         cfg.dims.d_k, cfg.dims.d_z, seed)
+    align = train_property_alignment(herbs, params, epochs=cfg.train.mlfie_epochs,
+                                     lr=cfg.train.lr, seed=seed)
+    props, targets, _ = complete_pairs(herbs, params)
+    _, vae = train_vae((props, targets), d_z=cfg.dims.d_z,
+                       epochs=cfg.train.vae_epochs, lr=cfg.train.lr, seed=seed,
+                       params=params.vae)
+    return params, {"mlfie_alignment": align.losses, "vae": vae.losses}

@@ -16,8 +16,7 @@ from .config import RunConfig
 from .dataio import HerbRecord, HeteroGraph, SymptomRecord
 from .errors import DataError
 from .hgre import HgreParams, hgre_forward
-from .mlfie import (MlfieParams, all_herb_representations, complete_pairs,
-                    train_property_alignment, train_vae)
+from .mlfie import MlfieParams, all_herb_representations, fit_mlfie
 from .nn import stage_rng
 from .refine import (AutoencoderParams, SymptomTextTable, UnifiedEmbedding,
                      assemble_features, compress, reconstruction_mse,
@@ -70,18 +69,8 @@ def run_phase1(symptoms: list[SymptomRecord], herbs: list[HerbRecord],
     herb_reprs = None
     imputed_ids: list[int] = []
     if cfg.ablation.mlfie:
-        p_dim = herbs[0].properties.shape[0]
-        mlfie_params = MlfieParams(n_herb, p_dim, cfg.dims.d_m, cfg.dims.d_k,
-                                   cfg.dims.d_z, seed)
-        align = train_property_alignment(herbs, mlfie_params,
-                                         epochs=cfg.train.mlfie_epochs,
-                                         lr=cfg.train.lr, seed=seed)
-        histories["mlfie_alignment"] = align.losses
-        props, targets, _ = complete_pairs(herbs, mlfie_params)
-        _, vae_hist = train_vae((props, targets), d_z=cfg.dims.d_z,
-                                epochs=cfg.train.vae_epochs, lr=cfg.train.lr,
-                                seed=seed, params=mlfie_params.vae)
-        histories["vae"] = vae_hist.losses
+        mlfie_params, fit_histories = fit_mlfie(herbs, cfg)
+        histories.update(fit_histories)
         herb_reprs = all_herb_representations(herbs, mlfie_params)
         imputed_ids = [h.id for h in herbs if not h.molecules]
 

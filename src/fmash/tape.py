@@ -330,11 +330,12 @@ def _node(data: np.ndarray, parents: Sequence[Tensor]) -> Tensor:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    # 1/(1+e) for x >= 0 and e/(1+e) below, with e = exp(-|x|) <= 1 so
+    # neither branch overflows; in-place updates keep temporaries to two
+    e = np.exp(-np.abs(x))
+    out = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    out /= e
     return out
 
 

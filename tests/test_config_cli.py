@@ -238,3 +238,31 @@ def test_ablation_leaves_shared_stage_initialization_alone(run_env):
     assert shared
     for k in shared:
         np.testing.assert_array_equal(with_gelram[k], without_gelram[k])
+
+
+def _set_first_property(value):
+    def edit(row):
+        row["properties"][0] = value
+    return edit
+
+
+@pytest.mark.parametrize("fname, edit, key", [
+    ("herbs.jsonl", _set_first_property(float("nan")), "properties"),
+    ("herbs.jsonl", lambda row: row.pop("name"), "name"),
+    ("herbs.jsonl", lambda row: row.pop("properties"), "properties"),
+    ("symptoms.jsonl", lambda row: row.update(text_embedding=[0.5, float("inf")]),
+     "text_embedding"),
+    ("symptoms.jsonl", lambda row: row.pop("id"), "id"),
+])
+def test_bad_corpus_row_exits_two_naming_file_line_and_key(run_env, capsys, fname,
+                                                           edit, key):
+    tmp_path, cfg_path, _ = run_env
+    path = tmp_path / "corpus" / fname
+    lines = path.read_text().splitlines()
+    row = json.loads(lines[2])
+    edit(row)
+    lines[2] = json.dumps(row)
+    path.write_text("\n".join(lines) + "\n")
+    assert execute_command(["prepare", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{fname}:3" in err and repr(key) in err

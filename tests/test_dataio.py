@@ -248,6 +248,21 @@ def test_property_length_mismatch_names_record(tmp_path):
         load_corpus(tmp_path)
 
 
+@pytest.mark.parametrize("line, match", [
+    ('[0, "herb-000"]', "herbs.jsonl:1: expected a JSON object"),
+    ('{"id": "0", "name": "herb-000", "properties": [0.0]}',
+     "herbs.jsonl:1: 'id' must be an integer"),
+    ('{"id": 0, "name": "herb-000", "properties": [[0.0]]}',
+     "herbs.jsonl:1: 'properties' must be a flat list"),
+])
+def test_malformed_herb_row_names_file_line_and_key(tmp_path, line, match):
+    sym, herb, _ = generate_synthetic(5, 8, 1, 5, seed=1)
+    save_corpus(tmp_path, sym, herb, [])
+    (tmp_path / "herbs.jsonl").write_text(line + "\n", encoding="utf-8")
+    with pytest.raises(SchemaError, match=match):
+        load_corpus(tmp_path)
+
+
 def test_duplicate_herbs_deduped_keeping_first(tmp_path):
     sym, herb, _ = generate_synthetic(5, 8, 1, 5, seed=1)
     save_corpus(tmp_path, sym, herb, [])

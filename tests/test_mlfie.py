@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,11 +8,15 @@ from hypothesis import strategies as st
 from fmash.dataio import HerbRecord, generate_synthetic
 from fmash.errors import DataError, SchemaError
 from fmash.gradcheck import max_relative_error
+from fmash import mlfie
 from fmash.mlfie import (AttentionParams, GateParams, MlfieParams, VaeParams,
-                         aggregate_attention, attention_weights, complete_pairs,
+                         aggregate_attention, aggregate_attention_batch,
+                         alignment_loss, all_herb_representations,
+                         attention_weights, attention_weights_batch, complete_pairs,
                          fuse_gate, herb_representation, impute_missing,
-                         molecule_embeddings, pooled_vector, stub_encode_molecule,
-                         train_property_alignment, train_vae, vae_loss)
+                         molecule_batch, molecule_embeddings, pooled_vector,
+                         stub_encode_molecule, train_property_alignment, train_vae,
+                         vae_loss)
 from fmash.nn import stage_rng
 from fmash.tape import Tensor
 
@@ -374,3 +380,146 @@ def test_property_alignment_reduces_loss():
     assert history.losses[-1] < history.losses[0]
     ma = smoothed(history.losses, window=10)
     assert ma[-1] <= ma[0]
+
+
+# ---------------------------------------------------------------------------
+# batched molecular stage
+# ---------------------------------------------------------------------------
+
+P_DIM, D_M, D_K = 5, 6, 4
+
+
+def _mixed_herbs(seed, n=10, max_mols=4):
+    """Herbs with 1..max_mols molecules, every third with precomputed
+    embeddings, every fifth with no molecules at all."""
+    rng = np.random.default_rng(seed)
+    herbs = []
+    for i in range(n):
+        k = 0 if i % 5 == 4 else 1 + i % max_mols
+        mols = [FIXTURE_SMILES[(i + j) % len(FIXTURE_SMILES)] for j in range(k)]
+        embs = [rng.normal(size=D_M) for _ in range(k)] if i % 3 == 0 else None
+        herbs.append(HerbRecord(id=i, name=f"h{i}", properties=rng.normal(size=P_DIM),
+                                molecules=mols, mol_embeddings=embs))
+    return herbs
+
+
+def _params(n_herb, seed):
+    return MlfieParams(n_herb, P_DIM, D_M, D_K, 3, seed=seed)
+
+
+def _reference_pool(herb, attn):
+    """One herb's attention pool in plain numpy."""
+    e = np.asarray(molecule_embeddings(herb, D_M))
+    logits = (e @ attn.w_k.data) @ (herb.properties @ attn.w_q.data) / np.sqrt(attn.d_k)
+    alpha = np.exp(logits - logits.max())
+    return (alpha / alpha.sum()) @ e
+
+
+def test_batched_pool_matches_numpy_reference():
+    herbs = _mixed_herbs(20)
+    params = _params(len(herbs), 6)
+    props, pooled, ids = complete_pairs(herbs, params)
+    with_mols = [h for h in herbs if h.molecules]
+    assert ids == [h.id for h in with_mols]
+    assert {len(h.molecules) for h in with_mols} == {1, 2, 3, 4}
+    ref = [_reference_pool(h, params.attention) for h in with_mols]
+    np.testing.assert_allclose(pooled, ref, rtol=0.0, atol=1e-12)
+
+
+def test_wider_herb_leaves_other_rows_unchanged():
+    herbs = _mixed_herbs(21, n=9, max_mols=3)
+    wide = HerbRecord(id=9, name="wide", properties=np.ones(P_DIM),
+                      molecules=FIXTURE_SMILES[:7])
+    params = _params(10, 7)
+    _, pooled, _ = complete_pairs(herbs, params)
+    _, pooled_wide, _ = complete_pairs(herbs + [wide], params)
+    np.testing.assert_allclose(pooled_wide[:-1], pooled, rtol=0.0, atol=1e-12)
+    reprs = all_herb_representations(herbs, params)
+    reprs_wide = all_herb_representations(herbs + [wide], params)
+    np.testing.assert_allclose(reprs_wide[:-1], reprs, rtol=0.0, atol=1e-12)
+
+
+def test_padded_slots_get_zero_weight_and_zero_gradient():
+    herbs = [h for h in _mixed_herbs(22) if h.molecules]
+    params = _params(10, 8)
+    embs, mask = molecule_batch(herbs, D_M)
+    assert (~mask).any() and mask.any(axis=1).all()
+    props = Tensor(np.asarray([h.properties for h in herbs]))
+    clean = aggregate_attention_batch(Tensor(embs), props, params.attention, mask).data
+    # garbage in the padding must not leak into weights, values or gradients
+    embs[~mask] = np.random.default_rng(23).normal(size=(int((~mask).sum()), D_M))
+    mol = Tensor(embs, requires_grad=True)
+    alpha = attention_weights_batch(mol, props, params.attention, mask).data
+    assert np.all(alpha[~mask] == 0.0)
+    np.testing.assert_allclose(alpha.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+    pooled = aggregate_attention_batch(mol, props, params.attention, mask)
+    np.testing.assert_array_equal(pooled.data, clean)
+    probe = np.random.default_rng(24).normal(size=pooled.shape)
+    (pooled * probe).sum().backward()
+    assert np.all(mol.grad[~mask] == 0.0)
+    assert np.any(mol.grad[mask] != 0.0)
+
+
+def test_molecule_batch_encodes_each_distinct_string_once(monkeypatch):
+    calls = []
+    real = mlfie.stub_encode_molecule
+    monkeypatch.setattr(mlfie, "stub_encode_molecule",
+                        lambda s, d: calls.append(s) or real(s, d))
+    herbs = [HerbRecord(id=i, name=f"h{i}", properties=np.zeros(P_DIM),
+                        molecules=["CCO", "CCN"][: 1 + i % 2]) for i in range(6)]
+    embs, mask = molecule_batch(herbs, D_M)
+    assert sorted(calls) == ["CCN", "CCO"]
+    np.testing.assert_array_equal(embs[1, 1], stub_encode_molecule("CCN", D_M))
+    assert mask.sum() == 9
+
+
+def test_batched_path_invariant_to_herb_and_molecule_order():
+    herbs = _mixed_herbs(25)
+    params = _params(len(herbs), 9)
+    reprs = all_herb_representations(herbs, params)
+    perm = np.random.default_rng(26).permutation(len(herbs))
+    np.testing.assert_allclose(all_herb_representations([herbs[i] for i in perm], params),
+                               reprs[perm], rtol=0.0, atol=1e-12)
+    reversed_mols = [replace(h, molecules=h.molecules[::-1],
+                             mol_embeddings=None if h.mol_embeddings is None
+                             else h.mol_embeddings[::-1]) for h in herbs]
+    np.testing.assert_allclose(all_herb_representations(reversed_mols, params), reprs,
+                               rtol=0.0, atol=1e-12)
+    for h, row in zip(herbs, reprs):
+        np.testing.assert_allclose(herb_representation(h, params), row,
+                                   rtol=0.0, atol=1e-12)
+
+
+def _alignment_inputs(herbs):
+    with_mols = [h for h in herbs if h.molecules]
+    embs, mask = molecule_batch(with_mols, D_M)
+    return (Tensor(embs), mask, Tensor(np.asarray([h.properties for h in with_mols])),
+            np.array([h.id for h in with_mols]))
+
+
+def test_alignment_loss_gradients_over_mixed_molecule_counts():
+    herbs = _mixed_herbs(27, n=7)
+    params = _params(len(herbs), 10)
+    inputs = _alignment_inputs(herbs)
+    leaves = (params.attention.parameters() + params.gate.parameters()
+              + params.latent.parameters() + params.probe.parameters())
+    assert max_relative_error(lambda: alignment_loss(*inputs, params), leaves) < 1e-4
+
+
+def _graph_size(root):
+    seen, todo = {id(root)}, [root]
+    while todo:
+        for parent in todo.pop()._parents:
+            if parent.requires_grad and id(parent) not in seen:
+                seen.add(id(parent))
+                todo.append(parent)
+    return len(seen)
+
+
+def test_alignment_epoch_node_count_independent_of_herb_count():
+    sizes = []
+    for n in (5, 60):
+        herbs = _mixed_herbs(28, n=n)
+        sizes.append(_graph_size(alignment_loss(*_alignment_inputs(herbs),
+                                                _params(n, 11))))
+    assert sizes[0] == sizes[1]

@@ -207,3 +207,20 @@ def test_backward_accumulates_through_shared_subgraph():
     loss = (y * y).sum() + y.sum()
     loss.backward()
     np.testing.assert_allclose(x.grad, 2 * 9 * x.data + 3.0)
+
+
+def test_sigmoid_bit_identical_to_masked_two_branch_form():
+    def masked(x):
+        out = np.empty_like(x)
+        pos = x >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        out[~pos] = ex / (1.0 + ex)
+        return out
+
+    edges = [0.0, -0.0, np.inf, -np.inf, 1e-320, -1e-320, 36.0, -36.0,
+             709.0, -709.0, 745.0, -745.0, 1e308, -1e308]
+    x = np.concatenate([edges, np.random.default_rng(0).normal(0.0, 30.0, 100_000)])
+    np.testing.assert_array_equal(tape._sigmoid(x).view(np.int64),
+                                  masked(x).view(np.int64))
+    assert np.isnan(tape._sigmoid(np.array([np.nan]))).all()
