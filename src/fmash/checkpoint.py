@@ -50,18 +50,23 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], str]:
     raw = path.read_bytes()
     if not raw.startswith(MAGIC):
         raise SchemaError(f"{path}: not a checkpoint file")
-    cursor = len(MAGIC)
-    (header_len,) = struct.unpack_from("<Q", raw, cursor)
-    cursor += 8
-    header = json.loads(raw[cursor:cursor + header_len].decode("utf-8"))
-    if header.get("version") != VERSION:
-        raise SchemaError(f"{path}: unsupported checkpoint version "
-                          f"{header.get('version')!r}")
-    base = cursor + header_len
-    tensors = {}
-    for rec in header["tensors"]:
-        start = base + rec["offset"]
-        arr = np.frombuffer(raw, dtype=np.float64, count=rec["nbytes"] // 8,
-                            offset=start).reshape(rec["shape"]).copy()
-        tensors[rec["name"]] = arr
-    return tensors, header.get("config_hash", "")
+    try:
+        cursor = len(MAGIC)
+        (header_len,) = struct.unpack_from("<Q", raw, cursor)
+        cursor += 8
+        header = json.loads(raw[cursor:cursor + header_len].decode("utf-8"))
+        if header.get("version") != VERSION:
+            raise SchemaError(f"{path}: unsupported checkpoint version "
+                              f"{header.get('version')!r}")
+        base = cursor + header_len
+        tensors = {}
+        for rec in header["tensors"]:
+            start = base + rec["offset"]
+            arr = np.frombuffer(raw, dtype=np.float64, count=rec["nbytes"] // 8,
+                                offset=start).reshape(rec["shape"]).copy()
+            tensors[rec["name"]] = arr
+        return tensors, header.get("config_hash", "")
+    except (struct.error, ValueError, KeyError, TypeError, AttributeError) as exc:
+        # a cut or damaged file fails in the header length, the header
+        # JSON or a tensor blob
+        raise SchemaError(f"{path}: truncated or corrupt checkpoint ({exc})") from exc

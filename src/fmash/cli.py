@@ -150,9 +150,22 @@ def _prepared_run(cfg: RunConfig):
     return symptoms, herbs, split, graph
 
 
-def _unified_from_state(state: dict) -> UnifiedEmbedding:
-    return UnifiedEmbedding(matrix=state["unified.matrix"],
-                            n_sym=int(state["unified.n_sym"].reshape(-1)[0]))
+def _load_head(cfg: RunConfig, head: str, build):
+    """The unified table and the ``head`` parameters saved by ``train-<head>``;
+    ``build(emb)`` makes the parameters the current config expects."""
+    path = Path(cfg.paths.workdir) / f"{head}.ckpt"
+    state, _ = load_checkpoint(path)
+    emb = UnifiedEmbedding(matrix=state["unified.matrix"],
+                           n_sym=int(state["unified.n_sym"].reshape(-1)[0]))
+    params = build(emb)
+    prefix = f"{head}."
+    try:
+        params.load_state_dict({k[len(prefix):]: v for k, v in state.items()
+                                if k.startswith(prefix)})
+    except (KeyError, ValueError) as exc:
+        raise SchemaError(f"{path}: trained with a different head config than "
+                          f"the current one ({exc.args[0]})") from exc
+    return emb, params
 
 
 # ---------------------------------------------------------------------------
@@ -258,17 +271,16 @@ def _cmd_recommend(args) -> int:
         raise UsageError(f"--k must be >= 1, got {args.k}")
     cfg = _load_config(args.config)
     symptoms, herbs, _ = load_corpus(cfg.paths.corpus, expected_p=cfg.dims.p)
-    state, _ = load_checkpoint(Path(cfg.paths.workdir) / "rs.ckpt")
-    emb = _unified_from_state(state)
+
+    def build(emb):
+        if cfg.ablation.gelram:
+            return GelramParams(emb.dim, emb.n_herb, cfg.train.seed,
+                                d_enc=cfg.dims.d_enc)
+        return PlainScorerParams(emb.dim, emb.n_herb, cfg.train.seed)
+
+    emb, params = _load_head(cfg, "rs", build)
     if args.k > emb.n_herb:
         raise UsageError(f"--k exceeds the herb vocabulary ({emb.n_herb})")
-    if cfg.ablation.gelram:
-        params = GelramParams(emb.dim, emb.n_herb, cfg.train.seed,
-                              d_enc=cfg.dims.d_enc)
-    else:
-        params = PlainScorerParams(emb.dim, emb.n_herb, cfg.train.seed)
-    params.load_state_dict({k[3:]: v for k, v in state.items()
-                            if k.startswith("rs.")})
     ids = _resolve_symptom_names(args.symptoms, symptoms)
     for rank, (herb_id, score) in enumerate(recommend(ids, args.k, params, emb),
                                             start=1):
@@ -279,11 +291,8 @@ def _cmd_recommend(args) -> int:
 def _cmd_generate(args) -> int:
     cfg = _load_config(args.config)
     symptoms, herbs, _ = load_corpus(cfg.paths.corpus, expected_p=cfg.dims.p)
-    state, _ = load_checkpoint(Path(cfg.paths.workdir) / "seq.ckpt")
-    emb = _unified_from_state(state)
-    params = Seq2SeqParams(emb, cfg.train.seed)
-    params.load_state_dict({k[4:]: v for k, v in state.items()
-                            if k.startswith("seq.")})
+    _, params = _load_head(cfg, "seq",
+                           lambda emb: Seq2SeqParams(emb, cfg.train.seed))
     ids = _resolve_symptom_names(args.symptoms, symptoms)
     formula = generate(ids, params, max_len=cfg.train.seq_max_len)
     if not formula:

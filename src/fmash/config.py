@@ -19,7 +19,6 @@ from .errors import ConfigError
 class PathsCfg:
     corpus: str = "corpus"
     workdir: str = "work"
-    mol_table: str = ""      # optional precomputed molecule-embedding table
 
 
 @dataclass
@@ -62,24 +61,16 @@ class AblationCfg:
 
 
 @dataclass
-class HeadsCfg:
-    rs: bool = True
-    seq: bool = True
-
-
-@dataclass
 class RunConfig:
     paths: PathsCfg = field(default_factory=PathsCfg)
     dims: DimsCfg = field(default_factory=DimsCfg)
     graph: GraphCfg = field(default_factory=GraphCfg)
     train: TrainCfg = field(default_factory=TrainCfg)
     ablation: AblationCfg = field(default_factory=AblationCfg)
-    heads: HeadsCfg = field(default_factory=HeadsCfg)
 
 
-_SECTIONS = {f.name: f.type for f in fields(RunConfig)}
 _SECTION_TYPES = {"paths": PathsCfg, "dims": DimsCfg, "graph": GraphCfg,
-                  "train": TrainCfg, "ablation": AblationCfg, "heads": HeadsCfg}
+                  "train": TrainCfg, "ablation": AblationCfg}
 
 
 def _coerce(section: str, key: str, value, annotation: str):

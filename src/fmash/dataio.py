@@ -156,12 +156,24 @@ def _field(row: dict, key: str, where: str):
     return row[key]
 
 
-def _int_field(row: dict, key: str, where: str) -> int:
-    value = _field(row, key, where)
+def _as_int(value, key: str, where: str) -> int:
     integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
     if isinstance(value, bool) or not integral:
         raise SchemaError(f"{where}: {key!r} must be an integer, got {value!r}")
     return int(value)
+
+
+def _int_field(row: dict, key: str, where: str) -> int:
+    return _as_int(_field(row, key, where), key, where)
+
+
+def _int_list(row: dict, key: str, where: str) -> list[int]:
+    values = _field(row, key, where)
+    if not isinstance(values, list):
+        raise SchemaError(f"{where}: {key!r} must be a list of integers")
+    if all(type(v) is int for v in values):    # the common case, one pass
+        return values
+    return [_as_int(v, key, where) for v in values]
 
 
 def _finite_vector(value, key: str, where: str) -> np.ndarray:
@@ -217,8 +229,8 @@ def load_corpus(corpus_dir: str | Path, expected_p: int | None = None,
     prescriptions: list[PrescriptionInstance] = []
     n_sym, n_herb = len(symptoms), len(herbs)
     for idx, (where, row) in enumerate(_read_jsonl(corpus_dir / PRESCRIPTIONS_FILE)):
-        sym_ids = [int(s) for s in _field(row, "symptoms", where)]
-        herb_ids = [int(h) for h in _field(row, "herbs", where)]
+        sym_ids = _int_list(row, "symptoms", where)
+        herb_ids = _int_list(row, "herbs", where)
         if not sym_ids or not herb_ids:
             raise SchemaError(f"prescription {idx}: empty symptom or herb list")
         for s in sym_ids:
@@ -267,6 +279,35 @@ def save_corpus(corpus_dir: str | Path, symptoms: Sequence[SymptomRecord],
         for r in prescriptions:
             row = {"symptoms": sorted(r.symptoms), "herbs": list(r.herbs)}
             fh.write(json.dumps(row, sort_keys=True) + "\n")
+
+
+# ---------------------------------------------------------------------------
+# symptom batches
+# ---------------------------------------------------------------------------
+
+def symptom_batch(symptom_sets: Sequence[Iterable[int]], n_sym: int,
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted, zero-padded ``(B, W)`` symptom id matrix plus its validity
+    mask, W being the largest set.
+
+    Canonical ascending order makes both heads exactly invariant to the
+    order the caller lists the symptoms in.
+    """
+    canon = []
+    for ids in symptom_sets:
+        ids = sorted(set(int(i) for i in ids))
+        if not ids:
+            raise DataError("empty symptom set")
+        if ids[0] < 0 or ids[-1] >= n_sym:
+            raise DataError(f"unknown symptom id in {ids}")
+        canon.append(ids)
+    width = max(len(ids) for ids in canon)
+    padded = np.zeros((len(canon), width), dtype=np.intp)
+    mask = np.zeros((len(canon), width), dtype=bool)
+    for i, ids in enumerate(canon):
+        padded[i, :len(ids)] = ids
+        mask[i, :len(ids)] = True
+    return padded, mask
 
 
 # ---------------------------------------------------------------------------
@@ -465,58 +506,6 @@ def generate_conflicting_corpus(n_pairs: int, herbs_per_formula: int, seed: int,
 # ---------------------------------------------------------------------------
 # molecular tables
 # ---------------------------------------------------------------------------
-
-def load_molecular_table(path: str | Path, n_herb: int | None = None,
-                         ) -> dict[int, list[np.ndarray]]:
-    path = Path(path)
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if not header.startswith("dim="):
-            raise SchemaError(f"{path}:1: expected header 'dim=<d_m>', got {header!r}")
-        try:
-            d_m = int(header[4:])
-        except ValueError as exc:
-            raise SchemaError(f"{path}:1: bad dimension in header {header!r}") from exc
-        table: dict[int, list[np.ndarray]] = {}
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise SchemaError(f"{path}:{lineno}: expected 3 tab-separated fields")
-            herb_id = int(parts[0])
-            if n_herb is not None and not 0 <= herb_id < n_herb:
-                raise SchemaError(f"{path}:{lineno}: unknown herb id {herb_id}")
-            vec = np.asarray([float(x) for x in parts[2].split(",")], dtype=np.float64)
-            if vec.size != d_m:
-                raise SchemaError(
-                    f"{path}:{lineno}: vector has length {vec.size}, header says {d_m}")
-            table.setdefault(herb_id, []).append(vec)
-    return table
-
-
-def attach_molecular_table(herbs: Sequence[HerbRecord],
-                           table: dict[int, list[np.ndarray]],
-                           d_m: int | None = None) -> None:
-    """Attach precomputed molecule embeddings to herb records in place.
-
-    Rows must align 1:1 with each herb's molecule list; herbs absent from
-    the table keep stub encoding (or the imputation path when they list no
-    molecules at all).
-    """
-    for herb in herbs:
-        vecs = table.get(herb.id)
-        if vecs is None:
-            continue
-        if len(vecs) != len(herb.molecules):
-            raise SchemaError(
-                f"herb {herb.name}: table provides {len(vecs)} vectors for "
-                f"{len(herb.molecules)} molecules")
-        if d_m is not None and any(v.size != d_m for v in vecs):
-            raise SchemaError(f"herb {herb.name}: table vectors are not {d_m}-wide")
-        herb.mol_embeddings = [np.asarray(v, dtype=np.float64) for v in vecs]
-
 
 def save_molecular_table(path: str | Path, table: dict[int, list[np.ndarray]],
                          d_m: int, imputed_ids: set[int] | None = None) -> None:

@@ -4,7 +4,7 @@ Instances whose canonical symptom sets coincide form one evaluation group;
 classic precision/recall/F1 are macro-averaged per instance, while
 best-matched precision takes, per group, the maximum precision of the
 group's prediction against any of its ground truths, then averages over
-groups.  Sequence-head runs report best-matched precision only by default:
+groups.  Sequence-head runs report best-matched precision only:
 a generator that commits to one of several valid formulas should not be
 punished for not covering the union.
 """
@@ -168,19 +168,14 @@ def group_instances(instances, predictions: dict[int, list[int]],
 
 def evaluate_run(prediction_path: str | Path, instances, ks: Sequence[int],
                  head: str = "rs", model: str = "", split: str = "test",
-                 include_classic: bool | None = None, average: str = "macro",
                  config: dict | None = None) -> MetricReport:
     """Score a prediction export against a split.
 
-    The ranking head gets per-instance P/R/F1 (macro-averaged by default,
-    ``average="micro"`` pools hits instead) plus grouped BMP; the sequence
-    head gets BMP only unless ``include_classic`` forces the classic
-    metrics.
+    The ranking head gets macro-averaged per-instance P/R/F1 plus grouped
+    BMP; the sequence head gets BMP only.
     """
     if head not in ("rs", "seq"):
         raise DataError(f"unknown head {head!r}")
-    if average not in ("macro", "micro"):
-        raise DataError(f"unknown averaging mode {average!r}")
     ks = [int(k) for k in ks]
     if not ks or any(k < 1 for k in ks):
         raise DataError("ks must be positive")
@@ -190,37 +185,24 @@ def evaluate_run(prediction_path: str | Path, instances, ks: Sequence[int],
     if missing:
         raise DataError(f"missing predictions for instances {missing[:5]}"
                         + ("..." if len(missing) > 5 else ""))
-    classic = (head == "rs") if include_classic is None else include_classic
 
     report = MetricReport(model=model or head, split=split, ks=ks,
                           n_instances=len(instances), config=config or {})
     groups = group_instances(instances, predictions)
     report.n_groups = len(groups)
     for k in ks:
-        if classic:
+        if head == "rs":
             n = len(instances)
-            if average == "macro":
-                p_sum = r_sum = f_sum = 0.0
-                for inst in instances:
-                    p, r, f = topk_metrics(predictions[inst.instance_id],
-                                           set(inst.herbs), k)
-                    p_sum += p
-                    r_sum += r
-                    f_sum += f
-                report.precision[k] = p_sum / n
-                report.recall[k] = r_sum / n
-                report.f1[k] = f_sum / n
-            else:
-                hits = truths = 0
-                for inst in instances:
-                    truth = set(inst.herbs)
-                    hits += len(set(predictions[inst.instance_id][:k]) & truth)
-                    truths += len(truth)
-                p = hits / (n * k)
-                r = hits / truths
-                report.precision[k] = p
-                report.recall[k] = r
-                report.f1[k] = 0.0 if p + r == 0 else 2 * p * r / (p + r)
+            p_sum = r_sum = f_sum = 0.0
+            for inst in instances:
+                p, r, f = topk_metrics(predictions[inst.instance_id],
+                                       set(inst.herbs), k)
+                p_sum += p
+                r_sum += r
+                f_sum += f
+            report.precision[k] = p_sum / n
+            report.recall[k] = r_sum / n
+            report.f1[k] = f_sum / n
         report.bmp[k] = (sum(bmp_at_k(g.prediction, g, k) for g in groups)
                          / len(groups))
     return report

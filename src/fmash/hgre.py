@@ -22,8 +22,6 @@ from .tape import Tensor, concat, stack
 
 ACTIVATIONS = {
     "relu": lambda t: t.relu(),
-    "tanh": lambda t: t.tanh(),
-    "silu": lambda t: t.silu(),
     "identity": lambda t: t,
 }
 
@@ -105,13 +103,10 @@ class SsmDirection(Module):
 
 class SsmParams(Module):
     def __init__(self, d: int, rng: np.random.Generator, d_state: int = 16,
-                 dt_rank: int | None = None, discretization: str = "zoh"):
-        if discretization not in ("zoh", "euler"):
-            raise ValueError(f"unknown discretization {discretization!r}")
+                 dt_rank: int | None = None):
         self.d = d
         self.d_state = d_state
         self.dt_rank = dt_rank if dt_rank is not None else max(1, math.ceil(d / 16))
-        self.discretization = discretization
         self.fwd = SsmDirection(d, d_state, self.dt_rank, rng)
         self.bwd = SsmDirection(d, d_state, self.dt_rank, rng)
         self.gate = Linear(d, d, rng)
@@ -147,10 +142,7 @@ def ssm_scan(seq: Tensor | np.ndarray, params: SsmParams,
     ys = []
     for t in range(L):
         dt_t = delta[t].reshape(d, 1)
-        if params.discretization == "zoh":
-            a_bar = (dt_t * a).exp()
-        else:
-            a_bar = 1.0 + dt_t * a
+        a_bar = (dt_t * a).exp()
         b_bar_x = dt_t * b_in[t].reshape(1, n) * x[t].reshape(d, 1)
         h = a_bar * h + b_bar_x
         ys.append((h * c_out[t].reshape(1, n)).sum(axis=1))
@@ -179,9 +171,9 @@ def bidirectional_block(seq: Tensor | np.ndarray, params: SsmParams) -> Tensor:
 
 def subgraph_enhance(x_s: Tensor | np.ndarray, edges_s: np.ndarray,
                      degrees_s: np.ndarray, gcn: GcnParams, ssm: SsmParams,
-                     activation: str = "relu") -> Tensor:
+                     ) -> Tensor:
     """GCN, serialize by degree order, bidirectional scan, scatter back."""
-    smoothed = gcn_forward(x_s, edges_s, gcn, activation=activation)
+    smoothed = gcn_forward(x_s, edges_s, gcn)
     p = degree_permutation(degrees_s)
     enhanced = bidirectional_block(smoothed[p.perm], ssm)
     return enhanced[p.inverse]
@@ -191,18 +183,14 @@ class HgreParams(Module):
     """Parameter bundle: one GCN + scan block per subgraph plus the global
     pair; the global scan gets a doubled state size."""
 
-    def __init__(self, d: int, seed: int, d_state: int = 16,
-                 discretization: str = "zoh", activation: str = "relu"):
-        self.activation = activation
+    def __init__(self, d: int, seed: int, d_state: int = 16):
         self.gcn_sym = GcnParams(d, d, stage_rng(seed, "hgre.gcn.sym"))
         self.gcn_herb = GcnParams(d, d, stage_rng(seed, "hgre.gcn.herb"))
         self.gcn_global = GcnParams(d, d, stage_rng(seed, "hgre.gcn.global"))
-        self.ssm_sym = SsmParams(d, stage_rng(seed, "hgre.ssm.sym"),
-                                 d_state=d_state, discretization=discretization)
-        self.ssm_herb = SsmParams(d, stage_rng(seed, "hgre.ssm.herb"),
-                                  d_state=d_state, discretization=discretization)
+        self.ssm_sym = SsmParams(d, stage_rng(seed, "hgre.ssm.sym"), d_state=d_state)
+        self.ssm_herb = SsmParams(d, stage_rng(seed, "hgre.ssm.herb"), d_state=d_state)
         self.ssm_global = SsmParams(d, stage_rng(seed, "hgre.ssm.global"),
-                                    d_state=2 * d_state, discretization=discretization)
+                                    d_state=2 * d_state)
 
 
 def hgre_forward(x: Tensor | np.ndarray, graph: HeteroGraph,
@@ -212,14 +200,12 @@ def hgre_forward(x: Tensor | np.ndarray, graph: HeteroGraph,
     s = graph.n_sym
     if x.shape[0] != s + graph.n_herb:
         raise ValueError("feature row count does not match the graph")
-    act = params.activation
     enh_sym = subgraph_enhance(x[:s], graph.edges_ss, graph.sub_degrees_ss,
-                               params.gcn_sym, params.ssm_sym, activation=act)
+                               params.gcn_sym, params.ssm_sym)
     enh_herb = subgraph_enhance(x[s:], graph.edges_hh, graph.sub_degrees_hh,
-                                params.gcn_herb, params.ssm_herb, activation=act)
+                                params.gcn_herb, params.ssm_herb)
     x_e = concat([enh_sym, enh_herb], axis=0)
-    smoothed = gcn_forward(x_e, graph.all_edges_global(), params.gcn_global,
-                           activation=act)
+    smoothed = gcn_forward(x_e, graph.all_edges_global(), params.gcn_global)
     p = degree_permutation(graph.degrees)
     out = bidirectional_block(smoothed[p.perm], params.ssm_global)
     return out[p.inverse]

@@ -12,9 +12,9 @@ one zero-padded ``(H, K, d_m)`` tensor with an ``(H, K)`` mask of real
 slots.  The single-herb functions are the ``H = 1`` case of the batched
 ones.
 
-Molecule embeddings come either from precomputed tables or from a
-deterministic hashed n-gram stub encoder standing in for an external
-molecular encoder.
+Molecule embeddings come either from precomputed vectors on the herb
+record or from a deterministic hashed n-gram stub encoder standing in for
+an external molecular encoder.
 """
 
 from __future__ import annotations
@@ -159,11 +159,10 @@ def aggregate_attention(mol_embs, p_h, params: AttentionParams) -> Tensor:
 
 
 class GateParams(Module):
-    def __init__(self, d_m: int, rng: np.random.Generator, scalar: bool = False):
-        out_dim = 1 if scalar else d_m
-        self.w_g = Tensor(rng.normal(0.0, 1.0 / math.sqrt(d_m), size=(d_m, out_dim)),
+    def __init__(self, d_m: int, rng: np.random.Generator):
+        self.w_g = Tensor(rng.normal(0.0, 1.0 / math.sqrt(d_m), size=(d_m, d_m)),
                           requires_grad=True)
-        self.b_g = Tensor(np.zeros(out_dim), requires_grad=True)
+        self.b_g = Tensor(np.zeros(d_m), requires_grad=True)
 
 
 def fuse_gate_batch(v_h: Tensor, h_e: Tensor, params: GateParams) -> Tensor:
@@ -305,10 +304,10 @@ def impute_missing(p_h: np.ndarray, params: VaeParams, mode: str = "mean",
 
 class MlfieParams(Module):
     def __init__(self, n_herb: int, p_dim: int, d_m: int, d_k: int, d_z: int,
-                 seed: int, scalar_gate: bool = False):
+                 seed: int):
         self.d_m = d_m
         self.attention = AttentionParams(p_dim, d_m, d_k, stage_rng(seed, "mlfie.attn"))
-        self.gate = GateParams(d_m, stage_rng(seed, "mlfie.gate"), scalar=scalar_gate)
+        self.gate = GateParams(d_m, stage_rng(seed, "mlfie.gate"))
         self.latent = LatentMolTable(n_herb, d_m, stage_rng(seed, "mlfie.latent"))
         self.probe = Linear(d_m, p_dim, stage_rng(seed, "mlfie.probe"))
         self.vae = VaeParams(p_dim, d_m, d_z, stage_rng(seed, "mlfie.vae"))

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dataio import symptom_batch
 from .errors import DataError, NumericError
 from .nn import Adam, EncoderLayer, Linear, Module, stage_rng
 from .refine import UnifiedEmbedding
@@ -27,12 +28,12 @@ from .tape import Tensor, bce_with_logits, concat, no_grad, softmax
 # ---------------------------------------------------------------------------
 
 def base_probabilities(s: np.ndarray | Tensor, herb_table: np.ndarray | Tensor,
-                       temperature: float = 1.0) -> Tensor:
+                       ) -> Tensor:
     """softmax(herb_table . s / sqrt(d)); a soft first-pass ranking."""
     s = Tensor.ensure(s)
     table = Tensor.ensure(herb_table)
     d = table.shape[1]
-    logits = (table @ s.reshape(-1, 1)) / (math.sqrt(d) * temperature)
+    logits = (table @ s.reshape(-1, 1)) / math.sqrt(d)
     return softmax(logits.reshape(1, -1), axis=-1).reshape(-1)
 
 
@@ -53,22 +54,15 @@ def weighted_herb(herb_table: np.ndarray | Tensor, p: np.ndarray | Tensor) -> Te
 
 class GelramParams(Module):
     def __init__(self, d: int, n_herb: int, seed: int, d_enc: int = 64,
-                 n_layers: int = 2, n_heads: int = 4, temperature: float = 1.0,
-                 base_prob_mode: str = "matcher"):
-        if base_prob_mode not in ("matcher", "frequency"):
-            raise DataError(f"unknown base probability mode {base_prob_mode!r}")
+                 n_layers: int = 2, n_heads: int = 4):
         self.d = d
         self.n_herb = n_herb
-        self.temperature = temperature
-        self.base_prob_mode = base_prob_mode
         rng = stage_rng(seed, "rs.gelram")
         self.input_proj = Linear(2 * d, d_enc, rng)
         self.tok_proj = Linear(d, d_enc, rng)
         self.layers = [EncoderLayer(d_enc, n_heads, 4 * d_enc, rng)
                        for _ in range(n_layers)]
         self.out = Linear(d_enc, n_herb, rng)
-        # filled from the training split when base_prob_mode == "frequency"
-        self.herb_frequency = Tensor(np.full(n_herb, 1.0 / n_herb))
 
 
 class PlainScorerParams(Module):
@@ -89,30 +83,6 @@ RsParams = GelramParams | PlainScorerParams
 # scoring
 # ---------------------------------------------------------------------------
 
-def _canonical_batch(symptom_sets: list[list[int] | frozenset[int]], n_sym: int,
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted, padded id matrix plus validity mask.
-
-    Canonical ascending order makes scores exactly invariant to the order
-    the caller lists the symptoms in.
-    """
-    canon = []
-    for ids in symptom_sets:
-        ids = sorted(set(int(i) for i in ids))
-        if not ids:
-            raise DataError("empty symptom set")
-        if ids[0] < 0 or ids[-1] >= n_sym:
-            raise DataError(f"unknown symptom id in {ids}")
-        canon.append(ids)
-    width = max(len(ids) for ids in canon)
-    padded = np.zeros((len(canon), width), dtype=np.intp)
-    mask = np.zeros((len(canon), width), dtype=bool)
-    for i, ids in enumerate(canon):
-        padded[i, :len(ids)] = ids
-        mask[i, :len(ids)] = True
-    return padded, mask
-
-
 def rs_logits(symptom_sets: list, emb: UnifiedEmbedding, params: RsParams,
               sym_table: Tensor | None = None,
               herb_table: Tensor | None = None) -> Tensor:
@@ -124,7 +94,7 @@ def rs_logits(symptom_sets: list, emb: UnifiedEmbedding, params: RsParams,
     """
     sym_t = sym_table if sym_table is not None else Tensor(emb.sym())
     herb_t = herb_table if herb_table is not None else Tensor(emb.herb())
-    ids, mask = _canonical_batch(symptom_sets, sym_t.shape[0])
+    ids, mask = symptom_batch(symptom_sets, sym_t.shape[0])
     b, width = ids.shape
     d = sym_t.shape[1]
 
@@ -135,11 +105,8 @@ def rs_logits(symptom_sets: list, emb: UnifiedEmbedding, params: RsParams,
     if isinstance(params, PlainScorerParams):
         return params.bilinear(s) @ herb_t.transpose(1, 0) + params.bias
 
-    if params.base_prob_mode == "frequency":
-        p = Tensor(np.broadcast_to(params.herb_frequency.data, (b, params.n_herb)))
-    else:
-        logits = (s @ herb_t.transpose(1, 0)) / (math.sqrt(d) * params.temperature)
-        p = softmax(logits, axis=-1)                      # (B, H)
+    logits = (s @ herb_t.transpose(1, 0)) / math.sqrt(d)
+    p = softmax(logits, axis=-1)                          # (B, H)
     h_w = p @ herb_t                                      # (B, d)
 
     cls = params.input_proj(concat([h_w, s], axis=1))     # (B, d_enc)
@@ -197,21 +164,10 @@ def multi_hot(herb_lists: list[list[int]], n_herb: int) -> np.ndarray:
     return t
 
 
-def herb_frequencies(instances, n_herb: int) -> np.ndarray:
-    counts = np.zeros(n_herb)
-    for inst in instances:
-        counts[list(inst.herbs)] += 1.0
-    total = counts.sum()
-    if total == 0:
-        return np.full(n_herb, 1.0 / n_herb)
-    return counts / total
-
-
 def train_rs(instances, emb: UnifiedEmbedding, *, epochs: int = 300,
              lr: float = 3e-3, batch_size: int | None = None, seed: int = 42,
              gelram: bool = True, d_enc: int = 64, n_layers: int = 2,
-             n_heads: int = 4, base_prob_mode: str = "matcher",
-             params: RsParams | None = None,
+             n_heads: int = 4, params: RsParams | None = None,
              targets: np.ndarray | None = None) -> RsTrainResult:
     """Fit the head with multi-label binary cross-entropy over all herbs."""
     if not instances:
@@ -220,8 +176,7 @@ def train_rs(instances, emb: UnifiedEmbedding, *, epochs: int = 300,
     if params is None:
         if gelram:
             params = GelramParams(d, n_herb, seed, d_enc=d_enc, n_layers=n_layers,
-                                  n_heads=n_heads, base_prob_mode=base_prob_mode)
-            params.herb_frequency.data = herb_frequencies(instances, n_herb)
+                                  n_heads=n_heads)
         else:
             params = PlainScorerParams(d, n_herb, seed)
     symptom_sets = [sorted(inst.symptoms) for inst in instances]

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dataio import symptom_batch
 from .errors import DataError, NumericError
 from .nn import (Adam, DecoderLayer, EncoderLayer, LayerNorm, Linear, Module,
                  MultiHeadAttention, sinusoidal_positions, stage_rng)
@@ -88,27 +89,11 @@ class Seq2SeqParams(Module):
 # encoder
 # ---------------------------------------------------------------------------
 
-def _canonical_ids(symptom_ids, n_sym: int) -> list[int]:
-    ids = sorted(set(int(i) for i in symptom_ids))
-    if not ids:
-        raise DataError("empty symptom set")
-    if ids[0] < 0 or ids[-1] >= n_sym:
-        raise DataError(f"unknown symptom id in {ids}")
-    return ids
-
-
 def _encode_batch(symptom_sets: list, params: Seq2SeqParams,
                   ) -> tuple[Tensor, np.ndarray]:
     """Memory (B, W, d) plus key validity mask (B, W)."""
-    n_sym = params.sym_table.shape[0]
-    canon = [_canonical_ids(s, n_sym) for s in symptom_sets]
-    width = max(len(ids) for ids in canon)
-    padded = np.zeros((len(canon), width), dtype=np.intp)
-    mask = np.zeros((len(canon), width), dtype=bool)
-    for i, ids in enumerate(canon):
-        padded[i, :len(ids)] = ids
-        mask[i, :len(ids)] = True
-    x = params.sym_table[padded] + params.positions[np.arange(width)]
+    ids, mask = symptom_batch(symptom_sets, params.sym_table.shape[0])
+    x = params.sym_table[ids] + params.positions[np.arange(ids.shape[1])]
     for layer in params.enc_layers:
         x = layer(x, key_mask=mask)
     return params.enc_ln(x), mask
@@ -234,48 +219,25 @@ def _masked_step_logprobs(memory, memory_mask, tokens: list[int],
 
 
 def generate(symptom_ids, params: Seq2SeqParams, max_len: int,
-             suppress_eos: bool = False, beam_width: int = 1) -> list[int]:
-    """Decode a formula from BOS; emitted herbs are masked so it never
-    repeats one, and BOS/PAD can never be produced.  Greedy by default;
-    ``beam_width`` > 1 keeps that many candidates ranked by cumulative log
-    probability (no length normalization).  Returns herb ids only.
+             suppress_eos: bool = False) -> list[int]:
+    """Greedy decoding from BOS; emitted herbs are masked so it never
+    repeats one, and BOS/PAD can never be produced.  Stops at EOS, after
+    ``max_len`` herbs, or when no token is left.  Returns herb ids only.
     """
     if max_len < 1:
         raise DataError("max_len must be >= 1")
-    if beam_width < 1:
-        raise DataError("beam_width must be >= 1")
     vocab = params.vocab
+    tokens = [vocab.bos]
     with no_grad():
         memory, memory_mask = _encode_batch([symptom_ids], params)
-        # (tokens, cumulative logp, finished); tokens[0] is BOS
-        beams: list[tuple[list[int], float, bool]] = [([vocab.bos], 0.0, False)]
-        while any(not done for _, _, done in beams):
-            grown: list[tuple[list[int], float, bool]] = []
-            for tokens, score, done in beams:
-                if done:
-                    grown.append((tokens, score, True))
-                    continue
-                if len(tokens) - 1 >= max_len:
-                    grown.append((tokens, score, True))
-                    continue
-                logp = _masked_step_logprobs(memory, memory_mask, tokens,
-                                             params, suppress_eos)
-                order = np.argsort(-logp, kind="stable")[:beam_width]
-                extended = False
-                for tok in order:
-                    if not np.isfinite(logp[tok]):
-                        continue
-                    extended = True
-                    if tok == vocab.eos:
-                        grown.append((tokens, score + float(logp[tok]), True))
-                    else:
-                        grown.append((tokens + [int(tok)],
-                                      score + float(logp[tok]), False))
-                if not extended:
-                    grown.append((tokens, score, True))   # vocabulary exhausted
-            grown.sort(key=lambda c: (-c[1], c[0]))
-            beams = grown[:beam_width]
-    return beams[0][0][1:]
+        while len(tokens) - 1 < max_len:
+            logp = _masked_step_logprobs(memory, memory_mask, tokens, params,
+                                         suppress_eos)
+            tok = int(np.argsort(-logp, kind="stable")[0])
+            if tok == vocab.eos or not np.isfinite(logp[tok]):
+                break
+            tokens.append(tok)
+    return tokens[1:]
 
 
 def export_predictions(path, instances, params: Seq2SeqParams,

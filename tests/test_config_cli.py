@@ -1,12 +1,16 @@
 import json
 import os
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fmash
 from fmash.checkpoint import load_checkpoint, save_checkpoint
 from fmash.cli import execute_command
-from fmash.config import (config_from_dict, config_hash, parse_config,
+from fmash.config import (RunConfig, config_from_dict, config_hash, parse_config,
                           serialize_config)
 from fmash.errors import ConfigError, SchemaError
 
@@ -59,6 +63,18 @@ def test_config_round_trip(tmp_path):
     assert config_hash(again) == config_hash(cfg)
 
 
+def test_every_config_key_is_read():
+    package = Path(fmash.__file__).parent
+    code = "\n".join(p.read_text(encoding="utf-8")
+                     for p in sorted(package.glob("*.py")) if p.name != "config.py")
+    cfg = RunConfig()
+    keys = [f"{section.name}.{key.name}" for section in fields(cfg)
+            for key in fields(getattr(cfg, section.name))]
+    assert keys
+    unread = [k for k in keys if not re.search(rf"\b{re.escape(k)}\b", code)]
+    assert unread == []
+
+
 # ---------------------------------------------------------------------------
 # checkpoints
 # ---------------------------------------------------------------------------
@@ -85,6 +101,15 @@ def test_checkpoint_rejects_garbage(tmp_path):
         load_checkpoint(path)
     with pytest.raises(SchemaError):
         load_checkpoint(tmp_path / "absent.ckpt")
+
+    good = tmp_path / "good.ckpt"
+    save_checkpoint(good, {"a": np.arange(6.0).reshape(2, 3), "b": np.ones(4)}, "abc")
+    raw = good.read_bytes()
+    # inside the header length, inside the header JSON, inside the last blob
+    for cut in (12, 15, 40, len(raw) - 9):
+        path.write_bytes(raw[:cut])
+        with pytest.raises(SchemaError, match="bad.ckpt"):
+            load_checkpoint(path)
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +207,39 @@ def test_missing_artifacts_exit_two(run_env):
                             "--symptoms", "sym-001", "--k", "2"]) == 2
 
 
+def test_truncated_checkpoint_exits_two(run_env, capsys):
+    tmp_path, cfg_path, _ = run_env
+    execute_command(["prepare", "--config", str(cfg_path)])
+    execute_command(["train-rs", "--config", str(cfg_path)])
+    path = tmp_path / "work" / "rs.ckpt"
+    raw = path.read_bytes()
+    for cut in (12, 40, len(raw) - 9):
+        path.write_bytes(raw[:cut])
+        capsys.readouterr()
+        assert execute_command(["recommend", "--config", str(cfg_path),
+                                "--symptoms", "sym-001", "--k", "2"]) == 2
+        assert str(path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, change", [
+    ("ablation", {"gelram": False}),
+    ("dims", {"d_enc": 16}),
+])
+def test_head_from_other_config_exits_two(run_env, capsys, section, change):
+    tmp_path, cfg_path, cfg = run_env
+    execute_command(["prepare", "--config", str(cfg_path)])
+    execute_command(["train-rs", "--config", str(cfg_path)])
+    other = json.loads(json.dumps(cfg))
+    other.setdefault(section, {}).update(change)
+    other_path = tmp_path / "other.json"
+    other_path.write_text(json.dumps(other))
+    capsys.readouterr()
+    assert execute_command(["recommend", "--config", str(other_path),
+                            "--symptoms", "sym-001", "--k", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "rs.ckpt" in err and "different head config" in err
+
+
 def test_impute_mol_export(run_env):
     tmp_path, cfg_path, _ = run_env
     out = tmp_path / "imputed.tsv"
@@ -253,6 +311,7 @@ def _set_first_property(value):
     ("symptoms.jsonl", lambda row: row.update(text_embedding=[0.5, float("inf")]),
      "text_embedding"),
     ("symptoms.jsonl", lambda row: row.pop("id"), "id"),
+    ("prescriptions.jsonl", lambda row: row.update(symptoms=["x"]), "symptoms"),
 ])
 def test_bad_corpus_row_exits_two_naming_file_line_and_key(run_env, capsys, fname,
                                                            edit, key):

@@ -6,8 +6,8 @@ import pytest
 
 from fmash.dataio import (HeteroGraph, PrescriptionInstance, build_graph,
                           generate_conflicting_corpus, generate_synthetic,
-                          load_corpus, load_molecular_table, save_corpus,
-                          save_molecular_table, split_dataset, split_sizes)
+                          load_corpus, save_corpus, save_molecular_table,
+                          split_dataset, split_sizes)
 from fmash.errors import DataError, SchemaError
 
 
@@ -281,26 +281,26 @@ def test_molecular_table_roundtrip(tmp_path):
     table = {5: [rng.normal(size=4) for _ in range(3)], 2: [rng.normal(size=4)]}
     path = tmp_path / "mols.tsv"
     save_molecular_table(path, table, d_m=4)
-    loaded = load_molecular_table(path, n_herb=10)
-    assert set(loaded) == {2, 5}
-    assert len(loaded[5]) == 3
-    np.testing.assert_allclose(loaded[5][1], table[5][1])
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "dim=4"
+    # herbs ascending, each herb's molecules in list order
+    rows = [line.split("\t") for line in lines[1:]]
+    assert [(r[0], r[1]) for r in rows] == [("2", "0"), ("5", "0"), ("5", "1"),
+                                            ("5", "2")]
+    # repr floats read back bit-exactly
+    written = [np.array([float(x) for x in r[2].split(",")]) for r in rows]
+    for got, want in zip(written, table[2] + table[5]):
+        np.testing.assert_array_equal(got, want)
+    assert rows[0][2] == ",".join(repr(float(x)) for x in table[2][0])
 
 
 def test_molecular_table_empty_and_errors(tmp_path):
     path = tmp_path / "empty.tsv"
-    path.write_text("dim=8\n", encoding="utf-8")
-    assert load_molecular_table(path) == {}
+    save_molecular_table(path, {}, d_m=8)
+    assert path.read_text(encoding="utf-8") == "dim=8\n"
 
-    bad = tmp_path / "bad.tsv"
-    bad.write_text("dim=4\n0\t0\t1.0,2.0,3.0\n", encoding="utf-8")
-    with pytest.raises(SchemaError, match=":2"):
-        load_molecular_table(bad)
-
-    unknown = tmp_path / "unknown.tsv"
-    unknown.write_text("dim=2\n42\t0\t1.0,2.0\n", encoding="utf-8")
-    with pytest.raises(SchemaError, match="42"):
-        load_molecular_table(unknown, n_herb=10)
+    with pytest.raises(SchemaError, match="herb 0 row 0"):
+        save_molecular_table(tmp_path / "bad.tsv", {0: [np.ones(3)]}, d_m=4)
 
 
 def test_imputed_rows_marked(tmp_path):

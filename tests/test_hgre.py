@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -158,14 +157,6 @@ def test_scan_single_step_matches_unrolled_oracle():
     z = x[0] @ params.gate.weight.data + params.gate.bias.data
     expected = y * (z / (1.0 + np.exp(-z)))
     np.testing.assert_allclose(out, expected, atol=1e-12)
-
-
-def test_euler_discretization_available():
-    params = SsmParams(3, stage_rng(7, "ssm"), d_state=2, discretization="euler")
-    out = ssm_scan(np.random.default_rng(7).normal(size=(4, 3)), params)
-    assert out.shape == (4, 3)
-    with pytest.raises(ValueError):
-        SsmParams(3, stage_rng(7, "ssm"), discretization="trapezoid")
 
 
 # ---------------------------------------------------------------------------

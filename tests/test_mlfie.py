@@ -177,14 +177,6 @@ def test_gate_convexity_bounds_1000_random_inputs():
         assert np.all(out >= lo - 1e-12) and np.all(out <= hi + 1e-12)
 
 
-def test_scalar_gate_variant():
-    params = GateParams(5, stage_rng(10, "gate"), scalar=True)
-    assert params.w_g.data.shape == (5, 1)
-    out = fuse_gate(np.ones(5), np.zeros(5), params)
-    assert np.all((0.0 <= out.data) & (out.data <= 1.0))
-    assert np.allclose(out.data, out.data[0])   # one shared gate value
-
-
 def test_gate_gradients():
     params = GateParams(3, stage_rng(11, "gate"))
     v = Tensor(np.random.default_rng(12).normal(size=3), requires_grad=True)

@@ -139,17 +139,6 @@ def test_plain_scorer_shape_and_order_invariance():
     assert a.scores.shape == (10,)
 
 
-def test_frequency_mode_uses_stored_frequencies():
-    emb = _emb()
-    params = GelramParams(8, 10, seed=7, d_enc=16, n_layers=1, n_heads=2,
-                          base_prob_mode="frequency")
-    freq = np.zeros(10)
-    freq[4] = 1.0
-    params.herb_frequency.data = freq
-    result = gelram_score([0], emb, params)
-    assert result.scores.shape == (10,)
-
-
 # ---------------------------------------------------------------------------
 # training
 # ---------------------------------------------------------------------------
