@@ -155,8 +155,12 @@ def _load_head(cfg: RunConfig, head: str, build):
     ``build(emb)`` makes the parameters the current config expects."""
     path = Path(cfg.paths.workdir) / f"{head}.ckpt"
     state, _ = load_checkpoint(path)
-    emb = UnifiedEmbedding(matrix=state["unified.matrix"],
-                           n_sym=int(state["unified.n_sym"].reshape(-1)[0]))
+    try:
+        emb = UnifiedEmbedding(matrix=state["unified.matrix"],
+                               n_sym=int(state["unified.n_sym"].reshape(-1)[0]))
+    except (KeyError, IndexError) as exc:
+        raise SchemaError(f"{path}: no unified table; not a checkpoint written "
+                          f"by train-{head}") from exc
     params = build(emb)
     prefix = f"{head}."
     try:

@@ -74,14 +74,14 @@ def load_predictions(path: str | Path, scored: bool) -> dict[int, list[int]]:
             except ValueError as exc:
                 raise SchemaError(f"{path}:{lineno}: expected 2 tab-separated "
                                   f"fields") from exc
-            if payload:
-                if scored:
-                    herbs = [int(tok.split(":")[0]) for tok in payload.split(",")]
-                else:
-                    herbs = [int(tok) for tok in payload.split(",")]
-            else:
-                herbs = []
-            preds[int(instance_id)] = herbs
+            tokens = payload.split(",") if payload else []
+            if scored:
+                tokens = [tok.split(":")[0] for tok in tokens]
+            try:
+                preds[int(instance_id)] = [int(tok) for tok in tokens]
+            except ValueError as exc:
+                raise SchemaError(f"{path}:{lineno}: ids must be integers "
+                                  f"({exc.args[0]})") from exc
     return preds
 
 

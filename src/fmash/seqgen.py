@@ -20,7 +20,7 @@ from .errors import DataError, NumericError
 from .nn import (Adam, DecoderLayer, EncoderLayer, LayerNorm, Linear, Module,
                  MultiHeadAttention, sinusoidal_positions, stage_rng)
 from .refine import UnifiedEmbedding
-from .tape import Tensor, no_grad
+from .tape import Tensor, masked_cross_entropy, no_grad
 
 MAX_POSITIONS = 512
 
@@ -151,14 +151,7 @@ def sequence_loss(batch: SeqBatch, params: Seq2SeqParams) -> Tensor:
     """Teacher-forced cross-entropy; PAD positions contribute exactly zero."""
     memory, memory_mask = _encode_batch(batch.symptom_sets, params)
     logits = decoder_logits(memory, memory_mask, batch.dec_in, params)
-    from .tape import log_softmax
-    logp = log_softmax(logits, axis=-1)
-    b, t = batch.dec_target.shape
-    rows = np.repeat(np.arange(b), t)
-    cols = np.tile(np.arange(t), b)
-    picked = logp[rows, cols, batch.dec_target.reshape(-1)].reshape(b, t)
-    masked = picked * batch.loss_mask
-    return -(masked.sum() / float(batch.loss_mask.sum()))
+    return masked_cross_entropy(logits, batch.dec_target, batch.loss_mask)
 
 
 @dataclass

@@ -8,16 +8,53 @@ in the test suite meaningful at tight tolerances.
 
 Only the operations the models actually need are implemented.  Reductions,
 broadcasts and fancy indexing follow numpy semantics exactly.
+
+Importing the module fixes glibc's heap thresholds (``_keep_freed_memory``)
+so that memory a training step frees stays in the process for the next one.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
 from typing import Iterable, Sequence
 
 import numpy as np
 
 _grad_enabled = True
+
+# glibc mallopt parameters
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+MMAP_THRESHOLD = 32 << 20
+TRIM_THRESHOLD = 1 << 30
+
+
+def _keep_freed_memory() -> None:
+    """Keep freed heap memory in the process for reuse (glibc only).
+
+    Every training step allocates and frees the same arrays.  Under glibc's
+    default, adaptive thresholds (128 KiB rising to at most 64 MiB) the free
+    top of the heap that a step leaves goes back to the system, and the next
+    step faults the same pages in again: thousands of page faults a step,
+    whose cost follows the host's memory load rather than the work.  Fixed
+    thresholds keep arrays below ``MMAP_THRESHOLD`` on the heap and return
+    free heap only beyond ``TRIM_THRESHOLD``; larger arrays are still mapped
+    and unmapped one by one, as under the default.  Freed memory is reused,
+    so the peak does not grow.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):     # no C library or not glibc
+        return
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    # a value glibc refuses (return 0) leaves its default in place
+    mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD)
+
+
+_keep_freed_memory()
 
 
 @contextlib.contextmanager
@@ -85,15 +122,17 @@ class Tensor:
         return float(self.data)
 
     def _accumulate(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+        # the first gradient is stored as is and later ones are added out of
+        # place: a stored array may be shared (``+`` hands one array to both
+        # parents) or a read-only broadcast view, so it is never written
+        self.grad = g if self.grad is None else self.grad + g
 
     def backward(self, grad: np.ndarray | None = None) -> None:
         if grad is None:
             if self.data.size != 1:
                 raise ValueError("backward() without an explicit gradient needs a scalar")
             grad = np.ones_like(self.data)
+        grad = np.broadcast_to(_as_array(grad), self.data.shape)
         topo: list[Tensor] = []
         seen: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -194,17 +233,25 @@ class Tensor:
         other = Tensor.ensure(other)
         if self.data.ndim < 2 or other.data.ndim < 2:
             raise ValueError("matmul operands must be at least 2-D")
-        out = _node(self.data @ other.data, (self, other))
+        a, b = self.data, other.data
+        out = _node(a @ b, (self, other))
         if out._parents:
             def bw(g):
+                # with a 2-D right operand (a weight) the batch axes fold
+                # into rows: one 2-D product each, and the weight gradient
+                # needs no sum over the batch afterwards
                 if self.requires_grad:
-                    self._accumulate(
-                        _unbroadcast(g @ other.data.swapaxes(-1, -2), self.data.shape)
-                    )
+                    if b.ndim == 2:
+                        ga = (g.reshape(-1, b.shape[1]) @ b.T).reshape(a.shape)
+                    else:
+                        ga = _unbroadcast(g @ b.swapaxes(-1, -2), a.shape)
+                    self._accumulate(ga)
                 if other.requires_grad:
-                    other._accumulate(
-                        _unbroadcast(self.data.swapaxes(-1, -2) @ g, other.data.shape)
-                    )
+                    if b.ndim == 2:
+                        gb = a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, b.shape[1])
+                    else:
+                        gb = _unbroadcast(a.swapaxes(-1, -2) @ g, b.shape)
+                    other._accumulate(gb)
             out._backward = bw
         return out
 
@@ -271,7 +318,7 @@ class Tensor:
                 gg = g
                 if axis is not None and not keepdims:
                     gg = np.expand_dims(gg, axis)
-                self._accumulate(np.broadcast_to(gg, self.data.shape).copy())
+                self._accumulate(np.broadcast_to(gg, self.data.shape))
             out._backward = bw
         return out
 
@@ -388,9 +435,35 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    shift = x - Tensor(x.data.max(axis=axis, keepdims=True))
-    return shift - shift.exp().sum(axis=axis, keepdims=True).log()
+def masked_cross_entropy(logits: Tensor, targets: np.ndarray,
+                         mask: np.ndarray) -> Tensor:
+    """Mean of ``-log softmax(logits)[..., target]`` over the positions where
+    ``mask`` is True, as one node.
+
+    ``logits`` is (..., V); ``targets`` (integer ids) and ``mask`` are (...).
+    Masked positions contribute exactly zero value and gradient.  The
+    backward is ``(softmax - onehot) * mask / count``, written into the
+    forward's ``exp`` buffer, so the backward allocates no (..., V) array.
+    """
+    v = logits.shape[-1]
+    targets = np.asarray(targets, dtype=np.intp).reshape(-1)
+    mask = np.asarray(mask, dtype=bool).reshape(-1)
+    count = float(mask.sum())
+    x = logits.data.reshape(-1, v)
+    shift = x - x.max(axis=1, keepdims=True)
+    e = np.exp(shift)
+    total = e.sum(axis=1, keepdims=True)
+    rows = np.arange(x.shape[0])
+    picked = shift[rows, targets] - np.log(total[:, 0])
+    out = _node(-((picked * mask).sum() / count), (logits,))
+    if out._parents:
+        def bw(g):
+            grad = np.divide(e, total, out=e)
+            grad[rows, targets] -= 1.0
+            grad *= (mask * (g / count))[:, None]
+            logits._accumulate(grad.reshape(logits.shape))
+        out._backward = bw
+    return out
 
 
 def bce_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:

@@ -240,6 +240,32 @@ def test_head_from_other_config_exits_two(run_env, capsys, section, change):
     assert "rs.ckpt" in err and "different head config" in err
 
 
+def test_checkpoint_without_unified_table_exits_two(run_env, capsys):
+    tmp_path, cfg_path, _ = run_env
+    execute_command(["prepare", "--config", str(cfg_path)])
+    execute_command(["train-rs", "--config", str(cfg_path)])
+    path = tmp_path / "work" / "rs.ckpt"
+    state, _ = load_checkpoint(path)
+    save_checkpoint(path, {k: v for k, v in state.items()
+                           if not k.startswith("unified.")}, "abc")
+    capsys.readouterr()
+    assert execute_command(["recommend", "--config", str(cfg_path),
+                            "--symptoms", "sym-001", "--k", "2"]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "Traceback" not in err
+
+
+def test_garbage_prediction_file_exits_two(run_env, capsys):
+    tmp_path, cfg_path, _ = run_env
+    execute_command(["prepare", "--config", str(cfg_path)])
+    pred = tmp_path / "pred.tsv"
+    pred.write_text("0\tx:1\n", encoding="utf-8")
+    capsys.readouterr()
+    assert execute_command(["evaluate", "--config", str(cfg_path),
+                            "--pred", str(pred)]) == 2
+    assert f"{pred}:1" in capsys.readouterr().err
+
+
 def test_impute_mol_export(run_env):
     tmp_path, cfg_path, _ = run_env
     out = tmp_path / "imputed.tsv"

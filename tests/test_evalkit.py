@@ -227,3 +227,16 @@ def test_prediction_file_parsing(tmp_path):
     path.write_text("no tabs here\n", encoding="utf-8")
     with pytest.raises(SchemaError):
         load_predictions(path, scored=True)
+
+
+@pytest.mark.parametrize("line, scored", [
+    ("0\tx:1", True),       # herb id
+    ("x\t1:0.5", True),     # instance id
+    ("0\t1,y", False),
+    ("0.5\t1", False),
+])
+def test_non_integer_prediction_ids_name_file_and_line(tmp_path, line, scored):
+    path = tmp_path / "pred.tsv"
+    path.write_text(f"1\t\n{line}\n", encoding="utf-8")
+    with pytest.raises(SchemaError, match=r"pred\.tsv:2: ids must be integers"):
+        load_predictions(path, scored=scored)

@@ -1,18 +1,35 @@
 """Finite-difference certification of every autodiff primitive."""
 
+import ctypes
+
 import numpy as np
 import pytest
 
 from fmash import tape
 from fmash.gradcheck import max_relative_error
 from fmash.nn import Adam, LayerNorm, Linear, MultiHeadAttention, stage_rng
-from fmash.tape import Tensor, bce_with_logits, concat, log_softmax, softmax, stack, where
+from fmash.tape import (Tensor, bce_with_logits, concat, masked_cross_entropy, softmax,
+                        stack, where)
 
 RTOL = 1e-6
 
 
 def _leaf(rng, *shape):
     return Tensor(rng.normal(size=shape), requires_grad=True)
+
+
+def _log_softmax(x, axis=-1):
+    """Log-softmax composed from tape ops: the reference for the fused loss."""
+    shift = x - Tensor(x.data.max(axis=axis, keepdims=True))
+    return shift - shift.exp().sum(axis=axis, keepdims=True).log()
+
+
+def _masked_cross_entropy_reference(logits, targets, mask):
+    b, t = targets.shape
+    rows = np.repeat(np.arange(b), t)
+    cols = np.tile(np.arange(t), b)
+    picked = _log_softmax(logits)[rows, cols, targets.reshape(-1)].reshape(b, t)
+    return -((picked * mask).sum() / float(mask.sum()))
 
 
 @pytest.mark.parametrize("op", [
@@ -49,6 +66,19 @@ def test_batched_matmul_grads():
     shared = _leaf(rng, 5, 2)
     loss = lambda: ((a @ b).sum() + (a @ shared).sum())
     assert max_relative_error(loss, [a, b, shared]) < RTOL
+
+
+@pytest.mark.parametrize("a_shape,b_shape", [
+    ((3, 4, 5), (5, 2)),        # activations @ weight: weight grad folds rows
+    ((2, 3, 4, 5), (5, 2)),
+    ((4, 5), (3, 5, 2)),
+])
+def test_matmul_grads_with_one_2d_operand(a_shape, b_shape):
+    rng = np.random.default_rng(15)
+    a, b = _leaf(rng, *a_shape), _leaf(rng, *b_shape)
+    target = rng.normal(size=np.broadcast_shapes(a_shape[:-1] + (1,),
+                                                 b_shape[:-2] + (1, b_shape[-1])))
+    assert max_relative_error(lambda: ((a @ b) * target).sum(), [a, b]) < RTOL
 
 
 @pytest.mark.parametrize("fn", [
@@ -120,7 +150,29 @@ def test_softmax_rows_sum_to_one_and_grads():
     np.testing.assert_allclose(s.data.sum(axis=-1), 1.0, atol=1e-12)
     target = rng.normal(size=(5, 7))
     assert max_relative_error(lambda: (softmax(x, axis=-1) * target).sum(), [x]) < RTOL
-    assert max_relative_error(lambda: (log_softmax(x, axis=-1) * target).sum(), [x]) < RTOL
+    assert max_relative_error(lambda: (_log_softmax(x, axis=-1) * target).sum(), [x]) < RTOL
+
+
+def test_masked_cross_entropy_matches_log_softmax_pick():
+    rng = np.random.default_rng(16)
+    logits = Tensor(rng.normal(0.0, 3.0, size=(4, 5, 7)), requires_grad=True)
+    targets = rng.integers(0, 7, size=(4, 5))
+    mask = rng.random((4, 5)) > 0.4
+    mask[1] = False                       # a row with nothing to score
+    mask[0, 0] = True
+
+    grads = []
+    for fn in (masked_cross_entropy, _masked_cross_entropy_reference):
+        logits.grad = None
+        loss = fn(logits, targets, mask)
+        loss.backward()
+        grads.append((loss.item(), logits.grad))
+    (fused, g_fused), (ref, g_ref) = grads
+    assert abs(fused - ref) < 1e-12
+    np.testing.assert_allclose(g_fused, g_ref, rtol=0.0, atol=1e-12)
+    assert np.all(g_fused[1] == 0.0)
+    assert max_relative_error(lambda: masked_cross_entropy(logits, targets, mask),
+                              [logits]) < RTOL
 
 
 def test_bce_with_logits_matches_naive():
@@ -209,6 +261,21 @@ def test_backward_accumulates_through_shared_subgraph():
     np.testing.assert_allclose(x.grad, 2 * 9 * x.data + 3.0)
 
 
+@pytest.mark.parametrize("loss", [
+    lambda a, b: (a + b).sum(),           # ``sum`` hands on a read-only view
+    lambda a, b: ((a + b) * 1.0).sum(),   # ``*`` hands on a fresh array
+])
+def test_gradients_shared_between_leaves_are_never_written_in_place(loss):
+    # ``+`` hands one gradient array to both parents; adding the second
+    # backward's gradient into it in place would give 3 instead of 2
+    a = Tensor(np.zeros(3), requires_grad=True)
+    b = Tensor(np.zeros(3), requires_grad=True)
+    for _ in range(2):
+        loss(a, b).backward()
+    np.testing.assert_array_equal(a.grad, np.full(3, 2.0))
+    np.testing.assert_array_equal(b.grad, np.full(3, 2.0))
+
+
 def test_sigmoid_bit_identical_to_masked_two_branch_form():
     def masked(x):
         out = np.empty_like(x)
@@ -224,3 +291,29 @@ def test_sigmoid_bit_identical_to_masked_two_branch_form():
     np.testing.assert_array_equal(tape._sigmoid(x).view(np.int64),
                                   masked(x).view(np.int64))
     assert np.isnan(tape._sigmoid(np.array([np.nan]))).all()
+
+
+class _MallInfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks",
+        "uordblks", "fordblks", "keepcost")]
+
+
+def test_freed_training_memory_stays_on_the_heap():
+    """After ``import fmash.tape`` arrays below ``MMAP_THRESHOLD`` come from
+    the heap and freeing them returns nothing to the system, so the next
+    step reuses the pages instead of faulting them in again.  Under glibc's
+    default thresholds the arrays are mapped one by one, or the freed top of
+    the heap (more than its 64 MiB maximum here) is trimmed."""
+    libc = ctypes.CDLL(None)
+    if not hasattr(libc, "mallinfo2"):
+        pytest.skip("needs glibc 2.33 or later")
+    libc.mallinfo2.argtypes = []
+    libc.mallinfo2.restype = _MallInfo2
+    size = (tape.MMAP_THRESHOLD * 3 // 4) // 8
+    mapped = libc.mallinfo2().hblkhd
+    arrays = [np.ones(size) for _ in range(4)]
+    assert libc.mallinfo2().hblkhd == mapped
+    heap = libc.mallinfo2().arena
+    del arrays
+    assert libc.mallinfo2().arena == heap
