@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# End-to-end command-line run: synthesize a corpus, prepare splits and the
-# graph, train both heads, query them, and evaluate the exports.
+# End-to-end command-line run: synthesize a corpus; prepare the splits, the
+# graph and phase 1 (saved as phase1.ckpt); train both heads on that one
+# phase-1 result; query them; and evaluate the exports.
 set -euo pipefail
 
 WORK=$(mktemp -d)

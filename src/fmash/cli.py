@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import difflib
+import hashlib
 import json
 import os
 import sys
@@ -15,13 +16,14 @@ from pathlib import Path
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, config_hash, parse_config
-from .dataio import (DatasetSplit, build_graph, generate_conflicting_corpus,
-                     generate_synthetic, load_corpus, save_corpus,
-                     save_molecular_table, split_dataset)
+from .dataio import (HERBS_FILE, PRESCRIPTIONS_FILE, SYMPTOMS_FILE, DatasetSplit,
+                     build_graph, generate_conflicting_corpus, generate_synthetic,
+                     load_corpus, load_vocab, save_corpus, save_molecular_table,
+                     split_dataset)
 from .errors import ConfigError, DataError, FmashError, NumericError, SchemaError
 from .evalkit import evaluate_run
 from .mlfie import fit_mlfie, impute_missing
-from .pipeline import phase1_state, run_phase1
+from .pipeline import phase1_key, phase1_state, run_phase1
 from .recsys import GelramParams, PlainScorerParams, recommend, train_rs
 from .recsys import export_predictions as export_rs_predictions
 from .refine import UnifiedEmbedding, export_unified
@@ -34,6 +36,7 @@ EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
 SPLITS_FILE = "splits.json"
+PHASE1_FILE = "phase1.ckpt"
 
 
 class UsageError(Exception):
@@ -110,20 +113,34 @@ def _workdir(cfg: RunConfig) -> Path:
     return wd
 
 
-def _load_splits(cfg: RunConfig, prescriptions) -> DatasetSplit:
+def _load_splits(cfg: RunConfig) -> DatasetSplit:
+    """The corpus prescriptions in the split ``prepare`` wrote."""
+    _, _, prescriptions = load_corpus(cfg.paths.corpus, expected_p=cfg.dims.p)
     path = Path(cfg.paths.workdir) / SPLITS_FILE
     if not path.exists():
         raise DataError(f"missing {path}; run `fmash prepare` first")
-    obj = json.loads(path.read_text(encoding="utf-8"))
-    by_id = {p.instance_id: p for p in prescriptions}
     try:
-        return DatasetSplit(
-            train=[by_id[i] for i in obj["train"]],
-            valid=[by_id[i] for i in obj["valid"]],
-            test=[by_id[i] for i in obj["test"]],
-            seed=int(obj["seed"]))
-    except KeyError as exc:
-        raise SchemaError(f"{path}: split references unknown instance {exc}") from exc
+        obj = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:    # bad JSON or bad UTF-8
+        raise SchemaError(f"{path}: invalid JSON ({exc}); rerun `fmash prepare`") from exc
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{path}: expected a JSON object, got {type(obj).__name__}")
+    by_id = {p.instance_id: p for p in prescriptions}
+    parts = {}
+    for part in ("train", "valid", "test"):
+        ids = obj.get(part)
+        if not isinstance(ids, list):
+            raise SchemaError(f"{path}: {part!r} must be a list of instance ids, "
+                              f"got {ids!r}")
+        unknown = [i for i in ids if type(i) is not int or i not in by_id]
+        if unknown:
+            raise SchemaError(f"{path}: {part!r} references unknown instance "
+                              f"{unknown[0]!r}")
+        parts[part] = [by_id[i] for i in ids]
+    seed = obj.get("seed")
+    if type(seed) is not int:
+        raise SchemaError(f"{path}: 'seed' must be an integer, got {seed!r}")
+    return DatasetSplit(seed=seed, **parts)
 
 
 def _resolve_symptom_names(arg: str, symptoms) -> list[int]:
@@ -141,13 +158,39 @@ def _resolve_symptom_names(arg: str, symptoms) -> list[int]:
     return ids
 
 
-def _prepared_run(cfg: RunConfig):
-    symptoms, herbs, prescriptions = load_corpus(cfg.paths.corpus,
-                                                 expected_p=cfg.dims.p)
-    split = _load_splits(cfg, prescriptions)
-    graph = build_graph(split.train, len(symptoms), len(herbs),
-                        tau_s=cfg.graph.tau_s, tau_h=cfg.graph.tau_h)
-    return symptoms, herbs, split, graph
+def _unified_table(path: Path, state, writer: str) -> UnifiedEmbedding:
+    """The unified table ``phase1_state`` put into ``state``, read from the
+    checkpoint ``path`` that ``fmash <writer>`` writes."""
+    try:
+        return UnifiedEmbedding(matrix=state["unified.matrix"],
+                                n_sym=int(state["unified.n_sym"].reshape(-1)[0]))
+    except (KeyError, IndexError) as exc:
+        raise SchemaError(f"{path}: no unified table; not a checkpoint written "
+                          f"by {writer}") from exc
+
+
+def _phase1_inputs_key(cfg: RunConfig) -> str:
+    """``phase1_key`` plus a digest of the other phase-1 inputs: the corpus
+    files and ``splits.json``."""
+    corpus, digest = Path(cfg.paths.corpus), hashlib.blake2b(digest_size=16)
+    for path in (corpus / SYMPTOMS_FILE, corpus / HERBS_FILE,
+                 corpus / PRESCRIPTIONS_FILE, Path(cfg.paths.workdir) / SPLITS_FILE):
+        digest.update(hashlib.blake2b(path.read_bytes()).digest())
+    return f"{phase1_key(cfg)}-{digest.hexdigest()}"
+
+
+def _load_phase1(cfg: RunConfig):
+    """The phase-1 state ``prepare`` saved and its unified table; exit 2
+    unless it was built from the current phase-1 inputs."""
+    path = Path(cfg.paths.workdir) / PHASE1_FILE
+    if not path.exists():
+        raise DataError(f"missing {path}; run `fmash prepare` first")
+    state, key = load_checkpoint(path)
+    if key != _phase1_inputs_key(cfg):
+        raise DataError(f"{path} was built from another config, FMASH_SEED, "
+                        f"corpus or splits.json than the current ones; rerun "
+                        f"`fmash prepare`")
+    return state, _unified_table(path, state, "prepare")
 
 
 def _load_head(cfg: RunConfig, head: str, build):
@@ -155,12 +198,7 @@ def _load_head(cfg: RunConfig, head: str, build):
     ``build(emb)`` makes the parameters the current config expects."""
     path = Path(cfg.paths.workdir) / f"{head}.ckpt"
     state, _ = load_checkpoint(path)
-    try:
-        emb = UnifiedEmbedding(matrix=state["unified.matrix"],
-                               n_sym=int(state["unified.n_sym"].reshape(-1)[0]))
-    except (KeyError, IndexError) as exc:
-        raise SchemaError(f"{path}: no unified table; not a checkpoint written "
-                          f"by train-{head}") from exc
+    emb = _unified_table(path, state, f"train-{head}")
     params = build(emb)
     prefix = f"{head}."
     try:
@@ -209,23 +247,28 @@ def _cmd_prepare(args) -> int:
     print(f"splits: {len(split.train)}/{len(split.valid)}/{len(split.test)}")
     print(f"graph edges: ss={len(graph.edges_ss)} hh={len(graph.edges_hh)} "
           f"sh={len(graph.edges_sh)}")
+    phase1 = run_phase1(symptoms, herbs, graph, cfg)
+    save_checkpoint(wd / PHASE1_FILE, phase1_state(phase1), _phase1_inputs_key(cfg))
+    for name, losses in phase1.histories.items():
+        trend = f", loss {losses[0]:.4g} -> {losses[-1]:.4g}" if losses else ""
+        print(f"phase 1 {name}: {len(losses)} epochs{trend}")
+    print(f"artifacts: {wd / SPLITS_FILE}, {wd / PHASE1_FILE}")
     return EXIT_OK
 
 
 def _cmd_train_rs(args) -> int:
     cfg = _load_config(args.config)
-    symptoms, herbs, split, graph = _prepared_run(cfg)
-    phase1 = run_phase1(symptoms, herbs, graph, cfg)
-    result = train_rs(split.train, phase1.unified, epochs=cfg.train.epochs,
+    split = _load_splits(cfg)
+    state, unified = _load_phase1(cfg)
+    result = train_rs(split.train, unified, epochs=cfg.train.epochs,
                       lr=cfg.train.lr, batch_size=cfg.train.batch or None,
                       seed=cfg.train.seed, gelram=cfg.ablation.gelram,
                       d_enc=cfg.dims.d_enc)
     wd = _workdir(cfg)
-    state = phase1_state(phase1)
     state.update({f"rs.{k}": v for k, v in result.params.state_dict().items()})
     save_checkpoint(wd / "rs.ckpt", state, config_hash(cfg))
-    export_unified(wd / "unified.csv", phase1.unified.matrix, phase1.unified.n_sym)
-    export_rs_predictions(wd / "rs_predictions.tsv", split.test, phase1.unified,
+    export_unified(wd / "unified.csv", unified.matrix, unified.n_sym)
+    export_rs_predictions(wd / "rs_predictions.tsv", split.test, unified,
                           result.params)
     final = result.losses[-1] if result.losses else float("nan")
     print(f"trained ranking head: {len(result.losses)} epochs, "
@@ -236,16 +279,15 @@ def _cmd_train_rs(args) -> int:
 
 def _cmd_train_seq(args) -> int:
     cfg = _load_config(args.config)
-    symptoms, herbs, split, graph = _prepared_run(cfg)
-    phase1 = run_phase1(symptoms, herbs, graph, cfg)
-    result = train_seq(split.train, phase1.unified, epochs=cfg.train.epochs,
+    split = _load_splits(cfg)
+    state, unified = _load_phase1(cfg)
+    result = train_seq(split.train, unified, epochs=cfg.train.epochs,
                        lr=cfg.train.lr, batch_size=cfg.train.batch or None,
                        seed=cfg.train.seed)
     wd = _workdir(cfg)
-    state = phase1_state(phase1)
     state.update({f"seq.{k}": v for k, v in result.params.state_dict().items()})
     save_checkpoint(wd / "seq.ckpt", state, config_hash(cfg))
-    export_unified(wd / "unified.csv", phase1.unified.matrix, phase1.unified.n_sym)
+    export_unified(wd / "unified.csv", unified.matrix, unified.n_sym)
     export_seq_predictions(wd / "seq_predictions.tsv", split.test, result.params,
                            max_len=cfg.train.seq_max_len)
     final = result.losses[-1] if result.losses else float("nan")
@@ -257,7 +299,7 @@ def _cmd_train_seq(args) -> int:
 
 def _cmd_impute_mol(args) -> int:
     cfg = _load_config(args.config)
-    symptoms, herbs, _ = load_corpus(cfg.paths.corpus, expected_p=cfg.dims.p)
+    _, herbs = load_vocab(cfg.paths.corpus, expected_p=cfg.dims.p)
     missing = [h for h in herbs if not h.molecules]
     if not missing:
         raise DataError("no herbs with missing molecular data to impute")
@@ -274,7 +316,7 @@ def _cmd_recommend(args) -> int:
     if args.k < 1:
         raise UsageError(f"--k must be >= 1, got {args.k}")
     cfg = _load_config(args.config)
-    symptoms, herbs, _ = load_corpus(cfg.paths.corpus, expected_p=cfg.dims.p)
+    symptoms, herbs = load_vocab(cfg.paths.corpus, expected_p=cfg.dims.p)
 
     def build(emb):
         if cfg.ablation.gelram:
@@ -294,7 +336,7 @@ def _cmd_recommend(args) -> int:
 
 def _cmd_generate(args) -> int:
     cfg = _load_config(args.config)
-    symptoms, herbs, _ = load_corpus(cfg.paths.corpus, expected_p=cfg.dims.p)
+    symptoms, herbs = load_vocab(cfg.paths.corpus, expected_p=cfg.dims.p)
     _, params = _load_head(cfg, "seq",
                            lambda emb: Seq2SeqParams(emb, cfg.train.seed))
     ids = _resolve_symptom_names(args.symptoms, symptoms)
@@ -314,9 +356,7 @@ def _cmd_evaluate(args) -> int:
         raise UsageError(f"--k must be comma-separated integers: {args.k!r}") from exc
     if not ks or any(k < 1 for k in ks):
         raise UsageError(f"--k entries must be >= 1: {args.k!r}")
-    symptoms, herbs, prescriptions = load_corpus(cfg.paths.corpus,
-                                                 expected_p=cfg.dims.p)
-    split = _load_splits(cfg, prescriptions)
+    split = _load_splits(cfg)
     pred = Path(args.pred)
     if not pred.exists():
         raise DataError(f"prediction file not found: {pred}; train a head first")

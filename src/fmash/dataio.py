@@ -188,17 +188,23 @@ def _finite_vector(value, key: str, where: str) -> np.ndarray:
     return vec
 
 
-def load_corpus(corpus_dir: str | Path, expected_p: int | None = None,
-                ) -> tuple[list[SymptomRecord], list[HerbRecord], list[PrescriptionInstance]]:
-    """Load a corpus directory and validate id density, cross-references and
-    that every numeric vector is finite."""
+def _corpus_file(corpus_dir: Path, fname: str) -> Path:
+    path = corpus_dir / fname
+    if not path.exists():
+        raise SchemaError(f"missing corpus file: {path}")
+    return path
+
+
+def load_vocab(corpus_dir: str | Path, expected_p: int | None = None,
+               ) -> tuple[list[SymptomRecord], list[HerbRecord]]:
+    """Load the symptom and herb files of a corpus directory and validate id
+    density, name uniqueness and that every numeric vector is finite."""
     corpus_dir = Path(corpus_dir)
-    for fname in (SYMPTOMS_FILE, HERBS_FILE, PRESCRIPTIONS_FILE):
-        if not (corpus_dir / fname).exists():
-            raise SchemaError(f"missing corpus file: {corpus_dir / fname}")
+    symptom_path = _corpus_file(corpus_dir, SYMPTOMS_FILE)
+    herb_path = _corpus_file(corpus_dir, HERBS_FILE)
 
     symptoms: list[SymptomRecord] = []
-    for where, row in _read_jsonl(corpus_dir / SYMPTOMS_FILE):
+    for where, row in _read_jsonl(symptom_path):
         emb = row.get("text_embedding")
         symptoms.append(SymptomRecord(
             id=_int_field(row, "id", where), name=str(_field(row, "name", where)),
@@ -210,7 +216,7 @@ def load_corpus(corpus_dir: str | Path, expected_p: int | None = None,
 
     herbs: list[HerbRecord] = []
     p_dim = expected_p
-    for where, row in _read_jsonl(corpus_dir / HERBS_FILE):
+    for where, row in _read_jsonl(herb_path):
         herb_id = _int_field(row, "id", where)
         name = str(_field(row, "name", where))
         props = _finite_vector(_field(row, "properties", where), "properties", where)
@@ -225,21 +231,31 @@ def load_corpus(corpus_dir: str | Path, expected_p: int | None = None,
     herbs.sort(key=lambda r: r.id)
     _check_dense_ids([r.id for r in herbs], "herb")
     _check_unique_names([r.name for r in herbs], "herb")
+    return symptoms, herbs
 
+
+def load_corpus(corpus_dir: str | Path, expected_p: int | None = None,
+                ) -> tuple[list[SymptomRecord], list[HerbRecord], list[PrescriptionInstance]]:
+    """``load_vocab`` plus the prescriptions, whose ids must name known
+    symptoms and herbs."""
+    corpus_dir = Path(corpus_dir)
+    symptoms, herbs = load_vocab(corpus_dir, expected_p)
     prescriptions: list[PrescriptionInstance] = []
     n_sym, n_herb = len(symptoms), len(herbs)
-    for idx, (where, row) in enumerate(_read_jsonl(corpus_dir / PRESCRIPTIONS_FILE)):
+    for idx, (where, row) in enumerate(
+            _read_jsonl(_corpus_file(corpus_dir, PRESCRIPTIONS_FILE))):
         sym_ids = _int_list(row, "symptoms", where)
         herb_ids = _int_list(row, "herbs", where)
-        if not sym_ids or not herb_ids:
-            raise SchemaError(f"prescription {idx}: empty symptom or herb list")
+        for key, ids in (("symptoms", sym_ids), ("herbs", herb_ids)):
+            if not ids:
+                raise SchemaError(f"{where}: {key!r} is empty")
         for s in sym_ids:
             if not 0 <= s < n_sym:
-                raise SchemaError(f"prescription {idx}: unknown symptom id {s}")
+                raise SchemaError(f"{where}: 'symptoms' holds unknown symptom id {s}")
         deduped: list[int] = []
         for h in herb_ids:
             if not 0 <= h < n_herb:
-                raise SchemaError(f"prescription {idx}: unknown herb id {h}")
+                raise SchemaError(f"{where}: 'herbs' holds unknown herb id {h}")
             if h not in deduped:
                 deduped.append(h)
         prescriptions.append(PrescriptionInstance(

@@ -8,11 +8,12 @@ never changes how any other stage initializes.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import RunConfig
+from .config import RunConfig, config_hash
 from .dataio import HerbRecord, HeteroGraph, SymptomRecord
 from .errors import DataError
 from .hgre import HgreParams, hgre_forward
@@ -22,6 +23,10 @@ from .refine import (AutoencoderParams, SymptomTextTable, UnifiedEmbedding,
                      assemble_features, compress, reconstruction_mse,
                      train_autoencoder)
 from .tape import Tensor, no_grad
+
+# config keys only the heads read; every other key is a phase-1 input
+HEAD_ONLY_KEYS = ("train.epochs", "train.batch", "train.seq_max_len",
+                  "ablation.gelram", "dims.d_enc")
 
 
 @dataclass
@@ -124,3 +129,13 @@ def phase1_state(result: Phase1Result) -> dict[str, np.ndarray]:
     state.update({f"refine.sym.{k}": v for k, v in result.fr_sym.state_dict().items()})
     state.update({f"refine.herb.{k}": v for k, v in result.fr_herb.state_dict().items()})
     return state
+
+
+def phase1_key(cfg: RunConfig) -> str:
+    """Hash of the phase-1 inputs: the config hash with every key in
+    ``HEAD_ONLY_KEYS`` held at its default."""
+    keyed, default = copy.deepcopy(cfg), RunConfig()
+    for dotted in HEAD_ONLY_KEYS:
+        section, key = dotted.split(".")
+        setattr(getattr(keyed, section), key, getattr(getattr(default, section), key))
+    return config_hash(keyed)

@@ -4,6 +4,7 @@ Renaming or removing one of them breaks the benchmark, so these tests
 install every patch it uses and run a small phase 1 under them.
 """
 
+import json
 import sys
 from pathlib import Path
 
@@ -13,7 +14,7 @@ sys.path.insert(0, str(BENCH))
 import spans  # noqa: E402
 import workloads  # noqa: E402
 
-from fmash import mlfie, pipeline  # noqa: E402
+from fmash import cli, mlfie, pipeline  # noqa: E402
 from fmash.config import RunConfig  # noqa: E402
 from fmash.dataio import build_graph, generate_synthetic  # noqa: E402
 
@@ -44,3 +45,26 @@ def test_molecular_stage_spans_nest_under_phase1():
         rec.close()
     for name in ("mlfie.align", "mlfie.complete_pairs", "mlfie.vae", "mlfie.herb_repr"):
         assert len(rec.named(name, under="pipeline.phase1")) == 1, name
+
+
+def test_phase1_span_only_in_prepare(tmp_path):
+    corpus, work = tmp_path / "corpus", tmp_path / "work"
+    assert cli.execute_command(["synth", "--out", str(corpus), "--n-sym", "10",
+                                "--n-herb", "10", "--n-syndromes", "2",
+                                "--n-prescriptions", "30"]) == 0
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({
+        "paths": {"corpus": str(corpus), "workdir": str(work)},
+        "dims": {"d": 16, "d_m": 8, "d_k": 4, "d_enc": 16, "d_z": 4, "d_text": 8,
+                 "d_state": 4},
+        "train": {"epochs": 2, "mlfie_epochs": 2, "vae_epochs": 2,
+                  "fr_epochs": 2}}))
+    rec = spans.Recorder("t")
+    try:
+        workloads.install_patches(rec, full=False)
+        assert cli.execute_command(["prepare", "--config", str(cfg_path)]) == 0
+        assert len(rec.named("pipeline.phase1")) == 1
+        assert cli.execute_command(["train-rs", "--config", str(cfg_path)]) == 0
+    finally:
+        rec.close()
+    assert len(rec.named("pipeline.phase1")) == 1

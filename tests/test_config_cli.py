@@ -8,11 +8,15 @@ import numpy as np
 import pytest
 
 import fmash
+from fmash import cli, pipeline
 from fmash.checkpoint import load_checkpoint, save_checkpoint
 from fmash.cli import execute_command
 from fmash.config import (RunConfig, config_from_dict, config_hash, parse_config,
                           serialize_config)
+from fmash.dataio import build_graph, load_corpus
 from fmash.errors import ConfigError, SchemaError
+from fmash.pipeline import HEAD_ONLY_KEYS, phase1_key, phase1_state, run_phase1
+from fmash.recsys import train_rs
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +144,9 @@ def run_env(tmp_path):
 def test_full_rs_pipeline(run_env, capsys):
     tmp_path, cfg_path, _ = run_env
     assert execute_command(["prepare", "--config", str(cfg_path)]) == 0
+    out = capsys.readouterr().out
+    for name in ("mlfie_alignment", "vae", "fr_sym", "fr_herb"):
+        assert f"phase 1 {name}: " in out, name
     assert execute_command(["train-rs", "--config", str(cfg_path)]) == 0
     pred = tmp_path / "work" / "rs_predictions.tsv"
     assert pred.exists()
@@ -194,7 +201,7 @@ def test_usage_errors_exit_one(run_env, capsys):
                             "--pred", "x", "--k", "0,5"]) == 1
 
 
-def test_missing_artifacts_exit_two(run_env):
+def test_missing_artifacts_exit_two(run_env, capsys):
     tmp_path, cfg_path, _ = run_env
     # evaluate before prepare/train
     assert execute_command(["evaluate", "--config", str(cfg_path),
@@ -205,6 +212,158 @@ def test_missing_artifacts_exit_two(run_env):
     execute_command(["prepare", "--config", str(cfg_path)])
     assert execute_command(["recommend", "--config", str(cfg_path),
                             "--symptoms", "sym-001", "--k", "2"]) == 2
+    # train after the phase-1 checkpoint is gone
+    (tmp_path / "work" / "phase1.ckpt").unlink()
+    for cmd in ("train-rs", "train-seq"):
+        capsys.readouterr()
+        assert execute_command([cmd, "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "phase1.ckpt" in err and "fmash prepare" in err
+
+
+def test_phase1_runs_once_per_prepared_workdir(run_env, monkeypatch):
+    _, cfg_path, _ = run_env
+    calls = []
+    original = pipeline.run_phase1
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "run_phase1", counted)
+    monkeypatch.setattr(cli, "run_phase1", counted)
+    for cmd in ("prepare", "train-rs", "train-seq"):
+        assert execute_command([cmd, "--config", str(cfg_path)]) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("change, seed, code", [
+    ({"train": {"epochs": 5}}, None, 0),
+    ({"train": {"fr_epochs": 30}}, None, 2),
+    ({"dims": {"d": 16}}, None, 2),
+    ({}, "999", 2),
+])
+def test_phase1_checkpoint_keyed_by_phase1_inputs(run_env, capsys, monkeypatch,
+                                                  change, seed, code):
+    tmp_path, cfg_path, cfg = run_env
+    assert execute_command(["prepare", "--config", str(cfg_path)]) == 0
+    other = json.loads(json.dumps(cfg))
+    for section, keys in change.items():
+        other[section].update(keys)
+    other_path = tmp_path / "other.json"
+    other_path.write_text(json.dumps(other))
+    if seed is not None:
+        monkeypatch.setenv("FMASH_SEED", seed)
+    for cmd in ("train-rs", "train-seq"):
+        capsys.readouterr()
+        assert execute_command([cmd, "--config", str(other_path)]) == code
+        if code:
+            err = capsys.readouterr().err
+            assert "phase1.ckpt" in err and "fmash prepare" in err
+
+
+def _shift_first_property(text):
+    rows = [json.loads(line) for line in text.splitlines()]
+    rows[0]["properties"][0] += 1.0
+    return "".join(json.dumps(row) + "\n" for row in rows)
+
+
+def _move_valid_to_train(text):
+    obj = json.loads(text)
+    obj["train"].append(obj["valid"].pop())
+    return json.dumps(obj)
+
+
+@pytest.mark.parametrize("fname, edit", [
+    ("corpus/herbs.jsonl", _shift_first_property),
+    ("work/splits.json", _move_valid_to_train),
+])
+def test_phase1_checkpoint_keyed_by_corpus_and_splits(run_env, capsys, fname, edit):
+    tmp_path, cfg_path, _ = run_env
+    assert execute_command(["prepare", "--config", str(cfg_path)]) == 0
+    path = tmp_path / fname
+    path.write_text(edit(path.read_text()))
+    capsys.readouterr()
+    assert execute_command(["train-rs", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert "phase1.ckpt" in err and "fmash prepare" in err
+
+
+def _changed(value):
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, (int, float)):
+        return value + 1
+    if isinstance(value, str):
+        return value + "x"
+    return value[::-1]
+
+
+def test_phase1_key_ignores_exactly_the_head_only_keys():
+    base = RunConfig()
+    for section in fields(base):
+        for key in fields(getattr(base, section.name)):
+            cfg = RunConfig()
+            target = getattr(cfg, section.name)
+            setattr(target, key.name, _changed(getattr(target, key.name)))
+            dotted = f"{section.name}.{key.name}"
+            same = phase1_key(cfg) == phase1_key(base)
+            assert same == (dotted in HEAD_ONLY_KEYS), dotted
+
+
+def test_rs_checkpoint_matches_phase1_run_in_process(run_env):
+    tmp_path, cfg_path, _ = run_env
+    execute_command(["prepare", "--config", str(cfg_path)])
+    assert execute_command(["train-rs", "--config", str(cfg_path)]) == 0
+    # what train-rs wrote when it ran phase 1 itself
+    cfg = parse_config(cfg_path)
+    symptoms, herbs, prescriptions = load_corpus(cfg.paths.corpus,
+                                                 expected_p=cfg.dims.p)
+    ids = json.loads((tmp_path / "work" / "splits.json").read_text())
+    train = [p for i in ids["train"] for p in prescriptions if p.instance_id == i]
+    graph = build_graph(train, len(symptoms), len(herbs),
+                        tau_s=cfg.graph.tau_s, tau_h=cfg.graph.tau_h)
+    phase1 = run_phase1(symptoms, herbs, graph, cfg)
+    result = train_rs(train, phase1.unified, epochs=cfg.train.epochs,
+                      lr=cfg.train.lr, batch_size=cfg.train.batch or None,
+                      seed=cfg.train.seed, gelram=cfg.ablation.gelram,
+                      d_enc=cfg.dims.d_enc)
+    state = phase1_state(phase1)
+    state.update({f"rs.{k}": v for k, v in result.params.state_dict().items()})
+    expected = tmp_path / "expected.ckpt"
+    save_checkpoint(expected, state, config_hash(cfg))
+    assert (tmp_path / "work" / "rs.ckpt").read_bytes() == expected.read_bytes()
+
+
+@pytest.mark.parametrize("text, what", [
+    ('{"seed": 11, "train": [0, 1', "invalid JSON"),
+    ("[]", "expected a JSON object"),
+    ('{"valid": [], "test": [], "seed": 11}', "'train' must be a list"),
+    ('{"train": [9999], "valid": [], "test": [], "seed": 11}',
+     "unknown instance 9999"),
+    ('{"train": [0], "valid": [], "test": [], "seed": "11"}',
+     "'seed' must be an integer"),
+])
+def test_bad_splits_file_exits_two(run_env, capsys, text, what):
+    tmp_path, cfg_path, _ = run_env
+    execute_command(["prepare", "--config", str(cfg_path)])
+    path = tmp_path / "work" / "splits.json"
+    path.write_text(text)
+    capsys.readouterr()
+    assert execute_command(["train-rs", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and what in err
+
+
+def test_serving_needs_no_prescriptions_file(run_env, capsys):
+    tmp_path, cfg_path, _ = run_env
+    for cmd in ("prepare", "train-rs", "train-seq"):
+        execute_command([cmd, "--config", str(cfg_path)])
+    (tmp_path / "corpus" / "prescriptions.jsonl").unlink()
+    assert execute_command(["recommend", "--config", str(cfg_path),
+                            "--symptoms", "sym-001", "--k", "2"]) == 0
+    assert execute_command(["generate", "--config", str(cfg_path),
+                            "--symptoms", "sym-001"]) == 0
 
 
 def test_truncated_checkpoint_exits_two(run_env, capsys):
@@ -338,6 +497,14 @@ def _set_first_property(value):
      "text_embedding"),
     ("symptoms.jsonl", lambda row: row.pop("id"), "id"),
     ("prescriptions.jsonl", lambda row: row.update(symptoms=["x"]), "symptoms"),
+    pytest.param("prescriptions.jsonl", lambda row: row.update(symptoms=[]),
+                 "symptoms", id="prescriptions.jsonl-empty-symptoms"),
+    pytest.param("prescriptions.jsonl", lambda row: row.update(herbs=[]),
+                 "herbs", id="prescriptions.jsonl-empty-herbs"),
+    pytest.param("prescriptions.jsonl", lambda row: row.update(symptoms=[999]),
+                 "symptoms", id="prescriptions.jsonl-unknown-symptom"),
+    pytest.param("prescriptions.jsonl", lambda row: row.update(herbs=[999]),
+                 "herbs", id="prescriptions.jsonl-unknown-herb"),
 ])
 def test_bad_corpus_row_exits_two_naming_file_line_and_key(run_env, capsys, fname,
                                                            edit, key):
