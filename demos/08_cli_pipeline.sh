@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # End-to-end command-line run: synthesize a corpus; prepare the splits, the
-# graph and phase 1 (saved as phase1.ckpt); train both heads on that one
-# phase-1 result; query them; and evaluate the exports.
+# graph and phase 1 (saved as phase1.ckpt); export the VAE imputations phase 1
+# used; train both heads on that one phase-1 result; query them; and evaluate
+# the exports.
 set -euo pipefail
 
 WORK=$(mktemp -d)
@@ -19,6 +20,7 @@ CFG
 fmash synth --out "$WORK/corpus" --n-sym 12 --n-herb 12 --n-syndromes 2 \
     --n-prescriptions 30 --seed 5
 fmash prepare --config "$WORK/run.json"
+fmash impute-mol --config "$WORK/run.json" --out "$WORK/imputed.tsv"
 fmash train-rs --config "$WORK/run.json"
 fmash train-seq --config "$WORK/run.json"
 

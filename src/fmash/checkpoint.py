@@ -1,9 +1,9 @@
 """Deterministic checkpoint archive: named float64 tensors plus a manifest.
 
-Layout: a magic line, an 8-byte little-endian header length, a JSON header
-holding the version, config hash and per-tensor (name, shape, offset)
-records, then the raw little-endian C-order blobs.  No timestamps or other
-environment-dependent bytes, so identical inputs produce identical files.
+Layout: magic line, 8-byte little-endian header length, JSON header (version,
+a ``config_hash`` key that is empty if no reader checks one, per-tensor name,
+shape and offset), then raw little-endian C-order blobs.  No timestamps or
+other environment-dependent bytes, so identical inputs give identical files.
 """
 
 from __future__ import annotations

@@ -15,16 +15,16 @@ import sys
 from pathlib import Path
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import RunConfig, config_hash, parse_config
+from .config import RunConfig, parse_config
 from .dataio import (HERBS_FILE, PRESCRIPTIONS_FILE, SYMPTOMS_FILE, DatasetSplit,
                      build_graph, generate_conflicting_corpus, generate_synthetic,
                      load_corpus, load_vocab, save_corpus, save_molecular_table,
                      split_dataset)
 from .errors import ConfigError, DataError, FmashError, NumericError, SchemaError
 from .evalkit import evaluate_run
-from .mlfie import fit_mlfie, impute_missing
+from .mlfie import MlfieParams, impute_missing
 from .pipeline import phase1_key, phase1_state, run_phase1
-from .recsys import GelramParams, PlainScorerParams, recommend, train_rs
+from .recsys import make_rs_params, recommend, train_rs
 from .recsys import export_predictions as export_rs_predictions
 from .refine import UnifiedEmbedding, export_unified
 from .seqgen import Seq2SeqParams, generate, train_seq
@@ -162,11 +162,15 @@ def _unified_table(path: Path, state, writer: str) -> UnifiedEmbedding:
     """The unified table ``phase1_state`` put into ``state``, read from the
     checkpoint ``path`` that ``fmash <writer>`` writes."""
     try:
-        return UnifiedEmbedding(matrix=state["unified.matrix"],
-                                n_sym=int(state["unified.n_sym"].reshape(-1)[0]))
+        matrix, n_sym = state["unified.matrix"], state["unified.n_sym"].reshape(-1)[0]
     except (KeyError, IndexError) as exc:
         raise SchemaError(f"{path}: no unified table; not a checkpoint written "
                           f"by {writer}") from exc
+    if matrix.ndim != 2 or not (float(n_sym).is_integer()
+                                and 1 <= n_sym < matrix.shape[0]):
+        raise SchemaError(f"{path}: malformed unified table (matrix shape "
+                          f"{matrix.shape}, n_sym {n_sym!r})")
+    return UnifiedEmbedding(matrix=matrix, n_sym=int(n_sym))
 
 
 def _phase1_inputs_key(cfg: RunConfig) -> str:
@@ -193,21 +197,33 @@ def _load_phase1(cfg: RunConfig):
     return state, _unified_table(path, state, "prepare")
 
 
-def _load_head(cfg: RunConfig, head: str, build):
-    """The unified table and the ``head`` parameters saved by ``train-<head>``;
-    ``build(emb)`` makes the parameters the current config expects."""
-    path = Path(cfg.paths.workdir) / f"{head}.ckpt"
-    state, _ = load_checkpoint(path)
-    emb = _unified_table(path, state, f"train-{head}")
-    params = build(emb)
-    prefix = f"{head}."
+def _load_params(params, path: Path, state, prefix: str, fault: str):
+    """Load ``path``'s ``prefix`` tensors into ``params``; exit 2 on a mismatch."""
     try:
         params.load_state_dict({k[len(prefix):]: v for k, v in state.items()
                                 if k.startswith(prefix)})
     except (KeyError, ValueError) as exc:
-        raise SchemaError(f"{path}: trained with a different head config than "
-                          f"the current one ({exc.args[0]})") from exc
-    return emb, params
+        raise SchemaError(f"{path}: {fault} ({exc.args[0]})") from exc
+    return params
+
+
+def _load_head(cfg: RunConfig, head: str, symptoms, herbs):
+    """The unified table and the ``head`` parameters saved by ``train-<head>``,
+    built as the current config expects; exit 2 unless the table covers the
+    corpus vocabulary."""
+    path = Path(cfg.paths.workdir) / f"{head}.ckpt"
+    state, _ = load_checkpoint(path)
+    emb = _unified_table(path, state, f"train-{head}")
+    if (emb.n_sym, emb.n_herb) != (len(symptoms), len(herbs)):
+        raise SchemaError(f"{path} was trained on {emb.n_sym} symptoms and "
+                          f"{emb.n_herb} herbs, but {cfg.paths.corpus} has "
+                          f"{len(symptoms)} symptoms and {len(herbs)} herbs; "
+                          f"rerun `fmash prepare` and `fmash train-{head}`")
+    params = (make_rs_params(emb, cfg.train.seed, gelram=cfg.ablation.gelram,
+                             d_enc=cfg.dims.d_enc)
+              if head == "rs" else Seq2SeqParams(emb, cfg.train.seed))
+    return emb, _load_params(params, path, state, f"{head}.",
+                             "trained with a different head config")
 
 
 # ---------------------------------------------------------------------------
@@ -249,51 +265,40 @@ def _cmd_prepare(args) -> int:
           f"sh={len(graph.edges_sh)}")
     phase1 = run_phase1(symptoms, herbs, graph, cfg)
     save_checkpoint(wd / PHASE1_FILE, phase1_state(phase1), _phase1_inputs_key(cfg))
+    export_unified(wd / "unified.csv", phase1.unified.matrix, phase1.unified.n_sym)
     for name, losses in phase1.histories.items():
         trend = f", loss {losses[0]:.4g} -> {losses[-1]:.4g}" if losses else ""
         print(f"phase 1 {name}: {len(losses)} epochs{trend}")
-    print(f"artifacts: {wd / SPLITS_FILE}, {wd / PHASE1_FILE}")
+    print(f"artifacts: {wd / SPLITS_FILE}, {wd / PHASE1_FILE}, {wd / 'unified.csv'}")
     return EXIT_OK
 
 
-def _cmd_train_rs(args) -> int:
+def _cmd_train(args) -> int:
+    """Fit one head; its checkpoint holds only the unified table and the head."""
     cfg = _load_config(args.config)
     split = _load_splits(cfg)
-    state, unified = _load_phase1(cfg)
-    result = train_rs(split.train, unified, epochs=cfg.train.epochs,
-                      lr=cfg.train.lr, batch_size=cfg.train.batch or None,
-                      seed=cfg.train.seed, gelram=cfg.ablation.gelram,
-                      d_enc=cfg.dims.d_enc)
+    phase1, unified = _load_phase1(cfg)
     wd = _workdir(cfg)
-    state.update({f"rs.{k}": v for k, v in result.params.state_dict().items()})
-    save_checkpoint(wd / "rs.ckpt", state, config_hash(cfg))
-    export_unified(wd / "unified.csv", unified.matrix, unified.n_sym)
-    export_rs_predictions(wd / "rs_predictions.tsv", split.test, unified,
-                          result.params)
+    opts = dict(epochs=cfg.train.epochs, lr=cfg.train.lr,
+                batch_size=cfg.train.batch or None, seed=cfg.train.seed)
+    if args.command == "train-rs":
+        head, title = "rs", "ranking"
+        result = train_rs(split.train, unified, gelram=cfg.ablation.gelram,
+                          d_enc=cfg.dims.d_enc, **opts)
+        export_rs_predictions(wd / "rs_predictions.tsv", split.test, unified,
+                              result.params)
+    else:
+        head, title = "seq", "sequence"
+        result = train_seq(split.train, unified, **opts)
+        export_seq_predictions(wd / "seq_predictions.tsv", split.test,
+                               result.params, max_len=cfg.train.seq_max_len)
+    state = {k: v for k, v in phase1.items() if k.startswith("unified.")}
+    state.update({f"{head}.{k}": v for k, v in result.params.state_dict().items()})
+    save_checkpoint(wd / f"{head}.ckpt", state)
     final = result.losses[-1] if result.losses else float("nan")
-    print(f"trained ranking head: {len(result.losses)} epochs, "
+    print(f"trained {title} head: {len(result.losses)} epochs, "
           f"final loss {final:.4f}")
-    print(f"artifacts: {wd / 'rs.ckpt'}, {wd / 'rs_predictions.tsv'}")
-    return EXIT_OK
-
-
-def _cmd_train_seq(args) -> int:
-    cfg = _load_config(args.config)
-    split = _load_splits(cfg)
-    state, unified = _load_phase1(cfg)
-    result = train_seq(split.train, unified, epochs=cfg.train.epochs,
-                       lr=cfg.train.lr, batch_size=cfg.train.batch or None,
-                       seed=cfg.train.seed)
-    wd = _workdir(cfg)
-    state.update({f"seq.{k}": v for k, v in result.params.state_dict().items()})
-    save_checkpoint(wd / "seq.ckpt", state, config_hash(cfg))
-    export_unified(wd / "unified.csv", unified.matrix, unified.n_sym)
-    export_seq_predictions(wd / "seq_predictions.tsv", split.test, result.params,
-                           max_len=cfg.train.seq_max_len)
-    final = result.losses[-1] if result.losses else float("nan")
-    print(f"trained sequence head: {len(result.losses)} epochs, "
-          f"final loss {final:.4f}")
-    print(f"artifacts: {wd / 'seq.ckpt'}, {wd / 'seq_predictions.tsv'}")
+    print(f"artifacts: {wd / f'{head}.ckpt'}, {wd / f'{head}_predictions.tsv'}")
     return EXIT_OK
 
 
@@ -303,8 +308,15 @@ def _cmd_impute_mol(args) -> int:
     missing = [h for h in herbs if not h.molecules]
     if not missing:
         raise DataError("no herbs with missing molecular data to impute")
-    params, _ = fit_mlfie(herbs, cfg)
-    imputed = impute_missing([h.properties for h in missing], params.vae)
+    if not cfg.ablation.mlfie:
+        raise DataError(f"ablation.mlfie is false, so {PHASE1_FILE} holds no "
+                        f"molecular stage to impute with")
+    state, _ = _load_phase1(cfg)
+    d = cfg.dims
+    mlfie = MlfieParams(len(herbs), d.p, d.d_m, d.d_k, d.d_z, cfg.train.seed)
+    _load_params(mlfie, Path(cfg.paths.workdir) / PHASE1_FILE, state, "mlfie.",
+                 "no molecular stage")
+    imputed = impute_missing([h.properties for h in missing], mlfie.vae)
     table = {h.id: [row] for h, row in zip(missing, imputed)}
     save_molecular_table(args.out, table, d_m=cfg.dims.d_m,
                          imputed_ids=set(table))
@@ -317,14 +329,7 @@ def _cmd_recommend(args) -> int:
         raise UsageError(f"--k must be >= 1, got {args.k}")
     cfg = _load_config(args.config)
     symptoms, herbs = load_vocab(cfg.paths.corpus, expected_p=cfg.dims.p)
-
-    def build(emb):
-        if cfg.ablation.gelram:
-            return GelramParams(emb.dim, emb.n_herb, cfg.train.seed,
-                                d_enc=cfg.dims.d_enc)
-        return PlainScorerParams(emb.dim, emb.n_herb, cfg.train.seed)
-
-    emb, params = _load_head(cfg, "rs", build)
+    emb, params = _load_head(cfg, "rs", symptoms, herbs)
     if args.k > emb.n_herb:
         raise UsageError(f"--k exceeds the herb vocabulary ({emb.n_herb})")
     ids = _resolve_symptom_names(args.symptoms, symptoms)
@@ -337,8 +342,7 @@ def _cmd_recommend(args) -> int:
 def _cmd_generate(args) -> int:
     cfg = _load_config(args.config)
     symptoms, herbs = load_vocab(cfg.paths.corpus, expected_p=cfg.dims.p)
-    _, params = _load_head(cfg, "seq",
-                           lambda emb: Seq2SeqParams(emb, cfg.train.seed))
+    _, params = _load_head(cfg, "seq", symptoms, herbs)
     ids = _resolve_symptom_names(args.symptoms, symptoms)
     formula = generate(ids, params, max_len=cfg.train.seq_max_len)
     if not formula:
@@ -375,8 +379,8 @@ def _cmd_evaluate(args) -> int:
 _COMMANDS = {
     "synth": _cmd_synth,
     "prepare": _cmd_prepare,
-    "train-rs": _cmd_train_rs,
-    "train-seq": _cmd_train_seq,
+    "train-rs": _cmd_train,
+    "train-seq": _cmd_train,
     "impute-mol": _cmd_impute_mol,
     "recommend": _cmd_recommend,
     "generate": _cmd_generate,

@@ -79,6 +79,15 @@ class PlainScorerParams(Module):
 RsParams = GelramParams | PlainScorerParams
 
 
+def make_rs_params(emb: UnifiedEmbedding, seed: int, *, gelram: bool = True,
+                   d_enc: int = 64, n_layers: int = 2, n_heads: int = 4) -> RsParams:
+    """A fresh ranked head: the fusion encoder, or the plain scorer if ablated."""
+    if gelram:
+        return GelramParams(emb.dim, emb.n_herb, seed, d_enc=d_enc,
+                            n_layers=n_layers, n_heads=n_heads)
+    return PlainScorerParams(emb.dim, emb.n_herb, seed)
+
+
 # ---------------------------------------------------------------------------
 # scoring
 # ---------------------------------------------------------------------------
@@ -172,16 +181,12 @@ def train_rs(instances, emb: UnifiedEmbedding, *, epochs: int = 300,
     """Fit the head with multi-label binary cross-entropy over all herbs."""
     if not instances:
         raise DataError("cannot train on an empty split")
-    d, n_herb = emb.dim, emb.n_herb
     if params is None:
-        if gelram:
-            params = GelramParams(d, n_herb, seed, d_enc=d_enc, n_layers=n_layers,
-                                  n_heads=n_heads)
-        else:
-            params = PlainScorerParams(d, n_herb, seed)
+        params = make_rs_params(emb, seed, gelram=gelram, d_enc=d_enc,
+                                n_layers=n_layers, n_heads=n_heads)
     symptom_sets = [sorted(inst.symptoms) for inst in instances]
     if targets is None:
-        targets = multi_hot([inst.herbs for inst in instances], n_herb)
+        targets = multi_hot([inst.herbs for inst in instances], emb.n_herb)
     sym_t, herb_t = Tensor(emb.sym()), Tensor(emb.herb())
 
     opt = Adam(params.parameters(), lr=lr)

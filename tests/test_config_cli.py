@@ -8,13 +8,14 @@ import numpy as np
 import pytest
 
 import fmash
-from fmash import cli, pipeline
+from fmash import cli, mlfie, pipeline
 from fmash.checkpoint import load_checkpoint, save_checkpoint
 from fmash.cli import execute_command
 from fmash.config import (RunConfig, config_from_dict, config_hash, parse_config,
                           serialize_config)
-from fmash.dataio import build_graph, load_corpus
+from fmash.dataio import build_graph, load_corpus, save_molecular_table
 from fmash.errors import ConfigError, SchemaError
+from fmash.mlfie import impute_missing
 from fmash.pipeline import HEAD_ONLY_KEYS, phase1_key, phase1_state, run_phase1
 from fmash.recsys import train_rs
 
@@ -311,11 +312,9 @@ def test_phase1_key_ignores_exactly_the_head_only_keys():
             assert same == (dotted in HEAD_ONLY_KEYS), dotted
 
 
-def test_rs_checkpoint_matches_phase1_run_in_process(run_env):
-    tmp_path, cfg_path, _ = run_env
-    execute_command(["prepare", "--config", str(cfg_path)])
-    assert execute_command(["train-rs", "--config", str(cfg_path)]) == 0
-    # what train-rs wrote when it ran phase 1 itself
+def _phase1_in_process(tmp_path, cfg_path):
+    """The config, train split, herbs and phase-1 result of the prepared
+    workdir, rebuilt without the CLI."""
     cfg = parse_config(cfg_path)
     symptoms, herbs, prescriptions = load_corpus(cfg.paths.corpus,
                                                  expected_p=cfg.dims.p)
@@ -323,16 +322,41 @@ def test_rs_checkpoint_matches_phase1_run_in_process(run_env):
     train = [p for i in ids["train"] for p in prescriptions if p.instance_id == i]
     graph = build_graph(train, len(symptoms), len(herbs),
                         tau_s=cfg.graph.tau_s, tau_h=cfg.graph.tau_h)
-    phase1 = run_phase1(symptoms, herbs, graph, cfg)
+    return cfg, train, herbs, run_phase1(symptoms, herbs, graph, cfg)
+
+
+def test_rs_checkpoint_matches_phase1_run_in_process(run_env):
+    tmp_path, cfg_path, _ = run_env
+    execute_command(["prepare", "--config", str(cfg_path)])
+    assert execute_command(["train-rs", "--config", str(cfg_path)]) == 0
+    cfg, train, _, phase1 = _phase1_in_process(tmp_path, cfg_path)
     result = train_rs(train, phase1.unified, epochs=cfg.train.epochs,
                       lr=cfg.train.lr, batch_size=cfg.train.batch or None,
                       seed=cfg.train.seed, gelram=cfg.ablation.gelram,
                       d_enc=cfg.dims.d_enc)
-    state = phase1_state(phase1)
+    # the unified table and the head, under a header with no config hash
+    state = {k: v for k, v in phase1_state(phase1).items()
+             if k.startswith("unified.")}
     state.update({f"rs.{k}": v for k, v in result.params.state_dict().items()})
     expected = tmp_path / "expected.ckpt"
-    save_checkpoint(expected, state, config_hash(cfg))
+    save_checkpoint(expected, state)
     assert (tmp_path / "work" / "rs.ckpt").read_bytes() == expected.read_bytes()
+
+
+def test_head_checkpoints_hold_only_the_unified_table_and_the_head(run_env):
+    tmp_path, cfg_path, _ = run_env
+    work = tmp_path / "work"
+    assert execute_command(["prepare", "--config", str(cfg_path)]) == 0
+    (work / "unified.csv").unlink()
+    for head in ("rs", "seq"):
+        assert execute_command([f"train-{head}", "--config", str(cfg_path)]) == 0
+        state, header_hash = load_checkpoint(work / f"{head}.ckpt")
+        assert header_hash == ""
+        own = {k for k in state if k.startswith(f"{head}.")}
+        assert own
+        assert set(state) - own == {"unified.matrix", "unified.n_sym"}
+    # only prepare writes the unified table
+    assert not (work / "unified.csv").exists()
 
 
 @pytest.mark.parametrize("text, what", [
@@ -399,19 +423,56 @@ def test_head_from_other_config_exits_two(run_env, capsys, section, change):
     assert "rs.ckpt" in err and "different head config" in err
 
 
+@pytest.mark.parametrize("n_sym, n_herb", [(12, 10), (8, 12), (12, 20)],
+                         ids=["fewer-herbs", "fewer-symptoms", "more-herbs"])
+def test_serving_another_vocabulary_exits_two(run_env, capsys, n_sym, n_herb):
+    tmp_path, cfg_path, cfg = run_env
+    for cmd in ("prepare", "train-rs", "train-seq"):
+        assert execute_command([cmd, "--config", str(cfg_path)]) == 0
+    other_corpus = tmp_path / "other_corpus"
+    assert execute_command(["synth", "--out", str(other_corpus),
+                            "--n-sym", str(n_sym), "--n-herb", str(n_herb),
+                            "--n-syndromes", "2", "--n-prescriptions", "10",
+                            "--seed", "5"]) == 0
+    other = json.loads(json.dumps(cfg))
+    other["paths"]["corpus"] = str(other_corpus)
+    other_path = tmp_path / "other.json"
+    other_path.write_text(json.dumps(other))
+    for head, argv in (("rs", ["recommend", "--symptoms", "sym-001", "--k", "2"]),
+                       ("seq", ["generate", "--symptoms", "sym-001"])):
+        capsys.readouterr()
+        assert execute_command(argv + ["--config", str(other_path)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert str(tmp_path / "work" / f"{head}.ckpt") in err
+        assert str(other_corpus) in err
+        assert "12 symptoms and 12 herbs" in err
+        assert f"{n_sym} symptoms and {n_herb} herbs" in err
+
+
 def test_checkpoint_without_unified_table_exits_two(run_env, capsys):
     tmp_path, cfg_path, _ = run_env
     execute_command(["prepare", "--config", str(cfg_path)])
     execute_command(["train-rs", "--config", str(cfg_path)])
     path = tmp_path / "work" / "rs.ckpt"
     state, _ = load_checkpoint(path)
-    save_checkpoint(path, {k: v for k, v in state.items()
-                           if not k.startswith("unified.")}, "abc")
-    capsys.readouterr()
-    assert execute_command(["recommend", "--config", str(cfg_path),
-                            "--symptoms", "sym-001", "--k", "2"]) == 2
-    err = capsys.readouterr().err
-    assert str(path) in err and "Traceback" not in err
+    head = {k: v for k, v in state.items() if not k.startswith("unified.")}
+    matrix = state["unified.matrix"]
+    broken = [head,
+              {**state, "unified.n_sym": np.asarray(1e9)},
+              {**state, "unified.n_sym": np.asarray(0.0)},
+              {**state, "unified.n_sym": np.asarray(float(matrix.shape[0]))},
+              {**state, "unified.n_sym": np.asarray(2.5)},
+              {**state, "unified.n_sym": np.asarray(float("nan"))},
+              {**state, "unified.matrix": matrix.reshape(-1)},
+              {**state, "unified.matrix": matrix[None]}]
+    for tensors in broken:
+        save_checkpoint(path, tensors)
+        capsys.readouterr()
+        assert execute_command(["recommend", "--config", str(cfg_path),
+                                "--symptoms", "sym-001", "--k", "2"]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "Traceback" not in err
 
 
 def test_garbage_prediction_file_exits_two(run_env, capsys):
@@ -427,6 +488,7 @@ def test_garbage_prediction_file_exits_two(run_env, capsys):
 
 def test_impute_mol_export(run_env):
     tmp_path, cfg_path, _ = run_env
+    assert execute_command(["prepare", "--config", str(cfg_path)]) == 0
     out = tmp_path / "imputed.tsv"
     assert execute_command(["impute-mol", "--config", str(cfg_path),
                             "--out", str(out)]) == 0
@@ -434,6 +496,50 @@ def test_impute_mol_export(run_env):
     assert lines[0] == "dim=16"
     assert len(lines) > 1
     assert all(line.split("\t")[1] == "-1" for line in lines[1:])
+    # the VAE phase 1 trained, not a second fit
+    cfg, _, herbs, phase1 = _phase1_in_process(tmp_path, cfg_path)
+    missing = [h for h in herbs if not h.molecules]
+    imputed = impute_missing([h.properties for h in missing],
+                             phase1.mlfie_params.vae)
+    expected = tmp_path / "expected.tsv"
+    save_molecular_table(expected, {h.id: [row] for h, row in zip(missing, imputed)},
+                         d_m=cfg.dims.d_m, imputed_ids={h.id for h in missing})
+    assert out.read_bytes() == expected.read_bytes()
+
+
+def test_molecular_stage_fits_once_per_prepared_workdir(run_env, capsys,
+                                                        monkeypatch):
+    tmp_path, cfg_path, cfg = run_env
+    out = tmp_path / "imputed.tsv"
+    capsys.readouterr()
+    assert execute_command(["impute-mol", "--config", str(cfg_path),
+                            "--out", str(out)]) == 2
+    assert "phase1.ckpt" in capsys.readouterr().err
+
+    calls = []
+    original = mlfie.fit_mlfie
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "fit_mlfie", counted)
+    # a second fit inside impute-mol would go through the cli module's binding
+    monkeypatch.setattr(cli, "fit_mlfie", counted, raising=False)
+    assert execute_command(["prepare", "--config", str(cfg_path)]) == 0
+    assert execute_command(["impute-mol", "--config", str(cfg_path),
+                            "--out", str(out)]) == 0
+    assert len(calls) == 1
+
+    off = json.loads(json.dumps(cfg))
+    off["ablation"] = {"mlfie": False}
+    off_path = tmp_path / "off.json"
+    off_path.write_text(json.dumps(off))
+    assert execute_command(["prepare", "--config", str(off_path)]) == 0
+    capsys.readouterr()
+    assert execute_command(["impute-mol", "--config", str(off_path),
+                            "--out", str(out)]) == 2
+    assert "phase1.ckpt" in capsys.readouterr().err
 
 
 def test_repeated_runs_byte_identical(run_env):
@@ -464,16 +570,14 @@ def test_env_seed_override(run_env):
 def test_ablation_leaves_shared_stage_initialization_alone(run_env):
     tmp_path, cfg_path, cfg = run_env
     execute_command(["prepare", "--config", str(cfg_path)])
-    execute_command(["train-rs", "--config", str(cfg_path)])
-    with_gelram, _ = load_checkpoint(tmp_path / "work" / "rs.ckpt")
+    with_gelram, _ = load_checkpoint(tmp_path / "work" / "phase1.ckpt")
 
     cfg_off = dict(cfg)
     cfg_off["ablation"] = {"gelram": False}
     cfg_off_path = tmp_path / "run_off.json"
     cfg_off_path.write_text(json.dumps(cfg_off))
     execute_command(["prepare", "--config", str(cfg_off_path)])
-    execute_command(["train-rs", "--config", str(cfg_off_path)])
-    without_gelram, _ = load_checkpoint(tmp_path / "work" / "rs.ckpt")
+    without_gelram, _ = load_checkpoint(tmp_path / "work" / "phase1.ckpt")
 
     shared = [k for k in with_gelram
               if k.startswith(("hgre.", "mlfie.", "refine.", "init_features",
