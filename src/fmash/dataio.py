@@ -5,7 +5,7 @@ File formats (all UTF-8, ids 0-based):
 - ``symptoms.jsonl``      one JSON object per line:
   ``{"id": int, "name": str, "text_embedding": [float, ...]?}``
 - ``herbs.jsonl``         ``{"id": int, "name": str, "properties": [float]*P,
-  "molecules": [str, ...]}``
+  "molecules": [str, ...]?}`` (each molecule a non-empty string)
 - ``prescriptions.jsonl`` ``{"symptoms": [int, ...], "herbs": [int, ...]}``
   (herb order is meaningful and preserved)
 - molecular table         header line ``dim=<d_m>`` then rows
@@ -226,8 +226,13 @@ def load_vocab(corpus_dir: str | Path, expected_p: int | None = None,
             raise SchemaError(
                 f"{where}: herb {herb_id} ({name}): property vector has length "
                 f"{props.size}, expected {p_dim}")
+        molecules = row.get("molecules", [])
+        if not (isinstance(molecules, list)
+                and all(isinstance(m, str) and m for m in molecules)):
+            raise SchemaError(f"{where}: 'molecules' must be a list of non-empty "
+                              f"strings, got {molecules!r}")
         herbs.append(HerbRecord(id=herb_id, name=name, properties=props,
-                                molecules=[str(m) for m in row.get("molecules", [])]))
+                                molecules=molecules))
     herbs.sort(key=lambda r: r.id)
     _check_dense_ids([r.id for r in herbs], "herb")
     _check_unique_names([r.name for r in herbs], "herb")

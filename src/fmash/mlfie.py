@@ -27,8 +27,8 @@ import numpy as np
 
 from .config import RunConfig
 from .dataio import HerbRecord
-from .errors import DataError, NumericError, SchemaError
-from .nn import NEG_INF, Adam, Linear, Module, stage_rng
+from .errors import DataError, SchemaError
+from .nn import NEG_INF, Linear, Module, fit, stage_rng
 from .tape import Tensor, no_grad, softmax
 
 
@@ -217,7 +217,7 @@ class VaeParams(Module):
 
 
 def vae_loss(p_h, v_target, params: VaeParams, eps: np.ndarray | None = None,
-             beta: float = 1.0) -> tuple[Tensor, Tensor, Tensor]:
+             ) -> tuple[Tensor, Tensor, Tensor]:
     """ELBO-style loss: squared-error reconstruction plus closed-form KL to
     the standard normal, both averaged over the batch.
 
@@ -232,10 +232,7 @@ def vae_loss(p_h, v_target, params: VaeParams, eps: np.ndarray | None = None,
     z = mu if eps is None else mu + (0.5 * logvar).exp() * Tensor(np.atleast_2d(eps))
     recon_err = params.decode(z) - v
     recon = (recon_err * recon_err).sum(axis=1).mean()
-    loss = recon + beta * kl
-    if not np.isfinite(loss.data):
-        raise NumericError("non-finite VAE loss")
-    return loss, kl, recon
+    return recon + kl, kl, recon
 
 
 @dataclass
@@ -244,30 +241,29 @@ class TrainingHistory:
 
 
 def train_vae(complete_pairs: tuple[np.ndarray, np.ndarray], *, d_z: int = 16,
-              epochs: int = 200, lr: float = 1e-2, beta: float = 1.0,
-              seed: int = 42, params: VaeParams | None = None,
+              epochs: int = 200, lr: float = 1e-2, seed: int = 42,
+              params: VaeParams | None = None,
               ) -> tuple[VaeParams, TrainingHistory]:
     """Fit the imputation VAE on (property, pooled-molecular) pairs."""
     props, targets = np.asarray(complete_pairs[0]), np.asarray(complete_pairs[1])
-    if props.shape[0] < 8:
-        raise DataError(f"need at least 8 complete pairs to train, got {props.shape[0]}")
+    n = props.shape[0]
+    if n < 8:
+        raise DataError(f"need at least 8 complete pairs to train, got {n}")
     if params is None:
         params = VaeParams(props.shape[1], targets.shape[1], d_z,
                            stage_rng(seed, "mlfie.vae"))
     noise_rng = stage_rng(seed, "mlfie.vae.noise")
-    opt = Adam(params.parameters(), lr=lr)
+
+    def loss(_) -> Tensor:
+        eps = noise_rng.standard_normal((n, params.d_z))
+        return vae_loss(props, targets, params, eps=eps)[0]
+
     history = TrainingHistory()
-    for _ in range(epochs):
-        eps = noise_rng.standard_normal((props.shape[0], params.d_z))
-        opt.zero_grad()
-        loss, _, _ = vae_loss(props, targets, params, eps=eps, beta=beta)
-        loss.backward()
-        opt.step()
+    for _ in fit(params.parameters(), loss, n, epochs=epochs, lr=lr):
         # the recorded trajectory is the noise-free objective (posterior mean),
         # so it tracks progress rather than the per-epoch sampling draw
         with no_grad():
-            eval_loss, _, _ = vae_loss(props, targets, params, eps=None, beta=beta)
-        history.losses.append(eval_loss.item())
+            history.losses.append(vae_loss(props, targets, params)[0].item())
     return params, history
 
 
@@ -361,16 +357,11 @@ def train_property_alignment(herbs: list[HerbRecord], params: MlfieParams, *,
     mol_embs = Tensor(embs)
     props = Tensor(np.asarray([h.properties for h in with_mols]))
     ids = np.array([h.id for h in with_mols], dtype=np.intp)
-    opt = Adam(params.attention.parameters() + params.gate.parameters()
-               + params.latent.parameters() + params.probe.parameters(), lr=lr)
-    history = TrainingHistory()
-    for _ in range(epochs):
-        opt.zero_grad()
-        loss = alignment_loss(mol_embs, mask, props, ids, params)
-        loss.backward()
-        opt.step()
-        history.losses.append(loss.item())
-    return history
+    return TrainingHistory(list(fit(
+        params.attention.parameters() + params.gate.parameters()
+        + params.latent.parameters() + params.probe.parameters(),
+        lambda _: alignment_loss(mol_embs, mask, props, ids, params),
+        len(with_mols), epochs=epochs, lr=lr)))
 
 
 def all_herb_representations(herbs: list[HerbRecord], params: MlfieParams,

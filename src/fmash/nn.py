@@ -1,4 +1,5 @@
-"""Parameter containers, layers and the optimizer used across the models.
+"""Parameter containers, layers, the optimizer and the training loop used
+across the models.
 
 Modules are plain objects whose Tensor attributes (and nested Modules) are
 discovered by reflection, torch-style.  Every component draws its
@@ -10,10 +11,12 @@ from __future__ import annotations
 
 import hashlib
 import math
-from typing import Iterator
+from dataclasses import dataclass
+from typing import Callable, Iterator
 
 import numpy as np
 
+from .errors import NumericError
 from .tape import Tensor, no_grad, softmax
 
 
@@ -221,3 +224,39 @@ class Adam:
                 m_hat = self.m[i] / (1 - self.b1 ** self.t)
                 v_hat = self.v[i] / (1 - self.b2 ** self.t)
                 p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+def fit(params: list[Tensor], loss_fn: Callable[[np.ndarray], Tensor], n: int, *,
+        epochs: int, lr: float, batch_size: int | None = None,
+        rng: np.random.Generator | None = None) -> Iterator[float]:
+    """Train ``params`` with Adam on ``loss_fn(indices)``, the mean loss of
+    the examples at ``indices`` among ``0..n-1``.
+
+    Each epoch covers every example once: as one batch in index order, or
+    with ``batch_size`` in slices of a permutation drawn from ``rng``.
+    Yields each epoch's mean loss after its last step; raises
+    ``NumericError`` instead when that loss is not finite.
+    """
+    opt = Adam(params, lr=lr)
+    step = batch_size or n
+    for epoch in range(1, epochs + 1):
+        order = rng.permutation(n) if batch_size else np.arange(n)
+        total = 0.0
+        for lo in range(0, n, step):
+            sel = order[lo:lo + step]
+            opt.zero_grad()
+            loss = loss_fn(sel)
+            loss.backward()
+            opt.step()
+            total += loss.item() * len(sel)
+        mean = total / n
+        if not np.isfinite(mean):
+            raise NumericError(f"non-finite training loss at epoch {epoch}")
+        yield mean
+
+
+@dataclass
+class TrainResult:
+    """A trained model and its per-epoch losses."""
+    params: Module
+    losses: list[float]

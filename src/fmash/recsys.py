@@ -12,13 +12,13 @@ inner-product scorer takes its place.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dataio import symptom_batch
 from .errors import DataError, NumericError
-from .nn import Adam, EncoderLayer, Linear, Module, stage_rng
+from .nn import EncoderLayer, Linear, Module, TrainResult, fit, stage_rng
 from .refine import UnifiedEmbedding
 from .tape import Tensor, bce_with_logits, concat, no_grad, softmax
 
@@ -160,12 +160,6 @@ def recommend(symptom_ids, k: int, params: RsParams, emb: UnifiedEmbedding,
 # training
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RsTrainResult:
-    params: RsParams
-    losses: list[float] = field(default_factory=list)
-
-
 def multi_hot(herb_lists: list[list[int]], n_herb: int) -> np.ndarray:
     t = np.zeros((len(herb_lists), n_herb))
     for i, herbs in enumerate(herb_lists):
@@ -176,8 +170,7 @@ def multi_hot(herb_lists: list[list[int]], n_herb: int) -> np.ndarray:
 def train_rs(instances, emb: UnifiedEmbedding, *, epochs: int = 300,
              lr: float = 3e-3, batch_size: int | None = None, seed: int = 42,
              gelram: bool = True, d_enc: int = 64, n_layers: int = 2,
-             n_heads: int = 4, params: RsParams | None = None,
-             targets: np.ndarray | None = None) -> RsTrainResult:
+             n_heads: int = 4, params: RsParams | None = None) -> TrainResult:
     """Fit the head with multi-label binary cross-entropy over all herbs."""
     if not instances:
         raise DataError("cannot train on an empty split")
@@ -185,32 +178,17 @@ def train_rs(instances, emb: UnifiedEmbedding, *, epochs: int = 300,
         params = make_rs_params(emb, seed, gelram=gelram, d_enc=d_enc,
                                 n_layers=n_layers, n_heads=n_heads)
     symptom_sets = [sorted(inst.symptoms) for inst in instances]
-    if targets is None:
-        targets = multi_hot([inst.herbs for inst in instances], emb.n_herb)
+    targets = multi_hot([inst.herbs for inst in instances], emb.n_herb)
     sym_t, herb_t = Tensor(emb.sym()), Tensor(emb.herb())
 
-    opt = Adam(params.parameters(), lr=lr)
-    batch_rng = stage_rng(seed, "rs.batches")
-    n = len(instances)
-    result = RsTrainResult(params=params)
-    for _ in range(epochs):
-        order = batch_rng.permutation(n) if batch_size else np.arange(n)
-        step = batch_size or n
-        epoch_loss = 0.0
-        for lo in range(0, n, step):
-            sel = order[lo:lo + step]
-            opt.zero_grad()
-            logits = rs_logits([symptom_sets[i] for i in sel], emb, params,
-                               sym_table=sym_t, herb_table=herb_t)
-            loss = bce_with_logits(logits, targets[sel])
-            loss.backward()
-            opt.step()
-            epoch_loss += loss.item() * len(sel)
-        epoch_loss /= n
-        if not np.isfinite(epoch_loss):
-            raise NumericError("non-finite training loss")
-        result.losses.append(epoch_loss)
-    return result
+    def loss(sel: np.ndarray) -> Tensor:
+        logits = rs_logits([symptom_sets[i] for i in sel], emb, params,
+                           sym_table=sym_t, herb_table=herb_t)
+        return bce_with_logits(logits, targets[sel])
+
+    return TrainResult(params, list(fit(
+        params.parameters(), loss, len(instances), epochs=epochs, lr=lr,
+        batch_size=batch_size, rng=stage_rng(seed, "rs.batches"))))
 
 
 def export_predictions(path, instances, emb: UnifiedEmbedding, params: RsParams,

@@ -18,7 +18,7 @@ import numpy as np
 
 from .dataio import HerbRecord, SymptomRecord
 from .errors import DataError, SchemaError
-from .nn import Adam, Embedding, Linear, Module, stage_rng
+from .nn import Embedding, Linear, Module, fit, stage_rng
 from .tape import Tensor, no_grad
 
 UNIFIED_DIM = 64
@@ -159,16 +159,18 @@ class AutoencoderParams(Module):
         return self.dec2(self.dec1(z).silu())
 
 
+def _reconstruction_loss(x: Tensor, params: AutoencoderParams) -> Tensor:
+    err = params.decode(params.encode(x)) - x
+    return (err * err).mean()
+
+
 def reconstruction_mse(matrix: np.ndarray, params: AutoencoderParams) -> float:
     with no_grad():
-        x = Tensor(matrix)
-        err = params.decode(params.encode(x)) - x
-        return (err * err).mean().item()
+        return _reconstruction_loss(Tensor(matrix), params).item()
 
 
 def train_autoencoder(matrix: np.ndarray, *, seed: int = 42, epochs: int = 200,
                       lr: float = 1e-2, hidden: int | None = 128,
-                      rng_name: str = "refine.ae",
                       params: AutoencoderParams | None = None,
                       ) -> tuple[AutoencoderParams, list[float]]:
     """Fit the compression autoencoder on assembled rows by MSE."""
@@ -180,18 +182,11 @@ def train_autoencoder(matrix: np.ndarray, *, seed: int = 42, epochs: int = 200,
         warnings.warn("all assembled rows are identical; training anyway",
                       stacklevel=2)
     if params is None:
-        params = AutoencoderParams(matrix.shape[1], stage_rng(seed, rng_name),
+        params = AutoencoderParams(matrix.shape[1], stage_rng(seed, "refine.ae"),
                                    hidden=hidden)
-    opt = Adam(params.parameters(), lr=lr)
-    losses = []
     x = Tensor(matrix)
-    for _ in range(epochs):
-        opt.zero_grad()
-        err = params.decode(params.encode(x)) - x
-        loss = (err * err).mean()
-        loss.backward()
-        opt.step()
-        losses.append(loss.item())
+    losses = list(fit(params.parameters(), lambda _: _reconstruction_loss(x, params),
+                      matrix.shape[0], epochs=epochs, lr=lr))
     return params, losses
 
 

@@ -11,14 +11,15 @@ masks already-emitted herbs, and stops at EOS or the length cap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dataio import symptom_batch
-from .errors import DataError, NumericError
-from .nn import (Adam, DecoderLayer, EncoderLayer, LayerNorm, Linear, Module,
-                 MultiHeadAttention, sinusoidal_positions, stage_rng)
+from .errors import DataError
+from .nn import (DecoderLayer, EncoderLayer, LayerNorm, Linear, Module,
+                 MultiHeadAttention, TrainResult, fit, sinusoidal_positions,
+                 stage_rng)
 from .refine import UnifiedEmbedding
 from .tape import Tensor, masked_cross_entropy, no_grad
 
@@ -68,13 +69,14 @@ class Seq2SeqParams(Module):
         self.vocab = TokenVocab(emb.n_herb)
         self.d = d
         rng = stage_rng(seed, "seq")
-        # frozen unified symptom table; target embeddings start from the
-        # unified herb rows and stay trainable
-        self.sym_table = Tensor(emb.sym().copy())
+        # the frozen unified symptom table and the positional encodings are
+        # plain arrays, rebuilt on load rather than checkpointed; target
+        # embeddings start from the unified herb rows and stay trainable
+        self.sym_table = emb.sym()
         tok = np.concatenate([emb.herb().copy(),
                               rng.normal(0.0, 0.1, size=(3, d))], axis=0)
         self.tok_embed = Tensor(tok, requires_grad=True)
-        self.positions = Tensor(sinusoidal_positions(MAX_POSITIONS, d))
+        self.positions = sinusoidal_positions(MAX_POSITIONS, d)
         self.enc_layers = [EncoderLayer(d, n_heads, 4 * d, rng)
                            for _ in range(n_enc_layers)]
         self.enc_ln = LayerNorm(d)
@@ -93,7 +95,7 @@ def _encode_batch(symptom_sets: list, params: Seq2SeqParams,
                   ) -> tuple[Tensor, np.ndarray]:
     """Memory (B, W, d) plus key validity mask (B, W)."""
     ids, mask = symptom_batch(symptom_sets, params.sym_table.shape[0])
-    x = params.sym_table[ids] + params.positions[np.arange(ids.shape[1])]
+    x = Tensor(params.sym_table[ids] + params.positions[np.arange(ids.shape[1])])
     for layer in params.enc_layers:
         x = layer(x, key_mask=mask)
     return params.enc_ln(x), mask
@@ -154,41 +156,23 @@ def sequence_loss(batch: SeqBatch, params: Seq2SeqParams) -> Tensor:
     return masked_cross_entropy(logits, batch.dec_target, batch.loss_mask)
 
 
-@dataclass
-class SeqTrainResult:
-    params: Seq2SeqParams
-    losses: list[float] = field(default_factory=list)
-
-
 def train_seq(instances, emb: UnifiedEmbedding, *, epochs: int = 300,
               lr: float = 3e-3, batch_size: int | None = None, seed: int = 42,
               n_heads: int = 4, params: Seq2SeqParams | None = None,
-              ) -> SeqTrainResult:
+              ) -> TrainResult:
     """Teacher-forced training on [herbs..., EOS] in source order."""
     if not instances:
         raise DataError("cannot train on an empty split")
     if params is None:
         params = Seq2SeqParams(emb, seed, n_heads=n_heads)
-    opt = Adam(params.parameters(), lr=lr)
-    batch_rng = stage_rng(seed, "seq.batches")
-    n = len(instances)
-    result = SeqTrainResult(params=params)
-    for _ in range(epochs):
-        order = batch_rng.permutation(n) if batch_size else np.arange(n)
-        step = batch_size or n
-        epoch_loss = 0.0
-        for lo in range(0, n, step):
-            sel = [instances[i] for i in order[lo:lo + step]]
-            opt.zero_grad()
-            loss = sequence_loss(make_batch(sel, params.vocab), params)
-            loss.backward()
-            opt.step()
-            epoch_loss += loss.item() * len(sel)
-        epoch_loss /= n
-        if not np.isfinite(epoch_loss):
-            raise NumericError("non-finite training loss")
-        result.losses.append(epoch_loss)
-    return result
+
+    def loss(sel: np.ndarray) -> Tensor:
+        return sequence_loss(make_batch([instances[i] for i in sel], params.vocab),
+                             params)
+
+    return TrainResult(params, list(fit(
+        params.parameters(), loss, len(instances), epochs=epochs, lr=lr,
+        batch_size=batch_size, rng=stage_rng(seed, "seq.batches"))))
 
 
 # ---------------------------------------------------------------------------

@@ -80,6 +80,14 @@ def test_every_config_key_is_read():
     assert unread == []
 
 
+def test_only_nn_builds_an_optimizer():
+    """Every model trains through ``nn.fit``: no other module builds an Adam."""
+    package = Path(fmash.__file__).parent
+    builders = [p.name for p in sorted(package.glob("*.py"))
+                if p.name != "nn.py" and "Adam(" in p.read_text(encoding="utf-8")]
+    assert builders == []
+
+
 # ---------------------------------------------------------------------------
 # checkpoints
 # ---------------------------------------------------------------------------
@@ -200,6 +208,20 @@ def test_usage_errors_exit_one(run_env, capsys):
     assert execute_command(["frobnicate"]) == 1
     assert execute_command(["evaluate", "--config", str(cfg_path),
                             "--pred", "x", "--k", "0,5"]) == 1
+
+
+@pytest.mark.filterwarnings("ignore:overflow|invalid value:RuntimeWarning")
+def test_diverging_phase1_fit_exits_three_writing_no_artifacts(run_env, capsys):
+    tmp_path, _, cfg = run_env
+    cfg = json.loads(json.dumps(cfg))
+    cfg["ablation"] = {"mlfie": False}
+    cfg["train"]["lr"] = 1e200
+    cfg_path = tmp_path / "diverge.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert execute_command(["prepare", "--config", str(cfg_path)]) == 3
+    assert re.search(r"non-finite training loss at epoch \d+", capsys.readouterr().err)
+    for name in ("phase1.ckpt", "unified.csv"):
+        assert not (tmp_path / "work" / name).exists()
 
 
 def test_missing_artifacts_exit_two(run_env, capsys):
@@ -601,6 +623,14 @@ def _set_first_property(value):
      "text_embedding"),
     ("symptoms.jsonl", lambda row: row.pop("id"), "id"),
     ("prescriptions.jsonl", lambda row: row.update(symptoms=["x"]), "symptoms"),
+    pytest.param("herbs.jsonl", lambda row: row.update(molecules=5), "molecules",
+                 id="herbs.jsonl-molecules-number"),
+    pytest.param("herbs.jsonl", lambda row: row.update(molecules="CCO"), "molecules",
+                 id="herbs.jsonl-molecules-string"),
+    pytest.param("herbs.jsonl", lambda row: row.update(molecules=["CCO", 7]),
+                 "molecules", id="herbs.jsonl-molecules-non-string-item"),
+    pytest.param("herbs.jsonl", lambda row: row.update(molecules=["CCO", ""]),
+                 "molecules", id="herbs.jsonl-molecules-empty-string"),
     pytest.param("prescriptions.jsonl", lambda row: row.update(symptoms=[]),
                  "symptoms", id="prescriptions.jsonl-empty-symptoms"),
     pytest.param("prescriptions.jsonl", lambda row: row.update(herbs=[]),

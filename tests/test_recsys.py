@@ -161,9 +161,10 @@ def test_training_loss_decreases_smoothed():
 
 def test_all_positive_targets_saturate_scores():
     pres, emb = _toy_training_setup(seed=2)
-    targets = np.ones((len(pres), emb.n_herb))
+    every_herb = list(range(emb.n_herb))
+    pres = [_inst(p.instance_id, p.symptoms, every_herb) for p in pres]
     result = train_rs(pres, emb, epochs=120, lr=1e-2, seed=2,
-                      d_enc=16, n_layers=1, n_heads=2, targets=targets)
+                      d_enc=16, n_layers=1, n_heads=2)
     mean_score = np.mean([gelram_score(p.symptoms, emb, result.params).scores.mean()
                           for p in pres[:8]])
     assert mean_score > 0.9

@@ -7,7 +7,8 @@ import pytest
 
 from fmash import tape
 from fmash.gradcheck import max_relative_error
-from fmash.nn import Adam, LayerNorm, Linear, MultiHeadAttention, stage_rng
+from fmash.errors import NumericError
+from fmash.nn import Adam, LayerNorm, Linear, MultiHeadAttention, fit, stage_rng
 from fmash.tape import (Tensor, bce_with_logits, concat, masked_cross_entropy, softmax,
                         stack, where)
 
@@ -241,6 +242,54 @@ def test_adam_minimizes_quadratic():
         loss.backward()
         opt.step()
     np.testing.assert_allclose(p.data, target, atol=1e-4)
+
+
+def _recording_loss(p, calls):
+    """A loss over examples 0..n-1 whose value on a batch is the batch's mean
+    index (``p`` enters with zero weight), recording each batch it gets."""
+    def loss(sel):
+        calls.append(sel.tolist())
+        return (p * 0.0).sum() + float(np.mean(sel))
+    return loss
+
+
+def test_fit_epochs_visit_every_example_once_in_the_streams_order():
+    p = Tensor(np.ones(2), requires_grad=True)
+    calls = []
+    means = list(fit([p], _recording_loss(p, calls), 10, epochs=3, lr=0.1,
+                     batch_size=4, rng=stage_rng(5, "test.batches")))
+    assert [len(c) for c in calls] == [4, 4, 2] * 3
+    expected = stage_rng(5, "test.batches")
+    for epoch in range(3):
+        assert sum(calls[3 * epoch:3 * epoch + 3], []) == \
+            expected.permutation(10).tolist()
+    # each epoch yields the example-weighted mean of its batch losses
+    np.testing.assert_allclose(means, [4.5] * 3, rtol=1e-12)
+
+
+def test_fit_full_batch_runs_in_index_order():
+    p = Tensor(np.ones(2), requires_grad=True)
+    calls = []
+    means = list(fit([p], _recording_loss(p, calls), 5, epochs=2, lr=0.1))
+    assert calls == [[0, 1, 2, 3, 4]] * 2
+    assert means == [2.0, 2.0]
+
+
+def test_fit_zero_epochs_takes_no_step():
+    p = Tensor(np.ones(2), requires_grad=True)
+    calls = []
+    assert list(fit([p], _recording_loss(p, calls), 5, epochs=0, lr=0.1)) == []
+    assert calls == []
+    np.testing.assert_array_equal(p.data, np.ones(2))
+
+
+def test_fit_non_finite_loss_raises_numeric_error():
+    p = Tensor(np.ones(2), requires_grad=True)
+    losses = iter([1.0, float("nan")])
+    with pytest.raises(NumericError, match="epoch 2"):
+        for _ in fit([p], lambda _: (p * p).sum() * next(losses), 3,
+                     epochs=5, lr=0.1):
+            pass
 
 
 def test_no_grad_blocks_graph_recording():
