@@ -45,7 +45,7 @@ with no_grad():
 print(f"fused representation, first 5 dims: {np.round(fused[:5], 3)}")
 
 print("\n-- pretraining: align fused vectors with herb properties --")
-history = train_property_alignment(herbs, params, epochs=60, lr=1e-2, seed=7)
+history = train_property_alignment(herbs, params, epochs=60, lr=1e-2)
 print(f"probe regression loss {history.losses[0]:.3f} -> {history.losses[-1]:.3f}")
 
 print("\n-- VAE imputation for herbs without molecules --")

@@ -18,7 +18,7 @@ import numpy as np
 from .dataio import HeteroGraph
 from .errors import NumericError
 from .nn import Linear, Module, stage_rng
-from .tape import Tensor, concat, stack
+from .tape import Tensor, concat, selective_scan
 
 ACTIVATIONS = {
     "relu": lambda t: t.relu(),
@@ -39,10 +39,10 @@ class GcnParams(Module):
 
 def normalized_adjacency(n: int, edges: np.ndarray) -> np.ndarray:
     """Symmetric normalization with self-loops: D^(-1/2) (A + I) D^(-1/2)."""
+    edges = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
     adj = np.eye(n)
-    for u, v in np.asarray(edges).reshape(-1, 2):
-        adj[u, v] = 1.0
-        adj[v, u] = 1.0
+    adj[edges[:, 0], edges[:, 1]] = 1.0
+    adj[edges[:, 1], edges[:, 0]] = 1.0
     inv_sqrt = 1.0 / np.sqrt(adj.sum(axis=1))
     return adj * inv_sqrt[:, None] * inv_sqrt[None, :]
 
@@ -129,7 +129,6 @@ def ssm_scan(seq: Tensor | np.ndarray, params: SsmParams,
     if direction == "backward":
         x = x.flip(0)
     dirp = params.fwd if direction == "forward" else params.bwd
-    L, d = x.shape
     n, r = params.d_state, params.dt_rank
 
     proj = x @ dirp.x_proj                       # (L, r + 2n)
@@ -138,15 +137,7 @@ def ssm_scan(seq: Tensor | np.ndarray, params: SsmParams,
     c_out = proj[:, r + n:]                      # (L, n)
     a = -dirp.a_log.exp()                        # (d, n), strictly negative
 
-    h = Tensor(np.zeros((d, n)))
-    ys = []
-    for t in range(L):
-        dt_t = delta[t].reshape(d, 1)
-        a_bar = (dt_t * a).exp()
-        b_bar_x = dt_t * b_in[t].reshape(1, n) * x[t].reshape(d, 1)
-        h = a_bar * h + b_bar_x
-        ys.append((h * c_out[t].reshape(1, n)).sum(axis=1))
-    y = stack(ys, axis=0)                        # (L, d)
+    y = selective_scan(delta, a, b_in, c_out, x)  # (L, d)
     gated = y * (x @ params.gate.weight + params.gate.bias).silu()
     if not np.isfinite(gated.data).all():
         raise NumericError("non-finite values in selective scan output")

@@ -259,7 +259,7 @@ def train_vae(complete_pairs: tuple[np.ndarray, np.ndarray], *, d_z: int = 16,
         return vae_loss(props, targets, params, eps=eps)[0]
 
     history = TrainingHistory()
-    for _ in fit(params.parameters(), loss, n, epochs=epochs, lr=lr):
+    for _ in fit(params.parameters(), loss, n, name="vae", epochs=epochs, lr=lr):
         # the recorded trajectory is the noise-free objective (posterior mean),
         # so it tracks progress rather than the per-epoch sampling draw
         with no_grad():
@@ -344,7 +344,7 @@ def alignment_loss(mol_embs: Tensor, mask: np.ndarray, props: Tensor,
 
 
 def train_property_alignment(herbs: list[HerbRecord], params: MlfieParams, *,
-                             epochs: int = 100, lr: float = 1e-2, seed: int = 42,
+                             epochs: int = 100, lr: float = 1e-2,
                              ) -> TrainingHistory:
     """Pretrain the pooling attention, gate and latent table by regressing
     the fused herb vector onto the herb's property vector through a linear
@@ -361,7 +361,7 @@ def train_property_alignment(herbs: list[HerbRecord], params: MlfieParams, *,
         params.attention.parameters() + params.gate.parameters()
         + params.latent.parameters() + params.probe.parameters(),
         lambda _: alignment_loss(mol_embs, mask, props, ids, params),
-        len(with_mols), epochs=epochs, lr=lr)))
+        len(with_mols), name="mlfie_alignment", epochs=epochs, lr=lr)))
 
 
 def all_herb_representations(herbs: list[HerbRecord], params: MlfieParams,
@@ -405,7 +405,7 @@ def fit_mlfie(herbs: list[HerbRecord], cfg: RunConfig,
     params = MlfieParams(len(herbs), herbs[0].properties.shape[0], cfg.dims.d_m,
                          cfg.dims.d_k, cfg.dims.d_z, seed)
     align = train_property_alignment(herbs, params, epochs=cfg.train.mlfie_epochs,
-                                     lr=cfg.train.lr, seed=seed)
+                                     lr=cfg.train.lr)
     props, targets, _ = complete_pairs(herbs, params)
     _, vae = train_vae((props, targets), d_z=cfg.dims.d_z,
                        epochs=cfg.train.vae_epochs, lr=cfg.train.lr, seed=seed,

@@ -227,7 +227,7 @@ class Adam:
 
 
 def fit(params: list[Tensor], loss_fn: Callable[[np.ndarray], Tensor], n: int, *,
-        epochs: int, lr: float, batch_size: int | None = None,
+        name: str, epochs: int, lr: float, batch_size: int | None = None,
         rng: np.random.Generator | None = None) -> Iterator[float]:
     """Train ``params`` with Adam on ``loss_fn(indices)``, the mean loss of
     the examples at ``indices`` among ``0..n-1``.
@@ -235,7 +235,8 @@ def fit(params: list[Tensor], loss_fn: Callable[[np.ndarray], Tensor], n: int, *
     Each epoch covers every example once: as one batch in index order, or
     with ``batch_size`` in slices of a permutation drawn from ``rng``.
     Yields each epoch's mean loss after its last step; raises
-    ``NumericError`` instead when that loss is not finite.
+    ``NumericError`` instead when that loss is not finite, naming the
+    component by ``name``, its history key (``fr_sym``, ``rs``, ...).
     """
     opt = Adam(params, lr=lr)
     step = batch_size or n
@@ -251,7 +252,7 @@ def fit(params: list[Tensor], loss_fn: Callable[[np.ndarray], Tensor], n: int, *
             total += loss.item() * len(sel)
         mean = total / n
         if not np.isfinite(mean):
-            raise NumericError(f"non-finite training loss at epoch {epoch}")
+            raise NumericError(f"{name}: non-finite training loss at epoch {epoch}")
         yield mean
 
 

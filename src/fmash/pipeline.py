@@ -93,9 +93,9 @@ def run_phase1(symptoms: list[SymptomRecord], herbs: list[HerbRecord],
                                    stage_rng(seed, f"refine.ae.{name}"),
                                    hidden=hidden)
         fr_initial[name] = reconstruction_mse(matrix, params)
-        params, losses = train_autoencoder(matrix, epochs=cfg.train.fr_epochs,
-                                           lr=cfg.train.lr, params=params)
-        histories[f"fr_{name}"] = losses
+        key = f"fr_{name}"
+        params, histories[key] = train_autoencoder(
+            matrix, epochs=cfg.train.fr_epochs, lr=cfg.train.lr, params=params, name=key)
         fr_final[name] = reconstruction_mse(matrix, params)
         compressed[name] = compress(matrix, params)
         fr_params[name] = params

@@ -187,7 +187,7 @@ def train_rs(instances, emb: UnifiedEmbedding, *, epochs: int = 300,
         return bce_with_logits(logits, targets[sel])
 
     return TrainResult(params, list(fit(
-        params.parameters(), loss, len(instances), epochs=epochs, lr=lr,
+        params.parameters(), loss, len(instances), name="rs", epochs=epochs, lr=lr,
         batch_size=batch_size, rng=stage_rng(seed, "rs.batches"))))
 
 

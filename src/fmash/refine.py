@@ -171,9 +171,10 @@ def reconstruction_mse(matrix: np.ndarray, params: AutoencoderParams) -> float:
 
 def train_autoencoder(matrix: np.ndarray, *, seed: int = 42, epochs: int = 200,
                       lr: float = 1e-2, hidden: int | None = 128,
-                      params: AutoencoderParams | None = None,
+                      params: AutoencoderParams | None = None, name: str = "fr",
                       ) -> tuple[AutoencoderParams, list[float]]:
-    """Fit the compression autoencoder on assembled rows by MSE."""
+    """Fit the compression autoencoder on assembled rows by MSE; ``name``
+    is its history key, which a divergence error starts with."""
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.shape[0] < 8:
         raise DataError(f"need at least 8 rows to train, got {matrix.shape[0]}")
@@ -186,7 +187,7 @@ def train_autoencoder(matrix: np.ndarray, *, seed: int = 42, epochs: int = 200,
                                    hidden=hidden)
     x = Tensor(matrix)
     losses = list(fit(params.parameters(), lambda _: _reconstruction_loss(x, params),
-                      matrix.shape[0], epochs=epochs, lr=lr))
+                      matrix.shape[0], name=name, epochs=epochs, lr=lr))
     return params, losses
 
 

@@ -171,7 +171,7 @@ def train_seq(instances, emb: UnifiedEmbedding, *, epochs: int = 300,
                              params)
 
     return TrainResult(params, list(fit(
-        params.parameters(), loss, len(instances), epochs=epochs, lr=lr,
+        params.parameters(), loss, len(instances), name="seq", epochs=epochs, lr=lr,
         batch_size=batch_size, rng=stage_rng(seed, "seq.batches"))))
 
 

@@ -219,7 +219,10 @@ def test_diverging_phase1_fit_exits_three_writing_no_artifacts(run_env, capsys):
     cfg_path = tmp_path / "diverge.json"
     cfg_path.write_text(json.dumps(cfg))
     assert execute_command(["prepare", "--config", str(cfg_path)]) == 3
-    assert re.search(r"non-finite training loss at epoch \d+", capsys.readouterr().err)
+    err = capsys.readouterr().err
+    assert re.search(r"non-finite training loss at epoch \d+", err)
+    # the symptom autoencoder is the first fit left with mlfie off
+    assert "fr_sym: non-finite training loss" in err
     for name in ("phase1.ckpt", "unified.csv"):
         assert not (tmp_path / "work" / name).exists()
 

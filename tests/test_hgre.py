@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -159,6 +160,40 @@ def test_scan_single_step_matches_unrolled_oracle():
     np.testing.assert_allclose(out, expected, atol=1e-12)
 
 
+def _looped_scan(x, params, direction):
+    """``ssm_scan`` in plain numpy, one timestep at a time."""
+    dirp = params.fwd if direction == "forward" else params.bwd
+    if direction == "backward":
+        x = np.flip(x, 0).copy()
+    L, d = x.shape
+    n, r = params.d_state, params.dt_rank
+    proj = x @ dirp.x_proj.data
+    delta = np.logaddexp(0.0, proj[:, :r] @ dirp.dt_weight.data + dirp.dt_bias.data)
+    b_in, c_out = proj[:, r:r + n], proj[:, r + n:]
+    a = -np.exp(dirp.a_log.data)
+    h = np.zeros((d, n))
+    ys = []
+    for t in range(L):
+        dt_t = delta[t].reshape(d, 1)
+        a_bar = np.exp(dt_t * a)
+        b_bar_x = dt_t * b_in[t].reshape(1, n) * x[t].reshape(d, 1)
+        h = a_bar * h + b_bar_x
+        ys.append((h * c_out[t].reshape(1, n)).sum(axis=1))
+    z = x @ params.gate.weight.data + params.gate.bias.data
+    e = np.exp(-np.abs(z))
+    sigmoid = np.where(z >= 0, 1.0, e) / (1.0 + e)
+    gated = np.stack(ys) * (z * sigmoid)
+    return np.flip(gated, 0) if direction == "backward" else gated
+
+
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_scan_matches_per_timestep_loop_exactly(direction):
+    params = SsmParams(5, stage_rng(7, "ssm"), d_state=4)
+    x = np.random.default_rng(7).normal(size=(14, 5))
+    np.testing.assert_array_equal(ssm_scan(x, params, direction).data,
+                                  _looped_scan(x, params, direction))
+
+
 # ---------------------------------------------------------------------------
 # bidirectional block
 # ---------------------------------------------------------------------------
@@ -198,6 +233,24 @@ def test_block_gradients_match_finite_differences():
         return (bidirectional_block(x, params) * probe).sum()
 
     assert max_relative_error(loss, [x] + params.parameters()) < 1e-4
+
+
+def _graph_size(out: Tensor) -> int:
+    seen, todo = set(), [out]
+    while todo:
+        node = todo.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            todo.extend(node._parents)
+    return len(seen)
+
+
+def test_block_records_the_same_graph_at_any_length():
+    params = SsmParams(4, stage_rng(11, "ssm"), d_state=3)
+    rng = np.random.default_rng(13)
+    sizes = [_graph_size(bidirectional_block(rng.normal(size=(L, 4)), params))
+             for L in (5, 60)]
+    assert sizes[0] == sizes[1]
 
 
 # ---------------------------------------------------------------------------

@@ -312,7 +312,7 @@ def test_impute_sample_mode_needs_rng():
 def test_holdout_imputation_error_within_twice_train_median():
     _, herbs, _ = _fixture_corpus()
     params = MlfieParams(60, 23, 16, 8, 8, seed=3)
-    train_property_alignment(herbs, params, epochs=40, lr=1e-2, seed=3)
+    train_property_alignment(herbs, params, epochs=40, lr=1e-2)
     props, targets, ids = complete_pairs(herbs, params)
     n_hold = max(4, len(ids) // 5)
     hold_p, hold_v = props[-n_hold:], targets[-n_hold:]
@@ -368,7 +368,7 @@ def test_precomputed_embeddings_override_stub():
 def test_property_alignment_reduces_loss():
     _, herbs, _ = _fixture_corpus()
     params = MlfieParams(60, 23, 16, 8, 8, seed=5)
-    history = train_property_alignment(herbs, params, epochs=60, lr=1e-2, seed=5)
+    history = train_property_alignment(herbs, params, epochs=60, lr=1e-2)
     assert history.losses[-1] < history.losses[0]
     ma = smoothed(history.losses, window=10)
     assert ma[-1] <= ma[0]

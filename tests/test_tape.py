@@ -9,8 +9,8 @@ from fmash import tape
 from fmash.gradcheck import max_relative_error
 from fmash.errors import NumericError
 from fmash.nn import Adam, LayerNorm, Linear, MultiHeadAttention, fit, stage_rng
-from fmash.tape import (Tensor, bce_with_logits, concat, masked_cross_entropy, softmax,
-                        stack, where)
+from fmash.tape import (Tensor, bce_with_logits, concat, masked_cross_entropy,
+                        selective_scan, softmax, stack, where)
 
 RTOL = 1e-6
 
@@ -187,6 +187,30 @@ def test_bce_with_logits_matches_naive():
     assert max_relative_error(lambda: bce_with_logits(logits, targets), [logits]) < RTOL
 
 
+SCAN_INPUTS = ("delta", "a", "b_in", "c_out", "x")
+
+
+@pytest.mark.parametrize("leaf", SCAN_INPUTS + ("all",))
+def test_selective_scan_grads(leaf):
+    """Each of the scan's five inputs alone, then all together, as leaves
+    over a sequence long enough for the state to carry over many steps."""
+    rng = np.random.default_rng(12)
+    L, d, n = 9, 3, 2
+    values = {"delta": np.logaddexp(0.0, rng.normal(size=(L, d))),
+              "a": -np.exp(rng.normal(size=(d, n))),
+              "b_in": rng.normal(size=(L, n)),
+              "c_out": rng.normal(size=(L, n)),
+              "x": rng.normal(size=(L, d))}
+    inputs = {k: Tensor(v, requires_grad=leaf in (k, "all")) for k, v in values.items()}
+    probe = rng.normal(size=(L, d))
+
+    def loss():
+        return (selective_scan(*(inputs[k] for k in SCAN_INPUTS)) * probe).sum()
+
+    leaves = [t for t in inputs.values() if t.requires_grad]
+    assert max_relative_error(loss, leaves) < RTOL
+
+
 def test_layernorm_and_linear_grads():
     rng = stage_rng(0, "test.layers")
     lin = Linear(6, 4, rng)
@@ -256,7 +280,7 @@ def _recording_loss(p, calls):
 def test_fit_epochs_visit_every_example_once_in_the_streams_order():
     p = Tensor(np.ones(2), requires_grad=True)
     calls = []
-    means = list(fit([p], _recording_loss(p, calls), 10, epochs=3, lr=0.1,
+    means = list(fit([p], _recording_loss(p, calls), 10, name="t", epochs=3, lr=0.1,
                      batch_size=4, rng=stage_rng(5, "test.batches")))
     assert [len(c) for c in calls] == [4, 4, 2] * 3
     expected = stage_rng(5, "test.batches")
@@ -270,7 +294,7 @@ def test_fit_epochs_visit_every_example_once_in_the_streams_order():
 def test_fit_full_batch_runs_in_index_order():
     p = Tensor(np.ones(2), requires_grad=True)
     calls = []
-    means = list(fit([p], _recording_loss(p, calls), 5, epochs=2, lr=0.1))
+    means = list(fit([p], _recording_loss(p, calls), 5, name="t", epochs=2, lr=0.1))
     assert calls == [[0, 1, 2, 3, 4]] * 2
     assert means == [2.0, 2.0]
 
@@ -278,7 +302,7 @@ def test_fit_full_batch_runs_in_index_order():
 def test_fit_zero_epochs_takes_no_step():
     p = Tensor(np.ones(2), requires_grad=True)
     calls = []
-    assert list(fit([p], _recording_loss(p, calls), 5, epochs=0, lr=0.1)) == []
+    assert list(fit([p], _recording_loss(p, calls), 5, name="t", epochs=0, lr=0.1)) == []
     assert calls == []
     np.testing.assert_array_equal(p.data, np.ones(2))
 
@@ -286,8 +310,8 @@ def test_fit_zero_epochs_takes_no_step():
 def test_fit_non_finite_loss_raises_numeric_error():
     p = Tensor(np.ones(2), requires_grad=True)
     losses = iter([1.0, float("nan")])
-    with pytest.raises(NumericError, match="epoch 2"):
-        for _ in fit([p], lambda _: (p * p).sum() * next(losses), 3,
+    with pytest.raises(NumericError, match="^t: non-finite training loss at epoch 2"):
+        for _ in fit([p], lambda _: (p * p).sum() * next(losses), 3, name="t",
                      epochs=5, lr=0.1):
             pass
 
