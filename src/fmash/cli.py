@@ -209,8 +209,8 @@ def _load_params(params, path: Path, state, prefix: str, fault: str):
 
 def _load_head(cfg: RunConfig, head: str, symptoms, herbs):
     """The unified table and the ``head`` parameters saved by ``train-<head>``,
-    built as the current config expects; exit 2 unless the table covers the
-    corpus vocabulary."""
+    built as the current config expects without an initialization draw; exit
+    2 unless the table covers the corpus vocabulary."""
     path = Path(cfg.paths.workdir) / f"{head}.ckpt"
     state, _ = load_checkpoint(path)
     emb = _unified_table(path, state, f"train-{head}")
@@ -219,9 +219,9 @@ def _load_head(cfg: RunConfig, head: str, symptoms, herbs):
                           f"{emb.n_herb} herbs, but {cfg.paths.corpus} has "
                           f"{len(symptoms)} symptoms and {len(herbs)} herbs; "
                           f"rerun `fmash prepare` and `fmash train-{head}`")
-    params = (make_rs_params(emb, cfg.train.seed, gelram=cfg.ablation.gelram,
+    params = (make_rs_params(emb, None, gelram=cfg.ablation.gelram,
                              d_enc=cfg.dims.d_enc)
-              if head == "rs" else Seq2SeqParams(emb, cfg.train.seed))
+              if head == "rs" else Seq2SeqParams(emb, None))
     return emb, _load_params(params, path, state, f"{head}.",
                              "trained with a different head config")
 
@@ -313,7 +313,7 @@ def _cmd_impute_mol(args) -> int:
                         f"molecular stage to impute with")
     state, _ = _load_phase1(cfg)
     d = cfg.dims
-    mlfie = MlfieParams(len(herbs), d.p, d.d_m, d.d_k, d.d_z, cfg.train.seed)
+    mlfie = MlfieParams(len(herbs), d.p, d.d_m, d.d_k, d.d_z, None)
     _load_params(mlfie, Path(cfg.paths.workdir) / PHASE1_FILE, state, "mlfie.",
                  "no molecular stage")
     imputed = impute_missing([h.properties for h in missing], mlfie.vae)

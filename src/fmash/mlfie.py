@@ -300,7 +300,7 @@ def impute_missing(p_h: np.ndarray, params: VaeParams, mode: str = "mean",
 
 class MlfieParams(Module):
     def __init__(self, n_herb: int, p_dim: int, d_m: int, d_k: int, d_z: int,
-                 seed: int):
+                 seed: int | None):
         self.d_m = d_m
         self.attention = AttentionParams(p_dim, d_m, d_k, stage_rng(seed, "mlfie.attn"))
         self.gate = GateParams(d_m, stage_rng(seed, "mlfie.gate"))

@@ -5,6 +5,8 @@ Modules are plain objects whose Tensor attributes (and nested Modules) are
 discovered by reflection, torch-style.  Every component draws its
 initialization from a named RNG stream derived from ``(seed, stage name)``,
 so toggling one pipeline stage never shifts the random draws of another.
+A module about to be loaded from a checkpoint is built with seed ``None``
+and draws nothing.
 """
 
 from __future__ import annotations
@@ -20,8 +22,23 @@ from .errors import NumericError
 from .tape import Tensor, no_grad, softmax
 
 
-def stage_rng(seed: int, name: str) -> np.random.Generator:
-    """An independent generator for one named pipeline stage."""
+class ShapesOnly:
+    """Stands in for a generator when every tensor of a module is about to be
+    loaded from a checkpoint: ``normal`` returns an uninitialized array of
+    the requested size.  ``Module.load_state_dict`` then replaces every
+    tensor, and rejects a missing or misshapen one, so none of these arrays
+    is ever read."""
+
+    def normal(self, loc: float = 0.0, scale: float = 1.0,
+               size: int | tuple[int, ...] = ()) -> np.ndarray:
+        return np.empty(size)
+
+
+def stage_rng(seed: int | None, name: str) -> np.random.Generator | ShapesOnly:
+    """An independent generator for one named pipeline stage; for seed
+    ``None``, a ``ShapesOnly`` stand-in that draws nothing."""
+    if seed is None:
+        return ShapesOnly()
     digest = hashlib.blake2b(name.encode("utf-8"), digest_size=8).digest()
     lo = int.from_bytes(digest[:4], "little")
     hi = int.from_bytes(digest[4:], "little")
@@ -190,10 +207,14 @@ class DecoderLayer(Module):
 
 
 def sinusoidal_positions(length: int, d_model: int) -> np.ndarray:
+    """``sin`` in the even columns and ``cos`` in the odd ones; columns
+    ``2i`` and ``2i + 1`` share the angle ``pos / 10000^(2i / d_model)``,
+    so each function runs once over the half table it fills."""
     pos = np.arange(length)[:, None]
-    dim = np.arange(d_model)[None, :]
-    angle = pos / np.power(10000.0, (2 * (dim // 2)) / d_model)
-    enc = np.where(dim % 2 == 0, np.sin(angle), np.cos(angle))
+    angle = pos / np.power(10000.0, np.arange(0, d_model, 2)[None, :] / d_model)
+    enc = np.empty((length, d_model))
+    enc[:, 0::2] = np.sin(angle)
+    enc[:, 1::2] = np.cos(angle[:, :d_model // 2])
     return enc
 
 

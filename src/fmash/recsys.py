@@ -53,7 +53,7 @@ def weighted_herb(herb_table: np.ndarray | Tensor, p: np.ndarray | Tensor) -> Te
 # ---------------------------------------------------------------------------
 
 class GelramParams(Module):
-    def __init__(self, d: int, n_herb: int, seed: int, d_enc: int = 64,
+    def __init__(self, d: int, n_herb: int, seed: int | None, d_enc: int = 64,
                  n_layers: int = 2, n_heads: int = 4):
         self.d = d
         self.n_herb = n_herb
@@ -68,7 +68,7 @@ class GelramParams(Module):
 class PlainScorerParams(Module):
     """Bilinear inner-product scorer used when the fusion encoder is off."""
 
-    def __init__(self, d: int, n_herb: int, seed: int):
+    def __init__(self, d: int, n_herb: int, seed: int | None):
         rng = stage_rng(seed, "rs.plain")
         self.d = d
         self.n_herb = n_herb
@@ -79,9 +79,10 @@ class PlainScorerParams(Module):
 RsParams = GelramParams | PlainScorerParams
 
 
-def make_rs_params(emb: UnifiedEmbedding, seed: int, *, gelram: bool = True,
+def make_rs_params(emb: UnifiedEmbedding, seed: int | None, *, gelram: bool = True,
                    d_enc: int = 64, n_layers: int = 2, n_heads: int = 4) -> RsParams:
-    """A fresh ranked head: the fusion encoder, or the plain scorer if ablated."""
+    """A fresh ranked head: the fusion encoder, or the plain scorer if ablated;
+    uninitialized for seed ``None`` (see ``nn.stage_rng``)."""
     if gelram:
         return GelramParams(emb.dim, emb.n_herb, seed, d_enc=d_enc,
                             n_layers=n_layers, n_heads=n_heads)

@@ -129,8 +129,7 @@ def test_checkpoint_rejects_garbage(tmp_path):
 # CLI pipeline
 # ---------------------------------------------------------------------------
 
-@pytest.fixture()
-def run_env(tmp_path):
+def _make_env(tmp_path):
     corpus = tmp_path / "corpus"
     work = tmp_path / "work"
     code = execute_command(["synth", "--out", str(corpus), "--n-sym", "12",
@@ -148,6 +147,21 @@ def run_env(tmp_path):
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps(cfg))
     return tmp_path, cfg_path, cfg
+
+
+@pytest.fixture()
+def run_env(tmp_path):
+    return _make_env(tmp_path)
+
+
+@pytest.fixture(scope="module")
+def trained_env(tmp_path_factory):
+    """``run_env`` after ``prepare``, ``train-rs`` and ``train-seq``, run once
+    for the module; a test that edits a file in it restores the file."""
+    env = _make_env(tmp_path_factory.mktemp("trained"))
+    for cmd in ("prepare", "train-rs", "train-seq"):
+        assert execute_command([cmd, "--config", str(env[1])]) == 0
+    return env
 
 
 def test_full_rs_pipeline(run_env, capsys):
@@ -446,6 +460,76 @@ def test_head_from_other_config_exits_two(run_env, capsys, section, change):
                             "--symptoms", "sym-001", "--k", "2"]) == 2
     err = capsys.readouterr().err
     assert "rs.ckpt" in err and "different head config" in err
+
+
+@pytest.mark.parametrize("fname, tensor, argv", [
+    ("rs.ckpt", "rs.out.bias", ["recommend", "--symptoms", "sym-001", "--k", "2"]),
+    ("seq.ckpt", "seq.out.bias", ["generate", "--symptoms", "sym-001"]),
+    ("phase1.ckpt", "mlfie.vae.dec_out.bias", ["impute-mol", "--out", "imputed.tsv"]),
+], ids=["rs", "seq", "mlfie"])
+def test_checkpoint_missing_a_tensor_exits_two(trained_env, tmp_path, capsys,
+                                              fname, tensor, argv):
+    """Serving builds uninitialized modules; this check is what keeps their
+    arrays from ever reaching output."""
+    root, cfg_path, _ = trained_env
+    path = root / "work" / fname
+    raw = path.read_bytes()
+    state, key = load_checkpoint(path)
+    del state[tensor]
+    save_checkpoint(path, state, key)
+    argv = [str(tmp_path / a) if a.endswith(".tsv") else a for a in argv]
+    capsys.readouterr()
+    try:
+        code = execute_command(argv + ["--config", str(cfg_path)])
+    finally:
+        path.write_bytes(raw)
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(path) in captured.err
+    assert tensor.split(".", 1)[1] in captured.err
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "imputed.tsv").exists()
+
+
+class _NoDrawGenerator(np.random.Generator):
+    def normal(self, *args, **kwargs):
+        raise AssertionError("drew a normal sample")
+
+
+def test_serving_draws_no_initialization(trained_env, tmp_path, capsys, monkeypatch):
+    root, cfg_path, _ = trained_env
+    expected = tmp_path / "expected.tsv"
+    assert execute_command(["impute-mol", "--config", str(cfg_path),
+                            "--out", str(expected)]) == 0
+    symptoms, herbs, prescriptions = load_corpus(root / "corpus")
+    work = root / "work"
+    first = json.loads((work / "splits.json").read_text())["test"][0]
+    inst = next(p for p in prescriptions if p.instance_id == first)
+    names = ",".join(symptoms[i].name for i in inst.symptoms)
+    rows = {}
+    for head in ("rs", "seq"):
+        for line in (work / f"{head}_predictions.tsv").read_text().splitlines():
+            instance_id, entries = line.split("\t")
+            rows[head, int(instance_id)] = entries.split(",") if entries else []
+    k = 5
+    ranked = [herbs[int(e.split(":")[0])].name for e in rows["rs", first][:k]]
+    formula = [herbs[int(h)].name for h in rows["seq", first]] or ["(empty formula)"]
+
+    monkeypatch.setattr(np.random, "default_rng", lambda seed=None:
+                        _NoDrawGenerator(np.random.PCG64(seed)))
+    capsys.readouterr()
+    assert execute_command(["recommend", "--config", str(cfg_path),
+                            "--symptoms", names, "--k", str(k)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split("\t")[1] for line in lines] == ranked
+    assert execute_command(["generate", "--config", str(cfg_path),
+                            "--symptoms", names]) == 0
+    assert capsys.readouterr().out.splitlines() == formula
+    out = tmp_path / "imputed.tsv"
+    assert execute_command(["impute-mol", "--config", str(cfg_path),
+                            "--out", str(out)]) == 0
+    assert out.read_bytes() == expected.read_bytes()
 
 
 @pytest.mark.parametrize("n_sym, n_herb", [(12, 10), (8, 12), (12, 20)],

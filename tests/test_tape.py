@@ -8,7 +8,8 @@ import pytest
 from fmash import tape
 from fmash.gradcheck import max_relative_error
 from fmash.errors import NumericError
-from fmash.nn import Adam, LayerNorm, Linear, MultiHeadAttention, fit, stage_rng
+from fmash.nn import (Adam, LayerNorm, Linear, MultiHeadAttention, fit,
+                      sinusoidal_positions, stage_rng)
 from fmash.tape import (Tensor, bce_with_logits, concat, masked_cross_entropy,
                         selective_scan, softmax, stack, where)
 
@@ -253,6 +254,15 @@ def test_causal_attention_prefix_invariance():
     out_x = mha(Tensor(x), Tensor(x), causal=True).data
     out_y = mha(Tensor(y), Tensor(y), causal=True).data
     np.testing.assert_array_equal(out_x[0, :4], out_y[0, :4])
+
+
+@pytest.mark.parametrize("d_model", [1, 8, 32, 33, 48, 64, 128])
+def test_sinusoidal_positions_match_the_interleaved_formula(d_model):
+    pos = np.arange(512)[:, None]
+    dim = np.arange(d_model)[None, :]
+    angle = pos / np.power(10000.0, (2 * (dim // 2)) / d_model)
+    expected = np.where(dim % 2 == 0, np.sin(angle), np.cos(angle))
+    np.testing.assert_array_equal(sinusoidal_positions(512, d_model), expected)
 
 
 def test_adam_minimizes_quadratic():
