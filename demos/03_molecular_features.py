@@ -11,9 +11,10 @@ pairs of complete herbs decodes the missing vector from properties alone.
 import numpy as np
 
 from fmash.dataio import generate_synthetic
-from fmash.mlfie import (MlfieParams, aggregate_attention, attention_weights,
-                         complete_pairs, fuse_gate, herb_representation,
-                         impute_missing, pooled_vector, stub_encode_molecule,
+from fmash.mlfie import (MlfieParams, aggregate_attention_batch,
+                         all_herb_representations, attention_weights_batch,
+                         complete_pairs, fuse_gate_batch, impute_missing,
+                         molecule_batch, stub_encode_molecule,
                          train_property_alignment, train_vae)
 from fmash.tape import Tensor, no_grad
 
@@ -28,32 +29,34 @@ for s in ("CCO", "CCN", "c1ccccc1"):
     print(f"{s:10s} -> {np.round(v, 2)}  (|v| = {np.linalg.norm(v):.3f})")
 
 print("\n-- property-guided attention pooling --")
+# the batched functions pool many herbs at once; here the batch is one herb
 herb = next(h for h in herbs if len(h.molecules) >= 3)
-embs = np.asarray([stub_encode_molecule(m, 32) for m in herb.molecules])
+embs, _ = molecule_batch([herb], 32)
+p_h = Tensor(herb.properties.reshape(1, -1))
 with no_grad():
-    alpha = attention_weights(Tensor(embs), Tensor(herb.properties),
-                              params.attention).data
-    pooled = aggregate_attention(embs, herb.properties, params.attention).data
+    alpha = attention_weights_batch(Tensor(embs), p_h, params.attention).data[0]
+    pooled = aggregate_attention_batch(Tensor(embs), p_h, params.attention)
 print(f"{herb.name}: {len(herb.molecules)} molecules, attention weights "
       f"{np.round(alpha, 3)} (sum {alpha.sum():.6f})")
 print(f"pooled vector stays inside the componentwise hull: "
-      f"{bool(np.all(pooled >= embs.min(0) - 1e-12))}")
+      f"{bool(np.all(pooled.data >= embs[0].min(0) - 1e-12))}")
 
 print("\n-- gated fusion with the holistic embedding --")
 with no_grad():
-    fused = fuse_gate(pooled, params.latent.row(herb.id), params.gate).data
+    fused = fuse_gate_batch(pooled, params.latent.weight[np.array([herb.id])],
+                            params.gate).data[0]
 print(f"fused representation, first 5 dims: {np.round(fused[:5], 3)}")
 
 print("\n-- pretraining: align fused vectors with herb properties --")
-history = train_property_alignment(herbs, params, epochs=60, lr=1e-2)
-print(f"probe regression loss {history.losses[0]:.3f} -> {history.losses[-1]:.3f}")
+align = train_property_alignment(herbs, params, epochs=60, lr=1e-2)
+print(f"probe regression loss {align[0]:.3f} -> {align[-1]:.3f}")
 
 print("\n-- VAE imputation for herbs without molecules --")
 props, targets, ids = complete_pairs(herbs, params)
 print(f"{len(ids)} complete herbs provide (property, pooled-vector) pairs")
-vae, vh = train_vae((props, targets), d_z=16, epochs=250, lr=5e-3, seed=7,
-                    params=params.vae)
-print(f"VAE loss {vh.losses[0]:.3f} -> {vh.losses[-1]:.3f}")
+vae = params.vae
+vae_losses = train_vae((props, targets), vae, epochs=250, lr=5e-3, seed=7)
+print(f"VAE loss {vae_losses[0]:.3f} -> {vae_losses[-1]:.3f}")
 
 missing = next(h for h in herbs if not h.molecules)
 imputed = impute_missing(missing.properties, vae)
@@ -61,7 +64,7 @@ print(f"{missing.name} (no molecules): imputed vector, first 5 dims "
       f"{np.round(imputed[:5], 3)}")
 
 # both paths end in the same gate, so every herb gets one d_m vector
-reprs = np.asarray([herb_representation(h, params) for h in herbs])
+reprs = all_herb_representations(herbs, params)
 print(f"\nall {len(herbs)} herbs represented: matrix {reprs.shape}, "
       f"finite={np.isfinite(reprs).all()}")
 

@@ -37,7 +37,8 @@ for node_type in ("sym", "herb"):
 
 print("\ncompression is row-wise and deterministic:")
 matrix = stage_rng(0, "demo.fr").normal(size=(30, 80))
-params, losses = train_autoencoder(matrix, seed=1, epochs=200, lr=1e-2)
+params = AutoencoderParams(80, stage_rng(1, "refine.ae"))
+losses = train_autoencoder(matrix, params, epochs=200, lr=1e-2)
 z = compress(matrix, params)
 perm = np.random.default_rng(0).permutation(30)
 print(f"  shuffle-then-compress equals compress-then-shuffle: "
@@ -46,6 +47,7 @@ print(f"  reported MSE recomputes: {reconstruction_mse(matrix, params):.5f} "
       f"(training curve ended at {losses[-1]:.5f})")
 
 print("\nwith refinement ablated, a trained linear projection stands in:")
-linear, _ = train_autoencoder(matrix, seed=1, epochs=200, lr=1e-2, hidden=None)
+linear = AutoencoderParams(80, stage_rng(1, "refine.ae"), hidden=None)
+train_autoencoder(matrix, linear, epochs=200, lr=1e-2)
 print(f"  linear variant: hidden={linear.hidden}, "
       f"output {compress(matrix, linear).shape}")

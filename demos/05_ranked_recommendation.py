@@ -9,14 +9,11 @@ sigmoid score per herb.  Training is multi-label binary cross-entropy.
 Runs in about a minute on one core.
 """
 
-import numpy as np
-
 from fmash.config import RunConfig
 from fmash.dataio import build_graph, generate_synthetic, split_dataset
 from fmash.evalkit import evaluate_run
 from fmash.pipeline import run_phase1
-from fmash.recsys import (base_probabilities, export_predictions, gelram_score,
-                          recommend, train_rs, weighted_herb)
+from fmash.recsys import export_predictions, gelram_score, recommend, train_rs
 
 symptoms, herbs, prescriptions = generate_synthetic(40, 60, 5, 200, seed=7)
 split = split_dataset(prescriptions, seed=42)
@@ -24,16 +21,7 @@ graph = build_graph(split.train, 40, 60, tau_s=2, tau_h=2)
 phase1 = run_phase1(symptoms, herbs, graph, RunConfig())
 emb = phase1.unified
 
-print("-- first-pass matcher --")
-inst = split.train[0]
-s = emb.sym()[sorted(inst.symptoms)].sum(axis=0)
-p = base_probabilities(s, emb.herb()).data
-print(f"occurrence probabilities: sum {p.sum():.6f}, "
-      f"max {p.max():.3f} at herb {p.argmax()}")
-h_w = weighted_herb(emb.herb(), p).data
-print(f"probability-weighted herb vector: first 4 dims {np.round(h_w[:4], 3)}")
-
-print("\n-- training (multi-label BCE) --")
+print("-- training (multi-label BCE) --")
 result = train_rs(split.train, emb, epochs=200, lr=1e-2, seed=42)
 print(f"loss {result.losses[0]:.4f} -> {result.losses[-1]:.4f} "
       f"over {len(result.losses)} epochs")

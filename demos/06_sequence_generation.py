@@ -11,8 +11,6 @@ demonstrates last.
 Runs in a few minutes on one core.
 """
 
-import numpy as np
-
 from fmash.config import RunConfig
 from fmash.dataio import (build_graph, generate_conflicting_corpus,
                           generate_synthetic, split_dataset)
@@ -42,9 +40,10 @@ exact = sum(generate(p.symptoms, result.params, max_len=20) == list(p.herbs)
             for p in split.train[:40])
 print(f"\nexact-sequence reproduction on 40 training instances: {exact}/40")
 
-print("\n-- the stopping rule and the duplicate mask --")
-capped = generate(inst.symptoms, result.params, max_len=3, suppress_eos=True)
-print(f"EOS suppressed, max_len=3 -> exactly {len(capped)} distinct herbs: {capped}")
+print("\n-- the length cap and the duplicate mask --")
+capped = generate(inst.symptoms, result.params, max_len=3)
+print(f"max_len=3 -> {capped}, the first {len(capped)} herbs of the uncapped "
+      f"formula: {capped == seq[:3]}; all distinct: {len(set(seq)) == len(seq)}")
 
 print("\n-- no mixing of alternative formulas --")
 csym, cherbs, cpres = generate_conflicting_corpus(6, 6, seed=3)

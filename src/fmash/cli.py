@@ -23,6 +23,7 @@ from .dataio import (HERBS_FILE, PRESCRIPTIONS_FILE, SYMPTOMS_FILE, DatasetSplit
 from .errors import ConfigError, DataError, FmashError, NumericError, SchemaError
 from .evalkit import evaluate_run
 from .mlfie import MlfieParams, impute_missing
+from .nn import Module
 from .pipeline import phase1_key, phase1_state, run_phase1
 from .recsys import make_rs_params, recommend, train_rs
 from .recsys import export_predictions as export_rs_predictions
@@ -197,11 +198,14 @@ def _load_phase1(cfg: RunConfig):
     return state, _unified_table(path, state, "prepare")
 
 
-def _load_params(params, path: Path, state, prefix: str, fault: str):
-    """Load ``path``'s ``prefix`` tensors into ``params``; exit 2 on a mismatch."""
+def _load_params(params, path: Path, state, name: str, fault: str):
+    """Load ``path``'s ``<name>.*`` tensors into ``params``; exit 2 on a
+    mismatch, naming each tensor as the file stores it."""
+    stored = Module()
+    setattr(stored, name, params)
     try:
-        params.load_state_dict({k[len(prefix):]: v for k, v in state.items()
-                                if k.startswith(prefix)})
+        stored.load_state_dict({k: v for k, v in state.items()
+                                if k.startswith(f"{name}.")})
     except (KeyError, ValueError) as exc:
         raise SchemaError(f"{path}: {fault} ({exc.args[0]})") from exc
     return params
@@ -222,7 +226,7 @@ def _load_head(cfg: RunConfig, head: str, symptoms, herbs):
     params = (make_rs_params(emb, None, gelram=cfg.ablation.gelram,
                              d_enc=cfg.dims.d_enc)
               if head == "rs" else Seq2SeqParams(emb, None))
-    return emb, _load_params(params, path, state, f"{head}.",
+    return emb, _load_params(params, path, state, head,
                              "trained with a different head config")
 
 
@@ -314,8 +318,8 @@ def _cmd_impute_mol(args) -> int:
     state, _ = _load_phase1(cfg)
     d = cfg.dims
     mlfie = MlfieParams(len(herbs), d.p, d.d_m, d.d_k, d.d_z, None)
-    _load_params(mlfie, Path(cfg.paths.workdir) / PHASE1_FILE, state, "mlfie.",
-                 "no molecular stage")
+    _load_params(mlfie, Path(cfg.paths.workdir) / PHASE1_FILE, state, "mlfie",
+                 "its molecular stage does not match the config")
     imputed = impute_missing([h.properties for h in missing], mlfie.vae)
     table = {h.id: [row] for h, row in zip(missing, imputed)}
     save_molecular_table(args.out, table, d_m=cfg.dims.d_m,

@@ -49,7 +49,6 @@ class HerbRecord:
     name: str
     properties: np.ndarray = field(default_factory=lambda: np.zeros(0))
     molecules: list[str] = field(default_factory=list)
-    mol_embeddings: list[np.ndarray] | None = None
 
 
 @dataclass

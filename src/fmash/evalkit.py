@@ -61,7 +61,8 @@ def bmp_at_k(prediction: Sequence[int], group: EvalGroup, k: int) -> float:
 
 def load_predictions(path: str | Path, scored: bool) -> dict[int, list[int]]:
     """Read a prediction export; ``scored`` selects the ``herb:score`` format
-    of the ranking head versus the bare id list of the sequence head."""
+    of the ranking head versus the bare id list of the sequence head.  Each
+    instance id may appear on one line only."""
     path = Path(path)
     preds: dict[int, list[int]] = {}
     with open(path, encoding="utf-8") as fh:
@@ -78,10 +79,14 @@ def load_predictions(path: str | Path, scored: bool) -> dict[int, list[int]]:
             if scored:
                 tokens = [tok.split(":")[0] for tok in tokens]
             try:
-                preds[int(instance_id)] = [int(tok) for tok in tokens]
+                key, herbs = int(instance_id), [int(tok) for tok in tokens]
             except ValueError as exc:
                 raise SchemaError(f"{path}:{lineno}: ids must be integers "
                                   f"({exc.args[0]})") from exc
+            if key in preds:
+                raise SchemaError(f"{path}:{lineno}: second prediction for "
+                                  f"instance {key}")
+            preds[key] = herbs
     return preds
 
 

@@ -20,12 +20,6 @@ from .errors import NumericError
 from .nn import Linear, Module, stage_rng
 from .tape import Tensor, concat, selective_scan
 
-ACTIVATIONS = {
-    "relu": lambda t: t.relu(),
-    "identity": lambda t: t,
-}
-
-
 # ---------------------------------------------------------------------------
 # GCN
 # ---------------------------------------------------------------------------
@@ -47,15 +41,16 @@ def normalized_adjacency(n: int, edges: np.ndarray) -> np.ndarray:
     return adj * inv_sqrt[:, None] * inv_sqrt[None, :]
 
 
-def gcn_forward(x: Tensor | np.ndarray, edges: np.ndarray, params: GcnParams,
-                activation: str = "relu") -> Tensor:
+def gcn_forward(x: Tensor | np.ndarray, edges: np.ndarray,
+                params: GcnParams) -> Tensor:
+    """One GCN layer: relu(A_hat x W + b), A_hat from ``normalized_adjacency``."""
     x = Tensor.ensure(x)
     n = x.shape[0]
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     if len(edges) and edges.max() >= n:
         raise ValueError(f"edge endpoint {edges.max()} out of range for {n} nodes")
     a_hat = Tensor(normalized_adjacency(n, edges))
-    return ACTIVATIONS[activation](a_hat @ x @ params.weight + params.bias)
+    return (a_hat @ x @ params.weight + params.bias).relu()
 
 
 # ---------------------------------------------------------------------------

@@ -9,19 +9,16 @@ from the property encoding for incomplete ones).
 
 Pooling and gating run over many herbs at once: the herbs' molecules form
 one zero-padded ``(H, K, d_m)`` tensor with an ``(H, K)`` mask of real
-slots.  The single-herb functions are the ``H = 1`` case of the batched
-ones.
+slots.
 
-Molecule embeddings come either from precomputed vectors on the herb
-record or from a deterministic hashed n-gram stub encoder standing in for
-an external molecular encoder.
+Molecule embeddings come from a deterministic hashed n-gram stub encoder
+standing in for an external molecular encoder.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -64,17 +61,11 @@ def stub_encode_molecule(smiles: str, d_m: int) -> np.ndarray:
 def molecule_embeddings(herb: HerbRecord, d_m: int,
                         memo: dict[str, np.ndarray] | None = None,
                         ) -> list[np.ndarray]:
-    """Precomputed embeddings if present, stub-encoded strings otherwise.
+    """Stub encodings of the herb's molecule strings.
 
     ``memo`` maps molecule strings to stub encodings already computed; it is
     filled in place, so each distinct string is encoded once per memo.
     """
-    if herb.mol_embeddings is not None:
-        if len(herb.mol_embeddings) != len(herb.molecules):
-            raise SchemaError(
-                f"herb {herb.name}: {len(herb.mol_embeddings)} embeddings for "
-                f"{len(herb.molecules)} molecules")
-        return [np.asarray(e, dtype=np.float64) for e in herb.mol_embeddings]
     if memo is None:
         memo = {}
     for m in herb.molecules:
@@ -140,24 +131,6 @@ def aggregate_attention_batch(mol_embs: Tensor, props: Tensor,
     return (alpha.reshape(h, k, 1) * mol_embs).sum(axis=1)
 
 
-def attention_weights(mol_embs: Tensor, p_h: Tensor, params: AttentionParams) -> Tensor:
-    """``(K,)`` attention weights of one herb over its ``(K, d_m)`` molecules."""
-    return attention_weights_batch(mol_embs.reshape(1, *mol_embs.shape),
-                                   p_h.reshape(1, -1), params).reshape(-1)
-
-
-def aggregate_attention(mol_embs, p_h, params: AttentionParams) -> Tensor:
-    """Property-guided attention pool: softmax(<W_q p, W_k e_k>/sqrt(d_k))."""
-    mol_embs = Tensor.ensure(np.asarray([np.asarray(e, dtype=np.float64)
-                                         for e in mol_embs])
-                             if isinstance(mol_embs, (list, tuple)) else mol_embs)
-    if mol_embs.ndim != 2 or mol_embs.shape[0] < 1:
-        raise DataError("aggregate_attention needs at least one molecule embedding")
-    p_h = Tensor.ensure(p_h)
-    return aggregate_attention_batch(mol_embs.reshape(1, *mol_embs.shape),
-                                     p_h.reshape(1, -1), params).reshape(-1)
-
-
 class GateParams(Module):
     def __init__(self, d_m: int, rng: np.random.Generator):
         self.w_g = Tensor(rng.normal(0.0, 1.0 / math.sqrt(d_m), size=(d_m, d_m)),
@@ -172,21 +145,12 @@ def fuse_gate_batch(v_h: Tensor, h_e: Tensor, params: GateParams) -> Tensor:
     return lam * v_h + (1.0 - lam) * h_e
 
 
-def fuse_gate(v_h, h_e, params: GateParams) -> Tensor:
-    """Convex blend lambda*v_h + (1-lambda)*h_e with lambda = sigmoid(W v + b)."""
-    v_h, h_e = Tensor.ensure(v_h), Tensor.ensure(h_e)
-    return fuse_gate_batch(v_h.reshape(1, -1), h_e.reshape(1, -1), params).reshape(-1)
-
-
 class LatentMolTable(Module):
     """Learnable holistic per-herb embedding (init N(0, 0.02))."""
 
     def __init__(self, n_herb: int, d_m: int, rng: np.random.Generator):
         self.weight = Tensor(rng.normal(0.0, 0.02, size=(n_herb, d_m)),
                              requires_grad=True)
-
-    def row(self, herb_id: int) -> Tensor:
-        return self.weight[np.array([herb_id])].reshape(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -235,42 +199,32 @@ def vae_loss(p_h, v_target, params: VaeParams, eps: np.ndarray | None = None,
     return recon + kl, kl, recon
 
 
-@dataclass
-class TrainingHistory:
-    losses: list[float] = field(default_factory=list)
-
-
-def train_vae(complete_pairs: tuple[np.ndarray, np.ndarray], *, d_z: int = 16,
-              epochs: int = 200, lr: float = 1e-2, seed: int = 42,
-              params: VaeParams | None = None,
-              ) -> tuple[VaeParams, TrainingHistory]:
-    """Fit the imputation VAE on (property, pooled-molecular) pairs."""
+def train_vae(complete_pairs: tuple[np.ndarray, np.ndarray], params: VaeParams, *,
+              epochs: int = 200, lr: float = 1e-2, seed: int = 42) -> list[float]:
+    """Fit the imputation VAE on (property, pooled-molecular) pairs; returns
+    the per-epoch losses."""
     props, targets = np.asarray(complete_pairs[0]), np.asarray(complete_pairs[1])
     n = props.shape[0]
     if n < 8:
         raise DataError(f"need at least 8 complete pairs to train, got {n}")
-    if params is None:
-        params = VaeParams(props.shape[1], targets.shape[1], d_z,
-                           stage_rng(seed, "mlfie.vae"))
     noise_rng = stage_rng(seed, "mlfie.vae.noise")
 
     def loss(_) -> Tensor:
         eps = noise_rng.standard_normal((n, params.d_z))
         return vae_loss(props, targets, params, eps=eps)[0]
 
-    history = TrainingHistory()
+    losses: list[float] = []
     for _ in fit(params.parameters(), loss, n, name="vae", epochs=epochs, lr=lr):
         # the recorded trajectory is the noise-free objective (posterior mean),
         # so it tracks progress rather than the per-epoch sampling draw
         with no_grad():
-            history.losses.append(vae_loss(props, targets, params)[0].item())
-    return params, history
+            losses.append(vae_loss(props, targets, params)[0].item())
+    return losses
 
 
-def impute_missing(p_h: np.ndarray, params: VaeParams, mode: str = "mean",
-                   rng: np.random.Generator | None = None) -> np.ndarray:
-    """Algorithm: encode the property vector, take the posterior mean (or a
-    sample), decode to the molecular embedding space.
+def impute_missing(p_h: np.ndarray, params: VaeParams) -> np.ndarray:
+    """Algorithm: encode the property vector, take the posterior mean, decode
+    to the molecular embedding space.
 
     ``p_h`` is one property vector ``(P,)`` or a batch ``(N, P)``; the result
     is ``(d_m,)`` or ``(N, d_m)`` to match.
@@ -279,19 +233,10 @@ def impute_missing(p_h: np.ndarray, params: VaeParams, mode: str = "mean",
     if p_h.ndim not in (1, 2) or p_h.shape[-1] != params.p_dim:
         raise SchemaError(f"property vector has shape {p_h.shape}, "
                           f"expected ({params.p_dim},) or (N, {params.p_dim})")
-    if mode not in ("mean", "sample"):
-        raise DataError(f"unknown imputation mode {mode!r}")
     p = p_h.reshape(-1, params.p_dim)
     with no_grad():
-        mu, logvar = params.encode(Tensor(p))
-        if mode == "mean":
-            z = mu
-        else:
-            if rng is None:
-                raise DataError("mode='sample' requires an rng")
-            eps = rng.standard_normal((p.shape[0], params.d_z))
-            z = mu + (0.5 * logvar).exp() * Tensor(eps)
-        return params.decode(z).data.reshape(p_h.shape[:-1] + (params.d_m,))
+        mu, _ = params.encode(Tensor(p))
+        return params.decode(mu).data.reshape(p_h.shape[:-1] + (params.d_m,))
 
 
 # ---------------------------------------------------------------------------
@@ -309,11 +254,6 @@ class MlfieParams(Module):
         self.vae = VaeParams(p_dim, d_m, d_z, stage_rng(seed, "mlfie.vae"))
 
 
-def pooled_vector(herb: HerbRecord, params: MlfieParams) -> Tensor:
-    embs = molecule_embeddings(herb, params.d_m)
-    return aggregate_attention(embs, herb.properties, params.attention)
-
-
 def _pooled_vectors(herbs: list[HerbRecord], params: MlfieParams) -> np.ndarray:
     """``(H, d_m)`` pooled vectors of herbs that all have molecules, as one
     unrecorded batch."""
@@ -322,15 +262,6 @@ def _pooled_vectors(herbs: list[HerbRecord], params: MlfieParams) -> np.ndarray:
     with no_grad():
         return aggregate_attention_batch(Tensor(embs), Tensor(props),
                                          params.attention, mask).data
-
-
-def herb_representation(herb: HerbRecord, params: MlfieParams,
-                        impute_mode: str = "mean",
-                        rng: np.random.Generator | None = None) -> np.ndarray:
-    """Dispatch on data availability: pool+gate when molecules exist, VAE
-    imputation followed by the same gate when they do not."""
-    return all_herb_representations([herb], params, impute_mode=impute_mode,
-                                    rng=rng)[0]
 
 
 def alignment_loss(mol_embs: Tensor, mask: np.ndarray, props: Tensor,
@@ -344,11 +275,11 @@ def alignment_loss(mol_embs: Tensor, mask: np.ndarray, props: Tensor,
 
 
 def train_property_alignment(herbs: list[HerbRecord], params: MlfieParams, *,
-                             epochs: int = 100, lr: float = 1e-2,
-                             ) -> TrainingHistory:
+                             epochs: int = 100, lr: float = 1e-2) -> list[float]:
     """Pretrain the pooling attention, gate and latent table by regressing
     the fused herb vector onto the herb's property vector through a linear
-    probe (the only per-herb supervision available before the heads train).
+    probe (the only per-herb supervision available before the heads train);
+    returns the per-epoch losses.
     """
     with_mols = [h for h in herbs if h.molecules]
     if not with_mols:
@@ -357,16 +288,14 @@ def train_property_alignment(herbs: list[HerbRecord], params: MlfieParams, *,
     mol_embs = Tensor(embs)
     props = Tensor(np.asarray([h.properties for h in with_mols]))
     ids = np.array([h.id for h in with_mols], dtype=np.intp)
-    return TrainingHistory(list(fit(
+    return list(fit(
         params.attention.parameters() + params.gate.parameters()
         + params.latent.parameters() + params.probe.parameters(),
         lambda _: alignment_loss(mol_embs, mask, props, ids, params),
-        len(with_mols), name="mlfie_alignment", epochs=epochs, lr=lr)))
+        len(with_mols), name="mlfie_alignment", epochs=epochs, lr=lr))
 
 
 def all_herb_representations(herbs: list[HerbRecord], params: MlfieParams,
-                             impute_mode: str = "mean",
-                             rng: np.random.Generator | None = None,
                              ) -> np.ndarray:
     """``(H, d_m)`` fused representations: herbs with molecules are pooled
     in one batch, the rest are imputed in one VAE batch, then all are gated."""
@@ -377,7 +306,7 @@ def all_herb_representations(herbs: list[HerbRecord], params: MlfieParams,
     if not have.all():
         pooled[~have] = impute_missing(
             np.asarray([h.properties for h in herbs if not h.molecules]),
-            params.vae, mode=impute_mode, rng=rng)
+            params.vae)
     ids = np.array([h.id for h in herbs], dtype=np.intp)
     with no_grad():
         return fuse_gate_batch(Tensor(pooled), params.latent.weight[ids],
@@ -407,7 +336,6 @@ def fit_mlfie(herbs: list[HerbRecord], cfg: RunConfig,
     align = train_property_alignment(herbs, params, epochs=cfg.train.mlfie_epochs,
                                      lr=cfg.train.lr)
     props, targets, _ = complete_pairs(herbs, params)
-    _, vae = train_vae((props, targets), d_z=cfg.dims.d_z,
-                       epochs=cfg.train.vae_epochs, lr=cfg.train.lr, seed=seed,
-                       params=params.vae)
-    return params, {"mlfie_alignment": align.losses, "vae": vae.losses}
+    vae = train_vae((props, targets), params.vae, epochs=cfg.train.vae_epochs,
+                    lr=cfg.train.lr, seed=seed)
+    return params, {"mlfie_alignment": align, "vae": vae}

@@ -80,7 +80,7 @@ def run_phase1(symptoms: list[SymptomRecord], herbs: list[HerbRecord],
         imputed_ids = [h.id for h in herbs if not h.molecules]
 
     text_table = SymptomTextTable(n_sym, _text_dim(symptoms, cfg), seed)
-    sym_matrix, herb_matrix, _, _ = assemble_features(
+    sym_matrix, herb_matrix = assemble_features(
         graph_features, symptoms, herbs, text_table.rows(symptoms), herb_reprs)
 
     hidden = 128 if cfg.ablation.fr else None
@@ -94,8 +94,8 @@ def run_phase1(symptoms: list[SymptomRecord], herbs: list[HerbRecord],
                                    hidden=hidden)
         fr_initial[name] = reconstruction_mse(matrix, params)
         key = f"fr_{name}"
-        params, histories[key] = train_autoencoder(
-            matrix, epochs=cfg.train.fr_epochs, lr=cfg.train.lr, params=params, name=key)
+        histories[key] = train_autoencoder(
+            matrix, params, epochs=cfg.train.fr_epochs, lr=cfg.train.lr, name=key)
         fr_final[name] = reconstruction_mse(matrix, params)
         compressed[name] = compress(matrix, params)
         fr_params[name] = params

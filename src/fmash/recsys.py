@@ -24,31 +24,6 @@ from .tape import Tensor, bce_with_logits, concat, no_grad, softmax
 
 
 # ---------------------------------------------------------------------------
-# first-pass matcher
-# ---------------------------------------------------------------------------
-
-def base_probabilities(s: np.ndarray | Tensor, herb_table: np.ndarray | Tensor,
-                       ) -> Tensor:
-    """softmax(herb_table . s / sqrt(d)); a soft first-pass ranking."""
-    s = Tensor.ensure(s)
-    table = Tensor.ensure(herb_table)
-    d = table.shape[1]
-    logits = (table @ s.reshape(-1, 1)) / math.sqrt(d)
-    return softmax(logits.reshape(1, -1), axis=-1).reshape(-1)
-
-
-def weighted_herb(herb_table: np.ndarray | Tensor, p: np.ndarray | Tensor) -> Tensor:
-    """Probability-weighted herb vector sum_i p_i h_i."""
-    table = Tensor.ensure(herb_table)
-    p = Tensor.ensure(p)
-    if np.any(p.data < 0):
-        raise DataError("herb probabilities must be non-negative")
-    if abs(float(p.data.sum()) - 1.0) > 1e-6:
-        raise DataError(f"herb probabilities must sum to 1, got {p.data.sum()}")
-    return (p.reshape(1, -1) @ table).reshape(-1)
-
-
-# ---------------------------------------------------------------------------
 # parameters
 # ---------------------------------------------------------------------------
 

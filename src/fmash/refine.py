@@ -11,7 +11,6 @@ linear projection (a linear autoencoder) takes its place.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,25 +50,6 @@ class UnifiedEmbedding:
         return self.matrix[self.n_sym:]
 
 
-@dataclass
-class FeatureLayout:
-    """Names and widths of the blocks concatenated into one assembled row."""
-    blocks: list[tuple[str, int]]
-
-    @property
-    def total(self) -> int:
-        return sum(w for _, w in self.blocks)
-
-    def to_json(self) -> str:
-        return json.dumps({"blocks": [[n, w] for n, w in self.blocks]},
-                          sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "FeatureLayout":
-        obj = json.loads(text)
-        return FeatureLayout(blocks=[(str(n), int(w)) for n, w in obj["blocks"]])
-
-
 class SymptomTextTable(Module):
     """Learned fallback rows for symptoms without provided text embeddings."""
 
@@ -95,12 +75,11 @@ class SymptomTextTable(Module):
 def assemble_features(hgre_out: np.ndarray, symptoms: list[SymptomRecord],
                       herbs: list[HerbRecord], text_rows: np.ndarray,
                       herb_reprs: np.ndarray | None,
-                      ) -> tuple[np.ndarray, np.ndarray, FeatureLayout, FeatureLayout]:
+                      ) -> tuple[np.ndarray, np.ndarray]:
     """Build the assembled matrices for both node types.
 
     ``herb_reprs`` is the molecular block; ``None`` drops it (the molecular
-    stage was ablated).  Returns (sym_matrix, herb_matrix, sym_layout,
-    herb_layout).
+    stage was ablated).  Returns (sym_matrix, herb_matrix).
     """
     hgre_out = np.asarray(hgre_out, dtype=np.float64)
     s, h = len(symptoms), len(herbs)
@@ -109,23 +88,18 @@ def assemble_features(hgre_out: np.ndarray, symptoms: list[SymptomRecord],
                           f"{s} symptoms + {h} herbs")
     if text_rows.shape[0] != s:
         raise SchemaError("text embedding row count does not match symptoms")
-    d = hgre_out.shape[1]
     sym_matrix = np.concatenate([hgre_out[:s], text_rows], axis=1)
-    sym_layout = FeatureLayout([("graph", d), ("text", text_rows.shape[1])])
 
     prop_matrix = np.asarray([rec.properties for rec in herbs])
     parts = [hgre_out[s:]]
-    herb_blocks = [("graph", d)]
     if herb_reprs is not None:
         herb_reprs = np.asarray(herb_reprs)
         if herb_reprs.shape[0] != h:
             raise SchemaError("molecular representation row count does not match herbs")
         parts.append(herb_reprs)
-        herb_blocks.append(("molecular", herb_reprs.shape[1]))
     parts.append(prop_matrix)
-    herb_blocks.append(("properties", prop_matrix.shape[1]))
     herb_matrix = np.concatenate(parts, axis=1)
-    return sym_matrix, herb_matrix, sym_layout, FeatureLayout(herb_blocks)
+    return sym_matrix, herb_matrix
 
 
 class AutoencoderParams(Module):
@@ -169,12 +143,12 @@ def reconstruction_mse(matrix: np.ndarray, params: AutoencoderParams) -> float:
         return _reconstruction_loss(Tensor(matrix), params).item()
 
 
-def train_autoencoder(matrix: np.ndarray, *, seed: int = 42, epochs: int = 200,
-                      lr: float = 1e-2, hidden: int | None = 128,
-                      params: AutoencoderParams | None = None, name: str = "fr",
-                      ) -> tuple[AutoencoderParams, list[float]]:
-    """Fit the compression autoencoder on assembled rows by MSE; ``name``
-    is its history key, which a divergence error starts with."""
+def train_autoencoder(matrix: np.ndarray, params: AutoencoderParams, *,
+                      epochs: int = 200, lr: float = 1e-2, name: str = "fr",
+                      ) -> list[float]:
+    """Fit the compression autoencoder on assembled rows by MSE and return
+    the per-epoch losses; ``name`` is its history key, which a divergence
+    error starts with."""
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.shape[0] < 8:
         raise DataError(f"need at least 8 rows to train, got {matrix.shape[0]}")
@@ -182,13 +156,9 @@ def train_autoencoder(matrix: np.ndarray, *, seed: int = 42, epochs: int = 200,
         import warnings
         warnings.warn("all assembled rows are identical; training anyway",
                       stacklevel=2)
-    if params is None:
-        params = AutoencoderParams(matrix.shape[1], stage_rng(seed, "refine.ae"),
-                                   hidden=hidden)
     x = Tensor(matrix)
-    losses = list(fit(params.parameters(), lambda _: _reconstruction_loss(x, params),
-                      matrix.shape[0], name=name, epochs=epochs, lr=lr))
-    return params, losses
+    return list(fit(params.parameters(), lambda _: _reconstruction_loss(x, params),
+                    matrix.shape[0], name=name, epochs=epochs, lr=lr))
 
 
 def compress(matrix: np.ndarray, params: AutoencoderParams) -> np.ndarray:
@@ -209,26 +179,3 @@ def export_unified(path, unified: np.ndarray, n_sym: int) -> None:
             node_id = i if i < n_sym else i - n_sym
             vals = ",".join(repr(float(x)) for x in row)
             fh.write(f"{node_type},{node_id},{vals}\n")
-
-
-def load_unified(path) -> tuple[np.ndarray, int]:
-    """Read a unified-table export; returns (matrix, n_sym)."""
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if not header.startswith("dim="):
-            raise SchemaError(f"{path}: expected 'dim=' header, got {header!r}")
-        dim = int(header[4:])
-        sym_rows, herb_rows = [], []
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            node_type, node_id, vals = line.split(",", 2)
-            vec = np.asarray([float(x) for x in vals.split(",")])
-            if vec.size != dim:
-                raise SchemaError(f"{path}:{lineno}: row width {vec.size} != {dim}")
-            (sym_rows if node_type == "symptom" else herb_rows).append(
-                (int(node_id), vec))
-    sym_rows.sort(key=lambda t: t[0])
-    herb_rows.sort(key=lambda t: t[0])
-    matrix = np.asarray([v for _, v in sym_rows] + [v for _, v in herb_rows])
-    return matrix, len(sym_rows)

@@ -91,21 +91,14 @@ class Seq2SeqParams(Module):
 # encoder
 # ---------------------------------------------------------------------------
 
-def _encode_batch(symptom_sets: list, params: Seq2SeqParams,
-                  ) -> tuple[Tensor, np.ndarray]:
+def encode_batch(symptom_sets: list, params: Seq2SeqParams,
+                 ) -> tuple[Tensor, np.ndarray]:
     """Memory (B, W, d) plus key validity mask (B, W)."""
     ids, mask = symptom_batch(symptom_sets, params.sym_table.shape[0])
     x = Tensor(params.sym_table[ids] + params.positions[np.arange(ids.shape[1])])
     for layer in params.enc_layers:
         x = layer(x, key_mask=mask)
     return params.enc_ln(x), mask
-
-
-def encode_symptoms(symptom_ids, params: Seq2SeqParams) -> Tensor:
-    """Contextual memory for one symptom set, one row per symptom token."""
-    with no_grad():
-        memory, _ = _encode_batch([symptom_ids], params)
-    return memory[0]
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +144,7 @@ def make_batch(instances, vocab: TokenVocab) -> SeqBatch:
 
 def sequence_loss(batch: SeqBatch, params: Seq2SeqParams) -> Tensor:
     """Teacher-forced cross-entropy; PAD positions contribute exactly zero."""
-    memory, memory_mask = _encode_batch(batch.symptom_sets, params)
+    memory, memory_mask = encode_batch(batch.symptom_sets, params)
     logits = decoder_logits(memory, memory_mask, batch.dec_in, params)
     return masked_cross_entropy(logits, batch.dec_target, batch.loss_mask)
 
@@ -180,7 +173,7 @@ def train_seq(instances, emb: UnifiedEmbedding, *, epochs: int = 300,
 # ---------------------------------------------------------------------------
 
 def _masked_step_logprobs(memory, memory_mask, tokens: list[int],
-                          params: Seq2SeqParams, suppress_eos: bool) -> np.ndarray:
+                          params: Seq2SeqParams) -> np.ndarray:
     vocab = params.vocab
     dec_in = np.asarray([tokens], dtype=np.intp)
     logits = decoder_logits(memory, memory_mask, dec_in, params).data[0, -1]
@@ -188,15 +181,12 @@ def _masked_step_logprobs(memory, memory_mask, tokens: list[int],
     logp = shifted - np.log(np.exp(shifted).sum())
     logp[vocab.bos] = -np.inf
     logp[vocab.pad] = -np.inf
-    if suppress_eos:
-        logp[vocab.eos] = -np.inf
     for tok in tokens[1:]:
         logp[tok] = -np.inf          # duplicate-herb mask
     return logp
 
 
-def generate(symptom_ids, params: Seq2SeqParams, max_len: int,
-             suppress_eos: bool = False) -> list[int]:
+def generate(symptom_ids, params: Seq2SeqParams, max_len: int) -> list[int]:
     """Greedy decoding from BOS; emitted herbs are masked so it never
     repeats one, and BOS/PAD can never be produced.  Stops at EOS, after
     ``max_len`` herbs, or when no token is left.  Returns herb ids only.
@@ -206,10 +196,9 @@ def generate(symptom_ids, params: Seq2SeqParams, max_len: int,
     vocab = params.vocab
     tokens = [vocab.bos]
     with no_grad():
-        memory, memory_mask = _encode_batch([symptom_ids], params)
+        memory, memory_mask = encode_batch([symptom_ids], params)
         while len(tokens) - 1 < max_len:
-            logp = _masked_step_logprobs(memory, memory_mask, tokens, params,
-                                         suppress_eos)
+            logp = _masked_step_logprobs(memory, memory_mask, tokens, params)
             tok = int(np.argsort(-logp, kind="stable")[0])
             if tok == vocab.eos or not np.isfinite(logp[tok]):
                 break

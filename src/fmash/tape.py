@@ -105,9 +105,6 @@ class Tensor:
     def ensure(x) -> "Tensor":
         return x if isinstance(x, Tensor) else Tensor(x)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     # -- bookkeeping -----------------------------------------------------------
 
     @property
@@ -280,13 +277,6 @@ class Tensor:
             out._backward = lambda g: self._accumulate(g * 0.5 / val)
         return out
 
-    def tanh(self):
-        out = _node(np.tanh(self.data), (self,))
-        if out._parents:
-            val = out.data
-            out._backward = lambda g: self._accumulate(g * (1.0 - val ** 2))
-        return out
-
     def sigmoid(self):
         out = _node(_sigmoid(self.data), (self,))
         if out._parents:
@@ -399,30 +389,6 @@ def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
                     sl = [slice(None)] * g.ndim
                     sl[axis] = slice(lo, hi)
                     t._accumulate(g[tuple(sl)])
-        out._backward = bw
-    return out
-
-
-def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
-    tensors = [Tensor.ensure(t) for t in tensors]
-    expanded = []
-    for t in tensors:
-        shape = list(t.data.shape)
-        shape.insert(axis if axis >= 0 else t.data.ndim + 1 + axis, 1)
-        expanded.append(t.reshape(shape))
-    return concat(expanded, axis=axis)
-
-
-def where(cond: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
-    a, b = Tensor.ensure(a), Tensor.ensure(b)
-    cond = np.asarray(cond, dtype=bool)
-    out = _node(np.where(cond, a.data, b.data), (a, b))
-    if out._parents:
-        def bw(g):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(g * cond, a.data.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(g * ~cond, b.data.shape))
         out._backward = bw
     return out
 

@@ -26,9 +26,9 @@ from fmash.gradcheck import max_relative_error
 from fmash.hgre import (GcnParams, SsmParams, bidirectional_block,
                         degree_permutation, gcn_forward, ssm_scan)
 from fmash.mlfie import (AttentionParams, GateParams, MlfieParams, VaeParams,
-                         aggregate_attention, attention_weights, complete_pairs,
-                         fuse_gate, impute_missing, train_property_alignment,
-                         train_vae, vae_loss)
+                         aggregate_attention_batch, attention_weights_batch,
+                         complete_pairs, fuse_gate_batch, impute_missing,
+                         train_property_alignment, train_vae, vae_loss)
 from fmash.nn import stage_rng
 from fmash.pipeline import run_phase1
 from fmash.recsys import (GelramParams, gelram_score, multi_hot, rs_logits,
@@ -131,19 +131,19 @@ def test_c2_gradient_suite():
         [seq_in] + ssm.parameters())
 
     attn = AttentionParams(3, 4, 2, stage_rng(102, "acc.attn"))
-    mol = Tensor(np.random.default_rng(5).normal(size=(4, 4)), requires_grad=True)
-    props = Tensor(np.random.default_rng(6).normal(size=3), requires_grad=True)
-    probe3 = np.random.default_rng(7).normal(size=4)
-    errors["aggregate_attention"] = max_relative_error(
-        lambda: (aggregate_attention(mol, props, attn) * probe3).sum(),
+    mol = Tensor(np.random.default_rng(5).normal(size=(1, 4, 4)), requires_grad=True)
+    props = Tensor(np.random.default_rng(6).normal(size=(1, 3)), requires_grad=True)
+    probe3 = np.random.default_rng(7).normal(size=(1, 4))
+    errors["aggregate_attention_batch"] = max_relative_error(
+        lambda: (aggregate_attention_batch(mol, props, attn) * probe3).sum(),
         [mol, props, attn.w_q, attn.w_k])
 
     gate = GateParams(3, stage_rng(103, "acc.gate"))
-    v = Tensor(np.random.default_rng(8).normal(size=3), requires_grad=True)
-    he = Tensor(np.random.default_rng(9).normal(size=3), requires_grad=True)
-    probe4 = np.random.default_rng(19).normal(size=3)
-    errors["fuse_gate"] = max_relative_error(
-        lambda: (fuse_gate(v, he, gate) * probe4).sum(),
+    v = Tensor(np.random.default_rng(8).normal(size=(1, 3)), requires_grad=True)
+    he = Tensor(np.random.default_rng(9).normal(size=(1, 3)), requires_grad=True)
+    probe4 = np.random.default_rng(19).normal(size=(1, 3))
+    errors["fuse_gate_batch"] = max_relative_error(
+        lambda: (fuse_gate_batch(v, he, gate) * probe4).sum(),
         [v, he, gate.w_g, gate.b_g])
 
     vae = VaeParams(3, 4, 2, stage_rng(104, "acc.vae"), hidden=8)
@@ -225,16 +225,17 @@ def test_c3_structural_invariants():
     # attention weights on the simplex
     attn = AttentionParams(3, 5, 4, stage_rng(211, "acc.simplex"))
     for _ in range(100):
-        e = rng.normal(size=(int(rng.integers(1, 9)), 5))
-        alpha = attention_weights(Tensor(e), Tensor(rng.normal(size=3)), attn).data
+        e = rng.normal(size=(1, int(rng.integers(1, 9)), 5))
+        alpha = attention_weights_batch(Tensor(e), Tensor(rng.normal(size=(1, 3))),
+                                        attn).data
         assert np.all(alpha >= 0)
         assert abs(alpha.sum() - 1.0) <= 1e-9
 
     # gate convexity bounds
     gate = GateParams(6, stage_rng(212, "acc.gate"))
     for _ in range(200):
-        v, h = rng.normal(size=6), rng.normal(size=6)
-        out = fuse_gate(v, h, gate).data
+        v, h = rng.normal(size=(1, 6)), rng.normal(size=(1, 6))
+        out = fuse_gate_batch(Tensor(v), Tensor(h), gate).data
         assert np.all(out >= np.minimum(v, h) - 1e-12)
         assert np.all(out <= np.maximum(v, h) + 1e-12)
 
@@ -389,7 +390,8 @@ def test_c8_vae_imputation_holdout(corpus):
     n_hold = len(ids) // 5
     fit_p, fit_v = props[:-n_hold], targets[:-n_hold]
     hold_p, hold_v = props[-n_hold:], targets[-n_hold:]
-    vae, _ = train_vae((fit_p, fit_v), d_z=16, epochs=250, lr=5e-3, seed=7)
+    vae = VaeParams(23, 32, 16, stage_rng(7, "mlfie.vae"))
+    train_vae((fit_p, fit_v), vae, epochs=250, lr=5e-3, seed=7)
     train_err = np.median([((impute_missing(p, vae) - v) ** 2).sum()
                            for p, v in zip(fit_p, fit_v)])
     hold_err = np.median([((impute_missing(p, vae) - v) ** 2).sum()

@@ -240,3 +240,15 @@ def test_non_integer_prediction_ids_name_file_and_line(tmp_path, line, scored):
     path.write_text(f"1\t\n{line}\n", encoding="utf-8")
     with pytest.raises(SchemaError, match=r"pred\.tsv:2: ids must be integers"):
         load_predictions(path, scored=scored)
+
+
+@pytest.mark.parametrize("lines, scored", [
+    ("3\t1:0.9,2:0.1\n4\t2:0.5\n3\t2:0.9,1:0.1", True),
+    ("3\t1,2\n4\t\n3\t2", False),
+], ids=["scored", "sequence"])
+def test_repeated_prediction_id_names_file_line_and_id(tmp_path, lines, scored):
+    path = tmp_path / "pred.tsv"
+    path.write_text(f"{lines}\n", encoding="utf-8")
+    with pytest.raises(SchemaError, match=r"pred\.tsv:3: second prediction for "
+                                          r"instance 3"):
+        load_predictions(path, scored=scored)

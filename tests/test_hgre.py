@@ -33,14 +33,15 @@ def test_gcn_no_edges_identity_params_is_identity():
     rng = stage_rng(0, "t")
     x = np.random.default_rng(0).normal(size=(5, 3))
     p = _identity_gcn(3, rng)
-    out = gcn_forward(x, np.zeros((0, 2), dtype=int), p, activation="identity")
-    np.testing.assert_array_equal(out.data, x)
+    # A_hat = I and W = I, so the layer reduces to its relu
+    out = gcn_forward(x, np.zeros((0, 2), dtype=int), p)
+    np.testing.assert_array_equal(out.data, np.maximum(x, 0.0))
 
 
 def test_gcn_two_node_hand_value():
     rng = stage_rng(0, "t")
     p = _identity_gcn(2, rng)
-    out = gcn_forward(np.eye(2), np.array([[0, 1]]), p, activation="identity")
+    out = gcn_forward(np.eye(2), np.array([[0, 1]]), p)
     np.testing.assert_allclose(out.data, [[0.5, 0.5], [0.5, 0.5]], atol=1e-15)
 
 

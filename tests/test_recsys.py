@@ -4,9 +4,8 @@ import pytest
 from fmash.dataio import PrescriptionInstance, generate_synthetic
 from fmash.errors import DataError
 from fmash.gradcheck import max_relative_error
-from fmash.recsys import (GelramParams, PlainScorerParams, base_probabilities,
-                          gelram_score, multi_hot, recommend, rs_logits, train_rs,
-                          weighted_herb)
+from fmash.recsys import (GelramParams, PlainScorerParams, gelram_score, multi_hot,
+                          recommend, rs_logits, train_rs)
 from fmash.refine import UnifiedEmbedding
 from fmash.tape import Tensor, bce_with_logits
 
@@ -21,14 +20,30 @@ def _inst(i, syms, herbs):
 
 
 # ---------------------------------------------------------------------------
-# matcher primitives
+# first-pass matcher, read through rs_logits
 # ---------------------------------------------------------------------------
+
+def _weighted_herb(s, herb_table):
+    """The probability-weighted herb vector h_w that ``rs_logits`` forms for
+    one symptom set whose summed embedding is ``s``.  The head has no encoder
+    layers, its [CLS] projection keeps the h_w half of [h_w | s] and its
+    output layer is the identity, so the scores are h_w's first n_herb
+    entries."""
+    n_herb, d = herb_table.shape
+    emb = UnifiedEmbedding(matrix=np.vstack([s, herb_table]), n_sym=1)
+    params = GelramParams(d, n_herb, seed=0, d_enc=d, n_layers=0)
+    params.input_proj.weight.data = np.vstack([np.eye(d), np.zeros((d, d))])
+    params.input_proj.bias.data[:] = 0.0
+    params.out.weight.data = np.eye(d, n_herb)
+    params.out.bias.data[:] = 0.0
+    return rs_logits([[0]], emb, params).data[0, :d]
+
 
 def test_orthogonal_rows_give_uniform_probabilities():
     table = np.eye(4)[:3]          # rows orthogonal to s
     s = np.array([0.0, 0.0, 0.0, 5.0])
-    p = base_probabilities(s, table).data
-    np.testing.assert_allclose(p, np.full(3, 1.0 / 3.0), atol=1e-12)
+    np.testing.assert_allclose(_weighted_herb(s, table), table.mean(axis=0)[:3],
+                               atol=1e-12)
 
 
 def test_aligned_row_concentrates_probability():
@@ -38,42 +53,28 @@ def test_aligned_row_concentrates_probability():
     table = rng.normal(size=(8, 6))
     table /= np.linalg.norm(table, axis=1, keepdims=True)
     table[3] = 50.0 * s
-    p = base_probabilities(s, table).data
-    assert p.argmax() == 3
-    assert p[3] > 0.99
+    np.testing.assert_allclose(_weighted_herb(s, table), table[3], atol=1e-5)
 
 
 def test_probabilities_on_simplex():
+    # a convex combination of the herb rows stays inside their hull
     rng = np.random.default_rng(2)
     for _ in range(20):
-        p = base_probabilities(rng.normal(size=5), rng.normal(size=(7, 5))).data
-        assert np.all(p >= 0)
-        assert abs(p.sum() - 1.0) <= 1e-9
+        table = rng.normal(size=(7, 5))
+        h_w = _weighted_herb(rng.normal(size=5), table)
+        assert np.all(h_w >= table.min(axis=0) - 1e-12)
+        assert np.all(h_w <= table.max(axis=0) + 1e-12)
 
 
 def test_weighted_herb_examples():
     table = np.array([[4.0, 0.0], [0.0, 4.0]])
-    np.testing.assert_allclose(
-        weighted_herb(table, np.array([0.25, 0.75])).data, [1.0, 3.0], atol=1e-12)
-    np.testing.assert_allclose(
-        weighted_herb(table, np.array([1.0, 0.0])).data, table[0], atol=1e-12)
-    uniform = np.full(2, 0.5)
-    np.testing.assert_allclose(
-        weighted_herb(table, uniform).data, table.mean(axis=0), atol=1e-12)
-
-
-def test_weighted_herb_validation_and_bound():
-    table = np.random.default_rng(3).normal(size=(5, 4))
-    with pytest.raises(DataError):
-        weighted_herb(table, np.array([0.5, 0.5, 0.5, -0.25, -0.25]))
-    with pytest.raises(DataError):
-        weighted_herb(table, np.full(5, 0.5))
-    rng = np.random.default_rng(4)
-    for _ in range(50):
-        p = rng.random(5)
-        p /= p.sum()
-        hw = weighted_herb(table, p).data
-        assert np.max(np.abs(hw)) <= np.max(np.abs(table)) + 1e-12
+    # logits (0, ln 3) give probabilities (1/4, 3/4)
+    s = np.array([0.0, np.log(3.0) * np.sqrt(2.0) / 4.0])
+    np.testing.assert_allclose(_weighted_herb(s, table), [1.0, 3.0], atol=1e-12)
+    np.testing.assert_allclose(_weighted_herb(np.array([50.0, 0.0]), table), table[0],
+                               atol=1e-12)
+    np.testing.assert_allclose(_weighted_herb(np.zeros(2), table), table.mean(axis=0),
+                               atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

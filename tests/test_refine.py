@@ -3,9 +3,9 @@ import pytest
 
 from fmash.dataio import generate_synthetic
 from fmash.errors import DataError, SchemaError
-from fmash.refine import (AutoencoderParams, FeatureLayout, SymptomTextTable,
-                          assemble_features, compress, export_unified,
-                          load_unified, reconstruction_mse, train_autoencoder)
+from fmash.refine import (AutoencoderParams, SymptomTextTable, assemble_features,
+                          compress, export_unified, reconstruction_mse,
+                          train_autoencoder)
 from fmash.nn import stage_rng
 
 
@@ -23,19 +23,16 @@ def _assembled(seed=0, with_text=True, with_mols=True):
 
 
 def test_assembled_widths_follow_concatenation_arithmetic():
-    sym_m, herb_m, sym_layout, herb_layout = _assembled()
+    sym_m, herb_m = _assembled()
     assert sym_m.shape == (9, 32 + 8)
     assert herb_m.shape == (14, 32 + 16 + 23)
-    assert sym_layout.total == 40
-    assert herb_layout.total == 71
-    assert herb_layout.blocks == [("graph", 32), ("molecular", 16),
-                                  ("properties", 23)]
 
 
 def test_assemble_without_molecular_block():
-    _, herb_m, _, herb_layout = _assembled(with_mols=False)
+    _, herb_m = _assembled(with_mols=False)
+    with_mols = _assembled()[1]
     assert herb_m.shape == (14, 32 + 23)
-    assert [n for n, _ in herb_layout.blocks] == ["graph", "properties"]
+    np.testing.assert_array_equal(herb_m, np.delete(with_mols, np.s_[32:48], axis=1))
 
 
 def test_zero_components_give_zero_rows():
@@ -45,17 +42,10 @@ def test_zero_components_give_zero_rows():
     for s in sym:
         s.text_embedding = np.zeros(4)
     table = SymptomTextTable(6, 4, seed=1)
-    sym_m, herb_m, _, _ = assemble_features(
+    sym_m, herb_m = assemble_features(
         np.zeros((14, 5)), sym, herbs, table.rows(sym), np.zeros((8, 3)))
     assert not sym_m.any()
     assert not herb_m.any()
-
-
-def test_layout_roundtrips_through_json():
-    layout = FeatureLayout([("graph", 32), ("molecular", 16), ("properties", 23)])
-    again = FeatureLayout.from_json(layout.to_json())
-    assert again.blocks == layout.blocks
-    assert again.to_json() == layout.to_json()
 
 
 def test_missing_text_embeddings_use_learned_table():
@@ -90,7 +80,8 @@ def test_small_input_reaches_near_zero_mse():
     # assembled width <= latent width: the identity map is representable
     rng = np.random.default_rng(4)
     matrix = rng.normal(size=(30, 20))
-    params, losses = train_autoencoder(matrix, seed=4, epochs=400, lr=1e-2)
+    params = AutoencoderParams(20, stage_rng(4, "refine.ae"))
+    losses = train_autoencoder(matrix, params, epochs=400, lr=1e-2)
     assert losses[-1] <= 1e-3
     assert reconstruction_mse(matrix, params) <= 1e-3
 
@@ -100,44 +91,46 @@ def test_zero_epochs_returns_initialization():
     matrix = rng.normal(size=(10, 6))
     init = AutoencoderParams(6, stage_rng(9, "ae"))
     before = init.state_dict()
-    params, losses = train_autoencoder(matrix, epochs=0, params=init)
-    assert losses == []
-    for k, v in params.state_dict().items():
+    assert train_autoencoder(matrix, init, epochs=0) == []
+    for k, v in init.state_dict().items():
         np.testing.assert_array_equal(v, before[k])
 
 
 def test_training_deterministic_under_seed():
     matrix = np.random.default_rng(6).normal(size=(12, 9))
-    p1, l1 = train_autoencoder(matrix, seed=11, epochs=50)
-    p2, l2 = train_autoencoder(matrix, seed=11, epochs=50)
-    assert l1 == l2
+    p1, p2 = (AutoencoderParams(9, stage_rng(11, "refine.ae")) for _ in range(2))
+    assert train_autoencoder(matrix, p1, epochs=50) == \
+        train_autoencoder(matrix, p2, epochs=50)
     for k, v in p1.state_dict().items():
         np.testing.assert_array_equal(v, p2.state_dict()[k])
 
 
 def test_degenerate_identical_rows_warn_but_train():
     matrix = np.tile(np.arange(5.0), (10, 1))
+    params = AutoencoderParams(5, stage_rng(42, "refine.ae"))
     with pytest.warns(UserWarning):
-        params, losses = train_autoencoder(matrix, epochs=5)
+        losses = train_autoencoder(matrix, params, epochs=5)
     assert len(losses) == 5
 
 
 def test_too_few_rows_rejected():
+    params = AutoencoderParams(3, stage_rng(42, "refine.ae"))
     with pytest.raises(DataError):
-        train_autoencoder(np.zeros((4, 3)))
+        train_autoencoder(np.zeros((4, 3)), params)
 
 
 def test_training_halves_initial_mse():
-    sym_m, herb_m, _, _ = _assembled(seed=7)
-    init = AutoencoderParams(herb_m.shape[1], stage_rng(13, "ae"))
-    initial = reconstruction_mse(herb_m, init)
-    params, _ = train_autoencoder(herb_m, epochs=300, lr=1e-2, params=init)
+    _, herb_m = _assembled(seed=7)
+    params = AutoencoderParams(herb_m.shape[1], stage_rng(13, "ae"))
+    initial = reconstruction_mse(herb_m, params)
+    train_autoencoder(herb_m, params, epochs=300, lr=1e-2)
     assert reconstruction_mse(herb_m, params) <= 0.5 * initial
 
 
 def test_compress_is_64d_rowwise_and_deterministic():
-    sym_m, _, _, _ = _assembled(seed=8)
-    params, _ = train_autoencoder(sym_m, seed=8, epochs=30)
+    sym_m, _ = _assembled(seed=8)
+    params = AutoencoderParams(sym_m.shape[1], stage_rng(8, "refine.ae"))
+    train_autoencoder(sym_m, params, epochs=30)
     z = compress(sym_m, params)
     assert z.shape == (sym_m.shape[0], 64)
     np.testing.assert_array_equal(z, compress(sym_m, params))
@@ -152,7 +145,8 @@ def test_compress_is_64d_rowwise_and_deterministic():
 
 def test_reported_error_recomputes_as_mse():
     matrix = np.random.default_rng(9).normal(size=(15, 10))
-    params, losses = train_autoencoder(matrix, seed=10, epochs=40)
+    params = AutoencoderParams(10, stage_rng(10, "refine.ae"))
+    train_autoencoder(matrix, params, epochs=40)
     from fmash.tape import Tensor, no_grad
     with no_grad():
         x = Tensor(matrix)
@@ -163,7 +157,8 @@ def test_reported_error_recomputes_as_mse():
 
 def test_linear_variant_is_learned_projection():
     matrix = np.random.default_rng(10).normal(size=(20, 70))
-    params, losses = train_autoencoder(matrix, seed=12, epochs=60, hidden=None)
+    params = AutoencoderParams(70, stage_rng(12, "refine.ae"), hidden=None)
+    losses = train_autoencoder(matrix, params, epochs=60)
     assert params.hidden is None
     assert compress(matrix, params).shape == (20, 64)
     assert losses[-1] < losses[0]
@@ -173,7 +168,9 @@ def test_unified_export_roundtrip(tmp_path):
     unified = np.random.default_rng(11).normal(size=(12, 64))
     path = tmp_path / "unified.csv"
     export_unified(path, unified, n_sym=5)
-    loaded, n_sym = load_unified(path)
-    assert n_sym == 5
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
+    assert header == "dim=64"
+    assert [row.split(",")[:2] for row in rows] == \
+        [["symptom", str(i)] for i in range(5)] + [["herb", str(i)] for i in range(7)]
+    loaded = np.array([[float(x) for x in row.split(",")[2:]] for row in rows])
     np.testing.assert_array_equal(loaded, unified)
-    assert path.read_text().startswith("dim=64\n")

@@ -5,8 +5,9 @@ from fmash.dataio import PrescriptionInstance, generate_synthetic
 from fmash.errors import DataError
 from fmash.gradcheck import max_relative_error
 from fmash.refine import UnifiedEmbedding
-from fmash.seqgen import (Seq2SeqParams, TokenVocab, encode_symptoms, generate,
-                          make_batch, sequence_loss, train_seq)
+from fmash.seqgen import (Seq2SeqParams, TokenVocab, decoder_logits, encode_batch,
+                          generate, make_batch, sequence_loss, train_seq)
+from fmash.tape import no_grad
 
 
 def _emb(n_sym=6, n_herb=8, d=8, seed=0):
@@ -34,25 +35,26 @@ def test_target_embeddings_initialized_from_unified_herbs():
 def test_encode_single_symptom_shape():
     emb = _emb()
     params = Seq2SeqParams(emb, seed=2)
-    memory = encode_symptoms([3], params)
-    assert memory.shape == (1, 8)
+    memory, mask = encode_batch([[3]], params)
+    assert memory.shape == (1, 1, 8)
+    assert mask.tolist() == [[True]]
 
 
 def test_encode_canonicalizes_symptom_order():
     emb = _emb()
     params = Seq2SeqParams(emb, seed=3)
-    a = encode_symptoms([4, 1, 2], params).data
-    b = encode_symptoms([2, 4, 1], params).data
+    a = encode_batch([[4, 1, 2]], params)[0].data
+    b = encode_batch([[2, 4, 1]], params)[0].data
     np.testing.assert_array_equal(a, b)
-    np.testing.assert_array_equal(a, encode_symptoms([4, 1, 2], params).data)
+    np.testing.assert_array_equal(a, encode_batch([[4, 1, 2]], params)[0].data)
 
 
 def test_encode_rejects_unknown_and_empty():
     params = Seq2SeqParams(_emb(), seed=4)
     with pytest.raises(DataError):
-        encode_symptoms([99], params)
+        encode_batch([[99]], params)
     with pytest.raises(DataError):
-        encode_symptoms([], params)
+        encode_batch([[]], params)
 
 
 # ---------------------------------------------------------------------------
@@ -81,10 +83,8 @@ def test_pad_positions_contribute_zero_loss():
 def test_teacher_forcing_causality_exact():
     emb = _emb()
     params = Seq2SeqParams(emb, seed=6)
-    from fmash.seqgen import _encode_batch, decoder_logits
-    from fmash.tape import no_grad
     with no_grad():
-        memory, mask = _encode_batch([[0, 1]], params)
+        memory, mask = encode_batch([[0, 1]], params)
         tokens = np.array([[params.vocab.bos, 2, 5, 1]], dtype=np.intp)
         full = decoder_logits(memory, mask, tokens, params).data
         mutated = tokens.copy()
@@ -159,7 +159,8 @@ def test_forced_eos_gives_empty_formula():
 def test_suppressed_eos_emits_exactly_max_len_distinct_herbs():
     emb = _emb()
     params = Seq2SeqParams(emb, seed=11)
-    seq = generate([0, 1], params, max_len=3, suppress_eos=True)
+    params.out.bias.data[params.vocab.eos] = -1e3
+    seq = generate([0, 1], params, max_len=3)
     assert len(seq) == 3
     assert len(set(seq)) == 3
     assert all(params.vocab.is_herb(h) for h in seq)
@@ -168,7 +169,8 @@ def test_suppressed_eos_emits_exactly_max_len_distinct_herbs():
 def test_generation_never_repeats_or_emits_reserved():
     emb = _emb(n_herb=5)
     params = Seq2SeqParams(emb, seed=12)
-    seq = generate([2, 3], params, max_len=10, suppress_eos=True)
+    params.out.bias.data[params.vocab.eos] = -1e3
+    seq = generate([2, 3], params, max_len=10)
     assert len(seq) == len(set(seq)) == 5   # exhausts the vocabulary then stops
     assert all(params.vocab.is_herb(h) for h in seq)
 

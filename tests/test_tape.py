@@ -11,7 +11,7 @@ from fmash.errors import NumericError
 from fmash.nn import (Adam, LayerNorm, Linear, MultiHeadAttention, fit,
                       sinusoidal_positions, stage_rng)
 from fmash.tape import (Tensor, bce_with_logits, concat, masked_cross_entropy,
-                        selective_scan, softmax, stack, where)
+                        selective_scan, softmax)
 
 RTOL = 1e-6
 
@@ -87,7 +87,7 @@ def test_matmul_grads_with_one_2d_operand(a_shape, b_shape):
     lambda x: x.exp(),
     lambda x: (x * x + 1.0).log(),
     lambda x: (x * x + 0.5).sqrt(),
-    lambda x: x.tanh(),
+    lambda x: 1.0 / (x * x + 1.0),
     lambda x: x.sigmoid(),
     lambda x: x.softplus(),
     lambda x: x.silu(),
@@ -131,16 +131,13 @@ def test_getitem_and_flip_grads():
     assert max_relative_error(loss, [x]) < RTOL
 
 
-def test_concat_stack_where_grads():
+def test_concat_grads():
     rng = np.random.default_rng(8)
     a, b = _leaf(rng, 2, 3), _leaf(rng, 4, 3)
-    mask = rng.normal(size=(2, 3)) > 0
 
     def loss():
         c = concat([a, b], axis=0)
-        s = stack([a, a * 2.0], axis=0)
-        w = where(mask, a, a * -1.0)
-        return (c * c).sum() + s.mean() + w.sum()
+        return (c * c).sum()
 
     assert max_relative_error(loss, [a, b]) < RTOL
 
