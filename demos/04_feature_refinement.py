@@ -43,8 +43,10 @@ z = compress(matrix, params)
 perm = np.random.default_rng(0).permutation(30)
 print(f"  shuffle-then-compress equals compress-then-shuffle: "
       f"{np.allclose(compress(matrix[perm], params), z[perm])}")
-print(f"  reported MSE recomputes: {reconstruction_mse(matrix, params):.5f} "
-      f"(training curve ended at {losses[-1]:.5f})")
+# each epoch's loss is taken before that epoch's Adam step, so the curve
+# ends one step short of the trained autoencoder
+print(f"  MSE after the last step: {reconstruction_mse(matrix, params):.3g}; "
+      f"the curve's last entry, {losses[-1]:.3g}, is the MSE before it")
 
 print("\nwith refinement ablated, a trained linear projection stands in:")
 linear = AutoencoderParams(80, stage_rng(1, "refine.ae"), hidden=None)

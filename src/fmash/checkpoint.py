@@ -1,14 +1,19 @@
-"""Deterministic checkpoint archive: named float64 tensors plus a manifest.
+"""Deterministic checkpoint archive: named float32 or float64 tensors plus a
+manifest.
 
 Layout: magic line, 8-byte little-endian header length, JSON header (version,
 a ``config_hash`` key that is empty if no reader checks one, per-tensor name,
-shape and offset), then raw little-endian C-order blobs.  No timestamps or
-other environment-dependent bytes, so identical inputs give identical files.
+shape, dtype, offset and byte count), then raw little-endian C-order blobs.
+Each tensor is stored in its own dtype, ``float32`` for everything fmash
+trains; a header dtype other than ``float32``/``float64``, or a byte count
+that does not match the shape, is rejected.  No timestamps or other
+environment-dependent bytes, so identical inputs give identical files.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -18,6 +23,8 @@ from .errors import SchemaError
 
 MAGIC = b"FMASHCKPT1\n"
 VERSION = 1
+# header dtype name -> little-endian storage type
+_DTYPES = {"float32": np.dtype("<f4"), "float64": np.dtype("<f8")}
 
 
 def save_checkpoint(path: str | Path, tensors: dict[str, np.ndarray],
@@ -26,10 +33,13 @@ def save_checkpoint(path: str | Path, tensors: dict[str, np.ndarray],
     blobs = []
     offset = 0
     for name in sorted(tensors):
-        arr = np.ascontiguousarray(np.asarray(tensors[name], dtype=np.float64))
-        blob = arr.tobytes()
+        arr = np.asarray(tensors[name])
+        if arr.dtype.name not in _DTYPES:
+            raise TypeError(f"checkpoint tensor {name!r} has dtype {arr.dtype}; "
+                            f"only {', '.join(_DTYPES)} are stored")
+        blob = np.ascontiguousarray(arr, dtype=_DTYPES[arr.dtype.name]).tobytes()
         records.append({"name": name, "shape": list(arr.shape),
-                        "dtype": "float64", "offset": offset,
+                        "dtype": arr.dtype.name, "offset": offset,
                         "nbytes": len(blob)})
         blobs.append(blob)
         offset += len(blob)
@@ -61,10 +71,18 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], str]:
         base = cursor + header_len
         tensors = {}
         for rec in header["tensors"]:
-            start = base + rec["offset"]
-            arr = np.frombuffer(raw, dtype=np.float64, count=rec["nbytes"] // 8,
-                                offset=start).reshape(rec["shape"]).copy()
-            tensors[rec["name"]] = arr
+            name, dtype = rec["name"], _DTYPES.get(rec["dtype"])
+            if dtype is None:
+                raise SchemaError(f"{path}: tensor {name!r} has unknown dtype "
+                                  f"{rec['dtype']!r}")
+            count = math.prod(rec["shape"])
+            if rec["nbytes"] != count * dtype.itemsize:
+                raise SchemaError(f"{path}: tensor {name!r} holds {rec['nbytes']} "
+                                  f"bytes, but shape {rec['shape']} of "
+                                  f"{rec['dtype']} needs {count * dtype.itemsize}")
+            tensors[name] = np.frombuffer(raw, dtype=dtype, count=count,
+                                          offset=base + rec["offset"]
+                                          ).reshape(rec["shape"]).copy()
         return tensors, header.get("config_hash", "")
     except (struct.error, ValueError, KeyError, TypeError, AttributeError) as exc:
         # a cut or damaged file fails in the header length, the header

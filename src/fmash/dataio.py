@@ -330,6 +330,11 @@ def symptom_batch(symptom_sets: Sequence[Iterable[int]], n_sym: int,
     return padded, mask
 
 
+def property_matrix(herbs: Sequence[HerbRecord]) -> np.ndarray:
+    """``(H, P)`` float32 property vectors of ``herbs``, in order."""
+    return np.asarray([h.properties for h in herbs], dtype=np.float32)
+
+
 # ---------------------------------------------------------------------------
 # graph construction
 # ---------------------------------------------------------------------------

@@ -2,7 +2,10 @@
 
 Used by the test suite to certify every learned component: the analytic
 gradient from the tape must match a two-sided difference quotient of the
-same scalar loss, parameter by parameter, at 64-bit precision.
+same scalar loss, parameter by parameter, at 64-bit precision.  fmash runs
+in float32; a check casts the module under test with ``as_float64`` and
+feeds float64 inputs, and ``max_relative_error`` refuses a loss or a
+parameter that is not float64, so no check can pass at 32 bits.
 """
 
 from __future__ import annotations
@@ -11,7 +14,16 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .nn import Module
 from .tape import Tensor
+
+
+def as_float64(item: Module | Tensor) -> Module | Tensor:
+    """``item`` with every tensor it holds cast to float64 in place."""
+    tensors = [item] if isinstance(item, Tensor) else [t for _, t in item.named_tensors()]
+    for t in tensors:
+        t.data = t.data.astype(np.float64)
+    return item
 
 
 def finite_difference_grads(loss_fn: Callable[[], Tensor],
@@ -47,6 +59,10 @@ def max_relative_error(loss_fn: Callable[[], Tensor],
     for p in params:
         p.grad = None
     loss = loss_fn()
+    dtypes = {loss.data.dtype} | {p.data.dtype for p in params}
+    if dtypes != {np.dtype(np.float64)}:
+        raise TypeError(f"gradient checks run in float64; the loss or a "
+                        f"parameter is {sorted(map(str, dtypes))}")
     loss.backward()
     analytic = [p.grad.copy() if p.grad is not None else np.zeros_like(p.data)
                 for p in params]

@@ -17,7 +17,7 @@ import numpy as np
 
 from .dataio import HeteroGraph
 from .errors import NumericError
-from .nn import Linear, Module, stage_rng
+from .nn import Linear, Module, parameter, stage_rng
 from .tape import Tensor, concat, selective_scan
 
 # ---------------------------------------------------------------------------
@@ -26,9 +26,8 @@ from .tape import Tensor, concat, selective_scan
 
 class GcnParams(Module):
     def __init__(self, d_in: int, d_out: int, rng: np.random.Generator):
-        self.weight = Tensor(rng.normal(0.0, 1.0 / math.sqrt(d_in), size=(d_in, d_out)),
-                             requires_grad=True)
-        self.bias = Tensor(np.zeros(d_out), requires_grad=True)
+        self.weight = parameter(rng.normal(0.0, 1.0 / math.sqrt(d_in), size=(d_in, d_out)))
+        self.bias = parameter(np.zeros(d_out))
 
 
 def normalized_adjacency(n: int, edges: np.ndarray) -> np.ndarray:
@@ -43,13 +42,14 @@ def normalized_adjacency(n: int, edges: np.ndarray) -> np.ndarray:
 
 def gcn_forward(x: Tensor | np.ndarray, edges: np.ndarray,
                 params: GcnParams) -> Tensor:
-    """One GCN layer: relu(A_hat x W + b), A_hat from ``normalized_adjacency``."""
+    """One GCN layer: relu(A_hat x W + b), A_hat from ``normalized_adjacency``
+    rounded to ``x``'s dtype."""
     x = Tensor.ensure(x)
     n = x.shape[0]
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     if len(edges) and edges.max() >= n:
         raise ValueError(f"edge endpoint {edges.max()} out of range for {n} nodes")
-    a_hat = Tensor(normalized_adjacency(n, edges))
+    a_hat = Tensor(normalized_adjacency(n, edges).astype(x.data.dtype, copy=False))
     return (a_hat @ x @ params.weight + params.bias).relu()
 
 
@@ -85,15 +85,14 @@ class SsmDirection(Module):
     def __init__(self, d: int, d_state: int, dt_rank: int, rng: np.random.Generator):
         # log-spaced diagonal per channel, kept negative through -exp(.)
         a = np.tile(np.arange(1, d_state + 1, dtype=np.float64), (d, 1))
-        self.a_log = Tensor(np.log(a), requires_grad=True)
-        self.x_proj = Tensor(rng.normal(0.0, 1.0 / math.sqrt(d),
-                                        size=(d, dt_rank + 2 * d_state)),
-                             requires_grad=True)
-        self.dt_weight = Tensor(rng.normal(0.0, 1.0 / math.sqrt(dt_rank),
-                                           size=(dt_rank, d)), requires_grad=True)
+        self.a_log = parameter(np.log(a))
+        self.x_proj = parameter(rng.normal(0.0, 1.0 / math.sqrt(d),
+                                           size=(d, dt_rank + 2 * d_state)))
+        self.dt_weight = parameter(rng.normal(0.0, 1.0 / math.sqrt(dt_rank),
+                                              size=(dt_rank, d)))
         # bias chosen so softplus(bias) lands in a useful step-size range
         dt = np.exp(rng.uniform(np.log(1e-3), np.log(1e-1), size=d))
-        self.dt_bias = Tensor(dt + np.log(-np.expm1(-dt)), requires_grad=True)
+        self.dt_bias = parameter(dt + np.log(-np.expm1(-dt)))
 
 
 class SsmParams(Module):

@@ -23,9 +23,9 @@ import math
 import numpy as np
 
 from .config import RunConfig
-from .dataio import HerbRecord
+from .dataio import HerbRecord, property_matrix
 from .errors import DataError, SchemaError
-from .nn import NEG_INF, Linear, Module, fit, stage_rng
+from .nn import NEG_INF, Linear, Module, fit, parameter, stage_rng
 from .tape import Tensor, no_grad, softmax
 
 
@@ -76,15 +76,15 @@ def molecule_embeddings(herb: HerbRecord, d_m: int,
 
 def molecule_batch(herbs: list[HerbRecord], d_m: int,
                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Zero-padded ``(H, K, d_m)`` molecule embeddings of ``herbs`` and the
-    ``(H, K)`` mask of real slots, K being the largest molecule count.
-    Every herb must have at least one molecule."""
+    """Zero-padded ``(H, K, d_m)`` float32 molecule embeddings of ``herbs``
+    and the ``(H, K)`` mask of real slots, K being the largest molecule
+    count.  Every herb must have at least one molecule."""
     memo: dict[str, np.ndarray] = {}
     rows = [molecule_embeddings(h, d_m, memo) for h in herbs]
     if not all(rows):
         raise DataError("molecule_batch needs at least one molecule per herb")
     width = max((len(r) for r in rows), default=0)
-    embs = np.zeros((len(rows), width, d_m))
+    embs = np.zeros((len(rows), width, d_m), dtype=np.float32)
     mask = np.zeros((len(rows), width), dtype=bool)
     for i, row in enumerate(rows):
         embs[i, :len(row)] = row
@@ -99,10 +99,8 @@ def molecule_batch(herbs: list[HerbRecord], d_m: int,
 class AttentionParams(Module):
     def __init__(self, p_dim: int, d_m: int, d_k: int, rng: np.random.Generator):
         self.d_k = d_k
-        self.w_q = Tensor(rng.normal(0.0, 1.0 / math.sqrt(p_dim), size=(p_dim, d_k)),
-                          requires_grad=True)
-        self.w_k = Tensor(rng.normal(0.0, 1.0 / math.sqrt(d_m), size=(d_m, d_k)),
-                          requires_grad=True)
+        self.w_q = parameter(rng.normal(0.0, 1.0 / math.sqrt(p_dim), size=(p_dim, d_k)))
+        self.w_k = parameter(rng.normal(0.0, 1.0 / math.sqrt(d_m), size=(d_m, d_k)))
 
 
 def attention_weights_batch(mol_embs: Tensor, props: Tensor, params: AttentionParams,
@@ -118,7 +116,7 @@ def attention_weights_batch(mol_embs: Tensor, props: Tensor, params: AttentionPa
     keys = (mol_embs.reshape(h * k, d_m) @ params.w_k).reshape(h, k, -1)    # (H, K, d_k)
     logits = (keys @ q).reshape(h, k) / math.sqrt(params.d_k)
     if mask is not None:
-        logits = logits + Tensor(np.where(mask, 0.0, NEG_INF))
+        logits = logits + Tensor(np.where(mask, 0.0, NEG_INF).astype(logits.data.dtype))
     return softmax(logits, axis=-1)
 
 
@@ -133,9 +131,8 @@ def aggregate_attention_batch(mol_embs: Tensor, props: Tensor,
 
 class GateParams(Module):
     def __init__(self, d_m: int, rng: np.random.Generator):
-        self.w_g = Tensor(rng.normal(0.0, 1.0 / math.sqrt(d_m), size=(d_m, d_m)),
-                          requires_grad=True)
-        self.b_g = Tensor(np.zeros(d_m), requires_grad=True)
+        self.w_g = parameter(rng.normal(0.0, 1.0 / math.sqrt(d_m), size=(d_m, d_m)))
+        self.b_g = parameter(np.zeros(d_m))
 
 
 def fuse_gate_batch(v_h: Tensor, h_e: Tensor, params: GateParams) -> Tensor:
@@ -149,8 +146,7 @@ class LatentMolTable(Module):
     """Learnable holistic per-herb embedding (init N(0, 0.02))."""
 
     def __init__(self, n_herb: int, d_m: int, rng: np.random.Generator):
-        self.weight = Tensor(rng.normal(0.0, 0.02, size=(n_herb, d_m)),
-                             requires_grad=True)
+        self.weight = parameter(rng.normal(0.0, 0.02, size=(n_herb, d_m)))
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +206,7 @@ def train_vae(complete_pairs: tuple[np.ndarray, np.ndarray], params: VaeParams, 
     noise_rng = stage_rng(seed, "mlfie.vae.noise")
 
     def loss(_) -> Tensor:
-        eps = noise_rng.standard_normal((n, params.d_z))
+        eps = noise_rng.standard_normal((n, params.d_z)).astype(np.float32)
         return vae_loss(props, targets, params, eps=eps)[0]
 
     losses: list[float] = []
@@ -227,9 +223,9 @@ def impute_missing(p_h: np.ndarray, params: VaeParams) -> np.ndarray:
     to the molecular embedding space.
 
     ``p_h`` is one property vector ``(P,)`` or a batch ``(N, P)``; the result
-    is ``(d_m,)`` or ``(N, d_m)`` to match.
+    is ``(d_m,)`` or ``(N, d_m)`` to match, in float32.
     """
-    p_h = np.asarray(p_h, dtype=np.float64)
+    p_h = np.asarray(p_h, dtype=np.float32)
     if p_h.ndim not in (1, 2) or p_h.shape[-1] != params.p_dim:
         raise SchemaError(f"property vector has shape {p_h.shape}, "
                           f"expected ({params.p_dim},) or (N, {params.p_dim})")
@@ -258,7 +254,7 @@ def _pooled_vectors(herbs: list[HerbRecord], params: MlfieParams) -> np.ndarray:
     """``(H, d_m)`` pooled vectors of herbs that all have molecules, as one
     unrecorded batch."""
     embs, mask = molecule_batch(herbs, params.d_m)
-    props = np.asarray([h.properties for h in herbs])
+    props = property_matrix(herbs)
     with no_grad():
         return aggregate_attention_batch(Tensor(embs), Tensor(props),
                                          params.attention, mask).data
@@ -286,7 +282,7 @@ def train_property_alignment(herbs: list[HerbRecord], params: MlfieParams, *,
         raise DataError("no herbs with molecular data to align")
     embs, mask = molecule_batch(with_mols, params.d_m)
     mol_embs = Tensor(embs)
-    props = Tensor(np.asarray([h.properties for h in with_mols]))
+    props = Tensor(property_matrix(with_mols))
     ids = np.array([h.id for h in with_mols], dtype=np.intp)
     return list(fit(
         params.attention.parameters() + params.gate.parameters()
@@ -298,15 +294,15 @@ def train_property_alignment(herbs: list[HerbRecord], params: MlfieParams, *,
 def all_herb_representations(herbs: list[HerbRecord], params: MlfieParams,
                              ) -> np.ndarray:
     """``(H, d_m)`` fused representations: herbs with molecules are pooled
-    in one batch, the rest are imputed in one VAE batch, then all are gated."""
+    in one batch, the rest are imputed in one VAE batch, then all are gated;
+    in the parameters' dtype."""
     have = np.array([bool(h.molecules) for h in herbs], dtype=bool)
-    pooled = np.empty((len(herbs), params.d_m))
+    pooled = np.empty((len(herbs), params.d_m), dtype=params.latent.weight.data.dtype)
     if have.any():
         pooled[have] = _pooled_vectors([h for h in herbs if h.molecules], params)
     if not have.all():
         pooled[~have] = impute_missing(
-            np.asarray([h.properties for h in herbs if not h.molecules]),
-            params.vae)
+            property_matrix([h for h in herbs if not h.molecules]), params.vae)
     ids = np.array([h.id for h in herbs], dtype=np.intp)
     with no_grad():
         return fuse_gate_batch(Tensor(pooled), params.latent.weight[ids],
@@ -320,7 +316,7 @@ def complete_pairs(herbs: list[HerbRecord], params: MlfieParams,
     with_mols = [h for h in herbs if h.molecules]
     if not with_mols:
         raise DataError("no complete herbs in the corpus")
-    props = np.asarray([h.properties for h in with_mols])
+    props = property_matrix(with_mols)
     return props, _pooled_vectors(with_mols, params), [h.id for h in with_mols]
 
 

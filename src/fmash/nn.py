@@ -7,6 +7,9 @@ initialization from a named RNG stream derived from ``(seed, stage name)``,
 so toggling one pipeline stage never shifts the random draws of another.
 A module about to be loaded from a checkpoint is built with seed ``None``
 and draws nothing.
+
+Parameters are float32, the one run dtype: each initialization is drawn in
+float64, as every stream always drew it, and rounded by ``parameter``.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ class ShapesOnly:
 
     def normal(self, loc: float = 0.0, scale: float = 1.0,
                size: int | tuple[int, ...] = ()) -> np.ndarray:
-        return np.empty(size)
+        return np.empty(size, dtype=np.float32)
 
 
 def stage_rng(seed: int | None, name: str) -> np.random.Generator | ShapesOnly:
@@ -43,6 +46,11 @@ def stage_rng(seed: int | None, name: str) -> np.random.Generator | ShapesOnly:
     lo = int.from_bytes(digest[:4], "little")
     hi = int.from_bytes(digest[4:], "little")
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(lo, hi)))
+
+
+def parameter(values) -> Tensor:
+    """A trainable tensor holding ``values`` rounded to float32."""
+    return Tensor(np.asarray(values, dtype=np.float32), requires_grad=True)
 
 
 class Module:
@@ -75,18 +83,18 @@ class Module:
         if missing or extra:
             raise KeyError(f"state mismatch: missing={sorted(missing)} extra={sorted(extra)}")
         for name, t in own.items():
-            arr = np.asarray(state[name], dtype=np.float64)
+            arr = np.array(state[name], dtype=t.data.dtype)
             if arr.shape != t.data.shape:
                 raise ValueError(f"shape mismatch for {name}: {arr.shape} vs {t.data.shape}")
-            t.data = arr.copy()
+            t.data = arr
 
 
 class Linear(Module):
     def __init__(self, d_in: int, d_out: int, rng: np.random.Generator,
                  bias: bool = True, scale: float | None = None):
         std = (1.0 / math.sqrt(d_in)) if scale is None else scale
-        self.weight = Tensor(rng.normal(0.0, std, size=(d_in, d_out)), requires_grad=True)
-        self.bias = Tensor(np.zeros(d_out), requires_grad=True) if bias else None
+        self.weight = parameter(rng.normal(0.0, std, size=(d_in, d_out)))
+        self.bias = parameter(np.zeros(d_out)) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
         out = Tensor.ensure(x) @ self.weight
@@ -97,7 +105,7 @@ class Linear(Module):
 
 class Embedding(Module):
     def __init__(self, n: int, d: int, rng: np.random.Generator, std: float = 1.0):
-        self.weight = Tensor(rng.normal(0.0, std, size=(n, d)), requires_grad=True)
+        self.weight = parameter(rng.normal(0.0, std, size=(n, d)))
 
     def __call__(self, ids: np.ndarray) -> Tensor:
         return self.weight[np.asarray(ids, dtype=np.intp)]
@@ -105,8 +113,8 @@ class Embedding(Module):
 
 class LayerNorm(Module):
     def __init__(self, d: int, eps: float = 1e-5):
-        self.gamma = Tensor(np.ones(d), requires_grad=True)
-        self.beta = Tensor(np.zeros(d), requires_grad=True)
+        self.gamma = parameter(np.ones(d))
+        self.beta = parameter(np.zeros(d))
         self.eps = eps
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -123,7 +131,8 @@ class MultiHeadAttention(Module):
     """Scaled dot-product attention over (B, L, d) inputs.
 
     ``key_mask`` marks valid key positions (B, Lk); masked logits get a large
-    negative additive constant, which underflows to exactly zero attention in
+    negative additive constant, built in the scores' dtype.  Its ``exp``
+    after the row-max shift underflows to exactly zero in float32 as in
     float64, so padded keys neither change values nor receive gradient.
     """
 
@@ -150,14 +159,13 @@ class MultiHeadAttention(Module):
         k = split(self.wk(keyval), lk)
         v = split(self.wv(keyval), lk)
         scores = (q @ k.transpose(0, 1, 3, 2)) / math.sqrt(e)
-        bias = np.zeros((b, 1, lq, lk))
+        bias = np.zeros((b, 1, lq, lk), dtype=scores.data.dtype)
         if key_mask is not None:
-            bias = bias + np.where(np.asarray(key_mask, dtype=bool), 0.0, NEG_INF)[:, None, None, :]
+            bias += np.where(np.asarray(key_mask, dtype=bool), 0.0, NEG_INF)[:, None, None, :]
         if causal:
             if lq != lk:
                 raise ValueError("causal attention requires square score matrices")
-            tri = np.triu(np.full((lq, lk), NEG_INF), k=1)
-            bias = bias + tri[None, None, :, :]
+            bias += np.triu(np.full((lq, lk), NEG_INF), k=1)
         attn = softmax(scores + Tensor(bias), axis=-1)
         out = (attn @ v).transpose(0, 2, 1, 3).reshape(b, lq, d)
         return self.wo(out)
@@ -209,10 +217,11 @@ class DecoderLayer(Module):
 def sinusoidal_positions(length: int, d_model: int) -> np.ndarray:
     """``sin`` in the even columns and ``cos`` in the odd ones; columns
     ``2i`` and ``2i + 1`` share the angle ``pos / 10000^(2i / d_model)``,
-    so each function runs once over the half table it fills."""
+    so each function runs once over the half table it fills.  Computed in
+    float64 and rounded to float32."""
     pos = np.arange(length)[:, None]
     angle = pos / np.power(10000.0, np.arange(0, d_model, 2)[None, :] / d_model)
-    enc = np.empty((length, d_model))
+    enc = np.empty((length, d_model), dtype=np.float32)
     enc[:, 0::2] = np.sin(angle)
     enc[:, 1::2] = np.cos(angle[:, :d_model // 2])
     return enc
@@ -255,9 +264,11 @@ def fit(params: list[Tensor], loss_fn: Callable[[np.ndarray], Tensor], n: int, *
 
     Each epoch covers every example once: as one batch in index order, or
     with ``batch_size`` in slices of a permutation drawn from ``rng``.
-    Yields each epoch's mean loss after its last step; raises
-    ``NumericError`` instead when that loss is not finite, naming the
-    component by ``name``, its history key (``fr_sym``, ``rs``, ...).
+    Yields each epoch's example-weighted mean of its batch losses, each
+    computed before that batch's Adam step; so a full-batch epoch's loss is
+    the loss before the epoch's only step.  Raises ``NumericError`` instead
+    when that mean is not finite, naming the component by ``name``, its
+    history key (``fr_sym``, ``rs``, ...).
     """
     opt = Adam(params, lr=lr)
     step = batch_size or n

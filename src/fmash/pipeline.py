@@ -27,6 +27,9 @@ from .tape import Tensor, no_grad
 # config keys only the heads read; every other key is a phase-1 input
 HEAD_ONLY_KEYS = ("train.epochs", "train.batch", "train.seq_max_len",
                   "ablation.gelram", "dims.d_enc")
+# config keys that say where the phase-1 inputs are, not what they are; a
+# caller that keys on the inputs digests the files themselves
+PATH_KEYS = ("paths.corpus", "paths.workdir")
 
 
 @dataclass
@@ -59,7 +62,8 @@ def run_phase1(symptoms: list[SymptomRecord], herbs: list[HerbRecord],
     if graph.n_sym != n_sym or graph.n_herb != n_herb:
         raise DataError("graph and vocabulary sizes disagree")
     d = cfg.dims.d
-    init = stage_rng(seed, "init_features").normal(size=(n_sym + n_herb, d))
+    init = stage_rng(seed, "init_features").normal(
+        size=(n_sym + n_herb, d)).astype(np.float32)
 
     hgre_params = None
     if cfg.ablation.hgre:
@@ -116,7 +120,7 @@ def phase1_state(result: Phase1Result) -> dict[str, np.ndarray]:
     state: dict[str, np.ndarray] = {
         "init_features": result.init_features.copy(),
         "unified.matrix": result.unified.matrix.copy(),
-        "unified.n_sym": np.asarray(float(result.unified.n_sym)),
+        "unified.n_sym": np.asarray(result.unified.n_sym, dtype=np.float32),
     }
     if result.hgre_params is not None:
         state.update({f"hgre.{k}": v for k, v in
@@ -132,10 +136,11 @@ def phase1_state(result: Phase1Result) -> dict[str, np.ndarray]:
 
 
 def phase1_key(cfg: RunConfig) -> str:
-    """Hash of the phase-1 inputs: the config hash with every key in
-    ``HEAD_ONLY_KEYS`` held at its default."""
+    """Hash of the phase-1 config: the config hash with every key in
+    ``HEAD_ONLY_KEYS`` and ``PATH_KEYS`` held at its default, so a project
+    moved to another directory keeps its key."""
     keyed, default = copy.deepcopy(cfg), RunConfig()
-    for dotted in HEAD_ONLY_KEYS:
+    for dotted in HEAD_ONLY_KEYS + PATH_KEYS:
         section, key = dotted.split(".")
         setattr(getattr(keyed, section), key, getattr(getattr(default, section), key))
     return config_hash(keyed)

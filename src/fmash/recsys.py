@@ -18,7 +18,7 @@ import numpy as np
 
 from .dataio import symptom_batch
 from .errors import DataError, NumericError
-from .nn import EncoderLayer, Linear, Module, TrainResult, fit, stage_rng
+from .nn import EncoderLayer, Linear, Module, TrainResult, fit, parameter, stage_rng
 from .refine import UnifiedEmbedding
 from .tape import Tensor, bce_with_logits, concat, no_grad, softmax
 
@@ -48,7 +48,7 @@ class PlainScorerParams(Module):
         self.d = d
         self.n_herb = n_herb
         self.bilinear = Linear(d, d, rng)
-        self.bias = Tensor(np.zeros(n_herb), requires_grad=True)
+        self.bias = parameter(np.zeros(n_herb))
 
 
 RsParams = GelramParams | PlainScorerParams
@@ -106,8 +106,8 @@ def rs_logits(symptom_sets: list, emb: UnifiedEmbedding, params: RsParams,
 
 @dataclass
 class RecommendationResult:
-    scores: np.ndarray    # (H,), each in (0, 1)
-    ranking: np.ndarray   # herb ids by descending score, ties by id
+    scores: np.ndarray    # (H,), each in [0, 1]
+    ranking: np.ndarray   # herb ids by descending logit, ties by id
 
     def topk(self, k: int) -> list[tuple[int, float]]:
         return [(int(h), float(self.scores[h])) for h in self.ranking[:k]]
@@ -115,12 +115,15 @@ class RecommendationResult:
 
 def gelram_score(symptom_ids, emb: UnifiedEmbedding, params: RsParams,
                  ) -> RecommendationResult:
+    """Sigmoid scores of every herb for one symptom set, ranked by logit:
+    in float32 the sigmoid rounds every logit above about 17 to 1.0, which
+    would turn the top of the ranking into ties."""
     with no_grad():
         logits = rs_logits([list(symptom_ids)], emb, params)
-        scores = 1.0 / (1.0 + np.exp(-logits.data[0]))
-    if not np.isfinite(scores).all():
+        scores = logits.sigmoid().data[0]
+    if not np.isfinite(logits.data).all():
         raise NumericError("non-finite recommendation scores")
-    ranking = np.argsort(-scores, kind="stable")
+    ranking = np.argsort(-logits.data[0], kind="stable")
     return RecommendationResult(scores=scores, ranking=ranking)
 
 
@@ -137,7 +140,7 @@ def recommend(symptom_ids, k: int, params: RsParams, emb: UnifiedEmbedding,
 # ---------------------------------------------------------------------------
 
 def multi_hot(herb_lists: list[list[int]], n_herb: int) -> np.ndarray:
-    t = np.zeros((len(herb_lists), n_herb))
+    t = np.zeros((len(herb_lists), n_herb), dtype=np.float32)
     for i, herbs in enumerate(herb_lists):
         t[i, list(herbs)] = 1.0
     return t

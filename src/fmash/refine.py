@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import HerbRecord, SymptomRecord
+from .dataio import HerbRecord, SymptomRecord, property_matrix
 from .errors import DataError, SchemaError
 from .nn import Embedding, Linear, Module, fit, stage_rng
 from .tape import Tensor, no_grad
@@ -27,13 +27,14 @@ UNIFIED_DIM = 64
 class UnifiedEmbedding:
     """The shared per-node table both recommendation heads consume.
 
-    Rows are symptoms then herbs, matching the global node order.
+    Rows are symptoms then herbs, matching the global node order; the
+    matrix is float32.
     """
     matrix: np.ndarray
     n_sym: int
 
     def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=np.float64)
+        self.matrix = np.asarray(self.matrix, dtype=np.float32)
 
     @property
     def n_herb(self) -> int:
@@ -59,7 +60,7 @@ class SymptomTextTable(Module):
 
     def rows(self, symptoms: list[SymptomRecord]) -> np.ndarray:
         d_text = self.table.weight.data.shape[1]
-        out = np.empty((len(symptoms), d_text))
+        out = np.empty((len(symptoms), d_text), dtype=np.float32)
         for i, rec in enumerate(symptoms):
             if rec.text_embedding is not None:
                 if rec.text_embedding.shape != (d_text,):
@@ -76,29 +77,28 @@ def assemble_features(hgre_out: np.ndarray, symptoms: list[SymptomRecord],
                       herbs: list[HerbRecord], text_rows: np.ndarray,
                       herb_reprs: np.ndarray | None,
                       ) -> tuple[np.ndarray, np.ndarray]:
-    """Build the assembled matrices for both node types.
+    """Build the float32 assembled matrices for both node types.
 
     ``herb_reprs`` is the molecular block; ``None`` drops it (the molecular
     stage was ablated).  Returns (sym_matrix, herb_matrix).
     """
-    hgre_out = np.asarray(hgre_out, dtype=np.float64)
+    hgre_out = np.asarray(hgre_out, dtype=np.float32)
     s, h = len(symptoms), len(herbs)
     if hgre_out.shape[0] != s + h:
         raise SchemaError(f"graph embedding has {hgre_out.shape[0]} rows for "
                           f"{s} symptoms + {h} herbs")
     if text_rows.shape[0] != s:
         raise SchemaError("text embedding row count does not match symptoms")
-    sym_matrix = np.concatenate([hgre_out[:s], text_rows], axis=1)
+    sym_matrix = np.concatenate([hgre_out[:s], text_rows], axis=1, dtype=np.float32)
 
-    prop_matrix = np.asarray([rec.properties for rec in herbs])
     parts = [hgre_out[s:]]
     if herb_reprs is not None:
         herb_reprs = np.asarray(herb_reprs)
         if herb_reprs.shape[0] != h:
             raise SchemaError("molecular representation row count does not match herbs")
         parts.append(herb_reprs)
-    parts.append(prop_matrix)
-    herb_matrix = np.concatenate(parts, axis=1)
+    parts.append(property_matrix(herbs))
+    herb_matrix = np.concatenate(parts, axis=1, dtype=np.float32)
     return sym_matrix, herb_matrix
 
 
@@ -149,21 +149,19 @@ def train_autoencoder(matrix: np.ndarray, params: AutoencoderParams, *,
     """Fit the compression autoencoder on assembled rows by MSE and return
     the per-epoch losses; ``name`` is its history key, which a divergence
     error starts with."""
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.shape[0] < 8:
-        raise DataError(f"need at least 8 rows to train, got {matrix.shape[0]}")
-    if np.allclose(matrix, matrix[0]):
+    x = Tensor(matrix)
+    if x.shape[0] < 8:
+        raise DataError(f"need at least 8 rows to train, got {x.shape[0]}")
+    if np.allclose(x.data, x.data[0]):
         import warnings
         warnings.warn("all assembled rows are identical; training anyway",
                       stacklevel=2)
-    x = Tensor(matrix)
     return list(fit(params.parameters(), lambda _: _reconstruction_loss(x, params),
-                    matrix.shape[0], name=name, epochs=epochs, lr=lr))
+                    x.shape[0], name=name, epochs=epochs, lr=lr))
 
 
 def compress(matrix: np.ndarray, params: AutoencoderParams) -> np.ndarray:
     """Row-wise encoding to the unified 64-d space; pure function."""
-    matrix = np.asarray(matrix, dtype=np.float64)
     with no_grad():
         return params.encode(Tensor(matrix)).data.copy()
 

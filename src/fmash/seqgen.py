@@ -18,8 +18,8 @@ import numpy as np
 from .dataio import symptom_batch
 from .errors import DataError
 from .nn import (DecoderLayer, EncoderLayer, LayerNorm, Linear, Module,
-                 MultiHeadAttention, TrainResult, fit, sinusoidal_positions,
-                 stage_rng)
+                 MultiHeadAttention, TrainResult, fit, parameter,
+                 sinusoidal_positions, stage_rng)
 from .refine import UnifiedEmbedding
 from .tape import Tensor, masked_cross_entropy, no_grad
 
@@ -73,9 +73,8 @@ class Seq2SeqParams(Module):
         # plain arrays, rebuilt on load rather than checkpointed; target
         # embeddings start from the unified herb rows and stay trainable
         self.sym_table = emb.sym()
-        tok = np.concatenate([emb.herb().copy(),
-                              rng.normal(0.0, 0.1, size=(3, d))], axis=0)
-        self.tok_embed = Tensor(tok, requires_grad=True)
+        self.tok_embed = parameter(np.concatenate(
+            [emb.herb(), rng.normal(0.0, 0.1, size=(3, d))], axis=0, dtype=np.float32))
         self.positions = sinusoidal_positions(MAX_POSITIONS, d)
         self.enc_layers = [EncoderLayer(d, n_heads, 4 * d, rng)
                            for _ in range(n_enc_layers)]

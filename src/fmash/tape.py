@@ -1,10 +1,16 @@
-"""Reverse-mode automatic differentiation over float64 numpy arrays.
+"""Reverse-mode automatic differentiation over float32 or float64 numpy
+arrays.
 
 Every operation that touches a gradient-carrying tensor records a closure
 that routes the upstream gradient to its parents; ``Tensor.backward()``
-walks the recorded graph in reverse topological order.  All arithmetic is
-done in float64, which is what makes the finite-difference gradient checks
-in the test suite meaningful at tight tolerances.
+walks the recorded graph in reverse topological order.  A tensor keeps a
+float32 or float64 array as given and turns anything else (lists, ints,
+bools, Python floats) into float32, so the dtype follows the data: the
+pipeline, both heads and serving run in float32, and the finite-difference
+gradient checks (``gradcheck``) feed float64 to certify the same code at
+tight tolerances.  Results are byte-identical from run to run for a fixed
+config and a fixed BLAS thread count; another thread count may sum GEMM
+blocks in another order.
 
 Only the operations the models actually need are implemented.  Reductions,
 broadcasts and fancy indexing follow numpy semantics exactly.
@@ -69,12 +75,18 @@ def no_grad():
         _grad_enabled = prev
 
 
+_FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
+
+
 def _as_array(x) -> np.ndarray:
+    """``x`` as is if it is a float32 or float64 array, a numpy scalar of
+    either as a 0-d array, and anything else as float32."""
     if isinstance(x, np.ndarray):
-        if x.dtype == np.float64:
+        if x.dtype in _FLOAT_DTYPES:
             return x
-        return x.astype(np.float64)
-    return np.asarray(x, dtype=np.float64)
+    elif isinstance(x, np.generic) and x.dtype in _FLOAT_DTYPES:
+        return np.asarray(x)
+    return np.asarray(x, dtype=np.float32)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -88,7 +100,8 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 class Tensor:
-    """A float64 ndarray plus an optional slot in the autodiff graph."""
+    """A float32 (or float64) ndarray plus an optional slot in the autodiff
+    graph."""
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
@@ -414,7 +427,7 @@ def selective_scan(delta: Tensor, a: Tensor, b_in: Tensor, c_out: Tensor,
     np.exp(a_bar, out=a_bar)
     states = dt[:, :, None] * b[:, None, :]                 # delta B x, then h_t
     states *= xs[:, :, None]
-    h = np.zeros(a.data.shape)
+    h = np.zeros(a.data.shape, dtype=states.dtype)
     for t in range(len(states)):
         states[t] += a_bar[t] * h
         h = states[t]

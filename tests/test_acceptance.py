@@ -22,7 +22,7 @@ from fmash.dataio import (build_graph, generate_conflicting_corpus,
                           generate_synthetic, load_corpus, split_dataset)
 from fmash.evalkit import (EvalGroup, bmp_at_k, evaluate_run, group_instances,
                            topk_metrics)
-from fmash.gradcheck import max_relative_error
+from fmash.gradcheck import as_float64, max_relative_error
 from fmash.hgre import (GcnParams, SsmParams, bidirectional_block,
                         degree_permutation, gcn_forward, ssm_scan)
 from fmash.mlfie import (AttentionParams, GateParams, MlfieParams, VaeParams,
@@ -116,21 +116,21 @@ def test_c2_gradient_suite():
     errors = {}
 
     x = Tensor(np.random.default_rng(1).normal(size=(5, 4)), requires_grad=True)
-    gcn = GcnParams(4, 4, stage_rng(100, "acc.gcn"))
+    gcn = as_float64(GcnParams(4, 4, stage_rng(100, "acc.gcn")))
     edges = np.array([[0, 1], [1, 2], [2, 3], [3, 4]])
     probe = np.random.default_rng(2).normal(size=(5, 4))
     errors["gcn_forward"] = max_relative_error(
         lambda: (gcn_forward(x, edges, gcn) * probe).sum(),
         [x, gcn.weight, gcn.bias])
 
-    ssm = SsmParams(3, stage_rng(101, "acc.ssm"), d_state=2)
+    ssm = as_float64(SsmParams(3, stage_rng(101, "acc.ssm"), d_state=2))
     seq_in = Tensor(np.random.default_rng(3).normal(size=(4, 3)), requires_grad=True)
     probe2 = np.random.default_rng(4).normal(size=(4, 3))
     errors["bidirectional_block"] = max_relative_error(
         lambda: (bidirectional_block(seq_in, ssm) * probe2).sum(),
         [seq_in] + ssm.parameters())
 
-    attn = AttentionParams(3, 4, 2, stage_rng(102, "acc.attn"))
+    attn = as_float64(AttentionParams(3, 4, 2, stage_rng(102, "acc.attn")))
     mol = Tensor(np.random.default_rng(5).normal(size=(1, 4, 4)), requires_grad=True)
     props = Tensor(np.random.default_rng(6).normal(size=(1, 3)), requires_grad=True)
     probe3 = np.random.default_rng(7).normal(size=(1, 4))
@@ -138,7 +138,7 @@ def test_c2_gradient_suite():
         lambda: (aggregate_attention_batch(mol, props, attn) * probe3).sum(),
         [mol, props, attn.w_q, attn.w_k])
 
-    gate = GateParams(3, stage_rng(103, "acc.gate"))
+    gate = as_float64(GateParams(3, stage_rng(103, "acc.gate")))
     v = Tensor(np.random.default_rng(8).normal(size=(1, 3)), requires_grad=True)
     he = Tensor(np.random.default_rng(9).normal(size=(1, 3)), requires_grad=True)
     probe4 = np.random.default_rng(19).normal(size=(1, 3))
@@ -146,7 +146,7 @@ def test_c2_gradient_suite():
         lambda: (fuse_gate_batch(v, he, gate) * probe4).sum(),
         [v, he, gate.w_g, gate.b_g])
 
-    vae = VaeParams(3, 4, 2, stage_rng(104, "acc.vae"), hidden=8)
+    vae = as_float64(VaeParams(3, 4, 2, stage_rng(104, "acc.vae"), hidden=8))
     rng = np.random.default_rng(10)
     p_in, v_in = rng.normal(size=(2, 3)), rng.normal(size=(2, 4))
     eps = rng.standard_normal((2, 2))
@@ -154,9 +154,9 @@ def test_c2_gradient_suite():
         lambda: vae_loss(p_in, v_in, vae, eps=eps)[0], vae.parameters())
 
     emb = UnifiedEmbedding(matrix=rng.normal(size=(9, 4)), n_sym=4)
-    rs = GelramParams(4, 5, seed=105, d_enc=8, n_layers=1, n_heads=2)
-    sym_t = Tensor(emb.sym(), requires_grad=True)
-    herb_t = Tensor(emb.herb(), requires_grad=True)
+    rs = as_float64(GelramParams(4, 5, seed=105, d_enc=8, n_layers=1, n_heads=2))
+    sym_t = as_float64(Tensor(emb.sym(), requires_grad=True))
+    herb_t = as_float64(Tensor(emb.herb(), requires_grad=True))
     sets = [[0, 2], [1, 3]]
     rs_targets = multi_hot([[0, 3], [2]], 5)
     errors["rs_loss"] = max_relative_error(
@@ -165,8 +165,8 @@ def test_c2_gradient_suite():
             rs_targets),
         [sym_t, herb_t] + rs.parameters())
 
-    seq_params = Seq2SeqParams(emb, seed=106, n_heads=2, n_enc_layers=1,
-                               n_dec_layers=1)
+    seq_params = as_float64(Seq2SeqParams(emb, seed=106, n_heads=2, n_enc_layers=1,
+                                          n_dec_layers=1))
     from fmash.dataio import PrescriptionInstance
     batch = make_batch(
         [PrescriptionInstance(0, frozenset({0, 2}), [1, 4]),

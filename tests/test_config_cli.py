@@ -3,6 +3,8 @@ import importlib
 import json
 import os
 import re
+import shutil
+import struct
 from dataclasses import fields
 from pathlib import Path
 
@@ -11,14 +13,15 @@ import pytest
 
 import fmash
 from fmash import cli, mlfie, pipeline
-from fmash.checkpoint import load_checkpoint, save_checkpoint
+from fmash.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from fmash.cli import execute_command
 from fmash.config import (RunConfig, config_from_dict, config_hash, parse_config,
                           serialize_config)
 from fmash.dataio import build_graph, load_corpus, save_molecular_table
 from fmash.errors import ConfigError, SchemaError
 from fmash.mlfie import impute_missing
-from fmash.pipeline import HEAD_ONLY_KEYS, phase1_key, phase1_state, run_phase1
+from fmash.pipeline import (HEAD_ONLY_KEYS, PATH_KEYS, phase1_key, phase1_state,
+                            run_phase1)
 from fmash.recsys import train_rs
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -148,6 +151,43 @@ def test_checkpoint_roundtrip_and_determinism(tmp_path):
     assert set(loaded) == set(tensors)
     for k in tensors:
         np.testing.assert_array_equal(loaded[k], tensors[k])
+
+
+def _edit_header(raw: bytes, edit) -> bytes:
+    """``raw`` with ``edit`` applied to its header's tensor records."""
+    start = len(MAGIC) + 8
+    (size,) = struct.unpack_from("<Q", raw, len(MAGIC))
+    header = json.loads(raw[start:start + size])
+    edit(header["tensors"])
+    text = json.dumps(header, sort_keys=True).encode("utf-8")
+    return MAGIC + struct.pack("<Q", len(text)) + text + raw[start + size:]
+
+
+def test_checkpoint_stores_each_tensor_in_its_own_dtype(tmp_path):
+    tensors = {"half": np.arange(6, dtype=np.float32).reshape(2, 3) / 3,
+               "full": np.arange(4, dtype=np.float64) / 3}
+    path = tmp_path / "mixed.ckpt"
+    save_checkpoint(path, tensors)
+    loaded, _ = load_checkpoint(path)
+    for name, arr in tensors.items():
+        assert loaded[name].dtype == arr.dtype
+        np.testing.assert_array_equal(loaded[name], arr)
+    with pytest.raises(TypeError, match="'ints'"):
+        save_checkpoint(path, {"ints": np.arange(3)})
+
+
+@pytest.mark.parametrize("field, value, what", [
+    ("dtype", "float16", "has unknown dtype 'float16'"),
+    ("dtype", "float64", "holds 24 bytes"),
+    ("nbytes", 20, "holds 20 bytes"),
+])
+def test_checkpoint_header_dtype_and_byte_count_checked(tmp_path, field, value, what):
+    path = tmp_path / "edited.ckpt"
+    save_checkpoint(path, {"a": np.ones((2, 3), dtype=np.float32)})
+    path.write_bytes(_edit_header(path.read_bytes(),
+                                  lambda records: records[0].update({field: value})))
+    with pytest.raises(SchemaError, match=f"edited.ckpt: tensor 'a' {what}"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_rejects_garbage(tmp_path):
@@ -372,6 +412,40 @@ def test_phase1_checkpoint_keyed_by_corpus_and_splits(run_env, capsys, fname, ed
     assert "phase1.ckpt" in err and "fmash prepare" in err
 
 
+def _moved_project(tmp_path, cfg):
+    """A copy of the prepared project under ``tmp_path / "moved"`` and the
+    path of its config, which names the copied corpus and workdir."""
+    moved = tmp_path / "moved"
+    shutil.copytree(tmp_path / "corpus", moved / "corpus")
+    shutil.copytree(tmp_path / "work", moved / "work")
+    other = json.loads(json.dumps(cfg))
+    other["paths"] = {"corpus": str(moved / "corpus"), "workdir": str(moved / "work")}
+    path = moved / "run.json"
+    path.write_text(json.dumps(other))
+    return moved, path
+
+
+def test_moved_project_trains_without_a_new_prepare(run_env, capsys):
+    tmp_path, cfg_path, cfg = run_env
+    assert execute_command(["prepare", "--config", str(cfg_path)]) == 0
+    moved, moved_cfg = _moved_project(tmp_path, cfg)
+    shutil.rmtree(tmp_path / "work")
+    assert execute_command(["train-rs", "--config", str(moved_cfg)]) == 0
+    assert (moved / "work" / "rs_predictions.tsv").exists()
+
+
+def test_moved_project_with_an_edited_corpus_exits_two(run_env, capsys):
+    tmp_path, cfg_path, cfg = run_env
+    assert execute_command(["prepare", "--config", str(cfg_path)]) == 0
+    moved, moved_cfg = _moved_project(tmp_path, cfg)
+    herbs = moved / "corpus" / "herbs.jsonl"
+    herbs.write_text(_shift_first_property(herbs.read_text()))
+    capsys.readouterr()
+    assert execute_command(["train-rs", "--config", str(moved_cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "phase1.ckpt" in err and "fmash prepare" in err
+
+
 def _changed(value):
     if isinstance(value, bool):
         return not value
@@ -391,7 +465,7 @@ def test_phase1_key_ignores_exactly_the_head_only_keys():
             setattr(target, key.name, _changed(getattr(target, key.name)))
             dotted = f"{section.name}.{key.name}"
             same = phase1_key(cfg) == phase1_key(base)
-            assert same == (dotted in HEAD_ONLY_KEYS), dotted
+            assert same == (dotted in HEAD_ONLY_KEYS + PATH_KEYS), dotted
 
 
 def _phase1_in_process(tmp_path, cfg_path):
@@ -484,6 +558,27 @@ def test_truncated_checkpoint_exits_two(run_env, capsys):
         assert execute_command(["recommend", "--config", str(cfg_path),
                                 "--symptoms", "sym-001", "--k", "2"]) == 2
         assert str(path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fname, argv", [
+    ("rs.ckpt", ["recommend", "--symptoms", "sym-001", "--k", "2"]),
+    ("phase1.ckpt", ["train-seq"]),
+])
+def test_checkpoint_with_edited_dtype_exits_two(trained_env, capsys, fname, argv):
+    root, cfg_path, _ = trained_env
+    path = root / "work" / fname
+    raw = path.read_bytes()
+    path.write_bytes(_edit_header(raw, lambda records: records[-1].update(
+        {"dtype": "complex64"})))
+    capsys.readouterr()
+    try:
+        code = execute_command(argv + ["--config", str(cfg_path)])
+    finally:
+        path.write_bytes(raw)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"{path}: tensor " in err and "unknown dtype 'complex64'" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("section, change", [

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fmash.dataio import HeteroGraph
-from fmash.gradcheck import max_relative_error
+from fmash.gradcheck import as_float64, max_relative_error
 from fmash.hgre import (GcnParams, HgreParams, SsmParams, bidirectional_block,
                         degree_permutation, gcn_forward, hgre_forward,
                         normalized_adjacency, ssm_scan, subgraph_enhance)
@@ -70,7 +70,7 @@ def test_gcn_gradients_match_finite_differences():
     rng = np.random.default_rng(7)
     x = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
     edges = np.array([[0, 1], [1, 2], [2, 3], [3, 4], [0, 4]])
-    p = GcnParams(4, 4, stage_rng(5, "gcn.grad"))
+    p = as_float64(GcnParams(4, 4, stage_rng(5, "gcn.grad")))
     probe = rng.normal(size=(5, 4))
 
     def loss():
@@ -226,7 +226,7 @@ def test_block_single_position_branches_agree():
 
 
 def test_block_gradients_match_finite_differences():
-    params = SsmParams(3, stage_rng(11, "ssm"), d_state=2)
+    params = as_float64(SsmParams(3, stage_rng(11, "ssm"), d_state=2))
     x = Tensor(np.random.default_rng(11).normal(size=(4, 3)), requires_grad=True)
     probe = np.random.default_rng(12).normal(size=(4, 3))
 
@@ -405,7 +405,7 @@ def test_hgre_equivariant_to_type_preserving_relabeling():
 
 def test_hgre_gradients_match_finite_differences():
     g = _toy_graph()
-    params = HgreParams(d=4, seed=4, d_state=2)
+    params = as_float64(HgreParams(d=4, seed=4, d_state=2))
     x = Tensor(np.random.default_rng(20).normal(size=(7, 4)), requires_grad=True)
     probe = np.random.default_rng(21).normal(size=(7, 4))
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from fmash.dataio import HerbRecord, generate_synthetic
 from fmash.errors import DataError, SchemaError
-from fmash.gradcheck import max_relative_error
+from fmash.gradcheck import as_float64, max_relative_error
 from fmash import mlfie
 from fmash.mlfie import (AttentionParams, GateParams, MlfieParams, VaeParams,
                          aggregate_attention_batch, alignment_loss,
@@ -125,7 +125,7 @@ def test_attention_requires_molecules():
 
 
 def test_attention_gradients():
-    params = AttentionParams(3, 4, 2, stage_rng(5, "attn"))
+    params = as_float64(AttentionParams(3, 4, 2, stage_rng(5, "attn")))
     e = Tensor(np.random.default_rng(6).normal(size=(1, 4, 4)), requires_grad=True)
     p = Tensor(np.random.default_rng(7).normal(size=(1, 3)), requires_grad=True)
     probe = np.random.default_rng(8).normal(size=(1, 4))
@@ -179,7 +179,7 @@ def test_gate_convexity_bounds_1000_random_inputs():
 
 
 def test_gate_gradients():
-    params = GateParams(3, stage_rng(11, "gate"))
+    params = as_float64(GateParams(3, stage_rng(11, "gate")))
     v = Tensor(np.random.default_rng(12).normal(size=(1, 3)), requires_grad=True)
     h = Tensor(np.random.default_rng(13).normal(size=(1, 3)), requires_grad=True)
     probe = np.random.default_rng(14).normal(size=(1, 3))
@@ -234,7 +234,7 @@ def test_kl_nonnegative_on_random_inputs():
 
 
 def test_vae_loss_gradients():
-    params = VaeParams(3, 4, 2, stage_rng(16, "vae"), hidden=8)
+    params = as_float64(VaeParams(3, 4, 2, stage_rng(16, "vae"), hidden=8))
     rng = np.random.default_rng(17)
     p = rng.normal(size=(2, 3))
     v = rng.normal(size=(2, 4))
@@ -378,16 +378,18 @@ def _params(n_herb, seed):
 
 
 def _reference_pool(herb, attn):
-    """One herb's attention pool in plain numpy."""
-    e = np.asarray(molecule_embeddings(herb, D_M))
-    logits = (e @ attn.w_k.data) @ (herb.properties @ attn.w_q.data) / np.sqrt(attn.d_k)
+    """One herb's attention pool in plain numpy, in the dtype of ``attn``
+    from the float32 inputs the batched path builds."""
+    e = np.asarray(molecule_embeddings(herb, D_M), dtype=np.float32)
+    props = herb.properties.astype(np.float32)
+    logits = (e @ attn.w_k.data) @ (props @ attn.w_q.data) / np.sqrt(attn.d_k)
     alpha = np.exp(logits - logits.max())
     return (alpha / alpha.sum()) @ e
 
 
 def test_batched_pool_matches_numpy_reference():
     herbs = _mixed_herbs(20)
-    params = _params(len(herbs), 6)
+    params = as_float64(_params(len(herbs), 6))
     props, pooled, ids = complete_pairs(herbs, params)
     with_mols = [h for h in herbs if h.molecules]
     assert ids == [h.id for h in with_mols]
@@ -400,7 +402,7 @@ def test_wider_herb_leaves_other_rows_unchanged():
     herbs = _mixed_herbs(21, n=9, max_mols=3)
     wide = HerbRecord(id=9, name="wide", properties=np.ones(P_DIM),
                       molecules=FIXTURE_SMILES[:7])
-    params = _params(10, 7)
+    params = as_float64(_params(10, 7))
     _, pooled, _ = complete_pairs(herbs, params)
     _, pooled_wide, _ = complete_pairs(herbs + [wide], params)
     np.testing.assert_allclose(pooled_wide[:-1], pooled, rtol=0.0, atol=1e-12)
@@ -439,13 +441,14 @@ def test_molecule_batch_encodes_each_distinct_string_once(monkeypatch):
                         molecules=["CCO", "CCN"][: 1 + i % 2]) for i in range(6)]
     embs, mask = molecule_batch(herbs, D_M)
     assert sorted(calls) == ["CCN", "CCO"]
-    np.testing.assert_array_equal(embs[1, 1], stub_encode_molecule("CCN", D_M))
+    np.testing.assert_array_equal(embs[1, 1],
+                                  stub_encode_molecule("CCN", D_M).astype(np.float32))
     assert mask.sum() == 9
 
 
 def test_batched_path_invariant_to_herb_and_molecule_order():
     herbs = _mixed_herbs(25)
-    params = _params(len(herbs), 9)
+    params = as_float64(_params(len(herbs), 9))
     reprs = all_herb_representations(herbs, params)
     perm = np.random.default_rng(26).permutation(len(herbs))
     np.testing.assert_allclose(all_herb_representations([herbs[i] for i in perm], params),
@@ -464,7 +467,7 @@ def _alignment_inputs(herbs):
 
 def test_alignment_loss_gradients_over_mixed_molecule_counts():
     herbs = _mixed_herbs(27, n=7)
-    params = _params(len(herbs), 10)
+    params = as_float64(_params(len(herbs), 10))
     inputs = _alignment_inputs(herbs)
     leaves = (params.attention.parameters() + params.gate.parameters()
               + params.latent.parameters() + params.probe.parameters())

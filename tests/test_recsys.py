@@ -3,7 +3,7 @@ import pytest
 
 from fmash.dataio import PrescriptionInstance, generate_synthetic
 from fmash.errors import DataError
-from fmash.gradcheck import max_relative_error
+from fmash.gradcheck import as_float64, max_relative_error
 from fmash.recsys import (GelramParams, PlainScorerParams, gelram_score, multi_hot,
                           recommend, rs_logits, train_rs)
 from fmash.refine import UnifiedEmbedding
@@ -211,11 +211,11 @@ def test_plain_scorer_trains():
 
 def test_rs_loss_gradients_match_finite_differences():
     emb = _emb(n_sym=4, n_herb=5, d=4, seed=8)
-    params = GelramParams(4, 5, seed=12, d_enc=8, n_layers=1, n_heads=2)
+    params = as_float64(GelramParams(4, 5, seed=12, d_enc=8, n_layers=1, n_heads=2))
     sets = [[0, 2], [1], [0, 1, 3]]
     targets = multi_hot([[0, 3], [2], [1, 4]], 5)
-    sym_t = Tensor(emb.sym(), requires_grad=True)
-    herb_t = Tensor(emb.herb(), requires_grad=True)
+    sym_t = as_float64(Tensor(emb.sym(), requires_grad=True))
+    herb_t = as_float64(Tensor(emb.herb(), requires_grad=True))
 
     def loss():
         return bce_with_logits(
@@ -228,7 +228,7 @@ def test_rs_loss_gradients_match_finite_differences():
 
 def test_plain_scorer_gradients():
     emb = _emb(n_sym=4, n_herb=5, d=4, seed=9)
-    params = PlainScorerParams(4, 5, seed=13)
+    params = as_float64(PlainScorerParams(4, 5, seed=13))
     sets = [[0, 1], [2, 3]]
     targets = multi_hot([[0], [4]], 5)
 

@@ -3,7 +3,7 @@ import pytest
 
 from fmash.dataio import PrescriptionInstance, generate_synthetic
 from fmash.errors import DataError
-from fmash.gradcheck import max_relative_error
+from fmash.gradcheck import as_float64, max_relative_error
 from fmash.refine import UnifiedEmbedding
 from fmash.seqgen import (Seq2SeqParams, TokenVocab, decoder_logits, encode_batch,
                           generate, make_batch, sequence_loss, train_seq)
@@ -95,7 +95,8 @@ def test_teacher_forcing_causality_exact():
 
 def test_sequence_loss_gradients_match_finite_differences():
     emb = _emb(n_sym=4, n_herb=5, d=4, seed=7)
-    params = Seq2SeqParams(emb, seed=7, n_heads=2, n_enc_layers=1, n_dec_layers=1)
+    params = as_float64(Seq2SeqParams(emb, seed=7, n_heads=2, n_enc_layers=1,
+                                      n_dec_layers=1))
     instances = [_inst(0, {0, 2}, [1, 4]), _inst(1, {1}, [0, 2, 3])]
     batch = make_batch(instances, params.vocab)
 

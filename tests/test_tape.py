@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fmash import tape
-from fmash.gradcheck import max_relative_error
+from fmash.gradcheck import as_float64, max_relative_error
 from fmash.errors import NumericError
 from fmash.nn import (Adam, LayerNorm, Linear, MultiHeadAttention, fit,
                       sinusoidal_positions, stage_rng)
@@ -209,10 +209,24 @@ def test_selective_scan_grads(leaf):
     assert max_relative_error(loss, leaves) < RTOL
 
 
+def test_gradient_check_refuses_anything_but_float64():
+    """A float32 check would pass at 32-bit noise levels, and a float32
+    parameter under a float64 loss is certified at 32 bits."""
+    x32 = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+    with pytest.raises(TypeError, match="float64"):
+        max_relative_error(lambda: (x32 * x32).sum(), [x32])
+    lin = Linear(3, 2, stage_rng(0, "test.refuse"))
+    x64 = Tensor(np.ones((1, 3)), requires_grad=True)
+    with pytest.raises(TypeError, match="float32"):
+        max_relative_error(lambda: lin(x64).sum(), [x64, lin.weight])
+    as_float64(lin)
+    assert max_relative_error(lambda: lin(x64).sum(), [x64, lin.weight]) < RTOL
+
+
 def test_layernorm_and_linear_grads():
     rng = stage_rng(0, "test.layers")
-    lin = Linear(6, 4, rng)
-    ln = LayerNorm(4)
+    lin = as_float64(Linear(6, 4, rng))
+    ln = as_float64(LayerNorm(4))
     x = _leaf(np.random.default_rng(11), 5, 6)
 
     def loss():
@@ -227,19 +241,25 @@ def test_multihead_attention_grads_and_masking():
     x = Tensor(np.random.default_rng(12).normal(size=(2, 4, 8)), requires_grad=True)
     mask = np.array([[True, True, True, False], [True, True, False, False]])
 
+    # Masked key content must not influence the output at all, in float32
+    # (the run dtype) and in float64.
+    for dtype in (np.float32, np.float64):
+        if dtype == np.float64:
+            as_float64(mha)
+        clean = x.data.astype(dtype)
+        out1 = mha(Tensor(clean), Tensor(clean), key_mask=mask).data
+        perturbed = clean.copy()
+        perturbed[0, 3] += 100.0
+        perturbed[1, 2:] -= 50.0
+        out2 = mha(Tensor(perturbed), Tensor(perturbed), key_mask=mask).data
+        assert out1.dtype == dtype
+        np.testing.assert_array_equal(out1[0, :3], out2[0, :3])
+        np.testing.assert_array_equal(out1[1, :2], out2[1, :2])
+
     def loss():
         return (mha(x, x, key_mask=mask) ** 2).sum()
 
     assert max_relative_error(loss, [x] + mha.parameters()) < 1e-5
-
-    # Masked key content must not influence the output at all.
-    out1 = mha(Tensor(x.data), Tensor(x.data), key_mask=mask).data
-    perturbed = x.data.copy()
-    perturbed[0, 3] += 100.0
-    perturbed[1, 2:] -= 50.0
-    out2 = mha(Tensor(perturbed), Tensor(perturbed), key_mask=mask).data
-    np.testing.assert_array_equal(out1[0, :3], out2[0, :3])
-    np.testing.assert_array_equal(out1[1, :2], out2[1, :2])
 
 
 def test_causal_attention_prefix_invariance():
@@ -259,7 +279,8 @@ def test_sinusoidal_positions_match_the_interleaved_formula(d_model):
     dim = np.arange(d_model)[None, :]
     angle = pos / np.power(10000.0, (2 * (dim // 2)) / d_model)
     expected = np.where(dim % 2 == 0, np.sin(angle), np.cos(angle))
-    np.testing.assert_array_equal(sinusoidal_positions(512, d_model), expected)
+    np.testing.assert_array_equal(sinusoidal_positions(512, d_model),
+                                  expected.astype(np.float32))
 
 
 def test_adam_minimizes_quadratic():
