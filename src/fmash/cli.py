@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import difflib
+import functools
 import hashlib
 import json
 import os
@@ -49,7 +50,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The command-line parser, built on first use and reused: parsing
+    leaves it unchanged."""
     parser = _Parser(prog="fmash", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

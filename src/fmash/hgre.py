@@ -18,7 +18,7 @@ import numpy as np
 from .dataio import HeteroGraph
 from .errors import NumericError
 from .nn import Linear, Module, parameter, stage_rng
-from .tape import Tensor, concat, selective_scan
+from .tape import Tensor, concat, linear, selective_scan
 
 # ---------------------------------------------------------------------------
 # GCN
@@ -50,7 +50,7 @@ def gcn_forward(x: Tensor | np.ndarray, edges: np.ndarray,
     if len(edges) and edges.max() >= n:
         raise ValueError(f"edge endpoint {edges.max()} out of range for {n} nodes")
     a_hat = Tensor(normalized_adjacency(n, edges).astype(x.data.dtype, copy=False))
-    return (a_hat @ x @ params.weight + params.bias).relu()
+    return linear(a_hat @ x, params.weight, params.bias).relu()
 
 
 # ---------------------------------------------------------------------------
@@ -126,13 +126,13 @@ def ssm_scan(seq: Tensor | np.ndarray, params: SsmParams,
     n, r = params.d_state, params.dt_rank
 
     proj = x @ dirp.x_proj                       # (L, r + 2n)
-    delta = (proj[:, :r] @ dirp.dt_weight + dirp.dt_bias).softplus()   # (L, d) > 0
+    delta = linear(proj[:, :r], dirp.dt_weight, dirp.dt_bias).softplus()  # (L, d) > 0
     b_in = proj[:, r:r + n]                      # (L, n)
     c_out = proj[:, r + n:]                      # (L, n)
     a = -dirp.a_log.exp()                        # (d, n), strictly negative
 
     y = selective_scan(delta, a, b_in, c_out, x)  # (L, d)
-    gated = y * (x @ params.gate.weight + params.gate.bias).silu()
+    gated = y * params.gate(x).silu()
     if not np.isfinite(gated.data).all():
         raise NumericError("non-finite values in selective scan output")
     if direction == "backward":

@@ -26,7 +26,7 @@ from .config import RunConfig
 from .dataio import HerbRecord, property_matrix
 from .errors import DataError, SchemaError
 from .nn import NEG_INF, Linear, Module, fit, parameter, stage_rng
-from .tape import Tensor, no_grad, softmax
+from .tape import Tensor, linear, no_grad, softmax
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +138,7 @@ class GateParams(Module):
 def fuse_gate_batch(v_h: Tensor, h_e: Tensor, params: GateParams) -> Tensor:
     """Row-wise convex blend of ``(H, d_m)`` pooled vectors and latent rows:
     lambda*v_h + (1-lambda)*h_e with lambda = sigmoid(W v + b)."""
-    lam = (v_h @ params.w_g + params.b_g).sigmoid()
+    lam = linear(v_h, params.w_g, params.b_g).sigmoid()
     return lam * v_h + (1.0 - lam) * h_e
 
 

@@ -14,6 +14,7 @@ float64, as every stream always drew it, and rounded by ``parameter``.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -22,7 +23,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import NumericError
-from .tape import Tensor, no_grad, softmax
+from .tape import Tensor, layer_norm, linear, no_grad, softmax
 
 
 class ShapesOnly:
@@ -97,10 +98,7 @@ class Linear(Module):
         self.bias = parameter(np.zeros(d_out)) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
-        out = Tensor.ensure(x) @ self.weight
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return linear(x, self.weight, self.bias)
 
 
 class Embedding(Module):
@@ -118,10 +116,7 @@ class LayerNorm(Module):
         self.eps = eps
 
     def __call__(self, x: Tensor) -> Tensor:
-        mu = x.mean(axis=-1, keepdims=True)
-        centered = x - mu
-        var = (centered * centered).mean(axis=-1, keepdims=True)
-        return centered / (var + self.eps).sqrt() * self.gamma + self.beta
+        return layer_norm(x, self.gamma, self.beta, self.eps)
 
 
 NEG_INF = -1e9
@@ -214,16 +209,19 @@ class DecoderLayer(Module):
         return x + self.ff(self.ln3(x))
 
 
+@functools.cache
 def sinusoidal_positions(length: int, d_model: int) -> np.ndarray:
     """``sin`` in the even columns and ``cos`` in the odd ones; columns
     ``2i`` and ``2i + 1`` share the angle ``pos / 10000^(2i / d_model)``,
     so each function runs once over the half table it fills.  Computed in
-    float64 and rounded to float32."""
+    float64 and rounded to float32, once per ``(length, d_model)``: every
+    caller shares one read-only table."""
     pos = np.arange(length)[:, None]
     angle = pos / np.power(10000.0, np.arange(0, d_model, 2)[None, :] / d_model)
     enc = np.empty((length, d_model), dtype=np.float32)
     enc[:, 0::2] = np.sin(angle)
     enc[:, 1::2] = np.cos(angle[:, :d_model // 2])
+    enc.flags.writeable = False
     return enc
 
 

@@ -20,7 +20,7 @@ from .dataio import symptom_batch
 from .errors import DataError, NumericError
 from .nn import EncoderLayer, Linear, Module, TrainResult, fit, parameter, stage_rng
 from .refine import UnifiedEmbedding
-from .tape import Tensor, bce_with_logits, concat, no_grad, softmax
+from .tape import Tensor, bce_with_logits, concat, linear, no_grad, softmax
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +88,7 @@ def rs_logits(symptom_sets: list, emb: UnifiedEmbedding, params: RsParams,
     s = masked.sum(axis=1)                                # (B, d)
 
     if isinstance(params, PlainScorerParams):
-        return params.bilinear(s) @ herb_t.transpose(1, 0) + params.bias
+        return linear(params.bilinear(s), herb_t.transpose(1, 0), params.bias)
 
     logits = (s @ herb_t.transpose(1, 0)) / math.sqrt(d)
     p = softmax(logits, axis=-1)                          # (B, H)

@@ -15,6 +15,16 @@ blocks in another order.
 Only the operations the models actually need are implemented.  Reductions,
 broadcasts and fancy indexing follow numpy semantics exactly.
 
+The layers the models call most are single nodes: ``linear``,
+``layer_norm``, ``softmax`` and ``Tensor.silu`` each record one closure in
+place of the chain of primitive nodes they stand for.  Such a fused node
+reproduces the bits of that composite: forward and backward run the
+composite's array operations in its order, with its constants, and hand
+each input its gradients in the composite's accumulation order.  Its test
+keeps the composite, built from primitive ops, as the oracle it must equal
+bit for bit.  ``masked_cross_entropy`` and ``selective_scan`` are fused
+with their own closed-form backward, certified by finite differences.
+
 Importing the module fixes glibc's heap thresholds (``_keep_freed_memory``)
 so that memory a training step frees stays in the process for the next one.
 """
@@ -310,7 +320,20 @@ class Tensor:
         return out
 
     def silu(self):
-        return self * self.sigmoid()
+        x = self.data
+        sig = _sigmoid(x)
+        out = _node(x * sig, (self,))
+        if out._parents:
+            # the composite x * sigmoid(x): the product's gradient first,
+            # then the sigmoid's
+            def bw(g):
+                self._accumulate(g * sig)
+                gs = g * x
+                gs *= sig
+                gs *= 1.0 - sig
+                self._accumulate(gs)
+            out._backward = bw
+        return out
 
     # -- reductions ----------------------------------------------------------------
 
@@ -357,8 +380,11 @@ class Tensor:
         return out
 
     def __getitem__(self, idx):
-        out = _node(self.data[idx].copy() if isinstance(self.data[idx], np.ndarray)
-                    else self.data[idx], (self,))
+        picked = self.data[idx]
+        # a basic index returns a view; the node owns its data
+        if isinstance(picked, np.ndarray) and np.may_share_memory(picked, self.data):
+            picked = picked.copy()
+        out = _node(picked, (self,))
         if out._parents:
             def bw(g):
                 buf = np.zeros_like(self.data)
@@ -380,11 +406,12 @@ def _node(data: np.ndarray, parents: Sequence[Tensor]) -> Tensor:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # 1/(1+e) for x >= 0 and e/(1+e) below, with e = exp(-|x|) <= 1 so
-    # neither branch overflows; in-place updates keep temporaries to two
+    # exp(min(x, 0)) / (1 + exp(-|x|)): 1/(1+e) for x >= 0 and e/(1+e)
+    # below, with e = exp(-|x|) <= 1 so neither branch overflows; the same
+    # bits as selecting between the two branches, without the select
     e = np.exp(-np.abs(x))
-    out = np.where(x >= 0, 1.0, e)
     e += 1.0
+    out = np.exp(np.minimum(x, 0.0))
     out /= e
     return out
 
@@ -456,12 +483,95 @@ def selective_scan(delta: Tensor, a: Tensor, b_in: Tensor, c_out: Tensor,
     return out
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """``x @ w + b`` for an (..., d_in) ``x`` and a 2-D ``w``, as one node
+    with the bits of the composite ``(x @ w) + b`` of matmul and add nodes."""
+    x = Tensor.ensure(x)
+    if x.data.ndim < 2:
+        raise ValueError("matmul operands must be at least 2-D")
+    xd, wd = x.data, w.data
+    y = xd @ wd
+    if b is not None:
+        y += b.data
+    out = _node(y, (x, w) if b is None else (x, w, b))
+    if out._parents:
+        def bw(g):
+            if b is not None and b.requires_grad:
+                b._accumulate(_unbroadcast(g, b.data.shape))
+            # the batch axes fold into rows: one 2-D product per gradient
+            g2 = g.reshape(-1, wd.shape[1])
+            if x.requires_grad:
+                x._accumulate((g2 @ wd.T).reshape(xd.shape))
+            if w.requires_grad:
+                w._accumulate(xd.reshape(-1, xd.shape[-1]).T @ g2)
+        out._backward = bw
+    return out
+
+
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
+    """``(x - mean) / sqrt(var + eps) * gamma + beta`` over the last axis,
+    as one node.
+
+    Forward and backward run the array operations of the composite of
+    primitive nodes (mean, centering, variance, sqrt, divide, scale, shift)
+    in its order, with its float32 constants, so values and gradients keep
+    its bits.
+    """
+    xd = x.data
+    n = _as_array(float(xd.shape[-1]))
+    eps = _as_array(eps)
+    mu = xd.sum(axis=-1, keepdims=True) / n
+    c = xd + (-mu)
+    sd = np.sqrt((c * c).sum(axis=-1, keepdims=True) / n + eps)
+    q = c / sd
+    out = _node(q * gamma.data + beta.data, (x, gamma, beta))
+    if out._parents:
+        def bw(g):
+            if beta.requires_grad:
+                beta._accumulate(_unbroadcast(g, beta.data.shape))
+            if gamma.requires_grad:
+                gamma._accumulate(_unbroadcast(g * q, gamma.data.shape))
+            if not x.requires_grad:
+                return
+            gq = g * gamma.data
+            gc = gq / sd
+            gsd = -gq
+            gsd *= c
+            gsd /= sd ** 2
+            gsd = _unbroadcast(gsd, sd.shape)
+            gvar = gsd * 0.5 / sd / n
+            # the variance's product c * c hands c the same gradient twice
+            gcc = np.broadcast_to(gvar, c.shape) * c
+            gc += gcc
+            gc += gcc
+            # the centered path first, then the mean's broadcast
+            x._accumulate(gc)
+            x._accumulate(np.broadcast_to(-_unbroadcast(gc, mu.shape) / n, xd.shape))
+        out._backward = bw
+    return out
+
+
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    # Subtracting the (constant) row max leaves both the value and the exact
-    # gradient unchanged; it only guards exp from overflow.
-    shift = x - Tensor(x.data.max(axis=axis, keepdims=True))
-    e = shift.exp()
-    return e / e.sum(axis=axis, keepdims=True)
+    """Softmax along ``axis`` as one node, with the bits of the composite
+    ``e / sum(e)`` over ``e = exp(x - max(x))``.  Subtracting the (constant)
+    max leaves both the value and the exact gradient unchanged; it only
+    guards exp from overflow."""
+    xd = x.data
+    e = np.exp(xd + (-xd.max(axis=axis, keepdims=True)))
+    s = e.sum(axis=axis, keepdims=True)
+    out = _node(e / s, (x,))
+    if out._parents:
+        def bw(g):
+            gs = -g
+            gs *= e
+            gs /= s ** 2
+            gs = _unbroadcast(gs, s.shape)
+            gx = g / s
+            gx += np.broadcast_to(gs, e.shape)
+            gx *= e
+            x._accumulate(gx)
+        out._backward = bw
+    return out
 
 
 def masked_cross_entropy(logits: Tensor, targets: np.ndarray,

@@ -298,6 +298,30 @@ def test_recommend_command_and_name_resolution(run_env, capsys):
     assert "did you mean" in capsys.readouterr().err
 
 
+def test_one_parser_serves_a_sequence_of_commands(trained_env, capsys):
+    """The parser is built once per process and reused: each command of a
+    sequence prints and exits as it does on a freshly built parser."""
+    cfg = str(trained_env[1])
+    symptoms = ["--symptoms", "sym-001,sym-003"]
+    sequence = [["recommend", "--config", cfg, *symptoms, "--k", "3"],
+                ["recommend", "--config", cfg, "--k", "3"],
+                ["generate", "--config", cfg, *symptoms],
+                ["recommend", "--config", cfg, *symptoms, "--k", "5"]]
+
+    def run(argv, fresh):
+        if fresh:
+            cli._build_parser.cache_clear()
+        code = execute_command(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    reused = [run(argv, fresh=False) for argv in sequence]
+    assert cli._build_parser() is cli._build_parser()
+    assert reused == [run(argv, fresh=True) for argv in sequence]
+    assert [code for code, _, _ in reused] == [0, 1, 0, 0]
+    assert "required: --symptoms" in reused[1][2]
+
+
 def test_usage_errors_exit_one(run_env, capsys):
     _, cfg_path, _ = run_env
     assert execute_command(["recommend", "--config", str(cfg_path),

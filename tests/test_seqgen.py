@@ -32,6 +32,14 @@ def test_target_embeddings_initialized_from_unified_herbs():
     np.testing.assert_array_equal(params.tok_embed.data[:8], emb.herb())
 
 
+def test_heads_share_one_read_only_sinusoid_table():
+    a, b = Seq2SeqParams(_emb(), seed=1), Seq2SeqParams(_emb(seed=1), seed=None)
+    assert a.positions is b.positions
+    assert not a.positions.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        a.positions[0, 0] = 1.0
+
+
 def test_encode_single_symptom_shape():
     emb = _emb()
     params = Seq2SeqParams(emb, seed=2)

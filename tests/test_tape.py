@@ -131,6 +131,15 @@ def test_getitem_and_flip_grads():
     assert max_relative_error(loss, [x]) < RTOL
 
 
+@pytest.mark.parametrize("idx", [np.s_[1:4, :2], np.s_[2], np.s_[:, 1],
+                                 np.array([0, 2, 2, 5]), (np.array([1, 3]), 0)])
+def test_getitem_output_never_shares_memory_with_its_source(idx):
+    x = Tensor(np.arange(18.0).reshape(6, 3), requires_grad=True)
+    out = x[idx]
+    assert not np.shares_memory(out.data, x.data)
+    np.testing.assert_array_equal(out.data, x.data[idx])
+
+
 def test_concat_grads():
     rng = np.random.default_rng(8)
     a, b = _leaf(rng, 2, 3), _leaf(rng, 4, 3)
