@@ -31,29 +31,31 @@ for s in ("CCO", "CCN", "c1ccccc1"):
 print("\n-- property-guided attention pooling --")
 # the batched functions pool many herbs at once; here the batch is one herb
 herb = next(h for h in herbs if len(h.molecules) >= 3)
-embs, _ = molecule_batch([herb], 32)
-p_h = Tensor(herb.properties.reshape(1, -1))
+one = molecule_batch([herb], 32)
+embs, p_h = Tensor(one.embs), Tensor(one.props)
 with no_grad():
-    alpha = attention_weights_batch(Tensor(embs), p_h, params.attention).data[0]
-    pooled = aggregate_attention_batch(Tensor(embs), p_h, params.attention)
+    alpha = attention_weights_batch(embs, p_h, params.attention).data[0]
+    pooled = aggregate_attention_batch(embs, p_h, params.attention)
 print(f"{herb.name}: {len(herb.molecules)} molecules, attention weights "
       f"{np.round(alpha, 3)} (sum {alpha.sum():.6f})")
 print(f"pooled vector stays inside the componentwise hull: "
-      f"{bool(np.all(pooled.data >= embs[0].min(0) - 1e-12))}")
+      f"{bool(np.all(pooled.data >= one.embs[0].min(0) - 1e-12))}")
 
 print("\n-- gated fusion with the holistic embedding --")
 with no_grad():
-    fused = fuse_gate_batch(pooled, params.latent.weight[np.array([herb.id])],
+    fused = fuse_gate_batch(pooled, params.latent.weight[one.ids],
                             params.gate).data[0]
 print(f"fused representation, first 5 dims: {np.round(fused[:5], 3)}")
 
 print("\n-- pretraining: align fused vectors with herb properties --")
-align = train_property_alignment(herbs, params, epochs=60, lr=1e-2)
+# every herb with molecules, as one batch that each step below reuses
+batch = molecule_batch([h for h in herbs if h.molecules], 32)
+align = train_property_alignment(batch, params, epochs=60, lr=1e-2)
 print(f"probe regression loss {align[0]:.3f} -> {align[-1]:.3f}")
 
 print("\n-- VAE imputation for herbs without molecules --")
-props, targets, ids = complete_pairs(herbs, params)
-print(f"{len(ids)} complete herbs provide (property, pooled-vector) pairs")
+props, targets = complete_pairs(batch, params)
+print(f"{len(batch.ids)} complete herbs provide (property, pooled-vector) pairs")
 vae = params.vae
 vae_losses = train_vae((props, targets), vae, epochs=250, lr=5e-3, seed=7)
 print(f"VAE loss {vae_losses[0]:.3f} -> {vae_losses[-1]:.3f}")
@@ -63,8 +65,9 @@ imputed = impute_missing(missing.properties, vae)
 print(f"{missing.name} (no molecules): imputed vector, first 5 dims "
       f"{np.round(imputed[:5], 3)}")
 
-# both paths end in the same gate, so every herb gets one d_m vector
-reprs = all_herb_representations(herbs, params)
+# both paths end in the same gate, so every herb gets one d_m vector; the
+# complete herbs reuse their pooled vectors
+reprs = all_herb_representations(herbs, targets, params)
 print(f"\nall {len(herbs)} herbs represented: matrix {reprs.shape}, "
       f"finite={np.isfinite(reprs).all()}")
 

@@ -30,7 +30,8 @@ print(f"compressed to a unified {result.unified.matrix.shape} table "
       f"({result.unified.n_sym} symptom rows first)")
 
 for node_type in ("sym", "herb"):
-    initial = result.fr_initial_mse[node_type]
+    # each epoch's loss is taken before its step: the first is the initial MSE
+    initial = result.histories[f"fr_{node_type}"][0]
     final = result.fr_final_mse[node_type]
     print(f"{node_type}: reconstruction MSE {initial:.4f} -> {final:.6f} "
           f"({100 * (1 - final / initial):.1f}% reduction)")

@@ -7,6 +7,9 @@ credits the prediction with the best ground truth it matches: a generator
 that commits to one valid formula is not punished for skipping the others.
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
 from fmash.dataio import PrescriptionInstance
@@ -41,15 +44,16 @@ for g in groups:
           f"BMP@3 = {bmp_at_k(g.prediction, g, 3):.3f}")
 
 print("\n-- a full report from a prediction file --")
-with open("/tmp/demo_predictions.tsv", "w") as fh:
-    for iid, herbs in predictions.items():
-        fh.write(f"{iid}\t" + ",".join(f"{h}:0.5" for h in herbs) + "\n")
-report = evaluate_run("/tmp/demo_predictions.tsv", instances, ks=[1, 3],
-                      head="rs", model="demo")
-for line in report.summary_lines():
-    print(line)
-report.save("/tmp/demo_report.json")
-roundtrip = report.load("/tmp/demo_report.json")
+with tempfile.TemporaryDirectory() as tmp:
+    pred_path, report_path = Path(tmp, "predictions.tsv"), Path(tmp, "report.json")
+    with open(pred_path, "w") as fh:
+        for iid, herbs in predictions.items():
+            fh.write(f"{iid}\t" + ",".join(f"{h}:0.5" for h in herbs) + "\n")
+    report = evaluate_run(pred_path, instances, ks=[1, 3], head="rs", model="demo")
+    for line in report.summary_lines():
+        print(line)
+    report.save(report_path)
+    roundtrip = report.load(report_path)
 print(f"report round-trips: {roundtrip.bmp == report.bmp}")
 
 print("\n-- sanity: random rankings score at chance level --")

@@ -28,7 +28,7 @@ from .nn import Module
 from .pipeline import phase1_key, phase1_state, run_phase1
 from .recsys import make_rs_params, recommend, train_rs
 from .recsys import export_predictions as export_rs_predictions
-from .refine import UnifiedEmbedding, export_unified
+from .refine import UNIFIED_DIM, UnifiedEmbedding, export_unified
 from .seqgen import Seq2SeqParams, generate, train_seq
 from .seqgen import export_predictions as export_seq_predictions
 
@@ -109,6 +109,8 @@ def _load_config(path: str) -> RunConfig:
             cfg.train.seed = int(seed_env)
         except ValueError as exc:
             raise ConfigError(f"FMASH_SEED must be an integer, got {seed_env!r}") from exc
+        if cfg.train.seed < 0:
+            raise ConfigError(f"FMASH_SEED must be >= 0, got {seed_env!r}")
     return cfg
 
 
@@ -175,6 +177,9 @@ def _unified_table(path: Path, state, writer: str) -> UnifiedEmbedding:
                                 and 1 <= n_sym < matrix.shape[0]):
         raise SchemaError(f"{path}: malformed unified table (matrix shape "
                           f"{matrix.shape}, n_sym {n_sym!r})")
+    if matrix.shape[1] != UNIFIED_DIM:
+        raise SchemaError(f"{path}: unified table is {matrix.shape[1]} wide, "
+                          f"expected {UNIFIED_DIM}")
     return UnifiedEmbedding(matrix=matrix, n_sym=int(n_sym))
 
 
@@ -325,9 +330,8 @@ def _cmd_impute_mol(args) -> int:
     _load_params(mlfie, Path(cfg.paths.workdir) / PHASE1_FILE, state, "mlfie",
                  "its molecular stage does not match the config")
     imputed = impute_missing([h.properties for h in missing], mlfie.vae)
-    table = {h.id: [row] for h, row in zip(missing, imputed)}
-    save_molecular_table(args.out, table, d_m=cfg.dims.d_m,
-                         imputed_ids=set(table))
+    table = {h.id: row for h, row in zip(missing, imputed)}
+    save_molecular_table(args.out, table, d_m=cfg.dims.d_m)
     print(f"imputed {len(table)} herbs -> {args.out}")
     return EXIT_OK
 
@@ -402,9 +406,6 @@ def execute_command(argv: list[str]) -> int:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
     except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (SchemaError, ConfigError, DataError, FileNotFoundError) as exc:

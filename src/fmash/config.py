@@ -29,7 +29,7 @@ class DimsCfg:
     d_enc: int = 64      # fusion encoder width
     d_z: int = 16        # VAE latent width
     p: int = 23          # herb property vector length
-    d_text: int = 32     # symptom text embedding fallback width
+    d_text: int = 32     # fixed random text rows' width if no symptom has text
     d_state: int = 16    # selective-scan state size
 
 
@@ -110,6 +110,8 @@ def _validate(cfg: RunConfig) -> RunConfig:
             raise ConfigError(f"graph.{name}: must be >= 1")
     if cfg.train.lr <= 0:
         raise ConfigError("train.lr: must be positive")
+    if cfg.train.seed < 0:
+        raise ConfigError(f"train.seed: must be >= 0, got {cfg.train.seed}")
     for name in ("epochs", "batch", "mlfie_epochs", "vae_epochs", "fr_epochs"):
         if getattr(cfg.train, name) < 0:
             raise ConfigError(f"train.{name}: must be >= 0")

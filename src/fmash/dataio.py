@@ -532,17 +532,16 @@ def generate_conflicting_corpus(n_pairs: int, herbs_per_formula: int, seed: int,
 # molecular tables
 # ---------------------------------------------------------------------------
 
-def save_molecular_table(path: str | Path, table: dict[int, list[np.ndarray]],
-                         d_m: int, imputed_ids: set[int] | None = None) -> None:
-    """Write a molecular table; rows of herbs in ``imputed_ids`` get
-    ``mol_index = -1``."""
-    imputed_ids = imputed_ids or set()
+def save_molecular_table(path: str | Path, table: dict[int, np.ndarray],
+                         d_m: int) -> None:
+    """Write one imputed vector per herb: header ``dim=<d_m>`` then
+    ``herb_id, -1, values`` rows in herb order (``mol_index = -1`` marks an
+    imputed row)."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"dim={d_m}\n")
         for herb_id in sorted(table):
-            for j, vec in enumerate(table[herb_id]):
-                if vec.size != d_m:
-                    raise SchemaError(f"herb {herb_id} row {j}: length {vec.size} != {d_m}")
-                idx = -1 if herb_id in imputed_ids else j
-                vals = ",".join(repr(float(x)) for x in vec)
-                fh.write(f"{herb_id}\t{idx}\t{vals}\n")
+            vec = table[herb_id]
+            if vec.size != d_m:
+                raise SchemaError(f"herb {herb_id}: length {vec.size} != {d_m}")
+            vals = ",".join(repr(float(x)) for x in vec)
+            fh.write(f"{herb_id}\t-1\t{vals}\n")

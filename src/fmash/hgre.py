@@ -96,11 +96,10 @@ class SsmDirection(Module):
 
 
 class SsmParams(Module):
-    def __init__(self, d: int, rng: np.random.Generator, d_state: int = 16,
-                 dt_rank: int | None = None):
+    def __init__(self, d: int, rng: np.random.Generator, d_state: int = 16):
         self.d = d
         self.d_state = d_state
-        self.dt_rank = dt_rank if dt_rank is not None else max(1, math.ceil(d / 16))
+        self.dt_rank = max(1, math.ceil(d / 16))
         self.fwd = SsmDirection(d, d_state, self.dt_rank, rng)
         self.bwd = SsmDirection(d, d_state, self.dt_rank, rng)
         self.gate = Linear(d, d, rng)

@@ -9,7 +9,9 @@ from the property encoding for incomplete ones).
 
 Pooling and gating run over many herbs at once: the herbs' molecules form
 one zero-padded ``(H, K, d_m)`` tensor with an ``(H, K)`` mask of real
-slots.
+slots.  A fit builds that batch once, trains the alignment on it, and
+pools it once afterwards: the VAE trains on those pooled vectors and the
+herb representations reuse them.
 
 Molecule embeddings come from a deterministic hashed n-gram stub encoder
 standing in for an external molecular encoder.
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,38 +61,33 @@ def stub_encode_molecule(smiles: str, d_m: int) -> np.ndarray:
     return vec / norm
 
 
-def molecule_embeddings(herb: HerbRecord, d_m: int,
-                        memo: dict[str, np.ndarray] | None = None,
-                        ) -> list[np.ndarray]:
-    """Stub encodings of the herb's molecule strings.
-
-    ``memo`` maps molecule strings to stub encodings already computed; it is
-    filled in place, so each distinct string is encoded once per memo.
-    """
-    if memo is None:
-        memo = {}
-    for m in herb.molecules:
-        if m not in memo:
-            memo[m] = stub_encode_molecule(m, d_m)
-    return [memo[m] for m in herb.molecules]
+@dataclass(frozen=True)
+class MoleculeBatch:
+    """Herbs that all have molecules, as one batch: their ids, ``(H, P)``
+    float32 property matrix, zero-padded ``(H, K, d_m)`` float32 molecule
+    embeddings and the ``(H, K)`` mask of real slots, K being the largest
+    molecule count."""
+    ids: np.ndarray
+    props: np.ndarray
+    embs: np.ndarray
+    mask: np.ndarray
 
 
-def molecule_batch(herbs: list[HerbRecord], d_m: int,
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Zero-padded ``(H, K, d_m)`` float32 molecule embeddings of ``herbs``
-    and the ``(H, K)`` mask of real slots, K being the largest molecule
-    count.  Every herb must have at least one molecule."""
-    memo: dict[str, np.ndarray] = {}
-    rows = [molecule_embeddings(h, d_m, memo) for h in herbs]
-    if not all(rows):
+def molecule_batch(herbs: list[HerbRecord], d_m: int) -> MoleculeBatch:
+    """The batch of ``herbs``, each distinct molecule string encoded once.
+    Every herb must have at least one molecule."""
+    if not all(h.molecules for h in herbs):
         raise DataError("molecule_batch needs at least one molecule per herb")
-    width = max((len(r) for r in rows), default=0)
-    embs = np.zeros((len(rows), width, d_m), dtype=np.float32)
-    mask = np.zeros((len(rows), width), dtype=bool)
-    for i, row in enumerate(rows):
-        embs[i, :len(row)] = row
-        mask[i, :len(row)] = True
-    return embs, mask
+    distinct = dict.fromkeys(m for h in herbs for m in h.molecules)
+    codes = {m: stub_encode_molecule(m, d_m) for m in distinct}
+    width = max((len(h.molecules) for h in herbs), default=0)
+    embs = np.zeros((len(herbs), width, d_m), dtype=np.float32)
+    mask = np.zeros((len(herbs), width), dtype=bool)
+    for i, h in enumerate(herbs):
+        embs[i, :len(h.molecules)] = [codes[m] for m in h.molecules]
+        mask[i, :len(h.molecules)] = True
+    return MoleculeBatch(ids=np.array([h.id for h in herbs], dtype=np.intp),
+                         props=property_matrix(herbs), embs=embs, mask=mask)
 
 
 # ---------------------------------------------------------------------------
@@ -250,88 +248,79 @@ class MlfieParams(Module):
         self.vae = VaeParams(p_dim, d_m, d_z, stage_rng(seed, "mlfie.vae"))
 
 
-def _pooled_vectors(herbs: list[HerbRecord], params: MlfieParams) -> np.ndarray:
-    """``(H, d_m)`` pooled vectors of herbs that all have molecules, as one
-    unrecorded batch."""
-    embs, mask = molecule_batch(herbs, params.d_m)
-    props = property_matrix(herbs)
-    with no_grad():
-        return aggregate_attention_batch(Tensor(embs), Tensor(props),
-                                         params.attention, mask).data
-
-
-def alignment_loss(mol_embs: Tensor, mask: np.ndarray, props: Tensor,
-                   ids: np.ndarray, params: MlfieParams) -> Tensor:
+def alignment_loss(batch: MoleculeBatch, params: MlfieParams) -> Tensor:
     """Mean squared error of the linear probe that maps each fused herb
     vector back to the herb's property vector (one batch of herbs)."""
-    pooled = aggregate_attention_batch(mol_embs, props, params.attention, mask)
-    fused = fuse_gate_batch(pooled, params.latent.weight[ids], params.gate)
+    props = Tensor(batch.props)
+    pooled = aggregate_attention_batch(Tensor(batch.embs), props, params.attention,
+                                       batch.mask)
+    fused = fuse_gate_batch(pooled, params.latent.weight[batch.ids], params.gate)
     err = params.probe(fused) - props
     return (err * err).mean()
 
 
-def train_property_alignment(herbs: list[HerbRecord], params: MlfieParams, *,
+def train_property_alignment(batch: MoleculeBatch, params: MlfieParams, *,
                              epochs: int = 100, lr: float = 1e-2) -> list[float]:
     """Pretrain the pooling attention, gate and latent table by regressing
     the fused herb vector onto the herb's property vector through a linear
     probe (the only per-herb supervision available before the heads train);
     returns the per-epoch losses.
     """
-    with_mols = [h for h in herbs if h.molecules]
-    if not with_mols:
+    if not len(batch.ids):
         raise DataError("no herbs with molecular data to align")
-    embs, mask = molecule_batch(with_mols, params.d_m)
-    mol_embs = Tensor(embs)
-    props = Tensor(property_matrix(with_mols))
-    ids = np.array([h.id for h in with_mols], dtype=np.intp)
     return list(fit(
         params.attention.parameters() + params.gate.parameters()
         + params.latent.parameters() + params.probe.parameters(),
-        lambda _: alignment_loss(mol_embs, mask, props, ids, params),
-        len(with_mols), name="mlfie_alignment", epochs=epochs, lr=lr))
+        lambda _: alignment_loss(batch, params),
+        len(batch.ids), name="mlfie_alignment", epochs=epochs, lr=lr))
 
 
-def all_herb_representations(herbs: list[HerbRecord], params: MlfieParams,
-                             ) -> np.ndarray:
-    """``(H, d_m)`` fused representations: herbs with molecules are pooled
-    in one batch, the rest are imputed in one VAE batch, then all are gated;
-    in the parameters' dtype."""
+def complete_pairs(batch: MoleculeBatch, params: MlfieParams,
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """(property, pooled-vector) training pairs of the batch's herbs: their
+    property matrix and their attention pools, as one unrecorded pass."""
+    if not len(batch.ids):
+        raise DataError("no complete herbs in the corpus")
+    with no_grad():
+        pooled = aggregate_attention_batch(Tensor(batch.embs), Tensor(batch.props),
+                                           params.attention, batch.mask).data
+    return batch.props, pooled
+
+
+def all_herb_representations(herbs: list[HerbRecord], pooled: np.ndarray,
+                             params: MlfieParams) -> np.ndarray:
+    """``(H, d_m)`` fused representations of ``herbs``: ``pooled`` holds the
+    attention pools of the herbs that have molecules, in order, as
+    ``complete_pairs`` returns them; the rest are imputed in one VAE batch;
+    then all are gated.  In the parameters' dtype."""
     have = np.array([bool(h.molecules) for h in herbs], dtype=bool)
-    pooled = np.empty((len(herbs), params.d_m), dtype=params.latent.weight.data.dtype)
-    if have.any():
-        pooled[have] = _pooled_vectors([h for h in herbs if h.molecules], params)
+    vectors = np.empty((len(herbs), params.d_m), dtype=params.latent.weight.data.dtype)
+    vectors[have] = pooled
     if not have.all():
-        pooled[~have] = impute_missing(
+        vectors[~have] = impute_missing(
             property_matrix([h for h in herbs if not h.molecules]), params.vae)
     ids = np.array([h.id for h in herbs], dtype=np.intp)
     with no_grad():
-        return fuse_gate_batch(Tensor(pooled), params.latent.weight[ids],
+        return fuse_gate_batch(Tensor(vectors), params.latent.weight[ids],
                                params.gate).data
 
 
-def complete_pairs(herbs: list[HerbRecord], params: MlfieParams,
-                   ) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """(property, pooled-vector) training pairs from herbs that have
-    molecules, plus their ids."""
-    with_mols = [h for h in herbs if h.molecules]
-    if not with_mols:
-        raise DataError("no complete herbs in the corpus")
-    props = property_matrix(with_mols)
-    return props, _pooled_vectors(with_mols, params), [h.id for h in with_mols]
-
-
 def fit_mlfie(herbs: list[HerbRecord], cfg: RunConfig,
-              ) -> tuple[MlfieParams, dict[str, list[float]]]:
+              ) -> tuple[MlfieParams, np.ndarray, dict[str, list[float]]]:
     """Build the molecular stage and fit it: property alignment, then the
-    imputation VAE on the aligned pooled vectors.  Returns the parameters
-    and the loss history of each fit, keyed ``mlfie_alignment`` and ``vae``.
+    imputation VAE on the aligned pooled vectors.  The herbs with molecules
+    form one batch and are pooled once.  Returns the parameters, the fused
+    representations of all ``herbs`` and the loss history of each fit,
+    keyed ``mlfie_alignment`` and ``vae``.
     """
     seed = cfg.train.seed
     params = MlfieParams(len(herbs), herbs[0].properties.shape[0], cfg.dims.d_m,
                          cfg.dims.d_k, cfg.dims.d_z, seed)
-    align = train_property_alignment(herbs, params, epochs=cfg.train.mlfie_epochs,
+    batch = molecule_batch([h for h in herbs if h.molecules], cfg.dims.d_m)
+    align = train_property_alignment(batch, params, epochs=cfg.train.mlfie_epochs,
                                      lr=cfg.train.lr)
-    props, targets, _ = complete_pairs(herbs, params)
-    vae = train_vae((props, targets), params.vae, epochs=cfg.train.vae_epochs,
+    props, pooled = complete_pairs(batch, params)
+    vae = train_vae((props, pooled), params.vae, epochs=cfg.train.vae_epochs,
                     lr=cfg.train.lr, seed=seed)
-    return params, {"mlfie_alignment": align, "vae": vae}
+    reprs = all_herb_representations(herbs, pooled, params)
+    return params, reprs, {"mlfie_alignment": align, "vae": vae}

@@ -92,28 +92,21 @@ class Module:
 
 class Linear(Module):
     def __init__(self, d_in: int, d_out: int, rng: np.random.Generator,
-                 bias: bool = True, scale: float | None = None):
+                 scale: float | None = None):
         std = (1.0 / math.sqrt(d_in)) if scale is None else scale
         self.weight = parameter(rng.normal(0.0, std, size=(d_in, d_out)))
-        self.bias = parameter(np.zeros(d_out)) if bias else None
+        self.bias = parameter(np.zeros(d_out))
 
     def __call__(self, x: Tensor) -> Tensor:
         return linear(x, self.weight, self.bias)
 
 
-class Embedding(Module):
-    def __init__(self, n: int, d: int, rng: np.random.Generator, std: float = 1.0):
-        self.weight = parameter(rng.normal(0.0, std, size=(n, d)))
-
-    def __call__(self, ids: np.ndarray) -> Tensor:
-        return self.weight[np.asarray(ids, dtype=np.intp)]
-
-
 class LayerNorm(Module):
-    def __init__(self, d: int, eps: float = 1e-5):
+    eps = 1e-5
+
+    def __init__(self, d: int):
         self.gamma = parameter(np.ones(d))
         self.beta = parameter(np.zeros(d))
-        self.eps = eps
 
     def __call__(self, x: Tensor) -> Tensor:
         return layer_norm(x, self.gamma, self.beta, self.eps)
@@ -226,12 +219,11 @@ def sinusoidal_positions(length: int, d_model: int) -> np.ndarray:
 
 
 class Adam:
-    def __init__(self, params: list[Tensor], lr: float = 1e-3,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8):
+    b1, b2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: list[Tensor], lr: float = 1e-3):
         self.params = list(params)
         self.lr = lr
-        self.b1, self.b2 = betas
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]

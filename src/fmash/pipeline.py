@@ -4,12 +4,16 @@ ablation switch.
 
 Each stage draws from its own named RNG stream, so switching one stage off
 never changes how any other stage initializes.
+
+``Phase1Result.histories`` holds the per-epoch losses of every fit.  Each
+compression fit is full batch and records its loss before each step, so
+``histories["fr_sym"][0]`` is the reconstruction MSE before training.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,10 +21,10 @@ from .config import RunConfig, config_hash
 from .dataio import HerbRecord, HeteroGraph, SymptomRecord
 from .errors import DataError
 from .hgre import HgreParams, hgre_forward
-from .mlfie import MlfieParams, all_herb_representations, fit_mlfie
+from .mlfie import MlfieParams, fit_mlfie
 from .nn import stage_rng
-from .refine import (AutoencoderParams, SymptomTextTable, UnifiedEmbedding,
-                     assemble_features, compress, reconstruction_mse,
+from .refine import (AutoencoderParams, UnifiedEmbedding, assemble_features,
+                     compress, reconstruction_mse, symptom_text_table, text_rows,
                      train_autoencoder)
 from .tape import Tensor, no_grad
 
@@ -38,14 +42,12 @@ class Phase1Result:
     init_features: np.ndarray
     hgre_params: HgreParams | None
     mlfie_params: MlfieParams | None
-    text_table: SymptomTextTable
+    text_table: np.ndarray
     fr_sym: AutoencoderParams
     fr_herb: AutoencoderParams
     herb_reprs: np.ndarray | None
-    imputed_ids: list[int] = field(default_factory=list)
-    fr_initial_mse: dict[str, float] = field(default_factory=dict)
-    fr_final_mse: dict[str, float] = field(default_factory=dict)
-    histories: dict[str, list[float]] = field(default_factory=dict)
+    fr_final_mse: dict[str, float]
+    histories: dict[str, list[float]]
 
 
 def _text_dim(symptoms: list[SymptomRecord], cfg: RunConfig) -> int:
@@ -76,19 +78,15 @@ def run_phase1(symptoms: list[SymptomRecord], herbs: list[HerbRecord],
     histories: dict[str, list[float]] = {}
     mlfie_params = None
     herb_reprs = None
-    imputed_ids: list[int] = []
     if cfg.ablation.mlfie:
-        mlfie_params, fit_histories = fit_mlfie(herbs, cfg)
+        mlfie_params, herb_reprs, fit_histories = fit_mlfie(herbs, cfg)
         histories.update(fit_histories)
-        herb_reprs = all_herb_representations(herbs, mlfie_params)
-        imputed_ids = [h.id for h in herbs if not h.molecules]
 
-    text_table = SymptomTextTable(n_sym, _text_dim(symptoms, cfg), seed)
+    text_table = symptom_text_table(n_sym, _text_dim(symptoms, cfg), seed)
     sym_matrix, herb_matrix = assemble_features(
-        graph_features, symptoms, herbs, text_table.rows(symptoms), herb_reprs)
+        graph_features, symptoms, herbs, text_rows(symptoms, text_table), herb_reprs)
 
     hidden = 128 if cfg.ablation.fr else None
-    fr_initial: dict[str, float] = {}
     fr_final: dict[str, float] = {}
     compressed = {}
     fr_params = {}
@@ -96,7 +94,6 @@ def run_phase1(symptoms: list[SymptomRecord], herbs: list[HerbRecord],
         params = AutoencoderParams(matrix.shape[1],
                                    stage_rng(seed, f"refine.ae.{name}"),
                                    hidden=hidden)
-        fr_initial[name] = reconstruction_mse(matrix, params)
         key = f"fr_{name}"
         histories[key] = train_autoencoder(
             matrix, params, epochs=cfg.train.fr_epochs, lr=cfg.train.lr, name=key)
@@ -111,7 +108,6 @@ def run_phase1(symptoms: list[SymptomRecord], herbs: list[HerbRecord],
                         hgre_params=hgre_params, mlfie_params=mlfie_params,
                         text_table=text_table, fr_sym=fr_params["sym"],
                         fr_herb=fr_params["herb"], herb_reprs=herb_reprs,
-                        imputed_ids=imputed_ids, fr_initial_mse=fr_initial,
                         fr_final_mse=fr_final, histories=histories)
 
 
@@ -128,8 +124,7 @@ def phase1_state(result: Phase1Result) -> dict[str, np.ndarray]:
     if result.mlfie_params is not None:
         state.update({f"mlfie.{k}": v for k, v in
                       result.mlfie_params.state_dict().items()})
-    state.update({f"refine.text.{k}": v for k, v in
-                  result.text_table.state_dict().items()})
+    state["refine.text.table.weight"] = result.text_table.copy()
     state.update({f"refine.sym.{k}": v for k, v in result.fr_sym.state_dict().items()})
     state.update({f"refine.herb.{k}": v for k, v in result.fr_herb.state_dict().items()})
     return state

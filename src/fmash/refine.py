@@ -3,10 +3,11 @@
 Herb rows concatenate [graph embedding | molecular representation |
 property vector]; symptom rows concatenate [graph embedding | text
 embedding], where symptoms without a provided text embedding fall back to a
-learned per-symptom table.  A small autoencoder per node type (the two
-assembled widths differ) is trained on reconstruction MSE and its encoder
-provides the unified 64-d embeddings; with refinement disabled a trained
-linear projection (a linear autoencoder) takes its place.
+fixed random per-symptom row that nothing trains.  A small autoencoder per
+node type (the two assembled widths differ) is trained on reconstruction
+MSE and its encoder provides the unified 64-d embeddings; with refinement
+disabled a trained linear projection (a linear autoencoder) takes its
+place.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .dataio import HerbRecord, SymptomRecord, property_matrix
 from .errors import DataError, SchemaError
-from .nn import Embedding, Linear, Module, fit, stage_rng
+from .nn import Linear, Module, fit, stage_rng
 from .tape import Tensor, no_grad
 
 UNIFIED_DIM = 64
@@ -51,26 +52,29 @@ class UnifiedEmbedding:
         return self.matrix[self.n_sym:]
 
 
-class SymptomTextTable(Module):
-    """Learned fallback rows for symptoms without provided text embeddings."""
+def symptom_text_table(n_sym: int, d_text: int, seed: int) -> np.ndarray:
+    """Fixed fallback rows for symptoms without provided text embeddings:
+    a float32 ``(n_sym, d_text)`` draw of N(0, 0.1) from the
+    ``refine.text_table`` stream.  Nothing trains it."""
+    rng = stage_rng(seed, "refine.text_table")
+    return rng.normal(0.0, 0.1, size=(n_sym, d_text)).astype(np.float32)
 
-    def __init__(self, n_sym: int, d_text: int, seed: int):
-        self.table = Embedding(n_sym, d_text, stage_rng(seed, "refine.text_table"),
-                               std=0.1)
 
-    def rows(self, symptoms: list[SymptomRecord]) -> np.ndarray:
-        d_text = self.table.weight.data.shape[1]
-        out = np.empty((len(symptoms), d_text), dtype=np.float32)
-        for i, rec in enumerate(symptoms):
-            if rec.text_embedding is not None:
-                if rec.text_embedding.shape != (d_text,):
-                    raise SchemaError(
-                        f"symptom {rec.name}: text embedding has shape "
-                        f"{rec.text_embedding.shape}, expected ({d_text},)")
-                out[i] = rec.text_embedding
-            else:
-                out[i] = self.table.weight.data[rec.id]
-        return out
+def text_rows(symptoms: list[SymptomRecord], table: np.ndarray) -> np.ndarray:
+    """``(S, d_text)`` float32 text rows: each symptom's provided text
+    embedding, else its row of the fallback ``table``."""
+    d_text = table.shape[1]
+    out = np.empty((len(symptoms), d_text), dtype=np.float32)
+    for i, rec in enumerate(symptoms):
+        if rec.text_embedding is not None:
+            if rec.text_embedding.shape != (d_text,):
+                raise SchemaError(
+                    f"symptom {rec.name}: text embedding has shape "
+                    f"{rec.text_embedding.shape}, expected ({d_text},)")
+            out[i] = rec.text_embedding
+        else:
+            out[i] = table[rec.id]
+    return out
 
 
 def assemble_features(hgre_out: np.ndarray, symptoms: list[SymptomRecord],
@@ -109,17 +113,15 @@ class AutoencoderParams(Module):
     the learned projection when refinement is switched off.
     """
 
-    def __init__(self, d_in: int, rng: np.random.Generator, hidden: int | None = 128,
-                 latent: int = UNIFIED_DIM):
+    def __init__(self, d_in: int, rng: np.random.Generator, hidden: int | None = 128):
         self.hidden = hidden
-        self.latent = latent
         if hidden is None:
-            self.enc = Linear(d_in, latent, rng)
-            self.dec = Linear(latent, d_in, rng)
+            self.enc = Linear(d_in, UNIFIED_DIM, rng)
+            self.dec = Linear(UNIFIED_DIM, d_in, rng)
         else:
             self.enc1 = Linear(d_in, hidden, rng)
-            self.enc2 = Linear(hidden, latent, rng)
-            self.dec1 = Linear(latent, hidden, rng)
+            self.enc2 = Linear(hidden, UNIFIED_DIM, rng)
+            self.dec1 = Linear(UNIFIED_DIM, hidden, rng)
             self.dec2 = Linear(hidden, d_in, rng)
 
     def encode(self, x: Tensor) -> Tensor:
@@ -147,8 +149,9 @@ def train_autoencoder(matrix: np.ndarray, params: AutoencoderParams, *,
                       epochs: int = 200, lr: float = 1e-2, name: str = "fr",
                       ) -> list[float]:
     """Fit the compression autoencoder on assembled rows by MSE and return
-    the per-epoch losses; ``name`` is its history key, which a divergence
-    error starts with."""
+    the per-epoch losses, each the full-batch MSE before that epoch's step,
+    so the first is the MSE of the initialization; ``name`` is its history
+    key, which a divergence error starts with."""
     x = Tensor(matrix)
     if x.shape[0] < 8:
         raise DataError(f"need at least 8 rows to train, got {x.shape[0]}")

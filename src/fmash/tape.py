@@ -251,27 +251,19 @@ class Tensor:
 
     def __matmul__(self, other):
         other = Tensor.ensure(other)
+        if other.data.ndim == 2:
+            # a 2-D right operand (a weight) is a linear map without bias
+            return linear(self, other)
         if self.data.ndim < 2 or other.data.ndim < 2:
             raise ValueError("matmul operands must be at least 2-D")
         a, b = self.data, other.data
         out = _node(a @ b, (self, other))
         if out._parents:
             def bw(g):
-                # with a 2-D right operand (a weight) the batch axes fold
-                # into rows: one 2-D product each, and the weight gradient
-                # needs no sum over the batch afterwards
                 if self.requires_grad:
-                    if b.ndim == 2:
-                        ga = (g.reshape(-1, b.shape[1]) @ b.T).reshape(a.shape)
-                    else:
-                        ga = _unbroadcast(g @ b.swapaxes(-1, -2), a.shape)
-                    self._accumulate(ga)
+                    self._accumulate(_unbroadcast(g @ b.swapaxes(-1, -2), a.shape))
                 if other.requires_grad:
-                    if b.ndim == 2:
-                        gb = a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, b.shape[1])
-                    else:
-                        gb = _unbroadcast(a.swapaxes(-1, -2) @ g, b.shape)
-                    other._accumulate(gb)
+                    other._accumulate(_unbroadcast(a.swapaxes(-1, -2) @ g, b.shape))
             out._backward = bw
         return out
 

@@ -28,7 +28,8 @@ from fmash.hgre import (GcnParams, SsmParams, bidirectional_block,
 from fmash.mlfie import (AttentionParams, GateParams, MlfieParams, VaeParams,
                          aggregate_attention_batch, attention_weights_batch,
                          complete_pairs, fuse_gate_batch, impute_missing,
-                         train_property_alignment, train_vae, vae_loss)
+                         molecule_batch, train_property_alignment, train_vae,
+                         vae_loss)
 from fmash.nn import stage_rng
 from fmash.pipeline import run_phase1
 from fmash.recsys import (GelramParams, gelram_score, multi_hot, rs_logits,
@@ -359,7 +360,7 @@ def test_c7_ablation_harness(corpus, split, tmp_path):
         phase1 = run_phase1(symptoms, herbs, graph, cfg)
         if flags["fr"]:
             for node_type in ("sym", "herb"):
-                initial = phase1.fr_initial_mse[node_type]
+                initial = phase1.histories[f"fr_{node_type}"][0]
                 final = phase1.fr_final_mse[node_type]
                 assert final <= 0.5 * initial, \
                     f"{name}/{node_type}: MSE {initial:.4g} -> {final:.4g}"
@@ -385,9 +386,10 @@ def test_c8_vae_imputation_holdout(corpus):
     started = time.monotonic()
     _, herbs, _ = corpus
     params = MlfieParams(len(herbs), 23, 32, 16, 16, seed=7)
-    train_property_alignment(herbs, params, epochs=60, lr=1e-2)
-    props, targets, ids = complete_pairs(herbs, params)
-    n_hold = len(ids) // 5
+    batch = molecule_batch([h for h in herbs if h.molecules], 32)
+    train_property_alignment(batch, params, epochs=60, lr=1e-2)
+    props, targets = complete_pairs(batch, params)
+    n_hold = len(props) // 5
     fit_p, fit_v = props[:-n_hold], targets[:-n_hold]
     hold_p, hold_v = props[-n_hold:], targets[-n_hold:]
     vae = VaeParams(23, 32, 16, stage_rng(7, "mlfie.vae"))
@@ -400,7 +402,7 @@ def test_c8_vae_imputation_holdout(corpus):
         f"held-out median {hold_err:.4g} > 2x train median {train_err:.4g}"
     _report("vae imputation holdout", started, 120.0,
             f"median errors: train {train_err:.4g}, held-out {hold_err:.4g} "
-            f"({len(ids) - n_hold} fit / {n_hold} held out)")
+            f"({len(props) - n_hold} fit / {n_hold} held out)")
 
 
 # ---------------------------------------------------------------------------

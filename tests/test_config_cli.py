@@ -5,6 +5,8 @@ import os
 import re
 import shutil
 import struct
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -124,6 +126,20 @@ def test_demos_import_only_names_that_exist():
             missing = [alias.name for alias in node.names
                        if not hasattr(module, alias.name)]
             assert missing == [], f"{path.name}: {node.module} has no {missing}"
+
+
+# demos 05 and 06 take 4 s and 29 s; the import check above covers them
+@pytest.mark.parametrize("demo", ["01_corpus_and_graph.py", "02_graph_embedding.py",
+                                  "03_molecular_features.py",
+                                  "04_feature_refinement.py",
+                                  "07_evaluation_metrics.py"])
+def test_demo_runs_to_completion(demo, tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=tmp_path,
+                            env=env, capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
 
 
 def test_only_nn_builds_an_optimizer():
@@ -747,6 +763,22 @@ def test_checkpoint_without_unified_table_exits_two(run_env, capsys):
         assert str(path) in err and "Traceback" not in err
 
 
+def test_unified_table_of_another_width_exits_two(trained_env, capsys):
+    tmp_path, cfg_path, _ = trained_env
+    path = tmp_path / "work" / "seq.ckpt"
+    original = path.read_bytes()
+    state, _ = load_checkpoint(path)
+    save_checkpoint(path, {**state, "unified.matrix": state["unified.matrix"][:, :62]})
+    try:
+        capsys.readouterr()
+        assert execute_command(["generate", "--config", str(cfg_path),
+                                "--symptoms", "sym-001"]) == 2
+        assert f"{path}: unified table is 62 wide, expected 64" \
+            in capsys.readouterr().err
+    finally:
+        path.write_bytes(original)
+
+
 def test_garbage_prediction_file_exits_two(run_env, capsys):
     tmp_path, cfg_path, _ = run_env
     execute_command(["prepare", "--config", str(cfg_path)])
@@ -777,8 +809,8 @@ def test_impute_mol_export(run_env):
     imputed = impute_missing([h.properties for h in missing],
                              phase1.mlfie_params.vae)
     expected = tmp_path / "expected.tsv"
-    save_molecular_table(expected, {h.id: [row] for h, row in zip(missing, imputed)},
-                         d_m=cfg.dims.d_m, imputed_ids={h.id for h in missing})
+    save_molecular_table(expected, {h.id: row for h, row in zip(missing, imputed)},
+                         d_m=cfg.dims.d_m)
     assert out.read_bytes() == expected.read_bytes()
 
 
@@ -840,6 +872,20 @@ def test_env_seed_override(run_env):
         assert (tmp_path / "work" / "rs.ckpt").read_bytes() != baseline
     finally:
         del os.environ["FMASH_SEED"]
+
+
+def test_negative_seed_exits_two_naming_its_source(run_env, capsys, monkeypatch):
+    tmp_path, cfg_path, cfg = run_env
+    negative = json.loads(json.dumps(cfg))
+    negative["train"]["seed"] = -5
+    negative_path = tmp_path / "negative.json"
+    negative_path.write_text(json.dumps(negative))
+    capsys.readouterr()
+    assert execute_command(["prepare", "--config", str(negative_path)]) == 2
+    assert "train.seed: must be >= 0, got -5" in capsys.readouterr().err
+    monkeypatch.setenv("FMASH_SEED", "-5")
+    assert execute_command(["prepare", "--config", str(cfg_path)]) == 2
+    assert "FMASH_SEED must be >= 0, got '-5'" in capsys.readouterr().err
 
 
 def test_ablation_leaves_shared_stage_initialization_alone(run_env):

@@ -278,20 +278,19 @@ def test_duplicate_herbs_deduped_keeping_first(tmp_path):
 
 def test_molecular_table_roundtrip(tmp_path):
     rng = np.random.default_rng(0)
-    table = {5: [rng.normal(size=4) for _ in range(3)], 2: [rng.normal(size=4)]}
+    table = {5: rng.normal(size=4), 2: rng.normal(size=4)}
     path = tmp_path / "mols.tsv"
     save_molecular_table(path, table, d_m=4)
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "dim=4"
-    # herbs ascending, each herb's molecules in list order
+    # herbs ascending, one row each
     rows = [line.split("\t") for line in lines[1:]]
-    assert [(r[0], r[1]) for r in rows] == [("2", "0"), ("5", "0"), ("5", "1"),
-                                            ("5", "2")]
+    assert [r[0] for r in rows] == ["2", "5"]
     # repr floats read back bit-exactly
     written = [np.array([float(x) for x in r[2].split(",")]) for r in rows]
-    for got, want in zip(written, table[2] + table[5]):
+    for got, want in zip(written, [table[2], table[5]]):
         np.testing.assert_array_equal(got, want)
-    assert rows[0][2] == ",".join(repr(float(x)) for x in table[2][0])
+    assert rows[0][2] == ",".join(repr(float(x)) for x in table[2])
 
 
 def test_molecular_table_empty_and_errors(tmp_path):
@@ -299,14 +298,14 @@ def test_molecular_table_empty_and_errors(tmp_path):
     save_molecular_table(path, {}, d_m=8)
     assert path.read_text(encoding="utf-8") == "dim=8\n"
 
-    with pytest.raises(SchemaError, match="herb 0 row 0"):
-        save_molecular_table(tmp_path / "bad.tsv", {0: [np.ones(3)]}, d_m=4)
+    with pytest.raises(SchemaError, match="herb 0: length 3"):
+        save_molecular_table(tmp_path / "bad.tsv", {0: np.ones(3)}, d_m=4)
 
 
 def test_imputed_rows_marked(tmp_path):
-    table = {0: [np.ones(3)], 1: [np.zeros(3)]}
+    table = {0: np.ones(3), 1: np.zeros(3)}
     path = tmp_path / "mols.tsv"
-    save_molecular_table(path, table, d_m=3, imputed_ids={1})
+    save_molecular_table(path, table, d_m=3)
     lines = path.read_text().strip().splitlines()
-    assert lines[1].startswith("0\t0\t")
+    assert lines[1].startswith("0\t-1\t")
     assert lines[2].startswith("1\t-1\t")

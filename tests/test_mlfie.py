@@ -13,7 +13,7 @@ from fmash.mlfie import (AttentionParams, GateParams, MlfieParams, VaeParams,
                          aggregate_attention_batch, alignment_loss,
                          all_herb_representations, attention_weights_batch,
                          complete_pairs, fuse_gate_batch, impute_missing,
-                         molecule_batch, molecule_embeddings, stub_encode_molecule,
+                         molecule_batch, stub_encode_molecule,
                          train_property_alignment, train_vae, vae_loss)
 from fmash.nn import stage_rng
 from fmash.tape import Tensor
@@ -251,10 +251,21 @@ def _fixture_corpus():
                               unique_symptom_sets=False)
 
 
+def _batch(herbs, params):
+    """The batch of the herbs that have molecules, as ``fit_mlfie`` builds it."""
+    return molecule_batch([h for h in herbs if h.molecules], params.d_m)
+
+
+def _representations(herbs, params):
+    """``all_herb_representations`` from the pools ``complete_pairs`` gives."""
+    _, pooled = complete_pairs(_batch(herbs, params), params)
+    return all_herb_representations(herbs, pooled, params)
+
+
 def test_train_vae_smoothed_loss_nonincreasing():
     _, herbs, _ = _fixture_corpus()
     params = MlfieParams(60, 23, 16, 8, 8, seed=3)
-    props, targets, _ = complete_pairs(herbs, params)
+    props, targets = complete_pairs(_batch(herbs, params), params)
     vae = VaeParams(23, 16, 8, stage_rng(3, "mlfie.vae"))
     losses = train_vae((props, targets), vae, epochs=150, lr=5e-3, seed=3)
     ma = smoothed(losses, window=10)
@@ -265,7 +276,7 @@ def test_train_vae_smoothed_loss_nonincreasing():
 def test_train_vae_deterministic_under_seed():
     _, herbs, _ = _fixture_corpus()
     params = MlfieParams(60, 23, 16, 8, 8, seed=3)
-    props, targets, _ = complete_pairs(herbs, params)
+    props, targets = complete_pairs(_batch(herbs, params), params)
     v1, v2 = (VaeParams(23, 16, 8, stage_rng(9, "mlfie.vae")) for _ in range(2))
     assert train_vae((props, targets), v1, epochs=30, seed=9) == \
         train_vae((props, targets), v2, epochs=30, seed=9)
@@ -276,7 +287,7 @@ def test_train_vae_deterministic_under_seed():
 def test_train_vae_zero_epochs_returns_init():
     _, herbs, _ = _fixture_corpus()
     params = MlfieParams(60, 23, 16, 8, 8, seed=3)
-    props, targets, _ = complete_pairs(herbs, params)
+    props, targets = complete_pairs(_batch(herbs, params), params)
     init = VaeParams(23, 16, 8, stage_rng(5, "mlfie.vae"))
     before = init.state_dict()
     assert train_vae((props, targets), init, epochs=0) == []
@@ -306,9 +317,10 @@ def test_impute_rejects_wrong_property_length():
 def test_holdout_imputation_error_within_twice_train_median():
     _, herbs, _ = _fixture_corpus()
     params = MlfieParams(60, 23, 16, 8, 8, seed=3)
-    train_property_alignment(herbs, params, epochs=40, lr=1e-2)
-    props, targets, ids = complete_pairs(herbs, params)
-    n_hold = max(4, len(ids) // 5)
+    batch = _batch(herbs, params)
+    train_property_alignment(batch, params, epochs=40, lr=1e-2)
+    props, targets = complete_pairs(batch, params)
+    n_hold = max(4, len(props) // 5)
     hold_p, hold_v = props[-n_hold:], targets[-n_hold:]
     fit_p, fit_v = props[:-n_hold], targets[:-n_hold]
     vae = VaeParams(23, 16, 8, stage_rng(3, "mlfie.vae"))
@@ -329,7 +341,7 @@ def test_representation_dispatch_paths():
     params = MlfieParams(60, 23, 16, 8, 8, seed=3)
     with_mols = next(h for h in herbs if len(h.molecules) >= 3)
     without = next(h for h in herbs if not h.molecules)
-    reprs = all_herb_representations([with_mols, without], params)
+    reprs = _representations([with_mols, without], params)
     assert reprs.shape == (2, 16)
     assert np.isfinite(reprs).all()
 
@@ -337,8 +349,10 @@ def test_representation_dispatch_paths():
 def test_representation_bounded_by_pool_and_latent():
     _, herbs, _ = _fixture_corpus()
     params = MlfieParams(60, 23, 16, 8, 8, seed=4)
-    _, pooled, ids = complete_pairs(herbs[:30], params)
-    fused = all_herb_representations(herbs[:30], params)[ids]
+    batch = _batch(herbs[:30], params)
+    _, pooled = complete_pairs(batch, params)
+    ids = batch.ids
+    fused = all_herb_representations(herbs[:30], pooled, params)[ids]
     he = params.latent.weight.data[ids]
     assert np.all(fused >= np.minimum(pooled, he) - 1e-12)
     assert np.all(fused <= np.maximum(pooled, he) + 1e-12)
@@ -347,7 +361,8 @@ def test_representation_bounded_by_pool_and_latent():
 def test_property_alignment_reduces_loss():
     _, herbs, _ = _fixture_corpus()
     params = MlfieParams(60, 23, 16, 8, 8, seed=5)
-    losses = train_property_alignment(herbs, params, epochs=60, lr=1e-2)
+    losses = train_property_alignment(_batch(herbs, params), params, epochs=60,
+                                      lr=1e-2)
     assert losses[-1] < losses[0]
     ma = smoothed(losses, window=10)
     assert ma[-1] <= ma[0]
@@ -380,7 +395,8 @@ def _params(n_herb, seed):
 def _reference_pool(herb, attn):
     """One herb's attention pool in plain numpy, in the dtype of ``attn``
     from the float32 inputs the batched path builds."""
-    e = np.asarray(molecule_embeddings(herb, D_M), dtype=np.float32)
+    e = np.asarray([stub_encode_molecule(m, D_M) for m in herb.molecules],
+                   dtype=np.float32)
     props = herb.properties.astype(np.float32)
     logits = (e @ attn.w_k.data) @ (props @ attn.w_q.data) / np.sqrt(attn.d_k)
     alpha = np.exp(logits - logits.max())
@@ -390,9 +406,10 @@ def _reference_pool(herb, attn):
 def test_batched_pool_matches_numpy_reference():
     herbs = _mixed_herbs(20)
     params = as_float64(_params(len(herbs), 6))
-    props, pooled, ids = complete_pairs(herbs, params)
+    batch = _batch(herbs, params)
+    props, pooled = complete_pairs(batch, params)
     with_mols = [h for h in herbs if h.molecules]
-    assert ids == [h.id for h in with_mols]
+    assert batch.ids.tolist() == [h.id for h in with_mols]
     assert {len(h.molecules) for h in with_mols} == {1, 2, 3, 4}
     ref = [_reference_pool(h, params.attention) for h in with_mols]
     np.testing.assert_allclose(pooled, ref, rtol=0.0, atol=1e-12)
@@ -403,18 +420,19 @@ def test_wider_herb_leaves_other_rows_unchanged():
     wide = HerbRecord(id=9, name="wide", properties=np.ones(P_DIM),
                       molecules=FIXTURE_SMILES[:7])
     params = as_float64(_params(10, 7))
-    _, pooled, _ = complete_pairs(herbs, params)
-    _, pooled_wide, _ = complete_pairs(herbs + [wide], params)
+    _, pooled = complete_pairs(_batch(herbs, params), params)
+    _, pooled_wide = complete_pairs(_batch(herbs + [wide], params), params)
     np.testing.assert_allclose(pooled_wide[:-1], pooled, rtol=0.0, atol=1e-12)
-    reprs = all_herb_representations(herbs, params)
-    reprs_wide = all_herb_representations(herbs + [wide], params)
+    reprs = _representations(herbs, params)
+    reprs_wide = _representations(herbs + [wide], params)
     np.testing.assert_allclose(reprs_wide[:-1], reprs, rtol=0.0, atol=1e-12)
 
 
 def test_padded_slots_get_zero_weight_and_zero_gradient():
     herbs = [h for h in _mixed_herbs(22) if h.molecules]
     params = _params(10, 8)
-    embs, mask = molecule_batch(herbs, D_M)
+    batch = molecule_batch(herbs, D_M)
+    embs, mask = batch.embs, batch.mask
     assert (~mask).any() and mask.any(axis=1).all()
     props = Tensor(np.asarray([h.properties for h in herbs]))
     clean = aggregate_attention_batch(Tensor(embs), props, params.attention, mask).data
@@ -439,39 +457,32 @@ def test_molecule_batch_encodes_each_distinct_string_once(monkeypatch):
                         lambda s, d: calls.append(s) or real(s, d))
     herbs = [HerbRecord(id=i, name=f"h{i}", properties=np.zeros(P_DIM),
                         molecules=["CCO", "CCN"][: 1 + i % 2]) for i in range(6)]
-    embs, mask = molecule_batch(herbs, D_M)
+    batch = molecule_batch(herbs, D_M)
     assert sorted(calls) == ["CCN", "CCO"]
-    np.testing.assert_array_equal(embs[1, 1],
+    np.testing.assert_array_equal(batch.embs[1, 1],
                                   stub_encode_molecule("CCN", D_M).astype(np.float32))
-    assert mask.sum() == 9
+    assert batch.mask.sum() == 9
 
 
 def test_batched_path_invariant_to_herb_and_molecule_order():
     herbs = _mixed_herbs(25)
     params = as_float64(_params(len(herbs), 9))
-    reprs = all_herb_representations(herbs, params)
+    reprs = _representations(herbs, params)
     perm = np.random.default_rng(26).permutation(len(herbs))
-    np.testing.assert_allclose(all_herb_representations([herbs[i] for i in perm], params),
+    np.testing.assert_allclose(_representations([herbs[i] for i in perm], params),
                                reprs[perm], rtol=0.0, atol=1e-12)
     reversed_mols = [replace(h, molecules=h.molecules[::-1]) for h in herbs]
-    np.testing.assert_allclose(all_herb_representations(reversed_mols, params), reprs,
+    np.testing.assert_allclose(_representations(reversed_mols, params), reprs,
                                rtol=0.0, atol=1e-12)
-
-
-def _alignment_inputs(herbs):
-    with_mols = [h for h in herbs if h.molecules]
-    embs, mask = molecule_batch(with_mols, D_M)
-    return (Tensor(embs), mask, Tensor(np.asarray([h.properties for h in with_mols])),
-            np.array([h.id for h in with_mols]))
 
 
 def test_alignment_loss_gradients_over_mixed_molecule_counts():
     herbs = _mixed_herbs(27, n=7)
     params = as_float64(_params(len(herbs), 10))
-    inputs = _alignment_inputs(herbs)
+    batch = _batch(herbs, params)
     leaves = (params.attention.parameters() + params.gate.parameters()
               + params.latent.parameters() + params.probe.parameters())
-    assert max_relative_error(lambda: alignment_loss(*inputs, params), leaves) < 1e-4
+    assert max_relative_error(lambda: alignment_loss(batch, params), leaves) < 1e-4
 
 
 def _graph_size(root):
@@ -488,6 +499,6 @@ def test_alignment_epoch_node_count_independent_of_herb_count():
     sizes = []
     for n in (5, 60):
         herbs = _mixed_herbs(28, n=n)
-        sizes.append(_graph_size(alignment_loss(*_alignment_inputs(herbs),
-                                                _params(n, 11))))
+        params = _params(n, 11)
+        sizes.append(_graph_size(alignment_loss(_batch(herbs, params), params)))
     assert sizes[0] == sizes[1]

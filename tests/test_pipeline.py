@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fmash import mlfie
 from fmash.config import config_from_dict
 from fmash.dataio import build_graph, generate_synthetic, split_dataset
 from fmash.errors import DataError
@@ -32,7 +33,22 @@ def test_phase1_produces_64d_unified(small_corpus):
     assert result.unified.matrix.shape == (26, 64)
     assert result.unified.n_sym == 12
     assert np.isfinite(result.unified.matrix).all()
-    assert result.imputed_ids == [h.id for h in herbs if not h.molecules]
+
+
+def test_phase1_encodes_each_molecule_once_and_pools_once(small_corpus, monkeypatch):
+    symptoms, herbs, graph = small_corpus
+    encoded, pools = [], []
+    encode, pool = mlfie.stub_encode_molecule, mlfie.aggregate_attention_batch
+    monkeypatch.setattr(mlfie, "stub_encode_molecule",
+                        lambda s, d: encoded.append(s) or encode(s, d))
+    monkeypatch.setattr(mlfie, "aggregate_attention_batch",
+                        lambda *args: pools.append(args) or pool(*args))
+    cfg = _cfg()
+    cfg.train.mlfie_epochs = 2
+    run_phase1(symptoms, herbs, graph, cfg)
+    assert sorted(encoded) == sorted({m for h in herbs for m in h.molecules})
+    # one recorded pool per alignment epoch, then one unrecorded pool
+    assert len(pools) == 2 + 1
 
 
 def test_disabling_graph_stage_leaves_other_initializations_untouched(small_corpus):

@@ -3,9 +3,9 @@ import pytest
 
 from fmash.dataio import generate_synthetic
 from fmash.errors import DataError, SchemaError
-from fmash.refine import (AutoencoderParams, SymptomTextTable, assemble_features,
-                          compress, export_unified, reconstruction_mse,
-                          train_autoencoder)
+from fmash.refine import (AutoencoderParams, assemble_features, compress,
+                          export_unified, reconstruction_mse, symptom_text_table,
+                          text_rows, train_autoencoder)
 from fmash.nn import stage_rng
 
 
@@ -16,10 +16,9 @@ def _assembled(seed=0, with_text=True, with_mols=True):
                                        unique_symptom_sets=False)
     rng = np.random.default_rng(seed)
     hgre_out = rng.normal(size=(23, d))
-    table = SymptomTextTable(9, d_text, seed=seed)
-    text_rows = table.rows(sym)
+    rows = text_rows(sym, symptom_text_table(9, d_text, seed=seed))
     herb_reprs = rng.normal(size=(14, d_m)) if with_mols else None
-    return assemble_features(hgre_out, sym, herbs, text_rows, herb_reprs)
+    return assemble_features(hgre_out, sym, herbs, rows, herb_reprs)
 
 
 def test_assembled_widths_follow_concatenation_arithmetic():
@@ -41,35 +40,35 @@ def test_zero_components_give_zero_rows():
         h.properties = np.zeros_like(h.properties)
     for s in sym:
         s.text_embedding = np.zeros(4)
-    table = SymptomTextTable(6, 4, seed=1)
+    table = symptom_text_table(6, 4, seed=1)
     sym_m, herb_m = assemble_features(
-        np.zeros((14, 5)), sym, herbs, table.rows(sym), np.zeros((8, 3)))
+        np.zeros((14, 5)), sym, herbs, text_rows(sym, table), np.zeros((8, 3)))
     assert not sym_m.any()
     assert not herb_m.any()
 
 
-def test_missing_text_embeddings_use_learned_table():
+def test_missing_text_embeddings_use_fallback_table():
     sym, _, _ = generate_synthetic(5, 8, 1, 10, seed=2, unique_symptom_sets=False)
-    table = SymptomTextTable(5, 6, seed=2)
+    table = symptom_text_table(5, 6, seed=2)
     sym[2].text_embedding = np.arange(6.0)
-    rows = table.rows(sym)
+    rows = text_rows(sym, table)
     np.testing.assert_array_equal(rows[2], np.arange(6.0))
-    np.testing.assert_array_equal(rows[0], table.table.weight.data[0])
+    np.testing.assert_array_equal(rows[0], table[0])
+
 
 
 def test_text_dim_mismatch_rejected():
     sym, _, _ = generate_synthetic(5, 8, 1, 10, seed=2, unique_symptom_sets=False)
-    table = SymptomTextTable(5, 6, seed=2)
     sym[0].text_embedding = np.zeros(7)
-    with pytest.raises(SchemaError):
-        table.rows(sym)
+    with pytest.raises(SchemaError, match="expected \\(6,\\)"):
+        text_rows(sym, symptom_text_table(5, 6, seed=2))
 
 
 def test_row_count_mismatch_rejected():
     sym, herbs, _ = generate_synthetic(5, 8, 1, 10, seed=3, unique_symptom_sets=False)
-    table = SymptomTextTable(5, 4, seed=3)
+    rows = text_rows(sym, symptom_text_table(5, 4, seed=3))
     with pytest.raises(SchemaError):
-        assemble_features(np.zeros((12, 4)), sym, herbs, table.rows(sym), None)
+        assemble_features(np.zeros((12, 4)), sym, herbs, rows, None)
 
 
 # ---------------------------------------------------------------------------
