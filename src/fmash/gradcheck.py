@@ -29,19 +29,21 @@ def as_float64(item: Module | Tensor) -> Module | Tensor:
 def finite_difference_grads(loss_fn: Callable[[], Tensor],
                             params: Sequence[Tensor],
                             h: float = 1e-5) -> list[np.ndarray]:
+    """Two-sided difference quotients of ``loss_fn`` for every entry of every
+    parameter.  Each entry is perturbed in place by its multi-index, so a
+    parameter whose data is a strided view (a transpose, a slice) is
+    perturbed where the loss reads it."""
     grads = []
     for p in params:
-        g = np.zeros_like(p.data)
-        flat = p.data.reshape(-1)
-        gflat = g.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
+        g = np.zeros(p.data.shape, dtype=p.data.dtype)
+        for idx in np.ndindex(p.data.shape):
+            orig = p.data[idx]
+            p.data[idx] = orig + h
             hi = loss_fn().item()
-            flat[i] = orig - h
+            p.data[idx] = orig - h
             lo = loss_fn().item()
-            flat[i] = orig
-            gflat[i] = (hi - lo) / (2.0 * h)
+            p.data[idx] = orig
+            g[idx] = (hi - lo) / (2.0 * h)
         grads.append(g)
     return grads
 

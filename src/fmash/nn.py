@@ -10,6 +10,10 @@ and draws nothing.
 
 Parameters are float32, the one run dtype: each initialization is drawn in
 float64, as every stream always drew it, and rounded by ``parameter``.
+
+``fit`` trains with ``Adam``, which copies the parameters into one flat
+buffer and, for the optimizer's life, leaves each parameter's data a view
+into it that every step updates in place; ``state_dict`` returns copies.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import NumericError
-from .tape import Tensor, layer_norm, linear, no_grad, softmax
+from .tape import Tensor, layer_norm, linear, softmax
 
 
 class ShapesOnly:
@@ -218,32 +222,117 @@ def sinusoidal_positions(length: int, d_model: int) -> np.ndarray:
     return enc
 
 
+ALIGN_BYTES = 64
+
+
+def _aligned_zeros(size: int, dtype: np.dtype) -> np.ndarray:
+    """A zero-filled 1-d array of ``size`` elements whose first element sits
+    on an ``ALIGN_BYTES`` boundary."""
+    raw = np.zeros(size + ALIGN_BYTES // dtype.itemsize, dtype=dtype)
+    start = (-raw.ctypes.data % ALIGN_BYTES) // dtype.itemsize
+    return raw[start:start + size]
+
+
 class Adam:
+    """Adam (Kingma & Ba, arXiv:1412.6980) over one flat buffer.
+
+    Construction copies the parameters, which must share one dtype, into one
+    flat buffer, each starting on a 64-byte boundary, and rebinds each
+    ``p.data`` to its C-contiguous view there.  For the optimizer's life
+    every parameter is a view into that buffer and is updated in place;
+    ``m[i]`` and ``v[i]`` are views into the flat moments.
+
+    ``step`` gathers every gradient into one flat buffer with a single
+    ``concatenate`` and runs one fixed sequence of in-place whole-buffer
+    operations, in this order (``t`` counts steps from 1)::
+
+        m = b1*m + (1-b1)*g
+        v = b2*v + ((1-b2)*g)*g
+        p = p - (lr * (m / (1-b1**t))) / (sqrt(v / (1-b2**t)) + eps)
+
+    Each operation rounds every element the same whatever the array's
+    length, so the result equals, bit for bit, the same update run tensor by
+    tensor.  ``step`` reads ``.grad`` and never writes it; a gradient whose
+    dtype or shape differs from its parameter's is refused.  A parameter
+    whose ``grad`` is None keeps its data and both moments.
+    """
+
     b1, b2, eps = 0.9, 0.999, 1e-8
 
     def __init__(self, params: list[Tensor], lr: float = 1e-3):
         self.params = list(params)
         self.lr = lr
         self.t = 0
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        dtypes = {p.data.dtype for p in self.params}
+        if len(dtypes) != 1:
+            raise TypeError(f"Adam needs parameters of one dtype; got {sorted(map(str, dtypes))}")
+        self._dtype = dtype = dtypes.pop()
+        align = ALIGN_BYTES // dtype.itemsize
+        starts, end = [], 0
+        for p in self.params:
+            start = -(-end // align) * align
+            starts.append(start)
+            end = start + p.data.size
+        self._flat = _aligned_zeros(end, dtype)
+        self._m, self._v, self._g, self._scratch = (
+            _aligned_zeros(end, dtype) for _ in range(4))
+        self.m, self.v = [], []
+        # the gradient pieces in buffer order, with zero pads over the gaps
+        # between segments; ``step`` fills a copy's gradient slots
+        self._pieces, self._slots = [], []
+        end = 0
+        for p, start in zip(self.params, starts):
+            if start > end:
+                self._pieces.append(np.zeros(start - end, dtype=dtype))
+            self._slots.append(len(self._pieces))
+            self._pieces.append(None)
+            end = start + p.data.size
+            segment = slice(start, end)
+            view = self._flat[segment].reshape(p.data.shape)
+            view[...] = p.data
+            p.data = view
+            self.m.append(self._m[segment].reshape(view.shape))
+            self.v.append(self._v[segment].reshape(view.shape))
 
     def zero_grad(self) -> None:
         for p in self.params:
             p.grad = None
 
     def step(self) -> None:
+        pieces = self._pieces.copy()
+        skipped = []
+        for i, (p, slot) in enumerate(zip(self.params, self._slots)):
+            g = p.grad
+            if g is None:
+                skipped.append((i, p.data.copy(), self.m[i].copy(), self.v[i].copy()))
+                g = np.zeros_like(p.data)
+            elif g.dtype != self._dtype or g.shape != p.data.shape:
+                error = TypeError if g.dtype != self._dtype else ValueError
+                raise error(f"Adam: parameter {i} is {self._dtype} {p.data.shape} but "
+                            f"its gradient is {g.dtype} {g.shape}")
+            pieces[slot] = g
         self.t += 1
-        with no_grad():
-            for i, p in enumerate(self.params):
-                if p.grad is None:
-                    continue
-                g = p.grad
-                self.m[i] = self.b1 * self.m[i] + (1 - self.b1) * g
-                self.v[i] = self.b2 * self.v[i] + (1 - self.b2) * g * g
-                m_hat = self.m[i] / (1 - self.b1 ** self.t)
-                v_hat = self.v[i] / (1 - self.b2 ** self.t)
-                p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        g, s, m, v, flat = self._g, self._scratch, self._m, self._v, self._flat
+        np.concatenate(pieces, axis=None, out=g)
+        np.multiply(m, self.b1, out=m)
+        np.multiply(g, 1 - self.b1, out=s)
+        np.add(m, s, out=m)
+        np.multiply(v, self.b2, out=v)
+        np.multiply(g, 1 - self.b2, out=s)
+        np.multiply(s, g, out=s)
+        np.add(v, s, out=v)
+        # the gradient is spent: its buffer holds the denominator from here
+        np.divide(m, 1 - self.b1 ** self.t, out=s)
+        np.divide(v, 1 - self.b2 ** self.t, out=g)
+        np.sqrt(g, out=g)
+        np.add(g, self.eps, out=g)
+        np.multiply(s, self.lr, out=s)
+        np.divide(s, g, out=s)
+        np.subtract(flat, s, out=flat)
+        for i, data, m_i, v_i in skipped:
+            self.params[i].data[...] = data
+            self.m[i][...] = m_i
+            self.v[i][...] = v_i
 
 
 def fit(params: list[Tensor], loss_fn: Callable[[np.ndarray], Tensor], n: int, *,

@@ -151,15 +151,17 @@ def train_autoencoder(matrix: np.ndarray, params: AutoencoderParams, *,
     """Fit the compression autoencoder on assembled rows by MSE and return
     the per-epoch losses, each the full-batch MSE before that epoch's step,
     so the first is the MSE of the initialization; ``name`` is its history
-    key, which a divergence error starts with."""
-    x = Tensor(matrix)
+    key, which a divergence error starts with.  The rows are cast to the
+    parameters' dtype, so the fit runs in the model's own precision."""
+    weights = params.parameters()
+    x = Tensor(np.asarray(matrix, dtype=weights[0].data.dtype))
     if x.shape[0] < 8:
         raise DataError(f"need at least 8 rows to train, got {x.shape[0]}")
     if np.allclose(x.data, x.data[0]):
         import warnings
         warnings.warn("all assembled rows are identical; training anyway",
                       stacklevel=2)
-    return list(fit(params.parameters(), lambda _: _reconstruction_loss(x, params),
+    return list(fit(weights, lambda _: _reconstruction_loss(x, params),
                     x.shape[0], name=name, epochs=epochs, lr=lr))
 
 
