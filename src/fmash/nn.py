@@ -27,7 +27,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import NumericError
-from .tape import Tensor, layer_norm, linear, softmax
+from .tape import Tensor, concat, layer_norm, linear, softmax
 
 
 class ShapesOnly:
@@ -119,6 +119,20 @@ class LayerNorm(Module):
 NEG_INF = -1e9
 
 
+def key_mask_bias(key_mask: np.ndarray, dtype) -> np.ndarray:
+    """(B, 1, 1, Lk) additive attention bias in ``dtype``: 0 on the valid
+    keys of a (B, Lk) mask, ``NEG_INF`` on the others."""
+    bias = np.where(np.asarray(key_mask, dtype=bool), 0.0, NEG_INF).astype(dtype)
+    return bias[:, None, None, :]
+
+
+def causal_bias(lq: int, past: int, dtype) -> np.ndarray:
+    """(Lq, past + Lq) additive attention bias in ``dtype`` for ``lq``
+    queries that follow ``past`` cached keys: query ``i`` sees the cached
+    keys and the new ones up to its own, ``past + i``."""
+    return np.triu(np.full((lq, past + lq), NEG_INF, dtype=dtype), k=1 + past)
+
+
 class MultiHeadAttention(Module):
     """Scaled dot-product attention over (B, L, d) inputs.
 
@@ -126,6 +140,10 @@ class MultiHeadAttention(Module):
     negative additive constant, built in the scores' dtype.  Its ``exp``
     after the row-max shift underflows to exactly zero in float32 as in
     float64, so padded keys neither change values nor receive gradient.
+
+    A call is ``project_kv`` on the keys' source followed by ``attend``; the
+    decoder calls the two itself, so that a decode projects its memory once
+    and extends cached self-attention keys and values step by step.
     """
 
     def __init__(self, d_model: int, n_heads: int, rng: np.random.Generator):
@@ -138,29 +156,27 @@ class MultiHeadAttention(Module):
         self.wv = Linear(d_model, d_model, rng)
         self.wo = Linear(d_model, d_model, rng)
 
-    def __call__(self, query: Tensor, keyval: Tensor,
-                 key_mask: np.ndarray | None = None, causal: bool = False) -> Tensor:
+    def _split_heads(self, t: Tensor) -> Tensor:
+        b, length, _ = t.shape
+        return t.reshape(b, length, self.n_heads, self.d_head).transpose(0, 2, 1, 3)
+
+    def project_kv(self, keyval: Tensor) -> tuple[Tensor, Tensor]:
+        """Keys and values of a (B, Lk, d) source, each (B, h, Lk, d_head)."""
+        return self._split_heads(self.wk(keyval)), self._split_heads(self.wv(keyval))
+
+    def attend(self, query: Tensor, k: Tensor, v: Tensor, bias: np.ndarray) -> Tensor:
+        """Attention of a (B, Lq, d) query onto projected keys and values;
+        ``bias`` is added to the (B, h, Lq, Lk) scores by broadcasting."""
         b, lq, d = query.shape
-        lk = keyval.shape[1]
-        h, e = self.n_heads, self.d_head
-
-        def split(t: Tensor, length: int) -> Tensor:
-            return t.reshape(b, length, h, e).transpose(0, 2, 1, 3)
-
-        q = split(self.wq(query), lq)
-        k = split(self.wk(keyval), lk)
-        v = split(self.wv(keyval), lk)
-        scores = (q @ k.transpose(0, 1, 3, 2)) / math.sqrt(e)
-        bias = np.zeros((b, 1, lq, lk), dtype=scores.data.dtype)
-        if key_mask is not None:
-            bias += np.where(np.asarray(key_mask, dtype=bool), 0.0, NEG_INF)[:, None, None, :]
-        if causal:
-            if lq != lk:
-                raise ValueError("causal attention requires square score matrices")
-            bias += np.triu(np.full((lq, lk), NEG_INF), k=1)
+        q = self._split_heads(self.wq(query))
+        scores = (q @ k.transpose(0, 1, 3, 2)) / math.sqrt(self.d_head)
         attn = softmax(scores + Tensor(bias), axis=-1)
         out = (attn @ v).transpose(0, 2, 1, 3).reshape(b, lq, d)
         return self.wo(out)
+
+    def __call__(self, query: Tensor, keyval: Tensor, key_mask: np.ndarray) -> Tensor:
+        return self.attend(query, *self.project_kv(keyval),
+                           key_mask_bias(key_mask, query.data.dtype))
 
 
 class FeedForward(Module):
@@ -181,14 +197,20 @@ class EncoderLayer(Module):
         self.ln2 = LayerNorm(d_model)
         self.ff = FeedForward(d_model, d_ff, rng)
 
-    def __call__(self, x: Tensor, key_mask: np.ndarray | None = None) -> Tensor:
+    def __call__(self, x: Tensor, key_mask: np.ndarray) -> Tensor:
         normed = self.ln1(x)
         x = x + self.attn(normed, normed, key_mask=key_mask)
         return x + self.ff(self.ln2(x))
 
 
 class DecoderLayer(Module):
-    """Pre-norm decoder layer: causal self-attention, cross-attention, FFN."""
+    """Pre-norm decoder layer: causal self-attention, cross-attention, FFN.
+
+    The memory comes projected (``cross_attn.project_kv``) with its mask as
+    an additive bias (``key_mask_bias``), so a decode projects it once.
+    ``past`` holds the self-attention keys and values of the tokens before
+    ``x``; the call returns the output and those of ``past`` then ``x``.
+    """
 
     def __init__(self, d_model: int, n_heads: int, d_ff: int, rng: np.random.Generator):
         self.ln1 = LayerNorm(d_model)
@@ -198,12 +220,19 @@ class DecoderLayer(Module):
         self.ln3 = LayerNorm(d_model)
         self.ff = FeedForward(d_model, d_ff, rng)
 
-    def __call__(self, x: Tensor, memory: Tensor,
-                 memory_mask: np.ndarray | None = None) -> Tensor:
+    def __call__(self, x: Tensor, memory_kv: tuple[Tensor, Tensor],
+                 memory_bias: np.ndarray, past: tuple[Tensor, Tensor] | None = None,
+                 ) -> tuple[Tensor, tuple[Tensor, Tensor]]:
         normed = self.ln1(x)
-        x = x + self.self_attn(normed, normed, causal=True)
-        x = x + self.cross_attn(self.ln2(x), memory, key_mask=memory_mask)
-        return x + self.ff(self.ln3(x))
+        k, v = self.self_attn.project_kv(normed)
+        n_past = 0
+        if past is not None:
+            n_past = past[0].shape[2]
+            k, v = concat([past[0], k], axis=2), concat([past[1], v], axis=2)
+        bias = causal_bias(x.shape[1], n_past, x.data.dtype)
+        x = x + self.self_attn.attend(normed, k, v, bias)
+        x = x + self.cross_attn.attend(self.ln2(x), *memory_kv, memory_bias)
+        return x + self.ff(self.ln3(x)), (k, v)
 
 
 @functools.cache

@@ -7,6 +7,14 @@ integration layer (cross-attention onto the symptom memory), then two
 stacked decoder layers (causal self-attention + cross-attention), and a
 projection onto the token vocabulary.  Greedy decoding starts from BOS,
 masks already-emitted herbs, and stops at EOS or the length cap.
+
+Decoding is incremental (Vaswani et al., arXiv:1706.03762): ``decoder_cache``
+projects the memory's keys and values once for every cross-attention, and
+each ``decoder_logits`` call runs only its new tokens, appending their
+self-attention keys and values to the cache.  Teacher-forced training runs
+the whole target prefix through the same call on an empty cache.  A cached
+step can differ from the same position computed over the full prefix in the
+last bits, since a one-row product sums in another order.
 """
 
 from __future__ import annotations
@@ -16,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import symptom_batch
-from .errors import DataError
+from .errors import DataError, NumericError
 from .nn import (DecoderLayer, EncoderLayer, LayerNorm, Linear, Module,
-                 MultiHeadAttention, TrainResult, fit, parameter,
+                 MultiHeadAttention, TrainResult, fit, key_mask_bias, parameter,
                  sinusoidal_positions, stage_rng)
 from .refine import UnifiedEmbedding
 from .tape import Tensor, masked_cross_entropy, no_grad
@@ -57,9 +65,9 @@ class IntegrationLayer(Module):
         self.ln = LayerNorm(d_model)
         self.cross = MultiHeadAttention(d_model, n_heads, rng)
 
-    def __call__(self, x: Tensor, memory: Tensor,
-                 memory_mask: np.ndarray | None = None) -> Tensor:
-        return x + self.cross(self.ln(x), memory, key_mask=memory_mask)
+    def __call__(self, x: Tensor, memory_kv: tuple[Tensor, Tensor],
+                 memory_bias: np.ndarray) -> Tensor:
+        return x + self.cross.attend(self.ln(x), *memory_kv, memory_bias)
 
 
 class Seq2SeqParams(Module):
@@ -104,15 +112,45 @@ def encode_batch(symptom_sets: list, params: Seq2SeqParams,
 # decoder
 # ---------------------------------------------------------------------------
 
-def decoder_logits(memory: Tensor, memory_mask: np.ndarray | None,
-                   target_tokens: np.ndarray, params: Seq2SeqParams) -> Tensor:
-    """Next-token logits (B, T, V) for teacher-forced target prefixes."""
+@dataclass
+class DecoderCache:
+    """The state a decode carries from step to step: the memory's keys and
+    values for ``integration.cross`` and then each decoder layer's
+    ``cross_attn``, the memory mask as an additive bias, and each decoder
+    layer's self-attention keys and values for the ``length`` tokens
+    decoded so far (None before the first)."""
+    memory_kv: list[tuple[Tensor, Tensor]]
+    memory_bias: np.ndarray
+    self_kv: list[tuple[Tensor, Tensor] | None]
+    length: int = 0
+
+
+def decoder_cache(memory: Tensor, memory_mask: np.ndarray,
+                  params: Seq2SeqParams) -> DecoderCache:
+    """An empty cache over ``memory``: every memory projection, once."""
+    attns = [params.integration.cross] + [layer.cross_attn for layer in params.dec_layers]
+    return DecoderCache(memory_kv=[attn.project_kv(memory) for attn in attns],
+                        memory_bias=key_mask_bias(memory_mask, memory.data.dtype),
+                        self_kv=[None] * len(params.dec_layers))
+
+
+def decoder_logits(cache: DecoderCache, target_tokens: np.ndarray,
+                   params: Seq2SeqParams) -> Tensor:
+    """Next-token logits (B, T, V) for the T target tokens that follow the
+    ``cache.length`` tokens already in ``cache``, at the positions after
+    theirs; appends the new tokens' self-attention keys and values to
+    ``cache``.  Teacher forcing passes a whole prefix to an empty cache."""
     target_tokens = np.asarray(target_tokens, dtype=np.intp)
-    b, t = target_tokens.shape
-    x = params.tok_embed[target_tokens] + params.positions[np.arange(t)]
-    x = params.integration(x, memory, memory_mask=memory_mask)
-    for layer in params.dec_layers:
-        x = layer(x, memory, memory_mask=memory_mask)
+    start, end = cache.length, cache.length + target_tokens.shape[1]
+    if end > MAX_POSITIONS:
+        raise DataError(f"a target sequence of {end} tokens exceeds the "
+                        f"{MAX_POSITIONS} positions")
+    x = params.tok_embed[target_tokens] + params.positions[start:end]
+    x = params.integration(x, cache.memory_kv[0], cache.memory_bias)
+    for i, layer in enumerate(params.dec_layers):
+        x, cache.self_kv[i] = layer(x, cache.memory_kv[i + 1], cache.memory_bias,
+                                    cache.self_kv[i])
+    cache.length = end
     return params.out(params.dec_ln(x))
 
 
@@ -144,7 +182,8 @@ def make_batch(instances, vocab: TokenVocab) -> SeqBatch:
 def sequence_loss(batch: SeqBatch, params: Seq2SeqParams) -> Tensor:
     """Teacher-forced cross-entropy; PAD positions contribute exactly zero."""
     memory, memory_mask = encode_batch(batch.symptom_sets, params)
-    logits = decoder_logits(memory, memory_mask, batch.dec_in, params)
+    logits = decoder_logits(decoder_cache(memory, memory_mask, params), batch.dec_in,
+                            params)
     return masked_cross_entropy(logits, batch.dec_target, batch.loss_mask)
 
 
@@ -171,17 +210,17 @@ def train_seq(instances, emb: UnifiedEmbedding, *, epochs: int = 300,
 # generation
 # ---------------------------------------------------------------------------
 
-def _masked_step_logprobs(memory, memory_mask, tokens: list[int],
+def _masked_step_logprobs(cache: DecoderCache, token: int, herbs: list[int],
                           params: Seq2SeqParams) -> np.ndarray:
+    """Log-probabilities of the token after ``token``, which follows the
+    cached prefix; BOS, PAD and the emitted ``herbs`` get ``-inf``."""
     vocab = params.vocab
-    dec_in = np.asarray([tokens], dtype=np.intp)
-    logits = decoder_logits(memory, memory_mask, dec_in, params).data[0, -1]
+    logits = decoder_logits(cache, np.asarray([[token]], dtype=np.intp), params).data[0, -1]
+    if not np.isfinite(logits).all():
+        raise NumericError(f"non-finite sequence scores at decoding step {cache.length}")
     shifted = logits - logits.max()
     logp = shifted - np.log(np.exp(shifted).sum())
-    logp[vocab.bos] = -np.inf
-    logp[vocab.pad] = -np.inf
-    for tok in tokens[1:]:
-        logp[tok] = -np.inf          # duplicate-herb mask
+    logp[[vocab.bos, vocab.pad, *herbs]] = -np.inf
     return logp
 
 
@@ -189,24 +228,29 @@ def generate(symptom_ids, params: Seq2SeqParams, max_len: int) -> list[int]:
     """Greedy decoding from BOS; emitted herbs are masked so it never
     repeats one, and BOS/PAD can never be produced.  Stops at EOS, after
     ``max_len`` herbs, or when no token is left.  Returns herb ids only.
+
+    The symptom memory is encoded and projected once per call; each step
+    runs the decoder on its one new token against the cached keys and
+    values of the tokens before it.
     """
-    if max_len < 1:
-        raise DataError("max_len must be >= 1")
+    if not 1 <= max_len <= MAX_POSITIONS:
+        raise DataError(f"max_len must be in [1, {MAX_POSITIONS}], got {max_len}")
     vocab = params.vocab
-    tokens = [vocab.bos]
+    herbs: list[int] = []
+    tok = vocab.bos
     with no_grad():
         memory, memory_mask = encode_batch([symptom_ids], params)
-        while len(tokens) - 1 < max_len:
-            logp = _masked_step_logprobs(memory, memory_mask, tokens, params)
-            tok = int(np.argsort(-logp, kind="stable")[0])
+        cache = decoder_cache(memory, memory_mask, params)
+        while len(herbs) < max_len:
+            logp = _masked_step_logprobs(cache, tok, herbs, params)
+            tok = int(np.argmax(logp))
             if tok == vocab.eos or not np.isfinite(logp[tok]):
                 break
-            tokens.append(tok)
-    return tokens[1:]
+            herbs.append(tok)
+    return herbs
 
 
-def export_predictions(path, instances, params: Seq2SeqParams,
-                       max_len: int = 20) -> None:
+def export_predictions(path, instances, params: Seq2SeqParams, max_len: int) -> None:
     """One line per instance: ``instance_id<TAB>herb_id,herb_id,...`` in
     generation order (possibly empty after the tab)."""
     with open(path, "w", encoding="utf-8") as fh:

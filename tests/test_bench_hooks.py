@@ -14,9 +14,13 @@ sys.path.insert(0, str(BENCH))
 import spans  # noqa: E402
 import workloads  # noqa: E402
 
-from fmash import cli, mlfie, pipeline  # noqa: E402
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from fmash import cli, mlfie, pipeline, seqgen  # noqa: E402
 from fmash.config import RunConfig  # noqa: E402
 from fmash.dataio import build_graph, generate_synthetic  # noqa: E402
+from fmash.refine import UnifiedEmbedding  # noqa: E402
 
 
 def test_every_benchmark_patch_installs_and_restores():
@@ -68,3 +72,22 @@ def test_phase1_span_only_in_prepare(tmp_path):
     finally:
         rec.close()
     assert len(rec.named("pipeline.phase1")) == 1
+
+
+@pytest.mark.parametrize("eos_bias, n_formula", [(1e3, 0), (0.5, 5), (-1e3, 6)],
+                         ids=["forced-eos", "eos-stop", "max-len"])
+def test_generate_calls_the_decoder_once_per_step(eos_bias, n_formula):
+    """The traced benchmark checks decoder calls against this count."""
+    max_len = 6
+    emb = UnifiedEmbedding(np.random.default_rng(0).normal(size=(16, 8)), n_sym=6)
+    params = seqgen.Seq2SeqParams(emb, 0, n_heads=2)
+    params.out.bias.data[params.vocab.eos] = eos_bias
+    rec = spans.Recorder("t")
+    try:
+        workloads.install_patches(rec, full=True)
+        formula = seqgen.generate([0, 2], params, max_len=max_len)
+    finally:
+        rec.close()
+    assert len(formula) == n_formula
+    assert len(rec.named("seqgen.decoder", under="seqgen.generate")) \
+        == len(formula) + (len(formula) < max_len)

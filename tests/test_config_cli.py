@@ -25,6 +25,7 @@ from fmash.mlfie import impute_missing
 from fmash.pipeline import (HEAD_ONLY_KEYS, PATH_KEYS, phase1_key, phase1_state,
                             run_phase1)
 from fmash.recsys import train_rs
+from fmash.seqgen import MAX_POSITIONS
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -671,6 +672,28 @@ def test_checkpoint_missing_a_tensor_exits_two(trained_env, tmp_path, capsys,
     assert not (tmp_path / "imputed.tsv").exists()
 
 
+@pytest.mark.parametrize("fname, tensor, argv", [
+    ("rs.ckpt", "rs.out.bias", ["recommend", "--symptoms", "sym-001", "--k", "2"]),
+    ("seq.ckpt", "seq.out.bias", ["generate", "--symptoms", "sym-001"]),
+], ids=["rs", "seq"])
+def test_non_finite_head_scores_exit_three(trained_env, capsys, fname, tensor, argv):
+    root, cfg_path, _ = trained_env
+    path = root / "work" / fname
+    raw = path.read_bytes()
+    state, key = load_checkpoint(path)
+    state[tensor] = np.full_like(state[tensor], np.nan)
+    save_checkpoint(path, state, key)
+    capsys.readouterr()
+    try:
+        code = execute_command(argv + ["--config", str(cfg_path)])
+    finally:
+        path.write_bytes(raw)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "non-finite" in captured.err and "Traceback" not in captured.err
+
+
 class _NoDrawGenerator(np.random.Generator):
     def normal(self, *args, **kwargs):
         raise AssertionError("drew a normal sample")
@@ -872,6 +895,18 @@ def test_env_seed_override(run_env):
         assert (tmp_path / "work" / "rs.ckpt").read_bytes() != baseline
     finally:
         del os.environ["FMASH_SEED"]
+
+
+def test_seq_max_len_beyond_the_positions_exits_two(run_env, capsys):
+    tmp_path, cfg_path, cfg = run_env
+    cfg["train"]["seq_max_len"] = MAX_POSITIONS + 1
+    cfg_path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert execute_command(["prepare", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert "train.seq_max_len" in err and "Traceback" not in err
+    cfg["train"]["seq_max_len"] = MAX_POSITIONS
+    assert config_from_dict(cfg).train.seq_max_len == MAX_POSITIONS
 
 
 def test_negative_seed_exits_two_naming_its_source(run_env, capsys, monkeypatch):

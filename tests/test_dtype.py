@@ -11,7 +11,7 @@ from fmash.config import config_from_dict
 from fmash.dataio import build_graph, generate_synthetic, split_dataset
 from fmash.pipeline import run_phase1
 from fmash.recsys import gelram_score, train_rs
-from fmash.seqgen import decoder_logits, encode_batch, train_seq
+from fmash.seqgen import decoder_cache, decoder_logits, encode_batch, train_seq
 from fmash.tape import no_grad
 
 F32 = np.dtype(np.float32)
@@ -79,5 +79,6 @@ def test_phase1_table_and_served_outputs_are_float32(one_step_run):
     assert gelram_score(inst.symptoms, phase1.unified, rs).scores.dtype == F32
     with no_grad():
         memory, mask = encode_batch([inst.symptoms], seq)
-        logits = decoder_logits(memory, mask, np.array([[seq.vocab.bos]]), seq)
+        logits = decoder_logits(decoder_cache(memory, mask, seq),
+                                np.array([[seq.vocab.bos]]), seq)
     assert memory.data.dtype == logits.data.dtype == F32

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from fmash.dataio import PrescriptionInstance, generate_synthetic
-from fmash.errors import DataError
+from fmash.errors import DataError, NumericError
 from fmash.gradcheck import as_float64, max_relative_error
 from fmash.refine import UnifiedEmbedding
-from fmash.seqgen import (Seq2SeqParams, TokenVocab, decoder_logits, encode_batch,
-                          generate, make_batch, sequence_loss, train_seq)
+from fmash.seqgen import (MAX_POSITIONS, Seq2SeqParams, TokenVocab, decoder_cache,
+                          decoder_logits, encode_batch, generate, make_batch,
+                          sequence_loss, train_seq)
 from fmash.tape import no_grad
 
 
@@ -94,10 +95,11 @@ def test_teacher_forcing_causality_exact():
     with no_grad():
         memory, mask = encode_batch([[0, 1]], params)
         tokens = np.array([[params.vocab.bos, 2, 5, 1]], dtype=np.intp)
-        full = decoder_logits(memory, mask, tokens, params).data
+        full = decoder_logits(decoder_cache(memory, mask, params), tokens, params).data
         mutated = tokens.copy()
         mutated[0, 3] = 7    # change the last target token
-        partial = decoder_logits(memory, mask, mutated, params).data
+        partial = decoder_logits(decoder_cache(memory, mask, params), mutated,
+                                 params).data
     np.testing.assert_array_equal(full[0, :3], partial[0, :3])
 
 
@@ -194,8 +196,94 @@ def test_generation_deterministic():
 
 def test_generate_validates_max_len():
     params = Seq2SeqParams(_emb(), seed=14)
-    with pytest.raises(DataError):
-        generate([0], params, max_len=0)
+    for max_len in (0, MAX_POSITIONS + 1):
+        with pytest.raises(DataError, match="max_len"):
+            generate([0], params, max_len=max_len)
+
+
+def test_suppressed_eos_decodes_up_to_the_last_position():
+    params = Seq2SeqParams(_emb(n_herb=MAX_POSITIONS + 88, d=4), seed=15, n_heads=2,
+                           n_enc_layers=1, n_dec_layers=1)
+    params.out.bias.data[params.vocab.eos] = -1e3
+    seq = generate([0, 1], params, max_len=MAX_POSITIONS)
+    assert len(seq) == len(set(seq)) == MAX_POSITIONS
+
+
+def test_decoder_refuses_positions_beyond_the_table():
+    params = Seq2SeqParams(_emb(d=4), seed=15, n_heads=2, n_enc_layers=1,
+                           n_dec_layers=1)
+    with no_grad():
+        cache = decoder_cache(*encode_batch([[0]], params), params)
+        decoder_logits(cache, np.zeros((1, MAX_POSITIONS - 1), dtype=np.intp), params)
+        decoder_logits(cache, [[1]], params)
+        with pytest.raises(DataError, match=f"{MAX_POSITIONS + 1} tokens"):
+            decoder_logits(cache, [[2]], params)
+
+
+def test_non_finite_step_scores_raise():
+    params = Seq2SeqParams(_emb(), seed=16)
+    params.out.bias.data[3] = np.nan
+    with pytest.raises(NumericError, match="non-finite"):
+        generate([0, 1], params, max_len=5)
+
+
+# ---------------------------------------------------------------------------
+# the decoder cache against a full-prefix recomputation
+# ---------------------------------------------------------------------------
+
+def _full_prefix_generate(symptom_ids, params, max_len):
+    """Greedy decoding that reruns the decoder over the whole prefix, from an
+    empty cache, at every step: the reference the cached decode must equal."""
+    vocab = params.vocab
+    tokens = [vocab.bos]
+    with no_grad():
+        memory, mask = encode_batch([symptom_ids], params)
+        while len(tokens) - 1 < max_len:
+            logits = decoder_logits(decoder_cache(memory, mask, params),
+                                    np.asarray([tokens]), params).data[0, -1]
+            shifted = logits - logits.max()
+            logp = shifted - np.log(np.exp(shifted).sum())
+            logp[[vocab.bos, vocab.pad, *tokens[1:]]] = -np.inf
+            tok = int(np.argsort(-logp, kind="stable")[0])
+            if tok == vocab.eos or not np.isfinite(logp[tok]):
+                break
+            tokens.append(tok)
+    return tokens[1:]
+
+
+@pytest.mark.parametrize("eos_bias, max_len", [
+    (None, 12),     # the random head's own stops
+    (1e3, 5),       # forced EOS: an empty formula
+    (-1e3, 5),      # suppressed EOS: stops at max_len
+    (-1e3, 12),     # suppressed EOS: stops when the 8 herbs are spent
+], ids=["random", "forced-eos", "max-len", "exhausted"])
+@pytest.mark.parametrize("seed", [20, 21, 22])
+def test_cached_decode_matches_full_prefix_decode(eos_bias, max_len, seed):
+    params = Seq2SeqParams(_emb(seed=seed), seed=seed)
+    if eos_bias is not None:
+        params.out.bias.data[params.vocab.eos] = eos_bias
+    for symptoms in ([0], [1, 4], [5, 2, 3]):
+        expected = _full_prefix_generate(symptoms, params, max_len)
+        assert generate(symptoms, params, max_len=max_len) == expected
+        if eos_bias == 1e3:
+            assert expected == []
+        elif eos_bias == -1e3:
+            assert len(expected) == min(max_len, 8)
+
+
+def test_cached_step_logits_match_full_prefix_logits_in_float64():
+    params = as_float64(Seq2SeqParams(_emb(), seed=23))
+    tokens = np.array([[params.vocab.bos, 2, 5, 1, 7, 0],
+                       [params.vocab.bos, 6, 3, 4, 1, 2]])
+    with no_grad():
+        memory, mask = encode_batch([[3], [0, 4, 5]], params)    # one padded key
+        cache = decoder_cache(memory, mask, params)
+        for t in range(tokens.shape[1]):
+            step = decoder_logits(cache, tokens[:, t:t + 1], params).data[:, -1]
+            full = decoder_logits(decoder_cache(memory, mask, params),
+                                  tokens[:, :t + 1], params).data[:, -1]
+            assert step.dtype == np.float64 and cache.length == t + 1
+            assert np.abs(step - full).max() <= 1e-10 * np.abs(full).max()
 
 
 def test_memorizes_small_fixture():
