@@ -39,6 +39,10 @@ EXIT_NUMERIC = 3
 
 SPLITS_FILE = "splits.json"
 PHASE1_FILE = "phase1.ckpt"
+VOCAB_FILE = "vocab.json"
+# Bumped whenever ``load_vocab`` accepts or rejects other bytes, so a memo
+# written by an older ``prepare`` falls back to validating the corpus again.
+_VOCAB_FORMAT = 1
 
 
 class UsageError(Exception):
@@ -150,11 +154,11 @@ def _load_splits(cfg: RunConfig) -> DatasetSplit:
     return DatasetSplit(seed=seed, **parts)
 
 
-def _resolve_symptom_names(arg: str, symptoms) -> list[int]:
+def _resolve_symptom_names(arg: str, symptom_names: list[str]) -> list[int]:
     names = [tok.strip() for tok in arg.split(",") if tok.strip()]
     if not names:
         raise DataError("no symptom names given")
-    by_name = {r.name: r.id for r in symptoms}
+    by_name = {name: i for i, name in enumerate(symptom_names)}
     ids = []
     for name in names:
         if name not in by_name:
@@ -183,14 +187,54 @@ def _unified_table(path: Path, state, writer: str) -> UnifiedEmbedding:
     return UnifiedEmbedding(matrix=matrix, n_sym=int(n_sym))
 
 
+def _file_digest(path: Path) -> bytes:
+    """The digest every artifact key takes of an input file's bytes."""
+    return hashlib.blake2b(path.read_bytes()).digest()
+
+
 def _phase1_inputs_key(cfg: RunConfig) -> str:
     """``phase1_key`` plus a digest of the other phase-1 inputs: the corpus
     files and ``splits.json``."""
     corpus, digest = Path(cfg.paths.corpus), hashlib.blake2b(digest_size=16)
     for path in (corpus / SYMPTOMS_FILE, corpus / HERBS_FILE,
                  corpus / PRESCRIPTIONS_FILE, Path(cfg.paths.workdir) / SPLITS_FILE):
-        digest.update(hashlib.blake2b(path.read_bytes()).digest())
+        digest.update(_file_digest(path))
     return f"{phase1_key(cfg)}-{digest.hexdigest()}"
+
+
+def _vocab_key(cfg: RunConfig, names: list[list[str]]) -> str:
+    """A digest of the memo's names and of every input ``load_vocab`` reads:
+    the symptom and herb files and ``dims.p``, plus the memo format."""
+    corpus = Path(cfg.paths.corpus)
+    digest = hashlib.blake2b(f"{_VOCAB_FORMAT}:{cfg.dims.p}:{json.dumps(names)}"
+                             .encode(), digest_size=16)
+    for path in (corpus / SYMPTOMS_FILE, corpus / HERBS_FILE):
+        digest.update(_file_digest(path))
+    return digest.hexdigest()
+
+
+def _save_vocab(cfg: RunConfig, symptoms, herbs) -> None:
+    """Write ``vocab.json``: the names ``load_vocab`` just validated, in id
+    order, with the key that vouches for them and their inputs."""
+    names = [[r.name for r in symptoms], [r.name for r in herbs]]
+    memo = {"key": _vocab_key(cfg, names), "names": names}
+    (Path(cfg.paths.workdir) / VOCAB_FILE).write_text(json.dumps(memo) + "\n",
+                                                    encoding="utf-8")
+
+
+def _vocab_names(cfg: RunConfig) -> tuple[list[str], list[str]]:
+    """Symptom and herb names in id order: from ``vocab.json`` when its key
+    matches its names and the current inputs, otherwise from ``load_vocab``,
+    which validates the corpus files with its own errors."""
+    try:
+        memo = json.loads((Path(cfg.paths.workdir) / VOCAB_FILE).read_bytes())
+        if memo["key"] == _vocab_key(cfg, memo["names"]):
+            symptom_names, herb_names = memo["names"]
+            return symptom_names, herb_names
+    except (OSError, ValueError, LookupError, TypeError):
+        pass    # no usable memo: read the corpus as if there were none
+    symptoms, herbs = load_vocab(cfg.paths.corpus, expected_p=cfg.dims.p)
+    return [r.name for r in symptoms], [r.name for r in herbs]
 
 
 def _load_phase1(cfg: RunConfig):
@@ -220,17 +264,17 @@ def _load_params(params, path: Path, state, name: str, fault: str):
     return params
 
 
-def _load_head(cfg: RunConfig, head: str, symptoms, herbs):
+def _load_head(cfg: RunConfig, head: str, n_sym: int, n_herb: int):
     """The unified table and the ``head`` parameters saved by ``train-<head>``,
     built as the current config expects without an initialization draw; exit
     2 unless the table covers the corpus vocabulary."""
     path = Path(cfg.paths.workdir) / f"{head}.ckpt"
     state, _ = load_checkpoint(path)
     emb = _unified_table(path, state, f"train-{head}")
-    if (emb.n_sym, emb.n_herb) != (len(symptoms), len(herbs)):
+    if (emb.n_sym, emb.n_herb) != (n_sym, n_herb):
         raise SchemaError(f"{path} was trained on {emb.n_sym} symptoms and "
                           f"{emb.n_herb} herbs, but {cfg.paths.corpus} has "
-                          f"{len(symptoms)} symptoms and {len(herbs)} herbs; "
+                          f"{n_sym} symptoms and {n_herb} herbs; "
                           f"rerun `fmash prepare` and `fmash train-{head}`")
     params = (make_rs_params(emb, None, gelram=cfg.ablation.gelram,
                              d_enc=cfg.dims.d_enc)
@@ -272,6 +316,7 @@ def _cmd_prepare(args) -> int:
                "test": [p.instance_id for p in split.test]}
     (wd / SPLITS_FILE).write_text(json.dumps(payload, sort_keys=True) + "\n",
                                   encoding="utf-8")
+    _save_vocab(cfg, symptoms, herbs)
     print(f"vocab: {len(symptoms)} symptoms, {len(herbs)} herbs")
     print(f"splits: {len(split.train)}/{len(split.valid)}/{len(split.test)}")
     print(f"graph edges: ss={len(graph.edges_ss)} hh={len(graph.edges_hh)} "
@@ -282,7 +327,8 @@ def _cmd_prepare(args) -> int:
     for name, losses in phase1.histories.items():
         trend = f", loss {losses[0]:.4g} -> {losses[-1]:.4g}" if losses else ""
         print(f"phase 1 {name}: {len(losses)} epochs{trend}")
-    print(f"artifacts: {wd / SPLITS_FILE}, {wd / PHASE1_FILE}, {wd / 'unified.csv'}")
+    print(f"artifacts: {wd / SPLITS_FILE}, {wd / VOCAB_FILE}, {wd / PHASE1_FILE}, "
+          f"{wd / 'unified.csv'}")
     return EXIT_OK
 
 
@@ -340,27 +386,27 @@ def _cmd_recommend(args) -> int:
     if args.k < 1:
         raise UsageError(f"--k must be >= 1, got {args.k}")
     cfg = _load_config(args.config)
-    symptoms, herbs = load_vocab(cfg.paths.corpus, expected_p=cfg.dims.p)
-    emb, params = _load_head(cfg, "rs", symptoms, herbs)
+    symptoms, herbs = _vocab_names(cfg)
+    emb, params = _load_head(cfg, "rs", len(symptoms), len(herbs))
     if args.k > emb.n_herb:
         raise UsageError(f"--k exceeds the herb vocabulary ({emb.n_herb})")
     ids = _resolve_symptom_names(args.symptoms, symptoms)
     for rank, (herb_id, score) in enumerate(recommend(ids, args.k, params, emb),
                                             start=1):
-        print(f"{rank}\t{herbs[herb_id].name}\t{score:.4f}")
+        print(f"{rank}\t{herbs[herb_id]}\t{score:.4f}")
     return EXIT_OK
 
 
 def _cmd_generate(args) -> int:
     cfg = _load_config(args.config)
-    symptoms, herbs = load_vocab(cfg.paths.corpus, expected_p=cfg.dims.p)
-    _, params = _load_head(cfg, "seq", symptoms, herbs)
+    symptoms, herbs = _vocab_names(cfg)
+    _, params = _load_head(cfg, "seq", len(symptoms), len(herbs))
     ids = _resolve_symptom_names(args.symptoms, symptoms)
     formula = generate(ids, params, max_len=cfg.train.seq_max_len)
     if not formula:
         print("(empty formula)")
     for herb_id in formula:
-        print(herbs[herb_id].name)
+        print(herbs[herb_id])
     return EXIT_OK
 
 

@@ -11,6 +11,11 @@ File formats (all UTF-8, ids 0-based):
 - molecular table         header line ``dim=<d_m>`` then rows
   ``herb_id<TAB>mol_index<TAB>f1,f2,...``; ``mol_index = -1`` marks an
   imputed vector.
+
+Every name is a non-empty JSON string with no tab and no line break, since
+``recommend`` and ``generate`` print one line per herb, tab-separated.  A
+symptom name also has no comma and no leading or trailing whitespace, since
+``--symptoms`` is split on commas and each token stripped.
 """
 
 from __future__ import annotations
@@ -175,6 +180,20 @@ def _int_list(row: dict, key: str, where: str) -> list[int]:
     return [_as_int(v, key, where) for v in values]
 
 
+def _name_field(row: dict, where: str, symptom: bool) -> str:
+    """The row's ``name``, which the command line must print and, for a
+    symptom, read back exactly."""
+    name = _field(row, "name", where)
+    if not isinstance(name, str) or not name or "\t" in name \
+            or name.splitlines() != [name]:
+        raise SchemaError(f"{where}: 'name' must be a non-empty string without "
+                          f"tabs or line breaks, got {name!r}")
+    if symptom and ("," in name or name != name.strip()):
+        raise SchemaError(f"{where}: a symptom 'name' must have no comma and no "
+                          f"leading or trailing whitespace, got {name!r}")
+    return name
+
+
 def _finite_vector(value, key: str, where: str) -> np.ndarray:
     try:
         vec = np.asarray(value, dtype=np.float64)
@@ -206,7 +225,7 @@ def load_vocab(corpus_dir: str | Path, expected_p: int | None = None,
     for where, row in _read_jsonl(symptom_path):
         emb = row.get("text_embedding")
         symptoms.append(SymptomRecord(
-            id=_int_field(row, "id", where), name=str(_field(row, "name", where)),
+            id=_int_field(row, "id", where), name=_name_field(row, where, True),
             text_embedding=None if emb is None
             else _finite_vector(emb, "text_embedding", where)))
     symptoms.sort(key=lambda r: r.id)
@@ -217,7 +236,7 @@ def load_vocab(corpus_dir: str | Path, expected_p: int | None = None,
     p_dim = expected_p
     for where, row in _read_jsonl(herb_path):
         herb_id = _int_field(row, "id", where)
-        name = str(_field(row, "name", where))
+        name = _name_field(row, where, False)
         props = _finite_vector(_field(row, "properties", where), "properties", where)
         if p_dim is None:
             p_dim = props.size

@@ -16,6 +16,7 @@ import workloads  # noqa: E402
 
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
+from decode_reference import full_prefix_generate  # noqa: E402
 
 from fmash import cli, mlfie, pipeline, seqgen  # noqa: E402
 from fmash.config import RunConfig  # noqa: E402
@@ -74,7 +75,7 @@ def test_phase1_span_only_in_prepare(tmp_path):
     assert len(rec.named("pipeline.phase1")) == 1
 
 
-@pytest.mark.parametrize("eos_bias, n_formula", [(1e3, 0), (0.5, 5), (-1e3, 6)],
+@pytest.mark.parametrize("eos_bias, n_formula", [(1e3, 0), (0.5, None), (-1e3, 6)],
                          ids=["forced-eos", "eos-stop", "max-len"])
 def test_generate_calls_the_decoder_once_per_step(eos_bias, n_formula):
     """The traced benchmark checks decoder calls against this count."""
@@ -88,6 +89,8 @@ def test_generate_calls_the_decoder_once_per_step(eos_bias, n_formula):
         formula = seqgen.generate([0, 2], params, max_len=max_len)
     finally:
         rec.close()
-    assert len(formula) == n_formula
+    assert formula == full_prefix_generate([0, 2], params, max_len)
+    if n_formula is not None:    # set by the EOS bias, whatever the weights
+        assert len(formula) == n_formula
     assert len(rec.named("seqgen.decoder", under="seqgen.generate")) \
         == len(formula) + (len(formula) < max_len)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import fmash
-from fmash import cli, mlfie, pipeline
+from fmash import cli, dataio, mlfie, pipeline
 from fmash.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from fmash.cli import execute_command
 from fmash.config import (RunConfig, config_from_dict, config_hash, parse_config,
@@ -761,6 +761,97 @@ def test_serving_another_vocabulary_exits_two(run_env, capsys, n_sym, n_herb):
         assert f"{n_sym} symptoms and {n_herb} herbs" in err
 
 
+def _test_queries(root):
+    """``--symptoms`` of each test instance of the prepared corpus, plus an
+    unknown symptom, and the herb count."""
+    symptoms, herbs, prescriptions = load_corpus(root / "corpus")
+    test = set(json.loads((root / "work" / "splits.json").read_text())["test"])
+    queries = [",".join(symptoms[i].name for i in sorted(p.symptoms))
+               for p in prescriptions if p.instance_id in test]
+    return queries + ["sym-999"], len(herbs)
+
+
+def _serve(cfg_path, capsys, queries, n_herb):
+    """Exit code and stdout of ``recommend`` (over every herb) and ``generate``
+    for each query."""
+    served = []
+    for names in queries:
+        for argv in (["recommend", "--symptoms", names, "--k", str(n_herb)],
+                     ["generate", "--symptoms", names]):
+            capsys.readouterr()
+            code = execute_command(argv + ["--config", str(cfg_path)])
+            served.append((argv[0], names, code, capsys.readouterr().out))
+    return served
+
+
+def test_vocab_memo_changes_no_served_output(trained_env, capsys):
+    """Serving prints the same with ``vocab.json`` as without it, and a
+    truncated memo or one whose names were edited is ignored."""
+    root, cfg_path, _ = trained_env
+    path = root / "work" / "vocab.json"
+    raw = path.read_bytes()
+    edited = json.loads(raw)
+    edited["names"][1][0] = "herb-edited"
+    queries = _test_queries(root)
+    try:
+        with_memo = _serve(cfg_path, capsys, *queries)
+        path.unlink()
+        without = _serve(cfg_path, capsys, *queries)
+        for broken in (raw[:len(raw) // 2], json.dumps(edited).encode()):
+            path.write_bytes(broken)
+            assert _serve(cfg_path, capsys, *queries) == without
+    finally:
+        path.write_bytes(raw)
+    assert with_memo == without
+    assert [code for _, names, code, _ in without] \
+        == [2 if names == "sym-999" else 0 for _, names, _, _ in without]
+    assert any("herb-000" in out for _, _, _, out in without)
+
+
+def test_vocab_memo_hit_reads_no_corpus(trained_env, capsys, monkeypatch):
+    root, cfg_path, _ = trained_env
+    queries = _test_queries(root)
+    expected = _serve(cfg_path, capsys, *queries)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("load_vocab called on a memo hit")
+
+    monkeypatch.setattr(cli, "load_vocab", refused)
+    monkeypatch.setattr(dataio, "load_vocab", refused)
+    assert _serve(cfg_path, capsys, *queries) == expected
+
+
+def test_renamed_herb_is_served_under_its_new_name(trained_env, capsys):
+    root, cfg_path, _ = trained_env
+    path = root / "corpus" / "herbs.jsonl"
+    raw = path.read_text()
+    path.write_text(raw.replace('"herb-003"', '"herb-renamed"'))
+    try:
+        capsys.readouterr()
+        assert execute_command(["recommend", "--config", str(cfg_path),
+                                "--symptoms", "sym-001", "--k", "12"]) == 0
+    finally:
+        path.write_text(raw)
+    names = [line.split("\t")[1] for line in capsys.readouterr().out.splitlines()]
+    assert "herb-renamed" in names and "herb-003" not in names
+
+
+def test_serving_with_another_property_width_exits_two(trained_env, tmp_path, capsys):
+    """``dims.p`` is one of the memo's inputs: with a memo written for the
+    old width, both commands still fail validating ``herbs.jsonl``."""
+    _, cfg_path, cfg = trained_env
+    other = json.loads(json.dumps(cfg))
+    other["dims"]["p"] = 22
+    other_path = tmp_path / "other_p.json"
+    other_path.write_text(json.dumps(other))
+    for argv in (["recommend", "--symptoms", "sym-001", "--k", "2"],
+                 ["generate", "--symptoms", "sym-001"]):
+        capsys.readouterr()
+        assert execute_command(argv + ["--config", str(other_path)]) == 2
+        err = capsys.readouterr().err
+        assert "herbs.jsonl:1" in err and "expected 22" in err
+
+
 def test_checkpoint_without_unified_table_exits_two(run_env, capsys):
     tmp_path, cfg_path, _ = run_env
     execute_command(["prepare", "--config", str(cfg_path)])
@@ -965,6 +1056,8 @@ def _set_first_property(value):
                  "molecules", id="herbs.jsonl-molecules-non-string-item"),
     pytest.param("herbs.jsonl", lambda row: row.update(molecules=["CCO", ""]),
                  "molecules", id="herbs.jsonl-molecules-empty-string"),
+    pytest.param("symptoms.jsonl", lambda row: row.update(name="a,b"), "name",
+                 id="symptoms.jsonl-name-with-comma"),
     pytest.param("prescriptions.jsonl", lambda row: row.update(symptoms=[]),
                  "symptoms", id="prescriptions.jsonl-empty-symptoms"),
     pytest.param("prescriptions.jsonl", lambda row: row.update(herbs=[]),

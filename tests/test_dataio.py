@@ -1,4 +1,5 @@
 import json
+import re
 from itertools import combinations
 
 import numpy as np
@@ -261,6 +262,53 @@ def test_malformed_herb_row_names_file_line_and_key(tmp_path, line, match):
     (tmp_path / "herbs.jsonl").write_text(line + "\n", encoding="utf-8")
     with pytest.raises(SchemaError, match=match):
         load_corpus(tmp_path)
+
+
+def _corpus_with_name(tmp_path, fname, name):
+    """A saved corpus whose second row of ``fname`` is named ``name``."""
+    sym, herb, _ = generate_synthetic(5, 8, 1, 5, seed=1)
+    save_corpus(tmp_path, sym, herb, [])
+    path = tmp_path / fname
+    lines = path.read_text(encoding="utf-8").splitlines()
+    row = json.loads(lines[1])
+    row["name"] = name
+    lines[1] = json.dumps(row)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize("fname, name", [
+    ("symptoms.jsonl", None),
+    ("herbs.jsonl", None),
+    ("herbs.jsonl", 5),
+    ("symptoms.jsonl", ""),
+    ("herbs.jsonl", ""),
+    ("herbs.jsonl", "herb\tone"),
+    ("herbs.jsonl", "herb\none"),
+    ("symptoms.jsonl", "sym\r"),
+    ("herbs.jsonl", "herb\u2028one"),
+    ("symptoms.jsonl", "a,b"),
+    ("symptoms.jsonl", " cough"),
+    ("symptoms.jsonl", "cough\u3000"),
+], ids=["symptom-null", "herb-null", "herb-number", "symptom-empty", "herb-empty",
+        "herb-tab", "herb-newline", "symptom-carriage-return",
+        "herb-line-separator", "symptom-comma", "symptom-leading-space",
+        "symptom-trailing-ideographic-space"])
+def test_name_the_cli_cannot_round_trip_names_file_and_line(tmp_path, fname, name):
+    _corpus_with_name(tmp_path, fname, name)
+    with pytest.raises(SchemaError, match=rf"{fname}:2: .*'name'.*{re.escape(repr(name))}"):
+        load_corpus(tmp_path)
+
+
+@pytest.mark.parametrize("fname, name", [
+    ("symptoms.jsonl", "dry mouth"),
+    ("symptoms.jsonl", "口渴"),
+    ("herbs.jsonl", "Radix, dried"),
+    ("herbs.jsonl", " 甘草 "),
+])
+def test_name_the_cli_can_round_trip_loads_unchanged(tmp_path, fname, name):
+    _corpus_with_name(tmp_path, fname, name)
+    symptoms, herbs, _ = load_corpus(tmp_path)
+    assert (symptoms if fname == "symptoms.jsonl" else herbs)[1].name == name
 
 
 def test_duplicate_herbs_deduped_keeping_first(tmp_path):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from decode_reference import full_prefix_generate
 
 from fmash.dataio import PrescriptionInstance, generate_synthetic
 from fmash.errors import DataError, NumericError
@@ -231,26 +232,6 @@ def test_non_finite_step_scores_raise():
 # the decoder cache against a full-prefix recomputation
 # ---------------------------------------------------------------------------
 
-def _full_prefix_generate(symptom_ids, params, max_len):
-    """Greedy decoding that reruns the decoder over the whole prefix, from an
-    empty cache, at every step: the reference the cached decode must equal."""
-    vocab = params.vocab
-    tokens = [vocab.bos]
-    with no_grad():
-        memory, mask = encode_batch([symptom_ids], params)
-        while len(tokens) - 1 < max_len:
-            logits = decoder_logits(decoder_cache(memory, mask, params),
-                                    np.asarray([tokens]), params).data[0, -1]
-            shifted = logits - logits.max()
-            logp = shifted - np.log(np.exp(shifted).sum())
-            logp[[vocab.bos, vocab.pad, *tokens[1:]]] = -np.inf
-            tok = int(np.argsort(-logp, kind="stable")[0])
-            if tok == vocab.eos or not np.isfinite(logp[tok]):
-                break
-            tokens.append(tok)
-    return tokens[1:]
-
-
 @pytest.mark.parametrize("eos_bias, max_len", [
     (None, 12),     # the random head's own stops
     (1e3, 5),       # forced EOS: an empty formula
@@ -263,7 +244,7 @@ def test_cached_decode_matches_full_prefix_decode(eos_bias, max_len, seed):
     if eos_bias is not None:
         params.out.bias.data[params.vocab.eos] = eos_bias
     for symptoms in ([0], [1, 4], [5, 2, 3]):
-        expected = _full_prefix_generate(symptoms, params, max_len)
+        expected = full_prefix_generate(symptoms, params, max_len)
         assert generate(symptoms, params, max_len=max_len) == expected
         if eos_bias == 1e3:
             assert expected == []
