@@ -53,11 +53,21 @@ def save_checkpoint(path: str | Path, tensors: dict[str, np.ndarray],
             fh.write(blob)
 
 
-def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], str]:
+def read_checkpoint(path: str | Path) -> bytes:
+    """The bytes of the checkpoint at ``path``, unparsed."""
     path = Path(path)
     if not path.exists():
         raise SchemaError(f"checkpoint not found: {path}")
-    raw = path.read_bytes()
+    return path.read_bytes()
+
+
+def load_checkpoint(path: str | Path, raw: bytes | None = None,
+                    ) -> tuple[dict[str, np.ndarray], str]:
+    """The tensors and config hash of the checkpoint at ``path``, parsed from
+    ``raw`` when the caller has already read its bytes."""
+    path = Path(path)
+    if raw is None:
+        raw = read_checkpoint(path)
     if not raw.startswith(MAGIC):
         raise SchemaError(f"{path}: not a checkpoint file")
     try:

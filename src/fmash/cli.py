@@ -2,6 +2,12 @@
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 ``FMASH_SEED`` in the environment overrides the configured seed.
+
+``recommend`` and ``generate`` read their head's checkpoint on every call.
+Within one process they keep the last head each built, with the checkpoint
+bytes and the config values that shaped its module, and reuse it while both
+compare equal; anything else loads and validates the bytes as a first call
+does.  A fresh process starts with no head built.
 """
 
 from __future__ import annotations
@@ -14,8 +20,9 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, read_checkpoint, save_checkpoint
 from .config import RunConfig, parse_config
 from .dataio import (HERBS_FILE, PRESCRIPTIONS_FILE, SYMPTOMS_FILE, DatasetSplit,
                      build_graph, generate_conflicting_corpus, generate_synthetic,
@@ -261,26 +268,52 @@ def _load_params(params, path: Path, state, name: str, fault: str):
                                 if k.startswith(f"{name}.")})
     except (KeyError, ValueError) as exc:
         raise SchemaError(f"{path}: {fault} ({exc.args[0]})") from exc
-    return params
 
 
-def _load_head(cfg: RunConfig, head: str, n_sym: int, n_herb: int):
-    """The unified table and the ``head`` parameters saved by ``train-<head>``,
-    built as the current config expects without an initialization draw; exit
-    2 unless the table covers the corpus vocabulary."""
-    path = Path(cfg.paths.workdir) / f"{head}.ckpt"
-    state, _ = load_checkpoint(path)
-    emb = _unified_table(path, state, f"train-{head}")
+class _LoadedHead(NamedTuple):
+    raw: bytes             # the checkpoint bytes it was built from
+    shape: tuple           # the config values its module was built with
+    emb: UnifiedEmbedding
+    params: Module
+
+
+# The last head each of ``rs``/``seq`` built in this process.  Serving never
+# writes to a head, so one entry serves any number of calls.
+_HEAD_MEMO: dict[str, _LoadedHead] = {}
+
+
+def _check_vocabulary(cfg: RunConfig, head: str, path: Path, emb: UnifiedEmbedding,
+                      n_sym: int, n_herb: int) -> None:
+    """Exit 2 unless the head's unified table covers the corpus vocabulary."""
     if (emb.n_sym, emb.n_herb) != (n_sym, n_herb):
         raise SchemaError(f"{path} was trained on {emb.n_sym} symptoms and "
                           f"{emb.n_herb} herbs, but {cfg.paths.corpus} has "
                           f"{n_sym} symptoms and {n_herb} herbs; "
                           f"rerun `fmash prepare` and `fmash train-{head}`")
+
+
+def _load_head(cfg: RunConfig, head: str, n_sym: int, n_herb: int):
+    """The unified table and the ``head`` parameters saved by ``train-<head>``,
+    built as the current config expects without an initialization draw; exit
+    2 unless the table covers the corpus vocabulary.  Reads the checkpoint
+    on every call, but parses it and builds the head only when its bytes or
+    the config values that shape the head differ from the memo's entry."""
+    path = Path(cfg.paths.workdir) / f"{head}.ckpt"
+    raw = read_checkpoint(path)
+    shape = (cfg.ablation.gelram, cfg.dims.d_enc) if head == "rs" else ()
+    loaded = _HEAD_MEMO.get(head)
+    if loaded is not None and loaded.raw == raw and loaded.shape == shape:
+        _check_vocabulary(cfg, head, path, loaded.emb, n_sym, n_herb)
+        return loaded.emb, loaded.params
+    state, _ = load_checkpoint(path, raw)
+    emb = _unified_table(path, state, f"train-{head}")
+    _check_vocabulary(cfg, head, path, emb, n_sym, n_herb)
     params = (make_rs_params(emb, None, gelram=cfg.ablation.gelram,
                              d_enc=cfg.dims.d_enc)
               if head == "rs" else Seq2SeqParams(emb, None))
-    return emb, _load_params(params, path, state, head,
-                             "trained with a different head config")
+    _load_params(params, path, state, head, "trained with a different head config")
+    _HEAD_MEMO[head] = _LoadedHead(raw, shape, emb, params)
+    return emb, params
 
 
 # ---------------------------------------------------------------------------

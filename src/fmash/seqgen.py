@@ -210,18 +210,17 @@ def train_seq(instances, emb: UnifiedEmbedding, *, epochs: int = 300,
 # generation
 # ---------------------------------------------------------------------------
 
-def _masked_step_logprobs(cache: DecoderCache, token: int, herbs: list[int],
-                          params: Seq2SeqParams) -> np.ndarray:
-    """Log-probabilities of the token after ``token``, which follows the
-    cached prefix; BOS, PAD and the emitted ``herbs`` get ``-inf``."""
+def _masked_step_logits(cache: DecoderCache, token: int, herbs: list[int],
+                        params: Seq2SeqParams) -> np.ndarray:
+    """Logits of the token after ``token``, which follows the cached prefix;
+    BOS, PAD and the emitted ``herbs`` get ``-inf``.  Greedy decoding only
+    takes their argmax, which a log-softmax would not move."""
     vocab = params.vocab
     logits = decoder_logits(cache, np.asarray([[token]], dtype=np.intp), params).data[0, -1]
     if not np.isfinite(logits).all():
         raise NumericError(f"non-finite sequence scores at decoding step {cache.length}")
-    shifted = logits - logits.max()
-    logp = shifted - np.log(np.exp(shifted).sum())
-    logp[[vocab.bos, vocab.pad, *herbs]] = -np.inf
-    return logp
+    logits[[vocab.bos, vocab.pad, *herbs]] = -np.inf
+    return logits
 
 
 def generate(symptom_ids, params: Seq2SeqParams, max_len: int) -> list[int]:
@@ -242,9 +241,9 @@ def generate(symptom_ids, params: Seq2SeqParams, max_len: int) -> list[int]:
         memory, memory_mask = encode_batch([symptom_ids], params)
         cache = decoder_cache(memory, memory_mask, params)
         while len(herbs) < max_len:
-            logp = _masked_step_logprobs(cache, tok, herbs, params)
-            tok = int(np.argmax(logp))
-            if tok == vocab.eos or not np.isfinite(logp[tok]):
+            logits = _masked_step_logits(cache, tok, herbs, params)
+            tok = int(np.argmax(logits))
+            if tok == vocab.eos or not np.isfinite(logits[tok]):
                 break
             herbs.append(tok)
     return herbs

@@ -1,5 +1,7 @@
 import ast
+import contextlib
 import importlib
+import io
 import json
 import os
 import re
@@ -12,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fmash
 from fmash import cli, dataio, mlfie, pipeline
@@ -677,21 +681,23 @@ def test_checkpoint_missing_a_tensor_exits_two(trained_env, tmp_path, capsys,
     ("seq.ckpt", "seq.out.bias", ["generate", "--symptoms", "sym-001"]),
 ], ids=["rs", "seq"])
 def test_non_finite_head_scores_exit_three(trained_env, capsys, fname, tensor, argv):
+    """On every call: the second one serves the head the first one built."""
     root, cfg_path, _ = trained_env
     path = root / "work" / fname
     raw = path.read_bytes()
     state, key = load_checkpoint(path)
     state[tensor] = np.full_like(state[tensor], np.nan)
     save_checkpoint(path, state, key)
-    capsys.readouterr()
     try:
-        code = execute_command(argv + ["--config", str(cfg_path)])
+        for _ in range(2):
+            capsys.readouterr()
+            code = execute_command(argv + ["--config", str(cfg_path)])
+            captured = capsys.readouterr()
+            assert code == 3
+            assert captured.out == ""
+            assert "non-finite" in captured.err and "Traceback" not in captured.err
     finally:
         path.write_bytes(raw)
-    captured = capsys.readouterr()
-    assert code == 3
-    assert captured.out == ""
-    assert "non-finite" in captured.err and "Traceback" not in captured.err
 
 
 class _NoDrawGenerator(np.random.Generator):
@@ -751,14 +757,19 @@ def test_serving_another_vocabulary_exits_two(run_env, capsys, n_sym, n_herb):
     other_path.write_text(json.dumps(other))
     for head, argv in (("rs", ["recommend", "--symptoms", "sym-001", "--k", "2"]),
                        ("seq", ["generate", "--symptoms", "sym-001"])):
-        capsys.readouterr()
-        assert execute_command(argv + ["--config", str(other_path)]) == 2
-        err = capsys.readouterr().err
-        assert "Traceback" not in err
-        assert str(tmp_path / "work" / f"{head}.ckpt") in err
-        assert str(other_corpus) in err
-        assert "12 symptoms and 12 herbs" in err
-        assert f"{n_sym} symptoms and {n_herb} herbs" in err
+        # the first call loads the head; the last serves the head that the
+        # call with the prepared corpus built
+        for config, code in ((other_path, 2), (cfg_path, 0), (other_path, 2)):
+            capsys.readouterr()
+            assert execute_command(argv + ["--config", str(config)]) == code
+            err = capsys.readouterr().err
+            if code == 0:
+                continue
+            assert "Traceback" not in err
+            assert str(tmp_path / "work" / f"{head}.ckpt") in err
+            assert str(other_corpus) in err
+            assert "12 symptoms and 12 herbs" in err
+            assert f"{n_sym} symptoms and {n_herb} herbs" in err
 
 
 def _test_queries(root):
@@ -850,6 +861,180 @@ def test_serving_with_another_property_width_exits_two(trained_env, tmp_path, ca
         assert execute_command(argv + ["--config", str(other_path)]) == 2
         err = capsys.readouterr().err
         assert "herbs.jsonl:1" in err and "expected 22" in err
+
+
+_HEAD_ARGV = {"rs": ["recommend", "--symptoms", "sym-001,sym-003", "--k", "5"],
+              "seq": ["generate", "--symptoms", "sym-001,sym-003"]}
+
+
+def _run(argv, cfg_path):
+    """Exit code, stdout and stderr of one in-process command."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = execute_command(argv + ["--config", str(cfg_path)])
+    return code, out.getvalue(), err.getvalue()
+
+
+def _overwrite(path, raw):
+    """Write ``raw`` over ``path`` in place: same file, no new inode."""
+    with open(path, "r+b") as fh:
+        fh.write(raw)
+        fh.truncate()
+
+
+class _NoMemo(dict):
+    """A head memo that keeps nothing, so every call loads its checkpoint."""
+    def __setitem__(self, key, value):
+        pass
+
+
+@pytest.mark.parametrize("head", ["rs", "seq"])
+def test_head_memo_serves_a_checkpoint_rewritten_in_place(trained_env, tmp_path,
+                                                          monkeypatch, head):
+    """A rewrite of the same length between two calls is served from the
+    new bytes, exactly as a first load of them."""
+    root, cfg_path, _ = trained_env
+    path = root / "work" / f"{head}.ckpt"
+    raw = path.read_bytes()
+    argv = _HEAD_ARGV[head]
+    code, before, _ = _run(argv, cfg_path)
+    assert code == 0
+    _, herbs, _ = load_corpus(root / "corpus")
+    # a herb the first output line does not name, which the edit puts first
+    lifted = next(h for h in herbs if h.name not in before.splitlines()[0])
+    state, key = load_checkpoint(path)
+    state[f"{head}.out.bias"][lifted.id] = 100.0
+    save_checkpoint(tmp_path / "edited.ckpt", state, key)
+    edited = (tmp_path / "edited.ckpt").read_bytes()
+    assert len(edited) == len(raw) and edited != raw
+    try:
+        _overwrite(path, edited)
+        code, after, _ = _run(argv, cfg_path)
+        monkeypatch.setattr(cli, "_HEAD_MEMO", _NoMemo())
+        first_load = _run(argv, cfg_path)
+    finally:
+        _overwrite(path, raw)
+    assert code == 0
+    assert lifted.name in after.splitlines()[0]
+    assert (code, after) == first_load[:2]
+
+
+@pytest.mark.parametrize("head", ["rs", "seq"])
+def test_head_memo_truncated_checkpoint_after_a_hit_exits_two(trained_env, head):
+    root, cfg_path, _ = trained_env
+    path = root / "work" / f"{head}.ckpt"
+    raw = path.read_bytes()
+    argv = _HEAD_ARGV[head]
+    code, served, _ = _run(argv, cfg_path)
+    assert code == 0
+    try:
+        for cut in (len(raw) - 9, 40, 12):
+            with open(path, "r+b") as fh:
+                fh.truncate(cut)
+            code, out, err = _run(argv, cfg_path)
+            assert (code, out) == (2, "")
+            assert str(path) in err and "truncated or corrupt" in err
+    finally:
+        _overwrite(path, raw)
+    assert _run(argv, cfg_path)[:2] == (0, served)
+
+
+@pytest.mark.parametrize("section, change", [
+    ("ablation", {"gelram": False}),
+    ("dims", {"d_enc": 16}),
+])
+def test_head_memo_other_head_config_after_a_hit_exits_two(trained_env, tmp_path,
+                                                           section, change):
+    root, cfg_path, cfg = trained_env
+    other = json.loads(json.dumps(cfg))
+    other.setdefault(section, {}).update(change)
+    other_path = tmp_path / "other.json"
+    other_path.write_text(json.dumps(other))
+    argv = _HEAD_ARGV["rs"]
+    code, served, _ = _run(argv, cfg_path)
+    assert code == 0
+    code, out, err = _run(argv, other_path)
+    assert (code, out) == (2, "")
+    assert "rs.ckpt" in err and "different head config" in err
+    assert _run(argv, cfg_path)[:2] == (0, served)
+
+
+def test_head_memo_hit_parses_no_checkpoint_and_builds_no_head(trained_env, capsys,
+                                                              monkeypatch):
+    root, cfg_path, _ = trained_env
+    queries = _test_queries(root)
+    calls = dict.fromkeys(("load_checkpoint", "make_rs_params", "Seq2SeqParams"), 0)
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+    served = _serve(cfg_path, capsys, *queries)
+    assert calls == {"load_checkpoint": 2, "make_rs_params": 1, "Seq2SeqParams": 1}
+    monkeypatch.setattr(cli, "_HEAD_MEMO", _NoMemo())
+    assert _serve(cfg_path, capsys, *queries) == served
+    n = len(queries[0])
+    assert calls == {"load_checkpoint": 2 + 2 * n, "make_rs_params": 1 + n,
+                     "Seq2SeqParams": 1 + n}
+
+
+_EDITS = st.lists(st.tuples(
+    st.sampled_from(["rs", "seq"]),
+    st.sampled_from(["flip", "cut", "restore"]),
+    st.sampled_from(["prefix", "header", "blobs"]),
+    st.floats(0.0, 1.0, exclude_max=True),
+    st.integers(1, 255)), min_size=1, max_size=4)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(edits=_EDITS)
+def test_mutated_head_checkpoints_serve_as_a_first_load(trained_env, edits):
+    """Flip or cut bytes of ``rs.ckpt``/``seq.ckpt`` between in-process calls
+    (each edit on the file as the last one left it): every call exits 0, 2
+    or 3, an exit 2 names its checkpoint, and each exit code and stdout is
+    that of the same call with no head built."""
+    root, cfg_path, _ = trained_env
+    paths = {head: root / "work" / f"{head}.ckpt" for head in _HEAD_ARGV}
+    originals = {head: path.read_bytes() for head, path in paths.items()}
+    regions = {}
+    for head, raw in originals.items():
+        start = len(MAGIC) + 8
+        blobs = start + struct.unpack_from("<Q", raw, len(MAGIC))[0]
+        regions[head] = {"prefix": (0, start), "header": (start, blobs),
+                         "blobs": (blobs, len(raw))}
+    cli._HEAD_MEMO.clear()
+    try:
+        for argv in _HEAD_ARGV.values():
+            assert _run(argv, cfg_path)[0] == 0
+        for head, kind, region, where, mask in edits:
+            raw = bytearray(paths[head].read_bytes())
+            lo, hi = regions[head][region]
+            at = lo + int(where * (hi - lo))
+            if kind == "restore":
+                raw = originals[head]
+            elif kind == "cut":
+                raw = raw[:at]
+            elif at < len(raw):
+                raw[at] ^= mask
+            _overwrite(paths[head], bytes(raw))
+            for served, argv in _HEAD_ARGV.items():
+                code, out, err = _run(argv, cfg_path)
+                kept = dict(cli._HEAD_MEMO)
+                cli._HEAD_MEMO.clear()
+                first_load = _run(argv, cfg_path)
+                cli._HEAD_MEMO.update(kept)
+                assert code in (0, 2, 3), err
+                if code == 2:
+                    assert str(paths[served]) in err
+                assert (code, out) == first_load[:2]
+    finally:
+        for head, path in paths.items():
+            _overwrite(path, originals[head])
 
 
 def test_checkpoint_without_unified_table_exits_two(run_env, capsys):
