@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# End-to-end command-line run: synthesize a corpus; prepare the splits, the
-# graph and phase 1 (saved as splits.json, vocab.json, phase1.ckpt and
-# unified.csv); export the VAE imputations phase 1 used; train both heads on
-# that one phase-1 result; query them, reading the names from vocab.json; and
-# evaluate the exports.
+# End-to-end command-line run, each command its own `fmash` process:
+# synthesize a corpus; prepare the splits, the graph and phase 1 (saved as
+# splits.json, phase1.ckpt and unified.csv); export the VAE imputations phase 1
+# used; train both heads on that one phase-1 result; query them, reading the
+# names from the corpus; and evaluate the exports.
 set -euo pipefail
 
 WORK=$(mktemp -d)

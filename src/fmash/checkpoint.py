@@ -53,21 +53,15 @@ def save_checkpoint(path: str | Path, tensors: dict[str, np.ndarray],
             fh.write(blob)
 
 
-def read_checkpoint(path: str | Path) -> bytes:
-    """The bytes of the checkpoint at ``path``, unparsed."""
-    path = Path(path)
-    if not path.exists():
-        raise SchemaError(f"checkpoint not found: {path}")
-    return path.read_bytes()
-
-
 def load_checkpoint(path: str | Path, raw: bytes | None = None,
                     ) -> tuple[dict[str, np.ndarray], str]:
     """The tensors and config hash of the checkpoint at ``path``, parsed from
     ``raw`` when the caller has already read its bytes."""
     path = Path(path)
     if raw is None:
-        raw = read_checkpoint(path)
+        if not path.exists():
+            raise SchemaError(f"checkpoint not found: {path}")
+        raw = path.read_bytes()
     if not raw.startswith(MAGIC):
         raise SchemaError(f"{path}: not a checkpoint file")
     try:
@@ -94,7 +88,8 @@ def load_checkpoint(path: str | Path, raw: bytes | None = None,
                                           offset=base + rec["offset"]
                                           ).reshape(rec["shape"]).copy()
         return tensors, header.get("config_hash", "")
-    except (struct.error, ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (struct.error, ValueError, KeyError, TypeError, AttributeError,
+            OverflowError) as exc:
         # a cut or damaged file fails in the header length, the header
-        # JSON or a tensor blob
+        # JSON or a tensor blob; a length or offset past any index overflows
         raise SchemaError(f"{path}: truncated or corrupt checkpoint ({exc})") from exc

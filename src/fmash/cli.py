@@ -3,11 +3,12 @@
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 ``FMASH_SEED`` in the environment overrides the configured seed.
 
-``recommend`` and ``generate`` read their head's checkpoint on every call.
-Within one process they keep the last head each built, with the checkpoint
-bytes and the config values that shaped its module, and reuse it while both
-compare equal; anything else loads and validates the bytes as a first call
-does.  A fresh process starts with no head built.
+``recommend`` and ``generate`` read the corpus symptom and herb files and
+their head's checkpoint on every call.  Within one process they keep, per
+head, the names and the head the last load built, keyed by the exact bytes
+of those three files and the config values that shaped the load, and reuse
+them while the key compares equal; anything else loads and validates the
+files as a first call does.  A fresh process starts with nothing loaded.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import sys
 from pathlib import Path
 from typing import NamedTuple
 
-from .checkpoint import load_checkpoint, read_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, parse_config
 from .dataio import (HERBS_FILE, PRESCRIPTIONS_FILE, SYMPTOMS_FILE, DatasetSplit,
                      build_graph, generate_conflicting_corpus, generate_synthetic,
@@ -30,8 +31,8 @@ from .dataio import (HERBS_FILE, PRESCRIPTIONS_FILE, SYMPTOMS_FILE, DatasetSplit
                      split_dataset)
 from .errors import ConfigError, DataError, FmashError, NumericError, SchemaError
 from .evalkit import evaluate_run
-from .mlfie import MlfieParams, impute_missing
-from .nn import Module
+from .mlfie import VaeParams, impute_missing
+from .nn import Module, ShapesOnly
 from .pipeline import phase1_key, phase1_state, run_phase1
 from .recsys import make_rs_params, recommend, train_rs
 from .recsys import export_predictions as export_rs_predictions
@@ -46,10 +47,6 @@ EXIT_NUMERIC = 3
 
 SPLITS_FILE = "splits.json"
 PHASE1_FILE = "phase1.ckpt"
-VOCAB_FILE = "vocab.json"
-# Bumped whenever ``load_vocab`` accepts or rejects other bytes, so a memo
-# written by an older ``prepare`` falls back to validating the corpus again.
-_VOCAB_FORMAT = 1
 
 
 class UsageError(Exception):
@@ -144,7 +141,7 @@ def _load_splits(cfg: RunConfig) -> DatasetSplit:
     if not isinstance(obj, dict):
         raise SchemaError(f"{path}: expected a JSON object, got {type(obj).__name__}")
     by_id = {p.instance_id: p for p in prescriptions}
-    parts = {}
+    parts, listed_in = {}, {}
     for part in ("train", "valid", "test"):
         ids = obj.get(part)
         if not isinstance(ids, list):
@@ -154,6 +151,11 @@ def _load_splits(cfg: RunConfig) -> DatasetSplit:
         if unknown:
             raise SchemaError(f"{path}: {part!r} references unknown instance "
                               f"{unknown[0]!r}")
+        for i in ids:
+            if i in listed_in:
+                raise SchemaError(f"{path}: {part!r} repeats instance {i}, "
+                                  f"already listed in {listed_in[i]!r}")
+            listed_in[i] = part
         parts[part] = [by_id[i] for i in ids]
     seed = obj.get("seed")
     if type(seed) is not int:
@@ -194,54 +196,14 @@ def _unified_table(path: Path, state, writer: str) -> UnifiedEmbedding:
     return UnifiedEmbedding(matrix=matrix, n_sym=int(n_sym))
 
 
-def _file_digest(path: Path) -> bytes:
-    """The digest every artifact key takes of an input file's bytes."""
-    return hashlib.blake2b(path.read_bytes()).digest()
-
-
 def _phase1_inputs_key(cfg: RunConfig) -> str:
     """``phase1_key`` plus a digest of the other phase-1 inputs: the corpus
     files and ``splits.json``."""
     corpus, digest = Path(cfg.paths.corpus), hashlib.blake2b(digest_size=16)
     for path in (corpus / SYMPTOMS_FILE, corpus / HERBS_FILE,
                  corpus / PRESCRIPTIONS_FILE, Path(cfg.paths.workdir) / SPLITS_FILE):
-        digest.update(_file_digest(path))
+        digest.update(hashlib.blake2b(path.read_bytes()).digest())
     return f"{phase1_key(cfg)}-{digest.hexdigest()}"
-
-
-def _vocab_key(cfg: RunConfig, names: list[list[str]]) -> str:
-    """A digest of the memo's names and of every input ``load_vocab`` reads:
-    the symptom and herb files and ``dims.p``, plus the memo format."""
-    corpus = Path(cfg.paths.corpus)
-    digest = hashlib.blake2b(f"{_VOCAB_FORMAT}:{cfg.dims.p}:{json.dumps(names)}"
-                             .encode(), digest_size=16)
-    for path in (corpus / SYMPTOMS_FILE, corpus / HERBS_FILE):
-        digest.update(_file_digest(path))
-    return digest.hexdigest()
-
-
-def _save_vocab(cfg: RunConfig, symptoms, herbs) -> None:
-    """Write ``vocab.json``: the names ``load_vocab`` just validated, in id
-    order, with the key that vouches for them and their inputs."""
-    names = [[r.name for r in symptoms], [r.name for r in herbs]]
-    memo = {"key": _vocab_key(cfg, names), "names": names}
-    (Path(cfg.paths.workdir) / VOCAB_FILE).write_text(json.dumps(memo) + "\n",
-                                                    encoding="utf-8")
-
-
-def _vocab_names(cfg: RunConfig) -> tuple[list[str], list[str]]:
-    """Symptom and herb names in id order: from ``vocab.json`` when its key
-    matches its names and the current inputs, otherwise from ``load_vocab``,
-    which validates the corpus files with its own errors."""
-    try:
-        memo = json.loads((Path(cfg.paths.workdir) / VOCAB_FILE).read_bytes())
-        if memo["key"] == _vocab_key(cfg, memo["names"]):
-            symptom_names, herb_names = memo["names"]
-            return symptom_names, herb_names
-    except (OSError, ValueError, LookupError, TypeError):
-        pass    # no usable memo: read the corpus as if there were none
-    symptoms, herbs = load_vocab(cfg.paths.corpus, expected_p=cfg.dims.p)
-    return [r.name for r in symptoms], [r.name for r in herbs]
 
 
 def _load_phase1(cfg: RunConfig):
@@ -260,7 +222,8 @@ def _load_phase1(cfg: RunConfig):
 
 def _load_params(params, path: Path, state, name: str, fault: str):
     """Load ``path``'s ``<name>.*`` tensors into ``params``; exit 2 on a
-    mismatch, naming each tensor as the file stores it."""
+    mismatch, naming each tensor as the file stores it.  ``name`` may be a
+    dotted prefix such as ``mlfie.vae``."""
     stored = Module()
     setattr(stored, name, params)
     try:
@@ -270,50 +233,62 @@ def _load_params(params, path: Path, state, name: str, fault: str):
         raise SchemaError(f"{path}: {fault} ({exc.args[0]})") from exc
 
 
-class _LoadedHead(NamedTuple):
-    raw: bytes             # the checkpoint bytes it was built from
-    shape: tuple           # the config values its module was built with
+class _Served(NamedTuple):
+    key: tuple             # the input bytes and config values it was loaded from
+    symptoms: list[str]    # symptom names in id order
+    herbs: list[str]       # herb names in id order
     emb: UnifiedEmbedding
     params: Module
 
 
-# The last head each of ``rs``/``seq`` built in this process.  Serving never
-# writes to a head, so one entry serves any number of calls.
-_HEAD_MEMO: dict[str, _LoadedHead] = {}
+# The last names and head each of ``rs``/``seq`` loaded in this process.
+# Serving never writes to them, so one entry serves any number of calls.
+_HEAD_MEMO: dict[str, _Served] = {}
 
 
-def _check_vocabulary(cfg: RunConfig, head: str, path: Path, emb: UnifiedEmbedding,
-                      n_sym: int, n_herb: int) -> None:
-    """Exit 2 unless the head's unified table covers the corpus vocabulary."""
-    if (emb.n_sym, emb.n_herb) != (n_sym, n_herb):
-        raise SchemaError(f"{path} was trained on {emb.n_sym} symptoms and "
-                          f"{emb.n_herb} herbs, but {cfg.paths.corpus} has "
-                          f"{n_sym} symptoms and {n_herb} herbs; "
-                          f"rerun `fmash prepare` and `fmash train-{head}`")
+def _read_or_none(path: Path) -> bytes | None:
+    """The bytes of ``path``, or ``None`` if it cannot be read; the load that
+    follows a ``None`` reports the file with its own message."""
+    try:
+        return path.read_bytes()
+    except OSError:
+        return None
 
 
-def _load_head(cfg: RunConfig, head: str, n_sym: int, n_herb: int):
-    """The unified table and the ``head`` parameters saved by ``train-<head>``,
-    built as the current config expects without an initialization draw; exit
-    2 unless the table covers the corpus vocabulary.  Reads the checkpoint
-    on every call, but parses it and builds the head only when its bytes or
-    the config values that shape the head differ from the memo's entry."""
-    path = Path(cfg.paths.workdir) / f"{head}.ckpt"
-    raw = read_checkpoint(path)
-    shape = (cfg.ablation.gelram, cfg.dims.d_enc) if head == "rs" else ()
-    loaded = _HEAD_MEMO.get(head)
-    if loaded is not None and loaded.raw == raw and loaded.shape == shape:
-        _check_vocabulary(cfg, head, path, loaded.emb, n_sym, n_herb)
-        return loaded.emb, loaded.params
+def _serve(cfg: RunConfig, head: str) -> _Served:
+    """The corpus names and the unified table and ``head`` parameters saved by
+    ``train-<head>``, built as the current config expects without an
+    initialization draw; exit 2 unless the table covers the corpus
+    vocabulary.  Reads the symptom, herb and checkpoint files on every call,
+    but validates them and builds the head only when their bytes or the
+    config values that shape the load differ from the memo's entry."""
+    corpus, path = Path(cfg.paths.corpus), Path(cfg.paths.workdir) / f"{head}.ckpt"
+    raw = _read_or_none(path)
+    # read before the load: a file changed during the load makes the next
+    # call's key differ from this one, so that call loads again
+    key = (_read_or_none(corpus / SYMPTOMS_FILE), _read_or_none(corpus / HERBS_FILE),
+           raw, cfg.dims.p) + ((cfg.ablation.gelram, cfg.dims.d_enc)
+                               if head == "rs" else ())
+    served = _HEAD_MEMO.get(head)
+    if served is not None and served.key == key:
+        return served
+    symptoms, herbs = load_vocab(corpus, expected_p=cfg.dims.p)
     state, _ = load_checkpoint(path, raw)
     emb = _unified_table(path, state, f"train-{head}")
-    _check_vocabulary(cfg, head, path, emb, n_sym, n_herb)
+    if (emb.n_sym, emb.n_herb) != (len(symptoms), len(herbs)):
+        raise SchemaError(f"{path} was trained on {emb.n_sym} symptoms and "
+                          f"{emb.n_herb} herbs, but {cfg.paths.corpus} has "
+                          f"{len(symptoms)} symptoms and {len(herbs)} herbs; "
+                          f"rerun `fmash prepare` and `fmash train-{head}`")
     params = (make_rs_params(emb, None, gelram=cfg.ablation.gelram,
                              d_enc=cfg.dims.d_enc)
               if head == "rs" else Seq2SeqParams(emb, None))
     _load_params(params, path, state, head, "trained with a different head config")
-    _HEAD_MEMO[head] = _LoadedHead(raw, shape, emb, params)
-    return emb, params
+    served = _Served(key, [r.name for r in symptoms], [r.name for r in herbs],
+                     emb, params)
+    if None not in key:    # a file that could not be read keys no entry
+        _HEAD_MEMO[head] = served
+    return served
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +324,6 @@ def _cmd_prepare(args) -> int:
                "test": [p.instance_id for p in split.test]}
     (wd / SPLITS_FILE).write_text(json.dumps(payload, sort_keys=True) + "\n",
                                   encoding="utf-8")
-    _save_vocab(cfg, symptoms, herbs)
     print(f"vocab: {len(symptoms)} symptoms, {len(herbs)} herbs")
     print(f"splits: {len(split.train)}/{len(split.valid)}/{len(split.test)}")
     print(f"graph edges: ss={len(graph.edges_ss)} hh={len(graph.edges_hh)} "
@@ -360,8 +334,7 @@ def _cmd_prepare(args) -> int:
     for name, losses in phase1.histories.items():
         trend = f", loss {losses[0]:.4g} -> {losses[-1]:.4g}" if losses else ""
         print(f"phase 1 {name}: {len(losses)} epochs{trend}")
-    print(f"artifacts: {wd / SPLITS_FILE}, {wd / VOCAB_FILE}, {wd / PHASE1_FILE}, "
-          f"{wd / 'unified.csv'}")
+    print(f"artifacts: {wd / SPLITS_FILE}, {wd / PHASE1_FILE}, {wd / 'unified.csv'}")
     return EXIT_OK
 
 
@@ -405,12 +378,12 @@ def _cmd_impute_mol(args) -> int:
                         f"molecular stage to impute with")
     state, _ = _load_phase1(cfg)
     d = cfg.dims
-    mlfie = MlfieParams(len(herbs), d.p, d.d_m, d.d_k, d.d_z, None)
-    _load_params(mlfie, Path(cfg.paths.workdir) / PHASE1_FILE, state, "mlfie",
+    vae = VaeParams(d.p, d.d_m, d.d_z, ShapesOnly())
+    _load_params(vae, Path(cfg.paths.workdir) / PHASE1_FILE, state, "mlfie.vae",
                  "its molecular stage does not match the config")
-    imputed = impute_missing([h.properties for h in missing], mlfie.vae)
+    imputed = impute_missing([h.properties for h in missing], vae)
     table = {h.id: row for h, row in zip(missing, imputed)}
-    save_molecular_table(args.out, table, d_m=cfg.dims.d_m)
+    save_molecular_table(args.out, table, d_m=d.d_m)
     print(f"imputed {len(table)} herbs -> {args.out}")
     return EXIT_OK
 
@@ -419,27 +392,25 @@ def _cmd_recommend(args) -> int:
     if args.k < 1:
         raise UsageError(f"--k must be >= 1, got {args.k}")
     cfg = _load_config(args.config)
-    symptoms, herbs = _vocab_names(cfg)
-    emb, params = _load_head(cfg, "rs", len(symptoms), len(herbs))
-    if args.k > emb.n_herb:
-        raise UsageError(f"--k exceeds the herb vocabulary ({emb.n_herb})")
-    ids = _resolve_symptom_names(args.symptoms, symptoms)
-    for rank, (herb_id, score) in enumerate(recommend(ids, args.k, params, emb),
-                                            start=1):
-        print(f"{rank}\t{herbs[herb_id]}\t{score:.4f}")
+    served = _serve(cfg, "rs")
+    if args.k > served.emb.n_herb:
+        raise UsageError(f"--k exceeds the herb vocabulary ({served.emb.n_herb})")
+    ids = _resolve_symptom_names(args.symptoms, served.symptoms)
+    for rank, (herb_id, score) in enumerate(
+            recommend(ids, args.k, served.params, served.emb), start=1):
+        print(f"{rank}\t{served.herbs[herb_id]}\t{score:.4f}")
     return EXIT_OK
 
 
 def _cmd_generate(args) -> int:
     cfg = _load_config(args.config)
-    symptoms, herbs = _vocab_names(cfg)
-    _, params = _load_head(cfg, "seq", len(symptoms), len(herbs))
-    ids = _resolve_symptom_names(args.symptoms, symptoms)
-    formula = generate(ids, params, max_len=cfg.train.seq_max_len)
+    served = _serve(cfg, "seq")
+    ids = _resolve_symptom_names(args.symptoms, served.symptoms)
+    formula = generate(ids, served.params, max_len=cfg.train.seq_max_len)
     if not formula:
         print("(empty formula)")
     for herb_id in formula:
-        print(herbs[herb_id])
+        print(served.herbs[herb_id])
     return EXIT_OK
 
 

@@ -138,19 +138,22 @@ def _edge_array(pairs: Iterable[tuple[int, int]]) -> np.ndarray:
 def _read_jsonl(path: Path) -> list[tuple[str, dict]]:
     """Rows of a JSONL file, each with its ``path:line`` for error messages."""
     rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"{where}: invalid JSON ({exc})") from exc
-            if not isinstance(row, dict):
-                raise SchemaError(f"{where}: expected a JSON object")
-            rows.append((where, row))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                where = f"{path}:{lineno}"
+                try:
+                    row = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise SchemaError(f"{where}: invalid JSON ({exc})") from exc
+                if not isinstance(row, dict):
+                    raise SchemaError(f"{where}: expected a JSON object")
+                rows.append((where, row))
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text ({exc})") from exc
     return rows
 
 
@@ -229,8 +232,8 @@ def load_vocab(corpus_dir: str | Path, expected_p: int | None = None,
             text_embedding=None if emb is None
             else _finite_vector(emb, "text_embedding", where)))
     symptoms.sort(key=lambda r: r.id)
-    _check_dense_ids([r.id for r in symptoms], "symptom")
-    _check_unique_names([r.name for r in symptoms], "symptom")
+    _check_dense_ids([r.id for r in symptoms], "symptom", symptom_path)
+    _check_unique_names([r.name for r in symptoms], "symptom", symptom_path)
 
     herbs: list[HerbRecord] = []
     p_dim = expected_p
@@ -252,8 +255,8 @@ def load_vocab(corpus_dir: str | Path, expected_p: int | None = None,
         herbs.append(HerbRecord(id=herb_id, name=name, properties=props,
                                 molecules=molecules))
     herbs.sort(key=lambda r: r.id)
-    _check_dense_ids([r.id for r in herbs], "herb")
-    _check_unique_names([r.name for r in herbs], "herb")
+    _check_dense_ids([r.id for r in herbs], "herb", herb_path)
+    _check_unique_names([r.name for r in herbs], "herb", herb_path)
     return symptoms, herbs
 
 
@@ -286,15 +289,15 @@ def load_corpus(corpus_dir: str | Path, expected_p: int | None = None,
     return symptoms, herbs, prescriptions
 
 
-def _check_dense_ids(ids: list[int], kind: str) -> None:
+def _check_dense_ids(ids: list[int], kind: str, path: Path) -> None:
     if ids != list(range(len(ids))):
-        raise SchemaError(f"{kind} ids must be dense 0..{len(ids) - 1}")
+        raise SchemaError(f"{path}: {kind} ids must be dense 0..{len(ids) - 1}")
 
 
-def _check_unique_names(names: list[str], kind: str) -> None:
+def _check_unique_names(names: list[str], kind: str, path: Path) -> None:
     dupes = [n for n, c in Counter(names).items() if c > 1]
     if dupes:
-        raise SchemaError(f"duplicate {kind} names: {dupes[:5]}")
+        raise SchemaError(f"{path}: duplicate {kind} names: {dupes[:5]}")
 
 
 def save_corpus(corpus_dir: str | Path, symptoms: Sequence[SymptomRecord],

@@ -39,13 +39,7 @@ PATH_KEYS = ("paths.corpus", "paths.workdir")
 @dataclass
 class Phase1Result:
     unified: UnifiedEmbedding
-    init_features: np.ndarray
-    hgre_params: HgreParams | None
     mlfie_params: MlfieParams | None
-    text_table: np.ndarray
-    fr_sym: AutoencoderParams
-    fr_herb: AutoencoderParams
-    herb_reprs: np.ndarray | None
     fr_final_mse: dict[str, float]
     histories: dict[str, list[float]]
 
@@ -67,7 +61,6 @@ def run_phase1(symptoms: list[SymptomRecord], herbs: list[HerbRecord],
     init = stage_rng(seed, "init_features").normal(
         size=(n_sym + n_herb, d)).astype(np.float32)
 
-    hgre_params = None
     if cfg.ablation.hgre:
         hgre_params = HgreParams(d, seed, d_state=cfg.dims.d_state)
         with no_grad():
@@ -89,7 +82,6 @@ def run_phase1(symptoms: list[SymptomRecord], herbs: list[HerbRecord],
     hidden = 128 if cfg.ablation.fr else None
     fr_final: dict[str, float] = {}
     compressed = {}
-    fr_params = {}
     for name, matrix in (("sym", sym_matrix), ("herb", herb_matrix)):
         params = AutoencoderParams(matrix.shape[1],
                                    stage_rng(seed, f"refine.ae.{name}"),
@@ -99,34 +91,25 @@ def run_phase1(symptoms: list[SymptomRecord], herbs: list[HerbRecord],
             matrix, params, epochs=cfg.train.fr_epochs, lr=cfg.train.lr, name=key)
         fr_final[name] = reconstruction_mse(matrix, params)
         compressed[name] = compress(matrix, params)
-        fr_params[name] = params
 
     unified = UnifiedEmbedding(
         matrix=np.concatenate([compressed["sym"], compressed["herb"]], axis=0),
         n_sym=n_sym)
-    return Phase1Result(unified=unified, init_features=init,
-                        hgre_params=hgre_params, mlfie_params=mlfie_params,
-                        text_table=text_table, fr_sym=fr_params["sym"],
-                        fr_herb=fr_params["herb"], herb_reprs=herb_reprs,
+    return Phase1Result(unified=unified, mlfie_params=mlfie_params,
                         fr_final_mse=fr_final, histories=histories)
 
 
 def phase1_state(result: Phase1Result) -> dict[str, np.ndarray]:
-    """Named tensors of every trained/initialized phase-1 component."""
+    """Named tensors of phase 1 that a later command loads: the unified table
+    (``train-rs``, ``train-seq``) and, when the molecular stage ran, its
+    imputation VAE (``impute-mol``)."""
     state: dict[str, np.ndarray] = {
-        "init_features": result.init_features.copy(),
         "unified.matrix": result.unified.matrix.copy(),
         "unified.n_sym": np.asarray(result.unified.n_sym, dtype=np.float32),
     }
-    if result.hgre_params is not None:
-        state.update({f"hgre.{k}": v for k, v in
-                      result.hgre_params.state_dict().items()})
     if result.mlfie_params is not None:
-        state.update({f"mlfie.{k}": v for k, v in
-                      result.mlfie_params.state_dict().items()})
-    state["refine.text.table.weight"] = result.text_table.copy()
-    state.update({f"refine.sym.{k}": v for k, v in result.fr_sym.state_dict().items()})
-    state.update({f"refine.herb.{k}": v for k, v in result.fr_herb.state_dict().items()})
+        state.update({f"mlfie.vae.{k}": v for k, v in
+                      result.mlfie_params.vae.state_dict().items()})
     return state
 
 

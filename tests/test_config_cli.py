@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fmash
-from fmash import cli, dataio, mlfie, pipeline
+from fmash import cli, mlfie, pipeline
 from fmash.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from fmash.cli import execute_command
 from fmash.config import (RunConfig, config_from_dict, config_hash, parse_config,
@@ -30,6 +30,7 @@ from fmash.pipeline import (HEAD_ONLY_KEYS, PATH_KEYS, phase1_key, phase1_state,
                             run_phase1)
 from fmash.recsys import train_rs
 from fmash.seqgen import MAX_POSITIONS
+from phase1_calls import PHASE1_STAGES, initial_features, record_calls
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -133,17 +134,28 @@ def test_demos_import_only_names_that_exist():
             assert missing == [], f"{path.name}: {node.module} has no {missing}"
 
 
-# demos 05 and 06 take 4 s and 29 s; the import check above covers them
+# demos 05 and 06 take 4 s and 29 s; the import check above covers them.  The
+# shell demo runs every command as its own ``fmash`` process: the one check
+# that a fresh process serves end to end.
 @pytest.mark.parametrize("demo", ["01_corpus_and_graph.py", "02_graph_embedding.py",
                                   "03_molecular_features.py",
                                   "04_feature_refinement.py",
-                                  "07_evaluation_metrics.py"])
+                                  "07_evaluation_metrics.py", "08_cli_pipeline.sh"])
 def test_demo_runs_to_completion(demo, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    result = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=tmp_path,
-                            env=env, capture_output=True, text=True, timeout=300)
+    if demo.endswith(".sh"):
+        shim = tmp_path / "bin" / "fmash"
+        shim.parent.mkdir()
+        shim.write_text(f'#!/bin/sh\nexec "{sys.executable}" -m fmash.cli "$@"\n')
+        shim.chmod(0o755)
+        env["PATH"] = os.pathsep.join([str(shim.parent), env.get("PATH", "")])
+        command = ["bash", str(ROOT / "demos" / demo)]
+    else:
+        command = [sys.executable, str(ROOT / "demos" / demo)]
+    result = subprocess.run(command, cwd=tmp_path, env=env, capture_output=True,
+                            text=True, timeout=300)
     assert result.returncode == 0, result.stderr
 
 
@@ -227,6 +239,12 @@ def test_checkpoint_rejects_garbage(tmp_path):
         path.write_bytes(raw[:cut])
         with pytest.raises(SchemaError, match="bad.ckpt"):
             load_checkpoint(path)
+    # a header length past any index, on a file cut after a header that parses
+    start = len(MAGIC) + 8
+    (size,) = struct.unpack_from("<Q", raw, len(MAGIC))
+    path.write_bytes(MAGIC + struct.pack("<Q", size + 2 ** 63) + raw[start:start + size])
+    with pytest.raises(SchemaError, match="bad.ckpt: truncated or corrupt"):
+        load_checkpoint(path)
 
 
 # ---------------------------------------------------------------------------
@@ -560,6 +578,71 @@ def test_head_checkpoints_hold_only_the_unified_table_and_the_head(run_env):
     assert not (work / "unified.csv").exists()
 
 
+@pytest.mark.parametrize("mlfie_on", [True, False])
+def test_prepare_writes_only_what_later_commands_read(run_env, mlfie_on):
+    """``phase1.ckpt`` holds the unified table and, with the molecular stage
+    on, the VAE that ``impute-mol`` loads, checked key by key against phase
+    1 run in process; no ``vocab.json`` or other file no command reads."""
+    tmp_path, cfg_path, cfg = run_env
+    cfg["ablation"] = {"mlfie": mlfie_on}
+    cfg_path.write_text(json.dumps(cfg))
+    assert execute_command(["prepare", "--config", str(cfg_path)]) == 0
+    work = tmp_path / "work"
+    assert sorted(p.name for p in work.iterdir()) == ["phase1.ckpt", "splits.json",
+                                                     "unified.csv"]
+    state, _ = load_checkpoint(work / "phase1.ckpt")
+    _, _, _, phase1 = _phase1_in_process(tmp_path, cfg_path)
+    expected = {"unified.matrix": phase1.unified.matrix,
+                "unified.n_sym": np.asarray(12, dtype=np.float32)}
+    if mlfie_on:
+        expected.update({f"mlfie.vae.{k}": v for k, v
+                         in phase1.mlfie_params.vae.state_dict().items()})
+    # 7 linear layers, a weight and a bias each
+    assert len(expected) == (2 + 14 if mlfie_on else 2)
+    assert sorted(state) == sorted(expected)
+    for k, v in expected.items():
+        assert state[k].dtype == v.dtype, k
+        np.testing.assert_array_equal(state[k], v)
+
+
+def test_phase1_checkpoint_of_the_old_layout_still_serves(run_env, monkeypatch):
+    """A ``phase1.ckpt`` that also holds every other phase-1 component, as
+    ``prepare`` wrote it before it kept only what a command loads, trains
+    both heads and imputes exactly as the current file does."""
+    tmp_path, cfg_path, _ = run_env
+    work = tmp_path / "work"
+    assert execute_command(["prepare", "--config", str(cfg_path)]) == 0
+    path = work / "phase1.ckpt"
+    current, key = load_checkpoint(path)
+    with monkeypatch.context() as mp:
+        calls = record_calls(mp, pipeline)
+        _, _, _, phase1 = _phase1_in_process(tmp_path, cfg_path)
+    (_, hgre), = calls["HgreParams"]
+    (_, text_table), = calls["symptom_text_table"]
+    (_, fr_sym), (_, fr_herb) = calls["AutoencoderParams"]
+    old = {**phase1_state(phase1), "init_features": initial_features(calls),
+           "refine.text.table.weight": text_table}
+    for prefix, module in (("hgre", hgre), ("mlfie", phase1.mlfie_params),
+                           ("refine.sym", fr_sym), ("refine.herb", fr_herb)):
+        old.update({f"{prefix}.{k}": v for k, v in module.state_dict().items()})
+    assert set(old) > set(current)
+    for k, v in current.items():
+        np.testing.assert_array_equal(old[k], v)
+
+    def outputs():
+        for cmd in ("train-rs", "train-seq"):
+            assert execute_command([cmd, "--config", str(cfg_path)]) == 0
+        assert execute_command(["impute-mol", "--config", str(cfg_path), "--out",
+                                str(work / "imputed.tsv")]) == 0
+        return {name: (work / name).read_bytes()
+                for name in ("rs.ckpt", "rs_predictions.tsv", "seq.ckpt",
+                             "seq_predictions.tsv", "imputed.tsv")}
+
+    expected = outputs()
+    save_checkpoint(path, old, key)
+    assert outputs() == expected
+
+
 @pytest.mark.parametrize("text, what", [
     ('{"seed": 11, "train": [0, 1', "invalid JSON"),
     ("[]", "expected a JSON object"),
@@ -568,6 +651,10 @@ def test_head_checkpoints_hold_only_the_unified_table_and_the_head(run_env):
      "unknown instance 9999"),
     ('{"train": [0], "valid": [], "test": [], "seed": "11"}',
      "'seed' must be an integer"),
+    ('{"train": [0, 1], "valid": [], "test": [2, 3, 2], "seed": 11}',
+     "'test' repeats instance 2, already listed in 'test'"),
+    ('{"train": [0, 3], "valid": [1], "test": [2, 3], "seed": 11}',
+     "'test' repeats instance 3, already listed in 'train'"),
 ])
 def test_bad_splits_file_exits_two(run_env, capsys, text, what):
     tmp_path, cfg_path, _ = run_env
@@ -795,52 +882,19 @@ def _serve(cfg_path, capsys, queries, n_herb):
     return served
 
 
-def test_vocab_memo_changes_no_served_output(trained_env, capsys):
-    """Serving prints the same with ``vocab.json`` as without it, and a
-    truncated memo or one whose names were edited is ignored."""
-    root, cfg_path, _ = trained_env
-    path = root / "work" / "vocab.json"
-    raw = path.read_bytes()
-    edited = json.loads(raw)
-    edited["names"][1][0] = "herb-edited"
-    queries = _test_queries(root)
-    try:
-        with_memo = _serve(cfg_path, capsys, *queries)
-        path.unlink()
-        without = _serve(cfg_path, capsys, *queries)
-        for broken in (raw[:len(raw) // 2], json.dumps(edited).encode()):
-            path.write_bytes(broken)
-            assert _serve(cfg_path, capsys, *queries) == without
-    finally:
-        path.write_bytes(raw)
-    assert with_memo == without
-    assert [code for _, names, code, _ in without] \
-        == [2 if names == "sym-999" else 0 for _, names, _, _ in without]
-    assert any("herb-000" in out for _, _, _, out in without)
-
-
-def test_vocab_memo_hit_reads_no_corpus(trained_env, capsys, monkeypatch):
-    root, cfg_path, _ = trained_env
-    queries = _test_queries(root)
-    expected = _serve(cfg_path, capsys, *queries)
-
-    def refused(*args, **kwargs):
-        raise AssertionError("load_vocab called on a memo hit")
-
-    monkeypatch.setattr(cli, "load_vocab", refused)
-    monkeypatch.setattr(dataio, "load_vocab", refused)
-    assert _serve(cfg_path, capsys, *queries) == expected
-
-
 def test_renamed_herb_is_served_under_its_new_name(trained_env, capsys):
+    """A herb renamed after a call that the memo now holds."""
     root, cfg_path, _ = trained_env
+    argv = ["recommend", "--config", str(cfg_path), "--symptoms", "sym-001",
+            "--k", "12"]
     path = root / "corpus" / "herbs.jsonl"
     raw = path.read_text()
+    capsys.readouterr()
+    assert execute_command(argv) == 0
+    assert "\therb-003\t" in capsys.readouterr().out
     path.write_text(raw.replace('"herb-003"', '"herb-renamed"'))
     try:
-        capsys.readouterr()
-        assert execute_command(["recommend", "--config", str(cfg_path),
-                                "--symptoms", "sym-001", "--k", "12"]) == 0
+        assert execute_command(argv) == 0
     finally:
         path.write_text(raw)
     names = [line.split("\t")[1] for line in capsys.readouterr().out.splitlines()]
@@ -848,8 +902,8 @@ def test_renamed_herb_is_served_under_its_new_name(trained_env, capsys):
 
 
 def test_serving_with_another_property_width_exits_two(trained_env, tmp_path, capsys):
-    """``dims.p`` is one of the memo's inputs: with a memo written for the
-    old width, both commands still fail validating ``herbs.jsonl``."""
+    """``dims.p`` is one of the memo's inputs: after calls the memo holds,
+    both commands fail validating ``herbs.jsonl`` for the other width."""
     _, cfg_path, cfg = trained_env
     other = json.loads(json.dumps(cfg))
     other["dims"]["p"] = 22
@@ -857,6 +911,7 @@ def test_serving_with_another_property_width_exits_two(trained_env, tmp_path, ca
     other_path.write_text(json.dumps(other))
     for argv in (["recommend", "--symptoms", "sym-001", "--k", "2"],
                  ["generate", "--symptoms", "sym-001"]):
+        assert execute_command(argv + ["--config", str(cfg_path)]) == 0
         capsys.readouterr()
         assert execute_command(argv + ["--config", str(other_path)]) == 2
         err = capsys.readouterr().err
@@ -939,6 +994,29 @@ def test_head_memo_truncated_checkpoint_after_a_hit_exits_two(trained_env, head)
     assert _run(argv, cfg_path)[:2] == (0, served)
 
 
+def test_files_missing_after_a_hit_exit_two_corpus_file_first(trained_env, tmp_path):
+    root, cfg_path, _ = trained_env
+    herbs, ckpt = root / "corpus" / "herbs.jsonl", root / "work" / "rs.ckpt"
+    argv = _HEAD_ARGV["rs"]
+    code, served, _ = _run(argv, cfg_path)
+    assert code == 0
+    try:
+        for gone, message in (([ckpt], f"checkpoint not found: {ckpt}"),
+                              ([ckpt, herbs], f"missing corpus file: {herbs}")):
+            for path in gone:
+                shutil.move(path, tmp_path / path.name)
+            code, out, err = _run(argv, cfg_path)
+            assert (code, out) == (2, "")
+            assert message in err and "Traceback" not in err
+            for path in gone:
+                shutil.move(tmp_path / path.name, path)
+    finally:
+        for path in (ckpt, herbs):
+            if not path.exists():
+                shutil.move(tmp_path / path.name, path)
+    assert _run(argv, cfg_path)[:2] == (0, served)
+
+
 @pytest.mark.parametrize("section, change", [
     ("ablation", {"gelram": False}),
     ("dims", {"d_enc": 16}),
@@ -961,9 +1039,12 @@ def test_head_memo_other_head_config_after_a_hit_exits_two(trained_env, tmp_path
 
 def test_head_memo_hit_parses_no_checkpoint_and_builds_no_head(trained_env, capsys,
                                                               monkeypatch):
+    """A hit validates no corpus file, parses no checkpoint and builds no
+    head, and serves what a load of the same bytes serves."""
     root, cfg_path, _ = trained_env
     queries = _test_queries(root)
-    calls = dict.fromkeys(("load_checkpoint", "make_rs_params", "Seq2SeqParams"), 0)
+    calls = dict.fromkeys(("load_vocab", "load_checkpoint", "make_rs_params",
+                           "Seq2SeqParams"), 0)
 
     def counted(name, fn):
         def call(*args, **kwargs):
@@ -974,18 +1055,25 @@ def test_head_memo_hit_parses_no_checkpoint_and_builds_no_head(trained_env, caps
     for name in calls:
         monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
     served = _serve(cfg_path, capsys, *queries)
-    assert calls == {"load_checkpoint": 2, "make_rs_params": 1, "Seq2SeqParams": 1}
+    assert calls == {"load_vocab": 2, "load_checkpoint": 2, "make_rs_params": 1,
+                     "Seq2SeqParams": 1}
+    assert [code for _, names, code, _ in served] \
+        == [2 if names == "sym-999" else 0 for _, names, _, _ in served]
+    assert any("herb-000" in out for _, _, _, out in served)
     monkeypatch.setattr(cli, "_HEAD_MEMO", _NoMemo())
     assert _serve(cfg_path, capsys, *queries) == served
     n = len(queries[0])
-    assert calls == {"load_checkpoint": 2 + 2 * n, "make_rs_params": 1 + n,
-                     "Seq2SeqParams": 1 + n}
+    assert calls == {"load_vocab": 2 + 2 * n, "load_checkpoint": 2 + 2 * n,
+                     "make_rs_params": 1 + n, "Seq2SeqParams": 1 + n}
 
 
+# a head checkpoint's regions, and one region of each corpus file serving reads
+_TARGETS = [(head, region) for head in ("rs", "seq")
+            for region in ("prefix", "header", "blobs")] + [("symptoms", "rows"),
+                                                            ("herbs", "rows")]
 _EDITS = st.lists(st.tuples(
-    st.sampled_from(["rs", "seq"]),
+    st.sampled_from(_TARGETS),
     st.sampled_from(["flip", "cut", "restore"]),
-    st.sampled_from(["prefix", "header", "blobs"]),
     st.floats(0.0, 1.0, exclude_max=True),
     st.integers(1, 255)), min_size=1, max_size=4)
 
@@ -994,34 +1082,42 @@ _EDITS = st.lists(st.tuples(
 @settings(derandomize=True, deadline=None, max_examples=100)
 @given(edits=_EDITS)
 def test_mutated_head_checkpoints_serve_as_a_first_load(trained_env, edits):
-    """Flip or cut bytes of ``rs.ckpt``/``seq.ckpt`` between in-process calls
-    (each edit on the file as the last one left it): every call exits 0, 2
-    or 3, an exit 2 names its checkpoint, and each exit code and stdout is
-    that of the same call with no head built."""
+    """Flip or cut bytes of ``rs.ckpt``/``seq.ckpt`` and of the corpus symptom
+    and herb files between in-process calls (each edit on the file as the
+    last one left it): every call exits 0, 2 or 3, an exit 2 names a damaged
+    file the call reads, and each exit code and stdout is that of the same
+    call with nothing loaded."""
     root, cfg_path, _ = trained_env
-    paths = {head: root / "work" / f"{head}.ckpt" for head in _HEAD_ARGV}
-    originals = {head: path.read_bytes() for head, path in paths.items()}
+    corpus = root / "corpus"
+    paths = {"rs": root / "work" / "rs.ckpt", "seq": root / "work" / "seq.ckpt",
+             "symptoms": corpus / "symptoms.jsonl", "herbs": corpus / "herbs.jsonl"}
+    originals = {name: path.read_bytes() for name, path in paths.items()}
     regions = {}
-    for head, raw in originals.items():
+    for head in _HEAD_ARGV:
+        raw = originals[head]
         start = len(MAGIC) + 8
         blobs = start + struct.unpack_from("<Q", raw, len(MAGIC))[0]
         regions[head] = {"prefix": (0, start), "header": (start, blobs),
                          "blobs": (blobs, len(raw))}
+    for name in ("symptoms", "herbs"):
+        regions[name] = {"rows": (0, len(originals[name]))}
     cli._HEAD_MEMO.clear()
     try:
         for argv in _HEAD_ARGV.values():
             assert _run(argv, cfg_path)[0] == 0
-        for head, kind, region, where, mask in edits:
-            raw = bytearray(paths[head].read_bytes())
-            lo, hi = regions[head][region]
+        for (name, region), kind, where, mask in edits:
+            raw = bytearray(paths[name].read_bytes())
+            lo, hi = regions[name][region]
             at = lo + int(where * (hi - lo))
             if kind == "restore":
-                raw = originals[head]
+                raw = originals[name]
             elif kind == "cut":
                 raw = raw[:at]
             elif at < len(raw):
                 raw[at] ^= mask
-            _overwrite(paths[head], bytes(raw))
+            _overwrite(paths[name], bytes(raw))
+            damaged = {n for n, path in paths.items()
+                       if path.read_bytes() != originals[n]}
             for served, argv in _HEAD_ARGV.items():
                 code, out, err = _run(argv, cfg_path)
                 kept = dict(cli._HEAD_MEMO)
@@ -1030,11 +1126,18 @@ def test_mutated_head_checkpoints_serve_as_a_first_load(trained_env, edits):
                 cli._HEAD_MEMO.update(kept)
                 assert code in (0, 2, 3), err
                 if code == 2:
-                    assert str(paths[served]) in err
+                    culprits = [str(paths[n]) for n in damaged & {served, "symptoms",
+                                                                  "herbs"}]
+                    if damaged & {"symptoms", "herbs"}:
+                        # the vocabulary check names the corpus by its directory
+                        culprits.append(f"but {corpus} has ")
+                    if "symptoms" in damaged:
+                        culprits.append("unknown symptom 'sym-00")
+                    assert any(c in err for c in culprits), err
                 assert (code, out) == first_load[:2]
     finally:
-        for head, path in paths.items():
-            _overwrite(path, originals[head])
+        for name, path in paths.items():
+            _overwrite(path, originals[name])
 
 
 def test_checkpoint_without_unified_table_exits_two(run_env, capsys):
@@ -1199,23 +1302,34 @@ def test_negative_seed_exits_two_naming_its_source(run_env, capsys, monkeypatch)
     assert "FMASH_SEED must be >= 0, got '-5'" in capsys.readouterr().err
 
 
-def test_ablation_leaves_shared_stage_initialization_alone(run_env):
+def test_ablation_leaves_shared_stage_initialization_alone(run_env, monkeypatch):
+    """Every phase-1 component ``prepare`` builds, as observed while it runs,
+    and everything ``phase1.ckpt`` holds."""
     tmp_path, cfg_path, cfg = run_env
-    execute_command(["prepare", "--config", str(cfg_path)])
-    with_gelram, _ = load_checkpoint(tmp_path / "work" / "phase1.ckpt")
-
     cfg_off = dict(cfg)
     cfg_off["ablation"] = {"gelram": False}
     cfg_off_path = tmp_path / "run_off.json"
     cfg_off_path.write_text(json.dumps(cfg_off))
-    execute_command(["prepare", "--config", str(cfg_off_path)])
-    without_gelram, _ = load_checkpoint(tmp_path / "work" / "phase1.ckpt")
-
-    shared = [k for k in with_gelram
-              if k.startswith(("hgre.", "mlfie.", "refine.", "init_features",
-                               "unified."))]
-    assert shared
-    for k in shared:
+    runs = []
+    for path in (cfg_path, cfg_off_path):
+        with monkeypatch.context() as mp:
+            calls = record_calls(mp, pipeline, PHASE1_STAGES + ("fit_mlfie",))
+            assert execute_command(["prepare", "--config", str(path)]) == 0
+        tensors, _ = load_checkpoint(tmp_path / "work" / "phase1.ckpt")
+        (_, hgre), = calls["HgreParams"]
+        (_, (mlfie_params, _, _)), = calls["fit_mlfie"]
+        (_, fr_sym), (_, fr_herb) = calls["AutoencoderParams"]
+        for name, module in (("hgre", hgre), ("mlfie", mlfie_params),
+                             ("refine.sym", fr_sym), ("refine.herb", fr_herb)):
+            tensors.update({f"observed.{name}.{k}": v
+                            for k, v in module.state_dict().items()})
+        (_, tensors["observed.refine.text_table"]), = calls["symptom_text_table"]
+        tensors["observed.init_features"] = initial_features(calls)
+        runs.append(tensors)
+    with_gelram, without_gelram = runs
+    assert with_gelram.keys() == without_gelram.keys()
+    assert any(k.startswith("observed.hgre.") for k in with_gelram)
+    for k in with_gelram:
         np.testing.assert_array_equal(with_gelram[k], without_gelram[k])
 
 

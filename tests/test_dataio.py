@@ -264,6 +264,24 @@ def test_malformed_herb_row_names_file_line_and_key(tmp_path, line, match):
         load_corpus(tmp_path)
 
 
+@pytest.mark.parametrize("raw, match", [
+    (b'\xfb{"id": 0, "name": "herb-000", "properties": [0.0]}\n',
+     "herbs.jsonl: not UTF-8 text"),
+    (b'{"id": 0, "name": "herb-000", "properties": [0.0]}\n'
+     b'{"id": 0, "name": "herb-001", "properties": [0.0]}\n',
+     "herbs.jsonl: herb ids must be dense 0..1"),
+    (b'{"id": 0, "name": "herb-000", "properties": [0.0]}\n'
+     b'{"id": 1, "name": "herb-000", "properties": [0.0]}\n',
+     "herbs.jsonl: duplicate herb names"),
+], ids=["not-utf8", "repeated-id", "repeated-name"])
+def test_malformed_herb_file_names_the_file(tmp_path, raw, match):
+    sym, herb, _ = generate_synthetic(5, 8, 1, 5, seed=1)
+    save_corpus(tmp_path, sym, herb, [])
+    (tmp_path / "herbs.jsonl").write_bytes(raw)
+    with pytest.raises(SchemaError, match=match):
+        load_corpus(tmp_path)
+
+
 def _corpus_with_name(tmp_path, fname, name):
     """A saved corpus whose second row of ``fname`` is named ``name``."""
     sym, herb, _ = generate_synthetic(5, 8, 1, 5, seed=1)

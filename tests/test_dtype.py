@@ -6,13 +6,14 @@ train each component for one step at tiny dims and fail on any float64."""
 import numpy as np
 import pytest
 
-from fmash import nn
+from fmash import nn, pipeline
 from fmash.config import config_from_dict
 from fmash.dataio import build_graph, generate_synthetic, split_dataset
 from fmash.pipeline import run_phase1
 from fmash.recsys import gelram_score, train_rs
 from fmash.seqgen import decoder_cache, decoder_logits, encode_batch, train_seq
 from fmash.tape import no_grad
+from phase1_calls import initial_features, record_calls
 
 F32 = np.dtype(np.float32)
 
@@ -20,7 +21,7 @@ F32 = np.dtype(np.float32)
 @pytest.fixture(scope="module")
 def one_step_run():
     """Phase 1 and both heads, one full-batch Adam step each, with every
-    optimizer that stepped."""
+    optimizer that stepped and the phase-1 stage calls."""
     optimizers = []
     step = nn.Adam.step
 
@@ -37,25 +38,25 @@ def one_step_run():
                  "d_state": 4, "d_enc": 16},
         "train": {"epochs": 1, "mlfie_epochs": 1, "vae_epochs": 1, "fr_epochs": 1},
     })
-    nn.Adam.step = recording_step
-    try:
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nn.Adam, "step", recording_step)
+        calls = record_calls(mp, pipeline)
         phase1 = run_phase1(symptoms, herbs, graph, cfg)
         rs = train_rs(split.train, phase1.unified, epochs=1, d_enc=16).params
         seq = train_seq(split.train, phase1.unified, epochs=1).params
-    finally:
-        nn.Adam.step = step
-    return phase1, rs, seq, split.test, optimizers
+    return phase1, rs, seq, split.test, optimizers, calls
 
 
 def test_every_trained_tensor_and_adam_moment_is_float32(one_step_run):
-    phase1, rs, seq, _, optimizers = one_step_run
+    phase1, rs, seq, _, optimizers, calls = one_step_run
     mlfie = phase1.mlfie_params
+    (_, fr_sym), (_, fr_herb) = calls["AutoencoderParams"]
     components = {
         "mlfie_alignment": (mlfie.attention.parameters() + mlfie.gate.parameters()
                             + mlfie.latent.parameters() + mlfie.probe.parameters()),
         "vae": mlfie.vae.parameters(),
-        "fr_sym": phase1.fr_sym.parameters(),
-        "fr_herb": phase1.fr_herb.parameters(),
+        "fr_sym": fr_sym.parameters(),
+        "fr_herb": fr_herb.parameters(),
         "rs": rs.parameters(),
         "seq": seq.parameters(),
     }
@@ -71,10 +72,11 @@ def test_every_trained_tensor_and_adam_moment_is_float32(one_step_run):
 
 
 def test_phase1_table_and_served_outputs_are_float32(one_step_run):
-    phase1, rs, seq, test, _ = one_step_run
+    phase1, rs, seq, test, _, calls = one_step_run
     assert phase1.unified.matrix.dtype == F32
-    assert phase1.init_features.dtype == F32
-    assert phase1.herb_reprs.dtype == F32
+    assert initial_features(calls).dtype == F32
+    (args, _), = calls["assemble_features"]
+    assert args[4].dtype == F32    # the fused herb representations
     inst = test[0]
     assert gelram_score(inst.symptoms, phase1.unified, rs).scores.dtype == F32
     with no_grad():

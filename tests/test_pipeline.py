@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from fmash import mlfie
+from fmash import mlfie, pipeline
 from fmash.config import config_from_dict
 from fmash.dataio import build_graph, generate_synthetic, split_dataset
 from fmash.errors import DataError
-from fmash.pipeline import phase1_state, run_phase1
+from fmash.pipeline import run_phase1
+from phase1_calls import initial_features, record_calls
 
 
 @pytest.fixture(scope="module")
@@ -51,32 +52,48 @@ def test_phase1_encodes_each_molecule_once_and_pools_once(small_corpus, monkeypa
     assert len(pools) == 2 + 1
 
 
-def test_disabling_graph_stage_leaves_other_initializations_untouched(small_corpus):
-    symptoms, herbs, graph = small_corpus
-    with_graph = phase1_state(run_phase1(symptoms, herbs, graph, _cfg(hgre=True)))
-    without = phase1_state(run_phase1(symptoms, herbs, graph, _cfg(hgre=False)))
-    assert any(k.startswith("hgre.") for k in with_graph)
-    assert not any(k.startswith("hgre.") for k in without)
-    shared = [k for k in with_graph if k.startswith(("mlfie.", "refine."))
-              or k == "init_features"]
-    assert shared
-    for k in shared:
-        np.testing.assert_array_equal(with_graph[k], without[k])
+def _recorded_phase1(monkeypatch, corpus, **ablation):
+    """The phase-1 result under ``ablation`` and the stage calls it made."""
+    with monkeypatch.context() as mp:
+        calls = record_calls(mp, pipeline)
+        return run_phase1(*corpus, _cfg(**ablation)), calls
 
 
-def test_disabling_molecular_stage_shrinks_herb_assembly(small_corpus):
-    symptoms, herbs, graph = small_corpus
-    result = run_phase1(symptoms, herbs, graph, _cfg(mlfie=False))
+def test_disabling_graph_stage_leaves_other_initializations_untouched(
+        small_corpus, monkeypatch):
+    with_graph, on = _recorded_phase1(monkeypatch, small_corpus, hgre=True)
+    without, off = _recorded_phase1(monkeypatch, small_corpus, hgre=False)
+    assert len(on["HgreParams"]) == len(on["hgre_forward"]) == 1
+    assert off["HgreParams"] == off["hgre_forward"] == []
+    np.testing.assert_array_equal(initial_features(on), initial_features(off))
+    (_, table_on), = on["symptom_text_table"]
+    (_, table_off), = off["symptom_text_table"]
+    np.testing.assert_array_equal(table_on, table_off)
+    shared = [(with_graph.mlfie_params, without.mlfie_params)] + [
+        (ae_on, ae_off) for (_, ae_on), (_, ae_off)
+        in zip(on["AutoencoderParams"], off["AutoencoderParams"], strict=True)]
+    assert len(shared) == 3
+    for module_on, module_off in shared:
+        state_on, state_off = module_on.state_dict(), module_off.state_dict()
+        assert state_on.keys() == state_off.keys()
+        for k in state_on:
+            np.testing.assert_array_equal(state_on[k], state_off[k])
+
+
+def test_disabling_molecular_stage_shrinks_herb_assembly(small_corpus, monkeypatch):
+    result, calls = _recorded_phase1(monkeypatch, small_corpus, mlfie=False)
     assert result.mlfie_params is None
-    assert result.herb_reprs is None
+    (args, _), = calls["assemble_features"]
+    assert args[4] is None    # no fused herb representations
     # graph 16 + properties 23 without the 8-wide molecular block
-    assert result.fr_herb.enc1.weight.data.shape[0] == 16 + 23
+    (_, fr_herb) = calls["AutoencoderParams"][1]
+    assert fr_herb.enc1.weight.data.shape[0] == 16 + 23
 
 
-def test_fr_off_uses_linear_projection(small_corpus):
-    symptoms, herbs, graph = small_corpus
-    result = run_phase1(symptoms, herbs, graph, _cfg(fr=False))
-    assert result.fr_sym.hidden is None
+def test_fr_off_uses_linear_projection(small_corpus, monkeypatch):
+    result, calls = _recorded_phase1(monkeypatch, small_corpus, fr=False)
+    (_, fr_sym), _ = calls["AutoencoderParams"]
+    assert fr_sym.hidden is None
     assert result.unified.matrix.shape[1] == 64
 
 
