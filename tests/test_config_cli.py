@@ -882,6 +882,21 @@ def _serve(cfg_path, capsys, queries, n_herb):
     return served
 
 
+def test_vocab_memo_hit_reads_no_corpus(trained_env, capsys, monkeypatch):
+    """Once every query has been served, serving them again validates no
+    corpus file and serves the same output."""
+    root, cfg_path, _ = trained_env
+    queries = _test_queries(root)
+    expected = _serve(cfg_path, capsys, *queries)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("load_vocab called on a memo hit")
+
+    monkeypatch.setattr(cli, "load_vocab", refused)
+    monkeypatch.setattr(fmash.dataio, "load_vocab", refused)
+    assert _serve(cfg_path, capsys, *queries) == expected
+
+
 def test_renamed_herb_is_served_under_its_new_name(trained_env, capsys):
     """A herb renamed after a call that the memo now holds."""
     root, cfg_path, _ = trained_env
