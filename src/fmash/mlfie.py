@@ -19,6 +19,7 @@ standing in for an external molecular encoder.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -36,6 +37,14 @@ from .tape import Tensor, linear, no_grad, softmax
 # stub molecule encoder
 # ---------------------------------------------------------------------------
 
+@functools.cache
+def _gram_code(gram: str, d_m: int) -> tuple[int, float]:
+    """The bucket and sign of one character n-gram, hashed once per process:
+    molecules share most of their n-grams."""
+    digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=8).digest()
+    return int.from_bytes(digest[:4], "little") % d_m, 1.0 if digest[4] & 1 else -1.0
+
+
 def stub_encode_molecule(smiles: str, d_m: int) -> np.ndarray:
     """Deterministic unit-norm feature vector from hashed character n-grams.
 
@@ -49,10 +58,7 @@ def stub_encode_molecule(smiles: str, d_m: int) -> np.ndarray:
     padded = f"^{smiles}$"
     for n in (1, 2, 3):
         for i in range(len(padded) - n + 1):
-            gram = padded[i:i + n]
-            digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=8).digest()
-            bucket = int.from_bytes(digest[:4], "little") % d_m
-            sign = 1.0 if digest[4] & 1 else -1.0
+            bucket, sign = _gram_code(padded[i:i + n], d_m)
             vec[bucket] += sign
     norm = np.linalg.norm(vec)
     if norm == 0.0:

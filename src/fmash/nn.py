@@ -27,7 +27,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import NumericError
-from .tape import Tensor, concat, layer_norm, linear, softmax
+from .tape import Tensor, attention, concat, layer_norm, linear
 
 
 class ShapesOnly:
@@ -134,7 +134,8 @@ def causal_bias(lq: int, past: int, dtype) -> np.ndarray:
 
 
 class MultiHeadAttention(Module):
-    """Scaled dot-product attention over (B, L, d) inputs.
+    """Scaled dot-product attention over (B, L, d) inputs, one ``attention``
+    tape node per call between the projections.
 
     ``key_mask`` marks valid key positions (B, Lk); masked logits get a large
     negative additive constant, built in the scores' dtype.  Its ``exp``
@@ -150,29 +151,21 @@ class MultiHeadAttention(Module):
         if d_model % n_heads:
             raise ValueError("d_model must be divisible by n_heads")
         self.n_heads = n_heads
-        self.d_head = d_model // n_heads
         self.wq = Linear(d_model, d_model, rng)
         self.wk = Linear(d_model, d_model, rng)
         self.wv = Linear(d_model, d_model, rng)
         self.wo = Linear(d_model, d_model, rng)
 
-    def _split_heads(self, t: Tensor) -> Tensor:
-        b, length, _ = t.shape
-        return t.reshape(b, length, self.n_heads, self.d_head).transpose(0, 2, 1, 3)
-
     def project_kv(self, keyval: Tensor) -> tuple[Tensor, Tensor]:
-        """Keys and values of a (B, Lk, d) source, each (B, h, Lk, d_head)."""
-        return self._split_heads(self.wk(keyval)), self._split_heads(self.wv(keyval))
+        """Keys and values of a (B, Lk, d) source, each (B, Lk, d)."""
+        return self.wk(keyval), self.wv(keyval)
 
-    def attend(self, query: Tensor, k: Tensor, v: Tensor, bias: np.ndarray) -> Tensor:
+    def attend(self, query: Tensor, k: Tensor, v: Tensor,
+               bias: np.ndarray | None) -> Tensor:
         """Attention of a (B, Lq, d) query onto projected keys and values;
-        ``bias`` is added to the (B, h, Lq, Lk) scores by broadcasting."""
-        b, lq, d = query.shape
-        q = self._split_heads(self.wq(query))
-        scores = (q @ k.transpose(0, 1, 3, 2)) / math.sqrt(self.d_head)
-        attn = softmax(scores + Tensor(bias), axis=-1)
-        out = (attn @ v).transpose(0, 2, 1, 3).reshape(b, lq, d)
-        return self.wo(out)
+        ``bias`` (None for none) is added to the (B, h, Lq, Lk) scores by
+        broadcasting."""
+        return self.wo(attention(self.wq(query), k, v, bias, self.n_heads))
 
     def __call__(self, query: Tensor, keyval: Tensor, key_mask: np.ndarray) -> Tensor:
         return self.attend(query, *self.project_kv(keyval),
@@ -208,8 +201,10 @@ class DecoderLayer(Module):
 
     The memory comes projected (``cross_attn.project_kv``) with its mask as
     an additive bias (``key_mask_bias``), so a decode projects it once.
-    ``past`` holds the self-attention keys and values of the tokens before
-    ``x``; the call returns the output and those of ``past`` then ``x``.
+    ``past`` holds the (B, L, d) self-attention keys and values of the L
+    tokens before ``x``; the call returns the output and those of ``past``
+    then ``x``, joined along the token axis.  A one-token ``x`` sees every
+    key, so it takes no causal bias (that bias would be all zeros).
     """
 
     def __init__(self, d_model: int, n_heads: int, d_ff: int, rng: np.random.Generator):
@@ -227,9 +222,10 @@ class DecoderLayer(Module):
         k, v = self.self_attn.project_kv(normed)
         n_past = 0
         if past is not None:
-            n_past = past[0].shape[2]
-            k, v = concat([past[0], k], axis=2), concat([past[1], v], axis=2)
-        bias = causal_bias(x.shape[1], n_past, x.data.dtype)
+            n_past = past[0].shape[1]
+            k, v = concat([past[0], k], axis=1), concat([past[1], v], axis=1)
+        lq = x.shape[1]
+        bias = causal_bias(lq, n_past, x.data.dtype) if lq > 1 else None
         x = x + self.self_attn.attend(normed, k, v, bias)
         x = x + self.cross_attn.attend(self.ln2(x), *memory_kv, memory_bias)
         return x + self.ff(self.ln3(x)), (k, v)

@@ -11,10 +11,12 @@ masks already-emitted herbs, and stops at EOS or the length cap.
 Decoding is incremental (Vaswani et al., arXiv:1706.03762): ``decoder_cache``
 projects the memory's keys and values once for every cross-attention, and
 each ``decoder_logits`` call runs only its new tokens, appending their
-self-attention keys and values to the cache.  Teacher-forced training runs
-the whole target prefix through the same call on an empty cache.  A cached
-step can differ from the same position computed over the full prefix in the
-last bits, since a one-row product sums in another order.
+(B, L, d) self-attention keys and values to the cache.  A one-token step
+adds no causal bias: its one query sees every cached key.  Teacher-forced
+training runs the whole target prefix through the same call on an empty
+cache.  A cached step can differ from the same position computed over the
+full prefix in the last bits, since a one-row product sums in another
+order.
 """
 
 from __future__ import annotations
@@ -114,11 +116,11 @@ def encode_batch(symptom_sets: list, params: Seq2SeqParams,
 
 @dataclass
 class DecoderCache:
-    """The state a decode carries from step to step: the memory's keys and
-    values for ``integration.cross`` and then each decoder layer's
+    """The state a decode carries from step to step: the memory's (B, W, d)
+    keys and values for ``integration.cross`` and then each decoder layer's
     ``cross_attn``, the memory mask as an additive bias, and each decoder
-    layer's self-attention keys and values for the ``length`` tokens
-    decoded so far (None before the first)."""
+    layer's (B, length, d) self-attention keys and values for the
+    ``length`` tokens decoded so far (None before the first)."""
     memory_kv: list[tuple[Tensor, Tensor]]
     memory_bias: np.ndarray
     self_kv: list[tuple[Tensor, Tensor] | None]

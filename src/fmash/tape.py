@@ -16,14 +16,17 @@ Only the operations the models actually need are implemented.  Reductions,
 broadcasts and fancy indexing follow numpy semantics exactly.
 
 The layers the models call most are single nodes: ``linear``,
-``layer_norm``, ``softmax`` and ``Tensor.silu`` each record one closure in
-place of the chain of primitive nodes they stand for.  Such a fused node
-reproduces the bits of that composite: forward and backward run the
-composite's array operations in its order, with its constants, and hand
-each input its gradients in the composite's accumulation order.  Its test
-keeps the composite, built from primitive ops, as the oracle it must equal
-bit for bit.  ``masked_cross_entropy`` and ``selective_scan`` are fused
-with their own closed-form backward, certified by finite differences.
+``layer_norm``, ``softmax``, ``Tensor.silu`` and multi-head ``attention``
+each record one closure in place of the chain of primitive nodes they
+stand for.  Such a fused node reproduces the bits of that composite:
+forward and backward run the composite's array operations in its order,
+with its constants, and hand each input its gradients in the composite's
+accumulation order.  Its test keeps the composite, built from primitive
+ops, as the oracle it must equal bit for bit.  ``bce_with_logits`` is one
+node with the gradient bits of its composite and a forward whose softplus
+may differ from ``Tensor.softplus`` in the last bits.
+``masked_cross_entropy`` and ``selective_scan`` are fused with their own
+closed-form backward, certified by finite differences.
 
 Importing the module fixes glibc's heap thresholds (``_keep_freed_memory``)
 so that memory a training step frees stays in the process for the next one.
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -566,6 +570,62 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return out
 
 
+def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | None,
+              n_heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention as one node.
+
+    ``q`` is (B, Lq, d) and ``k``, ``v`` are (B, Lk, d); each splits into
+    ``n_heads`` heads of ``d / n_heads`` columns.  The (B, h, Lq, Lk) scores
+    ``q kᵀ / sqrt(d_head)`` get ``bias`` added by broadcasting (nothing when
+    it is None) before a softmax over the keys weights the values; the
+    heads merge back into a (B, Lq, d) output.  Forward and backward run the
+    array operations of the composite of primitive nodes (head split,
+    ``@``, divide, add, softmax, ``@``, head merge) in its order, so values
+    and gradients keep its bits.
+    """
+    qd, kd, vd = q.data, k.data, v.data
+    b, lq, d = qd.shape
+    lk = kd.shape[1]
+    dh = d // n_heads
+    q4 = qd.reshape(b, lq, n_heads, dh).transpose(0, 2, 1, 3)    # (B, h, Lq, dh)
+    k4 = kd.reshape(b, lk, n_heads, dh).transpose(0, 2, 1, 3)    # (B, h, Lk, dh)
+    v4 = vd.reshape(b, lk, n_heads, dh).transpose(0, 2, 1, 3)
+    scale = _as_array(math.sqrt(dh))
+    z = (q4 @ k4.transpose(0, 1, 3, 2)) / scale
+    if bias is not None:
+        z += bias
+    # in place: z - m rounds as z + (-m) does
+    z -= z.max(axis=-1, keepdims=True)
+    e = np.exp(z, out=z)
+    s = e.sum(axis=-1, keepdims=True)
+    a = e / s
+    out = _node((a @ v4).transpose(0, 2, 1, 3).reshape(b, lq, d), (q, k, v))
+    if out._parents:
+        def bw(g):
+            g4 = g.reshape(b, lq, n_heads, dh).transpose(0, 2, 1, 3)
+            ga = g4 @ v4.swapaxes(-1, -2)
+            # the softmax node's backward, then the divide's
+            gs = -ga
+            gs *= e
+            gs /= s ** 2
+            gs = _unbroadcast(gs, s.shape)
+            gz = ga / s
+            gz += np.broadcast_to(gs, e.shape)
+            gz *= e
+            gz /= scale
+            # the parents in the composite's order: queries, keys, values
+            if q.requires_grad:
+                q._accumulate((gz @ k4).transpose(0, 2, 1, 3).reshape(qd.shape))
+            if k.requires_grad:
+                k._accumulate((q4.swapaxes(-1, -2) @ gz).transpose(0, 3, 1, 2)
+                              .reshape(kd.shape))
+            if v.requires_grad:
+                v._accumulate((a.swapaxes(-1, -2) @ g4).transpose(0, 2, 1, 3)
+                              .reshape(vd.shape))
+        out._backward = bw
+    return out
+
+
 def masked_cross_entropy(logits: Tensor, targets: np.ndarray,
                          mask: np.ndarray) -> Tensor:
     """Mean of ``-log softmax(logits)[..., target]`` over the positions where
@@ -598,6 +658,30 @@ def masked_cross_entropy(logits: Tensor, targets: np.ndarray,
 
 
 def bce_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """Mean binary cross-entropy, computed in the numerically stable form."""
-    t = Tensor.ensure(targets)
-    return (logits.softplus() - t * logits).mean()
+    """Mean binary cross-entropy ``mean(softplus(x) - t x)`` as one node.
+
+    The backward hands ``logits`` the two gradients of that composite of
+    primitive nodes in its order, ``(g/N) sigmoid(x)`` and then
+    ``-(g/N) t``, with its bits.  The forward takes softplus in the stable
+    form ``log1p(exp(-|x|)) + max(x, 0)``, which can differ from
+    ``Tensor.softplus`` in the last bits; no gradient reads it.
+    """
+    x = logits.data
+    t = _as_array(targets)
+    n = _as_array(float(x.size))
+    e = np.exp(-np.abs(x))
+    sp = np.log1p(e)
+    sp += np.maximum(x, 0.0)
+    sp -= t * x
+    out = _node(sp.sum() / n, (logits,))
+    if out._parents:
+        def bw(g):
+            gn = g / n
+            # sigmoid(x) as ``_sigmoid`` takes it, from the forward's exp(-|x|)
+            sig = np.exp(np.minimum(x, 0.0))
+            sig /= np.add(e, 1.0, out=e)
+            sig *= gn
+            logits._accumulate(sig)
+            logits._accumulate(-gn * t)
+        out._backward = bw
+    return out

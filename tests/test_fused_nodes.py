@@ -1,17 +1,19 @@
 """Each fused tape node against the composite of primitive tape ops it
 stands for: the same forward bits, the same input gradient bits and the
-same parameter gradient bits; and the node count of one loss graph per
-head."""
+same parameter gradient bits (the binary cross-entropy's loss value within
+2 ULPs); and the node count of one loss graph per head."""
+
+import math
 
 import numpy as np
 import pytest
 
 from fmash.dataio import PrescriptionInstance
-from fmash.nn import NEG_INF
+from fmash.nn import NEG_INF, causal_bias, key_mask_bias
 from fmash.recsys import make_rs_params, multi_hot, rs_logits
 from fmash.refine import UnifiedEmbedding
 from fmash.seqgen import Seq2SeqParams, make_batch, sequence_loss
-from fmash.tape import Tensor, bce_with_logits, layer_norm, linear, softmax
+from fmash.tape import Tensor, attention, bce_with_logits, layer_norm, linear, softmax
 
 EPS = 1e-5
 
@@ -38,6 +40,25 @@ def _softmax_composite(x, axis):
 
 def _silu_composite(x):
     return x * x.sigmoid()
+
+
+def _attention_composite(q, k, v, bias, n_heads):
+    b, lq, d = q.shape
+    d_head = d // n_heads
+
+    def split(t):
+        return t.reshape(b, t.shape[1], n_heads, d_head).transpose(0, 2, 1, 3)
+
+    scores = (split(q) @ split(k).transpose(0, 1, 3, 2)) / math.sqrt(d_head)
+    if bias is not None:
+        scores = scores + Tensor(bias)
+    out = _softmax_composite(scores, -1) @ split(v)
+    return out.transpose(0, 2, 1, 3).reshape(b, lq, d)
+
+
+def _bce_composite(x, t):
+    t = Tensor(t)
+    return (x.softplus() - t * x).mean()
 
 
 # -- the harness ----------------------------------------------------------------
@@ -125,6 +146,98 @@ def test_silu_node_keeps_the_composite_bits(dtype, shape, twice):
     _assert_same_bits(lambda x: x.silu(), _silu_composite, values, twice=twice)
 
 
+N_HEADS = 2
+
+
+def _attention_bias(kind, dtype, lq, lk):
+    """The scores' bias as the attention layers build it: a key mask over
+    (B=2, Lk) with the second row's last two keys padded, a causal bias for
+    ``lq`` queries after ``lk - lq`` cached keys, or None."""
+    if kind == "key_mask":
+        mask = np.ones((2, lk), dtype=bool)
+        mask[1, -2:] = False
+        return key_mask_bias(mask, dtype)
+    if kind == "causal":
+        return causal_bias(lq, lk - lq, dtype)
+    return None
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("kind,lq,lk", [
+    ("key_mask", 4, 6), ("causal", 4, 4), ("causal", 3, 5), (None, 4, 6),
+    ("key_mask", 1, 6),     # one query over a longer key set
+    (None, 1, 5),           # a cached decoding step: no bias at all
+])
+@pytest.mark.parametrize("twice", [False, True])
+def test_attention_node_keeps_the_composite_bits(dtype, kind, lq, lk, twice):
+    bias = _attention_bias(kind, dtype, lq, lk)
+    values = _values(dtype, (2, lq, 8), (2, lk, 8), (2, lk, 8))
+    _assert_same_bits(lambda q, k, v: attention(q, k, v, bias, N_HEADS),
+                      lambda q, k, v: _attention_composite(q, k, v, bias, N_HEADS),
+                      values, twice=twice)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("kind", ["key_mask", "causal", None])
+@pytest.mark.parametrize("twice", [False, True])
+def test_self_attention_node_keeps_the_composite_bits(dtype, kind, twice):
+    # one tensor as queries, keys and values: its three gradients add up
+    # in the composite's order
+    bias = _attention_bias(kind, dtype, 5, 5)
+    _assert_same_bits(lambda x: attention(x, x, x, bias, N_HEADS),
+                      lambda x: _attention_composite(x, x, x, bias, N_HEADS),
+                      _values(dtype, (2, 5, 8)), twice=twice)
+
+
+def _bce_cases(dtype):
+    """300 random (logits, targets) pairs: mixed scales up to |x| of about
+    60, saturated rows with |x| >= 30, and all-zero and all-one targets."""
+    rng = np.random.default_rng(2)
+    for i in range(300):
+        shape = (int(rng.integers(1, 6)), int(rng.integers(1, 40)))
+        x = rng.normal(size=shape) * rng.choice([0.1, 1.0, 5.0, 20.0])
+        if i % 5 == 1:
+            x[0] = rng.choice([-1.0, 1.0], size=shape[1]) * rng.uniform(30.0, 60.0,
+                                                                        size=shape[1])
+        t = (rng.random(shape) < 0.3).astype(dtype)
+        if i % 7 == 2:
+            t[:] = 0.0
+        elif i % 7 == 3:
+            t[:] = 1.0
+        yield x.astype(dtype), t
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_bce_node_keeps_the_composite_gradient_bits(dtype):
+    for x, t in _bce_cases(dtype):
+        results = []
+        for op in (bce_with_logits, _bce_composite):
+            leaf = Tensor(x.copy(), requires_grad=True)
+            loss = op(leaf, t)
+            loss.backward()
+            results.append((loss.data, leaf.grad))
+        (loss_f, grad_f), (loss_c, grad_c) = results
+        assert loss_f.dtype == loss_c.dtype == grad_f.dtype == grad_c.dtype == dtype
+        # the forward's softplus is another formula: the loss may move in
+        # its last bits, the gradient never
+        np.testing.assert_array_max_ulp(loss_f, loss_c, maxulp=2)
+        assert np.array_equal(grad_f, grad_c)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_bce_node_hands_its_gradients_in_the_composite_order(dtype):
+    # logits that feed another node first: the three gradients they
+    # receive add up in the same order as under the composite
+    x, t = next(_bce_cases(dtype))
+    grads = []
+    for op in (bce_with_logits, _bce_composite):
+        leaf = Tensor(x.copy(), requires_grad=True)
+        scale = Tensor(np.random.default_rng(3).normal(size=x.shape[1]).astype(dtype))
+        ((leaf * scale).sum() + op(leaf, t)).backward()
+        grads.append(leaf.grad)
+    assert np.array_equal(*grads)
+
+
 # -- node counts ----------------------------------------------------------------
 
 def _graph_nodes(root):
@@ -154,4 +267,4 @@ def test_node_count_of_one_loss_graph_per_head():
                                                 emb.n_herb))
     seq = Seq2SeqParams(emb, 0, n_heads=2)
     seq_loss = sequence_loss(make_batch(instances, seq.vocab), seq)
-    assert (_graph_nodes(rs_loss), _graph_nodes(seq_loss)) == (100, 267)
+    assert (_graph_nodes(rs_loss), _graph_nodes(seq_loss)) == (69, 176)

@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -48,6 +49,28 @@ def test_stub_encoder_separates_fixture_set():
         for j in range(i + 1, len(vecs)):
             assert not np.allclose(vecs[i], vecs[j]), \
                 f"collision: {FIXTURE_SMILES[i]} vs {FIXTURE_SMILES[j]}"
+
+
+def _hashed_ngrams_reference(smiles, d_m):
+    """The stub encoder spelled out: every n-gram hashed where it occurs."""
+    vec = np.zeros(d_m)
+    padded = f"^{smiles}$"
+    for n in (1, 2, 3):
+        for i in range(len(padded) - n + 1):
+            digest = hashlib.blake2b(padded[i:i + n].encode("utf-8"),
+                                     digest_size=8).digest()
+            vec[int.from_bytes(digest[:4], "little") % d_m] += \
+                1.0 if digest[4] & 1 else -1.0
+    norm = np.linalg.norm(vec)
+    return vec / norm if norm else np.eye(d_m)[0]
+
+
+def test_stub_encoder_matches_hashing_every_ngram_where_it_occurs():
+    # the per-gram cache serves repeated n-grams within and across strings
+    for d_m in (8, 32):
+        for s in FIXTURE_SMILES + ["CCCCCCCC", "OCC(O)CO"]:
+            np.testing.assert_array_equal(stub_encode_molecule(s, d_m),
+                                          _hashed_ngrams_reference(s, d_m))
 
 
 def test_stub_encoder_rejects_empty_string():
@@ -459,8 +482,10 @@ def test_molecule_batch_encodes_each_distinct_string_once(monkeypatch):
                         molecules=["CCO", "CCN"][: 1 + i % 2]) for i in range(6)]
     batch = molecule_batch(herbs, D_M)
     assert sorted(calls) == ["CCN", "CCO"]
-    np.testing.assert_array_equal(batch.embs[1, 1],
-                                  stub_encode_molecule("CCN", D_M).astype(np.float32))
+    for i, h in enumerate(herbs):
+        for j, m in enumerate(h.molecules):
+            np.testing.assert_array_equal(
+                batch.embs[i, j], _hashed_ngrams_reference(m, D_M).astype(np.float32))
     assert batch.mask.sum() == 9
 
 

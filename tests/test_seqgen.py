@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from decode_reference import full_prefix_generate
 
+from fmash import nn, tape
 from fmash.dataio import PrescriptionInstance, generate_synthetic
 from fmash.errors import DataError, NumericError
 from fmash.gradcheck import as_float64, max_relative_error
@@ -265,6 +266,38 @@ def test_cached_step_logits_match_full_prefix_logits_in_float64():
                                   tokens[:, :t + 1], params).data[:, -1]
             assert step.dtype == np.float64 and cache.length == t + 1
             assert np.abs(step - full).max() <= 1e-10 * np.abs(full).max()
+
+
+# the tensors one cached one-token ``decoder_logits`` call constructs: with
+# one tape node per attention call, 48 (111 with each attention spelled
+# out in primitive nodes)
+DECODE_STEP_TENSORS = 48
+
+
+def test_a_cached_decoding_step_stays_within_its_tensor_budget(monkeypatch):
+    params = Seq2SeqParams(_emb(), seed=24)
+    biases, tensors = [], [0]
+    real_bias, real_init = nn.causal_bias, tape.Tensor.__init__
+
+    def counting_init(self, *args, **kwargs):
+        tensors[0] += 1
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(nn, "causal_bias", lambda *a: biases.append(a) or real_bias(*a))
+    with no_grad():
+        memory, mask = encode_batch([[1, 4]], params)
+        cache = decoder_cache(memory, mask, params)
+        decoder_logits(cache, np.array([[params.vocab.bos, 3]]), params)
+        # a two-token call masks its second query's view of the first
+        assert len(biases) == len(params.dec_layers)
+        biases.clear()
+        monkeypatch.setattr(tape.Tensor, "__init__", counting_init)
+        decoder_logits(cache, np.array([[5]]), params)
+        monkeypatch.setattr(tape.Tensor, "__init__", real_init)
+    # one query sees every cached key: its causal bias would be all zeros
+    assert biases == []
+    assert 0 < tensors[0] <= DECODE_STEP_TENSORS
+    assert cache.length == 3
 
 
 def test_memorizes_small_fixture():

@@ -271,6 +271,23 @@ def test_multihead_attention_grads_and_masking():
     assert max_relative_error(loss, [x] + mha.parameters()) < 1e-5
 
 
+@pytest.mark.parametrize("lq,lk,causal", [
+    (4, 4, True),       # teacher forcing over a whole prefix
+    (3, 6, True),       # three new queries after three cached keys
+    (1, 6, False),      # a cached decoding step: one query, no bias
+])
+def test_attention_node_grads_with_causal_bias_and_cached_keys(lq, lk, causal):
+    rng = np.random.default_rng(15)
+    q, k, v = (_leaf(rng, 2, n, 8) for n in (lq, lk, lk))
+    bias = causal_bias(lq, lk - lq, np.float64) if causal else None
+    weights = Tensor(rng.normal(size=(2, lq, 8)))
+
+    def loss():
+        return (tape.attention(q, k, v, bias, 2) * weights).sum()
+
+    assert max_relative_error(loss, [q, k, v]) < 1e-4
+
+
 def test_causal_attention_prefix_invariance():
     rng = stage_rng(0, "test.causal")
     mha = MultiHeadAttention(8, 2, rng)
