@@ -34,10 +34,15 @@ for tau in (1, 2, 4):
     print(f"tau={tau}: ss={len(g.edges_ss)} hh={len(g.edges_hh)} "
           f"sh={len(g.edges_sh)} edges")
 
+# the graph is its edge lists; HGRE counts degrees from them, herbs after
+# symptoms in the full graph
 g = build_graph(split.train, len(symptoms), len(herbs), tau_s=2, tau_h=2)
-print(f"\nfull-graph degrees: min {g.degrees.min()}, max {g.degrees.max()}")
+s = g.n_sym
+full = np.concatenate([g.edges_ss, g.edges_hh + s, g.edges_sh + (0, s)])
+degrees = np.bincount(full.ravel(), minlength=s + g.n_herb)
+print(f"\nfull-graph degrees: min {degrees.min()}, max {degrees.max()}")
 print("herb-herb subgraph degree of first five herbs:",
-      g.sub_degrees_hh[:5].tolist())
+      np.bincount(g.edges_hh.ravel(), minlength=g.n_herb)[:5].tolist())
 
 # the clusters are visible in the graph: herbs of one syndrome co-occur,
 # herbs of different syndromes never do

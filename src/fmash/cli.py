@@ -1,6 +1,6 @@
 """Command-line surface: prepare -> train -> predict -> evaluate.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
+Exit codes: 0 success, 1 usage error, 2 data error or OS error, 3 numeric failure.
 ``FMASH_SEED`` in the environment overrides the configured seed.
 
 ``recommend`` and ``generate`` read the corpus symptom and herb files and
@@ -296,6 +296,14 @@ def _serve(cfg: RunConfig, head: str) -> _Served:
 # ---------------------------------------------------------------------------
 
 def _cmd_synth(args) -> int:
+    pairs = args.mode == "conflicting"    # that corpus writes its prescriptions in pairs
+    for flag, value, least in (("--n-syndromes", args.n_syndromes, 1), ("--seed", args.seed, 0),
+                               ("--n-prescriptions", args.n_prescriptions, 2 if pairs else 1)):
+        if value < least:
+            raise UsageError(f"{flag} must be >= {least}, got {value}")
+    if not 0 <= args.missing_mol_fraction <= 1:
+        raise UsageError(f"--missing-mol-fraction must be in [0, 1], "
+                         f"got {args.missing_mol_fraction}")
     if args.mode == "conflicting":
         sym, herbs, pres = generate_conflicting_corpus(
             n_pairs=args.n_prescriptions // 2, herbs_per_formula=6,
@@ -458,7 +466,7 @@ def execute_command(argv: list[str]) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (SchemaError, ConfigError, DataError, FileNotFoundError) as exc:
+    except (SchemaError, ConfigError, DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (NumericError, FloatingPointError) as exc:

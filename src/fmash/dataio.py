@@ -65,14 +65,12 @@ class PrescriptionInstance:
 
 @dataclass
 class HeteroGraph:
+    """The co-occurrence graph as three edge lists over local node ids."""
     n_sym: int
     n_herb: int
     edges_ss: np.ndarray  # (E, 2) local symptom ids, u < v
     edges_hh: np.ndarray  # (E, 2) local herb ids, u < v
     edges_sh: np.ndarray  # (E, 2) (symptom id, herb id), both local
-    degrees: np.ndarray = field(init=False)          # full graph, n_sym + n_herb
-    sub_degrees_ss: np.ndarray = field(init=False)   # within the sym-sym subgraph
-    sub_degrees_hh: np.ndarray = field(init=False)   # within the herb-herb subgraph
 
     def __post_init__(self):
         s, h = self.n_sym, self.n_herb
@@ -82,30 +80,6 @@ class HeteroGraph:
             if len(edges) and (edges[:, 0].max() >= hi_u or edges[:, 1].max() >= hi_v
                                or edges.min() < 0):
                 raise SchemaError(f"{name} contains out-of-range node ids")
-        self.sub_degrees_ss = _degree_vector(s, self.edges_ss)
-        self.sub_degrees_hh = _degree_vector(h, self.edges_hh)
-        deg = np.zeros(s + h, dtype=np.int64)
-        deg[:s] += self.sub_degrees_ss
-        deg[s:] += self.sub_degrees_hh
-        for u, v in self.edges_sh:
-            deg[u] += 1
-            deg[s + v] += 1
-        self.degrees = deg
-
-    def all_edges_global(self) -> np.ndarray:
-        """Every edge of the full graph, herbs offset by n_sym."""
-        parts = []
-        if len(self.edges_ss):
-            parts.append(self.edges_ss)
-        if len(self.edges_hh):
-            parts.append(self.edges_hh + self.n_sym)
-        if len(self.edges_sh):
-            sh = self.edges_sh.copy()
-            sh[:, 1] += self.n_sym
-            parts.append(sh)
-        if not parts:
-            return np.zeros((0, 2), dtype=np.int64)
-        return np.concatenate(parts, axis=0)
 
 
 @dataclass
@@ -114,14 +88,6 @@ class DatasetSplit:
     valid: list[PrescriptionInstance]
     test: list[PrescriptionInstance]
     seed: int
-
-
-def _degree_vector(n: int, edges: np.ndarray) -> np.ndarray:
-    deg = np.zeros(n, dtype=np.int64)
-    for u, v in edges:
-        deg[u] += 1
-        deg[v] += 1
-    return deg
 
 
 def _edge_array(pairs: Iterable[tuple[int, int]]) -> np.ndarray:
@@ -219,18 +185,25 @@ def _corpus_file(corpus_dir: Path, fname: str) -> Path:
 def load_vocab(corpus_dir: str | Path, expected_p: int | None = None,
                ) -> tuple[list[SymptomRecord], list[HerbRecord]]:
     """Load the symptom and herb files of a corpus directory and validate id
-    density, name uniqueness and that every numeric vector is finite."""
+    density, name uniqueness, that every numeric vector is finite and that
+    the vectors of each file (properties, text embeddings) share a length."""
     corpus_dir = Path(corpus_dir)
     symptom_path = _corpus_file(corpus_dir, SYMPTOMS_FILE)
     herb_path = _corpus_file(corpus_dir, HERBS_FILE)
 
     symptoms: list[SymptomRecord] = []
+    text_dim = None
     for where, row in _read_jsonl(symptom_path):
         emb = row.get("text_embedding")
+        if emb is not None:
+            emb = _finite_vector(emb, "text_embedding", where)
+            text_dim = emb.size if text_dim is None else text_dim
+            if emb.size != text_dim:
+                raise SchemaError(f"{where}: 'text_embedding' has length {emb.size}, "
+                                  f"expected {text_dim} as on the rows before it")
         symptoms.append(SymptomRecord(
             id=_int_field(row, "id", where), name=_name_field(row, where, True),
-            text_embedding=None if emb is None
-            else _finite_vector(emb, "text_embedding", where)))
+            text_embedding=emb))
     symptoms.sort(key=lambda r: r.id)
     _check_dense_ids([r.id for r in symptoms], "symptom", symptom_path)
     _check_unique_names([r.name for r in symptoms], "symptom", symptom_path)

@@ -1,11 +1,11 @@
 """Heterogeneous graph embedding.
 
 Each homogeneous subgraph is smoothed by one GCN layer, serialized into a
-sequence by sorting nodes on their subgraph degree, run through a
-bidirectional selective-scan block, and scattered back to node order.  The
-two enhanced blocks are then re-assembled in the global symptom-then-herb
-order and the same GCN + scan treatment is applied once more over the full
-edge set with full-graph degrees.
+sequence by sorting nodes on their degree, run through a bidirectional
+selective-scan block, and scattered back to node order.  The two enhanced
+blocks are then re-assembled in the global symptom-then-herb order and the
+same treatment is applied once more over the full edge set.  Every pass
+counts its degrees from the edges it is given.
 """
 
 from __future__ import annotations
@@ -66,8 +66,6 @@ class DegreePermutation:
 def degree_permutation(degrees: np.ndarray) -> DegreePermutation:
     """Descending degree; ties broken by ascending node index."""
     degrees = np.asarray(degrees)
-    if degrees.size and degrees.min() < 0:
-        raise ValueError("degrees must be non-negative")
     perm = np.argsort(-degrees, kind="stable")
     inverse = np.empty_like(perm)
     inverse[perm] = np.arange(perm.size)
@@ -154,11 +152,12 @@ def bidirectional_block(seq: Tensor | np.ndarray, params: SsmParams) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def subgraph_enhance(x_s: Tensor | np.ndarray, edges_s: np.ndarray,
-                     degrees_s: np.ndarray, gcn: GcnParams, ssm: SsmParams,
-                     ) -> Tensor:
-    """GCN, serialize by degree order, bidirectional scan, scatter back."""
+                     gcn: GcnParams, ssm: SsmParams) -> Tensor:
+    """GCN, serialize by degree order, bidirectional scan, scatter back; a
+    node's degree is its count of endpoints in ``edges_s``."""
     smoothed = gcn_forward(x_s, edges_s, gcn)
-    p = degree_permutation(degrees_s)
+    endpoints = np.asarray(edges_s, dtype=np.intp).ravel()
+    p = degree_permutation(np.bincount(endpoints, minlength=smoothed.shape[0]))
     enhanced = bidirectional_block(smoothed[p.perm], ssm)
     return enhanced[p.inverse]
 
@@ -180,16 +179,11 @@ class HgreParams(Module):
 def hgre_forward(x: Tensor | np.ndarray, graph: HeteroGraph,
                  params: HgreParams) -> Tensor:
     """Full hierarchical pass; rows are symptoms then herbs throughout."""
-    x = Tensor.ensure(x)
     s = graph.n_sym
     if x.shape[0] != s + graph.n_herb:
         raise ValueError("feature row count does not match the graph")
-    enh_sym = subgraph_enhance(x[:s], graph.edges_ss, graph.sub_degrees_ss,
-                               params.gcn_sym, params.ssm_sym)
-    enh_herb = subgraph_enhance(x[s:], graph.edges_hh, graph.sub_degrees_hh,
-                                params.gcn_herb, params.ssm_herb)
-    x_e = concat([enh_sym, enh_herb], axis=0)
-    smoothed = gcn_forward(x_e, graph.all_edges_global(), params.gcn_global)
-    p = degree_permutation(graph.degrees)
-    out = bidirectional_block(smoothed[p.perm], params.ssm_global)
-    return out[p.inverse]
+    enh_sym = subgraph_enhance(x[:s], graph.edges_ss, params.gcn_sym, params.ssm_sym)
+    enh_herb = subgraph_enhance(x[s:], graph.edges_hh, params.gcn_herb, params.ssm_herb)
+    edges = np.concatenate([graph.edges_ss, graph.edges_hh + s, graph.edges_sh + (0, s)])
+    return subgraph_enhance(concat([enh_sym, enh_herb], axis=0), edges,
+                            params.gcn_global, params.ssm_global)

@@ -72,8 +72,6 @@ class Module:
                 for i, item in enumerate(value):
                     if isinstance(item, Module):
                         yield from item.named_tensors(f"{full}.{i}.")
-                    elif isinstance(item, Tensor):
-                        yield f"{full}.{i}", item
 
     def parameters(self) -> list[Tensor]:
         return [t for _, t in self.named_tensors() if t.requires_grad]
@@ -247,25 +245,14 @@ def sinusoidal_positions(length: int, d_model: int) -> np.ndarray:
     return enc
 
 
-ALIGN_BYTES = 64
-
-
-def _aligned_zeros(size: int, dtype: np.dtype) -> np.ndarray:
-    """A zero-filled 1-d array of ``size`` elements whose first element sits
-    on an ``ALIGN_BYTES`` boundary."""
-    raw = np.zeros(size + ALIGN_BYTES // dtype.itemsize, dtype=dtype)
-    start = (-raw.ctypes.data % ALIGN_BYTES) // dtype.itemsize
-    return raw[start:start + size]
-
-
 class Adam:
     """Adam (Kingma & Ba, arXiv:1412.6980) over one flat buffer.
 
     Construction copies the parameters, which must share one dtype, into one
-    flat buffer, each starting on a 64-byte boundary, and rebinds each
-    ``p.data`` to its C-contiguous view there.  For the optimizer's life
-    every parameter is a view into that buffer and is updated in place;
-    ``m[i]`` and ``v[i]`` are views into the flat moments.
+    contiguous flat buffer in order and rebinds each ``p.data`` to its view
+    there.  For the optimizer's life every parameter is a view into that
+    buffer and is updated in place; ``m[i]`` and ``v[i]`` are views into the
+    flat moments.
 
     ``step`` gathers every gradient into one flat buffer with a single
     ``concatenate`` and runs one fixed sequence of in-place whole-buffer
@@ -277,9 +264,9 @@ class Adam:
 
     Each operation rounds every element the same whatever the array's
     length, so the result equals, bit for bit, the same update run tensor by
-    tensor.  ``step`` reads ``.grad`` and never writes it; a gradient whose
-    dtype or shape differs from its parameter's is refused.  A parameter
-    whose ``grad`` is None keeps its data and both moments.
+    tensor.  ``step`` reads ``.grad`` and never writes it.  Before ``t``
+    moves, it refuses a parameter whose gradient is None, or whose dtype or
+    shape differs from the parameter's, naming the parameter's index.
     """
 
     b1, b2, eps = 0.9, 0.999, 1e-8
@@ -291,54 +278,35 @@ class Adam:
         dtypes = {p.data.dtype for p in self.params}
         if len(dtypes) != 1:
             raise TypeError(f"Adam needs parameters of one dtype; got {sorted(map(str, dtypes))}")
-        self._dtype = dtype = dtypes.pop()
-        align = ALIGN_BYTES // dtype.itemsize
-        starts, end = [], 0
-        for p in self.params:
-            start = -(-end // align) * align
-            starts.append(start)
-            end = start + p.data.size
-        self._flat = _aligned_zeros(end, dtype)
+        self._flat = np.concatenate([p.data.ravel() for p in self.params])
         self._m, self._v, self._g, self._scratch = (
-            _aligned_zeros(end, dtype) for _ in range(4))
-        self.m, self.v = [], []
-        # the gradient pieces in buffer order, with zero pads over the gaps
-        # between segments; ``step`` fills a copy's gradient slots
-        self._pieces, self._slots = [], []
-        end = 0
-        for p, start in zip(self.params, starts):
-            if start > end:
-                self._pieces.append(np.zeros(start - end, dtype=dtype))
-            self._slots.append(len(self._pieces))
-            self._pieces.append(None)
-            end = start + p.data.size
-            segment = slice(start, end)
-            view = self._flat[segment].reshape(p.data.shape)
-            view[...] = p.data
+            np.zeros_like(self._flat) for _ in range(4))
+        ends = np.cumsum([p.data.size for p in self.params])[:-1]
+
+        def views(flat: np.ndarray) -> list[np.ndarray]:
+            return [part.reshape(p.data.shape)
+                    for part, p in zip(np.split(flat, ends), self.params)]
+
+        self.m, self.v = views(self._m), views(self._v)
+        for p, view in zip(self.params, views(self._flat)):
             p.data = view
-            self.m.append(self._m[segment].reshape(view.shape))
-            self.v.append(self._v[segment].reshape(view.shape))
 
     def zero_grad(self) -> None:
         for p in self.params:
             p.grad = None
 
     def step(self) -> None:
-        pieces = self._pieces.copy()
-        skipped = []
-        for i, (p, slot) in enumerate(zip(self.params, self._slots)):
-            g = p.grad
+        grads = [p.grad for p in self.params]
+        for i, (p, g) in enumerate(zip(self.params, grads)):
             if g is None:
-                skipped.append((i, p.data.copy(), self.m[i].copy(), self.v[i].copy()))
-                g = np.zeros_like(p.data)
-            elif g.dtype != self._dtype or g.shape != p.data.shape:
-                error = TypeError if g.dtype != self._dtype else ValueError
-                raise error(f"Adam: parameter {i} is {self._dtype} {p.data.shape} but "
+                raise ValueError(f"Adam: parameter {i} has no gradient")
+            if g.dtype != self._flat.dtype or g.shape != p.data.shape:
+                error = TypeError if g.dtype != self._flat.dtype else ValueError
+                raise error(f"Adam: parameter {i} is {self._flat.dtype} {p.data.shape} but "
                             f"its gradient is {g.dtype} {g.shape}")
-            pieces[slot] = g
         self.t += 1
         g, s, m, v, flat = self._g, self._scratch, self._m, self._v, self._flat
-        np.concatenate(pieces, axis=None, out=g)
+        np.concatenate(grads, axis=None, out=g)
         np.multiply(m, self.b1, out=m)
         np.multiply(g, 1 - self.b1, out=s)
         np.add(m, s, out=m)
@@ -354,10 +322,6 @@ class Adam:
         np.multiply(s, self.lr, out=s)
         np.divide(s, g, out=s)
         np.subtract(flat, s, out=flat)
-        for i, data, m_i, v_i in skipped:
-            self.params[i].data[...] = data
-            self.m[i][...] = m_i
-            self.v[i][...] = v_i
 
 
 def fit(params: list[Tensor], loss_fn: Callable[[np.ndarray], Tensor], n: int, *,

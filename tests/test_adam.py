@@ -1,6 +1,6 @@
 """The flat-buffer Adam: bit-identical to the per-tensor update it replaced,
-refuses gradients that do not match their parameters, and leaves every
-parameter a view into one aligned buffer."""
+refuses missing gradients and gradients that do not match their
+parameters, and leaves every parameter a view into one buffer."""
 
 import numpy as np
 import pytest
@@ -29,8 +29,6 @@ class PerTensorAdam:
         self.t += 1
         with no_grad():
             for i, p in enumerate(self.params):
-                if p.grad is None:
-                    continue
                 g = p.grad
                 self.m[i] = self.b1 * self.m[i] + (1 - self.b1) * g
                 self.v[i] = self.b2 * self.v[i] + (1 - self.b2) * g * g
@@ -72,16 +70,13 @@ def _run_both(params, twins, grads_at, lr=1e-2, steps=5):
     opt, ref = nn.Adam(params, lr=lr), PerTensorAdam(twins, lr=lr)
     for step in range(1, steps + 1):
         grads = grads_at(step)
-        before = [None if g is None else g.copy() for g in grads]
+        before = [g.copy() for g in grads]
         for p, q, g in zip(params, twins, grads):
             p.grad = q.grad = g
         opt.step()
         ref.step()
         _assert_same_state(opt, ref, step)
-        for g, g0 in zip(grads, before):
-            assert (g is None) == (g0 is None)
-            if g is not None:
-                assert np.array_equal(g, g0)
+        assert all(np.array_equal(g, g0) for g, g0 in zip(grads, before))
     return opt, ref
 
 
@@ -120,16 +115,22 @@ def test_matches_per_tensor_adam_on_broadcast_and_shared_gradients():
     _run_both(params, twins, grads_at)
 
 
-def test_a_parameter_without_a_gradient_keeps_its_data_and_moments():
+def test_a_parameter_without_a_gradient_is_refused_naming_it():
     params, twins = _twins(AutoencoderParams(11, nn.stage_rng(5, "refine.ae"), hidden=None))
     rng = np.random.default_rng(3)
-
-    def grads_at(step):
-        grads = _random_grads(params, rng)
-        grads[step % len(grads)] = None     # a different one each step, after
-        return grads                        # it has nonzero moments
-
-    _run_both(params, twins, grads_at)
+    # two steps first, so that the moments are nonzero
+    opt, _ = _run_both(params, twins, lambda _: _random_grads(params, rng), steps=2)
+    before = [(p.data.copy(), m.copy(), v.copy()) for p, m, v in zip(params, opt.m, opt.v)]
+    for p, g in zip(params, _random_grads(params, rng)):
+        p.grad = g
+    params[1].grad = None
+    with pytest.raises(ValueError, match=r"parameter 1 has no gradient"):
+        opt.step()
+    # a refused step changes nothing
+    assert opt.t == 2
+    for (data, m, v), p, m_i, v_i in zip(before, params, opt.m, opt.v):
+        assert np.array_equal(p.data, data) and m.any()
+        assert np.array_equal(m_i, m) and np.array_equal(v_i, v)
 
 
 def test_a_second_optimizer_over_the_first_ones_views_matches():
@@ -166,7 +167,7 @@ def test_mixed_parameter_dtypes_are_refused_at_construction():
         nn.Adam(params)
 
 
-def test_after_fit_parameters_are_aligned_disjoint_views_of_one_buffer():
+def test_after_fit_parameters_are_disjoint_views_of_one_buffer():
     matrix = np.random.default_rng(7).normal(size=(12, 9)).astype(np.float32)
     module = AutoencoderParams(9, nn.stage_rng(7, "refine.ae"))
     params = module.parameters()
@@ -176,9 +177,9 @@ def test_after_fit_parameters_are_aligned_disjoint_views_of_one_buffer():
     assert buffer is not None
     for p in params:
         assert p.data.base is buffer and p.data.flags.c_contiguous
-        assert p.data.ctypes.data % nn.ALIGN_BYTES == 0
-    segments = sorted((p.data.ctypes.data, p.data.ctypes.data + p.data.nbytes) for p in params)
-    assert all(end <= start for (_, end), (start, _) in zip(segments, segments[1:]))
+    # in parameter order, each segment ends where the next begins
+    segments = [(p.data.ctypes.data, p.data.ctypes.data + p.data.nbytes) for p in params]
+    assert all(end == start for (_, end), (start, _) in zip(segments, segments[1:]))
 
     state = module.state_dict()
     assert not any(np.shares_memory(arr, buffer) for arr in state.values())

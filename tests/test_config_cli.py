@@ -370,6 +370,46 @@ def test_usage_errors_exit_one(run_env, capsys):
                             "--pred", "x", "--k", "0,5"]) == 1
 
 
+@pytest.mark.parametrize("flags, flag", [
+    (["--n-syndromes", "0"], "--n-syndromes"),
+    (["--missing-mol-fraction", "1.5"], "--missing-mol-fraction"),
+    (["--missing-mol-fraction", "-0.1"], "--missing-mol-fraction"),
+    (["--n-prescriptions", "-5"], "--n-prescriptions"),
+    (["--seed", "-1"], "--seed"),
+    (["--mode", "conflicting", "--n-prescriptions", "1"], "--n-prescriptions"),
+])
+def test_synth_refuses_bad_flags_as_usage_errors(tmp_path, capsys, flags, flag):
+    out = tmp_path / "corpus"
+    assert execute_command(["synth", "--out", str(out)] + flags) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: {flag} ") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["impute-mol-out-directory", "synth-out-file",
+                                  "prepare-workdir-under-file", "evaluate-pred-directory"])
+def test_os_errors_exit_two_naming_the_path(trained_env, tmp_path, capsys, case):
+    _, cfg_path, cfg = trained_env
+    a_dir, a_file = tmp_path / "a-dir", tmp_path / "a-file"
+    a_dir.mkdir()
+    a_file.write_text("not a directory\n")
+    if case == "impute-mol-out-directory":
+        argv, path = ["impute-mol", "--config", str(cfg_path), "--out", str(a_dir)], a_dir
+    elif case == "synth-out-file":
+        argv, path = ["synth", "--out", str(a_file)], a_file
+    elif case == "prepare-workdir-under-file":
+        path = a_file / "work"
+        moved = {**cfg, "paths": {**cfg["paths"], "workdir": str(path)}}
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(moved))
+        argv = ["prepare", "--config", str(cfg_path)]
+    else:
+        argv, path = ["evaluate", "--config", str(cfg_path), "--pred", str(a_dir)], a_dir
+    assert execute_command(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and str(path) in err and "Traceback" not in err
+
+
 @pytest.mark.filterwarnings("ignore:overflow|invalid value:RuntimeWarning")
 def test_diverging_phase1_fit_exits_three_writing_no_artifacts(run_env, capsys):
     tmp_path, _, cfg = run_env
@@ -1393,3 +1433,18 @@ def test_bad_corpus_row_exits_two_naming_file_line_and_key(run_env, capsys, fnam
     assert execute_command(["prepare", "--config", str(cfg_path)]) == 2
     err = capsys.readouterr().err
     assert f"{fname}:3" in err and repr(key) in err
+
+
+def test_text_embeddings_of_two_lengths_exit_two_naming_file_line_and_key(run_env, capsys):
+    """The second length seen in ``symptoms.jsonl`` is refused at its line,
+    before any graph is built."""
+    tmp_path, cfg_path, _ = run_env
+    path = tmp_path / "corpus" / "symptoms.jsonl"
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    rows[0]["text_embedding"] = [0.5] * 4
+    rows[2]["text_embedding"] = [0.5] * 5
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    assert execute_command(["prepare", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert "symptoms.jsonl:3" in err and "'text_embedding'" in err
+    assert not (tmp_path / "work").exists()

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fmash import hgre
 from fmash.dataio import HeteroGraph
 from fmash.gradcheck import as_float64, max_relative_error
 from fmash.hgre import (GcnParams, HgreParams, SsmParams, bidirectional_block,
@@ -10,6 +11,8 @@ from fmash.hgre import (GcnParams, HgreParams, SsmParams, bidirectional_block,
                         normalized_adjacency, ssm_scan, subgraph_enhance)
 from fmash.nn import stage_rng
 from fmash.tape import Tensor
+
+from degree_oracle import loop_degrees, loop_degrees_of_graph
 
 
 def _identity_gcn(d, rng):
@@ -264,8 +267,7 @@ def test_zero_merge_enhance_equals_gcn_output():
     ssm = _zero_merge(SsmParams(4, rng, d_state=2))
     x = np.random.default_rng(13).normal(size=(6, 4))
     edges = np.array([[0, 1], [2, 3], [4, 5], [1, 2]])
-    degrees = np.array([1, 2, 2, 1, 1, 1])
-    out = subgraph_enhance(x, edges, degrees, gcn, ssm)
+    out = subgraph_enhance(x, edges, gcn, ssm)
     expected = gcn_forward(x, edges, gcn)
     np.testing.assert_array_equal(out.data, expected.data)
 
@@ -275,33 +277,9 @@ def test_single_node_subgraph():
     gcn = GcnParams(3, 3, rng)
     ssm = SsmParams(3, rng, d_state=2)
     x = np.random.default_rng(14).normal(size=(1, 3))
-    out = subgraph_enhance(x, np.zeros((0, 2), dtype=int), np.array([0]), gcn, ssm)
+    out = subgraph_enhance(x, np.zeros((0, 2), dtype=int), gcn, ssm)
     expected = bidirectional_block(gcn_forward(x, np.zeros((0, 2), dtype=int), gcn), ssm)
     np.testing.assert_array_equal(out.data, expected.data)
-
-
-def test_enhance_rows_track_node_identity():
-    """Relabeling nodes (features, edges, degrees) permutes output rows.
-
-    Distinct degrees keep the serialization order unambiguous, so the
-    relabeled run must visit the same nodes in the same order.
-    """
-    rng = np.random.default_rng(15)
-    n, d = 7, 4
-    x = rng.normal(size=(n, d))
-    edges = np.array([(j, i) for i in range(1, n) for j in range(i - 1)])
-    deg = rng.permutation(n)         # all distinct by construction
-    gcn = GcnParams(d, d, stage_rng(14, "g"))
-    ssm = SsmParams(d, stage_rng(14, "s"), d_state=2)
-    out = subgraph_enhance(x, edges, deg, gcn, ssm).data
-
-    pi = rng.permutation(n)
-    x_pi = np.empty_like(x)
-    x_pi[pi] = x
-    deg_pi = np.empty_like(deg)
-    deg_pi[pi] = deg
-    out_pi = subgraph_enhance(x_pi, pi[edges], deg_pi, gcn, ssm).data
-    np.testing.assert_allclose(out_pi[pi], out, atol=1e-9)
 
 
 def _toy_graph(n_sym=3, n_herb=4):
@@ -335,6 +313,76 @@ def test_hgre_degenerate_graph_reduces_to_gcn_chain():
         relu(x[3:] @ params.gcn_herb.weight.data + params.gcn_herb.bias.data)])
     expected = relu(stage1 @ params.gcn_global.weight.data + params.gcn_global.bias.data)
     np.testing.assert_allclose(out, expected, atol=1e-12)
+
+
+def _random_graph(seed):
+    rng = np.random.default_rng(seed)
+    n_sym, n_herb = rng.integers(1, 9, size=2)
+
+    def pairs(n_u, n_v, p, within):
+        return np.array([(u, v) for u in range(n_u) for v in range(n_v)
+                         if (u < v or not within) and rng.random() < p],
+                        dtype=np.int64).reshape(-1, 2)
+
+    return HeteroGraph(n_sym=int(n_sym), n_herb=int(n_herb),
+                       edges_ss=pairs(n_sym, n_sym, 0.4, True),
+                       edges_hh=pairs(n_herb, n_herb, 0.4, True),
+                       edges_sh=pairs(n_sym, n_herb, 0.3, False))
+
+
+def _empty_edges():
+    return np.zeros((0, 2), dtype=int)
+
+
+VISIT_ORDER_GRAPHS = {
+    "no_edges": HeteroGraph(n_sym=3, n_herb=4, edges_ss=_empty_edges(),
+                            edges_hh=_empty_edges(), edges_sh=_empty_edges()),
+    "single_nodes": HeteroGraph(n_sym=1, n_herb=1, edges_ss=_empty_edges(),
+                                edges_hh=_empty_edges(), edges_sh=np.array([[0, 0]])),
+    **{f"random_{seed}": _random_graph(seed) for seed in range(30, 36)},
+}
+
+
+@pytest.mark.parametrize("name", list(VISIT_ORDER_GRAPHS))
+def test_visit_order_is_the_permutation_of_loop_counted_degrees(name, monkeypatch):
+    """Each pass (symptoms, herbs, global) visits its nodes in
+    ``degree_permutation`` order of the degrees counted edge by edge."""
+    g = VISIT_ORDER_GRAPHS[name]
+    calls = []
+
+    def spy(degrees):
+        p = degree_permutation(degrees)
+        calls.append(p.perm)
+        return p
+
+    monkeypatch.setattr(hgre, "degree_permutation", spy)
+    x = np.random.default_rng(19).normal(size=(g.n_sym + g.n_herb, 3))
+    hgre_forward(x, g, HgreParams(d=3, seed=6, d_state=2))
+    assert len(calls) == 3
+    for got, oracle in zip(calls, loop_degrees_of_graph(g)):
+        np.testing.assert_array_equal(got, degree_permutation(oracle).perm)
+
+
+def test_enhance_rows_track_node_identity():
+    """Relabeling nodes (features and edges) permutes output rows.
+
+    The relabeling keeps every tie of degree in index order, so the
+    relabeled run visits the same nodes in the same order.
+    """
+    rng = np.random.default_rng(15)
+    n, d = 7, 4
+    x = rng.normal(size=(n, d))
+    edges = np.array([(j, i) for i in range(1, n) for j in range(i - 1)])
+    gcn = GcnParams(d, d, stage_rng(14, "g"))
+    ssm = SsmParams(d, stage_rng(14, "s"), d_state=2)
+    out = subgraph_enhance(x, edges, gcn, ssm).data
+
+    pi = _tie_respecting_permutation(rng, [(int(k),) for k in loop_degrees(n, edges)])
+    assert not np.array_equal(pi, np.arange(n))
+    x_pi = np.empty_like(x)
+    x_pi[pi] = x
+    out_pi = subgraph_enhance(x_pi, pi[edges], gcn, ssm).data
+    np.testing.assert_allclose(out_pi[pi], out, atol=1e-9)
 
 
 def _tie_respecting_permutation(rng, keys: list[tuple]) -> np.ndarray:
@@ -383,9 +431,9 @@ def test_hgre_equivariant_to_type_preserving_relabeling():
     params = HgreParams(d=d, seed=3, d_state=2)
     out = hgre_forward(x, g, params).data
 
-    sym_keys = [(int(g.sub_degrees_ss[i]), int(g.degrees[i])) for i in range(n_sym)]
-    herb_keys = [(int(g.sub_degrees_hh[i]), int(g.degrees[n_sym + i]))
-                 for i in range(n_herb)]
+    sub_ss, sub_hh, full = loop_degrees_of_graph(g)
+    sym_keys = [(int(sub_ss[i]), int(full[i])) for i in range(n_sym)]
+    herb_keys = [(int(sub_hh[i]), int(full[n_sym + i])) for i in range(n_herb)]
     pi_sym = _tie_respecting_permutation(rng, sym_keys)
     pi_herb = _tie_respecting_permutation(rng, herb_keys)
     pi = np.concatenate([pi_sym, n_sym + pi_herb])
