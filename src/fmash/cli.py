@@ -26,9 +26,9 @@ from typing import NamedTuple
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, parse_config
 from .dataio import (HERBS_FILE, PRESCRIPTIONS_FILE, SYMPTOMS_FILE, DatasetSplit,
-                     build_graph, generate_conflicting_corpus, generate_synthetic,
-                     load_corpus, load_vocab, save_corpus, save_molecular_table,
-                     split_dataset)
+                     build_graph, distinct_symptom_sets, generate_conflicting_corpus,
+                     generate_synthetic, load_corpus, load_vocab, save_corpus,
+                     save_molecular_table, split_dataset)
 from .errors import ConfigError, DataError, FmashError, NumericError, SchemaError
 from .evalkit import evaluate_run
 from .mlfie import VaeParams, impute_missing
@@ -309,6 +309,15 @@ def _cmd_synth(args) -> int:
             n_pairs=args.n_prescriptions // 2, herbs_per_formula=6,
             seed=args.seed, p_dim=23)
     else:
+        for flag, value, per in (("--n-sym", args.n_sym, 2), ("--n-herb", args.n_herb, 5)):
+            if value < per * args.n_syndromes:
+                raise UsageError(f"{flag} must be >= {per} per syndrome "
+                                 f"({per * args.n_syndromes}), got {value}")
+        sets = distinct_symptom_sets(args.n_sym, args.n_syndromes)
+        if args.n_prescriptions > sets:
+            raise UsageError(f"--n-prescriptions must be <= {sets}, the distinct symptom "
+                             f"sets that --n-sym and --n-syndromes allow, got "
+                             f"{args.n_prescriptions}")
         sym, herbs, pres = generate_synthetic(
             args.n_sym, args.n_herb, args.n_syndromes, args.n_prescriptions,
             seed=args.seed, missing_mol_fraction=args.missing_mol_fraction)
@@ -322,7 +331,10 @@ def _cmd_prepare(args) -> int:
     cfg = _load_config(args.config)
     symptoms, herbs, prescriptions = load_corpus(cfg.paths.corpus,
                                                  expected_p=cfg.dims.p)
-    split = split_dataset(prescriptions, tuple(cfg.train.ratio), cfg.train.seed)
+    try:    # the config's ratio is checked, so only the corpus size can fail
+        split = split_dataset(prescriptions, tuple(cfg.train.ratio), cfg.train.seed)
+    except DataError as exc:
+        raise DataError(f"{Path(cfg.paths.corpus) / PRESCRIPTIONS_FILE}: {exc}") from exc
     graph = build_graph(split.train, len(symptoms), len(herbs),
                         tau_s=cfg.graph.tau_s, tau_h=cfg.graph.tau_h)
     wd = _workdir(cfg)

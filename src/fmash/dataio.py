@@ -405,6 +405,13 @@ def _cluster_blocks(n: int, k: int) -> list[np.ndarray]:
     return [np.arange(bounds[i], bounds[i + 1]) for i in range(k)]
 
 
+def distinct_symptom_sets(n_sym: int, n_syndromes: int) -> int:
+    """How many distinct symptom sets :func:`generate_synthetic` can draw:
+    2-4 symptoms from one syndrome's cluster."""
+    return sum(math.comb(len(c), k) for c in _cluster_blocks(n_sym, n_syndromes)
+               for k in range(2, min(4, len(c)) + 1))
+
+
 def generate_synthetic(n_sym: int, n_herb: int, n_syndromes: int, n_prescriptions: int,
                        seed: int, *, p_dim: int = 23, missing_mol_fraction: float = 0.2,
                        text_embedding_dim: int | None = None,
@@ -481,8 +488,10 @@ def generate_synthetic(n_sym: int, n_herb: int, n_syndromes: int, n_prescription
                 break
         else:
             raise DataError(
-                "could not draw a fresh symptom set; the configuration leaves too "
-                "few distinct sets (pass unique_symptom_sets=False to allow repeats)")
+                f"could not draw a fresh symptom set for prescription {idx} in 1000 "
+                f"tries: {n_sym} symptoms in {n_syndromes} syndromes allow "
+                f"{distinct_symptom_sets(n_sym, n_syndromes)} distinct sets; ask for "
+                f"fewer prescriptions or more symptoms")
         seen_sets.add(sym_ids)
         k_h = int(rng.integers(5, min(10, len(herb_clusters[c])) + 1))
         herb_ids = rng.choice(herb_clusters[c], size=k_h, replace=False).tolist()

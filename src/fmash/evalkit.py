@@ -65,28 +65,31 @@ def load_predictions(path: str | Path, scored: bool) -> dict[int, list[int]]:
     instance id may appear on one line only."""
     path = Path(path)
     preds: dict[int, list[int]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            try:
-                instance_id, payload = line.split("\t")
-            except ValueError as exc:
-                raise SchemaError(f"{path}:{lineno}: expected 2 tab-separated "
-                                  f"fields") from exc
-            tokens = payload.split(",") if payload else []
-            if scored:
-                tokens = [tok.split(":")[0] for tok in tokens]
-            try:
-                key, herbs = int(instance_id), [int(tok) for tok in tokens]
-            except ValueError as exc:
-                raise SchemaError(f"{path}:{lineno}: ids must be integers "
-                                  f"({exc.args[0]})") from exc
-            if key in preds:
-                raise SchemaError(f"{path}:{lineno}: second prediction for "
-                                  f"instance {key}")
-            preds[key] = herbs
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.rstrip("\n")
+                if not line:
+                    continue
+                try:
+                    instance_id, payload = line.split("\t")
+                except ValueError as exc:
+                    raise SchemaError(f"{path}:{lineno}: expected 2 tab-separated "
+                                      f"fields") from exc
+                tokens = payload.split(",") if payload else []
+                if scored:
+                    tokens = [tok.split(":")[0] for tok in tokens]
+                try:
+                    key, herbs = int(instance_id), [int(tok) for tok in tokens]
+                except ValueError as exc:
+                    raise SchemaError(f"{path}:{lineno}: ids must be integers "
+                                      f"({exc.args[0]})") from exc
+                if key in preds:
+                    raise SchemaError(f"{path}:{lineno}: second prediction for "
+                                      f"instance {key}")
+                preds[key] = herbs
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text ({exc})") from exc
     return preds
 
 
@@ -188,7 +191,8 @@ def evaluate_run(prediction_path: str | Path, instances, ks: Sequence[int],
     missing = [inst.instance_id for inst in instances
                if inst.instance_id not in predictions]
     if missing:
-        raise DataError(f"missing predictions for instances {missing[:5]}"
+        raise DataError(f"{prediction_path}: missing predictions for instances "
+                        f"{missing[:5]}"
                         + ("..." if len(missing) > 5 else ""))
 
     report = MetricReport(model=model or head, split=split, ks=ks,

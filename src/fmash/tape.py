@@ -3,9 +3,10 @@ arrays.
 
 Every operation that touches a gradient-carrying tensor records a closure
 that routes the upstream gradient to its parents; ``Tensor.backward()``
-walks the recorded graph in reverse topological order.  A tensor keeps a
-float32 or float64 array as given and turns anything else (lists, ints,
-bools, Python floats) into float32, so the dtype follows the data: the
+walks the recorded graph in reverse topological order and releases each
+node once its closure has run, so only leaves keep a gradient.  A tensor
+keeps a float32 or float64 array as given and turns anything else (lists,
+ints, bools, Python floats) into float32, so the dtype follows the data: the
 pipeline, both heads and serving run in float32, and the finite-difference
 gradient checks (``gradcheck``) feed float64 to certify the same code at
 tight tolerances.  Results are byte-identical from run to run for a fixed
@@ -173,12 +174,15 @@ class Tensor:
                 if p.requires_grad and id(p) not in seen:
                     stack.append((p, False))
         self._accumulate(grad)
-        for node in reversed(topo):
+        # take the nodes off the list one at a time and, once a node's closure
+        # has run, clear its gradient, closure and parents: an intermediate
+        # gradient, and an array only that closure saved, is freed as soon as
+        # no later closure reads it; leaves (no parents) keep their gradients
+        # for the optimizer
+        while topo:
+            node = topo.pop()
             if node._backward is not None:
                 node._backward(node.grad)
-        # drop intermediate grads and closures right away; leaves (no
-        # parents) keep their gradients for the optimizer
-        for node in topo:
             if node._parents:
                 node._parents = ()
                 node._backward = None
@@ -633,8 +637,10 @@ def masked_cross_entropy(logits: Tensor, targets: np.ndarray,
 
     ``logits`` is (..., V); ``targets`` (integer ids) and ``mask`` are (...).
     Masked positions contribute exactly zero value and gradient.  The
-    backward is ``(softmax - onehot) * mask / count``, written into the
-    forward's ``exp`` buffer, so the backward allocates no (..., V) array.
+    forward reads the targets' shifted logits and then takes ``exp`` in
+    place, so it allocates one (..., V) buffer; the backward is
+    ``(softmax - onehot) * mask / count``, written into that buffer, so it
+    allocates no (..., V) array.
     """
     v = logits.shape[-1]
     targets = np.asarray(targets, dtype=np.intp).reshape(-1)
@@ -642,10 +648,11 @@ def masked_cross_entropy(logits: Tensor, targets: np.ndarray,
     count = float(mask.sum())
     x = logits.data.reshape(-1, v)
     shift = x - x.max(axis=1, keepdims=True)
-    e = np.exp(shift)
-    total = e.sum(axis=1, keepdims=True)
     rows = np.arange(x.shape[0])
-    picked = shift[rows, targets] - np.log(total[:, 0])
+    picked = shift[rows, targets]
+    e = np.exp(shift, out=shift)
+    total = e.sum(axis=1, keepdims=True)
+    picked -= np.log(total[:, 0])
     out = _node(-((picked * mask).sum() / count), (logits,))
     if out._parents:
         def bw(g):

@@ -377,6 +377,12 @@ def test_usage_errors_exit_one(run_env, capsys):
     (["--n-prescriptions", "-5"], "--n-prescriptions"),
     (["--seed", "-1"], "--seed"),
     (["--mode", "conflicting", "--n-prescriptions", "1"], "--n-prescriptions"),
+    (["--n-sym", "-3"], "--n-sym"),
+    (["--n-sym", "5"], "--n-sym"),
+    (["--n-herb", "3"], "--n-herb"),
+    (["--n-herb", "24"], "--n-herb"),
+    # the default 40 symptoms in 5 syndromes allow 770 distinct symptom sets
+    (["--n-prescriptions", "771"], "--n-prescriptions"),
 ])
 def test_synth_refuses_bad_flags_as_usage_errors(tmp_path, capsys, flags, flag):
     out = tmp_path / "corpus"
@@ -1240,14 +1246,75 @@ def test_garbage_prediction_file_exits_two(run_env, capsys):
     tmp_path, cfg_path, _ = run_env
     execute_command(["prepare", "--config", str(cfg_path)])
     pred = tmp_path / "pred.tsv"
-    for text, where in (("0\tx:1\n", f"{pred}:1"),
-                        ("0\t1:0.5\n1\t2:0.5\n0\t2:0.9\n",
-                         f"{pred}:3: second prediction for instance 0")):
-        pred.write_text(text, encoding="utf-8")
+    for raw, where in ((b"0\tx:1\n", f"{pred}:1"),
+                       (b"0\t1:0.5\n1\t2:0.5\n0\t2:0.9\n",
+                        f"{pred}:3: second prediction for instance 0"),
+                       (b"0\t1:0.5\n1\t2:0\x87.5\n", f"{pred}: not UTF-8 text"),
+                       (b"0\t1:0.5\n", f"{pred}: missing predictions for instances [")):
+        pred.write_bytes(raw)
         capsys.readouterr()
         assert execute_command(["evaluate", "--config", str(cfg_path),
                                 "--pred", str(pred)]) == 2
         assert where in capsys.readouterr().err
+
+
+# each file ``prepare``, ``train-rs`` and ``evaluate`` read, with the first
+# command of the pipeline that reads it
+_READERS = {"prescriptions.jsonl": ["prepare"], "splits.json": ["train-rs"],
+            "phase1.ckpt": ["train-rs"],
+            "rs_predictions.tsv": ["evaluate", "--head", "rs", "--pred"],
+            "seq_predictions.tsv": ["evaluate", "--head", "seq", "--pred"]}
+_BYTE_EDITS = st.lists(st.tuples(st.sampled_from(["flip", "cut", "insert"]),
+                                 st.floats(0.0, 1.0, exclude_max=True),
+                                 st.integers(1, 255)), min_size=1, max_size=3)
+
+
+@pytest.fixture(scope="module")
+def short_trained_env(tmp_path_factory):
+    """``run_env``'s corpus prepared and trained for one or two epochs per
+    stage, so a command on it takes milliseconds."""
+    root, cfg_path, cfg = _make_env(tmp_path_factory.mktemp("short"))
+    cfg["train"].update(epochs=2, mlfie_epochs=1, vae_epochs=1, fr_epochs=1)
+    cfg_path.write_text(json.dumps(cfg))
+    for cmd in ("prepare", "train-rs", "train-seq"):
+        assert execute_command([cmd, "--config", str(cfg_path)]) == 0
+    return root, cfg_path
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(name=st.sampled_from(sorted(_READERS)), edits=_BYTE_EDITS)
+def test_mutated_pipeline_inputs_exit_cleanly_naming_the_file(short_trained_env,
+                                                              name, edits):
+    """Flip, cut or insert bytes of one file the pipeline reads and run the
+    command that reads it: it exits 0, 2 or 3, never with a traceback, and
+    an exit 2 names the file."""
+    root, cfg_path = short_trained_env
+    files = sorted(p for p in root.rglob("*") if p.is_file())
+    originals = {p: p.read_bytes() for p in files}
+    path = root / ("corpus" if name.endswith(".jsonl") else "work") / name
+    raw = bytearray(originals[path])
+    for kind, where, byte in edits:
+        at = int(where * len(raw))
+        if kind == "cut":
+            del raw[at:]
+        elif kind == "insert":
+            raw.insert(at, byte)
+        elif at < len(raw):
+            raw[at] ^= byte
+    path.write_bytes(bytes(raw))
+    argv = _READERS[name] + ([str(path)] if name.endswith(".tsv") else [])
+    try:
+        code, _, err = _run(argv, cfg_path)
+    finally:
+        for p in root.rglob("*"):
+            if p.is_file() and p not in originals:
+                p.unlink()
+        for p, data in originals.items():
+            p.write_bytes(data)
+    assert code in (0, 2, 3) and "Traceback" not in err, err
+    if code == 2:
+        assert name in err, err
 
 
 def test_impute_mol_export(run_env):

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from fmash.dataio import (HeteroGraph, PrescriptionInstance, build_graph,
-                          generate_conflicting_corpus, generate_synthetic,
-                          load_corpus, save_corpus, save_molecular_table,
-                          split_dataset, split_sizes)
+                          distinct_symptom_sets, generate_conflicting_corpus,
+                          generate_synthetic, load_corpus, save_corpus,
+                          save_molecular_table, split_dataset, split_sizes)
 from fmash.errors import DataError, SchemaError
 
 from degree_oracle import loop_degrees_of_graph
@@ -202,6 +202,16 @@ def test_synthetic_infeasible_clusters():
         generate_synthetic(4, 60, 5, 10, seed=1)
     with pytest.raises(DataError):
         generate_synthetic(40, 12, 5, 10, seed=1)
+
+
+def test_synthetic_names_the_distinct_symptom_sets_when_drawing_runs_out():
+    # two clusters of two symptoms: one set each
+    assert distinct_symptom_sets(4, 2) == 2
+    assert distinct_symptom_sets(40, 5) == 5 * (28 + 56 + 70)
+    generate_synthetic(4, 10, 2, 2, seed=1)
+    with pytest.raises(DataError, match="allow 2 distinct sets; ask for fewer") as err:
+        generate_synthetic(4, 10, 2, 3, seed=1)
+    assert "unique_symptom_sets" not in str(err.value)
 
 
 def test_conflicting_corpus_structure():
