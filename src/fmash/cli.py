@@ -99,8 +99,8 @@ def _build_parser() -> _Parser:
     ev = sub.add_parser("evaluate")
     ev.add_argument("--config", required=True)
     ev.add_argument("--pred", required=True)
-    ev.add_argument("--k", default="5,10,20",
-                    help="comma-separated cutoffs, e.g. 5,10,20")
+    ev.add_argument("--k", help="comma-separated cutoffs, each at most the herb "
+                               "count (default: those of 5,10,20 within it)")
     ev.add_argument("--head", choices=["rs", "seq"], default="rs")
     return parser
 
@@ -128,9 +128,10 @@ def _workdir(cfg: RunConfig) -> Path:
     return wd
 
 
-def _load_splits(cfg: RunConfig) -> DatasetSplit:
-    """The corpus prescriptions in the split ``prepare`` wrote."""
-    _, _, prescriptions = load_corpus(cfg.paths.corpus, expected_p=cfg.dims.p)
+def _load_splits(cfg: RunConfig) -> tuple[DatasetSplit, int]:
+    """The corpus prescriptions in the split ``prepare`` wrote, and the
+    corpus herb count."""
+    _, herbs, prescriptions = load_corpus(cfg.paths.corpus, expected_p=cfg.dims.p)
     path = Path(cfg.paths.workdir) / SPLITS_FILE
     if not path.exists():
         raise DataError(f"missing {path}; run `fmash prepare` first")
@@ -160,7 +161,7 @@ def _load_splits(cfg: RunConfig) -> DatasetSplit:
     seed = obj.get("seed")
     if type(seed) is not int:
         raise SchemaError(f"{path}: 'seed' must be an integer, got {seed!r}")
-    return DatasetSplit(seed=seed, **parts)
+    return DatasetSplit(seed=seed, **parts), len(herbs)
 
 
 def _resolve_symptom_names(arg: str, symptom_names: list[str]) -> list[int]:
@@ -361,7 +362,7 @@ def _cmd_prepare(args) -> int:
 def _cmd_train(args) -> int:
     """Fit one head; its checkpoint holds only the unified table and the head."""
     cfg = _load_config(args.config)
-    split = _load_splits(cfg)
+    split, _ = _load_splits(cfg)
     phase1, unified = _load_phase1(cfg)
     wd = _workdir(cfg)
     opts = dict(epochs=cfg.train.epochs, lr=cfg.train.lr,
@@ -434,15 +435,23 @@ def _cmd_generate(args) -> int:
     return EXIT_OK
 
 
+_DEFAULT_KS = (5, 10, 20)
+
+
 def _cmd_evaluate(args) -> int:
     cfg = _load_config(args.config)
-    try:
-        ks = [int(tok) for tok in args.k.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise UsageError(f"--k must be comma-separated integers: {args.k!r}") from exc
-    if not ks or any(k < 1 for k in ks):
-        raise UsageError(f"--k entries must be >= 1: {args.k!r}")
-    split = _load_splits(cfg)
+    if args.k is not None:
+        try:
+            ks = [int(tok) for tok in args.k.split(",") if tok.strip()]
+        except ValueError as exc:
+            raise UsageError(f"--k must be comma-separated integers: {args.k!r}") from exc
+        if not ks or any(k < 1 for k in ks):
+            raise UsageError(f"--k entries must be >= 1: {args.k!r}")
+    split, n_herb = _load_splits(cfg)
+    if args.k is None:
+        ks = [k for k in _DEFAULT_KS if k <= n_herb] or [n_herb]
+    elif max(ks) > n_herb:
+        raise UsageError(f"--k {max(ks)} exceeds the herb vocabulary ({n_herb})")
     pred = Path(args.pred)
     if not pred.exists():
         raise DataError(f"prediction file not found: {pred}; train a head first")

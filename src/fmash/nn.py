@@ -27,7 +27,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import NumericError
-from .tape import Tensor, attention, concat, layer_norm, linear
+from .tape import Tensor, attention, concat, feed_forward, layer_norm, linear
 
 
 class ShapesOnly:
@@ -171,12 +171,15 @@ class MultiHeadAttention(Module):
 
 
 class FeedForward(Module):
+    """``lin2(silu(lin1(x)))`` as one ``tape.feed_forward`` node."""
+
     def __init__(self, d_model: int, d_hidden: int, rng: np.random.Generator):
         self.lin1 = Linear(d_model, d_hidden, rng)
         self.lin2 = Linear(d_hidden, d_model, rng)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return self.lin2(self.lin1(x).silu())
+        return feed_forward(x, self.lin1.weight, self.lin1.bias,
+                            self.lin2.weight, self.lin2.bias)
 
 
 class EncoderLayer(Module):

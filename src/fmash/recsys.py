@@ -20,7 +20,7 @@ from .dataio import symptom_batch
 from .errors import DataError, NumericError
 from .nn import EncoderLayer, Linear, Module, TrainResult, fit, parameter, stage_rng
 from .refine import UnifiedEmbedding
-from .tape import Tensor, bce_with_logits, concat, linear, no_grad, softmax
+from .tape import Tensor, concat, linear, linear_bce, no_grad, softmax
 
 
 # ---------------------------------------------------------------------------
@@ -69,9 +69,12 @@ def make_rs_params(emb: UnifiedEmbedding, seed: int | None, *, gelram: bool = Tr
 # ---------------------------------------------------------------------------
 
 def rs_logits(symptom_sets: list, emb: UnifiedEmbedding, params: RsParams,
-              sym_table: Tensor | None = None,
-              herb_table: Tensor | None = None) -> Tensor:
-    """Batched pre-sigmoid scores, one row per symptom set.
+              sym_table: Tensor | None = None, herb_table: Tensor | None = None,
+              targets: np.ndarray | None = None) -> Tensor:
+    """Batched pre-sigmoid scores, one row per symptom set; with (B, H)
+    multi-hot ``targets``, their mean binary cross-entropy instead, the
+    training loss, as one ``linear_bce`` node over the output projection's
+    input, so the scores never form a tensor of their own.
 
     ``sym_table`` / ``herb_table`` may be passed explicitly (as gradient
     leaves) to fine-tune the embeddings; by default the tables in ``emb``
@@ -88,20 +91,23 @@ def rs_logits(symptom_sets: list, emb: UnifiedEmbedding, params: RsParams,
     s = masked.sum(axis=1)                                # (B, d)
 
     if isinstance(params, PlainScorerParams):
-        return linear(params.bilinear(s), herb_t.transpose(1, 0), params.bias)
+        x, w, bias = params.bilinear(s), herb_t.transpose(1, 0), params.bias
+    else:
+        logits = (s @ herb_t.transpose(1, 0)) / math.sqrt(d)
+        p = softmax(logits, axis=-1)                      # (B, H)
+        h_w = p @ herb_t                                  # (B, d)
 
-    logits = (s @ herb_t.transpose(1, 0)) / math.sqrt(d)
-    p = softmax(logits, axis=-1)                          # (B, H)
-    h_w = p @ herb_t                                      # (B, d)
-
-    cls = params.input_proj(concat([h_w, s], axis=1))     # (B, d_enc)
-    tok = params.tok_proj(tokens)                         # (B, W, d_enc)
-    seq = concat([cls.reshape(b, 1, -1), tok], axis=1)
-    key_mask = np.concatenate([np.ones((b, 1), dtype=bool), mask], axis=1)
-    for layer in params.layers:
-        seq = layer(seq, key_mask=key_mask)
-    z = seq[:, 0, :]                                      # (B, d_enc)
-    return params.out(z)
+        cls = params.input_proj(concat([h_w, s], axis=1))  # (B, d_enc)
+        tok = params.tok_proj(tokens)                     # (B, W, d_enc)
+        seq = concat([cls.reshape(b, 1, -1), tok], axis=1)
+        key_mask = np.concatenate([np.ones((b, 1), dtype=bool), mask], axis=1)
+        for layer in params.layers:
+            seq = layer(seq, key_mask=key_mask)
+        # the [CLS] state (B, d_enc) through the output projection
+        x, w, bias = seq[:, 0, :], params.out.weight, params.out.bias
+    if targets is None:
+        return linear(x, w, bias)
+    return linear_bce(x, w, bias, targets)
 
 
 @dataclass
@@ -161,9 +167,8 @@ def train_rs(instances, emb: UnifiedEmbedding, *, epochs: int = 300,
     sym_t, herb_t = Tensor(emb.sym()), Tensor(emb.herb())
 
     def loss(sel: np.ndarray) -> Tensor:
-        logits = rs_logits([symptom_sets[i] for i in sel], emb, params,
-                           sym_table=sym_t, herb_table=herb_t)
-        return bce_with_logits(logits, targets[sel])
+        return rs_logits([symptom_sets[i] for i in sel], emb, params,
+                         sym_table=sym_t, herb_table=herb_t, targets=targets[sel])
 
     return TrainResult(params, list(fit(
         params.parameters(), loss, len(instances), name="rs", epochs=epochs, lr=lr,

@@ -31,7 +31,7 @@ from .nn import (DecoderLayer, EncoderLayer, LayerNorm, Linear, Module,
                  MultiHeadAttention, TrainResult, fit, key_mask_bias, parameter,
                  sinusoidal_positions, stage_rng)
 from .refine import UnifiedEmbedding
-from .tape import Tensor, masked_cross_entropy, no_grad
+from .tape import Tensor, linear_cross_entropy, no_grad
 
 MAX_POSITIONS = 512
 
@@ -136,12 +136,13 @@ def decoder_cache(memory: Tensor, memory_mask: np.ndarray,
                         self_kv=[None] * len(params.dec_layers))
 
 
-def decoder_logits(cache: DecoderCache, target_tokens: np.ndarray,
+def decoder_states(cache: DecoderCache, target_tokens: np.ndarray,
                    params: Seq2SeqParams) -> Tensor:
-    """Next-token logits (B, T, V) for the T target tokens that follow the
-    ``cache.length`` tokens already in ``cache``, at the positions after
-    theirs; appends the new tokens' self-attention keys and values to
-    ``cache``.  Teacher forcing passes a whole prefix to an empty cache."""
+    """The (B, T, d) final decoder states, the input of the output
+    projection, for the T target tokens that follow the ``cache.length``
+    tokens already in ``cache``, at the positions after theirs; appends the
+    new tokens' self-attention keys and values to ``cache``.  Teacher
+    forcing passes a whole prefix to an empty cache."""
     target_tokens = np.asarray(target_tokens, dtype=np.intp)
     start, end = cache.length, cache.length + target_tokens.shape[1]
     if end > MAX_POSITIONS:
@@ -153,7 +154,14 @@ def decoder_logits(cache: DecoderCache, target_tokens: np.ndarray,
         x, cache.self_kv[i] = layer(x, cache.memory_kv[i + 1], cache.memory_bias,
                                     cache.self_kv[i])
     cache.length = end
-    return params.out(params.dec_ln(x))
+    return params.dec_ln(x)
+
+
+def decoder_logits(cache: DecoderCache, target_tokens: np.ndarray,
+                   params: Seq2SeqParams) -> Tensor:
+    """Next-token logits (B, T, V): ``decoder_states`` (which see) through
+    the output projection."""
+    return params.out(decoder_states(cache, target_tokens, params))
 
 
 @dataclass
@@ -182,11 +190,14 @@ def make_batch(instances, vocab: TokenVocab) -> SeqBatch:
 
 
 def sequence_loss(batch: SeqBatch, params: Seq2SeqParams) -> Tensor:
-    """Teacher-forced cross-entropy; PAD positions contribute exactly zero."""
+    """Teacher-forced cross-entropy; PAD positions contribute exactly zero.
+    The output projection and the loss are one ``linear_cross_entropy``
+    node, so the (B, T, V) logits never form a tensor of their own."""
     memory, memory_mask = encode_batch(batch.symptom_sets, params)
-    logits = decoder_logits(decoder_cache(memory, memory_mask, params), batch.dec_in,
+    states = decoder_states(decoder_cache(memory, memory_mask, params), batch.dec_in,
                             params)
-    return masked_cross_entropy(logits, batch.dec_target, batch.loss_mask)
+    return linear_cross_entropy(states, params.out.weight, params.out.bias,
+                                batch.dec_target, batch.loss_mask)
 
 
 def train_seq(instances, emb: UnifiedEmbedding, *, epochs: int = 300,

@@ -17,17 +17,26 @@ Only the operations the models actually need are implemented.  Reductions,
 broadcasts and fancy indexing follow numpy semantics exactly.
 
 The layers the models call most are single nodes: ``linear``,
-``layer_norm``, ``softmax``, ``Tensor.silu`` and multi-head ``attention``
-each record one closure in place of the chain of primitive nodes they
-stand for.  Such a fused node reproduces the bits of that composite:
-forward and backward run the composite's array operations in its order,
-with its constants, and hand each input its gradients in the composite's
-accumulation order.  Its test keeps the composite, built from primitive
-ops, as the oracle it must equal bit for bit.  ``bce_with_logits`` is one
-node with the gradient bits of its composite and a forward whose softplus
-may differ from ``Tensor.softplus`` in the last bits.
-``masked_cross_entropy`` and ``selective_scan`` are fused with their own
-closed-form backward, certified by finite differences.
+``layer_norm``, ``softmax``, ``Tensor.silu``, multi-head ``attention`` and
+the transformer ``feed_forward`` block each record one closure in place of
+the chain of primitive nodes they stand for.  Such a fused node reproduces
+the bits of that composite: forward and backward run the composite's array
+operations in its order, with its constants, and hand each input its
+gradients in the composite's accumulation order.  Its test keeps the
+composite, built from primitive ops, as the oracle it must equal bit for
+bit.  Each head's output projection and loss are one node as well:
+``linear_bce`` has the gradient bits of its composite and a forward whose
+softplus may differ from ``Tensor.softplus`` in the last bits;
+``linear_cross_entropy`` and ``selective_scan`` have their own closed-form
+backward, certified by finite differences.
+
+A fused node keeps only the arrays its backward reads, and recomputes an
+array its composite kept where one elementwise pass gives the same bits:
+``layer_norm`` keeps the centered input and the deviation and recomputes
+their quotient; ``attention`` keeps the scores' ``exp`` and row sums and
+recomputes the weights; ``feed_forward`` keeps the pre-activation and its
+sigmoid and recomputes the activation; the two loss nodes compute the
+logits inside, so no ``linear`` node holds them as well.
 
 Importing the module fixes glibc's heap thresholds (``_keep_freed_memory``)
 so that memory a training step frees stays in the process for the next one.
@@ -483,28 +492,32 @@ def selective_scan(delta: Tensor, a: Tensor, b_in: Tensor, c_out: Tensor,
     return out
 
 
+def _linear_backward(x: Tensor, w: Tensor, b: Tensor | None, g: np.ndarray) -> None:
+    """``linear``'s backward for ``g``, the gradient of ``x @ w + b``: the
+    bias (if any), the input, then the weight."""
+    xd, wd = x.data, w.data
+    if b is not None and b.requires_grad:
+        b._accumulate(_unbroadcast(g, b.data.shape))
+    # the batch axes fold into rows: one 2-D product per gradient
+    g2 = g.reshape(-1, wd.shape[1])
+    if x.requires_grad:
+        x._accumulate((g2 @ wd.T).reshape(xd.shape))
+    if w.requires_grad:
+        w._accumulate(xd.reshape(-1, xd.shape[-1]).T @ g2)
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """``x @ w + b`` for an (..., d_in) ``x`` and a 2-D ``w``, as one node
     with the bits of the composite ``(x @ w) + b`` of matmul and add nodes."""
     x = Tensor.ensure(x)
     if x.data.ndim < 2:
         raise ValueError("matmul operands must be at least 2-D")
-    xd, wd = x.data, w.data
-    y = xd @ wd
+    y = x.data @ w.data
     if b is not None:
         y += b.data
     out = _node(y, (x, w) if b is None else (x, w, b))
     if out._parents:
-        def bw(g):
-            if b is not None and b.requires_grad:
-                b._accumulate(_unbroadcast(g, b.data.shape))
-            # the batch axes fold into rows: one 2-D product per gradient
-            g2 = g.reshape(-1, wd.shape[1])
-            if x.requires_grad:
-                x._accumulate((g2 @ wd.T).reshape(xd.shape))
-            if w.requires_grad:
-                w._accumulate(xd.reshape(-1, xd.shape[-1]).T @ g2)
-        out._backward = bw
+        out._backward = lambda g: _linear_backward(x, w, b, g)
     return out
 
 
@@ -523,14 +536,14 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
     mu = xd.sum(axis=-1, keepdims=True) / n
     c = xd + (-mu)
     sd = np.sqrt((c * c).sum(axis=-1, keepdims=True) / n + eps)
-    q = c / sd
-    out = _node(q * gamma.data + beta.data, (x, gamma, beta))
+    out = _node(c / sd * gamma.data + beta.data, (x, gamma, beta))
     if out._parents:
+        # keeps c and sd; gamma's gradient recomputes c / sd
         def bw(g):
             if beta.requires_grad:
                 beta._accumulate(_unbroadcast(g, beta.data.shape))
             if gamma.requires_grad:
-                gamma._accumulate(_unbroadcast(g * q, gamma.data.shape))
+                gamma._accumulate(_unbroadcast(g * (c / sd), gamma.data.shape))
             if not x.requires_grad:
                 return
             gq = g * gamma.data
@@ -602,9 +615,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | None,
     z -= z.max(axis=-1, keepdims=True)
     e = np.exp(z, out=z)
     s = e.sum(axis=-1, keepdims=True)
-    a = e / s
-    out = _node((a @ v4).transpose(0, 2, 1, 3).reshape(b, lq, d), (q, k, v))
+    out = _node(((e / s) @ v4).transpose(0, 2, 1, 3).reshape(b, lq, d), (q, k, v))
     if out._parents:
+        # keeps e and s; the values' gradient recomputes the weights e / s
         def bw(g):
             g4 = g.reshape(b, lq, n_heads, dh).transpose(0, 2, 1, 3)
             ga = g4 @ v4.swapaxes(-1, -2)
@@ -613,7 +626,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | None,
             gs *= e
             gs /= s ** 2
             gs = _unbroadcast(gs, s.shape)
-            gz = ga / s
+            gz = np.divide(ga, s, out=ga)
             gz += np.broadcast_to(gs, e.shape)
             gz *= e
             gz /= scale
@@ -624,71 +637,118 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | None,
                 k._accumulate((q4.swapaxes(-1, -2) @ gz).transpose(0, 3, 1, 2)
                               .reshape(kd.shape))
             if v.requires_grad:
-                v._accumulate((a.swapaxes(-1, -2) @ g4).transpose(0, 2, 1, 3)
+                v._accumulate(((e / s).swapaxes(-1, -2) @ g4).transpose(0, 2, 1, 3)
                               .reshape(vd.shape))
         out._backward = bw
     return out
 
 
-def masked_cross_entropy(logits: Tensor, targets: np.ndarray,
-                         mask: np.ndarray) -> Tensor:
-    """Mean of ``-log softmax(logits)[..., target]`` over the positions where
-    ``mask`` is True, as one node.
+def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """``silu(x @ w1 + b1) @ w2 + b2`` as one node, with the bits of the
+    composite ``linear(linear(x, w1, b1).silu(), w2, b2)``.
 
-    ``logits`` is (..., V); ``targets`` (integer ids) and ``mask`` are (...).
-    Masked positions contribute exactly zero value and gradient.  The
-    forward reads the targets' shifted logits and then takes ``exp`` in
-    place, so it allocates one (..., V) buffer; the backward is
-    ``(softmax - onehot) * mask / count``, written into that buffer, so it
-    allocates no (..., V) array.
+    It keeps the pre-activation ``h`` and its sigmoid, two hidden-width
+    arrays where the composite keeps three: the backward recomputes the
+    activation ``h * sigmoid(h)`` for ``w2``'s gradient.
     """
-    v = logits.shape[-1]
+    h = x.data @ w1.data
+    h += b1.data
+    sig = _sigmoid(h)
+    y = (h * sig) @ w2.data
+    y += b2.data
+    out = _node(y, (x, w1, b1, w2, b2))
+    if out._parents:
+        def bw(g):
+            if b2.requires_grad:
+                b2._accumulate(_unbroadcast(g, b2.data.shape))
+            g2 = g.reshape(-1, w2.data.shape[1])
+            if w2.requires_grad:
+                w2._accumulate((h * sig).reshape(-1, h.shape[-1]).T @ g2)
+            # silu's backward: the product's gradient g sig, then the
+            # sigmoid's g h sig (1 - sig), added in place
+            gh = (g2 @ w2.data.T).reshape(h.shape)
+            gs = gh * h
+            gs *= sig
+            gs *= 1.0 - sig
+            gh *= sig
+            gh += gs
+            del gs
+            _linear_backward(x, w1, b1, gh)
+        out._backward = bw
+    return out
+
+
+def linear_cross_entropy(x: Tensor, w: Tensor, b: Tensor, targets: np.ndarray,
+                         mask: np.ndarray) -> Tensor:
+    """Mean of ``-log softmax(x @ w + b)[..., target]`` over the positions
+    where ``mask`` is True, as one node: an output projection and its
+    masked cross-entropy.
+
+    ``x`` is (..., d) and ``w`` (d, V); ``targets`` (integer ids) and
+    ``mask`` are (...).  Masked positions contribute exactly zero value and
+    gradient.  The forward shifts the logits by their row maxima and takes
+    ``exp`` in place, so the node keeps one (..., V) buffer and not the
+    logits; the backward writes ``(softmax - onehot) * mask / count`` into
+    that buffer and hands it to ``linear``'s backward.  The loss and every
+    gradient equal, bit for bit, those of a ``linear`` node followed by a
+    node that computes this closed-form cross-entropy of its output.
+    """
+    v = w.data.shape[1]
     targets = np.asarray(targets, dtype=np.intp).reshape(-1)
     mask = np.asarray(mask, dtype=bool).reshape(-1)
     count = float(mask.sum())
-    x = logits.data.reshape(-1, v)
-    shift = x - x.max(axis=1, keepdims=True)
-    rows = np.arange(x.shape[0])
-    picked = shift[rows, targets]
-    e = np.exp(shift, out=shift)
+    y = x.data @ w.data
+    y += b.data
+    shape = y.shape
+    e = y.reshape(-1, v)
+    e -= e.max(axis=1, keepdims=True)
+    rows = np.arange(e.shape[0])
+    picked = e[rows, targets]
+    np.exp(e, out=e)
     total = e.sum(axis=1, keepdims=True)
     picked -= np.log(total[:, 0])
-    out = _node(-((picked * mask).sum() / count), (logits,))
+    out = _node(-((picked * mask).sum() / count), (x, w, b))
     if out._parents:
         def bw(g):
             grad = np.divide(e, total, out=e)
             grad[rows, targets] -= 1.0
             grad *= (mask * (g / count))[:, None]
-            logits._accumulate(grad.reshape(logits.shape))
+            _linear_backward(x, w, b, grad.reshape(shape))
         out._backward = bw
     return out
 
 
-def bce_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """Mean binary cross-entropy ``mean(softplus(x) - t x)`` as one node.
+def linear_bce(x: Tensor, w: Tensor, b: Tensor, targets: np.ndarray) -> Tensor:
+    """Mean binary cross-entropy ``mean(softplus(z) - t z)`` of the logits
+    ``z = x @ w + b``, as one node: an output projection and its loss.
 
-    The backward hands ``logits`` the two gradients of that composite of
-    primitive nodes in its order, ``(g/N) sigmoid(x)`` and then
-    ``-(g/N) t``, with its bits.  The forward takes softplus in the stable
-    form ``log1p(exp(-|x|)) + max(x, 0)``, which can differ from
-    ``Tensor.softplus`` in the last bits; no gradient reads it.
+    The forward takes softplus in the stable form ``log1p(exp(-|z|)) +
+    max(z, 0)``, which can differ from ``Tensor.softplus`` in the last bits;
+    no gradient reads it.  The node keeps ``z`` and ``exp(-|z|)``.  The
+    backward builds the logits' gradient of the composite ``linear``,
+    ``softplus``, ``*``, ``-`` and ``mean`` nodes, ``(g/N) sigmoid(z)`` plus
+    ``-(g/N) t`` in that order, in those two buffers, and hands it to
+    ``linear``'s backward: the logits are internal to the node, so no other
+    gradient can come between the two, and every gradient keeps the
+    composite's bits.
     """
-    x = logits.data
+    z = x.data @ w.data
+    z += b.data
     t = _as_array(targets)
-    n = _as_array(float(x.size))
-    e = np.exp(-np.abs(x))
+    n = _as_array(float(z.size))
+    e = np.exp(-np.abs(z))
     sp = np.log1p(e)
-    sp += np.maximum(x, 0.0)
-    sp -= t * x
-    out = _node(sp.sum() / n, (logits,))
+    sp += np.maximum(z, 0.0)
+    sp -= t * z
+    out = _node(sp.sum() / n, (x, w, b))
     if out._parents:
         def bw(g):
             gn = g / n
-            # sigmoid(x) as ``_sigmoid`` takes it, from the forward's exp(-|x|)
-            sig = np.exp(np.minimum(x, 0.0))
+            # sigmoid(z) as ``_sigmoid`` takes it, from the forward's exp(-|z|)
+            sig = np.exp(np.minimum(z, 0.0, out=z), out=z)
             sig /= np.add(e, 1.0, out=e)
             sig *= gn
-            logits._accumulate(sig)
-            logits._accumulate(-gn * t)
+            sig += np.multiply(-gn, t, out=e)
+            _linear_backward(x, w, b, sig)
         out._backward = bw
     return out

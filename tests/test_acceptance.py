@@ -37,7 +37,7 @@ from fmash.recsys import (GelramParams, gelram_score, multi_hot, rs_logits,
 from fmash.recsys import export_predictions as export_rs_predictions
 from fmash.refine import UnifiedEmbedding
 from fmash.seqgen import Seq2SeqParams, generate, make_batch, sequence_loss, train_seq
-from fmash.tape import Tensor, bce_with_logits
+from fmash.tape import Tensor
 
 GRAD_TOL = 1e-4
 
@@ -161,9 +161,8 @@ def test_c2_gradient_suite():
     sets = [[0, 2], [1, 3]]
     rs_targets = multi_hot([[0, 3], [2]], 5)
     errors["rs_loss"] = max_relative_error(
-        lambda: bce_with_logits(
-            rs_logits(sets, emb, rs, sym_table=sym_t, herb_table=herb_t),
-            rs_targets),
+        lambda: rs_logits(sets, emb, rs, sym_table=sym_t, herb_table=herb_t,
+                          targets=rs_targets),
         [sym_t, herb_t] + rs.parameters())
 
     seq_params = as_float64(Seq2SeqParams(emb, seed=106, n_heads=2, n_enc_layers=1,

@@ -18,9 +18,9 @@ import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 from decode_reference import full_prefix_generate  # noqa: E402
 
-from fmash import cli, mlfie, pipeline, seqgen  # noqa: E402
+from fmash import cli, mlfie, pipeline, recsys, seqgen  # noqa: E402
 from fmash.config import RunConfig  # noqa: E402
-from fmash.dataio import build_graph, generate_synthetic  # noqa: E402
+from fmash.dataio import PrescriptionInstance, build_graph, generate_synthetic  # noqa: E402
 from fmash.refine import UnifiedEmbedding  # noqa: E402
 
 
@@ -73,6 +73,24 @@ def test_phase1_span_only_in_prepare(tmp_path):
     finally:
         rec.close()
     assert len(rec.named("pipeline.phase1")) == 1
+
+
+def test_training_runs_the_forward_spans_the_traced_benchmark_reads():
+    """The traced benchmark takes the median of the ``recsys.forward`` and
+    ``seqgen.forward`` spans inside each head's training, so each training
+    loss goes through ``rs_logits`` and ``sequence_loss``."""
+    emb = UnifiedEmbedding(np.random.default_rng(0).normal(size=(16, 8)), n_sym=6)
+    instances = [PrescriptionInstance(0, frozenset({0, 2}), [1, 3]),
+                 PrescriptionInstance(1, frozenset({1, 4}), [0, 2, 7])]
+    rec = spans.Recorder("t")
+    try:
+        workloads.install_patches(rec, full=True)
+        recsys.train_rs(instances, emb, epochs=2, d_enc=8, n_heads=2, seed=0)
+        seqgen.train_seq(instances, emb, epochs=2, n_heads=2, seed=0)
+    finally:
+        rec.close()
+    assert len(rec.named("recsys.forward", under="recsys.train")) == 2
+    assert len(rec.named("seqgen.forward", under="seqgen.train")) == 2
 
 
 @pytest.mark.parametrize("eos_bias, n_formula", [(1e3, 0), (0.5, None), (-1e3, 6)],

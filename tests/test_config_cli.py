@@ -295,13 +295,14 @@ def test_full_rs_pipeline(run_env, capsys):
     assert execute_command(["train-rs", "--config", str(cfg_path)]) == 0
     pred = tmp_path / "work" / "rs_predictions.tsv"
     assert pred.exists()
+    # the corpus has 12 herbs: a larger cutoff is refused
     assert execute_command(["evaluate", "--config", str(cfg_path),
-                            "--pred", str(pred), "--k", "5,10,20"]) == 0
+                            "--pred", str(pred), "--k", "5,10,12"]) == 0
     report = json.loads((tmp_path / "work" / "report_rs.json").read_text())
-    assert sorted(report["precision"]) == ["10", "20", "5"]
-    assert sorted(report["bmp"]) == ["10", "20", "5"]
+    assert sorted(report["precision"]) == ["10", "12", "5"]
+    assert sorted(report["bmp"]) == ["10", "12", "5"]
     out = capsys.readouterr().out
-    assert "P@5=" in out and "BMP@20=" in out
+    assert "P@5=" in out and "BMP@12=" in out
 
 
 def test_seq_pipeline_and_generate(run_env, capsys):
@@ -368,6 +369,39 @@ def test_usage_errors_exit_one(run_env, capsys):
     assert execute_command(["frobnicate"]) == 1
     assert execute_command(["evaluate", "--config", str(cfg_path),
                             "--pred", "x", "--k", "0,5"]) == 1
+
+
+def test_evaluate_refuses_a_cutoff_above_the_herb_vocabulary(trained_env, capsys):
+    # as ``recommend --k`` does; without ``--k``, the default cutoffs 5, 10
+    # and 20 that the vocabulary holds
+    root, cfg_path, _ = trained_env
+    n_herb = len((root / "corpus" / "herbs.jsonl").read_text().splitlines())
+    assert n_herb == 12
+    pred, report = root / "work" / "rs_predictions.tsv", root / "work" / "report_rs.json"
+    for ks, code in ((["--k", "5,13"], 1), (["--k", "100000"], 1), (["--k", "12"], 0),
+                     ([], 0)):
+        capsys.readouterr()
+        assert execute_command(["evaluate", "--config", str(cfg_path), "--pred",
+                                str(pred), *ks]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err.startswith("usage error: --k ") and "(12)" in err
+            assert "Traceback" not in err
+    assert sorted(json.loads(report.read_text())["precision"]) == ["10", "5"]
+    report.unlink()
+
+
+@pytest.mark.parametrize("command", ["prepare", "train-rs", "evaluate"])
+def test_a_config_that_is_not_utf8_exits_two_naming_it(tmp_path, capsys, command):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_bytes(b"\xff\xfe{}")
+    argv = [command, "--config", str(cfg_path)]
+    if command == "evaluate":
+        argv += ["--pred", str(tmp_path / "pred.tsv")]
+    assert execute_command(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {cfg_path}: not UTF-8 text")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("flags, flag", [

@@ -1,7 +1,9 @@
 """Each fused tape node against the composite of primitive tape ops it
 stands for: the same forward bits, the same input gradient bits and the
 same parameter gradient bits (the binary cross-entropy's loss value within
-2 ULPs); and the node count of one loss graph per head."""
+2 ULPs); each output-projection-plus-loss node also against ``linear``
+followed by the loss node training called before (``tests/loss_oracle.py``),
+bit for bit; and the node count of one loss graph per head."""
 
 import math
 
@@ -13,7 +15,10 @@ from fmash.nn import NEG_INF, causal_bias, key_mask_bias
 from fmash.recsys import make_rs_params, multi_hot, rs_logits
 from fmash.refine import UnifiedEmbedding
 from fmash.seqgen import Seq2SeqParams, make_batch, sequence_loss
-from fmash.tape import Tensor, attention, bce_with_logits, layer_norm, linear, softmax
+from fmash.tape import (Tensor, attention, feed_forward, layer_norm, linear, linear_bce,
+                        linear_cross_entropy, softmax)
+from loss_oracle import bce_with_logits, masked_cross_entropy
+from memory_probe import step_peak_per_instance
 
 EPS = 1e-5
 
@@ -42,6 +47,10 @@ def _silu_composite(x):
     return x * x.sigmoid()
 
 
+def _feed_forward_composite(x, w1, b1, w2, b2):
+    return _linear_composite(_silu_composite(_linear_composite(x, w1, b1)), w2, b2)
+
+
 def _attention_composite(q, k, v, bias, n_heads):
     b, lq, d = q.shape
     d_head = d // n_heads
@@ -56,9 +65,10 @@ def _attention_composite(q, k, v, bias, n_heads):
     return out.transpose(0, 2, 1, 3).reshape(b, lq, d)
 
 
-def _bce_composite(x, t):
+def _bce_composite(x, w, b, t):
     t = Tensor(t)
-    return (x.softplus() - t * x).mean()
+    z = _linear_composite(x, w, b)
+    return (z.softplus() - t * z).mean()
 
 
 # -- the harness ----------------------------------------------------------------
@@ -146,6 +156,17 @@ def test_silu_node_keeps_the_composite_bits(dtype, shape, twice):
     _assert_same_bits(lambda x: x.silu(), _silu_composite, values, twice=twice)
 
 
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("twice", [False, True])
+@pytest.mark.parametrize("x_grad", [True, False])
+def test_feed_forward_node_keeps_the_composite_bits(dtype, shape, twice, x_grad):
+    values = _values(dtype, shape, (6, 10), (10,), (10, 6), (6,))
+    values[1] = values[1] * 3.0                      # both saturated tails
+    _assert_same_bits(feed_forward, _feed_forward_composite, values, x_grad=x_grad,
+                      twice=twice)
+
+
 N_HEADS = 2
 
 
@@ -189,9 +210,53 @@ def test_self_attention_node_keeps_the_composite_bits(dtype, kind, twice):
                       _values(dtype, (2, 5, 8)), twice=twice)
 
 
+def _loss_targets(shape, n_classes):
+    """Target ids and a mask over ``shape``: one row wholly masked, one
+    position always counted."""
+    rng = np.random.default_rng(4)
+    targets = rng.integers(0, n_classes, size=shape)
+    mask = rng.random(shape) > 0.4
+    mask[1] = False
+    mask.flat[0] = True
+    return targets, mask
+
+
+# ``twice`` adds a loss to x and takes the loss again of that sum: the loss
+# node then gets an upstream gradient other than 1, and x a second one
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("twice", [False, True])
+@pytest.mark.parametrize("x_grad", [True, False])
+def test_linear_cross_entropy_node_keeps_the_composite_bits(dtype, shape, twice, x_grad):
+    targets, mask = _loss_targets(shape[:-1], 7)
+    values = _values(dtype, shape, (6, 7), (7,))
+    values[1] = values[1] * 4.0                      # peaked and flat softmax rows
+    _assert_same_bits(
+        lambda x, w, b: linear_cross_entropy(x, w, b, targets, mask),
+        lambda x, w, b: masked_cross_entropy(_linear_composite(x, w, b), targets, mask),
+        values, x_grad=x_grad, twice=twice)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("twice", [False, True])
+@pytest.mark.parametrize("x_grad", [True, False])
+def test_linear_bce_node_keeps_the_composite_bits(dtype, shape, twice, x_grad):
+    t = (np.random.default_rng(5).random(shape[:-1] + (7,)) < 0.3).astype(dtype)
+    values = _values(dtype, shape, (6, 7), (7,))
+    values[1] = values[1] * 8.0                      # saturated logits too
+    _assert_same_bits(
+        lambda x, w, b: linear_bce(x, w, b, t),
+        lambda x, w, b: bce_with_logits(_linear_composite(x, w, b), t),
+        values, x_grad=x_grad, twice=twice)
+
+
 def _bce_cases(dtype):
-    """300 random (logits, targets) pairs: mixed scales up to |x| of about
-    60, saturated rows with |x| >= 30, and all-zero and all-one targets."""
+    """300 random (x, w, b, targets) cases whose projection ``x @ w + b``
+    gives ``x`` exactly (``w`` the identity, ``b`` zero), so the logits are
+    ``x``: mixed scales up to |x| of about 60, saturated rows with |x| >= 30,
+    and all-zero and all-one targets."""
     rng = np.random.default_rng(2)
     for i in range(300):
         shape = (int(rng.integers(1, 6)), int(rng.integers(1, 40)))
@@ -204,38 +269,41 @@ def _bce_cases(dtype):
             t[:] = 0.0
         elif i % 7 == 3:
             t[:] = 1.0
-        yield x.astype(dtype), t
+        yield [x.astype(dtype), np.eye(shape[1], dtype=dtype),
+               np.zeros(shape[1], dtype=dtype)], t
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
 def test_bce_node_keeps_the_composite_gradient_bits(dtype):
-    for x, t in _bce_cases(dtype):
+    for values, t in _bce_cases(dtype):
         results = []
-        for op in (bce_with_logits, _bce_composite):
-            leaf = Tensor(x.copy(), requires_grad=True)
-            loss = op(leaf, t)
+        for op in (linear_bce, _bce_composite):
+            leaves = [Tensor(v.copy(), requires_grad=True) for v in values]
+            loss = op(*leaves, t)
             loss.backward()
-            results.append((loss.data, leaf.grad))
-        (loss_f, grad_f), (loss_c, grad_c) = results
-        assert loss_f.dtype == loss_c.dtype == grad_f.dtype == grad_c.dtype == dtype
+            results.append((loss.data, [leaf.grad for leaf in leaves]))
+        (loss_f, grads_f), (loss_c, grads_c) = results
+        assert loss_f.dtype == loss_c.dtype == dtype
         # the forward's softplus is another formula: the loss may move in
-        # its last bits, the gradient never
+        # its last bits, the gradients never
         np.testing.assert_array_max_ulp(loss_f, loss_c, maxulp=2)
-        assert np.array_equal(grad_f, grad_c)
+        for g_f, g_c in zip(grads_f, grads_c):
+            assert g_f.dtype == dtype and np.array_equal(g_f, g_c)
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
 def test_bce_node_hands_its_gradients_in_the_composite_order(dtype):
-    # logits that feed another node first: the three gradients they
-    # receive add up in the same order as under the composite
-    x, t = next(_bce_cases(dtype))
+    # a projection input and weight that feed another node first: the
+    # gradients each receives add up in the same order as under the composite
+    values, t = next(_bce_cases(dtype))
     grads = []
-    for op in (bce_with_logits, _bce_composite):
-        leaf = Tensor(x.copy(), requires_grad=True)
+    for op in (linear_bce, _bce_composite):
+        x, w, b = (Tensor(v.copy(), requires_grad=True) for v in values)
         scale = Tensor(np.random.default_rng(3).normal(size=x.shape[1]).astype(dtype))
-        ((leaf * scale).sum() + op(leaf, t)).backward()
-        grads.append(leaf.grad)
-    assert np.array_equal(*grads)
+        ((x * scale).sum() + (w * 0.5).sum() + op(x, w, b, t)).backward()
+        grads.append([x.grad, w.grad, b.grad])
+    for g_f, g_c in zip(*grads):
+        assert np.array_equal(g_f, g_c)
 
 
 # -- node counts ----------------------------------------------------------------
@@ -261,10 +329,22 @@ def test_node_count_of_one_loss_graph_per_head():
                  for i, (s, h) in enumerate([({0, 2}, [1, 3]), ({1, 4, 5}, [0, 2, 7]),
                                              ({3}, [5])])]
     rs = make_rs_params(emb, 0, d_enc=8, n_heads=2)
-    logits = rs_logits([sorted(i.symptoms) for i in instances], emb, rs,
-                       sym_table=Tensor(emb.sym()), herb_table=Tensor(emb.herb()))
-    rs_loss = bce_with_logits(logits, multi_hot([i.herbs for i in instances],
-                                                emb.n_herb))
+    rs_loss = rs_logits([sorted(i.symptoms) for i in instances], emb, rs,
+                        sym_table=Tensor(emb.sym()), herb_table=Tensor(emb.herb()),
+                        targets=multi_hot([i.herbs for i in instances], emb.n_herb))
     seq = Seq2SeqParams(emb, 0, n_heads=2)
     seq_loss = sequence_loss(make_batch(instances, seq.vocab), seq)
-    assert (_graph_nodes(rs_loss), _graph_nodes(seq_loss)) == (69, 176)
+    assert (_graph_nodes(rs_loss), _graph_nodes(seq_loss)) == (64, 167)
+
+
+# -- memory ---------------------------------------------------------------------
+
+@pytest.mark.parametrize("head, bound_mib", [("seq", 0.28), ("rs", 0.082)])
+def test_one_training_step_stays_within_its_memory_per_instance(head, bound_mib):
+    """One training loss plus ``backward()`` at full-scale head shapes and
+    B = 128 (``tests/memory_probe.py``) peaks at 0.261 MiB per instance for
+    the sequence head and 0.074 MiB for the ranked head.  With nodes that
+    kept every array of their composites, and the logits beside each loss,
+    it took 0.357 and 0.090 MiB; with only ``feed_forward`` keeping its
+    activation as well, 0.290 and 0.084."""
+    assert step_peak_per_instance(head, 128) < bound_mib * 2 ** 20

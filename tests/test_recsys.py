@@ -7,7 +7,7 @@ from fmash.gradcheck import as_float64, max_relative_error
 from fmash.recsys import (GelramParams, PlainScorerParams, gelram_score, multi_hot,
                           recommend, rs_logits, train_rs)
 from fmash.refine import UnifiedEmbedding
-from fmash.tape import Tensor, bce_with_logits
+from fmash.tape import Tensor
 
 
 def _emb(n_sym=6, n_herb=10, d=8, seed=0):
@@ -218,9 +218,8 @@ def test_rs_loss_gradients_match_finite_differences():
     herb_t = as_float64(Tensor(emb.herb(), requires_grad=True))
 
     def loss():
-        return bce_with_logits(
-            rs_logits(sets, emb, params, sym_table=sym_t, herb_table=herb_t),
-            targets)
+        return rs_logits(sets, emb, params, sym_table=sym_t, herb_table=herb_t,
+                         targets=targets)
 
     leaves = [sym_t, herb_t] + params.parameters()
     assert max_relative_error(loss, leaves) < 1e-4
@@ -233,6 +232,6 @@ def test_plain_scorer_gradients():
     targets = multi_hot([[0], [4]], 5)
 
     def loss():
-        return bce_with_logits(rs_logits(sets, emb, params), targets)
+        return rs_logits(sets, emb, params, targets=targets)
 
     assert max_relative_error(loss, params.parameters()) < 1e-4

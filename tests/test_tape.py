@@ -11,8 +11,8 @@ from fmash.gradcheck import as_float64, max_relative_error
 from fmash.errors import NumericError
 from fmash.nn import (Adam, LayerNorm, Linear, MultiHeadAttention, causal_bias, fit,
                       sinusoidal_positions, stage_rng)
-from fmash.tape import (Tensor, bce_with_logits, concat, masked_cross_entropy,
-                        selective_scan, softmax)
+from fmash.tape import (Tensor, concat, feed_forward, linear, linear_bce,
+                        linear_cross_entropy, selective_scan, softmax)
 
 RTOL = 1e-6
 
@@ -163,36 +163,50 @@ def test_softmax_rows_sum_to_one_and_grads():
 
 
 def test_masked_cross_entropy_matches_log_softmax_pick():
+    # ``linear_cross_entropy``: the sequence head's projection and loss
     rng = np.random.default_rng(16)
-    logits = Tensor(rng.normal(0.0, 3.0, size=(4, 5, 7)), requires_grad=True)
+    x, w, b = _leaf(rng, 4, 5, 3), _leaf(rng, 3, 7), _leaf(rng, 7)
     targets = rng.integers(0, 7, size=(4, 5))
     mask = rng.random((4, 5)) > 0.4
     mask[1] = False                       # a row with nothing to score
     mask[0, 0] = True
 
     grads = []
-    for fn in (masked_cross_entropy, _masked_cross_entropy_reference):
-        logits.grad = None
-        loss = fn(logits, targets, mask)
+    for fn in (linear_cross_entropy,
+               lambda *a: _masked_cross_entropy_reference(linear(*a[:3]), *a[3:])):
+        for leaf in (x, w, b):
+            leaf.grad = None
+        loss = fn(x, w, b, targets, mask)
         loss.backward()
-        grads.append((loss.item(), logits.grad))
+        grads.append((loss.item(), [x.grad, w.grad, b.grad]))
     (fused, g_fused), (ref, g_ref) = grads
     assert abs(fused - ref) < 1e-12
-    np.testing.assert_allclose(g_fused, g_ref, rtol=0.0, atol=1e-12)
-    assert np.all(g_fused[1] == 0.0)
-    assert max_relative_error(lambda: masked_cross_entropy(logits, targets, mask),
-                              [logits]) < RTOL
+    for g_f, g_r in zip(g_fused, g_ref):
+        np.testing.assert_allclose(g_f, g_r, rtol=0.0, atol=1e-12)
+    assert np.all(g_fused[0][1] == 0.0)
+    assert max_relative_error(lambda: linear_cross_entropy(x, w, b, targets, mask),
+                              [x, w, b]) < RTOL
 
 
 def test_bce_with_logits_matches_naive():
+    # ``linear_bce``: the ranked head's projection and loss
     rng = np.random.default_rng(10)
-    logits = _leaf(rng, 8, 4)
+    x, w, b = _leaf(rng, 8, 3), _leaf(rng, 3, 4), _leaf(rng, 4)
     targets = (rng.random((8, 4)) > 0.5).astype(float)
-    loss = bce_with_logits(logits, targets)
-    p = 1.0 / (1.0 + np.exp(-logits.data))
+    loss = linear_bce(x, w, b, targets)
+    p = 1.0 / (1.0 + np.exp(-(x.data @ w.data + b.data)))
     naive = -(targets * np.log(p) + (1 - targets) * np.log(1 - p)).mean()
     assert abs(loss.item() - naive) < 1e-12
-    assert max_relative_error(lambda: bce_with_logits(logits, targets), [logits]) < RTOL
+    assert max_relative_error(lambda: linear_bce(x, w, b, targets), [x, w, b]) < RTOL
+
+
+def test_feed_forward_grads():
+    rng = np.random.default_rng(11)
+    x, w1, b1 = _leaf(rng, 2, 3, 4), _leaf(rng, 4, 6), _leaf(rng, 6)
+    w2, b2 = _leaf(rng, 6, 4), _leaf(rng, 4)
+    target = rng.normal(size=(2, 3, 4))
+    assert max_relative_error(lambda: (feed_forward(x, w1, b1, w2, b2) * target).sum(),
+                              [x, w1, b1, w2, b2]) < RTOL
 
 
 SCAN_INPUTS = ("delta", "a", "b_in", "c_out", "x")
@@ -438,23 +452,26 @@ def test_backward_frees_each_layer_once_it_has_run():
 
 
 def test_masked_cross_entropy_forward_allocates_one_logits_buffer():
+    # ``linear_cross_entropy`` keeps no logits beside its exp buffer
     rng = np.random.default_rng(4)
-    n, v = 2048, 500
-    logits = Tensor(rng.normal(size=(n, v)).astype(np.float32), requires_grad=True)
+    n, d, v = 2048, 16, 500
+    x = Tensor(rng.normal(size=(n, d)).astype(np.float32), requires_grad=True)
+    w = Tensor(rng.normal(size=(d, v)).astype(np.float32), requires_grad=True)
+    b = Tensor(np.zeros(v, dtype=np.float32), requires_grad=True)
     targets = rng.integers(0, v, size=n)
     mask = rng.random(n) < 0.7
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        loss = masked_cross_entropy(logits, targets, mask)
+        loss = linear_cross_entropy(x, w, b, targets, mask)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     # one (N, V) buffer plus O(N): the row maxima, the picked entries, sums
     assert peak - before < n * v * 4 + 64 * n
     loss.backward()
-    assert logits.grad.shape == (n, v)
+    assert x.grad.shape == (n, d) and w.grad.shape == (d, v)
 
 
 def test_sigmoid_bit_identical_to_masked_two_branch_form():
