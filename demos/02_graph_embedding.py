@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Walk through the graph-embedding stage on a small graph.
 
-Each homogeneous subgraph is smoothed by a GCN, serialized into a sequence
-by descending degree, run through a bidirectional gated selective scan, and
-scattered back to node order; the full graph then gets the same treatment
-once more.  The script shows the pieces: the normalized adjacency, the
+Each homogeneous subgraph is smoothed by a GCN with a self path, serialized
+into a sequence by descending degree, run through a bidirectional gated
+selective scan, and scattered back to node order; the full graph then gets
+the same treatment once more.  The script shows the pieces: the normalized adjacency, the
 degree ordering, scan causality, and the residual structure of the block.
 """
 
@@ -63,7 +63,8 @@ features = stage_rng(5, "demo.features").normal(size=(35, 32))
 out = hgre_forward(Tensor(features), graph, params)
 print(f"input {features.shape} -> embedded {out.shape}")
 
-# nodes of the same planted cluster end up closer than nodes across clusters
+# untrained, the smoothing pulls nodes of one planted cluster only slightly
+# closer: the self path keeps each node's own random features
 emb = out.data[15:]          # herb rows
 def mean_dist(pairs):
     return np.mean([np.linalg.norm(emb[i] - emb[j]) for i, j in pairs])

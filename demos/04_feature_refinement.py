@@ -2,9 +2,10 @@
 """Assemble multiscale node features and compress them to 64 dimensions.
 
 Herb rows concatenate [graph embedding | molecular vector | properties],
-symptom rows [graph embedding | text embedding]; a small autoencoder per
-node type learns to reconstruct the assembled rows and its encoder yields
-the unified embeddings both recommendation heads share.
+symptom rows [graph embedding], followed by a text embedding when the corpus
+gives every symptom one; a small autoencoder per node type learns to
+reconstruct the assembled rows and its encoder yields the unified
+embeddings both recommendation heads share.
 """
 
 import numpy as np
@@ -13,7 +14,7 @@ from fmash.config import RunConfig
 from fmash.dataio import build_graph, generate_synthetic, split_dataset
 from fmash.pipeline import run_phase1
 from fmash.refine import (AutoencoderParams, compress, reconstruction_mse,
-                          train_autoencoder)
+                          text_rows, train_autoencoder)
 from fmash.nn import stage_rng
 
 symptoms, herbs, prescriptions = generate_synthetic(40, 60, 5, 200, seed=7)
@@ -24,7 +25,9 @@ cfg = RunConfig()
 result = run_phase1(symptoms, herbs, graph, cfg)
 
 print("assembled widths per node type (graph d=64, molecular d_m=32, P=23):")
-print(f"  symptoms: 64 + {cfg.dims.d_text} text dims")
+text = text_rows(symptoms)    # None: this corpus has no symptom text
+d_text = 0 if text is None else text.shape[1]
+print(f"  symptoms: 64 + {d_text} text dims = {64 + d_text}")
 print(f"  herbs:    64 + 32 + 23 = 119 dims")
 print(f"compressed to a unified {result.unified.matrix.shape} table "
       f"({result.unified.n_sym} symptom rows first)")

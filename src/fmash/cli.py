@@ -332,10 +332,15 @@ def _cmd_prepare(args) -> int:
     cfg = _load_config(args.config)
     symptoms, herbs, prescriptions = load_corpus(cfg.paths.corpus,
                                                  expected_p=cfg.dims.p)
+    source = Path(cfg.paths.corpus) / PRESCRIPTIONS_FILE
     try:    # the config's ratio is checked, so only the corpus size can fail
         split = split_dataset(prescriptions, tuple(cfg.train.ratio), cfg.train.seed)
     except DataError as exc:
-        raise DataError(f"{Path(cfg.paths.corpus) / PRESCRIPTIONS_FILE}: {exc}") from exc
+        raise DataError(f"{source}: {exc}") from exc
+    for part in ("valid", "test"):
+        if not getattr(split, part):
+            raise DataError(f"{source}: train.ratio {cfg.train.ratio} leaves the "
+                            f"{part} split of {len(prescriptions)} prescriptions empty")
     graph = build_graph(split.train, len(symptoms), len(herbs),
                         tau_s=cfg.graph.tau_s, tau_h=cfg.graph.tau_h)
     wd = _workdir(cfg)
@@ -448,6 +453,9 @@ def _cmd_evaluate(args) -> int:
         if not ks or any(k < 1 for k in ks):
             raise UsageError(f"--k entries must be >= 1: {args.k!r}")
     split, n_herb = _load_splits(cfg)
+    if not split.test:
+        raise DataError(f"{Path(cfg.paths.workdir) / SPLITS_FILE}: 'test' is empty, "
+                        f"so there is nothing to evaluate")
     if args.k is None:
         ks = [k for k in _DEFAULT_KS if k <= n_herb] or [n_herb]
     elif max(ks) > n_herb:

@@ -30,7 +30,6 @@ class DimsCfg:
     d_enc: int = 64      # fusion encoder width
     d_z: int = 16        # VAE latent width
     p: int = 23          # herb property vector length
-    d_text: int = 32     # fixed random text rows' width if no symptom has text
     d_state: int = 16    # selective-scan state size
 
 
@@ -102,7 +101,7 @@ def _coerce(section: str, key: str, value, annotation: str):
 
 
 def _validate(cfg: RunConfig) -> RunConfig:
-    for name in ("d", "d_m", "d_k", "d_enc", "d_z", "p", "d_text", "d_state"):
+    for name in ("d", "d_m", "d_k", "d_enc", "d_z", "p", "d_state"):
         if getattr(cfg.dims, name) < 1:
             raise ConfigError(f"dims.{name}: must be >= 1, "
                               f"got {getattr(cfg.dims, name)}")

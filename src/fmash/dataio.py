@@ -3,7 +3,8 @@
 File formats (all UTF-8, ids 0-based):
 
 - ``symptoms.jsonl``      one JSON object per line:
-  ``{"id": int, "name": str, "text_embedding": [float, ...]?}``
+  ``{"id": int, "name": str, "text_embedding": [float, ...]?}`` (text on
+  every row or on none)
 - ``herbs.jsonl``         ``{"id": int, "name": str, "properties": [float]*P,
   "molecules": [str, ...]?}`` (each molecule a non-empty string)
 - ``prescriptions.jsonl`` ``{"symptoms": [int, ...], "herbs": [int, ...]}``
@@ -185,22 +186,26 @@ def _corpus_file(corpus_dir: Path, fname: str) -> Path:
 def load_vocab(corpus_dir: str | Path, expected_p: int | None = None,
                ) -> tuple[list[SymptomRecord], list[HerbRecord]]:
     """Load the symptom and herb files of a corpus directory and validate id
-    density, name uniqueness, that every numeric vector is finite and that
-    the vectors of each file (properties, text embeddings) share a length."""
+    density, name uniqueness, that every numeric vector is finite, that the
+    vectors of each file (properties, text embeddings) share a length and
+    that every symptom has a text embedding or none has."""
     corpus_dir = Path(corpus_dir)
     symptom_path = _corpus_file(corpus_dir, SYMPTOMS_FILE)
     herb_path = _corpus_file(corpus_dir, HERBS_FILE)
 
     symptoms: list[SymptomRecord] = []
-    text_dim = None
     for where, row in _read_jsonl(symptom_path):
         emb = row.get("text_embedding")
         if emb is not None:
             emb = _finite_vector(emb, "text_embedding", where)
-            text_dim = emb.size if text_dim is None else text_dim
-            if emb.size != text_dim:
-                raise SchemaError(f"{where}: 'text_embedding' has length {emb.size}, "
-                                  f"expected {text_dim} as on the rows before it")
+        first = symptoms[0].text_embedding if symptoms else emb
+        if (emb is None) != (first is None):
+            raise SchemaError(f"{where}: {'no' if emb is None else 'a'} "
+                              f"'text_embedding', unlike the rows before it; give "
+                              f"every symptom a text embedding or none")
+        if emb is not None and emb.size != first.size:
+            raise SchemaError(f"{where}: 'text_embedding' has length {emb.size}, "
+                              f"expected {first.size} as on the rows before it")
         symptoms.append(SymptomRecord(
             id=_int_field(row, "id", where), name=_name_field(row, where, True),
             text_embedding=emb))

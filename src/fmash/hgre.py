@@ -2,10 +2,12 @@
 
 Each homogeneous subgraph is smoothed by one GCN layer, serialized into a
 sequence by sorting nodes on their degree, run through a bidirectional
-selective-scan block, and scattered back to node order.  The two enhanced
-blocks are then re-assembled in the global symptom-then-herb order and the
-same treatment is applied once more over the full edge set.  Every pass
-counts its degrees from the edges it is given.
+selective-scan block, and scattered back to node order.  The GCN layer adds
+its input to the smoothed rows, so a node keeps its own features even where
+its neighbourhood is a clique whose normalized rows are all alike.  The two
+enhanced blocks are then re-assembled in the global symptom-then-herb order
+and the same treatment is applied once more over the full edge set.  Every
+pass counts its degrees from the edges it is given.
 """
 
 from __future__ import annotations
@@ -42,15 +44,15 @@ def normalized_adjacency(n: int, edges: np.ndarray) -> np.ndarray:
 
 def gcn_forward(x: Tensor | np.ndarray, edges: np.ndarray,
                 params: GcnParams) -> Tensor:
-    """One GCN layer: relu(A_hat x W + b), A_hat from ``normalized_adjacency``
-    rounded to ``x``'s dtype."""
+    """One GCN layer with a self path: x + relu(A_hat x W + b), A_hat from
+    ``normalized_adjacency`` rounded to ``x``'s dtype."""
     x = Tensor.ensure(x)
     n = x.shape[0]
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     if len(edges) and edges.max() >= n:
         raise ValueError(f"edge endpoint {edges.max()} out of range for {n} nodes")
     a_hat = Tensor(normalized_adjacency(n, edges).astype(x.data.dtype, copy=False))
-    return linear(a_hat @ x, params.weight, params.bias).relu()
+    return x + linear(a_hat @ x, params.weight, params.bias).relu()
 
 
 # ---------------------------------------------------------------------------

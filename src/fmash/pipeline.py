@@ -24,8 +24,7 @@ from .hgre import HgreParams, hgre_forward
 from .mlfie import MlfieParams, fit_mlfie
 from .nn import stage_rng
 from .refine import (AutoencoderParams, UnifiedEmbedding, assemble_features,
-                     compress, reconstruction_mse, symptom_text_table, text_rows,
-                     train_autoencoder)
+                     compress, reconstruction_mse, text_rows, train_autoencoder)
 from .tape import Tensor, no_grad
 
 # config keys only the heads read; every other key is a phase-1 input
@@ -42,13 +41,6 @@ class Phase1Result:
     mlfie_params: MlfieParams | None
     fr_final_mse: dict[str, float]
     histories: dict[str, list[float]]
-
-
-def _text_dim(symptoms: list[SymptomRecord], cfg: RunConfig) -> int:
-    for rec in symptoms:
-        if rec.text_embedding is not None:
-            return int(rec.text_embedding.shape[0])
-    return cfg.dims.d_text
 
 
 def run_phase1(symptoms: list[SymptomRecord], herbs: list[HerbRecord],
@@ -75,9 +67,8 @@ def run_phase1(symptoms: list[SymptomRecord], herbs: list[HerbRecord],
         mlfie_params, herb_reprs, fit_histories = fit_mlfie(herbs, cfg)
         histories.update(fit_histories)
 
-    text_table = symptom_text_table(n_sym, _text_dim(symptoms, cfg), seed)
     sym_matrix, herb_matrix = assemble_features(
-        graph_features, symptoms, herbs, text_rows(symptoms, text_table), herb_reprs)
+        graph_features, symptoms, herbs, text_rows(symptoms), herb_reprs)
 
     hidden = 128 if cfg.ablation.fr else None
     fr_final: dict[str, float] = {}

@@ -1,13 +1,12 @@
 """Assembly of multiscale per-node features and compression to 64-d.
 
 Herb rows concatenate [graph embedding | molecular representation |
-property vector]; symptom rows concatenate [graph embedding | text
-embedding], where symptoms without a provided text embedding fall back to a
-fixed random per-symptom row that nothing trains.  A small autoencoder per
-node type (the two assembled widths differ) is trained on reconstruction
-MSE and its encoder provides the unified 64-d embeddings; with refinement
-disabled a trained linear projection (a linear autoencoder) takes its
-place.
+property vector]; symptom rows are [graph embedding], or [graph embedding |
+text embedding] when the corpus gives every symptom a text embedding (it
+gives all or none).  A small autoencoder per node type (the two assembled
+widths differ) is trained on reconstruction MSE and its encoder provides the
+unified 64-d embeddings; with refinement disabled a trained linear
+projection (a linear autoencoder) takes its place.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ import numpy as np
 
 from .dataio import HerbRecord, SymptomRecord, property_matrix
 from .errors import DataError, SchemaError
-from .nn import Linear, Module, fit, stage_rng
+from .nn import Linear, Module, fit
 from .tape import Tensor, no_grad
 
 UNIFIED_DIM = 64
@@ -52,48 +51,36 @@ class UnifiedEmbedding:
         return self.matrix[self.n_sym:]
 
 
-def symptom_text_table(n_sym: int, d_text: int, seed: int) -> np.ndarray:
-    """Fixed fallback rows for symptoms without provided text embeddings:
-    a float32 ``(n_sym, d_text)`` draw of N(0, 0.1) from the
-    ``refine.text_table`` stream.  Nothing trains it."""
-    rng = stage_rng(seed, "refine.text_table")
-    return rng.normal(0.0, 0.1, size=(n_sym, d_text)).astype(np.float32)
-
-
-def text_rows(symptoms: list[SymptomRecord], table: np.ndarray) -> np.ndarray:
-    """``(S, d_text)`` float32 text rows: each symptom's provided text
-    embedding, else its row of the fallback ``table``."""
-    d_text = table.shape[1]
-    out = np.empty((len(symptoms), d_text), dtype=np.float32)
-    for i, rec in enumerate(symptoms):
-        if rec.text_embedding is not None:
-            if rec.text_embedding.shape != (d_text,):
-                raise SchemaError(
-                    f"symptom {rec.name}: text embedding has shape "
-                    f"{rec.text_embedding.shape}, expected ({d_text},)")
-            out[i] = rec.text_embedding
-        else:
-            out[i] = table[rec.id]
-    return out
+def text_rows(symptoms: list[SymptomRecord]) -> np.ndarray | None:
+    """The provided text embeddings as float32 ``(S, d_text)`` rows, or
+    ``None`` when the symptoms have none; ``load_vocab`` admits a corpus only
+    if every symptom has one or none has."""
+    if symptoms[0].text_embedding is None:
+        return None
+    return np.array([rec.text_embedding for rec in symptoms], dtype=np.float32)
 
 
 def assemble_features(hgre_out: np.ndarray, symptoms: list[SymptomRecord],
-                      herbs: list[HerbRecord], text_rows: np.ndarray,
+                      herbs: list[HerbRecord], text_rows: np.ndarray | None,
                       herb_reprs: np.ndarray | None,
                       ) -> tuple[np.ndarray, np.ndarray]:
     """Build the float32 assembled matrices for both node types.
 
-    ``herb_reprs`` is the molecular block; ``None`` drops it (the molecular
-    stage was ablated).  Returns (sym_matrix, herb_matrix).
+    ``text_rows`` is the symptom text block and ``herb_reprs`` the molecular
+    block; ``None`` drops either (the corpus has no symptom text, or the
+    molecular stage was ablated).  Returns (sym_matrix, herb_matrix).
     """
     hgre_out = np.asarray(hgre_out, dtype=np.float32)
     s, h = len(symptoms), len(herbs)
     if hgre_out.shape[0] != s + h:
         raise SchemaError(f"graph embedding has {hgre_out.shape[0]} rows for "
                           f"{s} symptoms + {h} herbs")
-    if text_rows.shape[0] != s:
-        raise SchemaError("text embedding row count does not match symptoms")
-    sym_matrix = np.concatenate([hgre_out[:s], text_rows], axis=1, dtype=np.float32)
+    sym_parts = [hgre_out[:s]]
+    if text_rows is not None:
+        if text_rows.shape[0] != s:
+            raise SchemaError("text embedding row count does not match symptoms")
+        sym_parts.append(text_rows)
+    sym_matrix = np.concatenate(sym_parts, axis=1, dtype=np.float32)
 
     parts = [hgre_out[s:]]
     if herb_reprs is not None:

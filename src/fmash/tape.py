@@ -25,10 +25,9 @@ operations in its order, with its constants, and hand each input its
 gradients in the composite's accumulation order.  Its test keeps the
 composite, built from primitive ops, as the oracle it must equal bit for
 bit.  Each head's output projection and loss are one node as well:
-``linear_bce`` has the gradient bits of its composite and a forward whose
-softplus may differ from ``Tensor.softplus`` in the last bits;
-``linear_cross_entropy`` and ``selective_scan`` have their own closed-form
-backward, certified by finite differences.
+``linear_bce`` keeps the bits of its composite; ``linear_cross_entropy`` and
+``selective_scan`` have their own closed-form backward, certified by finite
+differences.
 
 A fused node keeps only the arrays its backward reads, and recomputes an
 array its composite kept where one elementwise pass gives the same bits:
@@ -323,7 +322,8 @@ class Tensor:
         return out
 
     def softplus(self):
-        out = _node(np.logaddexp(0.0, self.data), (self,))
+        out = _node(np.log1p(np.exp(-np.abs(self.data))) + np.maximum(self.data, 0.0),
+                    (self,))
         if out._parents:
             out._backward = lambda g: self._accumulate(g * _sigmoid(self.data))
         return out
@@ -722,15 +722,14 @@ def linear_bce(x: Tensor, w: Tensor, b: Tensor, targets: np.ndarray) -> Tensor:
     """Mean binary cross-entropy ``mean(softplus(z) - t z)`` of the logits
     ``z = x @ w + b``, as one node: an output projection and its loss.
 
-    The forward takes softplus in the stable form ``log1p(exp(-|z|)) +
-    max(z, 0)``, which can differ from ``Tensor.softplus`` in the last bits;
-    no gradient reads it.  The node keeps ``z`` and ``exp(-|z|)``.  The
-    backward builds the logits' gradient of the composite ``linear``,
-    ``softplus``, ``*``, ``-`` and ``mean`` nodes, ``(g/N) sigmoid(z)`` plus
-    ``-(g/N) t`` in that order, in those two buffers, and hands it to
-    ``linear``'s backward: the logits are internal to the node, so no other
-    gradient can come between the two, and every gradient keeps the
-    composite's bits.
+    The forward takes softplus as ``Tensor.softplus`` does,
+    ``log1p(exp(-|z|)) + max(z, 0)``, and the node keeps ``z`` and
+    ``exp(-|z|)``.  The backward builds the logits' gradient of the
+    composite ``linear``, ``softplus``, ``*``, ``-`` and ``mean`` nodes,
+    ``(g/N) sigmoid(z)`` plus ``-(g/N) t`` in that order, in those two
+    buffers, and hands it to ``linear``'s backward: the logits are internal
+    to the node, so no other gradient can come between the two, and the
+    loss and every gradient keep the composite's bits.
     """
     z = x.data @ w.data
     z += b.data

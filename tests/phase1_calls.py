@@ -1,10 +1,10 @@
 """Observe the phase-1 stages directly: ``run_phase1`` returns the unified
 table, the molecular stage and the loss histories, not the graph-stage
-weights, the initial features, the text table or the autoencoders."""
+weights, the initial features, the assembled rows or the autoencoders."""
 
 # the names ``pipeline.run_phase1`` calls to build what its result leaves out
-PHASE1_STAGES = ("HgreParams", "hgre_forward", "symptom_text_table",
-                 "assemble_features", "AutoencoderParams")
+PHASE1_STAGES = ("HgreParams", "hgre_forward", "assemble_features",
+                 "AutoencoderParams")
 
 
 def record_calls(mp, module, names=PHASE1_STAGES) -> dict[str, list]:

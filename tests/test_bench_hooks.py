@@ -60,8 +60,7 @@ def test_phase1_span_only_in_prepare(tmp_path):
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps({
         "paths": {"corpus": str(corpus), "workdir": str(work)},
-        "dims": {"d": 16, "d_m": 8, "d_k": 4, "d_enc": 16, "d_z": 4, "d_text": 8,
-                 "d_state": 4},
+        "dims": {"d": 16, "d_m": 8, "d_k": 4, "d_enc": 16, "d_z": 4, "d_state": 4},
         "train": {"epochs": 2, "mlfie_epochs": 2, "vae_epochs": 2,
                   "fr_epochs": 2}}))
     rec = spans.Recorder("t")

@@ -261,7 +261,7 @@ def _make_env(tmp_path):
     cfg = {
         "paths": {"corpus": str(corpus), "workdir": str(work)},
         "dims": {"d": 32, "d_m": 16, "d_k": 8, "d_enc": 32, "d_z": 8,
-                 "d_text": 8, "d_state": 4},
+                 "d_state": 4},
         "graph": {"tau_s": 1, "tau_h": 1},
         "train": {"epochs": 40, "lr": 5e-3, "seed": 11, "mlfie_epochs": 15,
                   "vae_epochs": 25, "fr_epochs": 60},
@@ -389,6 +389,38 @@ def test_evaluate_refuses_a_cutoff_above_the_herb_vocabulary(trained_env, capsys
             assert "Traceback" not in err
     assert sorted(json.loads(report.read_text())["precision"]) == ["10", "5"]
     report.unlink()
+
+
+@pytest.mark.parametrize("ratio, part", [([0.98, 0.01, 0.01], "valid"),
+                                         ([0.89, 0.1, 0.01], "test")])
+def test_prepare_refuses_a_ratio_that_leaves_a_split_empty(run_env, capsys, ratio, part):
+    # 30 prescriptions: a 0.01 share rounds to no instance
+    tmp_path, cfg_path, cfg = run_env
+    cfg["train"]["ratio"] = ratio
+    cfg_path.write_text(json.dumps(cfg))
+    assert execute_command(["prepare", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert "prescriptions.jsonl" in err and "train.ratio" in err
+    assert f"leaves the {part} split" in err and "Traceback" not in err
+    assert not (tmp_path / "work" / "splits.json").exists()
+
+
+def test_evaluate_refuses_a_splits_file_without_test_instances(run_env, capsys):
+    tmp_path, cfg_path, _ = run_env
+    assert execute_command(["prepare", "--config", str(cfg_path)]) == 0
+    path = tmp_path / "work" / "splits.json"
+    splits = json.loads(path.read_text())
+    splits["train"] += splits.pop("test")
+    splits["test"] = []
+    path.write_text(json.dumps(splits))
+    pred = tmp_path / "work" / "rs_predictions.tsv"
+    pred.write_text("")
+    capsys.readouterr()
+    assert execute_command(["evaluate", "--config", str(cfg_path), "--pred",
+                            str(pred)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {path}: 'test' is empty")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["prepare", "train-rs", "evaluate"])
@@ -698,10 +730,10 @@ def test_phase1_checkpoint_of_the_old_layout_still_serves(run_env, monkeypatch):
         calls = record_calls(mp, pipeline)
         _, _, _, phase1 = _phase1_in_process(tmp_path, cfg_path)
     (_, hgre), = calls["HgreParams"]
-    (_, text_table), = calls["symptom_text_table"]
     (_, fr_sym), (_, fr_herb) = calls["AutoencoderParams"]
+    # the old layout also held the fixed symptom text rows no stage builds now
     old = {**phase1_state(phase1), "init_features": initial_features(calls),
-           "refine.text.table.weight": text_table}
+           "refine.text.table.weight": np.full((12, 8), 0.1, dtype=np.float32)}
     for prefix, module in (("hgre", hgre), ("mlfie", phase1.mlfie_params),
                            ("refine.sym", fr_sym), ("refine.herb", fr_herb)):
         old.update({f"{prefix}.{k}": v for k, v in module.state_dict().items()})
@@ -1479,7 +1511,8 @@ def test_ablation_leaves_shared_stage_initialization_alone(run_env, monkeypatch)
                              ("refine.sym", fr_sym), ("refine.herb", fr_herb)):
             tensors.update({f"observed.{name}.{k}": v
                             for k, v in module.state_dict().items()})
-        (_, tensors["observed.refine.text_table"]), = calls["symptom_text_table"]
+        (_, (tensors["observed.refine.sym_rows"],
+             tensors["observed.refine.herb_rows"])), = calls["assemble_features"]
         tensors["observed.init_features"] = initial_features(calls)
         runs.append(tensors)
     with_gelram, without_gelram = runs
@@ -1542,10 +1575,28 @@ def test_text_embeddings_of_two_lengths_exit_two_naming_file_line_and_key(run_en
     tmp_path, cfg_path, _ = run_env
     path = tmp_path / "corpus" / "symptoms.jsonl"
     rows = [json.loads(line) for line in path.read_text().splitlines()]
-    rows[0]["text_embedding"] = [0.5] * 4
+    for row in rows:
+        row["text_embedding"] = [0.5] * 4
     rows[2]["text_embedding"] = [0.5] * 5
     path.write_text("".join(json.dumps(row) + "\n" for row in rows))
     assert execute_command(["prepare", "--config", str(cfg_path)]) == 2
     err = capsys.readouterr().err
     assert "symptoms.jsonl:3" in err and "'text_embedding'" in err
     assert not (tmp_path / "work").exists()
+
+
+@pytest.mark.parametrize("with_text, line", [((0, 1), 3), ((3, 4), 4)])
+def test_text_embeddings_on_only_some_symptoms_exit_two_naming_file_and_line(
+        run_env, capsys, with_text, line):
+    """Every symptom has a text embedding or none has: the first row that
+    breaks the rule set by the first row is refused at its line."""
+    tmp_path, cfg_path, _ = run_env
+    path = tmp_path / "corpus" / "symptoms.jsonl"
+    rows = [json.loads(raw) for raw in path.read_text().splitlines()]
+    for i in with_text:
+        rows[i]["text_embedding"] = [0.5] * 4
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    assert execute_command(["prepare", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"symptoms.jsonl:{line}:" in err and "'text_embedding'" in err
+    assert "Traceback" not in err and not (tmp_path / "work").exists()

@@ -34,8 +34,8 @@ def one_step_run():
     split = split_dataset(prescriptions, seed=9)
     graph = build_graph(split.train, 12, 14, tau_s=1, tau_h=1)
     cfg = config_from_dict({
-        "dims": {"d": 16, "d_m": 8, "d_k": 4, "d_z": 4, "d_text": 4,
-                 "d_state": 4, "d_enc": 16},
+        "dims": {"d": 16, "d_m": 8, "d_k": 4, "d_z": 4, "d_state": 4,
+                 "d_enc": 16},
         "train": {"epochs": 1, "mlfie_epochs": 1, "vae_epochs": 1, "fr_epochs": 1},
     })
     with pytest.MonkeyPatch.context() as mp:

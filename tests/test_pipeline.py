@@ -21,8 +21,8 @@ def _cfg(**ablation):
     # zero training epochs isolate the initialization draws
     return config_from_dict({
         "ablation": ablation,
-        "dims": {"d": 16, "d_m": 8, "d_k": 4, "d_z": 4, "d_text": 4,
-                 "d_state": 4, "d_enc": 16},
+        "dims": {"d": 16, "d_m": 8, "d_k": 4, "d_z": 4, "d_state": 4,
+                 "d_enc": 16},
         "train": {"epochs": 0, "mlfie_epochs": 0, "vae_epochs": 0,
                   "fr_epochs": 0},
     })
@@ -66,9 +66,10 @@ def test_disabling_graph_stage_leaves_other_initializations_untouched(
     assert len(on["HgreParams"]) == len(on["hgre_forward"]) == 1
     assert off["HgreParams"] == off["hgre_forward"] == []
     np.testing.assert_array_equal(initial_features(on), initial_features(off))
-    (_, table_on), = on["symptom_text_table"]
-    (_, table_off), = off["symptom_text_table"]
-    np.testing.assert_array_equal(table_on, table_off)
+    # the herb rows past the graph block: molecular stage and properties
+    (_, (_, herbs_on)), = on["assemble_features"]
+    (_, (_, herbs_off)), = off["assemble_features"]
+    np.testing.assert_array_equal(herbs_on[:, 16:], herbs_off[:, 16:])
     shared = [(with_graph.mlfie_params, without.mlfie_params)] + [
         (ae_on, ae_off) for (_, ae_on), (_, ae_off)
         in zip(on["AutoencoderParams"], off["AutoencoderParams"], strict=True)]

@@ -4,8 +4,8 @@ import pytest
 from fmash.dataio import generate_synthetic
 from fmash.errors import DataError, SchemaError
 from fmash.refine import (AutoencoderParams, assemble_features, compress,
-                          export_unified, reconstruction_mse, symptom_text_table,
-                          text_rows, train_autoencoder)
+                          export_unified, reconstruction_mse, text_rows,
+                          train_autoencoder)
 from fmash.nn import stage_rng
 
 
@@ -16,7 +16,7 @@ def _assembled(seed=0, with_text=True, with_mols=True):
                                        unique_symptom_sets=False)
     rng = np.random.default_rng(seed)
     hgre_out = rng.normal(size=(23, d))
-    rows = text_rows(sym, symptom_text_table(9, d_text, seed=seed))
+    rows = text_rows(sym)
     herb_reprs = rng.normal(size=(14, d_m)) if with_mols else None
     return assemble_features(hgre_out, sym, herbs, rows, herb_reprs)
 
@@ -40,33 +40,36 @@ def test_zero_components_give_zero_rows():
         h.properties = np.zeros_like(h.properties)
     for s in sym:
         s.text_embedding = np.zeros(4)
-    table = symptom_text_table(6, 4, seed=1)
     sym_m, herb_m = assemble_features(
-        np.zeros((14, 5)), sym, herbs, text_rows(sym, table), np.zeros((8, 3)))
+        np.zeros((14, 5)), sym, herbs, text_rows(sym), np.zeros((8, 3)))
+    assert sym_m.shape == (6, 5 + 4)
     assert not sym_m.any()
     assert not herb_m.any()
 
 
-def test_missing_text_embeddings_use_fallback_table():
+def test_symptom_rows_are_graph_rows_then_provided_text():
+    with_text = _assembled()[0]
+    without_text = _assembled(with_text=False)[0]
+    np.testing.assert_array_equal(without_text, with_text[:, :32])
+    sym, _, _ = generate_synthetic(9, 14, 2, 20, seed=0, text_embedding_dim=8,
+                                   unique_symptom_sets=False)
+    np.testing.assert_array_equal(
+        with_text[:, 32:], np.array([r.text_embedding for r in sym], dtype=np.float32))
+
+
+def test_text_rows_stack_the_provided_embeddings_or_are_none():
     sym, _, _ = generate_synthetic(5, 8, 1, 10, seed=2, unique_symptom_sets=False)
-    table = symptom_text_table(5, 6, seed=2)
-    sym[2].text_embedding = np.arange(6.0)
-    rows = text_rows(sym, table)
-    np.testing.assert_array_equal(rows[2], np.arange(6.0))
-    np.testing.assert_array_equal(rows[0], table[0])
-
-
-
-def test_text_dim_mismatch_rejected():
-    sym, _, _ = generate_synthetic(5, 8, 1, 10, seed=2, unique_symptom_sets=False)
-    sym[0].text_embedding = np.zeros(7)
-    with pytest.raises(SchemaError, match="expected \\(6,\\)"):
-        text_rows(sym, symptom_text_table(5, 6, seed=2))
+    assert text_rows(sym) is None
+    for rec in sym:
+        rec.text_embedding = np.arange(6.0) + rec.id
+    rows = text_rows(sym)
+    assert rows.dtype == np.float32
+    np.testing.assert_array_equal(rows[2], np.arange(6.0) + 2)
 
 
 def test_row_count_mismatch_rejected():
     sym, herbs, _ = generate_synthetic(5, 8, 1, 10, seed=3, unique_symptom_sets=False)
-    rows = text_rows(sym, symptom_text_table(5, 4, seed=3))
+    rows = text_rows(sym)
     with pytest.raises(SchemaError):
         assemble_features(np.zeros((12, 4)), sym, herbs, rows, None)
 
