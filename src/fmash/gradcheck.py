@@ -50,13 +50,17 @@ def finite_difference_grads(loss_fn: Callable[[], Tensor],
 
 def max_relative_error(loss_fn: Callable[[], Tensor],
                        params: Sequence[Tensor],
-                       h: float = 1e-5) -> float:
+                       h: float = 1e-5,
+                       backward: Callable[[], object] | None = None) -> float:
     """Worst-case relative error between tape and finite-difference gradients.
 
-    Each entry is compared relative to the larger of the two gradients,
-    floored at a small fraction of the tensor's overall gradient scale so
-    that difference-quotient noise on near-zero entries does not register
-    as disagreement.
+    The tape's gradients are those ``backward()`` leaves in ``params``, by
+    default ``loss_fn().backward()``; pass another to certify a different
+    backward pass of the same loss (``nn.accumulate_gradients``).  Each
+    entry is compared relative to the larger of the two gradients, floored
+    at a small fraction of the tensor's overall gradient scale so that
+    difference-quotient noise on near-zero entries does not register as
+    disagreement.
     """
     for p in params:
         p.grad = None
@@ -65,7 +69,10 @@ def max_relative_error(loss_fn: Callable[[], Tensor],
     if dtypes != {np.dtype(np.float64)}:
         raise TypeError(f"gradient checks run in float64; the loss or a "
                         f"parameter is {sorted(map(str, dtypes))}")
-    loss.backward()
+    if backward is None:
+        loss.backward()
+    else:
+        backward()
     analytic = [p.grad.copy() if p.grad is not None else np.zeros_like(p.data)
                 for p in params]
     numeric = finite_difference_grads(loss_fn, params, h=h)

@@ -33,13 +33,16 @@ class GcnParams(Module):
 
 
 def normalized_adjacency(n: int, edges: np.ndarray) -> np.ndarray:
-    """Symmetric normalization with self-loops: D^(-1/2) (A + I) D^(-1/2)."""
+    """Symmetric normalization with self-loops: D^(-1/2) (A + I) D^(-1/2),
+    scaled in place, rows then columns, so no second n x n array forms."""
     edges = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
     adj = np.eye(n)
     adj[edges[:, 0], edges[:, 1]] = 1.0
     adj[edges[:, 1], edges[:, 0]] = 1.0
     inv_sqrt = 1.0 / np.sqrt(adj.sum(axis=1))
-    return adj * inv_sqrt[:, None] * inv_sqrt[None, :]
+    adj *= inv_sqrt[:, None]
+    adj *= inv_sqrt[None, :]
+    return adj
 
 
 def gcn_forward(x: Tensor | np.ndarray, edges: np.ndarray,

@@ -327,36 +327,73 @@ class Adam:
         np.subtract(flat, s, out=flat)
 
 
+# instances per chunk of a head's batch: one chunk's graph is alive at a time
+CHUNK = 128
+
+
+def accumulate_gradients(loss_fn: Callable[[np.ndarray], Tensor], sel: np.ndarray,
+                         share: Callable[[np.ndarray], int] | None = None) -> float:
+    """Run the batch ``sel`` forward and backward; return its loss.
+
+    Without ``share``, ``loss_fn(sel)`` runs whole.  With it, ``sel`` runs
+    in ``ceil(len(sel) / CHUNK)`` consecutive near-equal chunks, one graph
+    at a time: ``share(chunk)`` counts the units that chunk's mean loss
+    averages over (instances, target tokens), and each chunk's
+    ``backward()`` is seeded with its share of the batch's units, so the
+    leaves accumulate the gradient of the whole batch's mean loss, which is
+    returned as the share-weighted sum of the chunk losses.  A chunk whose
+    loss is not finite is returned at once, before its ``backward()``.
+    """
+    if share is None:
+        chunks, units = [sel], [1]
+    else:
+        chunks = np.array_split(sel, -(-len(sel) // CHUNK))
+        units = [share(chunk) for chunk in chunks]
+    whole = sum(units)
+    total = 0.0
+    for chunk, unit in zip(chunks, units):
+        loss = loss_fn(chunk)
+        value = loss.item()
+        if not math.isfinite(value):
+            return value
+        loss.backward(unit / whole)
+        total += value * (unit / whole)
+    return total
+
+
 def fit(params: list[Tensor], loss_fn: Callable[[np.ndarray], Tensor], n: int, *,
         name: str, epochs: int, lr: float, batch_size: int | None = None,
-        rng: np.random.Generator | None = None) -> Iterator[float]:
+        rng: np.random.Generator | None = None,
+        share: Callable[[np.ndarray], int] | None = None) -> Iterator[float]:
     """Train ``params`` with Adam on ``loss_fn(indices)``, the mean loss of
     the examples at ``indices`` among ``0..n-1``.
 
     Each epoch covers every example once: as one batch in index order, or
-    with ``batch_size`` in slices of a permutation drawn from ``rng``.
+    with ``batch_size`` in slices of a permutation drawn from ``rng``.  Each
+    batch takes one Adam step on the gradients ``accumulate_gradients``
+    leaves, in chunks of ``CHUNK`` weighted by ``share`` if it is given.
     Yields each epoch's example-weighted mean of its batch losses, each
     computed before that batch's Adam step; so a full-batch epoch's loss is
-    the loss before the epoch's only step.  Raises ``NumericError`` instead
-    when that mean is not finite, naming the component by ``name``, its
-    history key (``fr_sym``, ``rs``, ...).
+    the loss before the epoch's only step.  Raises ``NumericError`` instead,
+    before the batch's Adam step, when a batch loss is not finite, naming
+    the component by ``name``, its history key (``fr_sym``, ``rs``, ...),
+    the epoch and the batch (from 1).
     """
     opt = Adam(params, lr=lr)
     step = batch_size or n
     for epoch in range(1, epochs + 1):
         order = rng.permutation(n) if batch_size else np.arange(n)
         total = 0.0
-        for lo in range(0, n, step):
+        for batch, lo in enumerate(range(0, n, step), start=1):
             sel = order[lo:lo + step]
             opt.zero_grad()
-            loss = loss_fn(sel)
-            loss.backward()
+            loss = accumulate_gradients(loss_fn, sel, share)
+            if not math.isfinite(loss):
+                raise NumericError(f"{name}: non-finite training loss at epoch {epoch}, "
+                                   f"batch {batch}")
             opt.step()
-            total += loss.item() * len(sel)
-        mean = total / n
-        if not np.isfinite(mean):
-            raise NumericError(f"{name}: non-finite training loss at epoch {epoch}")
-        yield mean
+            total += loss * len(sel)
+        yield total / n
 
 
 @dataclass

@@ -11,6 +11,7 @@ inner-product scorer takes its place.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -146,9 +147,10 @@ def recommend(symptom_ids, k: int, params: RsParams, emb: UnifiedEmbedding,
 # ---------------------------------------------------------------------------
 
 def multi_hot(herb_lists: list[list[int]], n_herb: int) -> np.ndarray:
+    """(B, n_herb) float32 targets: 1 at each listed herb of each row."""
     t = np.zeros((len(herb_lists), n_herb), dtype=np.float32)
-    for i, herbs in enumerate(herb_lists):
-        t[i, list(herbs)] = 1.0
+    rows = np.repeat(np.arange(len(herb_lists)), [len(herbs) for herbs in herb_lists])
+    t[rows, list(itertools.chain.from_iterable(herb_lists))] = 1.0
     return t
 
 
@@ -156,23 +158,25 @@ def train_rs(instances, emb: UnifiedEmbedding, *, epochs: int = 300,
              lr: float = 3e-3, batch_size: int | None = None, seed: int = 42,
              gelram: bool = True, d_enc: int = 64, n_layers: int = 2,
              n_heads: int = 4, params: RsParams | None = None) -> TrainResult:
-    """Fit the head with multi-label binary cross-entropy over all herbs."""
+    """Fit the head with multi-label binary cross-entropy over all herbs;
+    each chunk of a batch builds its own multi-hot targets, and weighs in by
+    its instances."""
     if not instances:
         raise DataError("cannot train on an empty split")
     if params is None:
         params = make_rs_params(emb, seed, gelram=gelram, d_enc=d_enc,
                                 n_layers=n_layers, n_heads=n_heads)
     symptom_sets = [sorted(inst.symptoms) for inst in instances]
-    targets = multi_hot([inst.herbs for inst in instances], emb.n_herb)
     sym_t, herb_t = Tensor(emb.sym()), Tensor(emb.herb())
 
     def loss(sel: np.ndarray) -> Tensor:
+        targets = multi_hot([instances[i].herbs for i in sel], emb.n_herb)
         return rs_logits([symptom_sets[i] for i in sel], emb, params,
-                         sym_table=sym_t, herb_table=herb_t, targets=targets[sel])
+                         sym_table=sym_t, herb_table=herb_t, targets=targets)
 
     return TrainResult(params, list(fit(
         params.parameters(), loss, len(instances), name="rs", epochs=epochs, lr=lr,
-        batch_size=batch_size, rng=stage_rng(seed, "rs.batches"))))
+        batch_size=batch_size, rng=stage_rng(seed, "rs.batches"), share=len)))
 
 
 def export_predictions(path, instances, emb: UnifiedEmbedding, params: RsParams,

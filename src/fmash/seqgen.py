@@ -204,11 +204,13 @@ def train_seq(instances, emb: UnifiedEmbedding, *, epochs: int = 300,
               lr: float = 3e-3, batch_size: int | None = None, seed: int = 42,
               n_heads: int = 4, params: Seq2SeqParams | None = None,
               ) -> TrainResult:
-    """Teacher-forced training on [herbs..., EOS] in source order."""
+    """Teacher-forced training on [herbs..., EOS] in source order; each
+    chunk of a batch weighs in by its target tokens."""
     if not instances:
         raise DataError("cannot train on an empty split")
     if params is None:
         params = Seq2SeqParams(emb, seed, n_heads=n_heads)
+    tokens = np.array([len(inst.herbs) + 1 for inst in instances])
 
     def loss(sel: np.ndarray) -> Tensor:
         return sequence_loss(make_batch([instances[i] for i in sel], params.vocab),
@@ -216,7 +218,8 @@ def train_seq(instances, emb: UnifiedEmbedding, *, epochs: int = 300,
 
     return TrainResult(params, list(fit(
         params.parameters(), loss, len(instances), name="seq", epochs=epochs, lr=lr,
-        batch_size=batch_size, rng=stage_rng(seed, "seq.batches"))))
+        batch_size=batch_size, rng=stage_rng(seed, "seq.batches"),
+        share=lambda sel: int(tokens[sel].sum()))))
 
 
 # ---------------------------------------------------------------------------

@@ -160,12 +160,15 @@ class Tensor:
         # parents) or a read-only broadcast view, so it is never written
         self.grad = g if self.grad is None else self.grad + g
 
-    def backward(self, grad: np.ndarray | None = None) -> None:
+    def backward(self, grad: np.ndarray | float | None = None) -> None:
+        """Run the recorded graph backward from this tensor, seeded with
+        ``grad`` (ones for a scalar when omitted), cast to this tensor's
+        dtype and broadcast to its shape."""
         if grad is None:
             if self.data.size != 1:
                 raise ValueError("backward() without an explicit gradient needs a scalar")
-            grad = np.ones_like(self.data)
-        grad = np.broadcast_to(_as_array(grad), self.data.shape)
+            grad = 1.0
+        grad = np.broadcast_to(np.asarray(grad, dtype=self.data.dtype), self.data.shape)
         topo: list[Tensor] = []
         seen: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -442,6 +445,9 @@ def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     return out
 
 
+_SCAN_ROWS = 64
+
+
 def selective_scan(delta: Tensor, a: Tensor, b_in: Tensor, c_out: Tensor,
                    x: Tensor) -> Tensor:
     """Diagonal selective scan over an (L, d) sequence, as one node.
@@ -450,7 +456,8 @@ def selective_scan(delta: Tensor, a: Tensor, b_in: Tensor, c_out: Tensor,
     (L, n): ``h_t = exp(delta_t a) * h_{t-1} + (delta_t B_t) * x_t`` per
     channel from ``h_{-1} = 0``, and ``y_t = <C_t, h_t>``; returns y (L, d).
     The forward runs the recurrence one (d, n) state at a time over
-    precomputed ``exp(delta a)`` and ``delta B x``; the backward runs the
+    precomputed ``exp(delta a)`` and ``delta B x`` and contracts the states
+    with C in blocks of ``_SCAN_ROWS`` timesteps; the backward runs the
     adjoint recurrence ``gH_t = gy_t C_t + exp(delta_{t+1} a) * gH_{t+1}``
     in reverse and gives each input its gradient in closed form.
     """
@@ -467,7 +474,11 @@ def selective_scan(delta: Tensor, a: Tensor, b_in: Tensor, c_out: Tensor,
     for t in range(len(states)):
         states[t] += a_bar[t] * h
         h = states[t]
-    out = _node((states * c[:, None, :]).sum(axis=2), (delta, a, b_in, c_out, x))
+    # y_t = <C_t, h_t> in blocks of rows, so that no (L, d, n) product forms
+    # beside the states; each row sums as it would in one product
+    y = np.concatenate([(states[lo:lo + _SCAN_ROWS] * c[lo:lo + _SCAN_ROWS, None, :])
+                        .sum(axis=2) for lo in range(0, len(states), _SCAN_ROWS)])
+    out = _node(y, (delta, a, b_in, c_out, x))
     if out._parents:
         def bw(g):
             gh = g[:, :, None] * c[:, None, :]              # (L, d, n)

@@ -1,16 +1,19 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fmash import dataio, hgre
+from fmash import dataio, hgre, tape
 from fmash.dataio import HeteroGraph, build_graph, generate_synthetic, split_dataset
 from fmash.gradcheck import as_float64, max_relative_error
 from fmash.hgre import (GcnParams, HgreParams, SsmParams, bidirectional_block,
                         degree_permutation, gcn_forward, hgre_forward,
                         normalized_adjacency, ssm_scan, subgraph_enhance)
 from fmash.nn import stage_rng
-from fmash.tape import Tensor
+from fmash.tape import Tensor, no_grad
 
 from degree_oracle import loop_degrees, loop_degrees_of_graph
 
@@ -68,6 +71,16 @@ def test_gcn_permutation_equivariance_12_nodes():
 def test_normalized_adjacency_symmetric():
     a = normalized_adjacency(4, np.array([[0, 1], [1, 2], [2, 3]]))
     np.testing.assert_allclose(a, a.T)
+
+
+def test_normalized_adjacency_keeps_the_bits_of_the_out_of_place_product():
+    rng = np.random.default_rng(3)
+    edges = rng.integers(0, 30, size=(80, 2))
+    adj = np.eye(30)
+    adj[edges[:, 0], edges[:, 1]] = adj[edges[:, 1], edges[:, 0]] = 1.0
+    inv_sqrt = 1.0 / np.sqrt(adj.sum(axis=1))
+    np.testing.assert_array_equal(normalized_adjacency(30, edges),
+                                  adj * inv_sqrt[:, None] * inv_sqrt[None, :])
 
 
 def test_gcn_gradients_match_finite_differences():
@@ -194,8 +207,9 @@ def _looped_scan(x, params, direction):
 
 @pytest.mark.parametrize("direction", ["forward", "backward"])
 def test_scan_matches_per_timestep_loop_exactly(direction):
+    """Long enough for the output's row blocks to end mid-block."""
     params = SsmParams(5, stage_rng(7, "ssm"), d_state=4)
-    x = np.random.default_rng(7).normal(size=(14, 5))
+    x = np.random.default_rng(7).normal(size=(2 * tape._SCAN_ROWS + 5, 5))
     np.testing.assert_array_equal(ssm_scan(x, params, direction).data,
                                   _looped_scan(x, params, direction))
 
@@ -492,3 +506,26 @@ def test_hgre_keeps_within_cluster_nodes_apart_on_the_acceptance_corpus():
                 assert not np.allclose(rows[i], rows[j], rtol=0.0, atol=1e-4), \
                     f"{kind}s {block[i]} and {block[j]}"
                 assert unit[i] @ unit[j] < 0.9, f"{kind}s {block[i]} and {block[j]}"
+
+
+def test_untrained_pass_at_full_scale_stays_within_its_memory():
+    """Phase 1's HGRE pass (under ``no_grad``) on the full-scale benchmark
+    corpus's graph, 1200 nodes of 64 features, peaks at 22.5 MiB.  With the
+    normalized adjacency scaled out of place (two more 1200 x 1200 float64
+    arrays) and the scan's output contracted in one (L, d, n) product it
+    peaked at 33.9 MiB."""
+    _, _, prescriptions = generate_synthetic(400, 800, 40, 33765, seed=1,
+                                             unique_symptom_sets=False)
+    graph = build_graph(prescriptions, 400, 800)
+    params = HgreParams(64, 0)
+    x = Tensor(np.random.default_rng(0).normal(size=(1200, 64)).astype(np.float32))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        with no_grad():
+            hgre_forward(x, graph, params)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 26 * 2 ** 20

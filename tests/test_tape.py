@@ -386,6 +386,35 @@ def test_fit_non_finite_loss_raises_numeric_error():
             pass
 
 
+def test_fit_refuses_a_non_finite_batch_loss_before_its_adam_step():
+    p = Tensor(np.ones(2), requires_grad=True)
+    seen = []
+
+    def loss(sel):
+        # batch 2 of epoch 1 diverges; keep the parameters it met
+        seen.append(p.data.copy())
+        scale = float("nan") if len(seen) == 2 else 1.0
+        return (p * p).sum() * scale
+
+    with pytest.raises(NumericError,
+                       match="^t: non-finite training loss at epoch 1, batch 2$"):
+        for _ in fit([p], loss, 6, name="t", epochs=3, lr=0.1, batch_size=3,
+                     rng=stage_rng(5, "test.batches")):
+            pass
+    assert np.isfinite(p.data).all()
+    np.testing.assert_array_equal(p.data, seen[1])
+    assert not np.array_equal(seen[0], seen[1])    # batch 1 did take its step
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_backward_seed_takes_the_tensors_dtype(dtype):
+    x = Tensor(np.array([1.0, 2.0], dtype=dtype), requires_grad=True)
+    (x * x).sum().backward(0.1)
+    assert x.grad.dtype == dtype
+    np.testing.assert_array_equal(x.grad, np.array([0.2, 0.4], dtype=dtype))
+    assert x.grad[1] == dtype(0.1) * dtype(2.0) * dtype(2.0)
+
+
 def test_no_grad_blocks_graph_recording():
     x = Tensor(np.ones(3), requires_grad=True)
     with tape.no_grad():
