@@ -99,8 +99,8 @@ def _build_parser() -> _Parser:
     ev = sub.add_parser("evaluate")
     ev.add_argument("--config", required=True)
     ev.add_argument("--pred", required=True)
-    ev.add_argument("--k", help="comma-separated cutoffs, each at most the herb "
-                               "count (default: those of 5,10,20 within it)")
+    ev.add_argument("--k", help="comma-separated distinct cutoffs, each at most the "
+                               "herb count (default: those of 5,10,20 within it)")
     ev.add_argument("--head", choices=["rs", "seq"], default="rs")
     return parser
 
@@ -452,6 +452,8 @@ def _cmd_evaluate(args) -> int:
             raise UsageError(f"--k must be comma-separated integers: {args.k!r}") from exc
         if not ks or any(k < 1 for k in ks):
             raise UsageError(f"--k entries must be >= 1: {args.k!r}")
+        if len(set(ks)) < len(ks):
+            raise UsageError(f"--k repeats a cutoff: {args.k!r}")
     split, n_herb = _load_splits(cfg)
     if not split.test:
         raise DataError(f"{Path(cfg.paths.workdir) / SPLITS_FILE}: 'test' is empty, "

@@ -121,7 +121,7 @@ def attention_weights_batch(mol_embs: Tensor, props: Tensor, params: AttentionPa
     logits = (keys @ q).reshape(h, k) / math.sqrt(params.d_k)
     if mask is not None:
         logits = logits + Tensor(np.where(mask, 0.0, NEG_INF).astype(logits.data.dtype))
-    return softmax(logits, axis=-1)
+    return softmax(logits)
 
 
 def aggregate_attention_batch(mol_embs: Tensor, props: Tensor,

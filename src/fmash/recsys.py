@@ -95,7 +95,7 @@ def rs_logits(symptom_sets: list, emb: UnifiedEmbedding, params: RsParams,
         x, w, bias = params.bilinear(s), herb_t.transpose(1, 0), params.bias
     else:
         logits = (s @ herb_t.transpose(1, 0)) / math.sqrt(d)
-        p = softmax(logits, axis=-1)                      # (B, H)
+        p = softmax(logits)                               # (B, H)
         h_w = p @ herb_t                                  # (B, d)
 
         cls = params.input_proj(concat([h_w, s], axis=1))  # (B, d_enc)

@@ -16,26 +16,17 @@ blocks in another order.
 Only the operations the models actually need are implemented.  Reductions,
 broadcasts and fancy indexing follow numpy semantics exactly.
 
-The layers the models call most are single nodes: ``linear``,
-``layer_norm``, ``softmax``, ``Tensor.silu``, multi-head ``attention`` and
-the transformer ``feed_forward`` block each record one closure in place of
-the chain of primitive nodes they stand for.  Such a fused node reproduces
-the bits of that composite: forward and backward run the composite's array
-operations in its order, with its constants, and hand each input its
-gradients in the composite's accumulation order.  Its test keeps the
-composite, built from primitive ops, as the oracle it must equal bit for
-bit.  Each head's output projection and loss are one node as well:
-``linear_bce`` keeps the bits of its composite; ``linear_cross_entropy`` and
-``selective_scan`` have their own closed-form backward, certified by finite
-differences.
-
-A fused node keeps only the arrays its backward reads, and recomputes an
-array its composite kept where one elementwise pass gives the same bits:
-``layer_norm`` keeps the centered input and the deviation and recomputes
-their quotient; ``attention`` keeps the scores' ``exp`` and row sums and
-recomputes the weights; ``feed_forward`` keeps the pre-activation and its
-sigmoid and recomputes the activation; the two loss nodes compute the
-logits inside, so no ``linear`` node holds them as well.
+The layers the models call most are single nodes, each recording one
+closure in place of the chain of primitive nodes it stands for: ``linear``,
+``layer_norm``, ``softmax``, ``Tensor.silu``, multi-head ``attention``, the
+transformer ``feed_forward`` block, each head's output projection and loss
+(``linear_cross_entropy``, ``linear_bce``) and ``selective_scan``.  A fused
+node's forward computes what the chain computes; its backward is the node's
+closed-form gradient, certified by float64 finite differences.  A fused node
+keeps only the arrays its backward reads: ``layer_norm`` the normalized input
+and the deviation; ``softmax`` and ``attention`` the weights;
+``feed_forward`` the pre-activation and its sigmoid; the two loss nodes
+compute the logits inside, so no ``linear`` node holds them as well.
 
 Importing the module fixes glibc's heap thresholds (``_keep_freed_memory``)
 so that memory a training step frees stays in the process for the next one.
@@ -255,19 +246,6 @@ class Tensor:
             out._backward = bw
         return out
 
-    def __rtruediv__(self, other):
-        return Tensor.ensure(other) / self
-
-    def __pow__(self, exponent: float):
-        if not isinstance(exponent, (int, float)):
-            raise TypeError("only scalar exponents are supported")
-        out = _node(self.data ** exponent, (self,))
-        if out._parents:
-            out._backward = lambda g: self._accumulate(
-                g * exponent * self.data ** (exponent - 1)
-            )
-        return out
-
     def __matmul__(self, other):
         other = Tensor.ensure(other)
         if other.data.ndim == 2:
@@ -298,19 +276,6 @@ class Tensor:
             out._backward = lambda g: self._accumulate(g * val)
         return out
 
-    def log(self):
-        out = _node(np.log(self.data), (self,))
-        if out._parents:
-            out._backward = lambda g: self._accumulate(g / self.data)
-        return out
-
-    def sqrt(self):
-        out = _node(np.sqrt(self.data), (self,))
-        if out._parents:
-            val = out.data
-            out._backward = lambda g: self._accumulate(g * 0.5 / val)
-        return out
-
     def sigmoid(self):
         out = _node(_sigmoid(self.data), (self,))
         if out._parents:
@@ -336,35 +301,23 @@ class Tensor:
         sig = _sigmoid(x)
         out = _node(x * sig, (self,))
         if out._parents:
-            # the composite x * sigmoid(x): the product's gradient first,
-            # then the sigmoid's
-            def bw(g):
-                self._accumulate(g * sig)
-                gs = g * x
-                gs *= sig
-                gs *= 1.0 - sig
-                self._accumulate(gs)
-            out._backward = bw
+            out._backward = lambda g: self._accumulate(_silu_backward(g, x, sig))
         return out
 
     # -- reductions ----------------------------------------------------------------
 
-    def sum(self, axis=None, keepdims: bool = False):
-        out = _node(self.data.sum(axis=axis, keepdims=keepdims), (self,))
+    def sum(self, axis: int | None = None):
+        out = _node(self.data.sum(axis=axis), (self,))
         if out._parents:
             def bw(g):
-                gg = g
-                if axis is not None and not keepdims:
-                    gg = np.expand_dims(gg, axis)
-                self._accumulate(np.broadcast_to(gg, self.data.shape))
+                if axis is not None:
+                    g = np.expand_dims(g, axis)
+                self._accumulate(np.broadcast_to(g, self.data.shape))
             out._backward = bw
         return out
 
-    def mean(self, axis=None, keepdims: bool = False):
-        n = self.data.size if axis is None else np.prod(
-            [self.data.shape[a] for a in np.atleast_1d(axis)]
-        )
-        return self.sum(axis=axis, keepdims=keepdims) / float(n)
+    def mean(self):
+        return self.sum() / float(self.data.size)
 
     # -- shape manipulation ----------------------------------------------------------
 
@@ -426,6 +379,25 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     out = np.exp(np.minimum(x, 0.0))
     out /= e
     return out
+
+
+def _silu_backward(g: np.ndarray, h: np.ndarray, sig: np.ndarray) -> np.ndarray:
+    """The gradient of ``h`` for ``g``, the gradient of ``h sigmoid(h)``,
+    given ``sig = sigmoid(h)``: ``g sig (1 + h (1 - sig))``."""
+    gh = 1.0 - sig
+    gh *= h
+    gh += 1.0
+    gh *= sig
+    gh *= g
+    return gh
+
+
+def _softmax_backward(y: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The gradient of a softmax's input for ``g``, the gradient of its
+    output ``y`` along the last axis: ``y (g - sum(g y))``."""
+    gx = g - (g * y).sum(axis=-1, keepdims=True)
+    gx *= y
+    return gx
 
 
 def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
@@ -536,10 +508,9 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
     """``(x - mean) / sqrt(var + eps) * gamma + beta`` over the last axis,
     as one node.
 
-    Forward and backward run the array operations of the composite of
-    primitive nodes (mean, centering, variance, sqrt, divide, scale, shift)
-    in its order, with its float32 constants, so values and gradients keep
-    its bits.
+    The node keeps the normalized input ``xh`` and the deviation ``sd``;
+    the input's gradient is ``(gxh - sum(gxh)/n - xh sum(gxh xh)/n) / sd``
+    with ``gxh = g gamma``.
     """
     xd = x.data
     n = _as_array(float(xd.shape[-1]))
@@ -547,54 +518,36 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
     mu = xd.sum(axis=-1, keepdims=True) / n
     c = xd + (-mu)
     sd = np.sqrt((c * c).sum(axis=-1, keepdims=True) / n + eps)
-    out = _node(c / sd * gamma.data + beta.data, (x, gamma, beta))
+    xh = np.divide(c, sd, out=c)
+    out = _node(xh * gamma.data + beta.data, (x, gamma, beta))
     if out._parents:
-        # keeps c and sd; gamma's gradient recomputes c / sd
         def bw(g):
             if beta.requires_grad:
                 beta._accumulate(_unbroadcast(g, beta.data.shape))
             if gamma.requires_grad:
-                gamma._accumulate(_unbroadcast(g * (c / sd), gamma.data.shape))
-            if not x.requires_grad:
-                return
-            gq = g * gamma.data
-            gc = gq / sd
-            gsd = -gq
-            gsd *= c
-            gsd /= sd ** 2
-            gsd = _unbroadcast(gsd, sd.shape)
-            gvar = gsd * 0.5 / sd / n
-            # the variance's product c * c hands c the same gradient twice
-            gcc = np.broadcast_to(gvar, c.shape) * c
-            gc += gcc
-            gc += gcc
-            # the centered path first, then the mean's broadcast
-            x._accumulate(gc)
-            x._accumulate(np.broadcast_to(-_unbroadcast(gc, mu.shape) / n, xd.shape))
+                gamma._accumulate(_unbroadcast(g * xh, gamma.data.shape))
+            if x.requires_grad:
+                gxh = g * gamma.data
+                gx = gxh - gxh.sum(axis=-1, keepdims=True) / n
+                gxh *= xh
+                gx -= xh * (gxh.sum(axis=-1, keepdims=True) / n)
+                gx /= sd
+                x._accumulate(gx)
         out._backward = bw
     return out
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Softmax along ``axis`` as one node, with the bits of the composite
-    ``e / sum(e)`` over ``e = exp(x - max(x))``.  Subtracting the (constant)
-    max leaves both the value and the exact gradient unchanged; it only
-    guards exp from overflow."""
+def softmax(x: Tensor) -> Tensor:
+    """Softmax along the last axis as one node: ``e / sum(e)`` over
+    ``e = exp(x - max(x))``.  Subtracting the (constant) max leaves both the
+    value and the exact gradient unchanged; it only guards exp from
+    overflow."""
     xd = x.data
-    e = np.exp(xd + (-xd.max(axis=axis, keepdims=True)))
-    s = e.sum(axis=axis, keepdims=True)
-    out = _node(e / s, (x,))
+    y = np.exp(xd + (-xd.max(axis=-1, keepdims=True)))
+    y /= y.sum(axis=-1, keepdims=True)
+    out = _node(y, (x,))
     if out._parents:
-        def bw(g):
-            gs = -g
-            gs *= e
-            gs /= s ** 2
-            gs = _unbroadcast(gs, s.shape)
-            gx = g / s
-            gx += np.broadcast_to(gs, e.shape)
-            gx *= e
-            x._accumulate(gx)
-        out._backward = bw
+        out._backward = lambda g: x._accumulate(_softmax_backward(y, g))
     return out
 
 
@@ -606,10 +559,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | None,
     ``n_heads`` heads of ``d / n_heads`` columns.  The (B, h, Lq, Lk) scores
     ``q kᵀ / sqrt(d_head)`` get ``bias`` added by broadcasting (nothing when
     it is None) before a softmax over the keys weights the values; the
-    heads merge back into a (B, Lq, d) output.  Forward and backward run the
-    array operations of the composite of primitive nodes (head split,
-    ``@``, divide, add, softmax, ``@``, head merge) in its order, so values
-    and gradients keep its bits.
+    heads merge back into a (B, Lq, d) output.  The node keeps the weights.
     """
     qd, kd, vd = q.data, k.data, v.data
     b, lq, d = qd.shape
@@ -624,43 +574,31 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | None,
         z += bias
     # in place: z - m rounds as z + (-m) does
     z -= z.max(axis=-1, keepdims=True)
-    e = np.exp(z, out=z)
-    s = e.sum(axis=-1, keepdims=True)
-    out = _node(((e / s) @ v4).transpose(0, 2, 1, 3).reshape(b, lq, d), (q, k, v))
+    wts = np.exp(z, out=z)
+    wts /= wts.sum(axis=-1, keepdims=True)
+    out = _node((wts @ v4).transpose(0, 2, 1, 3).reshape(b, lq, d), (q, k, v))
     if out._parents:
-        # keeps e and s; the values' gradient recomputes the weights e / s
         def bw(g):
             g4 = g.reshape(b, lq, n_heads, dh).transpose(0, 2, 1, 3)
-            ga = g4 @ v4.swapaxes(-1, -2)
-            # the softmax node's backward, then the divide's
-            gs = -ga
-            gs *= e
-            gs /= s ** 2
-            gs = _unbroadcast(gs, s.shape)
-            gz = np.divide(ga, s, out=ga)
-            gz += np.broadcast_to(gs, e.shape)
-            gz *= e
+            gz = _softmax_backward(wts, g4 @ v4.swapaxes(-1, -2))
             gz /= scale
-            # the parents in the composite's order: queries, keys, values
             if q.requires_grad:
                 q._accumulate((gz @ k4).transpose(0, 2, 1, 3).reshape(qd.shape))
             if k.requires_grad:
                 k._accumulate((q4.swapaxes(-1, -2) @ gz).transpose(0, 3, 1, 2)
                               .reshape(kd.shape))
             if v.requires_grad:
-                v._accumulate(((e / s).swapaxes(-1, -2) @ g4).transpose(0, 2, 1, 3)
+                v._accumulate((wts.swapaxes(-1, -2) @ g4).transpose(0, 2, 1, 3)
                               .reshape(vd.shape))
         out._backward = bw
     return out
 
 
 def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
-    """``silu(x @ w1 + b1) @ w2 + b2`` as one node, with the bits of the
-    composite ``linear(linear(x, w1, b1).silu(), w2, b2)``.
+    """``silu(x @ w1 + b1) @ w2 + b2`` as one node.
 
-    It keeps the pre-activation ``h`` and its sigmoid, two hidden-width
-    arrays where the composite keeps three: the backward recomputes the
-    activation ``h * sigmoid(h)`` for ``w2``'s gradient.
+    It keeps the pre-activation ``h`` and its sigmoid; the backward
+    recomputes the activation ``h * sigmoid(h)`` for ``w2``'s gradient.
     """
     h = x.data @ w1.data
     h += b1.data
@@ -675,15 +613,7 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> T
             g2 = g.reshape(-1, w2.data.shape[1])
             if w2.requires_grad:
                 w2._accumulate((h * sig).reshape(-1, h.shape[-1]).T @ g2)
-            # silu's backward: the product's gradient g sig, then the
-            # sigmoid's g h sig (1 - sig), added in place
-            gh = (g2 @ w2.data.T).reshape(h.shape)
-            gs = gh * h
-            gs *= sig
-            gs *= 1.0 - sig
-            gh *= sig
-            gh += gs
-            del gs
+            gh = _silu_backward((g2 @ w2.data.T).reshape(h.shape), h, sig)
             _linear_backward(x, w1, b1, gh)
         out._backward = bw
     return out
@@ -735,12 +665,9 @@ def linear_bce(x: Tensor, w: Tensor, b: Tensor, targets: np.ndarray) -> Tensor:
 
     The forward takes softplus as ``Tensor.softplus`` does,
     ``log1p(exp(-|z|)) + max(z, 0)``, and the node keeps ``z`` and
-    ``exp(-|z|)``.  The backward builds the logits' gradient of the
-    composite ``linear``, ``softplus``, ``*``, ``-`` and ``mean`` nodes,
-    ``(g/N) sigmoid(z)`` plus ``-(g/N) t`` in that order, in those two
-    buffers, and hands it to ``linear``'s backward: the logits are internal
-    to the node, so no other gradient can come between the two, and the
-    loss and every gradient keep the composite's bits.
+    ``exp(-|z|)``.  The backward writes the logits' gradient
+    ``(sigmoid(z) - t) g / N`` into those two buffers and hands it to
+    ``linear``'s backward.
     """
     z = x.data @ w.data
     z += b.data
@@ -753,12 +680,11 @@ def linear_bce(x: Tensor, w: Tensor, b: Tensor, targets: np.ndarray) -> Tensor:
     out = _node(sp.sum() / n, (x, w, b))
     if out._parents:
         def bw(g):
-            gn = g / n
             # sigmoid(z) as ``_sigmoid`` takes it, from the forward's exp(-|z|)
             sig = np.exp(np.minimum(z, 0.0, out=z), out=z)
             sig /= np.add(e, 1.0, out=e)
-            sig *= gn
-            sig += np.multiply(-gn, t, out=e)
+            sig -= t
+            sig *= g / n
             _linear_backward(x, w, b, sig)
         out._backward = bw
     return out

@@ -1,11 +1,11 @@
-"""The two loss nodes training called before each head fused its output
-projection into its loss: the oracles of ``tape.linear_cross_entropy``
-and ``tape.linear_bce``, which must equal ``linear`` followed by one of
-these bit for bit, in value and in every gradient."""
+"""The loss node the sequence head called before it fused its output
+projection into its loss: the oracle of ``tape.linear_cross_entropy``,
+which must equal ``linear`` followed by this node bit for bit, in value
+and in every gradient."""
 
 import numpy as np
 
-from fmash.tape import Tensor, _as_array, _node
+from fmash.tape import Tensor, _node
 
 
 def masked_cross_entropy(logits: Tensor, targets: np.ndarray,
@@ -31,30 +31,5 @@ def masked_cross_entropy(logits: Tensor, targets: np.ndarray,
             grad[rows, targets] -= 1.0
             grad *= (mask * (g / count))[:, None]
             logits._accumulate(grad.reshape(logits.shape))
-        out._backward = bw
-    return out
-
-
-def bce_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """Mean binary cross-entropy ``mean(softplus(x) - t x)`` as one node
-    whose backward hands ``logits`` the composite's two gradients in its
-    order, ``(g/N) sigmoid(x)`` and then ``-(g/N) t``; the forward takes
-    softplus as ``log1p(exp(-|x|)) + max(x, 0)``."""
-    x = logits.data
-    t = _as_array(targets)
-    n = _as_array(float(x.size))
-    e = np.exp(-np.abs(x))
-    sp = np.log1p(e)
-    sp += np.maximum(x, 0.0)
-    sp -= t * x
-    out = _node(sp.sum() / n, (logits,))
-    if out._parents:
-        def bw(g):
-            gn = g / n
-            sig = np.exp(np.minimum(x, 0.0))
-            sig /= np.add(e, 1.0, out=e)
-            sig *= gn
-            logits._accumulate(sig)
-            logits._accumulate(-gn * t)
         out._backward = bw
     return out

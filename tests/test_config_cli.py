@@ -371,6 +371,17 @@ def test_usage_errors_exit_one(run_env, capsys):
                             "--pred", "x", "--k", "0,5"]) == 1
 
 
+def test_evaluate_refuses_a_repeated_cutoff(run_env, capsys):
+    # one report key per cutoff: a repeat would print its line twice
+    _, cfg_path, _ = run_env
+    capsys.readouterr()
+    assert execute_command(["evaluate", "--config", str(cfg_path),
+                            "--pred", "x", "--k", "10,5,5"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: --k repeats a cutoff: '10,5,5'")
+    assert "Traceback" not in err
+
+
 def test_evaluate_refuses_a_cutoff_above_the_herb_vocabulary(trained_env, capsys):
     # as ``recommend --k`` does; without ``--k``, the default cutoffs 5, 10
     # and 20 that the vocabulary holds
