@@ -1,9 +1,11 @@
 """Each fused tape node against float64 finite differences, applied once
 and applied twice with residual adds; its float32 result against its
-float64 one within a stated tolerance; masked attention keys get no
-gradient; ``linear`` and ``linear_cross_entropy``, whose backward is the
-composite's, against that composite bit for bit (``tests/loss_oracle.py``);
-and the node count and memory of one loss graph per head."""
+float64 one within a stated tolerance; its forward against the forward of
+the composite of primitive ops it replaced, bit for bit; masked attention
+keys get no gradient; ``linear`` and ``linear_cross_entropy``, whose
+backward is the composite's, against that composite bit for bit
+(``tests/loss_oracle.py``); and the node count and memory of one loss graph
+per head."""
 
 import math
 
@@ -164,17 +166,25 @@ def _self_attention(kind):
     return lambda x: op(x, x, x)
 
 
-def _masked_softmax(shape):
+def _softmax_bias(shape):
     # masked entries as the attention layers build them: an additive NEG_INF
     # in the scores' dtype, one entry of each row left unmasked
     keep = np.random.default_rng(1).random(shape) > 0.3
     keep[..., 0] = True
-    bias = np.where(keep, 0.0, NEG_INF)
+    return np.where(keep, 0.0, NEG_INF)
+
+
+def _masked_softmax(shape):
+    bias = _softmax_bias(shape)
     return lambda x: softmax(x + Tensor(bias.astype(x.data.dtype)))
 
 
+def _bce_targets(shape):
+    return (np.random.default_rng(5).random(shape[:-1] + (7,)) < 0.3).astype(np.float64)
+
+
 def _bce(shape):
-    t = (np.random.default_rng(5).random(shape[:-1] + (7,)) < 0.3).astype(np.float64)
+    t = _bce_targets(shape)
     return lambda x, w, b: linear_bce(x, w, b, t.astype(x.data.dtype))
 
 
@@ -236,6 +246,93 @@ def test_node_in_float32_agrees_with_float64(op, values, x_grad, twice):
         _run(op, [v.astype(dt) for v in values], x_grad, twice)
         for dt in (np.float32, np.float64))
     _assert_float32_agrees([out32] + grads32, [out64] + grads64)
+
+
+# -- forwards: the bits of the composites the nodes replaced ---------------------
+
+# The composites in numpy, forward only, in the order of the primitive tape
+# ops they were built from.  A Python float enters the tape as a float32
+# scalar (``Tensor.ensure``), so eps and the attention scale do here as well.
+
+def _layer_norm_composite(x, gamma, beta):
+    n = x.shape[-1]
+    c = x - x.sum(axis=-1, keepdims=True) / n
+    sd = np.sqrt((c * c).sum(axis=-1, keepdims=True) / n + np.float32(EPS))
+    return c / sd * gamma + beta
+
+
+def _softmax_composite(x):
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _silu_composite(x):
+    return x * Tensor(x).sigmoid().data
+
+
+def _feed_forward_composite(x, w1, b1, w2, b2):
+    return _silu_composite(x @ w1 + b1) @ w2 + b2
+
+
+def _attention_composite(q, k, v, bias):
+    b, lq, d = q.shape
+    dh = d // N_HEADS
+
+    def split(t):
+        return t.reshape(b, t.shape[1], N_HEADS, dh).transpose(0, 2, 1, 3)
+
+    scores = split(q) @ split(k).transpose(0, 1, 3, 2) / np.float32(math.sqrt(dh))
+    if bias is not None:
+        scores = scores + bias
+    out = _softmax_composite(scores) @ split(v)
+    return out.transpose(0, 2, 1, 3).reshape(b, lq, d)
+
+
+def _bce_composite(x, w, b, t):
+    z = x @ w + b
+    return (Tensor(z).softplus().data - t * z).sum() / np.float32(z.size)
+
+
+def _forward_cases():
+    """(name, node, numpy composite, float64 values with x first)."""
+    for shape in SHAPES:
+        sx = "x".join(map(str, shape))
+        yield (f"layer_norm-{sx}", lambda x, g, b: layer_norm(x, g, b, EPS),
+               _layer_norm_composite, _scaled(_values(shape, (6,), (6,)), 0, 3.0, 1.5))
+        bias = _softmax_bias(shape)
+        yield (f"softmax-{sx}", _masked_softmax(shape),
+               lambda x, bias=bias: _softmax_composite(x + bias.astype(x.dtype)),
+               _values(shape))
+        yield (f"silu-{sx}", lambda x: x.silu(), _silu_composite,
+               _scaled(_values(shape), 0, 8.0))
+        yield (f"feed_forward-{sx}", feed_forward, _feed_forward_composite,
+               _scaled(_values(shape, (6, 10), (10,), (10, 6), (6,)), 1, 3.0))
+        t = _bce_targets(shape)
+        yield (f"linear_bce-{sx}", _bce(shape),
+               lambda x, w, b, t=t: _bce_composite(x, w, b, t.astype(x.dtype)),
+               _scaled(_values(shape, (6, 7), (7,)), 1, 8.0))
+    for kind, lq, lk in [("key_mask", 4, 6), ("causal", 4, 4), ("causal", 3, 5),
+                         (None, 4, 6), ("key_mask", 1, 6), (None, 1, 5)]:
+        yield (f"attention-{kind}-{lq}x{lk}", _attention(kind, lq, lk),
+               lambda q, k, v, kind=kind, lq=lq, lk=lk: _attention_composite(
+                   q, k, v, _attention_bias(kind, q.dtype, lq, lk)),
+               _values((2, lq, 8), (2, lk, 8), (2, lk, 8)))
+    for kind in ("key_mask", "causal", None):
+        yield (f"self_attention-{kind}", _self_attention(kind),
+               lambda x, kind=kind: _attention_composite(
+                   x, x, x, _attention_bias(kind, x.dtype, 5, 5)),
+               _values((2, 5, 8)))
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("node,composite,values",
+                         [pytest.param(*case[1:], id=case[0]) for case in _forward_cases()])
+def test_node_forward_keeps_the_composite_bits(node, composite, values, dtype):
+    values = [v.astype(dtype) for v in values]
+    out = node(*(Tensor(v) for v in values)).data
+    expected = composite(*values)
+    assert out.dtype == np.asarray(expected).dtype == dtype
+    assert np.array_equal(out, expected)
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
