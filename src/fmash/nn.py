@@ -160,7 +160,8 @@ class MultiHeadAttention(Module):
 
     def attend(self, query: Tensor, k: Tensor, v: Tensor,
                bias: np.ndarray | None) -> Tensor:
-        """Attention of a (B, Lq, d) query onto projected keys and values;
+        """Attention of a (B, Lq, d) query, or of a (B, d) one that asks
+        one query per row, onto projected keys and values;
         ``bias`` (None for none) is added to the (B, h, Lq, Lk) scores by
         broadcasting."""
         return self.wo(attention(self.wq(query), k, v, bias, self.n_heads))
@@ -183,7 +184,14 @@ class FeedForward(Module):
 
 
 class EncoderLayer(Module):
-    """Pre-norm transformer encoder layer (self-attention + feed-forward)."""
+    """Pre-norm transformer encoder layer (self-attention + feed-forward).
+
+    With ``first_only``, every position still supplies keys and values, but
+    only the first one queries: the attention, residual and feed-forward run
+    on that row alone, and the layer returns its (B, d) state.  A model that
+    reads nothing but the first position after its last layer gets the same
+    function, without the rows it would throw away.
+    """
 
     def __init__(self, d_model: int, n_heads: int, d_ff: int, rng: np.random.Generator):
         self.ln1 = LayerNorm(d_model)
@@ -191,9 +199,13 @@ class EncoderLayer(Module):
         self.ln2 = LayerNorm(d_model)
         self.ff = FeedForward(d_model, d_ff, rng)
 
-    def __call__(self, x: Tensor, key_mask: np.ndarray) -> Tensor:
+    def __call__(self, x: Tensor, key_mask: np.ndarray, first_only: bool = False,
+                 ) -> Tensor:
         normed = self.ln1(x)
-        x = x + self.attn(normed, normed, key_mask=key_mask)
+        query = normed
+        if first_only:
+            x, query = x[:, 0], normed[:, 0]
+        x = x + self.attn(query, normed, key_mask=key_mask)
         return x + self.ff(self.ln2(x))
 
 

@@ -5,8 +5,10 @@ occurrence probabilities over herbs; the probability-weighted herb vector is
 concatenated with the symptom vector, projected, and prepended as a [CLS]
 position to the per-symptom token sequence.  A small transformer encoder
 fuses the sequence and a per-herb sigmoid head reads the selection scores
-off the [CLS] state.  With the fusion encoder ablated, a trainable bilinear
-inner-product scorer takes its place.
+off the [CLS] state.  The encoder's last layer attends from [CLS] only:
+every position still supplies keys and values, but the query, residual
+and feed-forward run on the one row the head reads.  With the fusion
+encoder ablated, a trainable bilinear inner-product scorer takes its place.
 """
 
 from __future__ import annotations
@@ -102,10 +104,13 @@ def rs_logits(symptom_sets: list, emb: UnifiedEmbedding, params: RsParams,
         tok = params.tok_proj(tokens)                     # (B, W, d_enc)
         seq = concat([cls.reshape(b, 1, -1), tok], axis=1)
         key_mask = np.concatenate([np.ones((b, 1), dtype=bool), mask], axis=1)
-        for layer in params.layers:
+        layers = params.layers
+        for layer in layers[:-1]:
             seq = layer(seq, key_mask=key_mask)
-        # the [CLS] state (B, d_enc) through the output projection
-        x, w, bias = seq[:, 0, :], params.out.weight, params.out.bias
+        # the [CLS] state (B, d_enc) through the output projection; the last
+        # layer computes that row alone
+        x = layers[-1](seq, key_mask, first_only=True) if layers else seq[:, 0, :]
+        w, bias = params.out.weight, params.out.bias
     if targets is None:
         return linear(x, w, bias)
     return linear_bce(x, w, bias, targets)

@@ -347,13 +347,20 @@ class Tensor:
     def __getitem__(self, idx):
         picked = self.data[idx]
         # a basic index returns a view; the node owns its data
-        if isinstance(picked, np.ndarray) and np.may_share_memory(picked, self.data):
+        basic = isinstance(picked, np.ndarray) and np.may_share_memory(picked, self.data)
+        if basic:
             picked = picked.copy()
         out = _node(picked, (self,))
         if out._parents:
             def bw(g):
                 buf = np.zeros_like(self.data)
-                np.add.at(buf, idx, g)
+                # a basic index picks each element once, so adding into its
+                # view is ``add.at``'s ``0 + g`` without the unbuffered loop;
+                # integer-array and boolean ids may repeat and must accumulate
+                if basic:
+                    buf[idx] += g
+                else:
+                    np.add.at(buf, idx, g)
                 self._accumulate(buf)
             out._backward = bw
         return out
@@ -555,15 +562,16 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | None,
               n_heads: int) -> Tensor:
     """Multi-head scaled dot-product attention as one node.
 
-    ``q`` is (B, Lq, d) and ``k``, ``v`` are (B, Lk, d); each splits into
-    ``n_heads`` heads of ``d / n_heads`` columns.  The (B, h, Lq, Lk) scores
-    ``q kᵀ / sqrt(d_head)`` get ``bias`` added by broadcasting (nothing when
-    it is None) before a softmax over the keys weights the values; the
-    heads merge back into a (B, Lq, d) output.  The node keeps the weights.
+    ``q`` is (B, Lq, d), or (B, d) for one query per row, and ``k``, ``v``
+    are (B, Lk, d); each splits into ``n_heads`` heads of ``d / n_heads``
+    columns.  The (B, h, Lq, Lk) scores ``q kᵀ / sqrt(d_head)`` get ``bias``
+    added by broadcasting (nothing when it is None) before a softmax over
+    the keys weights the values; the heads merge back into an output of
+    ``q``'s shape.  The node keeps the weights.
     """
     qd, kd, vd = q.data, k.data, v.data
-    b, lq, d = qd.shape
-    lk = kd.shape[1]
+    b, lk, d = kd.shape
+    lq = qd.shape[1] if qd.ndim == 3 else 1
     dh = d // n_heads
     q4 = qd.reshape(b, lq, n_heads, dh).transpose(0, 2, 1, 3)    # (B, h, Lq, dh)
     k4 = kd.reshape(b, lk, n_heads, dh).transpose(0, 2, 1, 3)    # (B, h, Lk, dh)
@@ -576,7 +584,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | None,
     z -= z.max(axis=-1, keepdims=True)
     wts = np.exp(z, out=z)
     wts /= wts.sum(axis=-1, keepdims=True)
-    out = _node((wts @ v4).transpose(0, 2, 1, 3).reshape(b, lq, d), (q, k, v))
+    out = _node((wts @ v4).transpose(0, 2, 1, 3).reshape(qd.shape), (q, k, v))
     if out._parents:
         def bw(g):
             g4 = g.reshape(b, lq, n_heads, dh).transpose(0, 2, 1, 3)

@@ -205,13 +205,48 @@ def test_plain_scorer_trains():
     assert result.losses[-1] < result.losses[0]
 
 
+class _FullLayer:
+    """An encoder layer that runs every position even when asked for the
+    first row only, and then takes that row: the reference for the
+    [CLS]-only last layer."""
+
+    def __init__(self, layer):
+        self.layer = layer
+
+    def __call__(self, x, key_mask, first_only=False):
+        out = self.layer(x, key_mask)
+        return out[:, 0] if first_only else out
+
+
+@pytest.mark.parametrize("n_layers", [1, 2, 3])
+def test_cls_only_last_layer_matches_running_every_row(n_layers):
+    emb = _emb(n_sym=7, n_herb=9, d=8, seed=14)
+    params = as_float64(GelramParams(8, 9, seed=15, d_enc=16, n_layers=n_layers,
+                                     n_heads=2))
+    sets = [[0, 2, 5], [1], [0, 1, 3, 4, 6], [6, 2]]
+    targets = multi_hot([[0, 3], [2], [1, 4, 8], [7]], 9)
+    got = [rs_logits(sets, emb, params, sym_table=Tensor(emb.sym()),
+                     herb_table=Tensor(emb.herb()), targets=t).data
+           for t in (None, targets)]
+    params.layers = [_FullLayer(layer) for layer in params.layers]
+    want = [rs_logits(sets, emb, params, sym_table=Tensor(emb.sym()),
+                      herb_table=Tensor(emb.herb()), targets=t).data
+            for t in (None, targets)]
+    for a, b in zip(got, want):
+        assert a.dtype == np.float64
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=0.0)
+
+
 # ---------------------------------------------------------------------------
 # gradients
 # ---------------------------------------------------------------------------
 
-def test_rs_loss_gradients_match_finite_differences():
+@pytest.mark.parametrize("n_layers", [1, 2])
+def test_rs_loss_gradients_match_finite_differences(n_layers):
+    """With two layers, a full layer feeds the [CLS]-only last one."""
     emb = _emb(n_sym=4, n_herb=5, d=4, seed=8)
-    params = as_float64(GelramParams(4, 5, seed=12, d_enc=8, n_layers=1, n_heads=2))
+    params = as_float64(GelramParams(4, 5, seed=12, d_enc=8, n_layers=n_layers,
+                                     n_heads=2))
     sets = [[0, 2], [1], [0, 1, 3]]
     targets = multi_hot([[0, 3], [2], [1, 4]], 5)
     sym_t = as_float64(Tensor(emb.sym(), requires_grad=True))

@@ -122,9 +122,34 @@ def test_getitem_and_flip_grads():
     def loss():
         rows = x[idx]          # duplicate index exercises scatter-add
         block = x[1:4, :2]
-        return (rows * rows).sum() + x.flip(0).mean() + (block * block).sum()
+        row = x[2, 1:]
+        return ((rows * rows).sum() + x.flip(0).mean() + (block * block).sum()
+                + (row * row * row).sum())
 
     assert max_relative_error(loss, [x]) < RTOL
+
+
+@pytest.mark.parametrize("idx", [np.s_[1:4], np.s_[2, 1:], np.s_[:, 0], np.s_[None, ..., 1],
+                                 np.s_[2, 1], np.array([0, 2, 2, 5]),
+                                 (np.array([1, 1]), np.s_[:2]), np.arange(6) % 2 == 0])
+def test_getitem_gradient_is_add_at_bit_for_bit(idx):
+    """A basic index adds into the gradient's view, an integer-array or
+    boolean one through ``np.add.at``: both give ``add.at``'s bits."""
+    rng = np.random.default_rng(17)
+    x = Tensor(rng.normal(size=(6, 3)).astype(np.float32), requires_grad=True)
+    g = rng.normal(size=np.shape(x.data[idx])).astype(np.float32)
+    x[idx].backward(g)
+    want = np.zeros_like(x.data)
+    np.add.at(want, idx, g)
+    assert x.grad.dtype == want.dtype
+    np.testing.assert_array_equal(x.grad.view(np.uint32), want.view(np.uint32))
+
+
+def test_getitem_gradient_of_a_repeated_index_accumulates():
+    x = Tensor(np.zeros((4, 2), dtype=np.float32), requires_grad=True)
+    g = np.arange(8, dtype=np.float32).reshape(4, 2)
+    x[np.array([3, 1, 3, 3])].backward(g)
+    np.testing.assert_array_equal(x.grad, [[0, 0], [2, 3], [0, 0], [10, 13]])
 
 
 @pytest.mark.parametrize("idx", [np.s_[1:4, :2], np.s_[2], np.s_[:, 1],
