@@ -159,12 +159,13 @@ class MultiHeadAttention(Module):
         return self.wk(keyval), self.wv(keyval)
 
     def attend(self, query: Tensor, k: Tensor, v: Tensor,
-               bias: np.ndarray | None) -> Tensor:
+               bias: np.ndarray | None, rows: np.ndarray | None = None) -> Tensor:
         """Attention of a (B, Lq, d) query, or of a (B, d) one that asks
         one query per row, onto projected keys and values;
         ``bias`` (None for none) is added to the (B, h, Lq, Lk) scores by
-        broadcasting."""
-        return self.wo(attention(self.wq(query), k, v, bias, self.n_heads))
+        broadcasting.  With ``rows``, a (B, T) mask, the query holds the
+        packed rows of the positions it marks (``tape.attention``)."""
+        return self.wo(attention(self.wq(query), k, v, bias, self.n_heads, rows))
 
     def __call__(self, query: Tensor, keyval: Tensor, key_mask: np.ndarray) -> Tensor:
         return self.attend(query, *self.project_kv(keyval),
@@ -218,6 +219,13 @@ class DecoderLayer(Module):
     tokens before ``x``; the call returns the output and those of ``past``
     then ``x``, joined along the token axis.  A one-token ``x`` sees every
     key, so it takes no causal bias (that bias would be all zeros).
+
+    With ``rows``, a (B, T) prefix mask and no ``past``, ``x`` holds the
+    packed (N, d) rows of the N positions it marks, and so do the output and
+    the returned keys and values: every row-wise step runs on those rows
+    alone, and each attention places them at their (B, T) positions inside
+    its node, where the causal bias hides the unmarked tail of each row
+    from every marked query.
     """
 
     def __init__(self, d_model: int, n_heads: int, d_ff: int, rng: np.random.Generator):
@@ -230,17 +238,17 @@ class DecoderLayer(Module):
 
     def __call__(self, x: Tensor, memory_kv: tuple[Tensor, Tensor],
                  memory_bias: np.ndarray, past: tuple[Tensor, Tensor] | None = None,
-                 ) -> tuple[Tensor, tuple[Tensor, Tensor]]:
+                 rows: np.ndarray | None = None) -> tuple[Tensor, tuple[Tensor, Tensor]]:
         normed = self.ln1(x)
         k, v = self.self_attn.project_kv(normed)
         n_past = 0
         if past is not None:
             n_past = past[0].shape[1]
             k, v = concat([past[0], k], axis=1), concat([past[1], v], axis=1)
-        lq = x.shape[1]
+        lq = x.shape[1] if rows is None else rows.shape[1]
         bias = causal_bias(lq, n_past, x.data.dtype) if lq > 1 else None
-        x = x + self.self_attn.attend(normed, k, v, bias)
-        x = x + self.cross_attn.attend(self.ln2(x), *memory_kv, memory_bias)
+        x = x + self.self_attn.attend(normed, k, v, bias, rows)
+        x = x + self.cross_attn.attend(self.ln2(x), *memory_kv, memory_bias, rows)
         return x + self.ff(self.ln3(x)), (k, v)
 
 

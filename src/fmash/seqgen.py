@@ -14,9 +14,13 @@ each ``decoder_logits`` call runs only its new tokens, appending their
 (B, L, d) self-attention keys and values to the cache.  A one-token step
 adds no causal bias: its one query sees every cached key.  Teacher-forced
 training runs the whole target prefix through the same call on an empty
-cache.  A cached step can differ from the same position computed over the
-full prefix in the last bits, since a one-row product sums in another
-order.
+cache, packed: the decoder carries one (d,) row per target token that
+counts, (N, d) for the N tokens of the batch, so the PAD tail of each row
+never runs through the embedding gather, a layer norm, a projection, a
+feed-forward block or the output projection and its loss.  Only each
+attention node places the rows at their (B, T) positions, inside the node.
+A cached step can differ from the same position computed over the full
+prefix in the last bits, since a one-row product sums in another order.
 """
 
 from __future__ import annotations
@@ -68,8 +72,8 @@ class IntegrationLayer(Module):
         self.cross = MultiHeadAttention(d_model, n_heads, rng)
 
     def __call__(self, x: Tensor, memory_kv: tuple[Tensor, Tensor],
-                 memory_bias: np.ndarray) -> Tensor:
-        return x + self.cross.attend(self.ln(x), *memory_kv, memory_bias)
+                 memory_bias: np.ndarray, rows: np.ndarray | None = None) -> Tensor:
+        return x + self.cross.attend(self.ln(x), *memory_kv, memory_bias, rows)
 
 
 class Seq2SeqParams(Module):
@@ -137,22 +141,31 @@ def decoder_cache(memory: Tensor, memory_mask: np.ndarray,
 
 
 def decoder_states(cache: DecoderCache, target_tokens: np.ndarray,
-                   params: Seq2SeqParams) -> Tensor:
+                   params: Seq2SeqParams, rows: np.ndarray | None = None) -> Tensor:
     """The (B, T, d) final decoder states, the input of the output
-    projection, for the T target tokens that follow the ``cache.length``
-    tokens already in ``cache``, at the positions after theirs; appends the
-    new tokens' self-attention keys and values to ``cache``.  Teacher
-    forcing passes a whole prefix to an empty cache."""
+    projection, for the (B, T) target tokens that follow the
+    ``cache.length`` tokens already in ``cache``, at the positions after
+    theirs; appends the new tokens' self-attention keys and values to
+    ``cache``.
+
+    Teacher forcing passes a whole prefix to an empty cache, with ``rows``,
+    a (B, T) mask that marks a prefix of each row: the states are then the
+    packed (N, d) rows of the N marked tokens, in row-major order, and the
+    unmarked tokens never run.  The cache's self-attention keys and values
+    are packed as well, so a packed call ends a cache's use."""
     target_tokens = np.asarray(target_tokens, dtype=np.intp)
     start, end = cache.length, cache.length + target_tokens.shape[1]
     if end > MAX_POSITIONS:
         raise DataError(f"a target sequence of {end} tokens exceeds the "
                         f"{MAX_POSITIONS} positions")
-    x = params.tok_embed[target_tokens] + params.positions[start:end]
-    x = params.integration(x, cache.memory_kv[0], cache.memory_bias)
+    if rows is None:
+        x = params.tok_embed[target_tokens] + params.positions[start:end]
+    else:
+        x = params.tok_embed[target_tokens[rows]] + params.positions[np.nonzero(rows)[1]]
+    x = params.integration(x, cache.memory_kv[0], cache.memory_bias, rows)
     for i, layer in enumerate(params.dec_layers):
         x, cache.self_kv[i] = layer(x, cache.memory_kv[i + 1], cache.memory_bias,
-                                    cache.self_kv[i])
+                                    cache.self_kv[i], rows)
     cache.length = end
     return params.dec_ln(x)
 
@@ -169,7 +182,7 @@ class SeqBatch:
     symptom_sets: list
     dec_in: np.ndarray       # (B, T) tokens starting with BOS
     dec_target: np.ndarray   # (B, T) tokens ending with EOS, PAD-filled
-    loss_mask: np.ndarray    # (B, T) True where the target counts
+    loss_mask: np.ndarray    # (B, T) True where the target counts: a prefix of each row
 
 
 def make_batch(instances, vocab: TokenVocab) -> SeqBatch:
@@ -190,14 +203,17 @@ def make_batch(instances, vocab: TokenVocab) -> SeqBatch:
 
 
 def sequence_loss(batch: SeqBatch, params: Seq2SeqParams) -> Tensor:
-    """Teacher-forced cross-entropy; PAD positions contribute exactly zero.
-    The output projection and the loss are one ``linear_cross_entropy``
-    node, so the (B, T, V) logits never form a tensor of their own."""
+    """Teacher-forced cross-entropy, the mean over the tokens of
+    ``batch.loss_mask``, whose decoder states run packed
+    (``decoder_states``); PAD positions never run.  The output projection
+    and the loss are one ``linear_cross_entropy`` node, so the (N, V)
+    logits never form a tensor of their own."""
     memory, memory_mask = encode_batch(batch.symptom_sets, params)
+    rows = batch.loss_mask
     states = decoder_states(decoder_cache(memory, memory_mask, params), batch.dec_in,
-                            params)
+                            params, rows)
     return linear_cross_entropy(states, params.out.weight, params.out.bias,
-                                batch.dec_target, batch.loss_mask)
+                                batch.dec_target[rows])
 
 
 def train_seq(instances, emb: UnifiedEmbedding, *, epochs: int = 300,

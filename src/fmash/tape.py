@@ -482,6 +482,14 @@ def selective_scan(delta: Tensor, a: Tensor, b_in: Tensor, c_out: Tensor,
     return out
 
 
+def _weight_gradient(x2: np.ndarray, g2: np.ndarray) -> np.ndarray:
+    """``x2.T @ g2`` for (n, d_in) rows ``x2`` and their (n, d_out) output
+    gradients.  For one row it is an outer product, which ``np.dot`` forms
+    about 5x faster than ``@`` with the same bits; for more rows ``@`` is
+    the faster."""
+    return np.dot(x2.T, g2) if len(x2) == 1 else x2.T @ g2
+
+
 def _linear_backward(x: Tensor, w: Tensor, b: Tensor | None, g: np.ndarray) -> None:
     """``linear``'s backward for ``g``, the gradient of ``x @ w + b``: the
     bias (if any), the input, then the weight."""
@@ -493,7 +501,7 @@ def _linear_backward(x: Tensor, w: Tensor, b: Tensor | None, g: np.ndarray) -> N
     if x.requires_grad:
         x._accumulate((g2 @ wd.T).reshape(xd.shape))
     if w.requires_grad:
-        w._accumulate(xd.reshape(-1, xd.shape[-1]).T @ g2)
+        w._accumulate(_weight_gradient(xd.reshape(-1, xd.shape[-1]), g2))
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
@@ -558,8 +566,35 @@ def softmax(x: Tensor) -> Tensor:
     return out
 
 
+# score rows per key beyond which ``attention`` takes the row max column by
+# column (``_column_max``)
+_ROW_MAX_ROWS_PER_KEY = 16
+
+
+def _column_max(z: np.ndarray) -> np.ndarray:
+    """``z.max(axis=-1, keepdims=True)`` as ``np.maximum`` over the columns:
+    the same values and NaNs, though a zero max may take the other sign,
+    which ``exp(z - max)`` does not see.  numpy's reduction costs about
+    60 ns a row over a short last axis, which this avoids when the rows
+    are many; over few rows, as in a decoding step or a one-instance
+    score, the reduction is the faster."""
+    m = z[..., :1].copy()
+    for j in range(1, z.shape[-1]):
+        np.maximum(m, z[..., j:j + 1], out=m)
+    return m
+
+
+def _scatter_rows(packed: np.ndarray, marked: tuple[np.ndarray, np.ndarray],
+                  shape: tuple[int, int]) -> np.ndarray:
+    """A zero (B, T, d) buffer, ``shape`` being (B, T), holding the (N, d)
+    ``packed`` rows at the ``marked`` (batch, position) pairs."""
+    buf = np.zeros(shape + packed.shape[-1:], dtype=packed.dtype)
+    buf[marked] = packed
+    return buf
+
+
 def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | None,
-              n_heads: int) -> Tensor:
+              n_heads: int, rows: np.ndarray | None = None) -> Tensor:
     """Multi-head scaled dot-product attention as one node.
 
     ``q`` is (B, Lq, d), or (B, d) for one query per row, and ``k``, ``v``
@@ -568,8 +603,23 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | None,
     added by broadcasting (nothing when it is None) before a softmax over
     the keys weights the values; the heads merge back into an output of
     ``q``'s shape.  The node keeps the weights.
+
+    With ``rows``, a (B, T) mask, ``q`` is packed: its (N, d) rows are the
+    N positions the mask marks, in row-major order, and so are ``k`` and
+    ``v`` when they are 2-D (self-attention keys and values).  The node
+    scatters the packed inputs into zero (B, T, d) buffers, runs the
+    arithmetic above there and returns the (N, d) output rows of the marked
+    positions; its backward scatters the output gradient and gathers the
+    inputs' gradients the same way.  The rows left zero must stay out of the
+    marked queries' view, through ``bias``: a prefix mask under a causal
+    bias puts them after every marked position.
     """
     qd, kd, vd = q.data, k.data, v.data
+    if rows is not None:
+        marked = np.nonzero(rows)
+        qd = _scatter_rows(qd, marked, rows.shape)
+        if kd.ndim == 2:
+            kd, vd = (_scatter_rows(t, marked, rows.shape) for t in (kd, vd))
     b, lk, d = kd.shape
     lq = qd.shape[1] if qd.ndim == 3 else 1
     dh = d // n_heads
@@ -581,23 +631,35 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | None,
     if bias is not None:
         z += bias
     # in place: z - m rounds as z + (-m) does
-    z -= z.max(axis=-1, keepdims=True)
+    z -= (z.max(axis=-1, keepdims=True) if z.size <= _ROW_MAX_ROWS_PER_KEY * lk * lk
+          else _column_max(z))
     wts = np.exp(z, out=z)
     wts /= wts.sum(axis=-1, keepdims=True)
-    out = _node((wts @ v4).transpose(0, 2, 1, 3).reshape(qd.shape), (q, k, v))
+    heads = (wts @ v4).transpose(0, 2, 1, 3)
+    out = _node(heads.reshape(qd.shape) if rows is None else heads[marked].reshape(-1, d),
+                (q, k, v))
     if out._parents:
+        def merged(heads: np.ndarray, like: Tensor, full: np.ndarray) -> np.ndarray:
+            # (B, L, h, dh) heads as ``like``'s data: ``full``'s shape, or
+            # only the marked rows when ``full`` is ``like``'s scattered data
+            if like.data is full:
+                return heads.reshape(full.shape)
+            return heads[marked].reshape(-1, d)
+
         def bw(g):
+            if rows is not None:
+                g = _scatter_rows(g, marked, rows.shape)
             g4 = g.reshape(b, lq, n_heads, dh).transpose(0, 2, 1, 3)
             gz = _softmax_backward(wts, g4 @ v4.swapaxes(-1, -2))
             gz /= scale
             if q.requires_grad:
-                q._accumulate((gz @ k4).transpose(0, 2, 1, 3).reshape(qd.shape))
+                q._accumulate(merged((gz @ k4).transpose(0, 2, 1, 3), q, qd))
             if k.requires_grad:
-                k._accumulate((q4.swapaxes(-1, -2) @ gz).transpose(0, 3, 1, 2)
-                              .reshape(kd.shape))
+                k._accumulate(merged((q4.swapaxes(-1, -2) @ gz).transpose(0, 3, 1, 2),
+                                     k, kd))
             if v.requires_grad:
-                v._accumulate((wts.swapaxes(-1, -2) @ g4).transpose(0, 2, 1, 3)
-                              .reshape(vd.shape))
+                v._accumulate(merged((wts.swapaxes(-1, -2) @ g4).transpose(0, 2, 1, 3),
+                                     v, vd))
         out._backward = bw
     return out
 
@@ -620,32 +682,29 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> T
                 b2._accumulate(_unbroadcast(g, b2.data.shape))
             g2 = g.reshape(-1, w2.data.shape[1])
             if w2.requires_grad:
-                w2._accumulate((h * sig).reshape(-1, h.shape[-1]).T @ g2)
+                w2._accumulate(_weight_gradient((h * sig).reshape(-1, h.shape[-1]), g2))
             gh = _silu_backward((g2 @ w2.data.T).reshape(h.shape), h, sig)
             _linear_backward(x, w1, b1, gh)
         out._backward = bw
     return out
 
 
-def linear_cross_entropy(x: Tensor, w: Tensor, b: Tensor, targets: np.ndarray,
-                         mask: np.ndarray) -> Tensor:
-    """Mean of ``-log softmax(x @ w + b)[..., target]`` over the positions
-    where ``mask`` is True, as one node: an output projection and its
-    masked cross-entropy.
+def linear_cross_entropy(x: Tensor, w: Tensor, b: Tensor, targets: np.ndarray) -> Tensor:
+    """Mean of ``-log softmax(x @ w + b)[..., target]`` over every position,
+    as one node: an output projection and its cross-entropy.
 
-    ``x`` is (..., d) and ``w`` (d, V); ``targets`` (integer ids) and
-    ``mask`` are (...).  Masked positions contribute exactly zero value and
-    gradient.  The forward shifts the logits by their row maxima and takes
-    ``exp`` in place, so the node keeps one (..., V) buffer and not the
-    logits; the backward writes ``(softmax - onehot) * mask / count`` into
-    that buffer and hands it to ``linear``'s backward.  The loss and every
-    gradient equal, bit for bit, those of a ``linear`` node followed by a
-    node that computes this closed-form cross-entropy of its output.
+    ``x`` is (..., d) and ``w`` (d, V); ``targets`` (integer ids) is (...);
+    a caller with positions that do not count passes only the rows that do.
+    The forward shifts the logits by their row maxima and takes ``exp`` in
+    place, so the node keeps one (..., V) buffer and not the logits; the
+    backward writes ``(softmax - onehot) / count`` into that buffer and
+    hands it to ``linear``'s backward.  The loss and every gradient equal,
+    bit for bit, those of a ``linear`` node followed by a node that computes
+    this closed-form cross-entropy of its output.
     """
     v = w.data.shape[1]
     targets = np.asarray(targets, dtype=np.intp).reshape(-1)
-    mask = np.asarray(mask, dtype=bool).reshape(-1)
-    count = float(mask.sum())
+    count = float(targets.size)
     y = x.data @ w.data
     y += b.data
     shape = y.shape
@@ -656,12 +715,12 @@ def linear_cross_entropy(x: Tensor, w: Tensor, b: Tensor, targets: np.ndarray,
     np.exp(e, out=e)
     total = e.sum(axis=1, keepdims=True)
     picked -= np.log(total[:, 0])
-    out = _node(-((picked * mask).sum() / count), (x, w, b))
+    out = _node(-(picked.sum() / count), (x, w, b))
     if out._parents:
         def bw(g):
             grad = np.divide(e, total, out=e)
             grad[rows, targets] -= 1.0
-            grad *= (mask * (g / count))[:, None]
+            grad *= g / count
             _linear_backward(x, w, b, grad.reshape(shape))
         out._backward = bw
     return out

@@ -8,15 +8,12 @@ import numpy as np
 from fmash.tape import Tensor, _node
 
 
-def masked_cross_entropy(logits: Tensor, targets: np.ndarray,
-                         mask: np.ndarray) -> Tensor:
-    """Mean of ``-log softmax(logits)[..., target]`` over the positions where
-    ``mask`` is True, as one node with the closed-form backward
-    ``(softmax - onehot) * mask / count``."""
+def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
+    """Mean of ``-log softmax(logits)[..., target]`` over every position, as
+    one node with the closed-form backward ``(softmax - onehot) / count``."""
     v = logits.shape[-1]
     targets = np.asarray(targets, dtype=np.intp).reshape(-1)
-    mask = np.asarray(mask, dtype=bool).reshape(-1)
-    count = float(mask.sum())
+    count = float(targets.size)
     x = logits.data.reshape(-1, v)
     shift = x - x.max(axis=1, keepdims=True)
     rows = np.arange(x.shape[0])
@@ -24,12 +21,12 @@ def masked_cross_entropy(logits: Tensor, targets: np.ndarray,
     e = np.exp(shift, out=shift)
     total = e.sum(axis=1, keepdims=True)
     picked -= np.log(total[:, 0])
-    out = _node(-((picked * mask).sum() / count), (logits,))
+    out = _node(-(picked.sum() / count), (logits,))
     if out._parents:
         def bw(g):
             grad = np.divide(e, total, out=e)
             grad[rows, targets] -= 1.0
-            grad *= (mask * (g / count))[:, None]
+            grad *= g / count
             logits._accumulate(grad.reshape(logits.shape))
         out._backward = bw
     return out

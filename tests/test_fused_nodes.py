@@ -20,7 +20,7 @@ from fmash.refine import UnifiedEmbedding
 from fmash.seqgen import Seq2SeqParams, make_batch, sequence_loss
 from fmash.tape import (Tensor, attention, feed_forward, layer_norm, linear, linear_bce,
                         linear_cross_entropy, softmax)
-from loss_oracle import masked_cross_entropy
+from loss_oracle import cross_entropy
 from memory_probe import step_peak_per_instance
 
 EPS = 1e-5
@@ -109,14 +109,8 @@ def test_linear_node_keeps_the_composite_bits(dtype, shape, bias, twice):
 
 
 def _loss_targets(shape, n_classes):
-    """Target ids and a mask over ``shape``: one row wholly masked, one
-    position always counted."""
-    rng = np.random.default_rng(4)
-    targets = rng.integers(0, n_classes, size=shape)
-    mask = rng.random(shape) > 0.4
-    mask[1] = False
-    mask.flat[0] = True
-    return targets, mask
+    """Target ids over ``shape``."""
+    return np.random.default_rng(4).integers(0, n_classes, size=shape)
 
 
 # ``twice`` adds a loss to x and takes the loss again of that sum: the loss
@@ -127,12 +121,12 @@ def _loss_targets(shape, n_classes):
 @pytest.mark.parametrize("twice", [False, True])
 @pytest.mark.parametrize("x_grad", [True, False])
 def test_linear_cross_entropy_node_keeps_the_composite_bits(dtype, shape, twice, x_grad):
-    targets, mask = _loss_targets(shape[:-1], 7)
+    targets = _loss_targets(shape[:-1], 7)
     values = _values(shape, (6, 7), (7,), dtype=dtype)
     values[1] = values[1] * 4.0                      # peaked and flat softmax rows
     _assert_same_bits(
-        lambda x, w, b: linear_cross_entropy(x, w, b, targets, mask),
-        lambda x, w, b: masked_cross_entropy(_linear_composite(x, w, b), targets, mask),
+        lambda x, w, b: linear_cross_entropy(x, w, b, targets),
+        lambda x, w, b: cross_entropy(_linear_composite(x, w, b), targets),
         values, x_grad=x_grad, twice=twice)
 
 
@@ -164,6 +158,26 @@ def _self_attention(kind):
     # one tensor as queries, keys and values: its three gradients add up
     op = _attention(kind, 5, 5)
     return lambda x: op(x, x, x)
+
+
+# packed rows: a (B=2, T=5) prefix mask over the targets of 5 and 3 tokens,
+# N = 8 rows in row-major order, as teacher forcing passes them
+PACKED = np.arange(5)[None, :] < np.array([[5], [3]])
+N_PACKED = int(PACKED.sum())
+
+
+def _packed_attention(kind, lk=5):
+    """``attention`` of packed queries with the row map ``PACKED``: onto
+    packed self-attention keys and values under the causal bias
+    (``kind`` "causal"), or onto padded (2, ``lk``, d) ones under the key
+    mask ("key_mask")."""
+    return lambda q, k, v: attention(
+        q, k, v, _attention_bias(kind, q.data.dtype, PACKED.shape[1], lk), N_HEADS,
+        rows=PACKED)
+
+
+def _packed_self_attention(x):
+    return _packed_attention("causal")(x, x, x)
 
 
 def _softmax_bias(shape):
@@ -226,6 +240,12 @@ def _cases():
         for kind in ("key_mask", "causal", None):
             yield (f"self_attention-{kind}", _self_attention(kind), _values((2, 5, 8)),
                    True, twice)
+        yield ("attention-packed-causal", _packed_attention("causal"),
+               _values(*[(N_PACKED, 8)] * 3), True, twice)
+        yield ("attention-packed-memory", _packed_attention("key_mask", 6),
+               _values((N_PACKED, 8), (2, 6, 8), (2, 6, 8)), True, twice)
+        yield ("self_attention-packed", _packed_self_attention, _values((N_PACKED, 8)),
+               True, twice)
 
 
 CASES = [pytest.param(op, values, x_grad, twice,
@@ -291,6 +311,14 @@ def _attention_composite(q, k, v, bias):
     return out.transpose(0, 2, 1, 3).reshape(b, lq, d)
 
 
+def _unpacked(rows):
+    """Packed (N, d) rows at their ``PACKED`` positions of a zero (2, 5, d)
+    array."""
+    out = np.zeros(PACKED.shape + rows.shape[1:], dtype=rows.dtype)
+    out[PACKED] = rows
+    return out
+
+
 def _bce_composite(x, w, b, t):
     z = x @ w + b
     return (Tensor(z).softplus().data - t * z).sum() / np.float32(z.size)
@@ -320,6 +348,11 @@ def _forward_cases():
                lambda q, k, v, kind=kind, lq=lq, lk=lk: _attention_composite(
                    q, k, v, _attention_bias(kind, q.dtype, lq, lk)),
                _values((2, lq, 8), (2, lk, 8), (2, lk, 8)))
+    # enough score rows (2 x 2 heads x 40 queries) for the column-wise row max
+    yield ("attention-key_mask-40x6", _attention("key_mask", 40, 6),
+           lambda q, k, v: _attention_composite(
+               q, k, v, _attention_bias("key_mask", q.dtype, 40, 6)),
+           _values((2, 40, 8), (2, 6, 8), (2, 6, 8)))
     yield ("attention-key_mask-row", _attention("key_mask", 1, 6),
            lambda q, k, v: _attention_composite(
                q[:, None], k, v, _attention_bias("key_mask", q.dtype, 1, 6))[:, 0],
@@ -329,6 +362,19 @@ def _forward_cases():
                lambda x, kind=kind: _attention_composite(
                    x, x, x, _attention_bias(kind, x.dtype, 5, 5)),
                _values((2, 5, 8)))
+    yield ("attention-packed-causal", _packed_attention("causal"),
+           lambda q, k, v: _attention_composite(
+               *(_unpacked(t) for t in (q, k, v)),
+               _attention_bias("causal", q.dtype, 5, 5))[PACKED],
+           _values(*[(N_PACKED, 8)] * 3))
+    yield ("attention-packed-memory", _packed_attention("key_mask", 6),
+           lambda q, k, v: _attention_composite(
+               _unpacked(q), k, v, _attention_bias("key_mask", q.dtype, 5, 6))[PACKED],
+           _values((N_PACKED, 8), (2, 6, 8), (2, 6, 8)))
+    yield ("self_attention-packed", _packed_self_attention,
+           lambda x: _attention_composite(
+               *[_unpacked(x)] * 3, _attention_bias("causal", x.dtype, 5, 5))[PACKED],
+           _values((N_PACKED, 8)))
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
@@ -340,6 +386,33 @@ def test_node_forward_keeps_the_composite_bits(node, composite, values, dtype):
     expected = composite(*values)
     assert out.dtype == np.asarray(expected).dtype == dtype
     assert np.array_equal(out, expected)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("kind", ["causal", "key_mask"])
+def test_packed_attention_matches_padded_attention_on_its_rows(kind, dtype):
+    """Packed queries (and packed self-attention keys and values) give the
+    rows, and the gradients, of the padded node with the PAD queries'
+    upstream gradient zero, bit for bit."""
+    rng = np.random.default_rng(6)
+    lk = 5 if kind == "causal" else 6
+    q = rng.normal(size=(N_PACKED, 8)).astype(dtype)
+    kv = [rng.normal(size=(N_PACKED, 8) if kind == "causal" else (2, lk, 8)).astype(dtype)
+          for _ in range(2)]
+    g = _upstream((N_PACKED, 8)).astype(dtype)
+    packed = _leaves([q] + kv, True)
+    out = _packed_attention(kind, lk)(*packed)
+    out.backward(g)
+    unpack = _unpacked if kind == "causal" else (lambda t: t)
+    padded = _leaves([_unpacked(q)] + [unpack(t) for t in kv], True)
+    full = _attention(kind, 5, lk)(*padded)
+    full.backward(_unpacked(g))
+    assert np.array_equal(out.data, full.data[PACKED])
+    assert np.array_equal(packed[0].grad, padded[0].grad[PACKED])
+    for p, f in zip(packed[1:], padded[1:]):
+        assert np.array_equal(p.grad, f.grad[PACKED] if kind == "causal" else f.grad)
+        if kind == "causal":
+            assert np.all(f.grad[~PACKED] == 0.0)
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
@@ -426,14 +499,16 @@ def test_node_count_of_one_loss_graph_per_head():
 
 # -- memory ---------------------------------------------------------------------
 
-@pytest.mark.parametrize("head, bound_mib", [("seq", 0.28), ("rs", 0.064)])
+@pytest.mark.parametrize("head, bound_mib", [("seq", 0.247), ("rs", 0.064)])
 def test_one_training_step_stays_within_its_memory_per_instance(head, bound_mib):
     """One training loss plus ``backward()`` at full-scale head shapes and
-    B = 128 (``tests/memory_probe.py``) peaks at 0.260 MiB per instance for
-    the sequence head and 0.058 MiB for the ranked head.  With nodes that
-    kept every array of their composites, and the logits beside each loss,
-    it took 0.357 and 0.090 MiB; with only ``feed_forward`` keeping its
-    activation as well, 0.290 and 0.084; with the ranked head's last encoder
-    layer running every position, and not the [CLS] row alone, the ranked
-    head took 0.074."""
+    B = 128 (``tests/memory_probe.py``) peaks at 0.241 MiB per instance for
+    the sequence head and 0.058 MiB for the ranked head; each bound adds
+    0.006 MiB.  With nodes that kept every array of their composites, and
+    the logits beside each loss, it took 0.357 and 0.090 MiB; with only
+    ``feed_forward`` keeping its activation as well, 0.290 and 0.084; with
+    the ranked head's last encoder layer running every position, and not
+    the [CLS] row alone, the ranked head took 0.074; with the sequence
+    head's decoder running its PAD tokens too, the sequence head took
+    0.260."""
     assert step_peak_per_instance(head, 128) < bound_mib * 2 ** 20

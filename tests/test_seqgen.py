@@ -118,6 +118,39 @@ def test_sequence_loss_gradients_match_finite_differences():
     assert max_relative_error(loss, params.parameters()) < 1e-4
 
 
+def test_a_mixed_length_batch_is_the_token_weighted_mean_of_its_instances():
+    """Teacher forcing runs each target's tokens alone, whatever the batch
+    pads it to: a batch's loss and every gradient equal the token-weighted
+    mean of its instances run one at a time.  The attention key biases,
+    whose true gradient is exactly zero (a softmax does not see a shift of
+    all its scores), are compared absolutely."""
+    emb = _emb(seed=8)
+    params = as_float64(Seq2SeqParams(emb, seed=8, n_heads=2))
+    instances = [_inst(0, {0, 2}, [1, 4, 6, 0, 3]), _inst(1, {1}, [2]),
+                 _inst(2, {3, 4, 5}, [7, 5, 1]), _inst(3, {2, 5}, [0, 6])]
+    names = [name for name, t in params.named_tensors() if t.requires_grad]
+    weights = [len(inst.herbs) + 1 for inst in instances]
+
+    def run(batch):
+        for p in params.parameters():
+            p.grad = None
+        loss = sequence_loss(make_batch(batch, params.vocab), params)
+        loss.backward()
+        return loss.item(), [p.grad.copy() for p in params.parameters()]
+
+    loss, grads = run(instances)
+    singles = [run([inst]) for inst in instances]
+    total = sum(weights)
+    expected_loss = sum(w * l for w, (l, _) in zip(weights, singles)) / total
+    assert abs(loss - expected_loss) <= 1e-12 * abs(expected_loss)
+    for i, (name, grad) in enumerate(zip(names, grads)):
+        expected = sum(w * g[i] for w, (_, g) in zip(weights, singles)) / total
+        if name.endswith("wk.bias"):
+            assert np.abs(grad).max() < 1e-12 and np.abs(expected).max() < 1e-12
+        else:
+            assert np.abs(grad - expected).max() <= 1e-12 * np.abs(expected).max(), name
+
+
 # ---------------------------------------------------------------------------
 # training
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ import pytest
 from fmash import tape
 from fmash.gradcheck import as_float64, max_relative_error
 from fmash.errors import NumericError
-from fmash.nn import (Adam, LayerNorm, Linear, MultiHeadAttention, causal_bias, fit,
-                      sinusoidal_positions, stage_rng)
+from fmash.nn import (NEG_INF, Adam, LayerNorm, Linear, MultiHeadAttention, causal_bias,
+                      fit, sinusoidal_positions, stage_rng)
 from fmash.tape import (Tensor, concat, feed_forward, linear_bce,
                         linear_cross_entropy, selective_scan, softmax)
 
@@ -191,14 +191,17 @@ def test_masked_cross_entropy_matches_log_softmax_pick():
     mask[1] = False                       # a row with nothing to score
     mask[0, 0] = True
 
-    loss = linear_cross_entropy(x, w, b, targets, mask)
+    # the positions that count go in packed, as the sequence head passes them
+    def loss_fn():
+        return linear_cross_entropy(x[mask], w, b, targets[mask])
+
+    loss = loss_fn()
     loss.backward()
     picked = np.take_along_axis(_log_softmax(x.data @ w.data + b.data),
                                 targets[..., None], axis=-1)[..., 0]
     assert abs(loss.item() + picked[mask].mean()) < 1e-12
     assert np.all(x.grad[1] == 0.0)
-    assert max_relative_error(lambda: linear_cross_entropy(x, w, b, targets, mask),
-                              [x, w, b]) < RTOL
+    assert max_relative_error(loss_fn, [x, w, b]) < RTOL
 
 
 def test_bce_with_logits_matches_naive():
@@ -504,12 +507,11 @@ def test_masked_cross_entropy_forward_allocates_one_logits_buffer():
     w = Tensor(rng.normal(size=(d, v)).astype(np.float32), requires_grad=True)
     b = Tensor(np.zeros(v, dtype=np.float32), requires_grad=True)
     targets = rng.integers(0, v, size=n)
-    mask = rng.random(n) < 0.7
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        loss = linear_cross_entropy(x, w, b, targets, mask)
+        loss = linear_cross_entropy(x, w, b, targets)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -534,6 +536,55 @@ def test_sigmoid_bit_identical_to_masked_two_branch_form():
     np.testing.assert_array_equal(tape._sigmoid(x).view(np.int64),
                                   masked(x).view(np.int64))
     assert np.isnan(tape._sigmoid(np.array([np.nan]))).all()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape, slice_wise", [
+    ((1, 4, 3, 11), False), ((2, 4, 1, 6), False),      # one symptom set, one query a row
+    ((128, 4, 11, 11), True), ((128, 4, 11, 4), True), ((40, 4, 1, 5), True)])
+def test_attention_row_max_keeps_the_reduction_bits(shape, slice_wise, dtype):
+    # ``tape.attention`` takes its score-row max column by column when the
+    # rows are many (``slice_wise``) and by numpy's reduction otherwise; the
+    # column max gives the reduction's values on either kind of shape
+    lk = shape[-1]
+    assert (np.prod(shape) > tape._ROW_MAX_ROWS_PER_KEY * lk * lk) == slice_wise
+    rng = np.random.default_rng(3)
+    z = rng.normal(size=shape).astype(dtype)
+    flat = z.reshape(-1, lk)
+    flat[rng.random(flat.shape) < 0.3] += dtype(NEG_INF)     # masked keys
+    flat[0] = NEG_INF                                          # a wholly masked row
+    flat[1, -1] = -np.inf
+    flat[2] = -np.inf
+    flat[3, lk // 2] = np.nan
+    flat[4, 0] = np.nan
+    flat[5, :2] = [-0.0, 0.0]
+    flat[5, 2:] = -1.0
+    got, expected = tape._column_max(z), z.max(axis=-1, keepdims=True)
+    assert got.shape == expected.shape and got.dtype == expected.dtype
+    # equal values and NaNs; a zero max may differ in sign, which the
+    # shifted scores' exp, all that attention reads, does not see
+    np.testing.assert_array_equal(got, expected)
+    bits = f"u{z.itemsize}"
+    with np.errstate(invalid="ignore"):
+        np.testing.assert_array_equal(np.exp(z - got).view(bits),
+                                      np.exp(z - expected).view(bits))
+
+
+@pytest.mark.parametrize("n_rows", [1, 2, 4, 128])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_weight_gradients_keep_the_matmul_bits(n_rows, dtype):
+    # one row takes ``np.dot``, more rows ``@``; both give ``x.T @ g``
+    rng = np.random.default_rng(n_rows)
+    x = Tensor(rng.normal(size=(n_rows, 64)).astype(dtype), requires_grad=True)
+    w1, b1, w2, b2 = (Tensor(rng.normal(size=s).astype(dtype), requires_grad=True)
+                      for s in [(64, 256), (256,), (256, 64), (64,)])
+    g = rng.normal(size=(n_rows, 256)).astype(dtype)
+    tape.linear(x, w1, b1).backward(g)
+    np.testing.assert_array_equal(w1.grad, x.data.T @ g)
+    g = g[:, :64]
+    feed_forward(x, w1, b1, w2, b2).backward(g)
+    h = x.data @ w1.data + b1.data
+    np.testing.assert_array_equal(w2.grad, (h * tape._sigmoid(h)).T @ g)
 
 
 class _MallInfo2(ctypes.Structure):
