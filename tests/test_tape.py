@@ -570,23 +570,6 @@ def test_attention_row_max_keeps_the_reduction_bits(shape, slice_wise, dtype):
                                       np.exp(z - expected).view(bits))
 
 
-@pytest.mark.parametrize("n_rows", [1, 2, 4, 128])
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_weight_gradients_keep_the_matmul_bits(n_rows, dtype):
-    # one row takes ``np.dot``, more rows ``@``; both give ``x.T @ g``
-    rng = np.random.default_rng(n_rows)
-    x = Tensor(rng.normal(size=(n_rows, 64)).astype(dtype), requires_grad=True)
-    w1, b1, w2, b2 = (Tensor(rng.normal(size=s).astype(dtype), requires_grad=True)
-                      for s in [(64, 256), (256,), (256, 64), (64,)])
-    g = rng.normal(size=(n_rows, 256)).astype(dtype)
-    tape.linear(x, w1, b1).backward(g)
-    np.testing.assert_array_equal(w1.grad, x.data.T @ g)
-    g = g[:, :64]
-    feed_forward(x, w1, b1, w2, b2).backward(g)
-    h = x.data @ w1.data + b1.data
-    np.testing.assert_array_equal(w2.grad, (h * tape._sigmoid(h)).T @ g)
-
-
 class _MallInfo2(ctypes.Structure):
     _fields_ = [(name, ctypes.c_size_t) for name in (
         "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks",
