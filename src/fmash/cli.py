@@ -37,7 +37,7 @@ from .pipeline import phase1_key, phase1_state, run_phase1
 from .recsys import make_rs_params, recommend, train_rs
 from .recsys import export_predictions as export_rs_predictions
 from .refine import UNIFIED_DIM, UnifiedEmbedding, export_unified
-from .seqgen import Seq2SeqParams, generate, train_seq
+from .seqgen import MAX_POSITIONS, Seq2SeqParams, generate, train_seq
 from .seqgen import export_predictions as export_seq_predictions
 
 EXIT_OK = 0
@@ -284,7 +284,8 @@ def _serve(cfg: RunConfig, head: str) -> _Served:
     params = (make_rs_params(emb, None, gelram=cfg.ablation.gelram,
                              d_enc=cfg.dims.d_enc)
               if head == "rs" else Seq2SeqParams(emb, None))
-    _load_params(params, path, state, head, "trained with a different head config")
+    _load_params(params, path, state, head, f"trained with a different head config "
+                 f"or an older fmash; rerun `fmash train-{head}`")
     served = _Served(key, [r.name for r in symptoms], [r.name for r in herbs],
                      emb, params)
     if None not in key:    # a file that could not be read keys no entry
@@ -380,6 +381,11 @@ def _cmd_train(args) -> int:
                               result.params)
     else:
         head, title = "seq", "sequence"
+        for inst in split.train:    # BOS and each herb take a position
+            if len(inst.herbs) >= MAX_POSITIONS:
+                raise DataError(f"{Path(cfg.paths.corpus) / PRESCRIPTIONS_FILE}: instance "
+                                f"{inst.instance_id} lists {len(inst.herbs)} herbs; the "
+                                f"sequence head takes at most {MAX_POSITIONS - 1}")
         result = train_seq(split.train, unified, **opts)
         export_seq_predictions(wd / "seq_predictions.tsv", split.test,
                                result.params, max_len=cfg.train.seq_max_len)

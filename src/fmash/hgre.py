@@ -100,7 +100,6 @@ class SsmDirection(Module):
 
 class SsmParams(Module):
     def __init__(self, d: int, rng: np.random.Generator, d_state: int = 16):
-        self.d = d
         self.d_state = d_state
         self.dt_rank = max(1, math.ceil(d / 16))
         self.fwd = SsmDirection(d, d_state, self.dt_rank, rng)

@@ -135,6 +135,10 @@ class MultiHeadAttention(Module):
     """Scaled dot-product attention over (B, L, d) inputs, one ``attention``
     tape node per call between the projections.
 
+    Keys take no bias: it would shift all of a query's scores alike, which
+    the softmax ignores, so its gradient would be rounding noise that Adam
+    scales into steps (Namazifar et al., arXiv:2302.08626).
+
     ``key_mask`` marks valid key positions (B, Lk); masked logits get a large
     negative additive constant, built in the scores' dtype.  Its ``exp``
     after the row-max shift underflows to exactly zero in float32 as in
@@ -150,13 +154,14 @@ class MultiHeadAttention(Module):
             raise ValueError("d_model must be divisible by n_heads")
         self.n_heads = n_heads
         self.wq = Linear(d_model, d_model, rng)
-        self.wk = Linear(d_model, d_model, rng)
+        self.wk = parameter(rng.normal(0.0, 1.0 / math.sqrt(d_model),
+                                       size=(d_model, d_model)))
         self.wv = Linear(d_model, d_model, rng)
         self.wo = Linear(d_model, d_model, rng)
 
     def project_kv(self, keyval: Tensor) -> tuple[Tensor, Tensor]:
         """Keys and values of a (B, Lk, d) source, each (B, Lk, d)."""
-        return self.wk(keyval), self.wv(keyval)
+        return linear(keyval, self.wk), self.wv(keyval)
 
     def attend(self, query: Tensor, k: Tensor, v: Tensor,
                bias: np.ndarray | None, rows: np.ndarray | None = None) -> Tensor:

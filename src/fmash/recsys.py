@@ -33,8 +33,6 @@ from .tape import Tensor, concat, linear, linear_bce, no_grad, softmax
 class GelramParams(Module):
     def __init__(self, d: int, n_herb: int, seed: int | None, d_enc: int = 64,
                  n_layers: int = 2, n_heads: int = 4):
-        self.d = d
-        self.n_herb = n_herb
         rng = stage_rng(seed, "rs.gelram")
         self.input_proj = Linear(2 * d, d_enc, rng)
         self.tok_proj = Linear(d, d_enc, rng)
@@ -48,8 +46,6 @@ class PlainScorerParams(Module):
 
     def __init__(self, d: int, n_herb: int, seed: int | None):
         rng = stage_rng(seed, "rs.plain")
-        self.d = d
-        self.n_herb = n_herb
         self.bilinear = Linear(d, d, rng)
         self.bias = parameter(np.zeros(n_herb))
 

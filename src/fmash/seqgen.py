@@ -5,7 +5,7 @@ through a two-layer transformer encoder.  On the target side, herb token
 embeddings are initialized row-for-row from the unified herb table, pass an
 integration layer (cross-attention onto the symptom memory), then two
 stacked decoder layers (causal self-attention + cross-attention), and a
-projection onto the token vocabulary.  Greedy decoding starts from BOS,
+projection onto the herbs plus EOS.  Greedy decoding starts from BOS,
 masks already-emitted herbs, and stops at EOS or the length cap.
 
 Decoding is incremental (Vaswani et al., arXiv:1706.03762): ``decoder_cache``
@@ -14,9 +14,9 @@ each ``decoder_logits`` call runs only its new tokens, appending their
 (B, L, d) self-attention keys and values to the cache.  A one-token step
 adds no causal bias: its one query sees every cached key.  Teacher-forced
 training runs the whole target prefix through the same call on an empty
-cache, packed: the decoder carries one (d,) row per target token that
-counts, (N, d) for the N tokens of the batch, so the PAD tail of each row
-never runs through the embedding gather, a layer norm, a projection, a
+cache, packed: the decoder carries one (d,) row per target token, (N, d)
+for the N tokens of the batch, so no position past an instance's EOS
+runs through the embedding gather, a layer norm, a projection, a
 feed-forward block or the output projection and its loss.  Only each
 attention node places the rows at their (B, T) positions, inside the node.
 A cached step can differ from the same position computed over the full
@@ -26,6 +26,7 @@ prefix in the last bits, since a one-row product sums in another order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -42,6 +43,9 @@ MAX_POSITIONS = 512
 
 @dataclass(frozen=True)
 class TokenVocab:
+    """Herb ``h`` is token ``h`` in both token tables.  BOS, which only
+    inputs hold, is the row after the herbs in ``tok_embed``; EOS, which
+    only targets hold, is the column after the herbs in ``out``."""
     n_herb: int
 
     @property
@@ -50,15 +54,7 @@ class TokenVocab:
 
     @property
     def eos(self) -> int:
-        return self.n_herb + 1
-
-    @property
-    def pad(self) -> int:
-        return self.n_herb + 2
-
-    @property
-    def size(self) -> int:
-        return self.n_herb + 3
+        return self.n_herb
 
     def is_herb(self, token: int) -> bool:
         return 0 <= token < self.n_herb
@@ -81,14 +77,13 @@ class Seq2SeqParams(Module):
                  n_enc_layers: int = 2, n_dec_layers: int = 2):
         d = emb.dim
         self.vocab = TokenVocab(emb.n_herb)
-        self.d = d
         rng = stage_rng(seed, "seq")
         # the frozen unified symptom table and the positional encodings are
         # plain arrays, rebuilt on load rather than checkpointed; target
         # embeddings start from the unified herb rows and stay trainable
         self.sym_table = emb.sym()
         self.tok_embed = parameter(np.concatenate(
-            [emb.herb(), rng.normal(0.0, 0.1, size=(3, d))], axis=0, dtype=np.float32))
+            [emb.herb(), rng.normal(0.0, 0.1, size=(1, d))], axis=0, dtype=np.float32))
         self.positions = sinusoidal_positions(MAX_POSITIONS, d)
         self.enc_layers = [EncoderLayer(d, n_heads, 4 * d, rng)
                            for _ in range(n_enc_layers)]
@@ -97,7 +92,7 @@ class Seq2SeqParams(Module):
         self.dec_layers = [DecoderLayer(d, n_heads, 4 * d, rng)
                            for _ in range(n_dec_layers)]
         self.dec_ln = LayerNorm(d)
-        self.out = Linear(d, self.vocab.size, rng)
+        self.out = Linear(d, emb.n_herb + 1, rng)    # the herbs, then EOS
 
 
 # ---------------------------------------------------------------------------
@@ -140,28 +135,27 @@ def decoder_cache(memory: Tensor, memory_mask: np.ndarray,
                         self_kv=[None] * len(params.dec_layers))
 
 
-def decoder_states(cache: DecoderCache, target_tokens: np.ndarray,
+def decoder_states(cache: DecoderCache, tokens: np.ndarray,
                    params: Seq2SeqParams, rows: np.ndarray | None = None) -> Tensor:
     """The (B, T, d) final decoder states, the input of the output
-    projection, for the (B, T) target tokens that follow the
+    projection, for the (B, T) input tokens that follow the
     ``cache.length`` tokens already in ``cache``, at the positions after
     theirs; appends the new tokens' self-attention keys and values to
     ``cache``.
 
-    Teacher forcing passes a whole prefix to an empty cache, with ``rows``,
-    a (B, T) mask that marks a prefix of each row: the states are then the
-    packed (N, d) rows of the N marked tokens, in row-major order, and the
-    unmarked tokens never run.  The cache's self-attention keys and values
-    are packed as well, so a packed call ends a cache's use."""
-    target_tokens = np.asarray(target_tokens, dtype=np.intp)
-    start, end = cache.length, cache.length + target_tokens.shape[1]
+    Teacher forcing passes whole sequences to an empty cache, packed:
+    ``rows`` is a (B, T) mask that marks a prefix of each row, ``tokens``
+    the (N,) tokens of its N marked positions in row-major order, and the
+    states are their packed (N, d) rows.  The cache's self-attention keys
+    and values are packed as well, so a packed call ends a cache's use."""
+    tokens = np.asarray(tokens, dtype=np.intp)
+    start = cache.length
+    end = start + (tokens.shape[1] if rows is None else rows.shape[1])
     if end > MAX_POSITIONS:
         raise DataError(f"a target sequence of {end} tokens exceeds the "
                         f"{MAX_POSITIONS} positions")
-    if rows is None:
-        x = params.tok_embed[target_tokens] + params.positions[start:end]
-    else:
-        x = params.tok_embed[target_tokens[rows]] + params.positions[np.nonzero(rows)[1]]
+    at = slice(start, end) if rows is None else np.nonzero(rows)[1]
+    x = params.tok_embed[tokens] + params.positions[at]
     x = params.integration(x, cache.memory_kv[0], cache.memory_bias, rows)
     for i, layer in enumerate(params.dec_layers):
         x, cache.self_kv[i] = layer(x, cache.memory_kv[i + 1], cache.memory_bias,
@@ -172,48 +166,41 @@ def decoder_states(cache: DecoderCache, target_tokens: np.ndarray,
 
 def decoder_logits(cache: DecoderCache, target_tokens: np.ndarray,
                    params: Seq2SeqParams) -> Tensor:
-    """Next-token logits (B, T, V): ``decoder_states`` (which see) through
-    the output projection."""
+    """Next-token logits (B, T, n_herb + 1), the herbs then EOS:
+    ``decoder_states`` (which see) through the output projection."""
     return params.out(decoder_states(cache, target_tokens, params))
 
 
 @dataclass
 class SeqBatch:
     symptom_sets: list
-    dec_in: np.ndarray       # (B, T) tokens starting with BOS
-    dec_target: np.ndarray   # (B, T) tokens ending with EOS, PAD-filled
-    loss_mask: np.ndarray    # (B, T) True where the target counts: a prefix of each row
+    rows: np.ndarray      # (B, T) True on instance i's first len(herbs) + 1 positions
+    inputs: np.ndarray    # (N,) BOS and each instance's herbs, at the marked positions
+    targets: np.ndarray   # (N,) each instance's herbs and EOS, at the same positions
 
 
 def make_batch(instances, vocab: TokenVocab) -> SeqBatch:
-    width = max(len(inst.herbs) for inst in instances) + 1
-    b = len(instances)
-    dec_in = np.full((b, width), vocab.pad, dtype=np.intp)
-    dec_target = np.full((b, width), vocab.pad, dtype=np.intp)
-    loss_mask = np.zeros((b, width), dtype=bool)
-    for i, inst in enumerate(instances):
-        seq = list(inst.herbs)
-        dec_in[i, 0] = vocab.bos
-        dec_in[i, 1:len(seq) + 1] = seq
-        dec_target[i, :len(seq)] = seq
-        dec_target[i, len(seq)] = vocab.eos
-        loss_mask[i, :len(seq) + 1] = True
-    return SeqBatch(symptom_sets=[sorted(inst.symptoms) for inst in instances],
-                    dec_in=dec_in, dec_target=dec_target, loss_mask=loss_mask)
+    lengths = np.array([len(inst.herbs) + 1 for inst in instances])
+    herbs = [inst.herbs for inst in instances]
+    return SeqBatch(
+        symptom_sets=[sorted(inst.symptoms) for inst in instances],
+        rows=np.arange(lengths.max()) < lengths[:, None],
+        inputs=np.fromiter(chain.from_iterable([vocab.bos, *h] for h in herbs),
+                           dtype=np.intp),
+        targets=np.fromiter(chain.from_iterable([*h, vocab.eos] for h in herbs),
+                            dtype=np.intp))
 
 
 def sequence_loss(batch: SeqBatch, params: Seq2SeqParams) -> Tensor:
-    """Teacher-forced cross-entropy, the mean over the tokens of
-    ``batch.loss_mask``, whose decoder states run packed
-    (``decoder_states``); PAD positions never run.  The output projection
-    and the loss are one ``linear_cross_entropy`` node, so the (N, V)
-    logits never form a tensor of their own."""
+    """Teacher-forced cross-entropy, the mean over the batch's target
+    tokens, whose decoder states run packed (``decoder_states``).  The
+    output projection and the loss are one ``linear_cross_entropy`` node,
+    so the (N, n_herb + 1) logits never form a tensor of their own."""
     memory, memory_mask = encode_batch(batch.symptom_sets, params)
-    rows = batch.loss_mask
-    states = decoder_states(decoder_cache(memory, memory_mask, params), batch.dec_in,
-                            params, rows)
+    states = decoder_states(decoder_cache(memory, memory_mask, params), batch.inputs,
+                            params, batch.rows)
     return linear_cross_entropy(states, params.out.weight, params.out.bias,
-                                batch.dec_target[rows])
+                                batch.targets)
 
 
 def train_seq(instances, emb: UnifiedEmbedding, *, epochs: int = 300,
@@ -245,20 +232,19 @@ def train_seq(instances, emb: UnifiedEmbedding, *, epochs: int = 300,
 def _masked_step_logits(cache: DecoderCache, token: int, herbs: list[int],
                         params: Seq2SeqParams) -> np.ndarray:
     """Logits of the token after ``token``, which follows the cached prefix;
-    BOS, PAD and the emitted ``herbs`` get ``-inf``.  Greedy decoding only
-    takes their argmax, which a log-softmax would not move."""
-    vocab = params.vocab
+    the emitted ``herbs`` get ``-inf``.  Greedy decoding only takes their
+    argmax, which a log-softmax would not move."""
     logits = decoder_logits(cache, np.asarray([[token]], dtype=np.intp), params).data[0, -1]
     if not np.isfinite(logits).all():
         raise NumericError(f"non-finite sequence scores at decoding step {cache.length}")
-    logits[[vocab.bos, vocab.pad, *herbs]] = -np.inf
+    logits[herbs] = -np.inf
     return logits
 
 
 def generate(symptom_ids, params: Seq2SeqParams, max_len: int) -> list[int]:
     """Greedy decoding from BOS; emitted herbs are masked so it never
-    repeats one, and BOS/PAD can never be produced.  Stops at EOS, after
-    ``max_len`` herbs, or when no token is left.  Returns herb ids only.
+    repeats one.  Stops at EOS, which is all that is left once every herb
+    is emitted, or after ``max_len`` herbs.  Returns herb ids only.
 
     The symptom memory is encoded and projected once per call; each step
     runs the decoder on its one new token against the cached keys and
@@ -273,9 +259,8 @@ def generate(symptom_ids, params: Seq2SeqParams, max_len: int) -> list[int]:
         memory, memory_mask = encode_batch([symptom_ids], params)
         cache = decoder_cache(memory, memory_mask, params)
         while len(herbs) < max_len:
-            logits = _masked_step_logits(cache, tok, herbs, params)
-            tok = int(np.argmax(logits))
-            if tok == vocab.eos or not np.isfinite(logits[tok]):
+            tok = int(np.argmax(_masked_step_logits(cache, tok, herbs, params)))
+            if tok == vocab.eos:
                 break
             herbs.append(tok)
     return herbs

@@ -18,7 +18,7 @@ def full_prefix_generate(symptom_ids, params, max_len):
                                     np.asarray([tokens]), params).data[0, -1]
             shifted = logits - logits.max()
             logp = shifted - np.log(np.exp(shifted).sum())
-            logp[[vocab.bos, vocab.pad, *tokens[1:]]] = -np.inf
+            logp[tokens[1:]] = -np.inf
             tok = int(np.argsort(-logp, kind="stable")[0])
             if tok == vocab.eos or not np.isfinite(logp[tok]):
                 break

@@ -23,7 +23,7 @@ from fmash.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from fmash.cli import execute_command
 from fmash.config import (RunConfig, config_from_dict, config_hash, parse_config,
                           serialize_config)
-from fmash.dataio import build_graph, load_corpus, save_molecular_table
+from fmash.dataio import build_graph, load_corpus, save_molecular_table, split_dataset
 from fmash.errors import ConfigError, SchemaError
 from fmash.mlfie import impute_missing
 from fmash.pipeline import (HEAD_ONLY_KEYS, PATH_KEYS, phase1_key, phase1_state,
@@ -884,6 +884,79 @@ def test_checkpoint_missing_a_tensor_exits_two(trained_env, tmp_path, capsys,
     assert "no molecular stage" not in captured.err
     assert "Traceback" not in captured.err
     assert not (tmp_path / "imputed.tsv").exists()
+
+
+def _old_head_layout(state: dict, head: str) -> dict:
+    """A head checkpoint as fmash wrote it while every attention projected
+    its keys with a bias and the sequence head's token tables each held
+    BOS, EOS and PAD after the herbs."""
+    old = {}
+    for name, value in state.items():
+        if name.endswith(".wk"):
+            old[f"{name}.weight"] = value
+            old[f"{name}.bias"] = np.zeros(value.shape[1], dtype=value.dtype)
+        else:
+            old[name] = value
+    if head == "seq":
+        emb, w, b = old["seq.tok_embed"], old["seq.out.weight"], old["seq.out.bias"]
+        old["seq.tok_embed"] = np.concatenate([emb, emb[-2:]])
+        old["seq.out.weight"] = np.concatenate([w, w[:, -2:]], axis=1)
+        old["seq.out.bias"] = np.concatenate([b, b[-2:]])
+    return old
+
+
+@pytest.mark.parametrize("head, tensor, argv", [
+    ("rs", "rs.layers.0.attn.wk.bias", ["recommend", "--symptoms", "sym-001", "--k", "2"]),
+    ("seq", "seq.enc_layers.0.attn.wk.bias", ["generate", "--symptoms", "sym-001"]),
+], ids=["rs", "seq"])
+def test_head_checkpoint_of_the_old_layout_exits_two(trained_env, capsys, head, tensor,
+                                                     argv):
+    root, cfg_path, _ = trained_env
+    path = root / "work" / f"{head}.ckpt"
+    raw = path.read_bytes()
+    state, key = load_checkpoint(path)
+    save_checkpoint(path, _old_head_layout(state, head), key)
+    capsys.readouterr()
+    try:
+        code = execute_command(argv + ["--config", str(cfg_path)])
+    finally:
+        path.write_bytes(raw)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert str(path) in captured.err and tensor in captured.err
+    assert f"rerun `fmash train-{head}`" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_formula_longer_than_the_positions_exits_two_before_training(tmp_path, capsys):
+    """A training formula of MAX_POSITIONS herbs needs one position more
+    than the sequence head has (BOS takes one): ``train-seq`` names the
+    prescriptions file and the instance, and trains nothing."""
+    corpus, work = tmp_path / "corpus", tmp_path / "work"
+    assert execute_command(["synth", "--out", str(corpus), "--n-sym", "12",
+                            "--n-herb", str(MAX_POSITIONS + 8), "--n-syndromes", "2",
+                            "--n-prescriptions", "12", "--seed", "5"]) == 0
+    _, _, prescriptions = load_corpus(corpus)
+    long_id = split_dataset(prescriptions, (0.7, 0.1, 0.2), seed=11).train[0].instance_id
+    path = corpus / "prescriptions.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    row = json.loads(lines[long_id])
+    row["herbs"] = list(range(MAX_POSITIONS))
+    lines[long_id] = json.dumps(row)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({
+        "paths": {"corpus": str(corpus), "workdir": str(work)},
+        "dims": {"d": 8, "d_m": 8, "d_k": 4, "d_enc": 8, "d_z": 4, "d_state": 2},
+        "train": {"epochs": 1, "seed": 11, "mlfie_epochs": 1, "vae_epochs": 1,
+                  "fr_epochs": 1}}))
+    assert execute_command(["prepare", "--config", str(cfg_path)]) == 0
+    capsys.readouterr()
+    assert execute_command(["train-seq", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: instance {long_id} lists {MAX_POSITIONS} herbs" in err
+    assert "Traceback" not in err
+    assert not (work / "seq.ckpt").exists()
 
 
 @pytest.mark.parametrize("fname, tensor, argv", [

@@ -4,8 +4,8 @@ float64 one within a stated tolerance; its forward against the forward of
 the composite of primitive ops it replaced, bit for bit; masked attention
 keys get no gradient; ``linear`` and ``linear_cross_entropy``, whose
 backward is the composite's, against that composite bit for bit
-(``tests/loss_oracle.py``); and the node count and memory of one loss graph
-per head."""
+(``tests/loss_oracle.py``); and the node count, gradient reach and memory
+of one loss graph per head."""
 
 import math
 
@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from fmash.dataio import PrescriptionInstance
-from fmash.gradcheck import max_relative_error
+from fmash.gradcheck import as_float64, max_relative_error
 from fmash.nn import NEG_INF, causal_bias, key_mask_bias
 from fmash.recsys import make_rs_params, multi_hot, rs_logits
 from fmash.refine import UnifiedEmbedding
@@ -392,7 +392,7 @@ def test_node_forward_keeps_the_composite_bits(node, composite, values, dtype):
 @pytest.mark.parametrize("kind", ["causal", "key_mask"])
 def test_packed_attention_matches_padded_attention_on_its_rows(kind, dtype):
     """Packed queries (and packed self-attention keys and values) give the
-    rows, and the gradients, of the padded node with the PAD queries'
+    rows, and the gradients, of the padded node with the padding queries'
     upstream gradient zero, bit for bit."""
     rng = np.random.default_rng(6)
     lk = 5 if kind == "causal" else 6
@@ -494,7 +494,38 @@ def test_node_count_of_one_loss_graph_per_head():
                         targets=multi_hot([i.herbs for i in instances], emb.n_herb))
     seq = Seq2SeqParams(emb, 0, n_heads=2)
     seq_loss = sequence_loss(make_batch(instances, seq.vocab), seq)
-    assert (_graph_nodes(rs_loss), _graph_nodes(seq_loss)) == (65, 167)
+    assert (_graph_nodes(rs_loss), _graph_nodes(seq_loss)) == (63, 160)
+
+
+def test_every_head_parameter_moves_the_training_loss():
+    """Both default heads, in float64, on one loss whose targets cover every
+    herb: every trainable tensor's largest gradient entry is above 1e-8 of
+    the largest of all, and every input token gets a gradient.  A tensor
+    below that (an attention key bias, which the softmax does not see) or a
+    token row no input reads cannot move an output; Adam would only turn
+    the rounding noise in its gradient into steps."""
+    n_sym, n_herb = 6, 8
+    emb = UnifiedEmbedding(np.random.default_rng(1).normal(size=(n_sym + n_herb, 16)),
+                           n_sym=n_sym)
+    instances = [PrescriptionInstance(instance_id=i, symptoms=frozenset(s),
+                                      herbs=list(h))
+                 for i, (s, h) in enumerate([({0, 2}, [1, 3, 6]), ({1, 4, 5}, [0, 2, 7]),
+                                             ({3}, [5, 4])])]
+    rs = as_float64(make_rs_params(emb, 0))
+    rs_loss = rs_logits([sorted(i.symptoms) for i in instances], emb, rs,
+                        sym_table=as_float64(Tensor(emb.sym())),
+                        herb_table=as_float64(Tensor(emb.herb())),
+                        targets=multi_hot([i.herbs for i in instances], n_herb))
+    seq = as_float64(Seq2SeqParams(emb, 0))
+    seq_loss = sequence_loss(make_batch(instances, seq.vocab), seq)
+    for head, loss in ((rs, rs_loss), (seq, seq_loss)):
+        loss.backward()
+        largest = {name: 0.0 if t.grad is None else np.abs(t.grad).max()
+                   for name, t in head.named_tensors() if t.requires_grad}
+        top = max(largest.values())
+        assert [name for name, g in largest.items() if not g > 1e-8 * top] == []
+    rows_moved = np.abs(seq.tok_embed.grad).max(axis=1) > 0
+    assert rows_moved.all(), np.flatnonzero(~rows_moved)
 
 
 # -- memory ---------------------------------------------------------------------
@@ -509,6 +540,6 @@ def test_one_training_step_stays_within_its_memory_per_instance(head, bound_mib)
     ``feed_forward`` keeping its activation as well, 0.290 and 0.084; with
     the ranked head's last encoder layer running every position, and not
     the [CLS] row alone, the ranked head took 0.074; with the sequence
-    head's decoder running its PAD tokens too, the sequence head took
+    head's decoder running its padding positions too, the sequence head took
     0.260."""
     assert step_peak_per_instance(head, 128) < bound_mib * 2 ** 20
