@@ -14,7 +14,6 @@ from fmash.dataio import build_graph, generate_synthetic
 from fmash.hgre import (HgreParams, SsmParams, bidirectional_block,
                         degree_permutation, gcn_forward, hgre_forward,
                         normalized_adjacency, ssm_scan)
-from fmash.hgre import GcnParams
 from fmash.nn import stage_rng
 from fmash.tape import Tensor
 

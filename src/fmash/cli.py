@@ -37,7 +37,7 @@ from .pipeline import phase1_key, phase1_state, run_phase1
 from .recsys import make_rs_params, recommend, train_rs
 from .recsys import export_predictions as export_rs_predictions
 from .refine import UNIFIED_DIM, UnifiedEmbedding, export_unified
-from .seqgen import MAX_POSITIONS, Seq2SeqParams, generate, train_seq
+from .seqgen import Seq2SeqParams, generate, train_seq
 from .seqgen import export_predictions as export_seq_predictions
 
 EXIT_OK = 0
@@ -338,7 +338,7 @@ def _cmd_prepare(args) -> int:
         split = split_dataset(prescriptions, tuple(cfg.train.ratio), cfg.train.seed)
     except DataError as exc:
         raise DataError(f"{source}: {exc}") from exc
-    for part in ("valid", "test"):
+    for part in ("train", "valid", "test"):
         if not getattr(split, part):
             raise DataError(f"{source}: train.ratio {cfg.train.ratio} leaves the "
                             f"{part} split of {len(prescriptions)} prescriptions empty")
@@ -381,11 +381,6 @@ def _cmd_train(args) -> int:
                               result.params)
     else:
         head, title = "seq", "sequence"
-        for inst in split.train:    # BOS and each herb take a position
-            if len(inst.herbs) >= MAX_POSITIONS:
-                raise DataError(f"{Path(cfg.paths.corpus) / PRESCRIPTIONS_FILE}: instance "
-                                f"{inst.instance_id} lists {len(inst.herbs)} herbs; the "
-                                f"sequence head takes at most {MAX_POSITIONS - 1}")
         result = train_seq(split.train, unified, **opts)
         export_seq_predictions(wd / "seq_predictions.tsv", split.test,
                                result.params, max_len=cfg.train.seq_max_len)

@@ -13,7 +13,6 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigError
-from .seqgen import MAX_POSITIONS
 
 
 @dataclass
@@ -115,9 +114,8 @@ def _validate(cfg: RunConfig) -> RunConfig:
     for name in ("epochs", "batch", "mlfie_epochs", "vae_epochs", "fr_epochs"):
         if getattr(cfg.train, name) < 0:
             raise ConfigError(f"train.{name}: must be >= 0")
-    if not 1 <= cfg.train.seq_max_len <= MAX_POSITIONS:
-        raise ConfigError(f"train.seq_max_len: must be in [1, {MAX_POSITIONS}], "
-                          f"got {cfg.train.seq_max_len}")
+    if cfg.train.seq_max_len < 1:
+        raise ConfigError(f"train.seq_max_len: must be >= 1, got {cfg.train.seq_max_len}")
     if len(cfg.train.ratio) != 3 or any(r <= 0 for r in cfg.train.ratio):
         raise ConfigError("train.ratio: must be three positive numbers")
     if abs(sum(cfg.train.ratio) - 1.0) > 1e-9:

@@ -26,12 +26,6 @@ from .tape import Tensor, concat, linear, selective_scan
 # GCN
 # ---------------------------------------------------------------------------
 
-class GcnParams(Module):
-    def __init__(self, d_in: int, d_out: int, rng: np.random.Generator):
-        self.weight = parameter(rng.normal(0.0, 1.0 / math.sqrt(d_in), size=(d_in, d_out)))
-        self.bias = parameter(np.zeros(d_out))
-
-
 def normalized_adjacency(n: int, edges: np.ndarray) -> np.ndarray:
     """Symmetric normalization with self-loops: D^(-1/2) (A + I) D^(-1/2),
     scaled in place, rows then columns, so no second n x n array forms."""
@@ -46,7 +40,7 @@ def normalized_adjacency(n: int, edges: np.ndarray) -> np.ndarray:
 
 
 def gcn_forward(x: Tensor | np.ndarray, edges: np.ndarray,
-                params: GcnParams) -> Tensor:
+                params: Linear) -> Tensor:
     """One GCN layer with a self path: x + relu(A_hat x W + b), A_hat from
     ``normalized_adjacency`` rounded to ``x``'s dtype."""
     x = Tensor.ensure(x)
@@ -55,7 +49,7 @@ def gcn_forward(x: Tensor | np.ndarray, edges: np.ndarray,
     if len(edges) and edges.max() >= n:
         raise ValueError(f"edge endpoint {edges.max()} out of range for {n} nodes")
     a_hat = Tensor(normalized_adjacency(n, edges).astype(x.data.dtype, copy=False))
-    return x + linear(a_hat @ x, params.weight, params.bias).relu()
+    return x + params(a_hat @ x).relu()
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +150,7 @@ def bidirectional_block(seq: Tensor | np.ndarray, params: SsmParams) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def subgraph_enhance(x_s: Tensor | np.ndarray, edges_s: np.ndarray,
-                     gcn: GcnParams, ssm: SsmParams) -> Tensor:
+                     gcn: Linear, ssm: SsmParams) -> Tensor:
     """GCN, serialize by degree order, bidirectional scan, scatter back; a
     node's degree is its count of endpoints in ``edges_s``."""
     smoothed = gcn_forward(x_s, edges_s, gcn)
@@ -171,9 +165,9 @@ class HgreParams(Module):
     pair; the global scan gets a doubled state size."""
 
     def __init__(self, d: int, seed: int, d_state: int = 16):
-        self.gcn_sym = GcnParams(d, d, stage_rng(seed, "hgre.gcn.sym"))
-        self.gcn_herb = GcnParams(d, d, stage_rng(seed, "hgre.gcn.herb"))
-        self.gcn_global = GcnParams(d, d, stage_rng(seed, "hgre.gcn.global"))
+        self.gcn_sym = Linear(d, d, stage_rng(seed, "hgre.gcn.sym"))
+        self.gcn_herb = Linear(d, d, stage_rng(seed, "hgre.gcn.herb"))
+        self.gcn_global = Linear(d, d, stage_rng(seed, "hgre.gcn.global"))
         self.ssm_sym = SsmParams(d, stage_rng(seed, "hgre.ssm.sym"), d_state=d_state)
         self.ssm_herb = SsmParams(d, stage_rng(seed, "hgre.ssm.herb"), d_state=d_state)
         self.ssm_global = SsmParams(d, stage_rng(seed, "hgre.ssm.global"),

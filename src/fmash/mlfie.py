@@ -30,7 +30,7 @@ from .config import RunConfig
 from .dataio import HerbRecord, property_matrix
 from .errors import DataError, SchemaError
 from .nn import NEG_INF, Linear, Module, fit, parameter, stage_rng
-from .tape import Tensor, linear, no_grad, softmax
+from .tape import Tensor, no_grad, softmax
 
 
 # ---------------------------------------------------------------------------
@@ -133,16 +133,10 @@ def aggregate_attention_batch(mol_embs: Tensor, props: Tensor,
     return (alpha.reshape(h, k, 1) * mol_embs).sum(axis=1)
 
 
-class GateParams(Module):
-    def __init__(self, d_m: int, rng: np.random.Generator):
-        self.w_g = parameter(rng.normal(0.0, 1.0 / math.sqrt(d_m), size=(d_m, d_m)))
-        self.b_g = parameter(np.zeros(d_m))
-
-
-def fuse_gate_batch(v_h: Tensor, h_e: Tensor, params: GateParams) -> Tensor:
+def fuse_gate_batch(v_h: Tensor, h_e: Tensor, params: Linear) -> Tensor:
     """Row-wise convex blend of ``(H, d_m)`` pooled vectors and latent rows:
     lambda*v_h + (1-lambda)*h_e with lambda = sigmoid(W v + b)."""
-    lam = linear(v_h, params.w_g, params.b_g).sigmoid()
+    lam = params(v_h).sigmoid()
     return lam * v_h + (1.0 - lam) * h_e
 
 
@@ -206,7 +200,7 @@ def train_vae(complete_pairs: tuple[np.ndarray, np.ndarray], params: VaeParams, 
     props, targets = np.asarray(complete_pairs[0]), np.asarray(complete_pairs[1])
     n = props.shape[0]
     if n < 8:
-        raise DataError(f"need at least 8 complete pairs to train, got {n}")
+        raise DataError(f"need at least 8 herbs with molecules to train the VAE, got {n}")
     noise_rng = stage_rng(seed, "mlfie.vae.noise")
 
     def loss(_) -> Tensor:
@@ -248,7 +242,7 @@ class MlfieParams(Module):
                  seed: int | None):
         self.d_m = d_m
         self.attention = AttentionParams(p_dim, d_m, d_k, stage_rng(seed, "mlfie.attn"))
-        self.gate = GateParams(d_m, stage_rng(seed, "mlfie.gate"))
+        self.gate = Linear(d_m, d_m, stage_rng(seed, "mlfie.gate"))
         self.latent = LatentMolTable(n_herb, d_m, stage_rng(seed, "mlfie.latent"))
         self.probe = Linear(d_m, p_dim, stage_rng(seed, "mlfie.probe"))
         self.vae = VaeParams(p_dim, d_m, d_z, stage_rng(seed, "mlfie.vae"))

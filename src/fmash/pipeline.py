@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .config import RunConfig, config_hash
-from .dataio import HerbRecord, HeteroGraph, SymptomRecord
+from .dataio import HERBS_FILE, SYMPTOMS_FILE, HerbRecord, HeteroGraph, SymptomRecord
 from .errors import DataError
 from .hgre import HgreParams, hgre_forward
 from .mlfie import MlfieParams, fit_mlfie
@@ -45,7 +46,10 @@ class Phase1Result:
 
 def run_phase1(symptoms: list[SymptomRecord], herbs: list[HerbRecord],
                graph: HeteroGraph, cfg: RunConfig) -> Phase1Result:
+    """Phase 1 over the records of the corpus at ``cfg.paths.corpus``; a
+    stage that cannot train on them names the file they came from."""
     seed = cfg.train.seed
+    corpus = Path(cfg.paths.corpus)
     n_sym, n_herb = len(symptoms), len(herbs)
     if graph.n_sym != n_sym or graph.n_herb != n_herb:
         raise DataError("graph and vocabulary sizes disagree")
@@ -64,7 +68,11 @@ def run_phase1(symptoms: list[SymptomRecord], herbs: list[HerbRecord],
     mlfie_params = None
     herb_reprs = None
     if cfg.ablation.mlfie:
-        mlfie_params, herb_reprs, fit_histories = fit_mlfie(herbs, cfg)
+        try:
+            mlfie_params, herb_reprs, fit_histories = fit_mlfie(herbs, cfg)
+        except DataError as exc:
+            raise DataError(f"{corpus / HERBS_FILE}: {exc}; `ablation.mlfie: false` "
+                            f"skips the molecular stage") from exc
         histories.update(fit_histories)
 
     sym_matrix, herb_matrix = assemble_features(
@@ -73,13 +81,17 @@ def run_phase1(symptoms: list[SymptomRecord], herbs: list[HerbRecord],
     hidden = 128 if cfg.ablation.fr else None
     fr_final: dict[str, float] = {}
     compressed = {}
-    for name, matrix in (("sym", sym_matrix), ("herb", herb_matrix)):
+    for name, matrix, source in (("sym", sym_matrix, SYMPTOMS_FILE),
+                                 ("herb", herb_matrix, HERBS_FILE)):
         params = AutoencoderParams(matrix.shape[1],
                                    stage_rng(seed, f"refine.ae.{name}"),
                                    hidden=hidden)
         key = f"fr_{name}"
-        histories[key] = train_autoencoder(
-            matrix, params, epochs=cfg.train.fr_epochs, lr=cfg.train.lr, name=key)
+        try:
+            histories[key] = train_autoencoder(
+                matrix, params, epochs=cfg.train.fr_epochs, lr=cfg.train.lr, name=key)
+        except DataError as exc:
+            raise DataError(f"{corpus / source}: {exc}") from exc
         fr_final[name] = reconstruction_mse(matrix, params)
         compressed[name] = compress(matrix, params)
 

@@ -143,7 +143,7 @@ def train_autoencoder(matrix: np.ndarray, params: AutoencoderParams, *,
     weights = params.parameters()
     x = Tensor(np.asarray(matrix, dtype=weights[0].data.dtype))
     if x.shape[0] < 8:
-        raise DataError(f"need at least 8 rows to train, got {x.shape[0]}")
+        raise DataError(f"need at least 8 rows to train the autoencoder, got {x.shape[0]}")
     if np.allclose(x.data, x.data[0]):
         import warnings
         warnings.warn("all assembled rows are identical; training anyway",

@@ -38,8 +38,6 @@ from .nn import (DecoderLayer, EncoderLayer, LayerNorm, Linear, Module,
 from .refine import UnifiedEmbedding
 from .tape import Tensor, linear_cross_entropy, no_grad
 
-MAX_POSITIONS = 512
-
 
 @dataclass(frozen=True)
 class TokenVocab:
@@ -80,11 +78,13 @@ class Seq2SeqParams(Module):
         rng = stage_rng(seed, "seq")
         # the frozen unified symptom table and the positional encodings are
         # plain arrays, rebuilt on load rather than checkpointed; target
-        # embeddings start from the unified herb rows and stay trainable
+        # embeddings start from the unified herb rows and stay trainable; a
+        # symptom set holds each symptom once and a target sequence BOS and
+        # each herb once, so the table has a row for every reachable position
         self.sym_table = emb.sym()
         self.tok_embed = parameter(np.concatenate(
             [emb.herb(), rng.normal(0.0, 0.1, size=(1, d))], axis=0, dtype=np.float32))
-        self.positions = sinusoidal_positions(MAX_POSITIONS, d)
+        self.positions = sinusoidal_positions(max(emb.n_sym, emb.n_herb + 1), d)
         self.enc_layers = [EncoderLayer(d, n_heads, 4 * d, rng)
                            for _ in range(n_enc_layers)]
         self.enc_ln = LayerNorm(d)
@@ -151,10 +151,7 @@ def decoder_states(cache: DecoderCache, tokens: np.ndarray,
     tokens = np.asarray(tokens, dtype=np.intp)
     start = cache.length
     end = start + (tokens.shape[1] if rows is None else rows.shape[1])
-    if end > MAX_POSITIONS:
-        raise DataError(f"a target sequence of {end} tokens exceeds the "
-                        f"{MAX_POSITIONS} positions")
-    at = slice(start, end) if rows is None else np.nonzero(rows)[1]
+    at = np.arange(start, end) if rows is None else np.nonzero(rows)[1]
     x = params.tok_embed[tokens] + params.positions[at]
     x = params.integration(x, cache.memory_kv[0], cache.memory_bias, rows)
     for i, layer in enumerate(params.dec_layers):
@@ -250,8 +247,8 @@ def generate(symptom_ids, params: Seq2SeqParams, max_len: int) -> list[int]:
     runs the decoder on its one new token against the cached keys and
     values of the tokens before it.
     """
-    if not 1 <= max_len <= MAX_POSITIONS:
-        raise DataError(f"max_len must be in [1, {MAX_POSITIONS}], got {max_len}")
+    if max_len < 1:
+        raise DataError(f"max_len must be >= 1, got {max_len}")
     vocab = params.vocab
     herbs: list[int] = []
     tok = vocab.bos

@@ -23,14 +23,14 @@ from fmash.dataio import (build_graph, generate_conflicting_corpus,
 from fmash.evalkit import (EvalGroup, bmp_at_k, evaluate_run, group_instances,
                            topk_metrics)
 from fmash.gradcheck import as_float64, max_relative_error
-from fmash.hgre import (GcnParams, SsmParams, bidirectional_block,
+from fmash.hgre import (SsmParams, bidirectional_block,
                         degree_permutation, gcn_forward, ssm_scan)
-from fmash.mlfie import (AttentionParams, GateParams, MlfieParams, VaeParams,
+from fmash.mlfie import (AttentionParams, MlfieParams, VaeParams,
                          aggregate_attention_batch, attention_weights_batch,
                          complete_pairs, fuse_gate_batch, impute_missing,
                          molecule_batch, train_property_alignment, train_vae,
                          vae_loss)
-from fmash.nn import stage_rng
+from fmash.nn import Linear, stage_rng
 from fmash.pipeline import run_phase1
 from fmash.recsys import (GelramParams, gelram_score, multi_hot, rs_logits,
                           train_rs)
@@ -117,7 +117,7 @@ def test_c2_gradient_suite():
     errors = {}
 
     x = Tensor(np.random.default_rng(1).normal(size=(5, 4)), requires_grad=True)
-    gcn = as_float64(GcnParams(4, 4, stage_rng(100, "acc.gcn")))
+    gcn = as_float64(Linear(4, 4, stage_rng(100, "acc.gcn")))
     edges = np.array([[0, 1], [1, 2], [2, 3], [3, 4]])
     probe = np.random.default_rng(2).normal(size=(5, 4))
     errors["gcn_forward"] = max_relative_error(
@@ -139,13 +139,13 @@ def test_c2_gradient_suite():
         lambda: (aggregate_attention_batch(mol, props, attn) * probe3).sum(),
         [mol, props, attn.w_q, attn.w_k])
 
-    gate = as_float64(GateParams(3, stage_rng(103, "acc.gate")))
+    gate = as_float64(Linear(3, 3, stage_rng(103, "acc.gate")))
     v = Tensor(np.random.default_rng(8).normal(size=(1, 3)), requires_grad=True)
     he = Tensor(np.random.default_rng(9).normal(size=(1, 3)), requires_grad=True)
     probe4 = np.random.default_rng(19).normal(size=(1, 3))
     errors["fuse_gate_batch"] = max_relative_error(
         lambda: (fuse_gate_batch(v, he, gate) * probe4).sum(),
-        [v, he, gate.w_g, gate.b_g])
+        [v, he, gate.weight, gate.bias])
 
     vae = as_float64(VaeParams(3, 4, 2, stage_rng(104, "acc.vae"), hidden=8))
     rng = np.random.default_rng(10)
@@ -204,7 +204,7 @@ def test_c3_structural_invariants():
         pairs = {tuple(sorted(rng.choice(n, size=2, replace=False).tolist()))
                  for _ in range(20)}
         edges = np.asarray(sorted(pairs))
-        params = GcnParams(d, d, stage_rng(200 + trial, "acc.equiv"))
+        params = Linear(d, d, stage_rng(200 + trial, "acc.equiv"))
         out = gcn_forward(x, edges, params).data
         pi = rng.permutation(n)
         x_pi = np.empty_like(x)
@@ -232,7 +232,7 @@ def test_c3_structural_invariants():
         assert abs(alpha.sum() - 1.0) <= 1e-9
 
     # gate convexity bounds
-    gate = GateParams(6, stage_rng(212, "acc.gate"))
+    gate = Linear(6, 6, stage_rng(212, "acc.gate"))
     for _ in range(200):
         v, h = rng.normal(size=(1, 6)), rng.normal(size=(1, 6))
         out = fuse_gate_batch(Tensor(v), Tensor(h), gate).data

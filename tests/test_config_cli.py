@@ -29,7 +29,6 @@ from fmash.mlfie import impute_missing
 from fmash.pipeline import (HEAD_ONLY_KEYS, PATH_KEYS, phase1_key, phase1_state,
                             run_phase1)
 from fmash.recsys import train_rs
-from fmash.seqgen import MAX_POSITIONS
 from phase1_calls import PHASE1_STAGES, initial_features, record_calls
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -94,29 +93,43 @@ def test_every_config_key_is_read():
     assert unread == []
 
 
+def _public_names(node: ast.stmt) -> list[str]:
+    """The public names a top-level statement defines: a def or class, or
+    the UPPER_CASE names of an assignment (a module constant)."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        names = [node.name]
+    elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        names = [t.id for t in targets if isinstance(t, ast.Name) and t.id.isupper()]
+    else:
+        names = []
+    return [name for name in names if not name.startswith("_")]
+
+
 def test_every_public_definition_has_a_caller():
-    """A public top-level def or class in the package counts as called when
-    its name appears outside its own definition, in the package or in
-    ``bench/*.py``; a re-export in ``__init__.py`` does not count.
-    ``gradcheck`` is exempt: it is the reference the tests compare against."""
+    """A public top-level def, class or UPPER_CASE constant in the package
+    counts as called when its name appears outside its own definition, in
+    the package or in ``bench/*.py``; a re-export in ``__init__.py`` does
+    not count.  ``gradcheck`` is exempt: it is the reference the tests
+    compare against."""
     package = Path(fmash.__file__).parent
     paths = sorted(package.glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
     sources = {path: path.read_text(encoding="utf-8").splitlines()
                for path in paths if path.name != "__init__.py"}
-    uncalled = []
+    checked, uncalled = [], []
     for path, lines in sources.items():
         if path.parent != package or path.name == "gradcheck.py":
             continue
         for node in ast.parse("\n".join(lines)).body:
-            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    or node.name.startswith("_")):
-                continue
             own = range(node.lineno - 1, node.end_lineno)
-            name = re.compile(rf"\b{node.name}\b")
-            if not any(name.search(line) for other, text in sources.items()
-                       for i, line in enumerate(text)
-                       if not (other == path and i in own)):
-                uncalled.append(node.name)
+            for public in _public_names(node):
+                checked.append(public)
+                name = re.compile(rf"\b{public}\b")
+                if not any(name.search(line) for other, text in sources.items()
+                           for i, line in enumerate(text)
+                           if not (other == path and i in own)):
+                    uncalled.append(public)
+    assert {"EXIT_OK", "NEG_INF", "HEAD_ONLY_KEYS"} <= set(checked)
     assert uncalled == []
 
 
@@ -402,7 +415,8 @@ def test_evaluate_refuses_a_cutoff_above_the_herb_vocabulary(trained_env, capsys
     report.unlink()
 
 
-@pytest.mark.parametrize("ratio, part", [([0.98, 0.01, 0.01], "valid"),
+@pytest.mark.parametrize("ratio, part", [([0.01, 0.5, 0.49], "train"),
+                                         ([0.98, 0.01, 0.01], "valid"),
                                          ([0.89, 0.1, 0.01], "test")])
 def test_prepare_refuses_a_ratio_that_leaves_a_split_empty(run_env, capsys, ratio, part):
     # 30 prescriptions: a 0.01 share rounds to no instance
@@ -414,6 +428,53 @@ def test_prepare_refuses_a_ratio_that_leaves_a_split_empty(run_env, capsys, rati
     assert "prescriptions.jsonl" in err and "train.ratio" in err
     assert f"leaves the {part} split" in err and "Traceback" not in err
     assert not (tmp_path / "work" / "splits.json").exists()
+
+
+def _tiny_env(tmp_path, synth_args, mlfie=True):
+    """A synthetic corpus from ``synth_args`` and a config of the smallest
+    dims and one epoch per fit."""
+    corpus = tmp_path / "corpus"
+    assert execute_command(["synth", "--out", str(corpus), "--seed", "5",
+                            *synth_args]) == 0
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({
+        "paths": {"corpus": str(corpus), "workdir": str(tmp_path / "work")},
+        "dims": {"d": 8, "d_m": 8, "d_k": 4, "d_enc": 8, "d_z": 4, "d_state": 2},
+        "train": {"epochs": 1, "seed": 11, "mlfie_epochs": 1, "vae_epochs": 1,
+                  "fr_epochs": 1},
+        "ablation": {"mlfie": mlfie}}))
+    return corpus, cfg_path
+
+
+@pytest.mark.parametrize("fraction, message", [
+    ("1.0", "no herbs with molecular data to align"),
+    ("0.9", "need at least 8 herbs with molecules to train the VAE, got 4"),
+])
+def test_molecular_stage_without_enough_molecules_names_the_herb_file(
+        tmp_path, capsys, fraction, message):
+    corpus, cfg_path = _tiny_env(tmp_path, [
+        "--n-sym", "12", "--n-herb", "40", "--n-syndromes", "2",
+        "--n-prescriptions", "30", "--missing-mol-fraction", fraction])
+    assert execute_command(["prepare", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{corpus / 'herbs.jsonl'}: {message}" in err
+    assert "`ablation.mlfie: false` skips the molecular stage" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("n_sym, n_herb, fname, rows", [
+    ("6", "10", "symptoms.jsonl", 6), ("10", "5", "herbs.jsonl", 5),
+])
+def test_autoencoder_without_enough_rows_names_their_file(
+        tmp_path, capsys, n_sym, n_herb, fname, rows):
+    corpus, cfg_path = _tiny_env(tmp_path, [
+        "--n-sym", n_sym, "--n-herb", n_herb, "--n-syndromes", "1",
+        "--n-prescriptions", "12"], mlfie=False)
+    assert execute_command(["prepare", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert (f"{corpus / fname}: need at least 8 rows to train the autoencoder, "
+            f"got {rows}") in err
+    assert "Traceback" not in err
 
 
 def test_evaluate_refuses_a_splits_file_without_test_instances(run_env, capsys):
@@ -928,35 +989,29 @@ def test_head_checkpoint_of_the_old_layout_exits_two(trained_env, capsys, head, 
     assert "Traceback" not in captured.err
 
 
-def test_formula_longer_than_the_positions_exits_two_before_training(tmp_path, capsys):
-    """A training formula of MAX_POSITIONS herbs needs one position more
-    than the sequence head has (BOS takes one): ``train-seq`` names the
-    prescriptions file and the instance, and trains nothing."""
-    corpus, work = tmp_path / "corpus", tmp_path / "work"
-    assert execute_command(["synth", "--out", str(corpus), "--n-sym", "12",
-                            "--n-herb", str(MAX_POSITIONS + 8), "--n-syndromes", "2",
-                            "--n-prescriptions", "12", "--seed", "5"]) == 0
+def test_a_formula_of_600_herbs_trains_and_generates(tmp_path, capsys):
+    """The sequence head has a position for BOS and every herb, so a
+    training formula of 600 herbs trains, predicts and serves."""
+    corpus, cfg_path = _tiny_env(tmp_path, [
+        "--n-sym", "12", "--n-herb", "608", "--n-syndromes", "2",
+        "--n-prescriptions", "12"])
+    work = tmp_path / "work"
     _, _, prescriptions = load_corpus(corpus)
     long_id = split_dataset(prescriptions, (0.7, 0.1, 0.2), seed=11).train[0].instance_id
     path = corpus / "prescriptions.jsonl"
     lines = path.read_text(encoding="utf-8").splitlines()
     row = json.loads(lines[long_id])
-    row["herbs"] = list(range(MAX_POSITIONS))
+    row["herbs"] = list(range(600))
     lines[long_id] = json.dumps(row)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    cfg_path = tmp_path / "run.json"
-    cfg_path.write_text(json.dumps({
-        "paths": {"corpus": str(corpus), "workdir": str(work)},
-        "dims": {"d": 8, "d_m": 8, "d_k": 4, "d_enc": 8, "d_z": 4, "d_state": 2},
-        "train": {"epochs": 1, "seed": 11, "mlfie_epochs": 1, "vae_epochs": 1,
-                  "fr_epochs": 1}}))
     assert execute_command(["prepare", "--config", str(cfg_path)]) == 0
+    assert execute_command(["train-seq", "--config", str(cfg_path)]) == 0
+    assert (work / "seq.ckpt").exists() and (work / "seq_predictions.tsv").exists()
     capsys.readouterr()
-    assert execute_command(["train-seq", "--config", str(cfg_path)]) == 2
-    err = capsys.readouterr().err
-    assert f"{path}: instance {long_id} lists {MAX_POSITIONS} herbs" in err
-    assert "Traceback" not in err
-    assert not (work / "seq.ckpt").exists()
+    assert execute_command(["generate", "--config", str(cfg_path),
+                            "--symptoms", "sym-001"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out and captured.err == ""
 
 
 @pytest.mark.parametrize("fname, tensor, argv", [
@@ -1548,16 +1603,16 @@ def test_env_seed_override(run_env):
         del os.environ["FMASH_SEED"]
 
 
-def test_seq_max_len_beyond_the_positions_exits_two(run_env, capsys):
+def test_seq_max_len_below_one_exits_two(run_env, capsys):
     tmp_path, cfg_path, cfg = run_env
-    cfg["train"]["seq_max_len"] = MAX_POSITIONS + 1
+    cfg["train"]["seq_max_len"] = 0
     cfg_path.write_text(json.dumps(cfg))
     capsys.readouterr()
     assert execute_command(["prepare", "--config", str(cfg_path)]) == 2
     err = capsys.readouterr().err
     assert "train.seq_max_len" in err and "Traceback" not in err
-    cfg["train"]["seq_max_len"] = MAX_POSITIONS
-    assert config_from_dict(cfg).train.seq_max_len == MAX_POSITIONS
+    cfg["train"]["seq_max_len"] = 600
+    assert config_from_dict(cfg).train.seq_max_len == 600
 
 
 def test_negative_seed_exits_two_naming_its_source(run_env, capsys, monkeypatch):

@@ -9,17 +9,17 @@ from hypothesis import strategies as st
 from fmash import dataio, hgre, tape
 from fmash.dataio import HeteroGraph, build_graph, generate_synthetic, split_dataset
 from fmash.gradcheck import as_float64, max_relative_error
-from fmash.hgre import (GcnParams, HgreParams, SsmParams, bidirectional_block,
+from fmash.hgre import (HgreParams, SsmParams, bidirectional_block,
                         degree_permutation, gcn_forward, hgre_forward,
                         normalized_adjacency, ssm_scan, subgraph_enhance)
-from fmash.nn import stage_rng
+from fmash.nn import Linear, stage_rng
 from fmash.tape import Tensor, no_grad
 
 from degree_oracle import loop_degrees, loop_degrees_of_graph
 
 
 def _identity_gcn(d, rng):
-    p = GcnParams(d, d, rng)
+    p = Linear(d, d, rng)
     p.weight.data = np.eye(d)
     p.bias.data = np.zeros(d)
     return p
@@ -57,7 +57,7 @@ def test_gcn_permutation_equivariance_12_nodes():
     n, d = 12, 6
     x = rng.normal(size=(n, d))
     edges = np.array([(j, i) for i in range(1, n) for j in range(i - 1)])
-    p = GcnParams(d, d, stage_rng(3, "gcn"))
+    p = Linear(d, d, stage_rng(3, "gcn"))
     out = gcn_forward(x, edges, p).data
 
     pi = rng.permutation(n)          # node i becomes pi[i]
@@ -87,7 +87,7 @@ def test_gcn_gradients_match_finite_differences():
     rng = np.random.default_rng(7)
     x = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
     edges = np.array([[0, 1], [1, 2], [2, 3], [3, 4], [0, 4]])
-    p = as_float64(GcnParams(4, 4, stage_rng(5, "gcn.grad")))
+    p = as_float64(Linear(4, 4, stage_rng(5, "gcn.grad")))
     probe = rng.normal(size=(5, 4))
 
     def loss():
@@ -279,7 +279,7 @@ def test_block_records_the_same_graph_at_any_length():
 
 def test_zero_merge_enhance_equals_gcn_output():
     rng = stage_rng(12, "t")
-    gcn = GcnParams(4, 4, rng)
+    gcn = Linear(4, 4, rng)
     ssm = _zero_merge(SsmParams(4, rng, d_state=2))
     x = np.random.default_rng(13).normal(size=(6, 4))
     edges = np.array([[0, 1], [2, 3], [4, 5], [1, 2]])
@@ -290,7 +290,7 @@ def test_zero_merge_enhance_equals_gcn_output():
 
 def test_single_node_subgraph():
     rng = stage_rng(13, "t")
-    gcn = GcnParams(3, 3, rng)
+    gcn = Linear(3, 3, rng)
     ssm = SsmParams(3, rng, d_state=2)
     x = np.random.default_rng(14).normal(size=(1, 3))
     out = subgraph_enhance(x, np.zeros((0, 2), dtype=int), gcn, ssm)
@@ -389,7 +389,7 @@ def test_enhance_rows_track_node_identity():
     n, d = 7, 4
     x = rng.normal(size=(n, d))
     edges = np.array([(j, i) for i in range(1, n) for j in range(i - 1)])
-    gcn = GcnParams(d, d, stage_rng(14, "g"))
+    gcn = Linear(d, d, stage_rng(14, "g"))
     ssm = SsmParams(d, stage_rng(14, "s"), d_state=2)
     out = subgraph_enhance(x, edges, gcn, ssm).data
 

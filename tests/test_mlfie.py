@@ -10,13 +10,13 @@ from fmash.dataio import HerbRecord, generate_synthetic
 from fmash.errors import DataError, SchemaError
 from fmash.gradcheck import as_float64, max_relative_error
 from fmash import mlfie
-from fmash.mlfie import (AttentionParams, GateParams, MlfieParams, VaeParams,
+from fmash.mlfie import (AttentionParams, MlfieParams, VaeParams,
                          aggregate_attention_batch, alignment_loss,
                          all_herb_representations, attention_weights_batch,
                          complete_pairs, fuse_gate_batch, impute_missing,
                          molecule_batch, stub_encode_molecule,
                          train_property_alignment, train_vae, vae_loss)
-from fmash.nn import stage_rng
+from fmash.nn import Linear, stage_rng
 from fmash.tape import Tensor
 
 FIXTURE_SMILES = ["CCO", "CCN", "c1ccccc1", "CC(=O)O", "C", "N", "O", "CCCC",
@@ -164,8 +164,8 @@ def test_attention_gradients():
 # ---------------------------------------------------------------------------
 
 def test_zero_gate_averages_inputs():
-    params = GateParams(4, stage_rng(6, "gate"))
-    params.w_g.data[:] = 0.0
+    params = Linear(4, 4, stage_rng(6, "gate"))
+    params.weight.data[:] = 0.0
     rng = np.random.default_rng(9)
     v, h = rng.normal(size=(1, 4)), rng.normal(size=(1, 4))
     out = fuse_gate_batch(Tensor(v), Tensor(h), params)
@@ -173,9 +173,9 @@ def test_zero_gate_averages_inputs():
 
 
 def test_saturated_gate_returns_pooled_vector():
-    params = GateParams(4, stage_rng(7, "gate"))
-    params.w_g.data[:] = 0.0
-    params.b_g.data[:] = 50.0
+    params = Linear(4, 4, stage_rng(7, "gate"))
+    params.weight.data[:] = 0.0
+    params.bias.data[:] = 50.0
     rng = np.random.default_rng(10)
     v, h = rng.normal(size=(1, 4)), rng.normal(size=(1, 4))
     out = fuse_gate_batch(Tensor(v), Tensor(h), params)
@@ -183,9 +183,9 @@ def test_saturated_gate_returns_pooled_vector():
 
 
 def test_fixed_gate_blend():
-    params = GateParams(2, stage_rng(8, "gate"))
-    params.w_g.data[:] = 0.0
-    params.b_g.data[:] = np.log(0.8 / 0.2)   # sigmoid -> 0.8
+    params = Linear(2, 2, stage_rng(8, "gate"))
+    params.weight.data[:] = 0.0
+    params.bias.data[:] = np.log(0.8 / 0.2)   # sigmoid -> 0.8
     v, h = Tensor(np.array([[1.0, 0.0]])), Tensor(np.array([[0.0, 1.0]]))
     out = fuse_gate_batch(v, h, params)
     np.testing.assert_allclose(out.data, [[0.8, 0.2]], atol=1e-12)
@@ -193,7 +193,7 @@ def test_fixed_gate_blend():
 
 def test_gate_convexity_bounds_1000_random_inputs():
     rng = np.random.default_rng(11)
-    params = GateParams(6, stage_rng(9, "gate"))
+    params = Linear(6, 6, stage_rng(9, "gate"))
     for _ in range(1000):
         v, h = rng.normal(size=(1, 6)), rng.normal(size=(1, 6))
         out = fuse_gate_batch(Tensor(v), Tensor(h), params).data
@@ -202,7 +202,7 @@ def test_gate_convexity_bounds_1000_random_inputs():
 
 
 def test_gate_gradients():
-    params = as_float64(GateParams(3, stage_rng(11, "gate")))
+    params = as_float64(Linear(3, 3, stage_rng(11, "gate")))
     v = Tensor(np.random.default_rng(12).normal(size=(1, 3)), requires_grad=True)
     h = Tensor(np.random.default_rng(13).normal(size=(1, 3)), requires_grad=True)
     probe = np.random.default_rng(14).normal(size=(1, 3))
@@ -210,7 +210,7 @@ def test_gate_gradients():
     def loss():
         return (fuse_gate_batch(v, h, params) * probe).sum()
 
-    assert max_relative_error(loss, [v, h, params.w_g, params.b_g]) < 1e-4
+    assert max_relative_error(loss, [v, h, params.weight, params.bias]) < 1e-4
 
 
 # ---------------------------------------------------------------------------

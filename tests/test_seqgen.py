@@ -7,7 +7,7 @@ from fmash.dataio import PrescriptionInstance, generate_synthetic
 from fmash.errors import DataError, NumericError
 from fmash.gradcheck import as_float64, max_relative_error
 from fmash.refine import UnifiedEmbedding
-from fmash.seqgen import (MAX_POSITIONS, Seq2SeqParams, TokenVocab, decoder_cache,
+from fmash.seqgen import (Seq2SeqParams, TokenVocab, decoder_cache,
                           decoder_logits, encode_batch, generate, make_batch,
                           sequence_loss, train_seq)
 from fmash.tape import no_grad
@@ -220,28 +220,40 @@ def test_generation_deterministic():
 
 def test_generate_validates_max_len():
     params = Seq2SeqParams(_emb(), seed=14)
-    for max_len in (0, MAX_POSITIONS + 1):
-        with pytest.raises(DataError, match="max_len"):
-            generate([0], params, max_len=max_len)
+    with pytest.raises(DataError, match="max_len"):
+        generate([0], params, max_len=0)
 
 
 def test_suppressed_eos_decodes_up_to_the_last_position():
-    params = Seq2SeqParams(_emb(n_herb=MAX_POSITIONS + 88, d=4), seed=15, n_heads=2,
+    """With EOS pushed down, every herb comes first, each once, and EOS
+    follows the last one: that step's input, the last herb, sits at
+    position n_herb, the last one a target sequence can reach."""
+    n_herb = 600
+    params = Seq2SeqParams(_emb(n_herb=n_herb, d=4), seed=15, n_heads=2,
                            n_enc_layers=1, n_dec_layers=1)
+    assert params.positions.shape[0] == n_herb + 1
     params.out.bias.data[params.vocab.eos] = -1e3
-    seq = generate([0, 1], params, max_len=MAX_POSITIONS)
-    assert len(seq) == len(set(seq)) == MAX_POSITIONS
+    seq = generate([0, 1], params, max_len=n_herb + 5)
+    assert sorted(seq) == list(range(n_herb))
 
 
-def test_decoder_refuses_positions_beyond_the_table():
+def test_a_step_past_the_last_position_raises_instead_of_returning_no_rows():
     params = Seq2SeqParams(_emb(d=4), seed=15, n_heads=2, n_enc_layers=1,
                            n_dec_layers=1)
     with no_grad():
         cache = decoder_cache(*encode_batch([[0]], params), params)
-        decoder_logits(cache, np.zeros((1, MAX_POSITIONS - 1), dtype=np.intp), params)
-        decoder_logits(cache, [[1]], params)
-        with pytest.raises(DataError, match=f"{MAX_POSITIONS + 1} tokens"):
-            decoder_logits(cache, [[2]], params)
+        decoder_logits(cache, np.zeros((1, 9), dtype=np.intp), params)
+        with pytest.raises(IndexError):
+            decoder_logits(cache, [[1]], params)
+
+
+def test_positions_cover_a_symptom_set_longer_than_any_target():
+    params = Seq2SeqParams(_emb(n_sym=12, n_herb=3, d=4), seed=15, n_heads=2,
+                           n_enc_layers=1, n_dec_layers=1)
+    assert params.positions.shape[0] == 12
+    memory, mask = encode_batch([range(12)], params)
+    assert memory.shape == (1, 12, 4) and mask.all()
+    assert len(generate(range(12), params, max_len=3)) <= 3
 
 
 def test_non_finite_step_scores_raise():
