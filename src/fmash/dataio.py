@@ -419,7 +419,6 @@ def distinct_symptom_sets(n_sym: int, n_syndromes: int) -> int:
 
 def generate_synthetic(n_sym: int, n_herb: int, n_syndromes: int, n_prescriptions: int,
                        seed: int, *, p_dim: int = 23, missing_mol_fraction: float = 0.2,
-                       text_embedding_dim: int | None = None,
                        unique_symptom_sets: bool = True,
                        ) -> tuple[list[SymptomRecord], list[HerbRecord],
                                   list[PrescriptionInstance]]:
@@ -442,8 +441,6 @@ def generate_synthetic(n_sym: int, n_herb: int, n_syndromes: int, n_prescription
 
     rng = stage_rng(seed, "synth")
     prop_proto = rng.normal(0.0, 1.0, size=(n_syndromes, p_dim))
-    text_proto = (rng.normal(0.0, 1.0, size=(n_syndromes, text_embedding_dim))
-                  if text_embedding_dim else None)
     mol_pools = []
     for c in range(n_syndromes):
         pool = []
@@ -452,19 +449,11 @@ def generate_synthetic(n_sym: int, n_herb: int, n_syndromes: int, n_prescription
             pool.append("".join(rng.choice(_MOL_FRAGMENTS, size=k)))
         mol_pools.append(pool)
 
-    sym_of = np.empty(n_sym, dtype=int)
-    for c, block in enumerate(sym_clusters):
-        sym_of[block] = c
     herb_of = np.empty(n_herb, dtype=int)
     for c, block in enumerate(herb_clusters):
         herb_of[block] = c
 
-    symptoms = []
-    for i in range(n_sym):
-        emb = None
-        if text_proto is not None:
-            emb = text_proto[sym_of[i]] + 0.3 * rng.normal(size=text_embedding_dim)
-        symptoms.append(SymptomRecord(id=i, name=f"sym-{i:03d}", text_embedding=emb))
+    symptoms = [SymptomRecord(id=i, name=f"sym-{i:03d}") for i in range(n_sym)]
 
     n_missing = int(round(missing_mol_fraction * n_herb))
     missing_ids = set(rng.choice(n_herb, size=n_missing, replace=False).tolist()) \

@@ -116,7 +116,7 @@ def ssm_scan(seq: Tensor | np.ndarray, params: SsmParams,
     if x.ndim != 2 or x.shape[0] < 1:
         raise ValueError("ssm_scan expects an (L, d) sequence with L >= 1")
     if direction == "backward":
-        x = x.flip(0)
+        x = x[::-1]
     dirp = params.fwd if direction == "forward" else params.bwd
     n, r = params.d_state, params.dt_rank
 
@@ -131,7 +131,7 @@ def ssm_scan(seq: Tensor | np.ndarray, params: SsmParams,
     if not np.isfinite(gated.data).all():
         raise NumericError("non-finite values in selective scan output")
     if direction == "backward":
-        gated = gated.flip(0)
+        gated = gated[::-1]
     return gated
 
 

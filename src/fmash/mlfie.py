@@ -5,7 +5,9 @@ molecule embeddings; the pooled vector is fused with a learnable holistic
 per-herb embedding through a sigmoid gate.  Herbs with no molecular data at
 all get their pooled vector imputed by a VAE that maps the herb's property
 vector to the molecular embedding space (train on complete herbs, decode
-from the property encoding for incomplete ones).
+from the property encoding for incomplete ones).  Like every fit, the VAE
+trains through ``nn.fit``, and its history is the loss it trains on, a
+sampled ELBO, before each step.
 
 Pooling and gating run over many herbs at once: the herbs' molecules form
 one zero-padded ``(H, K, d_m)`` tensor with an ``(H, K)`` mask of real
@@ -196,7 +198,9 @@ def vae_loss(p_h, v_target, params: VaeParams, eps: np.ndarray | None = None,
 def train_vae(complete_pairs: tuple[np.ndarray, np.ndarray], params: VaeParams, *,
               epochs: int = 200, lr: float = 1e-2, seed: int = 42) -> list[float]:
     """Fit the imputation VAE on (property, pooled-molecular) pairs; returns
-    the per-epoch losses."""
+    the per-epoch losses, each the sampled ELBO before that epoch's step
+    (its noise drawn from the ``mlfie.vae.noise`` stream), so the first is
+    the initialization's loss."""
     props, targets = np.asarray(complete_pairs[0]), np.asarray(complete_pairs[1])
     n = props.shape[0]
     if n < 8:
@@ -207,13 +211,7 @@ def train_vae(complete_pairs: tuple[np.ndarray, np.ndarray], params: VaeParams, 
         eps = noise_rng.standard_normal((n, params.d_z)).astype(np.float32)
         return vae_loss(props, targets, params, eps=eps)[0]
 
-    losses: list[float] = []
-    for _ in fit(params.parameters(), loss, n, name="vae", epochs=epochs, lr=lr):
-        # the recorded trajectory is the noise-free objective (posterior mean),
-        # so it tracks progress rather than the per-epoch sampling draw
-        with no_grad():
-            losses.append(vae_loss(props, targets, params)[0].item())
-    return losses
+    return list(fit(params.parameters(), loss, n, name="vae", epochs=epochs, lr=lr))
 
 
 def impute_missing(p_h: np.ndarray, params: VaeParams) -> np.ndarray:

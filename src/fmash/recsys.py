@@ -75,9 +75,12 @@ def rs_logits(symptom_sets: list, emb: UnifiedEmbedding, params: RsParams,
     training loss, as one ``linear_bce`` node over the output projection's
     input, so the scores never form a tensor of their own.
 
-    ``sym_table`` / ``herb_table`` may be passed explicitly (as gradient
-    leaves) to fine-tune the embeddings; by default the tables in ``emb``
-    are treated as constants.
+    ``sym_table`` / ``herb_table`` default to the tables of ``emb``, wrapped
+    as constants on every call.  ``train_rs`` passes them so that it builds
+    the two table tensors once per split instead of once per chunk, and the
+    float64 gradient checks pass them as float64 leaves, so that the check
+    covers the tables' gradients too (the acceptance gate checks
+    ``[sym_t, herb_t] + rs.parameters()``).
     """
     sym_t = sym_table if sym_table is not None else Tensor(emb.sym())
     herb_t = herb_table if herb_table is not None else Tensor(emb.herb())

@@ -8,10 +8,10 @@ node once its closure has run, so only leaves keep a gradient.  A tensor
 keeps a float32 or float64 array as given and turns anything else (lists,
 ints, bools, Python floats) into float32, so the dtype follows the data: the
 pipeline, both heads and serving run in float32, and the finite-difference
-gradient checks (``gradcheck``) feed float64 to certify the same code at
-tight tolerances.  Results are byte-identical from run to run for a fixed
-config and a fixed BLAS thread count; another thread count may sum GEMM
-blocks in another order.
+gradient checks (``tests/gradcheck.py``) feed float64 to certify the same
+code at tight tolerances.  Results are byte-identical from run to run for a
+fixed config and a fixed BLAS thread count; another thread count may sum
+GEMM blocks in another order.
 
 Only the operations the models actually need are implemented.  Reductions,
 broadcasts and fancy indexing follow numpy semantics exactly.
@@ -336,12 +336,6 @@ class Tensor:
         if out._parents:
             inv = tuple(np.argsort(axes))
             out._backward = lambda g: self._accumulate(g.transpose(inv))
-        return out
-
-    def flip(self, axis: int):
-        out = _node(np.flip(self.data, axis=axis).copy(), (self,))
-        if out._parents:
-            out._backward = lambda g: self._accumulate(np.flip(g, axis=axis))
         return out
 
     def __getitem__(self, idx):

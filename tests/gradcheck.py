@@ -14,8 +14,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .nn import Module
-from .tape import Tensor
+from fmash.nn import Module
+from fmash.tape import Tensor
 
 
 def as_float64(item: Module | Tensor) -> Module | Tensor:

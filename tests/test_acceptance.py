@@ -22,7 +22,6 @@ from fmash.dataio import (build_graph, generate_conflicting_corpus,
                           generate_synthetic, load_corpus, split_dataset)
 from fmash.evalkit import (EvalGroup, bmp_at_k, evaluate_run, group_instances,
                            topk_metrics)
-from fmash.gradcheck import as_float64, max_relative_error
 from fmash.hgre import (SsmParams, bidirectional_block,
                         degree_permutation, gcn_forward, ssm_scan)
 from fmash.mlfie import (AttentionParams, MlfieParams, VaeParams,
@@ -38,6 +37,7 @@ from fmash.recsys import export_predictions as export_rs_predictions
 from fmash.refine import UnifiedEmbedding
 from fmash.seqgen import Seq2SeqParams, generate, make_batch, sequence_loss, train_seq
 from fmash.tape import Tensor
+from gradcheck import as_float64, max_relative_error
 
 GRAD_TOL = 1e-4
 

@@ -10,13 +10,13 @@ import pytest
 
 from fmash import nn
 from fmash.dataio import PrescriptionInstance
-from fmash.gradcheck import as_float64, max_relative_error
 from fmash.nn import accumulate_gradients
 from fmash.recsys import GelramParams, multi_hot, rs_logits
 from fmash.refine import UnifiedEmbedding
 from fmash.seqgen import Seq2SeqParams, make_batch, sequence_loss
 from fmash.tape import Tensor
 
+from gradcheck import as_float64, max_relative_error
 from memory_probe import fit_step_peak
 
 N_SYM, N_HERB, D = 6, 9, 4

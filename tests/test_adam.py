@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from fmash import nn
-from fmash.gradcheck import as_float64, max_relative_error
 from fmash.mlfie import VaeParams
 from fmash.refine import AutoencoderParams, reconstruction_mse, train_autoencoder
 from fmash.tape import Tensor, no_grad
+from gradcheck import as_float64, max_relative_error
 
 
 class PerTensorAdam:

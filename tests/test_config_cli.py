@@ -110,15 +110,14 @@ def test_every_public_definition_has_a_caller():
     """A public top-level def, class or UPPER_CASE constant in the package
     counts as called when its name appears outside its own definition, in
     the package or in ``bench/*.py``; a re-export in ``__init__.py`` does
-    not count.  ``gradcheck`` is exempt: it is the reference the tests
-    compare against."""
+    not count."""
     package = Path(fmash.__file__).parent
     paths = sorted(package.glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
     sources = {path: path.read_text(encoding="utf-8").splitlines()
                for path in paths if path.name != "__init__.py"}
     checked, uncalled = [], []
     for path, lines in sources.items():
-        if path.parent != package or path.name == "gradcheck.py":
+        if path.parent != package:
             continue
         for node in ast.parse("\n".join(lines)).body:
             own = range(node.lineno - 1, node.end_lineno)

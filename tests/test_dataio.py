@@ -228,7 +228,9 @@ def test_conflicting_corpus_structure():
 # ---------------------------------------------------------------------------
 
 def test_corpus_roundtrip(tmp_path):
-    sym, herb, pres = generate_synthetic(8, 12, 2, 20, seed=4, text_embedding_dim=5)
+    sym, herb, pres = generate_synthetic(8, 12, 2, 20, seed=4)
+    for rec, row in zip(sym, np.random.default_rng(4).normal(size=(8, 5))):
+        rec.text_embedding = row
     save_corpus(tmp_path, sym, herb, pres)
     sym2, herb2, pres2 = load_corpus(tmp_path)
     assert len(sym2) == 8 and len(herb2) == 12 and len(pres2) == 20

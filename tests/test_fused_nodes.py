@@ -13,13 +13,13 @@ import numpy as np
 import pytest
 
 from fmash.dataio import PrescriptionInstance
-from fmash.gradcheck import as_float64, max_relative_error
 from fmash.nn import NEG_INF, causal_bias, key_mask_bias
 from fmash.recsys import make_rs_params, multi_hot, rs_logits
 from fmash.refine import UnifiedEmbedding
 from fmash.seqgen import Seq2SeqParams, make_batch, sequence_loss
 from fmash.tape import (Tensor, attention, feed_forward, layer_norm, linear, linear_bce,
                         linear_cross_entropy, softmax)
+from gradcheck import as_float64, max_relative_error
 from loss_oracle import cross_entropy
 from memory_probe import step_peak_per_instance
 

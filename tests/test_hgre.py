@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from fmash import dataio, hgre, tape
 from fmash.dataio import HeteroGraph, build_graph, generate_synthetic, split_dataset
-from fmash.gradcheck import as_float64, max_relative_error
 from fmash.hgre import (HgreParams, SsmParams, bidirectional_block,
                         degree_permutation, gcn_forward, hgre_forward,
                         normalized_adjacency, ssm_scan, subgraph_enhance)
@@ -16,6 +15,7 @@ from fmash.nn import Linear, stage_rng
 from fmash.tape import Tensor, no_grad
 
 from degree_oracle import loop_degrees, loop_degrees_of_graph
+from gradcheck import as_float64, max_relative_error
 
 
 def _identity_gcn(d, rng):

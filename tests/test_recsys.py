@@ -3,11 +3,11 @@ import pytest
 
 from fmash.dataio import PrescriptionInstance, generate_synthetic
 from fmash.errors import DataError
-from fmash.gradcheck import as_float64, max_relative_error
 from fmash.recsys import (GelramParams, PlainScorerParams, gelram_score, multi_hot,
                           recommend, rs_logits, train_rs)
 from fmash.refine import UnifiedEmbedding
 from fmash.tape import Tensor
+from gradcheck import as_float64, max_relative_error
 
 
 def _emb(n_sym=6, n_herb=10, d=8, seed=0):

@@ -9,11 +9,20 @@ from fmash.refine import (AutoencoderParams, assemble_features, compress,
 from fmash.nn import stage_rng
 
 
+def _corpus(seed=0, with_text=True):
+    """A small corpus's symptoms and herbs; ``with_text`` gives every symptom
+    an 8-wide text embedding."""
+    sym, herbs, _ = generate_synthetic(9, 14, 2, 20, seed=seed, unique_symptom_sets=False)
+    if with_text:
+        text = stage_rng(seed, "text").normal(size=(len(sym), 8))
+        for rec, row in zip(sym, text):
+            rec.text_embedding = row
+    return sym, herbs
+
+
 def _assembled(seed=0, with_text=True, with_mols=True):
-    d, d_m, d_text = 32, 16, 8
-    sym, herbs, _ = generate_synthetic(9, 14, 2, 20, seed=seed,
-                                       text_embedding_dim=d_text if with_text else None,
-                                       unique_symptom_sets=False)
+    d, d_m = 32, 16
+    sym, herbs = _corpus(seed, with_text)
     rng = np.random.default_rng(seed)
     hgre_out = rng.normal(size=(23, d))
     rows = text_rows(sym)
@@ -51,8 +60,7 @@ def test_symptom_rows_are_graph_rows_then_provided_text():
     with_text = _assembled()[0]
     without_text = _assembled(with_text=False)[0]
     np.testing.assert_array_equal(without_text, with_text[:, :32])
-    sym, _, _ = generate_synthetic(9, 14, 2, 20, seed=0, text_embedding_dim=8,
-                                   unique_symptom_sets=False)
+    sym, _ = _corpus()
     np.testing.assert_array_equal(
         with_text[:, 32:], np.array([r.text_embedding for r in sym], dtype=np.float32))
 

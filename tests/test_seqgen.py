@@ -5,12 +5,12 @@ from decode_reference import full_prefix_generate
 from fmash import nn, tape
 from fmash.dataio import PrescriptionInstance, generate_synthetic
 from fmash.errors import DataError, NumericError
-from fmash.gradcheck import as_float64, max_relative_error
 from fmash.refine import UnifiedEmbedding
 from fmash.seqgen import (Seq2SeqParams, TokenVocab, decoder_cache,
                           decoder_logits, encode_batch, generate, make_batch,
                           sequence_loss, train_seq)
 from fmash.tape import no_grad
+from gradcheck import as_float64, max_relative_error
 
 
 def _emb(n_sym=6, n_herb=8, d=8, seed=0):
