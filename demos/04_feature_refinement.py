@@ -55,5 +55,5 @@ print(f"  MSE after the last step: {reconstruction_mse(matrix, params):.3g}; "
 print("\nwith refinement ablated, a trained linear projection stands in:")
 linear = AutoencoderParams(80, stage_rng(1, "refine.ae"), hidden=None)
 train_autoencoder(matrix, linear, epochs=200, lr=1e-2)
-print(f"  linear variant: hidden={linear.hidden}, "
+print(f"  linear variant: {len(linear.enc)} encoder layer, "
       f"output {compress(matrix, linear).shape}")

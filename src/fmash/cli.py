@@ -32,7 +32,7 @@ from .dataio import (HERBS_FILE, PRESCRIPTIONS_FILE, SYMPTOMS_FILE, DatasetSplit
 from .errors import ConfigError, DataError, FmashError, NumericError, SchemaError
 from .evalkit import evaluate_run
 from .mlfie import VaeParams, impute_missing
-from .nn import Module, ShapesOnly
+from .nn import Module, stage_rng
 from .pipeline import phase1_key, phase1_state, run_phase1
 from .recsys import make_rs_params, recommend, train_rs
 from .recsys import export_predictions as export_rs_predictions
@@ -258,11 +258,11 @@ def _read_or_none(path: Path) -> bytes | None:
 
 def _serve(cfg: RunConfig, head: str) -> _Served:
     """The corpus names and the unified table and ``head`` parameters saved by
-    ``train-<head>``, built as the current config expects without an
-    initialization draw; exit 2 unless the table covers the corpus
-    vocabulary.  Reads the symptom, herb and checkpoint files on every call,
-    but validates them and builds the head only when their bytes or the
-    config values that shape the load differ from the memo's entry."""
+    ``train-<head>``, built as the current config expects; exit 2 unless the
+    table covers the corpus vocabulary.  Reads the symptom, herb and
+    checkpoint files on every call, but validates them and builds the head
+    only when their bytes or the config values that shape the load differ
+    from the memo's entry."""
     corpus, path = Path(cfg.paths.corpus), Path(cfg.paths.workdir) / f"{head}.ckpt"
     raw = _read_or_none(path)
     # read before the load: a file changed during the load makes the next
@@ -281,9 +281,10 @@ def _serve(cfg: RunConfig, head: str) -> _Served:
                           f"{emb.n_herb} herbs, but {cfg.paths.corpus} has "
                           f"{len(symptoms)} symptoms and {len(herbs)} herbs; "
                           f"rerun `fmash prepare` and `fmash train-{head}`")
-    params = (make_rs_params(emb, None, gelram=cfg.ablation.gelram,
+    seed = cfg.train.seed
+    params = (make_rs_params(emb, seed, gelram=cfg.ablation.gelram,
                              d_enc=cfg.dims.d_enc)
-              if head == "rs" else Seq2SeqParams(emb, None))
+              if head == "rs" else Seq2SeqParams(emb, seed))
     _load_params(params, path, state, head, f"trained with a different head config "
                  f"or an older fmash; rerun `fmash train-{head}`")
     served = _Served(key, [r.name for r in symptoms], [r.name for r in herbs],
@@ -405,7 +406,7 @@ def _cmd_impute_mol(args) -> int:
                         f"molecular stage to impute with")
     state, _ = _load_phase1(cfg)
     d = cfg.dims
-    vae = VaeParams(d.p, d.d_m, d.d_z, ShapesOnly())
+    vae = VaeParams(d.p, d.d_m, d.d_z, stage_rng(cfg.train.seed, "mlfie.vae"))
     _load_params(vae, Path(cfg.paths.workdir) / PHASE1_FILE, state, "mlfie.vae",
                  "its molecular stage does not match the config")
     imputed = impute_missing([h.properties for h in missing], vae)
@@ -498,14 +499,11 @@ def execute_command(argv: list[str]) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (SchemaError, ConfigError, DataError, OSError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except (NumericError, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except FmashError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (FmashError, OSError) as exc:
+        print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 
 

@@ -21,6 +21,7 @@ symptom name also has no comma and no leading or trailing whitespace, since
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from collections import Counter
@@ -428,10 +429,17 @@ def generate_synthetic(n_sym: int, n_herb: int, n_syndromes: int, n_prescription
 
     With ``unique_symptom_sets`` every instance gets a distinct symptom set,
     which makes per-instance memorization well defined; corpora with repeated
-    inputs are produced by :func:`generate_conflicting_corpus`.
+    inputs are produced by :func:`generate_conflicting_corpus`.  A set is
+    drawn at random, up to 1000 tries; when none of them is fresh, the first
+    unused set in cluster, size and lexicographic order is taken instead.
     """
     if n_syndromes > min(n_sym, n_herb):
         raise DataError("n_syndromes must not exceed min(n_sym, n_herb)")
+    sets = distinct_symptom_sets(n_sym, n_syndromes)
+    if unique_symptom_sets and n_prescriptions > sets:
+        raise DataError(f"{n_prescriptions} prescriptions with distinct symptom sets: "
+                        f"{n_sym} symptoms in {n_syndromes} syndromes allow {sets} "
+                        f"distinct sets; ask for fewer prescriptions or more symptoms")
     sym_clusters = _cluster_blocks(n_sym, n_syndromes)
     herb_clusters = _cluster_blocks(n_herb, n_syndromes)
     if min(len(c) for c in sym_clusters) < 2:
@@ -472,6 +480,11 @@ def generate_synthetic(n_sym: int, n_herb: int, n_syndromes: int, n_prescription
 
     prescriptions = []
     seen_sets: set[frozenset[int]] = set()
+    # every set a draw can give, in order; each fallback resumes where the
+    # last one stopped, since every set before that point has been used
+    in_order = ((c, frozenset(combo)) for c, cluster in enumerate(sym_clusters)
+                for k in range(2, min(4, len(cluster)) + 1)
+                for combo in itertools.combinations(cluster.tolist(), k))
     for idx in range(n_prescriptions):
         for attempt in range(1000):
             c = int(rng.integers(n_syndromes))
@@ -481,11 +494,7 @@ def generate_synthetic(n_sym: int, n_herb: int, n_syndromes: int, n_prescription
             if not unique_symptom_sets or sym_ids not in seen_sets:
                 break
         else:
-            raise DataError(
-                f"could not draw a fresh symptom set for prescription {idx} in 1000 "
-                f"tries: {n_sym} symptoms in {n_syndromes} syndromes allow "
-                f"{distinct_symptom_sets(n_sym, n_syndromes)} distinct sets; ask for "
-                f"fewer prescriptions or more symptoms")
+            c, sym_ids = next((c, ids) for c, ids in in_order if ids not in seen_sets)
         seen_sets.add(sym_ids)
         k_h = int(rng.integers(5, min(10, len(herb_clusters[c])) + 1))
         herb_ids = rng.choice(herb_clusters[c], size=k_h, replace=False).tolist()

@@ -237,7 +237,7 @@ def impute_missing(p_h: np.ndarray, params: VaeParams) -> np.ndarray:
 
 class MlfieParams(Module):
     def __init__(self, n_herb: int, p_dim: int, d_m: int, d_k: int, d_z: int,
-                 seed: int | None):
+                 seed: int):
         self.d_m = d_m
         self.attention = AttentionParams(p_dim, d_m, d_k, stage_rng(seed, "mlfie.attn"))
         self.gate = Linear(d_m, d_m, stage_rng(seed, "mlfie.gate"))

@@ -5,8 +5,8 @@ Modules are plain objects whose Tensor attributes (and nested Modules) are
 discovered by reflection, torch-style.  Every component draws its
 initialization from a named RNG stream derived from ``(seed, stage name)``,
 so toggling one pipeline stage never shifts the random draws of another.
-A module about to be loaded from a checkpoint is built with seed ``None``
-and draws nothing.
+Serving builds a module as training does, from the run seed, and
+``Module.load_state_dict`` then replaces every tensor.
 
 Parameters are float32, the one run dtype: each initialization is drawn in
 float64, as every stream always drew it, and rounded by ``parameter``.
@@ -30,23 +30,8 @@ from .errors import NumericError
 from .tape import Tensor, attention, concat, feed_forward, layer_norm, linear
 
 
-class ShapesOnly:
-    """Stands in for a generator when every tensor of a module is about to be
-    loaded from a checkpoint: ``normal`` returns an uninitialized array of
-    the requested size.  ``Module.load_state_dict`` then replaces every
-    tensor, and rejects a missing or misshapen one, so none of these arrays
-    is ever read."""
-
-    def normal(self, loc: float = 0.0, scale: float = 1.0,
-               size: int | tuple[int, ...] = ()) -> np.ndarray:
-        return np.empty(size, dtype=np.float32)
-
-
-def stage_rng(seed: int | None, name: str) -> np.random.Generator | ShapesOnly:
-    """An independent generator for one named pipeline stage; for seed
-    ``None``, a ``ShapesOnly`` stand-in that draws nothing."""
-    if seed is None:
-        return ShapesOnly()
+def stage_rng(seed: int, name: str) -> np.random.Generator:
+    """An independent generator for one named pipeline stage."""
     digest = hashlib.blake2b(name.encode("utf-8"), digest_size=8).digest()
     lo = int.from_bytes(digest[:4], "little")
     hi = int.from_bytes(digest[4:], "little")

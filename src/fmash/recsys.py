@@ -31,7 +31,7 @@ from .tape import Tensor, concat, linear, linear_bce, no_grad, softmax
 # ---------------------------------------------------------------------------
 
 class GelramParams(Module):
-    def __init__(self, d: int, n_herb: int, seed: int | None, d_enc: int = 64,
+    def __init__(self, d: int, n_herb: int, seed: int, d_enc: int = 64,
                  n_layers: int = 2, n_heads: int = 4):
         rng = stage_rng(seed, "rs.gelram")
         self.input_proj = Linear(2 * d, d_enc, rng)
@@ -44,7 +44,7 @@ class GelramParams(Module):
 class PlainScorerParams(Module):
     """Bilinear inner-product scorer used when the fusion encoder is off."""
 
-    def __init__(self, d: int, n_herb: int, seed: int | None):
+    def __init__(self, d: int, n_herb: int, seed: int):
         rng = stage_rng(seed, "rs.plain")
         self.bilinear = Linear(d, d, rng)
         self.bias = parameter(np.zeros(n_herb))
@@ -53,10 +53,9 @@ class PlainScorerParams(Module):
 RsParams = GelramParams | PlainScorerParams
 
 
-def make_rs_params(emb: UnifiedEmbedding, seed: int | None, *, gelram: bool = True,
+def make_rs_params(emb: UnifiedEmbedding, seed: int, *, gelram: bool = True,
                    d_enc: int = 64, n_layers: int = 2, n_heads: int = 4) -> RsParams:
-    """A fresh ranked head: the fusion encoder, or the plain scorer if ablated;
-    uninitialized for seed ``None`` (see ``nn.stage_rng``)."""
+    """A fresh ranked head: the fusion encoder, or the plain scorer if ablated."""
     if gelram:
         return GelramParams(emb.dim, emb.n_herb, seed, d_enc=d_enc,
                             n_layers=n_layers, n_heads=n_heads)
@@ -76,11 +75,9 @@ def rs_logits(symptom_sets: list, emb: UnifiedEmbedding, params: RsParams,
     input, so the scores never form a tensor of their own.
 
     ``sym_table`` / ``herb_table`` default to the tables of ``emb``, wrapped
-    as constants on every call.  ``train_rs`` passes them so that it builds
-    the two table tensors once per split instead of once per chunk, and the
-    float64 gradient checks pass them as float64 leaves, so that the check
-    covers the tables' gradients too (the acceptance gate checks
-    ``[sym_t, herb_t] + rs.parameters()``).
+    as constants.  The float64 gradient checks pass them as float64 leaves,
+    so that the check covers the tables' gradients too (the acceptance gate
+    checks ``[sym_t, herb_t] + rs.parameters()``).
     """
     sym_t = sym_table if sym_table is not None else Tensor(emb.sym())
     herb_t = herb_table if herb_table is not None else Tensor(emb.herb())
@@ -171,12 +168,10 @@ def train_rs(instances, emb: UnifiedEmbedding, *, epochs: int = 300,
         params = make_rs_params(emb, seed, gelram=gelram, d_enc=d_enc,
                                 n_layers=n_layers, n_heads=n_heads)
     symptom_sets = [sorted(inst.symptoms) for inst in instances]
-    sym_t, herb_t = Tensor(emb.sym()), Tensor(emb.herb())
 
     def loss(sel: np.ndarray) -> Tensor:
         targets = multi_hot([instances[i].herbs for i in sel], emb.n_herb)
-        return rs_logits([symptom_sets[i] for i in sel], emb, params,
-                         sym_table=sym_t, herb_table=herb_t, targets=targets)
+        return rs_logits([symptom_sets[i] for i in sel], emb, params, targets=targets)
 
     return TrainResult(params, list(fit(
         params.parameters(), loss, len(instances), name="rs", epochs=epochs, lr=lr,

@@ -94,32 +94,32 @@ def assemble_features(hgre_out: np.ndarray, symptoms: list[SymptomRecord],
 
 
 class AutoencoderParams(Module):
-    """Encoder to a fixed 64-d latent and mirror decoder.
+    """Encoder to a fixed 64-d latent and mirror decoder: ``Linear`` layers
+    through the widths ``[d_in, hidden, 64]`` and back, SiLU between layers.
 
-    ``hidden=None`` gives the linear variant (one matrix each way), used as
-    the learned projection when refinement is switched off.
+    ``hidden=None`` gives the widths ``[d_in, 64]``, the linear variant (one
+    matrix each way), used as the learned projection when refinement is
+    switched off.
     """
 
     def __init__(self, d_in: int, rng: np.random.Generator, hidden: int | None = 128):
-        self.hidden = hidden
-        if hidden is None:
-            self.enc = Linear(d_in, UNIFIED_DIM, rng)
-            self.dec = Linear(UNIFIED_DIM, d_in, rng)
-        else:
-            self.enc1 = Linear(d_in, hidden, rng)
-            self.enc2 = Linear(hidden, UNIFIED_DIM, rng)
-            self.dec1 = Linear(UNIFIED_DIM, hidden, rng)
-            self.dec2 = Linear(hidden, d_in, rng)
+        widths = [w for w in (d_in, hidden, UNIFIED_DIM) if w is not None]
+        self.enc = [Linear(a, b, rng) for a, b in zip(widths, widths[1:])]
+        back = widths[::-1]
+        self.dec = [Linear(a, b, rng) for a, b in zip(back, back[1:])]
+
+    @staticmethod
+    def _run(layers: list[Linear], x: Tensor) -> Tensor:
+        x = layers[0](x)
+        for layer in layers[1:]:
+            x = layer(x.silu())
+        return x
 
     def encode(self, x: Tensor) -> Tensor:
-        if self.hidden is None:
-            return self.enc(x)
-        return self.enc2(self.enc1(x).silu())
+        return self._run(self.enc, x)
 
     def decode(self, z: Tensor) -> Tensor:
-        if self.hidden is None:
-            return self.dec(z)
-        return self.dec2(self.dec1(z).silu())
+        return self._run(self.dec, z)
 
 
 def _reconstruction_loss(x: Tensor, params: AutoencoderParams) -> Tensor:

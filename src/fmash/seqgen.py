@@ -71,7 +71,7 @@ class IntegrationLayer(Module):
 
 
 class Seq2SeqParams(Module):
-    def __init__(self, emb: UnifiedEmbedding, seed: int | None, n_heads: int = 4,
+    def __init__(self, emb: UnifiedEmbedding, seed: int, n_heads: int = 4,
                  n_enc_layers: int = 2, n_dec_layers: int = 2):
         d = emb.dim
         self.vocab = TokenVocab(emb.n_herb)

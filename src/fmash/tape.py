@@ -322,16 +322,12 @@ class Tensor:
     # -- shape manipulation ----------------------------------------------------------
 
     def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
         out = _node(self.data.reshape(shape), (self,))
         if out._parents:
             out._backward = lambda g: self._accumulate(g.reshape(self.data.shape))
         return out
 
     def transpose(self, *axes):
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
         out = _node(self.data.transpose(axes), (self,))
         if out._parents:
             inv = tuple(np.argsort(axes))

@@ -18,24 +18,55 @@ Each subprocess gets its thread count in its environment, so BLAS reads
 it when numpy loads.  With two trees the order alternates per seed, so
 slow drift of the machine does not land on one tree.  The table gives the
 loss at epochs 150 and 200 and the final one, each gated metric, and its
-margin to the gate's bound (negative: the gate fails).  Not part of the
-test suite; a run of both trees takes about 6 minutes on 2 cores::
+margin to the gate's bound (negative: the gate fails).
+
+``--contract`` checks the behaviour contract of a change instead: that its
+artifacts and output are byte-identical to the parent's.  For each of three
+``ablation`` variants (as is, ``fr: false``, ``mlfie: false``) it runs, on
+the default ``fmash synth`` corpus with the ``run_env`` config of
+``tests/test_config_cli.py`` (``train.epochs`` 40), one process per tree in
+the same directory: ``synth``, ``prepare``, ``train-rs``, ``train-seq``,
+both ``evaluate`` runs, ``impute-mol``, and three ``recommend --k 10`` and
+three ``generate`` queries.  It prints every file and every exit code,
+stdout or stderr line that differs.  Then it serves the parent's
+checkpoints (``rs.ckpt``, ``seq.ckpt``, ``phase1.ckpt``) under the changed
+tree and compares ``impute-mol``, ``recommend`` and ``generate`` with the
+parent's own output the same way.  BLAS runs on 1 thread.
+
+Neither mode is part of the test suite; a run of both trees takes about 6
+minutes on 2 cores::
 
     python tests/quality_probe.py PARENT_TREE [CHANGED_TREE]
+    python tests/quality_probe.py --contract PARENT_TREE CHANGED_TREE
 """
 
 from __future__ import annotations
 
+import contextlib
+import difflib
+import io
 import json
 import os
+import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 SEEDS = (42, 43, 44, 45, 46)
 THREADS = (1, 2)
 C6_SEED = 5
 GATES = {"containment": 0.9, "p5": 0.9, "exact": 0.9, "bmp5": 0.95}
+# the ``run_env`` config of tests/test_config_cli.py, without its paths
+CONTRACT_CONFIG = {
+    "dims": {"d": 32, "d_m": 16, "d_k": 8, "d_enc": 32, "d_z": 8, "d_state": 4},
+    "graph": {"tau_s": 1, "tau_h": 1},
+    "train": {"epochs": 40, "lr": 5e-3, "seed": 11, "mlfie_epochs": 15,
+              "vae_epochs": 25, "fr_epochs": 60},
+}
+VARIANTS = {"as-is": {}, "fr-false": {"fr": False}, "mlfie-false": {"mlfie": False}}
+# symptom sets within one syndrome's cluster of the default corpus
+QUERIES = ("sym-001,sym-003", "sym-009,sym-012,sym-014", "sym-033,sym-036")
 
 
 def _losses(losses: list[float]) -> list[float]:
@@ -109,6 +140,113 @@ def _no_mixing() -> dict:
     return {"pure": pure, "pairs": len(prescriptions) // 2}
 
 
+def _contract_commands(root: Path, serve_only: bool) -> list[list[str]]:
+    cfg, work = str(root / "run.json"), root / "work"
+    serve = ([["impute-mol", "--config", cfg, "--out", str(work / "imputed.tsv")]]
+             + [["recommend", "--config", cfg, "--symptoms", q, "--k", "10"]
+                for q in QUERIES]
+             + [["generate", "--config", cfg, "--symptoms", q] for q in QUERIES])
+    if serve_only:
+        return serve
+    return [["synth", "--out", str(root / "corpus")],
+            ["prepare", "--config", cfg], ["train-rs", "--config", cfg],
+            ["train-seq", "--config", cfg],
+            ["evaluate", "--config", cfg, "--pred", str(work / "rs_predictions.tsv")],
+            ["evaluate", "--config", cfg, "--pred", str(work / "seq_predictions.tsv"),
+             "--head", "seq"]] + serve
+
+
+def _contract_job(mode: str, variant: str, root: Path) -> dict:
+    """Each command's exit code, stdout and stderr lines (runs inside the
+    tree's process); ``train`` first writes the variant's config to
+    ``root/run.json``, ``serve`` runs the serving commands on ``root``."""
+    from fmash.cli import execute_command
+
+    if mode == "train":
+        root.mkdir(parents=True)
+        cfg = {**CONTRACT_CONFIG, "ablation": VARIANTS[variant],
+               "paths": {"corpus": str(root / "corpus"), "workdir": str(root / "work")}}
+        (root / "run.json").write_text(json.dumps(cfg), encoding="utf-8")
+    outputs = {}
+    for argv in _contract_commands(root, serve_only=mode == "serve"):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = execute_command(argv)
+        outputs[" ".join(argv)] = {"exit": code, "stdout": out.getvalue().splitlines(),
+                                   "stderr": err.getvalue().splitlines()}
+    return outputs
+
+
+def _files(root: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def _line_diff(a: list[str], b: list[str]) -> list[str]:
+    """The removed (``-``) and added (``+``) lines, without the file and
+    hunk headers."""
+    diff = list(difflib.unified_diff(a, b, n=0, lineterm=""))[2:]
+    return [line for line in diff if not line.startswith("@@")]
+
+
+def _report(title: str, files: tuple[dict, dict], outputs: tuple[dict, dict]) -> None:
+    """Print every file and command output of the parent (first) and the
+    change (second) that differs; the change's outputs may cover a subset
+    of the parent's commands."""
+    differing = []
+    for name in sorted(set(files[0]) | set(files[1])):
+        a, b = files[0].get(name), files[1].get(name)
+        if a == b:
+            continue
+        differing.append(f"file {name}")
+        if a is None or b is None:
+            differing.append(f"  only in the {'change' if a is None else 'parent'}")
+            continue
+        try:
+            lines = _line_diff(a.decode("utf-8").splitlines(), b.decode("utf-8").splitlines())
+        except UnicodeDecodeError:
+            lines = [f"  binary, {len(a)} -> {len(b)} bytes"]
+        differing += [f"  {line}" for line in lines]
+    for argv, b in outputs[1].items():
+        a = outputs[0].get(argv)
+        if a != b:
+            differing.append(f"command {argv}")
+            if a is None:
+                differing.append("  not run on the parent")
+                continue
+            if a["exit"] != b["exit"]:
+                differing.append(f"  exit {a['exit']} -> {b['exit']}")
+            for stream in ("stdout", "stderr"):
+                differing += [f"  {stream} {line}" for line in _line_diff(a[stream], b[stream])]
+    failed = sum(out["exit"] != 0 for out in outputs[1].values())
+    print(f"{title}: {len(set(files[0]) | set(files[1]))} files, {len(outputs[1])} "
+          f"commands ({failed} exited non-zero on the change); "
+          f"{'all byte-identical' if not differing else 'differences:'}")
+    for line in differing:
+        print(f"  {line}")
+
+
+def contract(parent: Path, change: Path) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        root, kept = Path(tmp) / "run", Path(tmp) / "parent"
+        for variant, ablation in VARIANTS.items():
+            outputs, files = [], []
+            for tree in (parent, change):
+                outputs.append(_run(tree, 1, f"contract:train:{variant}:{root}"))
+                files.append(_files(root))
+                if tree is parent:
+                    root.rename(kept)
+                else:
+                    shutil.rmtree(root)
+            _report(f"{variant} (ablation {ablation or 'as is'})", tuple(files),
+                    tuple(outputs))
+            kept.rename(root)
+            served = _run(change, 1, f"contract:serve:{variant}:{root}")
+            _report(f"{variant}: the parent's checkpoints served by the change",
+                    (files[0], _files(root)), (outputs[0], served))
+            shutil.rmtree(root)
+
+
 def _run(tree: Path, threads: int, job: str) -> dict:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS=str(threads),
                OMP_NUM_THREADS=str(threads), MKL_NUM_THREADS=str(threads))
@@ -145,9 +283,15 @@ def main(trees: list[Path]) -> None:
 
 if __name__ == "__main__":
     if sys.argv[1:2] == ["--job"]:
-        name, _, seed = sys.argv[2].partition(":")
-        print(json.dumps(_memorization(int(seed)) if name == "memorization"
-                         else _no_mixing()))
+        name, _, arg = sys.argv[2].partition(":")
+        if name == "contract":
+            mode, variant, root = arg.split(":", 2)
+            print(json.dumps(_contract_job(mode, variant, Path(root))))
+        else:
+            print(json.dumps(_memorization(int(arg)) if name == "memorization"
+                             else _no_mixing()))
+    elif sys.argv[1:2] == ["--contract"] and len(sys.argv) == 4:
+        contract(*(Path(arg).resolve() for arg in sys.argv[2:]))
     elif 1 <= len(sys.argv) - 1 <= 2:
         main([Path(arg).resolve() for arg in sys.argv[1:]])
     else:

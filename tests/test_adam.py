@@ -184,7 +184,7 @@ def test_after_fit_parameters_are_disjoint_views_of_one_buffer():
     state = module.state_dict()
     assert not any(np.shares_memory(arr, buffer) for arr in state.values())
 
-    fresh = AutoencoderParams(9, nn.stage_rng(None, "refine.ae"))
+    fresh = AutoencoderParams(9, nn.stage_rng(8, "refine.ae"))
     fresh.load_state_dict(state)
     again = train_autoencoder(matrix, fresh, epochs=5)
     assert again[0] == pytest.approx(reconstruction_mse(matrix, module), rel=1e-6)

@@ -529,6 +529,17 @@ def test_synth_refuses_bad_flags_as_usage_errors(tmp_path, capsys, flags, flag):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seed", [2, 3, 6])
+def test_synth_draws_every_distinct_symptom_set_it_accepts(tmp_path, seed):
+    """At these seeds the random draw misses the last unused sets of the 770
+    that the default 40 symptoms in 5 syndromes allow."""
+    out = tmp_path / "corpus"
+    assert execute_command(["synth", "--out", str(out), "--n-prescriptions", "770",
+                            "--seed", str(seed)]) == 0
+    _, _, prescriptions = load_corpus(out)
+    assert len({p.symptoms for p in prescriptions}) == len(prescriptions) == 770
+
+
 @pytest.mark.parametrize("case", ["impute-mol-out-directory", "synth-out-file",
                                   "prepare-workdir-under-file", "evaluate-pred-directory"])
 def test_os_errors_exit_two_naming_the_path(trained_env, tmp_path, capsys, case):
@@ -1037,21 +1048,16 @@ def test_non_finite_head_scores_exit_three(trained_env, capsys, fname, tensor, a
         path.write_bytes(raw)
 
 
-class _NoDrawGenerator(np.random.Generator):
-    def normal(self, *args, **kwargs):
-        raise AssertionError("drew a normal sample")
-
-
-def test_serving_draws_no_initialization(trained_env, tmp_path, capsys, monkeypatch):
+def test_serving_output_does_not_depend_on_the_run_seed(trained_env, capsys,
+                                                       monkeypatch):
+    """Serving builds each head from the run seed and then loads every tensor
+    from the checkpoint, so under another ``FMASH_SEED`` it prints the same
+    lines: a test instance's ranking and formula as training exported them."""
     root, cfg_path, _ = trained_env
-    expected = tmp_path / "expected.tsv"
-    assert execute_command(["impute-mol", "--config", str(cfg_path),
-                            "--out", str(expected)]) == 0
     symptoms, herbs, prescriptions = load_corpus(root / "corpus")
     work = root / "work"
     first = json.loads((work / "splits.json").read_text())["test"][0]
-    inst = next(p for p in prescriptions if p.instance_id == first)
-    names = ",".join(symptoms[i].name for i in inst.symptoms)
+    names = ",".join(symptoms[i].name for i in prescriptions[first].symptoms)
     rows = {}
     for head in ("rs", "seq"):
         for line in (work / f"{head}_predictions.tsv").read_text().splitlines():
@@ -1060,21 +1066,20 @@ def test_serving_draws_no_initialization(trained_env, tmp_path, capsys, monkeypa
     k = 5
     ranked = [herbs[int(e.split(":")[0])].name for e in rows["rs", first][:k]]
     formula = [herbs[int(h)].name for h in rows["seq", first]] or ["(empty formula)"]
-
-    monkeypatch.setattr(np.random, "default_rng", lambda seed=None:
-                        _NoDrawGenerator(np.random.PCG64(seed)))
-    capsys.readouterr()
-    assert execute_command(["recommend", "--config", str(cfg_path),
-                            "--symptoms", names, "--k", str(k)]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert [line.split("\t")[1] for line in lines] == ranked
-    assert execute_command(["generate", "--config", str(cfg_path),
-                            "--symptoms", names]) == 0
-    assert capsys.readouterr().out.splitlines() == formula
-    out = tmp_path / "imputed.tsv"
-    assert execute_command(["impute-mol", "--config", str(cfg_path),
-                            "--out", str(out)]) == 0
-    assert out.read_bytes() == expected.read_bytes()
+    printed = []
+    for seed in ("11", "12"):
+        monkeypatch.setenv("FMASH_SEED", seed)
+        cli._HEAD_MEMO.clear()    # so that each seed builds both heads
+        capsys.readouterr()
+        assert execute_command(["recommend", "--config", str(cfg_path),
+                                "--symptoms", names, "--k", str(k)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split("\t")[1] for line in lines] == ranked
+        assert execute_command(["generate", "--config", str(cfg_path),
+                                "--symptoms", names]) == 0
+        assert capsys.readouterr().out.splitlines() == formula
+        printed.append(lines)
+    assert printed[0] == printed[1]
 
 
 @pytest.mark.parametrize("n_sym, n_herb", [(12, 10), (8, 12), (12, 20)],

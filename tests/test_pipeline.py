@@ -88,13 +88,13 @@ def test_disabling_molecular_stage_shrinks_herb_assembly(small_corpus, monkeypat
     assert args[4] is None    # no fused herb representations
     # graph 16 + properties 23 without the 8-wide molecular block
     (_, fr_herb) = calls["AutoencoderParams"][1]
-    assert fr_herb.enc1.weight.data.shape[0] == 16 + 23
+    assert fr_herb.enc[0].weight.data.shape[0] == 16 + 23
 
 
 def test_fr_off_uses_linear_projection(small_corpus, monkeypatch):
     result, calls = _recorded_phase1(monkeypatch, small_corpus, fr=False)
     (_, fr_sym), _ = calls["AutoencoderParams"]
-    assert fr_sym.hidden is None
+    assert len(fr_sym.enc) == len(fr_sym.dec) == 1
     assert result.unified.matrix.shape[1] == 64
 
 

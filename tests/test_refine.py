@@ -169,7 +169,7 @@ def test_linear_variant_is_learned_projection():
     matrix = np.random.default_rng(10).normal(size=(20, 70))
     params = AutoencoderParams(70, stage_rng(12, "refine.ae"), hidden=None)
     losses = train_autoencoder(matrix, params, epochs=60)
-    assert params.hidden is None
+    assert len(params.enc) == len(params.dec) == 1
     assert compress(matrix, params).shape == (20, 64)
     assert losses[-1] < losses[0]
 
