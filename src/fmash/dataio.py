@@ -27,7 +27,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -60,6 +60,9 @@ class HerbRecord:
 
 @dataclass
 class PrescriptionInstance:
+    """One prescription.  Records are read-only: ``load_corpus`` and
+    ``generate_synthetic`` give every record of a corpus the same int object
+    for an id, and records with equal symptom sets the same frozenset."""
     instance_id: int
     symptoms: frozenset[int]
     herbs: list[int]  # order preserved from the source, duplicates removed
@@ -103,9 +106,12 @@ def _edge_array(pairs: Iterable[tuple[int, int]]) -> np.ndarray:
 # corpus loading
 # ---------------------------------------------------------------------------
 
-def _read_jsonl(path: Path) -> list[tuple[str, dict]]:
-    """Rows of a JSONL file, each with its ``path:line`` for error messages."""
-    rows = []
+def _read_jsonl(path: Path) -> Iterator[tuple[str, dict]]:
+    """The rows of a JSONL file, one at a time as they are read, each with
+    its ``path:line`` for error messages.  So of two faulty rows the earlier
+    one is reported, whether the reader (bad JSON) or its caller (a bad
+    value) finds it; bytes that are not UTF-8 are found a read buffer at a
+    time, before any row of that buffer is handed over."""
     try:
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -119,10 +125,9 @@ def _read_jsonl(path: Path) -> list[tuple[str, dict]]:
                     raise SchemaError(f"{where}: invalid JSON ({exc})") from exc
                 if not isinstance(row, dict):
                     raise SchemaError(f"{where}: expected a JSON object")
-                rows.append((where, row))
+                yield where, row
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: not UTF-8 text ({exc})") from exc
-    return rows
 
 
 def _field(row: dict, key: str, where: str):
@@ -242,17 +247,20 @@ def load_vocab(corpus_dir: str | Path, expected_p: int | None = None,
 def load_corpus(corpus_dir: str | Path, expected_p: int | None = None,
                 ) -> tuple[list[SymptomRecord], list[HerbRecord], list[PrescriptionInstance]]:
     """``load_vocab`` plus the prescriptions, whose ids must name known
-    symptoms and herbs."""
+    symptoms and herbs.  The prescriptions share their id objects and their
+    equal symptom sets (see :class:`PrescriptionInstance`)."""
     corpus_dir = Path(corpus_dir)
     symptoms, herbs = load_vocab(corpus_dir, expected_p)
     prescriptions: list[PrescriptionInstance] = []
     n_sym, n_herb = len(symptoms), len(herbs)
+    ids = list(range(max(n_sym, n_herb)))
+    symptom_sets: dict[frozenset[int], frozenset[int]] = {}
     for idx, (where, row) in enumerate(
             _read_jsonl(_corpus_file(corpus_dir, PRESCRIPTIONS_FILE))):
         sym_ids = _int_list(row, "symptoms", where)
         herb_ids = _int_list(row, "herbs", where)
-        for key, ids in (("symptoms", sym_ids), ("herbs", herb_ids)):
-            if not ids:
+        for key, values in (("symptoms", sym_ids), ("herbs", herb_ids)):
+            if not values:
                 raise SchemaError(f"{where}: {key!r} is empty")
         for s in sym_ids:
             if not 0 <= s < n_sym:
@@ -262,9 +270,11 @@ def load_corpus(corpus_dir: str | Path, expected_p: int | None = None,
             if not 0 <= h < n_herb:
                 raise SchemaError(f"{where}: 'herbs' holds unknown herb id {h}")
             if h not in deduped:
-                deduped.append(h)
+                deduped.append(ids[h])
+        sym_set = frozenset(ids[s] for s in sym_ids)
         prescriptions.append(PrescriptionInstance(
-            instance_id=idx, symptoms=frozenset(sym_ids), herbs=deduped))
+            instance_id=idx, symptoms=symptom_sets.setdefault(sym_set, sym_set),
+            herbs=deduped))
     return symptoms, herbs, prescriptions
 
 
@@ -479,27 +489,29 @@ def generate_synthetic(n_sym: int, n_herb: int, n_syndromes: int, n_prescription
                                 molecules=mols))
 
     prescriptions = []
-    seen_sets: set[frozenset[int]] = set()
+    ids = list(range(max(n_sym, n_herb)))
+    drawn: dict[frozenset[int], frozenset[int]] = {}    # each set drawn so far
     # every set a draw can give, in order; each fallback resumes where the
     # last one stopped, since every set before that point has been used
-    in_order = ((c, frozenset(combo)) for c, cluster in enumerate(sym_clusters)
+    in_order = ((c, frozenset(ids[i] for i in combo))
+                for c, cluster in enumerate(sym_clusters)
                 for k in range(2, min(4, len(cluster)) + 1)
                 for combo in itertools.combinations(cluster.tolist(), k))
     for idx in range(n_prescriptions):
         for attempt in range(1000):
             c = int(rng.integers(n_syndromes))
             k_s = int(rng.integers(2, min(4, len(sym_clusters[c])) + 1))
-            sym_ids = frozenset(rng.choice(sym_clusters[c], size=k_s,
-                                           replace=False).tolist())
-            if not unique_symptom_sets or sym_ids not in seen_sets:
+            sym_ids = frozenset(ids[i] for i in rng.choice(sym_clusters[c], size=k_s,
+                                                           replace=False).tolist())
+            if not unique_symptom_sets or sym_ids not in drawn:
                 break
         else:
-            c, sym_ids = next((c, ids) for c, ids in in_order if ids not in seen_sets)
-        seen_sets.add(sym_ids)
+            c, sym_ids = next((c, s) for c, s in in_order if s not in drawn)
+        sym_ids = drawn.setdefault(sym_ids, sym_ids)
         k_h = int(rng.integers(5, min(10, len(herb_clusters[c])) + 1))
         herb_ids = rng.choice(herb_clusters[c], size=k_h, replace=False).tolist()
         prescriptions.append(PrescriptionInstance(
-            instance_id=idx, symptoms=sym_ids, herbs=[int(h) for h in herb_ids]))
+            instance_id=idx, symptoms=sym_ids, herbs=[ids[h] for h in herb_ids]))
     return symptoms, herbs, prescriptions
 
 

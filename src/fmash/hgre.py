@@ -26,29 +26,36 @@ from .tape import Tensor, concat, linear, selective_scan
 # GCN
 # ---------------------------------------------------------------------------
 
-def normalized_adjacency(n: int, edges: np.ndarray) -> np.ndarray:
-    """Symmetric normalization with self-loops: D^(-1/2) (A + I) D^(-1/2),
-    scaled in place, rows then columns, so no second n x n array forms."""
+def normalized_adjacency(n: int, edges: np.ndarray,
+                         dtype: np.dtype = np.float64) -> np.ndarray:
+    """Symmetric normalization with self-loops, D^(-1/2) (A + I) D^(-1/2),
+    as an n x n array of ``dtype``.  Degrees count a boolean n x n mask, and
+    each nonzero ``inv_sqrt[r] * inv_sqrt[c]`` is computed in float64 and
+    then rounded to ``dtype``: the bits of the dense float64 product rounded
+    to ``dtype``, while the only n x n float array that forms is the result."""
     edges = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
-    adj = np.eye(n)
-    adj[edges[:, 0], edges[:, 1]] = 1.0
-    adj[edges[:, 1], edges[:, 0]] = 1.0
-    inv_sqrt = 1.0 / np.sqrt(adj.sum(axis=1))
-    adj *= inv_sqrt[:, None]
-    adj *= inv_sqrt[None, :]
+    mask = np.eye(n, dtype=bool)
+    mask[edges[:, 0], edges[:, 1]] = True
+    mask[edges[:, 1], edges[:, 0]] = True
+    inv_sqrt = 1.0 / np.sqrt(mask.sum(axis=1, dtype=np.float64))
+    rows, cols = np.nonzero(mask)
+    del mask                              # freed before the result forms
+    adj = np.zeros((n, n), dtype=dtype)
+    adj[rows, cols] = inv_sqrt[rows] * inv_sqrt[cols]
     return adj
 
 
 def gcn_forward(x: Tensor | np.ndarray, edges: np.ndarray,
                 params: Linear) -> Tensor:
     """One GCN layer with a self path: x + relu(A_hat x W + b), A_hat from
-    ``normalized_adjacency`` rounded to ``x``'s dtype."""
+    ``normalized_adjacency`` in ``x``'s dtype."""
     x = Tensor.ensure(x)
     n = x.shape[0]
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    if len(edges) and edges.max() >= n:
-        raise ValueError(f"edge endpoint {edges.max()} out of range for {n} nodes")
-    a_hat = Tensor(normalized_adjacency(n, edges).astype(x.data.dtype, copy=False))
+    bad = edges[(edges < 0) | (edges >= n)]
+    if bad.size:
+        raise ValueError(f"edge endpoint {bad[0]} out of range for {n} nodes")
+    a_hat = Tensor(normalized_adjacency(n, edges, x.data.dtype))
     return x + params(a_hat @ x).relu()
 
 

@@ -424,32 +424,41 @@ def selective_scan(delta: Tensor, a: Tensor, b_in: Tensor, c_out: Tensor,
     With ``delta``, ``x`` (L, d), ``a`` (d, n) and ``b_in``, ``c_out``
     (L, n): ``h_t = exp(delta_t a) * h_{t-1} + (delta_t B_t) * x_t`` per
     channel from ``h_{-1} = 0``, and ``y_t = <C_t, h_t>``; returns y (L, d).
-    The forward runs the recurrence one (d, n) state at a time over
-    precomputed ``exp(delta a)`` and ``delta B x`` and contracts the states
-    with C in blocks of ``_SCAN_ROWS`` timesteps; the backward runs the
-    adjoint recurrence ``gH_t = gy_t C_t + exp(delta_{t+1} a) * gH_{t+1}``
-    in reverse and gives each input its gradient in closed form.
+    The forward runs in blocks of ``_SCAN_ROWS`` timesteps: each block
+    computes its ``exp(delta a)`` and ``delta B x``, runs the recurrence one
+    (d, n) state at a time, carrying ``h`` into the next block, and
+    contracts its states with C, so that no (L, d, n) array forms.  Only a
+    node that records a backward keeps its blocks; its backward joins them
+    and runs the adjoint recurrence
+    ``gH_t = gy_t C_t + exp(delta_{t+1} a) * gH_{t+1}`` in reverse, giving
+    each input its gradient in closed form.
     """
-    delta, a, b_in, c_out, x = (Tensor.ensure(t) for t in (delta, a, b_in, c_out, x))
+    inputs = tuple(Tensor.ensure(t) for t in (delta, a, b_in, c_out, x))
+    delta, a, b_in, c_out, x = inputs
     dt, b, c, xs = delta.data, b_in.data, c_out.data, x.data
+    record = _grad_enabled and any(t.requires_grad for t in inputs)
     # every product and sum runs in the order of a step-by-step evaluation,
     # (delta B) x, exp(delta a) h + delta B x, then a sum over n, so y is
     # bit-identical to composing the recurrence from per-timestep ops
-    a_bar = dt[:, :, None] * a.data                         # (L, d, n)
-    np.exp(a_bar, out=a_bar)
-    states = dt[:, :, None] * b[:, None, :]                 # delta B x, then h_t
-    states *= xs[:, :, None]
-    h = np.zeros(a.data.shape, dtype=states.dtype)
-    for t in range(len(states)):
-        states[t] += a_bar[t] * h
-        h = states[t]
-    # y_t = <C_t, h_t> in blocks of rows, so that no (L, d, n) product forms
-    # beside the states; each row sums as it would in one product
-    y = np.concatenate([(states[lo:lo + _SCAN_ROWS] * c[lo:lo + _SCAN_ROWS, None, :])
-                        .sum(axis=2) for lo in range(0, len(states), _SCAN_ROWS)])
-    out = _node(y, (delta, a, b_in, c_out, x))
+    h = np.zeros(a.data.shape, dtype=np.result_type(dt, b))
+    a_bars, blocks, ys = [], [], []
+    for lo in range(0, len(dt), _SCAN_ROWS):
+        rows = slice(lo, lo + _SCAN_ROWS)
+        a_bar = dt[rows, :, None] * a.data                 # (rows, d, n)
+        np.exp(a_bar, out=a_bar)
+        states = dt[rows, :, None] * b[rows, None, :]       # delta B x, then h_t
+        states *= xs[rows, :, None]
+        for t in range(len(states)):
+            states[t] += a_bar[t] * h
+            h = states[t]
+        ys.append((states * c[rows, None, :]).sum(axis=2))
+        if record:
+            a_bars.append(a_bar)
+            blocks.append(states)
+    out = _node(np.concatenate(ys), inputs)
     if out._parents:
         def bw(g):
+            a_bar, states = np.concatenate(a_bars), np.concatenate(blocks)
             gh = g[:, :, None] * c[:, None, :]              # (L, d, n)
             for t in range(len(gh) - 2, -1, -1):
                 gh[t] += a_bar[t + 1] * gh[t + 1]

@@ -1,22 +1,30 @@
-"""Memory of training each head at full-scale shapes.
+"""Memory of a full-scale run: each head's training step, the corpus
+records and phase 1's graph pass.
 
-Two tracemalloc peaks, each above what was allocated before it:
+tracemalloc figures, each above what was allocated before it:
 
-- ``step_peak_per_instance(head, batch)``: one training loss of ``head``
-  ("rs": ``recsys.rs_logits`` with targets, "seq": ``seqgen.sequence_loss``)
-  plus its ``backward()``, divided by the batch size;
-- ``fit_step_peak(head, batch)``: one full-batch epoch of ``train_rs`` or
-  ``train_seq`` on ``batch`` instances, that is one whole step of
-  ``nn.fit``: every chunk's loss and ``backward()``, then the Adam step.
+- ``step_peak_per_instance(head, batch)``: the peak of one training loss of
+  ``head`` ("rs": ``recsys.rs_logits`` with targets, "seq":
+  ``seqgen.sequence_loss``) plus its ``backward()``, divided by the batch
+  size;
+- ``fit_step_peak(head, batch)``: the peak of one full-batch epoch of
+  ``train_rs`` or ``train_seq`` on ``batch`` instances, that is one whole
+  step of ``nn.fit``: every chunk's loss and ``backward()``, then the Adam
+  step;
+- ``hgre_peak(graph)``: the peak of phase 1's untrained HGRE pass (under
+  ``no_grad``) over ``graph`` with random 64-d float32 features;
+- ``traced(fn)``: what ``fn()`` keeps (its result) and its peak, as
+  ``corpus_memory`` reports for ``generate_synthetic`` and ``load_corpus``.
 
-The shapes are those of a full-scale run: instances drawn as the full-scale
-benchmark corpus draws them (400 symptoms, 800 herbs, 40 syndromes), a
-random (1200, 64) unified table and each head at its default dimensions.
+The shapes are those of a full-scale run: the full-scale benchmark corpus
+(``FULL_CORPUS``: 400 symptoms, 800 herbs, 40 syndromes, 33,765
+prescriptions), its 1200-node graph, a random (1200, 64) unified table and
+each head at its default dimensions.
 
-Run directly, it prints both heads' figures, the single loss at B = 256,
-512 and 1024 with what one loss over the 23,635-instance train split of the
-33,765-prescription corpus would need, extrapolated from the largest batch,
-and the fit step at B = 256, 1024 and 4096::
+Run directly, it prints the corpus and graph-pass figures, then both heads'
+figures: the single loss at B = 256, 512 and 1024 with what one loss over
+the 23,635-instance train split would need, extrapolated from the largest
+batch, and the fit step at B = 256, 1024 and 4096::
 
     PYTHONPATH=src python tests/memory_probe.py
 """
@@ -24,16 +32,21 @@ and the fit step at B = 256, 1024 and 4096::
 from __future__ import annotations
 
 import gc
+import tempfile
 import tracemalloc
 
 import numpy as np
 
-from fmash.dataio import generate_synthetic
+from fmash.dataio import build_graph, generate_synthetic, load_corpus, save_corpus
+from fmash.hgre import HgreParams, hgre_forward
 from fmash.recsys import make_rs_params, multi_hot, rs_logits, train_rs
 from fmash.refine import UNIFIED_DIM, UnifiedEmbedding
 from fmash.seqgen import Seq2SeqParams, make_batch, sequence_loss, train_seq
+from fmash.tape import Tensor, no_grad
 
 N_SYM, N_HERB, N_SYNDROMES = 400, 800, 40
+FULL_CORPUS = dict(n_sym=N_SYM, n_herb=N_HERB, n_syndromes=N_SYNDROMES,
+                   n_prescriptions=33_765, unique_symptom_sets=False)
 FULL_TRAIN_SPLIT = 23_635
 MIB, GIB = 2 ** 20, 2 ** 30
 
@@ -49,17 +62,20 @@ def _setup(head: str, batch: int, seed: int):
     return instances, emb, params
 
 
-def _traced_peak(fn) -> int:
-    """tracemalloc's peak over ``fn()`` above what was allocated before."""
+def traced(fn) -> tuple[int, int]:
+    """tracemalloc's figures for ``fn()`` above what was allocated before
+    it: the bytes still held when it returns (its result included), and its
+    peak."""
     gc.collect()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        fn()
-        peak = tracemalloc.get_traced_memory()[1]
+        result = fn()                     # held until measured
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return peak - base
+    del result
+    return held - base, peak - base
 
 
 def _loss_fn(head: str, instances, emb: UnifiedEmbedding, params):
@@ -76,7 +92,7 @@ def _loss_fn(head: str, instances, emb: UnifiedEmbedding, params):
 def step_peak_per_instance(head: str, batch: int, seed: int = 0) -> float:
     """Peak bytes of one ``head`` loss plus ``backward()`` per instance."""
     loss_fn = _loss_fn(head, *_setup(head, batch, seed))
-    return _traced_peak(lambda: loss_fn().backward()) / batch
+    return traced(lambda: loss_fn().backward())[1] / batch
 
 
 def fit_step_peak(head: str, batch: int, seed: int = 0) -> int:
@@ -84,10 +100,43 @@ def fit_step_peak(head: str, batch: int, seed: int = 0) -> int:
     instances, Adam included."""
     instances, emb, params = _setup(head, batch, seed)
     train = train_seq if head == "seq" else train_rs
-    return _traced_peak(lambda: train(instances, emb, epochs=1, params=params))
+    return traced(lambda: train(instances, emb, epochs=1, params=params))[1]
+
+
+def hgre_peak(graph, seed: int = 0) -> int:
+    """Peak bytes of one untrained HGRE pass over ``graph``, under
+    ``no_grad`` as phase 1 runs it, on random 64-d float32 features."""
+    params = HgreParams(UNIFIED_DIM, seed)
+    x = Tensor(np.random.default_rng(seed).normal(
+        size=(graph.n_sym + graph.n_herb, UNIFIED_DIM)).astype(np.float32))
+
+    def run():
+        with no_grad():
+            hgre_forward(x, graph, params)
+    return traced(run)[1]
+
+
+def corpus_memory(seed: int = 1) -> dict[str, tuple[int, int]]:
+    """Bytes kept and peak bytes of ``generate_synthetic`` drawing the
+    full-scale corpus and of ``load_corpus`` reading it back."""
+    figures = {"generate_synthetic": traced(
+        lambda: generate_synthetic(**FULL_CORPUS, seed=seed))}
+    with tempfile.TemporaryDirectory() as corpus:
+        save_corpus(corpus, *generate_synthetic(**FULL_CORPUS, seed=seed))
+        figures["load_corpus"] = traced(lambda: load_corpus(corpus))
+    return figures
 
 
 def main() -> None:
+    n = FULL_CORPUS["n_prescriptions"]
+    for name, (held, peak) in corpus_memory().items():
+        print(f"{name}, full-scale corpus ({n:,} prescriptions): keeps "
+              f"{held / MIB:.1f} MiB ({held / n:.0f} bytes/prescription), "
+              f"peak {peak / MIB:.1f} MiB")
+    _, _, prescriptions = generate_synthetic(**FULL_CORPUS, seed=1)
+    graph = build_graph(prescriptions, N_SYM, N_HERB)
+    print(f"untrained HGRE pass, full-scale graph ({N_SYM + N_HERB} nodes): "
+          f"peak {hgre_peak(graph) / MIB:.1f} MiB")
     for head in ("seq", "rs"):
         per = {b: step_peak_per_instance(head, b) for b in (256, 512, 1024)}
         cells = ", ".join(f"B={b}: {v * b / MIB:.1f} MiB ({v / MIB:.3f} MiB/instance)"

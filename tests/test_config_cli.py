@@ -507,6 +507,22 @@ def test_a_config_that_is_not_utf8_exits_two_naming_it(tmp_path, capsys, command
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("fname", ["symptoms.jsonl", "herbs.jsonl",
+                                   "prescriptions.jsonl"])
+def test_a_corpus_file_that_is_not_utf8_exits_two_naming_it(run_env, capsys, fname):
+    """The byte that is not UTF-8 comes after 64 KiB of valid rows, so the
+    reader has handed out rows before it meets it."""
+    tmp_path, cfg_path, _ = run_env
+    path = tmp_path / "corpus" / fname
+    raw = path.read_bytes()
+    path.write_bytes(raw * (2 ** 16 // len(raw) + 1) + b"\xff\n")
+    capsys.readouterr()
+    assert execute_command(["prepare", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {path}: not UTF-8 text")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("flags, flag", [
     (["--n-syndromes", "0"], "--n-syndromes"),
     (["--missing-mol-fraction", "1.5"], "--missing-mol-fraction"),

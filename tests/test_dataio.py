@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 from itertools import combinations
@@ -12,6 +13,9 @@ from fmash.dataio import (HeteroGraph, PrescriptionInstance, build_graph,
 from fmash.errors import DataError, SchemaError
 
 from degree_oracle import loop_degrees_of_graph
+from memory_probe import traced
+
+CORPUS_FILES = ("symptoms.jsonl", "herbs.jsonl", "prescriptions.jsonl")
 
 
 def _inst(i, syms, herbs):
@@ -197,6 +201,66 @@ def test_synthetic_prescription_shape_and_uniqueness():
         seen.add(p.symptoms)
 
 
+def _corpus_sha256(root, corpus) -> str:
+    """sha256 of ``corpus`` as ``save_corpus`` writes it, its three files in
+    order."""
+    save_corpus(root, *corpus)
+    digest = hashlib.sha256()
+    for fname in CORPUS_FILES:
+        digest.update((root / fname).read_bytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("seed, sha256", [
+    (7, "b329b0838ccc96fba24d4f86fbbb968872f4089210ed5b9d8760921bfc7ed82d"),
+    (8, "390b0c52a65e24b3b7487e5d7f485061c7ad7fcb4adebacb7186b426f41e35aa"),
+    (9, "b46ff6c262139120607627789d79d2edcc0d61f96eb8aa9e2e4db103d23788d2"),
+    (10, "8021489849d28021c03d462e4066db4d4f95b3199a15411033f211856e19de86"),
+    (11, "2a06871bd251275f9178daab7214e581622a48a025f94de17759f45f3ed2321a"),
+])
+def test_acceptance_corpora_keep_their_bytes(tmp_path, seed, sha256):
+    assert _corpus_sha256(tmp_path, generate_synthetic(40, 60, 5, 200, seed=seed)) == sha256
+
+
+def test_full_scale_corpus_keeps_its_bytes(tmp_path, full_scale_corpus):
+    assert _corpus_sha256(tmp_path, full_scale_corpus) \
+        == "1b9273f22882419ac87d9c772827845cdf81ddea8eb2e9efb6cedece398c438e"
+
+
+def _assert_shared(prescriptions):
+    """Equal ids across all records, symptoms and herbs alike, are one int
+    object, and equal symptom sets one frozenset; some set repeats."""
+    ids, sets = {}, {}
+    for p in prescriptions:
+        assert sets.setdefault(p.symptoms, p.symptoms) is p.symptoms
+        for i in [*p.symptoms, *p.herbs]:
+            assert ids.setdefault(i, i) is i
+    assert len(sets) < len(prescriptions)
+    assert max(ids) > 256               # past the ints Python caches anyway
+
+
+def test_synthetic_records_share_ids_and_equal_symptom_sets():
+    _assert_shared(generate_synthetic(300, 600, 30, 2000, seed=3,
+                                      unique_symptom_sets=False)[2])
+
+
+def test_loaded_records_share_ids_and_equal_symptom_sets(tmp_path):
+    save_corpus(tmp_path, *generate_synthetic(300, 600, 30, 2000, seed=3,
+                                              unique_symptom_sets=False))
+    _assert_shared(load_corpus(tmp_path)[2])
+
+
+def test_loaded_full_scale_corpus_stays_within_its_memory(tmp_path, full_scale_corpus):
+    """``load_corpus`` keeps 371 bytes per prescription of the full-scale
+    corpus (``tests/memory_probe.py``); the bound adds 10%, as the ranked
+    head's does.  With an int object per id and a frozenset per record it
+    kept 683 bytes (and peaked at 1,366 with the whole file parsed before
+    any record was built)."""
+    save_corpus(tmp_path, *full_scale_corpus)
+    held, _ = traced(lambda: load_corpus(tmp_path))
+    assert held < 1.1 * 371 * len(full_scale_corpus[2])
+
+
 def test_synthetic_infeasible_clusters():
     with pytest.raises(DataError):
         generate_synthetic(4, 60, 5, 10, seed=1)
@@ -295,6 +359,25 @@ def test_malformed_herb_file_names_the_file(tmp_path, raw, match):
     save_corpus(tmp_path, sym, herb, [])
     (tmp_path / "herbs.jsonl").write_bytes(raw)
     with pytest.raises(SchemaError, match=match):
+        load_corpus(tmp_path)
+
+
+@pytest.mark.parametrize("fname, row, match", [
+    ("prescriptions.jsonl", {"symptoms": [0], "herbs": [99]}, "unknown herb id 99"),
+    ("herbs.jsonl", {"id": 1, "name": "herb-001", "properties": "x"},
+     "'properties' must be a list of numbers"),
+    ("symptoms.jsonl", {"id": 1, "name": "a,b"}, "no comma"),
+])
+def test_first_fault_in_file_order_is_reported(tmp_path, fname, row, match):
+    """A fault the caller finds on line 2 wins over bad JSON on line 5,
+    since the rows are read one at a time."""
+    save_corpus(tmp_path, *generate_synthetic(5, 8, 1, 5, seed=1))
+    path = tmp_path / fname
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[1] = json.dumps(row)
+    lines[4] = "{not json"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(SchemaError, match=f"{re.escape(fname)}:2: .*{match}"):
         load_corpus(tmp_path)
 
 

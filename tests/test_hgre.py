@@ -1,6 +1,3 @@
-import gc
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,10 +9,11 @@ from fmash.hgre import (HgreParams, SsmParams, bidirectional_block,
                         degree_permutation, gcn_forward, hgre_forward,
                         normalized_adjacency, ssm_scan, subgraph_enhance)
 from fmash.nn import Linear, stage_rng
-from fmash.tape import Tensor, no_grad
+from fmash.tape import Tensor
 
 from degree_oracle import loop_degrees, loop_degrees_of_graph
 from gradcheck import as_float64, max_relative_error
+from memory_probe import hgre_peak
 
 
 def _identity_gcn(d, rng):
@@ -73,14 +71,41 @@ def test_normalized_adjacency_symmetric():
     np.testing.assert_allclose(a, a.T)
 
 
-def test_normalized_adjacency_keeps_the_bits_of_the_out_of_place_product():
-    rng = np.random.default_rng(3)
-    edges = rng.integers(0, 30, size=(80, 2))
-    adj = np.eye(30)
-    adj[edges[:, 0], edges[:, 1]] = adj[edges[:, 1], edges[:, 0]] = 1.0
+def _dense_normalized_adjacency(n, edges):
+    """The dense construction ``normalized_adjacency`` replaced: a float64
+    A + I, its row sums, then the whole matrix scaled rows then columns."""
+    edges = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
+    adj = np.eye(n)
+    adj[edges[:, 0], edges[:, 1]] = 1.0
+    adj[edges[:, 1], edges[:, 0]] = 1.0
     inv_sqrt = 1.0 / np.sqrt(adj.sum(axis=1))
-    np.testing.assert_array_equal(normalized_adjacency(30, edges),
-                                  adj * inv_sqrt[:, None] * inv_sqrt[None, :])
+    adj *= inv_sqrt[:, None]
+    adj *= inv_sqrt[None, :]
+    return adj
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n, edges", [
+    (7, [[0, 1], [1, 0], [0, 1], [2, 2], [3, 4], [4, 3], [2, 3]]),  # 5, 6 isolated
+    (4, np.zeros((0, 2), dtype=int)),
+    (30, np.random.default_rng(3).integers(0, 30, size=(80, 2))),
+    (40, np.random.default_rng(3).integers(0, 30, size=(80, 2))),   # 30-39 isolated
+    (300, np.random.default_rng(4).integers(0, 300, size=(3000, 2))),
+], ids=["duplicates-self-loops-isolated", "no-edges", "random-30", "random-30-of-40",
+        "random-300"])
+def test_normalized_adjacency_has_the_bits_of_the_dense_construction(n, edges, dtype):
+    """Rounded to ``dtype``, bit for bit, whatever the edge list repeats."""
+    got = normalized_adjacency(n, edges, dtype)
+    assert got.dtype == dtype
+    assert got.tobytes() == _dense_normalized_adjacency(n, edges).astype(dtype).tobytes()
+
+
+@pytest.mark.parametrize("bad", [-1, -12, 5, 9])
+def test_gcn_rejects_an_endpoint_outside_the_nodes(bad):
+    """A negative endpoint would otherwise index from the end."""
+    p = Linear(3, 3, stage_rng(0, "t"))
+    with pytest.raises(ValueError, match=f"edge endpoint {bad} out of range for 5 nodes"):
+        gcn_forward(np.ones((5, 3)), np.array([[0, 1], [bad, 2]]), p)
 
 
 def test_gcn_gradients_match_finite_differences():
@@ -508,24 +533,13 @@ def test_hgre_keeps_within_cluster_nodes_apart_on_the_acceptance_corpus():
                 assert unit[i] @ unit[j] < 0.9, f"{kind}s {block[i]} and {block[j]}"
 
 
-def test_untrained_pass_at_full_scale_stays_within_its_memory():
+def test_untrained_pass_at_full_scale_stays_within_its_memory(full_scale_corpus):
     """Phase 1's HGRE pass (under ``no_grad``) on the full-scale benchmark
-    corpus's graph, 1200 nodes of 64 features, peaks at 22.5 MiB.  With the
-    normalized adjacency scaled out of place (two more 1200 x 1200 float64
-    arrays) and the scan's output contracted in one (L, d, n) product it
-    peaked at 33.9 MiB."""
-    _, _, prescriptions = generate_synthetic(400, 800, 40, 33765, seed=1,
-                                             unique_symptom_sets=False)
-    graph = build_graph(prescriptions, 400, 800)
-    params = HgreParams(64, 0)
-    x = Tensor(np.random.default_rng(0).normal(size=(1200, 64)).astype(np.float32))
-    gc.collect()
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        with no_grad():
-            hgre_forward(x, graph, params)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak < 26 * 2 ** 20
+    corpus's graph, 1200 nodes of 64 features, peaks at 7.46 MiB
+    (``tests/memory_probe.py``); the bound adds 10%, as the ranked head's
+    does.  With a dense float64 adjacency, its float32 copy and the scan's
+    whole (L, d, n) arrays it peaked at 22.5 MiB; with the adjacency scaled
+    out of place as well (two more 1200 x 1200 float64 arrays) and the
+    scan's output contracted in one (L, d, n) product, at 33.9 MiB."""
+    _, _, prescriptions = full_scale_corpus
+    assert hgre_peak(build_graph(prescriptions, 400, 800)) < 1.1 * 7.46 * 2 ** 20

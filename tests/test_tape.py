@@ -228,25 +228,75 @@ def test_feed_forward_grads():
 SCAN_INPUTS = ("delta", "a", "b_in", "c_out", "x")
 
 
-@pytest.mark.parametrize("leaf", SCAN_INPUTS + ("all",))
-def test_selective_scan_grads(leaf):
-    """Each of the scan's five inputs alone, then all together, as leaves
-    over a sequence long enough for the state to carry over many steps."""
-    rng = np.random.default_rng(12)
-    L, d, n = 9, 3, 2
+def _scan_values(rng, L, d, n, dtype=np.float64):
     values = {"delta": np.logaddexp(0.0, rng.normal(size=(L, d))),
               "a": -np.exp(rng.normal(size=(d, n))),
               "b_in": rng.normal(size=(L, n)),
               "c_out": rng.normal(size=(L, n)),
               "x": rng.normal(size=(L, d))}
+    return {k: v.astype(dtype) for k, v in values.items()}
+
+
+def _scan_grad_case(leaf):
+    """The scan's loss against a random probe, with ``leaf`` ("all": every
+    input) as leaves, over a sequence long enough for the state to carry
+    over many steps."""
+    rng = np.random.default_rng(12)
+    L, d, n = 9, 3, 2
+    values = _scan_values(rng, L, d, n)
     inputs = {k: Tensor(v, requires_grad=leaf in (k, "all")) for k, v in values.items()}
     probe = rng.normal(size=(L, d))
 
     def loss():
         return (selective_scan(*(inputs[k] for k in SCAN_INPUTS)) * probe).sum()
 
-    leaves = [t for t in inputs.values() if t.requires_grad]
+    return loss, [t for t in inputs.values() if t.requires_grad]
+
+
+@pytest.mark.parametrize("leaf", SCAN_INPUTS + ("all",))
+def test_selective_scan_grads(leaf):
+    """Each of the scan's five inputs alone, then all together, as leaves."""
+    loss, leaves = _scan_grad_case(leaf)
     assert max_relative_error(loss, leaves) < RTOL
+
+
+@pytest.mark.parametrize("leaf", SCAN_INPUTS + ("all",))
+def test_selective_scan_grads_across_forward_blocks(leaf, monkeypatch):
+    """With blocks of 4 timesteps the 9-step forward runs in three blocks,
+    which its backward joins: the gradients keep the bits of the one-block
+    run and match finite differences."""
+    loss, leaves = _scan_grad_case(leaf)
+    loss().backward()
+    whole = [t.grad.copy() for t in leaves]
+    monkeypatch.setattr(tape, "_SCAN_ROWS", 4)
+    for t in leaves:
+        t.grad = None
+    loss().backward()
+    assert all(t.grad.tobytes() == g.tobytes() for t, g in zip(leaves, whole))
+    assert max_relative_error(loss, leaves) < RTOL
+
+
+def _whole_scan(delta, a, b_in, c_out, x):
+    """The recurrence over the whole sequence, one timestep at a time:
+    ``h_t = exp(delta_t a) h_{t-1} + (delta_t B_t) x_t``, ``y_t = <C_t, h_t>``."""
+    h = np.zeros(a.shape, dtype=np.result_type(delta, b_in))
+    ys = []
+    for t in range(len(delta)):
+        h = np.exp(delta[t][:, None] * a) * h + delta[t][:, None] * b_in[t] * x[t][:, None]
+        ys.append((h * c_out[t]).sum(axis=1))
+    return np.stack(ys)
+
+
+@pytest.mark.parametrize("grad", [False, True], ids=["no-grad", "grad"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("L", [1, 63, 64, 65, 200])
+def test_blockwise_scan_forward_has_the_bits_of_the_whole_recurrence(L, dtype, grad):
+    """Lengths below, at and just past one block of 64 timesteps, and over
+    three blocks ending mid-block."""
+    values = _scan_values(np.random.default_rng(L), L, 5, 4, dtype)
+    out = selective_scan(*(Tensor(values[k], requires_grad=grad) for k in SCAN_INPUTS))
+    assert out.requires_grad == grad and out.data.dtype == dtype
+    assert out.data.tobytes() == _whole_scan(*(values[k] for k in SCAN_INPUTS)).tobytes()
 
 
 def test_gradient_check_refuses_anything_but_float64():
