@@ -6,9 +6,9 @@ Exit codes: 0 success, 1 usage error, 2 data error or OS error, 3 numeric failur
 ``recommend`` and ``generate`` read the corpus symptom and herb files and
 their head's checkpoint on every call.  Within one process they keep, per
 head, the names and the head the last load built, keyed by the exact bytes
-of those three files and the config values that shaped the load, and reuse
-them while the key compares equal; anything else loads and validates the
-files as a first call does.  A fresh process starts with nothing loaded.
+of those three files and the whole config, and reuse them while the key
+compares equal; anything else loads and validates the files as a first
+call does.  A fresh process starts with nothing loaded.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ from .dataio import (HERBS_FILE, PRESCRIPTIONS_FILE, SYMPTOMS_FILE, DatasetSplit
                      save_molecular_table, split_dataset)
 from .errors import ConfigError, DataError, FmashError, NumericError, SchemaError
 from .evalkit import evaluate_run
-from .mlfie import VaeParams, impute_missing
-from .nn import Module, stage_rng
+from .mlfie import MlfieParams, impute_missing
+from .nn import Module
 from .pipeline import phase1_key, phase1_state, run_phase1
 from .recsys import make_rs_params, recommend, train_rs
 from .recsys import export_predictions as export_rs_predictions
@@ -234,8 +234,17 @@ def _load_params(params, path: Path, state, name: str, fault: str):
         raise SchemaError(f"{path}: {fault} ({exc.args[0]})") from exc
 
 
+def _new_head(cfg: RunConfig, emb: UnifiedEmbedding, head: str) -> Module:
+    """A fresh ``head`` (``rs`` or ``seq``) over ``emb`` drawn from the run seed:
+    the one place config values shape a head, which training and serving share."""
+    if head == "rs":
+        return make_rs_params(emb, cfg.train.seed, gelram=cfg.ablation.gelram,
+                              d_enc=cfg.dims.d_enc)
+    return Seq2SeqParams(emb, cfg.train.seed)
+
+
 class _Served(NamedTuple):
-    key: tuple             # the input bytes and config values it was loaded from
+    key: tuple             # the input bytes and the config it was loaded from
     symptoms: list[str]    # symptom names in id order
     herbs: list[str]       # herb names in id order
     emb: UnifiedEmbedding
@@ -258,18 +267,16 @@ def _read_or_none(path: Path) -> bytes | None:
 
 def _serve(cfg: RunConfig, head: str) -> _Served:
     """The corpus names and the unified table and ``head`` parameters saved by
-    ``train-<head>``, built as the current config expects; exit 2 unless the
-    table covers the corpus vocabulary.  Reads the symptom, herb and
-    checkpoint files on every call, but validates them and builds the head
-    only when their bytes or the config values that shape the load differ
-    from the memo's entry."""
+    ``train-<head>``, loaded over ``_new_head``; exit 2 unless the table
+    covers the corpus vocabulary.  Reads the symptom, herb and checkpoint
+    files on every call, but validates them and builds the head only when
+    their bytes or the config differ from the memo's entry."""
     corpus, path = Path(cfg.paths.corpus), Path(cfg.paths.workdir) / f"{head}.ckpt"
     raw = _read_or_none(path)
     # read before the load: a file changed during the load makes the next
     # call's key differ from this one, so that call loads again
     key = (_read_or_none(corpus / SYMPTOMS_FILE), _read_or_none(corpus / HERBS_FILE),
-           raw, cfg.dims.p) + ((cfg.ablation.gelram, cfg.dims.d_enc)
-                               if head == "rs" else ())
+           raw, cfg)
     served = _HEAD_MEMO.get(head)
     if served is not None and served.key == key:
         return served
@@ -281,10 +288,7 @@ def _serve(cfg: RunConfig, head: str) -> _Served:
                           f"{emb.n_herb} herbs, but {cfg.paths.corpus} has "
                           f"{len(symptoms)} symptoms and {len(herbs)} herbs; "
                           f"rerun `fmash prepare` and `fmash train-{head}`")
-    seed = cfg.train.seed
-    params = (make_rs_params(emb, seed, gelram=cfg.ablation.gelram,
-                             d_enc=cfg.dims.d_enc)
-              if head == "rs" else Seq2SeqParams(emb, seed))
+    params = _new_head(cfg, emb, head)
     _load_params(params, path, state, head, f"trained with a different head config "
                  f"or an older fmash; rerun `fmash train-{head}`")
     served = _Served(key, [r.name for r in symptoms], [r.name for r in herbs],
@@ -372,25 +376,24 @@ def _cmd_train(args) -> int:
     split, _ = _load_splits(cfg)
     phase1, unified = _load_phase1(cfg)
     wd = _workdir(cfg)
-    opts = dict(epochs=cfg.train.epochs, lr=cfg.train.lr,
-                batch_size=cfg.train.batch or None, seed=cfg.train.seed)
-    if args.command == "train-rs":
-        head, title = "rs", "ranking"
-        result = train_rs(split.train, unified, gelram=cfg.ablation.gelram,
-                          d_enc=cfg.dims.d_enc, **opts)
+    head = args.command.removeprefix("train-")
+    # looked up at the call, so a wrapper set on the module name sees it
+    result = (train_rs if head == "rs" else train_seq)(
+        split.train, unified, epochs=cfg.train.epochs, lr=cfg.train.lr,
+        batch_size=cfg.train.batch or None, seed=cfg.train.seed,
+        params=_new_head(cfg, unified, head))
+    if head == "rs":
         export_rs_predictions(wd / "rs_predictions.tsv", split.test, unified,
                               result.params)
     else:
-        head, title = "seq", "sequence"
-        result = train_seq(split.train, unified, **opts)
         export_seq_predictions(wd / "seq_predictions.tsv", split.test,
                                result.params, max_len=cfg.train.seq_max_len)
     state = {k: v for k, v in phase1.items() if k.startswith("unified.")}
     state.update({f"{head}.{k}": v for k, v in result.params.state_dict().items()})
     save_checkpoint(wd / f"{head}.ckpt", state)
     final = result.losses[-1] if result.losses else float("nan")
-    print(f"trained {title} head: {len(result.losses)} epochs, "
-          f"final loss {final:.4f}")
+    print(f"trained {'ranking' if head == 'rs' else 'sequence'} head: "
+          f"{len(result.losses)} epochs, final loss {final:.4f}")
     print(f"artifacts: {wd / f'{head}.ckpt'}, {wd / f'{head}_predictions.tsv'}")
     return EXIT_OK
 
@@ -406,7 +409,7 @@ def _cmd_impute_mol(args) -> int:
                         f"molecular stage to impute with")
     state, _ = _load_phase1(cfg)
     d = cfg.dims
-    vae = VaeParams(d.p, d.d_m, d.d_z, stage_rng(cfg.train.seed, "mlfie.vae"))
+    vae = MlfieParams(len(herbs), d.p, d.d_m, d.d_k, d.d_z, cfg.train.seed).vae
     _load_params(vae, Path(cfg.paths.workdir) / PHASE1_FILE, state, "mlfie.vae",
                  "its molecular stage does not match the config")
     imputed = impute_missing([h.properties for h in missing], vae)

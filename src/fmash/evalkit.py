@@ -12,6 +12,7 @@ punished for not covering the union.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -59,10 +60,18 @@ def bmp_at_k(prediction: Sequence[int], group: EvalGroup, k: int) -> float:
 # prediction files
 # ---------------------------------------------------------------------------
 
+def _finite(text: str) -> bool:
+    try:
+        return math.isfinite(float(text))
+    except ValueError:
+        return False
+
+
 def load_predictions(path: str | Path, scored: bool) -> dict[int, list[int]]:
     """Read a prediction export; ``scored`` selects the ``herb:score`` format
-    of the ranking head versus the bare id list of the sequence head.  Each
-    instance id may appear on one line only."""
+    of the ranking head, whose every score must be a finite number, versus
+    the bare id list of the sequence head.  Each instance id may appear on
+    one line only."""
     path = Path(path)
     preds: dict[int, list[int]] = {}
     try:
@@ -78,7 +87,11 @@ def load_predictions(path: str | Path, scored: bool) -> dict[int, list[int]]:
                                       f"fields") from exc
                 tokens = payload.split(",") if payload else []
                 if scored:
-                    tokens = [tok.split(":")[0] for tok in tokens]
+                    for tok in tokens:
+                        if tok.count(":") != 1 or not _finite(tok.partition(":")[2]):
+                            raise SchemaError(f"{path}:{lineno}: expected herb_id:score "
+                                              f"entries with finite scores, got {tok!r}")
+                    tokens = [tok.partition(":")[0] for tok in tokens]
                 try:
                     key, herbs = int(instance_id), [int(tok) for tok in tokens]
                 except ValueError as exc:

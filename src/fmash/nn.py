@@ -124,14 +124,13 @@ class MultiHeadAttention(Module):
     the softmax ignores, so its gradient would be rounding noise that Adam
     scales into steps (Namazifar et al., arXiv:2302.08626).
 
-    ``key_mask`` marks valid key positions (B, Lk); masked logits get a large
-    negative additive constant, built in the scores' dtype.  Its ``exp``
-    after the row-max shift underflows to exactly zero in float32 as in
-    float64, so padded keys neither change values nor receive gradient.
-
-    A call is ``project_kv`` on the keys' source followed by ``attend``; the
-    decoder calls the two itself, so that a decode projects its memory once
-    and extends cached self-attention keys and values step by step.
+    Every call is ``project_kv`` on the keys' source followed by ``attend``
+    with an additive key bias: ``key_mask_bias`` of a padding mask, which
+    a caller builds once per forward for all its layers, or a causal one.
+    A masked logit's ``exp`` after the row-max shift underflows to exactly
+    zero in float32 as in float64, so padded keys neither change values nor
+    receive gradient.  The decoder projects its memory once per decode and
+    extends cached self-attention keys and values step by step.
     """
 
     def __init__(self, d_model: int, n_heads: int, rng: np.random.Generator):
@@ -157,10 +156,6 @@ class MultiHeadAttention(Module):
         packed rows of the positions it marks (``tape.attention``)."""
         return self.wo(attention(self.wq(query), k, v, bias, self.n_heads, rows))
 
-    def __call__(self, query: Tensor, keyval: Tensor, key_mask: np.ndarray) -> Tensor:
-        return self.attend(query, *self.project_kv(keyval),
-                           key_mask_bias(key_mask, query.data.dtype))
-
 
 class FeedForward(Module):
     """``lin2(silu(lin1(x)))`` as one ``tape.feed_forward`` node."""
@@ -177,7 +172,9 @@ class FeedForward(Module):
 class EncoderLayer(Module):
     """Pre-norm transformer encoder layer (self-attention + feed-forward).
 
-    With ``first_only``, every position still supplies keys and values, but
+    ``bias`` is the (B, 1, 1, L) additive key bias of the padding mask
+    (``key_mask_bias``), built once by the caller for every layer.  With
+    ``first_only``, every position still supplies keys and values, but
     only the first one queries: the attention, residual and feed-forward run
     on that row alone, and the layer returns its (B, d) state.  A model that
     reads nothing but the first position after its last layer gets the same
@@ -190,13 +187,13 @@ class EncoderLayer(Module):
         self.ln2 = LayerNorm(d_model)
         self.ff = FeedForward(d_model, d_ff, rng)
 
-    def __call__(self, x: Tensor, key_mask: np.ndarray, first_only: bool = False,
+    def __call__(self, x: Tensor, bias: np.ndarray, first_only: bool = False,
                  ) -> Tensor:
         normed = self.ln1(x)
         query = normed
         if first_only:
             x, query = x[:, 0], normed[:, 0]
-        x = x + self.attn(query, normed, key_mask=key_mask)
+        x = x + self.attn.attend(query, *self.attn.project_kv(normed), bias)
         return x + self.ff(self.ln2(x))
 
 

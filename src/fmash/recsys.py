@@ -21,7 +21,8 @@ import numpy as np
 
 from .dataio import symptom_batch
 from .errors import DataError, NumericError
-from .nn import EncoderLayer, Linear, Module, TrainResult, fit, parameter, stage_rng
+from .nn import (EncoderLayer, Linear, Module, TrainResult, fit, key_mask_bias, parameter,
+                 stage_rng)
 from .refine import UnifiedEmbedding
 from .tape import Tensor, concat, linear, linear_bce, no_grad, softmax
 
@@ -54,11 +55,10 @@ RsParams = GelramParams | PlainScorerParams
 
 
 def make_rs_params(emb: UnifiedEmbedding, seed: int, *, gelram: bool = True,
-                   d_enc: int = 64, n_layers: int = 2, n_heads: int = 4) -> RsParams:
+                   d_enc: int = 64) -> RsParams:
     """A fresh ranked head: the fusion encoder, or the plain scorer if ablated."""
     if gelram:
-        return GelramParams(emb.dim, emb.n_herb, seed, d_enc=d_enc,
-                            n_layers=n_layers, n_heads=n_heads)
+        return GelramParams(emb.dim, emb.n_herb, seed, d_enc=d_enc)
     return PlainScorerParams(emb.dim, emb.n_herb, seed)
 
 
@@ -99,13 +99,14 @@ def rs_logits(symptom_sets: list, emb: UnifiedEmbedding, params: RsParams,
         cls = params.input_proj(concat([h_w, s], axis=1))  # (B, d_enc)
         tok = params.tok_proj(tokens)                     # (B, W, d_enc)
         seq = concat([cls.reshape(b, 1, -1), tok], axis=1)
-        key_mask = np.concatenate([np.ones((b, 1), dtype=bool), mask], axis=1)
+        key_bias = key_mask_bias(np.concatenate([np.ones((b, 1), dtype=bool), mask],
+                                                axis=1), seq.data.dtype)
         layers = params.layers
         for layer in layers[:-1]:
-            seq = layer(seq, key_mask=key_mask)
+            seq = layer(seq, key_bias)
         # the [CLS] state (B, d_enc) through the output projection; the last
         # layer computes that row alone
-        x = layers[-1](seq, key_mask, first_only=True) if layers else seq[:, 0, :]
+        x = layers[-1](seq, key_bias, first_only=True) if layers else seq[:, 0, :]
         w, bias = params.out.weight, params.out.bias
     if targets is None:
         return linear(x, w, bias)
@@ -157,21 +158,19 @@ def multi_hot(herb_lists: list[list[int]], n_herb: int) -> np.ndarray:
 
 def train_rs(instances, emb: UnifiedEmbedding, *, epochs: int = 300,
              lr: float = 3e-3, batch_size: int | None = None, seed: int = 42,
-             gelram: bool = True, d_enc: int = 64, n_layers: int = 2,
-             n_heads: int = 4, params: RsParams | None = None) -> TrainResult:
-    """Fit the head with multi-label binary cross-entropy over all herbs;
-    each chunk of a batch builds its own multi-hot targets, and weighs in by
-    its instances."""
+             params: RsParams | None = None) -> TrainResult:
+    """Fit ``params``, else the default fusion head drawn from ``seed``, with
+    multi-label binary cross-entropy over all herbs; each chunk of a batch
+    builds its own multi-hot targets, and weighs in by its instances."""
     if not instances:
         raise DataError("cannot train on an empty split")
     if params is None:
-        params = make_rs_params(emb, seed, gelram=gelram, d_enc=d_enc,
-                                n_layers=n_layers, n_heads=n_heads)
-    symptom_sets = [sorted(inst.symptoms) for inst in instances]
+        params = make_rs_params(emb, seed)
 
     def loss(sel: np.ndarray) -> Tensor:
         targets = multi_hot([instances[i].herbs for i in sel], emb.n_herb)
-        return rs_logits([symptom_sets[i] for i in sel], emb, params, targets=targets)
+        return rs_logits([instances[i].symptoms for i in sel], emb, params,
+                         targets=targets)
 
     return TrainResult(params, list(fit(
         params.parameters(), loss, len(instances), name="rs", epochs=epochs, lr=lr,

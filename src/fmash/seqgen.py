@@ -101,12 +101,14 @@ class Seq2SeqParams(Module):
 
 def encode_batch(symptom_sets: list, params: Seq2SeqParams,
                  ) -> tuple[Tensor, np.ndarray]:
-    """Memory (B, W, d) plus key validity mask (B, W)."""
+    """Memory (B, W, d) plus its (B, 1, 1, W) padding bias (``key_mask_bias``),
+    built once for every encoder layer and cross-attention."""
     ids, mask = symptom_batch(symptom_sets, params.sym_table.shape[0])
     x = Tensor(params.sym_table[ids] + params.positions[np.arange(ids.shape[1])])
+    bias = key_mask_bias(mask, x.data.dtype)
     for layer in params.enc_layers:
-        x = layer(x, key_mask=mask)
-    return params.enc_ln(x), mask
+        x = layer(x, bias)
+    return params.enc_ln(x), bias
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +119,7 @@ def encode_batch(symptom_sets: list, params: Seq2SeqParams,
 class DecoderCache:
     """The state a decode carries from step to step: the memory's (B, W, d)
     keys and values for ``integration.cross`` and then each decoder layer's
-    ``cross_attn``, the memory mask as an additive bias, and each decoder
+    ``cross_attn``, the memory's additive key bias, and each decoder
     layer's (B, length, d) self-attention keys and values for the
     ``length`` tokens decoded so far (None before the first)."""
     memory_kv: list[tuple[Tensor, Tensor]]
@@ -126,13 +128,13 @@ class DecoderCache:
     length: int = 0
 
 
-def decoder_cache(memory: Tensor, memory_mask: np.ndarray,
+def decoder_cache(memory: Tensor, memory_bias: np.ndarray,
                   params: Seq2SeqParams) -> DecoderCache:
-    """An empty cache over ``memory``: every memory projection, once."""
+    """An empty cache over ``encode_batch``'s memory and bias: every memory
+    projection, once."""
     attns = [params.integration.cross] + [layer.cross_attn for layer in params.dec_layers]
     return DecoderCache(memory_kv=[attn.project_kv(memory) for attn in attns],
-                        memory_bias=key_mask_bias(memory_mask, memory.data.dtype),
-                        self_kv=[None] * len(params.dec_layers))
+                        memory_bias=memory_bias, self_kv=[None] * len(params.dec_layers))
 
 
 def decoder_states(cache: DecoderCache, tokens: np.ndarray,
@@ -180,7 +182,7 @@ def make_batch(instances, vocab: TokenVocab) -> SeqBatch:
     lengths = np.array([len(inst.herbs) + 1 for inst in instances])
     herbs = [inst.herbs for inst in instances]
     return SeqBatch(
-        symptom_sets=[sorted(inst.symptoms) for inst in instances],
+        symptom_sets=[inst.symptoms for inst in instances],
         rows=np.arange(lengths.max()) < lengths[:, None],
         inputs=np.fromiter(chain.from_iterable([vocab.bos, *h] for h in herbs),
                            dtype=np.intp),
@@ -193,23 +195,22 @@ def sequence_loss(batch: SeqBatch, params: Seq2SeqParams) -> Tensor:
     tokens, whose decoder states run packed (``decoder_states``).  The
     output projection and the loss are one ``linear_cross_entropy`` node,
     so the (N, n_herb + 1) logits never form a tensor of their own."""
-    memory, memory_mask = encode_batch(batch.symptom_sets, params)
-    states = decoder_states(decoder_cache(memory, memory_mask, params), batch.inputs,
-                            params, batch.rows)
+    states = decoder_states(decoder_cache(*encode_batch(batch.symptom_sets, params),
+                                          params), batch.inputs, params, batch.rows)
     return linear_cross_entropy(states, params.out.weight, params.out.bias,
                                 batch.targets)
 
 
 def train_seq(instances, emb: UnifiedEmbedding, *, epochs: int = 300,
               lr: float = 3e-3, batch_size: int | None = None, seed: int = 42,
-              n_heads: int = 4, params: Seq2SeqParams | None = None,
-              ) -> TrainResult:
-    """Teacher-forced training on [herbs..., EOS] in source order; each
-    chunk of a batch weighs in by its target tokens."""
+              params: Seq2SeqParams | None = None) -> TrainResult:
+    """Fit ``params``, else the default head drawn from ``seed``, teacher-forced
+    on [herbs..., EOS] in source order; each chunk of a batch weighs in by
+    its target tokens."""
     if not instances:
         raise DataError("cannot train on an empty split")
     if params is None:
-        params = Seq2SeqParams(emb, seed, n_heads=n_heads)
+        params = Seq2SeqParams(emb, seed)
     tokens = np.array([len(inst.herbs) + 1 for inst in instances])
 
     def loss(sel: np.ndarray) -> Tensor:
@@ -253,8 +254,7 @@ def generate(symptom_ids, params: Seq2SeqParams, max_len: int) -> list[int]:
     herbs: list[int] = []
     tok = vocab.bos
     with no_grad():
-        memory, memory_mask = encode_batch([symptom_ids], params)
-        cache = decoder_cache(memory, memory_mask, params)
+        cache = decoder_cache(*encode_batch([symptom_ids], params), params)
         while len(herbs) < max_len:
             tok = int(np.argmax(_masked_step_logits(cache, tok, herbs, params)))
             if tok == vocab.eos:

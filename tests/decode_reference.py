@@ -12,9 +12,9 @@ def full_prefix_generate(symptom_ids, params, max_len):
     vocab = params.vocab
     tokens = [vocab.bos]
     with no_grad():
-        memory, mask = encode_batch([symptom_ids], params)
+        memory, bias = encode_batch([symptom_ids], params)
         while len(tokens) - 1 < max_len:
-            logits = decoder_logits(decoder_cache(memory, mask, params),
+            logits = decoder_logits(decoder_cache(memory, bias, params),
                                     np.asarray([tokens]), params).data[0, -1]
             shifted = logits - logits.max()
             logp = shifted - np.log(np.exp(shifted).sum())

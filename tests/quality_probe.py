@@ -21,17 +21,21 @@ loss at epochs 150 and 200 and the final one, each gated metric, and its
 margin to the gate's bound (negative: the gate fails).
 
 ``--contract`` checks the behaviour contract of a change instead: that its
-artifacts and output are byte-identical to the parent's.  For each of three
-``ablation`` variants (as is, ``fr: false``, ``mlfie: false``) it runs, on
-the default ``fmash synth`` corpus with the ``run_env`` config of
-``tests/test_config_cli.py`` (``train.epochs`` 40), one process per tree in
-the same directory: ``synth``, ``prepare``, ``train-rs``, ``train-seq``,
-both ``evaluate`` runs, ``impute-mol``, and three ``recommend --k 10`` and
-three ``generate`` queries.  It prints every file and every exit code,
-stdout or stderr line that differs.  Then it serves the parent's
-checkpoints (``rs.ckpt``, ``seq.ckpt``, ``phase1.ckpt``) under the changed
-tree and compares ``impute-mol``, ``recommend`` and ``generate`` with the
-parent's own output the same way.  BLAS runs on 1 thread.
+artifacts and output are byte-identical to the parent's.  For each of four
+``ablation`` variants (as is, ``fr: false``, ``mlfie: false`` and
+``gelram: false``) it runs, on the default ``fmash synth`` corpus with the
+``run_env`` config of ``tests/test_config_cli.py`` (``train.epochs`` 40),
+one process per tree in the same directory: ``synth``, ``prepare``,
+``train-rs``, ``train-seq``, both ``evaluate`` runs, ``impute-mol``, and
+three ``recommend --k 10`` and three ``generate`` queries.  It prints every
+file and every exit code, stdout or stderr line that differs; for a
+prediction export that differs, what moved instead of its lines: the
+instances whose ranking or top-5 list changed and the largest score change
+(ranked head), or each formula that changed (sequence head).  Then it
+serves the parent's checkpoints (``rs.ckpt``, ``seq.ckpt``,
+``phase1.ckpt``) under the changed tree and compares ``impute-mol``,
+``recommend`` and ``generate`` with the parent's own output the same way.
+BLAS runs on 1 thread.
 
 Neither mode is part of the test suite; a run of both trees takes about 6
 minutes on 2 cores::
@@ -64,7 +68,8 @@ CONTRACT_CONFIG = {
     "train": {"epochs": 40, "lr": 5e-3, "seed": 11, "mlfie_epochs": 15,
               "vae_epochs": 25, "fr_epochs": 60},
 }
-VARIANTS = {"as-is": {}, "fr-false": {"fr": False}, "mlfie-false": {"mlfie": False}}
+VARIANTS = {"as-is": {}, "fr-false": {"fr": False}, "mlfie-false": {"mlfie": False},
+            "gelram-false": {"gelram": False}}
 # symptom sets within one syndrome's cluster of the default corpus
 QUERIES = ("sym-001,sym-003", "sym-009,sym-012,sym-014", "sym-033,sym-036")
 
@@ -189,6 +194,31 @@ def _line_diff(a: list[str], b: list[str]) -> list[str]:
     return [line for line in diff if not line.startswith("@@")]
 
 
+def _prediction_diff(name: str, a: bytes, b: bytes) -> list[str]:
+    """What moved between two prediction exports of the same instances."""
+    rows = [dict(line.split("\t") for line in raw.decode("utf-8").splitlines())
+            for raw in (a, b)]
+    common = sorted(rows[0].keys() & rows[1].keys(), key=int)
+    if name.endswith("seq_predictions.tsv"):
+        changed = [f"instance {i}: {rows[0][i] or '(empty)'} -> {rows[1][i] or '(empty)'}"
+                   for i in common if rows[0][i] != rows[1][i]]
+        return [f"{len(changed)}/{len(common)} formulas changed"] + changed
+
+    def ranked_scores(entries: str) -> tuple[list[str], dict[str, float]]:
+        pairs = [tok.split(":") for tok in entries.split(",") if tok]
+        return [h for h, _ in pairs], {h: float(s) for h, s in pairs}
+
+    ranked, top5, largest = 0, 0, 0.0
+    for i in common:
+        (order_a, score_a), (order_b, score_b) = (ranked_scores(r[i]) for r in rows)
+        ranked += order_a != order_b
+        top5 += order_a[:5] != order_b[:5]
+        largest = max([largest] + [abs(score_a[h] - score_b[h])
+                                   for h in score_a.keys() & score_b.keys()])
+    return [f"{ranked}/{len(common)} rankings changed, {top5} top-5 lists changed, "
+            f"largest score change {largest:.3g}"]
+
+
 def _report(title: str, files: tuple[dict, dict], outputs: tuple[dict, dict]) -> None:
     """Print every file and command output of the parent (first) and the
     change (second) that differs; the change's outputs may cover a subset
@@ -203,7 +233,9 @@ def _report(title: str, files: tuple[dict, dict], outputs: tuple[dict, dict]) ->
             differing.append(f"  only in the {'change' if a is None else 'parent'}")
             continue
         try:
-            lines = _line_diff(a.decode("utf-8").splitlines(), b.decode("utf-8").splitlines())
+            lines = (_prediction_diff(name, a, b) if name.endswith("_predictions.tsv")
+                     else _line_diff(a.decode("utf-8").splitlines(),
+                                     b.decode("utf-8").splitlines()))
         except UnicodeDecodeError:
             lines = [f"  binary, {len(a)} -> {len(b)} bytes"]
         differing += [f"  {line}" for line in lines]

@@ -31,8 +31,8 @@ from fmash.mlfie import (AttentionParams, MlfieParams, VaeParams,
                          vae_loss)
 from fmash.nn import Linear, stage_rng
 from fmash.pipeline import run_phase1
-from fmash.recsys import (GelramParams, gelram_score, multi_hot, rs_logits,
-                          train_rs)
+from fmash.recsys import (GelramParams, gelram_score, make_rs_params, multi_hot,
+                          rs_logits, train_rs)
 from fmash.recsys import export_predictions as export_rs_predictions
 from fmash.refine import UnifiedEmbedding
 from fmash.seqgen import Seq2SeqParams, generate, make_batch, sequence_loss, train_seq
@@ -365,7 +365,8 @@ def test_c7_ablation_harness(corpus, split, tmp_path):
                     f"{name}/{node_type}: MSE {initial:.4g} -> {final:.4g}"
         result = train_rs(split.train, phase1.unified, epochs=cfg.train.epochs,
                           lr=cfg.train.lr, seed=cfg.train.seed,
-                          gelram=flags["gelram"])
+                          params=make_rs_params(phase1.unified, cfg.train.seed,
+                                                gelram=flags["gelram"]))
         pred_path = tmp_path / f"pred_{name}.tsv"
         export_rs_predictions(pred_path, split.test, phase1.unified, result.params)
         report = evaluate_run(pred_path, split.test, ks=[5, 10, 20], head="rs",

@@ -52,7 +52,9 @@ def test_molecular_stage_spans_nest_under_phase1():
         assert len(rec.named(name, under="pipeline.phase1")) == 1, name
 
 
-def test_phase1_span_only_in_prepare(tmp_path):
+def _tiny_run(tmp_path) -> Path:
+    """A small synthetic corpus and a two-epoch config over it; returns the
+    config's path."""
     corpus, work = tmp_path / "corpus", tmp_path / "work"
     assert cli.execute_command(["synth", "--out", str(corpus), "--n-sym", "10",
                                 "--n-herb", "10", "--n-syndromes", "2",
@@ -63,6 +65,11 @@ def test_phase1_span_only_in_prepare(tmp_path):
         "dims": {"d": 16, "d_m": 8, "d_k": 4, "d_enc": 16, "d_z": 4, "d_state": 4},
         "train": {"epochs": 2, "mlfie_epochs": 2, "vae_epochs": 2,
                   "fr_epochs": 2}}))
+    return cfg_path
+
+
+def test_phase1_span_only_in_prepare(tmp_path):
+    cfg_path = _tiny_run(tmp_path)
     rec = spans.Recorder("t")
     try:
         workloads.install_patches(rec, full=False)
@@ -72,6 +79,21 @@ def test_phase1_span_only_in_prepare(tmp_path):
     finally:
         rec.close()
     assert len(rec.named("pipeline.phase1")) == 1
+
+
+def test_cli_training_records_one_train_span_per_head(tmp_path):
+    """``train-rs`` and ``train-seq`` call the trainers through the module
+    names the benchmark wraps, so its training-rate metrics see them."""
+    cfg_path = _tiny_run(tmp_path)
+    assert cli.execute_command(["prepare", "--config", str(cfg_path)]) == 0
+    rec = spans.Recorder("t")
+    try:
+        workloads.install_patches(rec, full=False)
+        for command in ("train-rs", "train-seq"):
+            assert cli.execute_command([command, "--config", str(cfg_path)]) == 0
+    finally:
+        rec.close()
+    assert len(rec.named("recsys.train")) == len(rec.named("seqgen.train")) == 1
 
 
 def test_training_runs_the_forward_spans_the_traced_benchmark_reads():
@@ -84,8 +106,10 @@ def test_training_runs_the_forward_spans_the_traced_benchmark_reads():
     rec = spans.Recorder("t")
     try:
         workloads.install_patches(rec, full=True)
-        recsys.train_rs(instances, emb, epochs=2, d_enc=8, n_heads=2, seed=0)
-        seqgen.train_seq(instances, emb, epochs=2, n_heads=2, seed=0)
+        recsys.train_rs(instances, emb, epochs=2, seed=0, params=recsys.GelramParams(
+            emb.dim, emb.n_herb, 0, d_enc=8, n_heads=2))
+        seqgen.train_seq(instances, emb, epochs=2, seed=0,
+                         params=seqgen.Seq2SeqParams(emb, 0, n_heads=2))
     finally:
         rec.close()
     assert len(rec.named("recsys.forward", under="recsys.train")) == 2

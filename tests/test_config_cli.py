@@ -28,7 +28,7 @@ from fmash.errors import ConfigError, SchemaError
 from fmash.mlfie import impute_missing
 from fmash.pipeline import (HEAD_ONLY_KEYS, PATH_KEYS, phase1_key, phase1_state,
                             run_phase1)
-from fmash.recsys import train_rs
+from fmash.recsys import make_rs_params, train_rs
 from phase1_calls import PHASE1_STAGES, initial_features, record_calls
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -381,6 +381,27 @@ def test_usage_errors_exit_one(run_env, capsys):
     assert execute_command(["frobnicate"]) == 1
     assert execute_command(["evaluate", "--config", str(cfg_path),
                             "--pred", "x", "--k", "0,5"]) == 1
+
+
+def test_evaluate_rs_refuses_a_sequence_prediction_file(trained_env, capsys):
+    """A sequence export holds no scores: ``--head rs`` exits 2 naming its
+    first formula's line, and leaves the ranked report as it was."""
+    root, cfg_path, _ = trained_env
+    work = root / "work"
+    seq_pred, report = work / "seq_predictions.tsv", work / "report_rs.json"
+    line = next(n for n, text in enumerate(seq_pred.read_text().splitlines(), start=1)
+                if text.split("\t")[1])
+    argv = ["evaluate", "--config", str(cfg_path), "--pred"]
+    assert execute_command(argv + [str(work / "rs_predictions.tsv")]) == 0
+    before = report.read_bytes()
+    capsys.readouterr()
+    try:
+        assert execute_command(argv + [str(seq_pred), "--head", "rs"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"{seq_pred}:{line}: expected herb_id:score" in err
+        assert report.read_bytes() == before
+    finally:
+        report.unlink()
 
 
 def test_evaluate_refuses_a_repeated_cutoff(run_env, capsys):
@@ -761,8 +782,10 @@ def test_rs_checkpoint_matches_phase1_run_in_process(run_env):
     cfg, train, _, phase1 = _phase1_in_process(tmp_path, cfg_path)
     result = train_rs(train, phase1.unified, epochs=cfg.train.epochs,
                       lr=cfg.train.lr, batch_size=cfg.train.batch or None,
-                      seed=cfg.train.seed, gelram=cfg.ablation.gelram,
-                      d_enc=cfg.dims.d_enc)
+                      seed=cfg.train.seed,
+                      params=make_rs_params(phase1.unified, cfg.train.seed,
+                                            gelram=cfg.ablation.gelram,
+                                            d_enc=cfg.dims.d_enc))
     # the unified table and the head, under a header with no config hash
     state = {k: v for k, v in phase1_state(phase1).items()
              if k.startswith("unified.")}
@@ -1321,6 +1344,35 @@ def test_head_memo_other_head_config_after_a_hit_exits_two(trained_env, tmp_path
     assert (code, out) == (2, "")
     assert "rs.ckpt" in err and "different head config" in err
     assert _run(argv, cfg_path)[:2] == (0, served)
+
+
+@pytest.mark.parametrize("sections, seed", [({"train": {"epochs": 3}}, None),
+                                           ({"dims": {"d_k": 4}}, None), ({}, "12")],
+                         ids=["epochs", "d_k", "FMASH_SEED"])
+def test_head_memo_reloads_after_any_config_change(trained_env, tmp_path, monkeypatch,
+                                                   sections, seed):
+    """The memo keys on the whole config: after a served call, a config that
+    differs anywhere, even in a value serving does not read, loads the head
+    again and serves what a first load serves."""
+    root, cfg_path, cfg = trained_env
+    other = json.loads(json.dumps(cfg))
+    for section, values in sections.items():
+        other[section].update(values)
+    other_path = tmp_path / "other.json"
+    other_path.write_text(json.dumps(other))
+    loads = []
+    monkeypatch.setattr(cli, "load_checkpoint",
+                        lambda *args: loads.append(args) or load_checkpoint(*args))
+    for argv in _HEAD_ARGV.values():
+        monkeypatch.delenv("FMASH_SEED", raising=False)
+        assert _run(argv, cfg_path)[0] == 0
+        if seed is not None:
+            monkeypatch.setenv("FMASH_SEED", seed)
+        n = len(loads)
+        served = _run(argv, other_path)
+        assert len(loads) == n + 1
+        cli._HEAD_MEMO.clear()
+        assert _run(argv, other_path) == served and served[0] == 0
 
 
 def test_head_memo_hit_parses_no_checkpoint_and_builds_no_head(trained_env, capsys,

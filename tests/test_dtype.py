@@ -10,7 +10,7 @@ from fmash import nn, pipeline
 from fmash.config import config_from_dict
 from fmash.dataio import build_graph, generate_synthetic, split_dataset
 from fmash.pipeline import run_phase1
-from fmash.recsys import gelram_score, train_rs
+from fmash.recsys import gelram_score, make_rs_params, train_rs
 from fmash.seqgen import decoder_cache, decoder_logits, encode_batch, train_seq
 from fmash.tape import no_grad
 from phase1_calls import initial_features, record_calls
@@ -42,7 +42,8 @@ def one_step_run():
         mp.setattr(nn.Adam, "step", recording_step)
         calls = record_calls(mp, pipeline)
         phase1 = run_phase1(symptoms, herbs, graph, cfg)
-        rs = train_rs(split.train, phase1.unified, epochs=1, d_enc=16).params
+        rs = train_rs(split.train, phase1.unified, epochs=1,
+                      params=make_rs_params(phase1.unified, 42, d_enc=16)).params
         seq = train_seq(split.train, phase1.unified, epochs=1).params
     return phase1, rs, seq, split.test, optimizers, calls
 
@@ -80,7 +81,7 @@ def test_phase1_table_and_served_outputs_are_float32(one_step_run):
     inst = test[0]
     assert gelram_score(inst.symptoms, phase1.unified, rs).scores.dtype == F32
     with no_grad():
-        memory, mask = encode_batch([inst.symptoms], seq)
-        logits = decoder_logits(decoder_cache(memory, mask, seq),
+        memory, bias = encode_batch([inst.symptoms], seq)
+        logits = decoder_logits(decoder_cache(memory, bias, seq),
                                 np.array([[seq.vocab.bos]]), seq)
     assert memory.data.dtype == logits.data.dtype == F32

@@ -242,6 +242,15 @@ def test_non_integer_prediction_ids_name_file_and_line(tmp_path, line, scored):
         load_predictions(path, scored=scored)
 
 
+@pytest.mark.parametrize("entry", ["1", "1:", "1:x", "1:nan", "1:inf", "1:0.5:2"])
+def test_scored_predictions_need_a_finite_score_per_herb(tmp_path, entry):
+    path = tmp_path / "pred.tsv"
+    path.write_text(f"1\t2:0.5\n2\t3:0.25,{entry}\n", encoding="utf-8")
+    with pytest.raises(SchemaError, match=rf"pred\.tsv:2: expected herb_id:score "
+                                          rf"entries with finite scores, got '{entry}'"):
+        load_predictions(path, scored=True)
+
+
 @pytest.mark.parametrize("lines, scored", [
     ("3\t1:0.9,2:0.1\n4\t2:0.5\n3\t2:0.9,1:0.1", True),
     ("3\t1,2\n4\t\n3\t2", False),

@@ -14,7 +14,7 @@ import pytest
 
 from fmash.dataio import PrescriptionInstance
 from fmash.nn import NEG_INF, causal_bias, key_mask_bias
-from fmash.recsys import make_rs_params, multi_hot, rs_logits
+from fmash.recsys import GelramParams, make_rs_params, multi_hot, rs_logits
 from fmash.refine import UnifiedEmbedding
 from fmash.seqgen import Seq2SeqParams, make_batch, sequence_loss
 from fmash.tape import (Tensor, attention, feed_forward, layer_norm, linear, linear_bce,
@@ -488,7 +488,7 @@ def test_node_count_of_one_loss_graph_per_head():
                                       herbs=list(h))
                  for i, (s, h) in enumerate([({0, 2}, [1, 3]), ({1, 4, 5}, [0, 2, 7]),
                                              ({3}, [5])])]
-    rs = make_rs_params(emb, 0, d_enc=8, n_heads=2)
+    rs = GelramParams(emb.dim, emb.n_herb, 0, d_enc=8, n_heads=2)
     rs_loss = rs_logits([sorted(i.symptoms) for i in instances], emb, rs,
                         sym_table=Tensor(emb.sym()), herb_table=Tensor(emb.herb()),
                         targets=multi_hot([i.herbs for i in instances], emb.n_herb))

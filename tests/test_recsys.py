@@ -151,10 +151,13 @@ def _toy_training_setup(seed=0):
     return pres, emb
 
 
+def _small_head(emb, seed):
+    return GelramParams(emb.dim, emb.n_herb, seed, d_enc=16, n_layers=1, n_heads=2)
+
+
 def test_training_loss_decreases_smoothed():
     pres, emb = _toy_training_setup()
-    result = train_rs(pres, emb, epochs=60, lr=5e-3, seed=1,
-                      d_enc=16, n_layers=1, n_heads=2)
+    result = train_rs(pres, emb, epochs=60, lr=5e-3, seed=1, params=_small_head(emb, 1))
     ma = np.convolve(result.losses, np.ones(10) / 10, mode="valid")
     assert np.all(np.diff(ma) <= 1e-9)
     assert result.losses[-1] < result.losses[0]
@@ -164,8 +167,7 @@ def test_all_positive_targets_saturate_scores():
     pres, emb = _toy_training_setup(seed=2)
     every_herb = list(range(emb.n_herb))
     pres = [_inst(p.instance_id, p.symptoms, every_herb) for p in pres]
-    result = train_rs(pres, emb, epochs=120, lr=1e-2, seed=2,
-                      d_enc=16, n_layers=1, n_heads=2)
+    result = train_rs(pres, emb, epochs=120, lr=1e-2, seed=2, params=_small_head(emb, 2))
     mean_score = np.mean([gelram_score(p.symptoms, emb, result.params).scores.mean()
                           for p in pres[:8]])
     assert mean_score > 0.9
@@ -183,10 +185,8 @@ def test_zero_epochs_returns_initialization():
 
 def test_training_deterministic_under_seed():
     pres, emb = _toy_training_setup(seed=4)
-    r1 = train_rs(pres, emb, epochs=15, seed=11, d_enc=16, n_layers=1, n_heads=2,
-                  batch_size=8)
-    r2 = train_rs(pres, emb, epochs=15, seed=11, d_enc=16, n_layers=1, n_heads=2,
-                  batch_size=8)
+    r1 = train_rs(pres, emb, epochs=15, seed=11, params=_small_head(emb, 11), batch_size=8)
+    r2 = train_rs(pres, emb, epochs=15, seed=11, params=_small_head(emb, 11), batch_size=8)
     assert r1.losses == r2.losses
     for k, v in r1.params.state_dict().items():
         np.testing.assert_array_equal(v, r2.params.state_dict()[k])
@@ -200,7 +200,8 @@ def test_empty_split_rejected():
 
 def test_plain_scorer_trains():
     pres, emb = _toy_training_setup(seed=6)
-    result = train_rs(pres, emb, epochs=40, lr=1e-2, seed=6, gelram=False)
+    result = train_rs(pres, emb, epochs=40, lr=1e-2, seed=6,
+                      params=PlainScorerParams(emb.dim, emb.n_herb, 6))
     assert isinstance(result.params, PlainScorerParams)
     assert result.losses[-1] < result.losses[0]
 
@@ -213,8 +214,8 @@ class _FullLayer:
     def __init__(self, layer):
         self.layer = layer
 
-    def __call__(self, x, key_mask, first_only=False):
-        out = self.layer(x, key_mask)
+    def __call__(self, x, bias, first_only=False):
+        out = self.layer(x, bias)
         return out[:, 0] if first_only else out
 
 

@@ -50,9 +50,9 @@ def test_heads_share_one_read_only_sinusoid_table():
 def test_encode_single_symptom_shape():
     emb = _emb()
     params = Seq2SeqParams(emb, seed=2)
-    memory, mask = encode_batch([[3]], params)
+    memory, bias = encode_batch([[3]], params)
     assert memory.shape == (1, 1, 8)
-    assert mask.tolist() == [[True]]
+    assert bias.tolist() == [[[[0.0]]]]
 
 
 def test_encode_canonicalizes_symptom_order():
@@ -79,7 +79,7 @@ def test_encode_rejects_unknown_and_empty():
 def test_a_batch_packs_each_instance_input_and_target_tokens():
     vocab = TokenVocab(8)
     batch = make_batch([_inst(0, {3, 0}, [2, 5, 1]), _inst(1, {2}, [7])], vocab)
-    assert batch.symptom_sets == [[0, 3], [2]]
+    assert batch.symptom_sets == [frozenset({0, 3}), frozenset({2})]
     assert batch.rows.tolist() == [[True] * 4, [True, True, False, False]]
     assert batch.inputs.tolist() == [8, 2, 5, 1, 8, 7]
     assert batch.targets.tolist() == [2, 5, 1, 8, 7, 8]
@@ -89,12 +89,12 @@ def test_teacher_forcing_causality_exact():
     emb = _emb()
     params = Seq2SeqParams(emb, seed=6)
     with no_grad():
-        memory, mask = encode_batch([[0, 1]], params)
+        memory, bias = encode_batch([[0, 1]], params)
         tokens = np.array([[params.vocab.bos, 2, 5, 1]], dtype=np.intp)
-        full = decoder_logits(decoder_cache(memory, mask, params), tokens, params).data
+        full = decoder_logits(decoder_cache(memory, bias, params), tokens, params).data
         mutated = tokens.copy()
         mutated[0, 3] = 7    # change the last target token
-        partial = decoder_logits(decoder_cache(memory, mask, params), mutated,
+        partial = decoder_logits(decoder_cache(memory, bias, params), mutated,
                                  params).data
     np.testing.assert_array_equal(full[0, :3], partial[0, :3])
 
@@ -151,9 +151,13 @@ def _training_setup(seed=0):
     return pres, emb
 
 
+def _small_head(emb, seed):
+    return Seq2SeqParams(emb, seed, n_heads=2)
+
+
 def test_training_reduces_loss():
     pres, emb = _training_setup()
-    result = train_seq(pres, emb, epochs=40, lr=3e-3, seed=1, n_heads=2)
+    result = train_seq(pres, emb, epochs=40, lr=3e-3, seed=1, params=_small_head(emb, 1))
     assert result.losses[-1] < result.losses[0]
 
 
@@ -169,8 +173,8 @@ def test_zero_epochs_returns_init():
 
 def test_training_deterministic():
     pres, emb = _training_setup(seed=3)
-    r1 = train_seq(pres, emb, epochs=8, seed=4, n_heads=2, batch_size=8)
-    r2 = train_seq(pres, emb, epochs=8, seed=4, n_heads=2, batch_size=8)
+    r1 = train_seq(pres, emb, epochs=8, seed=4, params=_small_head(emb, 4), batch_size=8)
+    r2 = train_seq(pres, emb, epochs=8, seed=4, params=_small_head(emb, 4), batch_size=8)
     assert r1.losses == r2.losses
 
 
@@ -251,8 +255,8 @@ def test_positions_cover_a_symptom_set_longer_than_any_target():
     params = Seq2SeqParams(_emb(n_sym=12, n_herb=3, d=4), seed=15, n_heads=2,
                            n_enc_layers=1, n_dec_layers=1)
     assert params.positions.shape[0] == 12
-    memory, mask = encode_batch([range(12)], params)
-    assert memory.shape == (1, 12, 4) and mask.all()
+    memory, bias = encode_batch([range(12)], params)
+    assert memory.shape == (1, 12, 4) and not bias.any()
     assert len(generate(range(12), params, max_len=3)) <= 3
 
 
@@ -292,11 +296,11 @@ def test_cached_step_logits_match_full_prefix_logits_in_float64():
     tokens = np.array([[params.vocab.bos, 2, 5, 1, 7, 0],
                        [params.vocab.bos, 6, 3, 4, 1, 2]])
     with no_grad():
-        memory, mask = encode_batch([[3], [0, 4, 5]], params)    # one padded key
-        cache = decoder_cache(memory, mask, params)
+        memory, bias = encode_batch([[3], [0, 4, 5]], params)    # one padded key
+        cache = decoder_cache(memory, bias, params)
         for t in range(tokens.shape[1]):
             step = decoder_logits(cache, tokens[:, t:t + 1], params).data[:, -1]
-            full = decoder_logits(decoder_cache(memory, mask, params),
+            full = decoder_logits(decoder_cache(memory, bias, params),
                                   tokens[:, :t + 1], params).data[:, -1]
             assert step.dtype == np.float64 and cache.length == t + 1
             assert np.abs(step - full).max() <= 1e-10 * np.abs(full).max()
@@ -320,8 +324,8 @@ def test_a_cached_decoding_step_stays_within_its_tensor_budget(monkeypatch):
 
     monkeypatch.setattr(nn, "causal_bias", lambda *a: biases.append(a) or real_bias(*a))
     with no_grad():
-        memory, mask = encode_batch([[1, 4]], params)
-        cache = decoder_cache(memory, mask, params)
+        memory, bias = encode_batch([[1, 4]], params)
+        cache = decoder_cache(memory, bias, params)
         decoder_logits(cache, np.array([[params.vocab.bos, 3]]), params)
         # a two-token call masks its second query's view of the first
         assert len(biases) == len(params.dec_layers)
@@ -338,7 +342,7 @@ def test_a_cached_decoding_step_stays_within_its_tensor_budget(monkeypatch):
 def test_memorizes_small_fixture():
     pres, emb = _training_setup(seed=5)
     subset = pres[:8]
-    result = train_seq(subset, emb, epochs=220, lr=3e-3, seed=6, n_heads=2)
+    result = train_seq(subset, emb, epochs=220, lr=3e-3, seed=6, params=_small_head(emb, 6))
     exact = sum(generate(p.symptoms, result.params, max_len=12) == list(p.herbs)
                 for p in subset)
     assert exact >= 7

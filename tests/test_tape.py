@@ -9,7 +9,7 @@ import pytest
 from fmash import tape
 from fmash.errors import NumericError
 from fmash.nn import (NEG_INF, Adam, LayerNorm, Linear, MultiHeadAttention, causal_bias,
-                      fit, sinusoidal_positions, stage_rng)
+                      fit, key_mask_bias, sinusoidal_positions, stage_rng)
 from fmash.tape import (Tensor, concat, feed_forward, linear_bce,
                         linear_cross_entropy, selective_scan, softmax)
 from gradcheck import as_float64, max_relative_error
@@ -338,17 +338,18 @@ def test_multihead_attention_grads_and_masking():
         if dtype == np.float64:
             as_float64(mha)
         clean = x.data.astype(dtype)
-        out1 = mha(Tensor(clean), Tensor(clean), key_mask=mask).data
+        bias = key_mask_bias(mask, dtype)
+        out1 = mha.attend(Tensor(clean), *mha.project_kv(Tensor(clean)), bias).data
         perturbed = clean.copy()
         perturbed[0, 3] += 100.0
         perturbed[1, 2:] -= 50.0
-        out2 = mha(Tensor(perturbed), Tensor(perturbed), key_mask=mask).data
+        out2 = mha.attend(Tensor(perturbed), *mha.project_kv(Tensor(perturbed)), bias).data
         assert out1.dtype == dtype
         np.testing.assert_array_equal(out1[0, :3], out2[0, :3])
         np.testing.assert_array_equal(out1[1, :2], out2[1, :2])
 
     def loss():
-        y = mha(x, x, key_mask=mask)
+        y = mha.attend(x, *mha.project_kv(x), key_mask_bias(mask, x.data.dtype))
         return (y * y).sum()
 
     assert max_relative_error(loss, [x] + mha.parameters()) < 1e-5
