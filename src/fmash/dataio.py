@@ -58,14 +58,16 @@ class HerbRecord:
     molecules: list[str] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(slots=True)
 class PrescriptionInstance:
-    """One prescription.  Records are read-only: ``load_corpus`` and
-    ``generate_synthetic`` give every record of a corpus the same int object
-    for an id, and records with equal symptom sets the same frozenset."""
+    """One prescription: its symptom ids as an ascending tuple, each once,
+    and its herb ids as a tuple in source order, duplicates removed.
+    Records are read-only: ``load_corpus`` and ``generate_synthetic`` give
+    every record of a corpus the same int object for an id, and records
+    with equal symptom sets the same tuple."""
     instance_id: int
-    symptoms: frozenset[int]
-    herbs: list[int]  # order preserved from the source, duplicates removed
+    symptoms: tuple[int, ...]
+    herbs: tuple[int, ...]
 
 
 @dataclass
@@ -254,7 +256,7 @@ def load_corpus(corpus_dir: str | Path, expected_p: int | None = None,
     prescriptions: list[PrescriptionInstance] = []
     n_sym, n_herb = len(symptoms), len(herbs)
     ids = list(range(max(n_sym, n_herb)))
-    symptom_sets: dict[frozenset[int], frozenset[int]] = {}
+    symptom_sets: dict[tuple[int, ...], tuple[int, ...]] = {}
     for idx, (where, row) in enumerate(
             _read_jsonl(_corpus_file(corpus_dir, PRESCRIPTIONS_FILE))):
         sym_ids = _int_list(row, "symptoms", where)
@@ -265,16 +267,13 @@ def load_corpus(corpus_dir: str | Path, expected_p: int | None = None,
         for s in sym_ids:
             if not 0 <= s < n_sym:
                 raise SchemaError(f"{where}: 'symptoms' holds unknown symptom id {s}")
-        deduped: list[int] = []
         for h in herb_ids:
             if not 0 <= h < n_herb:
                 raise SchemaError(f"{where}: 'herbs' holds unknown herb id {h}")
-            if h not in deduped:
-                deduped.append(ids[h])
-        sym_set = frozenset(ids[s] for s in sym_ids)
+        sym_set = tuple(sorted({ids[s] for s in sym_ids}))
         prescriptions.append(PrescriptionInstance(
             instance_id=idx, symptoms=symptom_sets.setdefault(sym_set, sym_set),
-            herbs=deduped))
+            herbs=tuple(dict.fromkeys([ids[h] for h in herb_ids]))))
     return symptoms, herbs, prescriptions
 
 
@@ -490,10 +489,11 @@ def generate_synthetic(n_sym: int, n_herb: int, n_syndromes: int, n_prescription
 
     prescriptions = []
     ids = list(range(max(n_sym, n_herb)))
-    drawn: dict[frozenset[int], frozenset[int]] = {}    # each set drawn so far
-    # every set a draw can give, in order; each fallback resumes where the
-    # last one stopped, since every set before that point has been used
-    in_order = ((c, frozenset(ids[i] for i in combo))
+    drawn: dict[tuple[int, ...], tuple[int, ...]] = {}    # each set drawn so far
+    # every set a draw can give, in order, each ascending as its cluster is;
+    # each fallback resumes where the last one stopped, since every set
+    # before that point has been used
+    in_order = ((c, tuple(ids[i] for i in combo))
                 for c, cluster in enumerate(sym_clusters)
                 for k in range(2, min(4, len(cluster)) + 1)
                 for combo in itertools.combinations(cluster.tolist(), k))
@@ -501,8 +501,8 @@ def generate_synthetic(n_sym: int, n_herb: int, n_syndromes: int, n_prescription
         for attempt in range(1000):
             c = int(rng.integers(n_syndromes))
             k_s = int(rng.integers(2, min(4, len(sym_clusters[c])) + 1))
-            sym_ids = frozenset(ids[i] for i in rng.choice(sym_clusters[c], size=k_s,
-                                                           replace=False).tolist())
+            sym_ids = tuple(sorted([ids[i] for i in rng.choice(sym_clusters[c], size=k_s,
+                                                               replace=False).tolist()]))
             if not unique_symptom_sets or sym_ids not in drawn:
                 break
         else:
@@ -511,7 +511,7 @@ def generate_synthetic(n_sym: int, n_herb: int, n_syndromes: int, n_prescription
         k_h = int(rng.integers(5, min(10, len(herb_clusters[c])) + 1))
         herb_ids = rng.choice(herb_clusters[c], size=k_h, replace=False).tolist()
         prescriptions.append(PrescriptionInstance(
-            instance_id=idx, symptoms=sym_ids, herbs=[ids[h] for h in herb_ids]))
+            instance_id=idx, symptoms=sym_ids, herbs=tuple([ids[h] for h in herb_ids])))
     return symptoms, herbs, prescriptions
 
 
@@ -534,16 +534,16 @@ def generate_conflicting_corpus(n_pairs: int, herbs_per_formula: int, seed: int,
              for i in range(n_herb)]
     prescriptions = []
     for p in range(n_pairs):
-        sym_ids = frozenset({2 * p, 2 * p + 1})
+        sym_ids = (2 * p, 2 * p + 1)
         base = 2 * p * herbs_per_formula
         formula_a = list(range(base, base + herbs_per_formula))
         formula_b = list(range(base + herbs_per_formula, base + 2 * herbs_per_formula))
         rng.shuffle(formula_a)
         rng.shuffle(formula_b)
         prescriptions.append(PrescriptionInstance(
-            instance_id=2 * p, symptoms=sym_ids, herbs=formula_a))
+            instance_id=2 * p, symptoms=sym_ids, herbs=tuple(formula_a)))
         prescriptions.append(PrescriptionInstance(
-            instance_id=2 * p + 1, symptoms=sym_ids, herbs=formula_b))
+            instance_id=2 * p + 1, symptoms=sym_ids, herbs=tuple(formula_b)))
     return symptoms, herbs, prescriptions
 
 

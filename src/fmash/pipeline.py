@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import RunConfig, config_hash
 from .dataio import HERBS_FILE, SYMPTOMS_FILE, HerbRecord, HeteroGraph, SymptomRecord
-from .errors import DataError
+from .errors import DataError, NumericError
 from .hgre import HgreParams, hgre_forward
 from .mlfie import MlfieParams, fit_mlfie
 from .nn import stage_rng
@@ -94,6 +94,9 @@ def run_phase1(symptoms: list[SymptomRecord], herbs: list[HerbRecord],
             raise DataError(f"{corpus / source}: {exc}") from exc
         fr_final[name] = reconstruction_mse(matrix, params)
         compressed[name] = compress(matrix, params)
+        # a fit checks each loss before its step, not the step after its last
+        if not np.isfinite(compressed[name]).all():
+            raise NumericError(f"{key}: non-finite features after training")
 
     unified = UnifiedEmbedding(
         matrix=np.concatenate([compressed["sym"], compressed["herb"]], axis=0),

@@ -1,17 +1,24 @@
 """Reverse-mode automatic differentiation over float32 or float64 numpy
 arrays.
 
-Every operation that touches a gradient-carrying tensor records a closure
-that routes the upstream gradient to its parents; ``Tensor.backward()``
-walks the recorded graph in reverse topological order and releases each
-node once its closure has run, so only leaves keep a gradient.  A tensor
-keeps a float32 or float64 array as given and turns anything else (lists,
-ints, bools, Python floats) into float32, so the dtype follows the data: the
-pipeline, both heads and serving run in float32, and the finite-difference
-gradient checks (``tests/gradcheck.py``) feed float64 to certify the same
-code at tight tolerances.  Results are byte-identical from run to run for a
-fixed config and a fixed BLAS thread count; another thread count may sum
-GEMM blocks in another order.
+Every operation that touches a gradient-carrying tensor gives its result a
+slot in the graph (``_Slot``): the result's gradient, the slots of its
+parents and a closure that routes the gradient to them.  A leaf that takes
+a gradient is its own slot.  A slot holds no array: each closure captures,
+when the forward runs, the arrays and shapes its backward reads and the
+parent slots it adds into, never an input tensor, so a result that no
+backward reads (a residual sum, an attention output projection, a
+feed-forward output, a packed projection the attention node copies) is
+freed as soon as the forward drops it.  ``Tensor.backward()`` walks the
+slots in reverse topological order and releases each once its closure has
+run, so only leaves keep a gradient.  A tensor keeps a float32 or float64
+array as given and turns anything else (lists, ints, bools, Python floats)
+into float32, so the dtype follows the data: the pipeline, both heads and
+serving run in float32, and the finite-difference gradient checks
+(``tests/gradcheck.py``) feed float64 to certify the same code at tight
+tolerances.  Results are byte-identical from run to run for a fixed config
+and a fixed BLAS thread count; another thread count may sum GEMM blocks in
+another order.
 
 Only the operations the models actually need are implemented.  Reductions,
 broadcasts and fancy indexing follow numpy semantics exactly.
@@ -23,10 +30,12 @@ transformer ``feed_forward`` block, each head's output projection and loss
 (``linear_cross_entropy``, ``linear_bce``) and ``selective_scan``.  A fused
 node's forward computes what the chain computes; its backward is the node's
 closed-form gradient, certified by float64 finite differences.  A fused node
-keeps only the arrays its backward reads: ``layer_norm`` the normalized input
-and the deviation; ``softmax`` and ``attention`` the weights;
-``feed_forward`` the pre-activation and its sigmoid; the two loss nodes
-compute the logits inside, so no ``linear`` node holds them as well.
+keeps only the arrays its backward reads: ``linear`` its input and weight;
+``layer_norm`` the normalized input and the deviation; ``softmax`` and
+``attention`` the weights, and ``attention`` views of its unpacked inputs
+as well; ``feed_forward`` its input, the pre-activation and its sigmoid;
+the two loss nodes compute the logits inside, so no ``linear`` node holds
+them as well.
 
 Importing the module fixes glibc's heap thresholds (``_keep_freed_memory``)
 so that memory a training step frees stays in the process for the next one.
@@ -113,18 +122,44 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
+class _Slot:
+    """A recorded result's entry in the autodiff graph: the gradient that
+    reaches it, the slots of its parents that take a gradient, and the
+    closure that routes its gradient to them.
+
+    A slot holds no array: its closure keeps what its backward reads, and
+    the result's own array lives only as long as the forward holds its
+    tensor.  A leaf that takes a gradient is its own slot, so its gradient
+    stays on the tensor (``p.grad``) for the optimizer.
+    """
+
+    __slots__ = ("grad", "_parents", "_backward")
+    requires_grad = True
+
+    def __init__(self, parents: tuple):
+        self.grad: np.ndarray | None = None
+        self._parents = parents
+        self._backward = None
+
+    def _accumulate(self, g: np.ndarray) -> None:
+        # the first gradient is stored as is and later ones are added out of
+        # place: a stored array may be shared (``+`` hands one array to both
+        # parents) or a read-only broadcast view, so it is never written
+        self.grad = g if self.grad is None else self.grad + g
+
+
 class Tensor:
     """A float32 (or float64) ndarray plus an optional slot in the autodiff
-    graph."""
+    graph: the tensor itself for a leaf that takes a gradient, a ``_Slot``
+    for a recorded result."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_slot")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = _as_array(data)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward = None
+        self._slot: _Slot | None = None
 
     # -- construction helpers -------------------------------------------------
 
@@ -145,11 +180,23 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
+    @property
+    def _parents(self) -> tuple:
+        """The slots of the inputs this result takes a gradient from; ()
+        for a leaf."""
+        return () if self._slot is None else self._slot._parents
+
+    @property
+    def _backward(self):
+        return None if self._slot is None else self._slot._backward
+
+    @_backward.setter
+    def _backward(self, fn) -> None:
+        self._slot._backward = fn
+
     def _accumulate(self, g: np.ndarray) -> None:
-        # the first gradient is stored as is and later ones are added out of
-        # place: a stored array may be shared (``+`` hands one array to both
-        # parents) or a read-only broadcast view, so it is never written
-        self.grad = g if self.grad is None else self.grad + g
+        # a leaf adds into its own gradient, a result into its slot's
+        _Slot._accumulate(self if self._slot is None else self._slot, g)
 
     def backward(self, grad: np.ndarray | float | None = None) -> None:
         """Run the recorded graph backward from this tensor, seeded with
@@ -160,9 +207,10 @@ class Tensor:
                 raise ValueError("backward() without an explicit gradient needs a scalar")
             grad = 1.0
         grad = np.broadcast_to(np.asarray(grad, dtype=self.data.dtype), self.data.shape)
-        topo: list[Tensor] = []
+        root = self if self._slot is None else self._slot
+        topo: list = []
         seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list = [(root, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -173,14 +221,14 @@ class Tensor:
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
-                if p.requires_grad and id(p) not in seen:
+                if id(p) not in seen:
                     stack.append((p, False))
-        self._accumulate(grad)
-        # take the nodes off the list one at a time and, once a node's closure
-        # has run, clear its gradient, closure and parents: an intermediate
-        # gradient, and an array only that closure saved, is freed as soon as
-        # no later closure reads it; leaves (no parents) keep their gradients
-        # for the optimizer
+        root._accumulate(grad)
+        # take the slots off the list one at a time and, once a slot's
+        # closure has run, clear its gradient, closure and parents: an
+        # intermediate gradient, and an array only that closure saved, is
+        # freed as soon as no later closure reads it; leaves (no parents)
+        # keep their gradients for the optimizer
         while topo:
             node = topo.pop()
             if node._backward is not None:
@@ -191,25 +239,32 @@ class Tensor:
                 node.grad = None
 
     # -- arithmetic -------------------------------------------------------------
+    #
+    # a closure captures arrays, shapes and slots, never an input tensor,
+    # which would keep that input's array alive, nor its own result, which
+    # would be a reference cycle: cycles holding large buffers stall memory
+    # release until gc runs
 
     def __add__(self, other):
         other = Tensor.ensure(other)
-        out = _node(self.data + other.data, (self, other))
-        if out._parents:
+        out, (sa, sb) = _record(self.data + other.data, self, other)
+        if out.requires_grad:
+            shape_a, shape_b = self.data.shape, other.data.shape
+
             def bw(g):
-                if self.requires_grad:
-                    self._accumulate(_unbroadcast(g, self.data.shape))
-                if other.requires_grad:
-                    other._accumulate(_unbroadcast(g, other.data.shape))
-            out._backward = bw
+                if sa is not None:
+                    sa._accumulate(_unbroadcast(g, shape_a))
+                if sb is not None:
+                    sb._accumulate(_unbroadcast(g, shape_b))
+            out._slot._backward = bw
         return out
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = _node(-self.data, (self,))
-        if out._parents:
-            out._backward = lambda g: self._accumulate(-g)
+        out, (s,) = _record(-self.data, self)
+        if out.requires_grad:
+            out._slot._backward = lambda g: s._accumulate(-g)
         return out
 
     def __sub__(self, other):
@@ -220,30 +275,30 @@ class Tensor:
 
     def __mul__(self, other):
         other = Tensor.ensure(other)
-        out = _node(self.data * other.data, (self, other))
-        if out._parents:
+        a, b = self.data, other.data
+        out, (sa, sb) = _record(a * b, self, other)
+        if out.requires_grad:
             def bw(g):
-                if self.requires_grad:
-                    self._accumulate(_unbroadcast(g * other.data, self.data.shape))
-                if other.requires_grad:
-                    other._accumulate(_unbroadcast(g * self.data, other.data.shape))
-            out._backward = bw
+                if sa is not None:
+                    sa._accumulate(_unbroadcast(g * b, a.shape))
+                if sb is not None:
+                    sb._accumulate(_unbroadcast(g * a, b.shape))
+            out._slot._backward = bw
         return out
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = Tensor.ensure(other)
-        out = _node(self.data / other.data, (self, other))
-        if out._parents:
+        a, b = self.data, other.data
+        out, (sa, sb) = _record(a / b, self, other)
+        if out.requires_grad:
             def bw(g):
-                if self.requires_grad:
-                    self._accumulate(_unbroadcast(g / other.data, self.data.shape))
-                if other.requires_grad:
-                    other._accumulate(
-                        _unbroadcast(-g * self.data / (other.data ** 2), other.data.shape)
-                    )
-            out._backward = bw
+                if sa is not None:
+                    sa._accumulate(_unbroadcast(g / b, a.shape))
+                if sb is not None:
+                    sb._accumulate(_unbroadcast(-g * a / (b ** 2), b.shape))
+            out._slot._backward = bw
         return out
 
     def __matmul__(self, other):
@@ -254,66 +309,65 @@ class Tensor:
         if self.data.ndim < 2 or other.data.ndim < 2:
             raise ValueError("matmul operands must be at least 2-D")
         a, b = self.data, other.data
-        out = _node(a @ b, (self, other))
-        if out._parents:
+        out, (sa, sb) = _record(a @ b, self, other)
+        if out.requires_grad:
             def bw(g):
-                if self.requires_grad:
-                    self._accumulate(_unbroadcast(g @ b.swapaxes(-1, -2), a.shape))
-                if other.requires_grad:
-                    other._accumulate(_unbroadcast(a.swapaxes(-1, -2) @ g, b.shape))
-            out._backward = bw
+                if sa is not None:
+                    sa._accumulate(_unbroadcast(g @ b.swapaxes(-1, -2), a.shape))
+                if sb is not None:
+                    sb._accumulate(_unbroadcast(a.swapaxes(-1, -2) @ g, b.shape))
+            out._slot._backward = bw
         return out
 
     # -- elementwise functions ---------------------------------------------------
 
     def exp(self):
-        # backward closures capture plain arrays, never the output node
-        # itself: a closure referencing its own node is a reference cycle,
-        # and cycles holding large buffers stall memory release on gc
-        out = _node(np.exp(self.data), (self,))
-        if out._parents:
+        out, (s,) = _record(np.exp(self.data), self)
+        if out.requires_grad:
             val = out.data
-            out._backward = lambda g: self._accumulate(g * val)
+            out._slot._backward = lambda g: s._accumulate(g * val)
         return out
 
     def sigmoid(self):
-        out = _node(_sigmoid(self.data), (self,))
-        if out._parents:
+        out, (s,) = _record(_sigmoid(self.data), self)
+        if out.requires_grad:
             val = out.data
-            out._backward = lambda g: self._accumulate(g * val * (1.0 - val))
+            out._slot._backward = lambda g: s._accumulate(g * val * (1.0 - val))
         return out
 
     def relu(self):
-        out = _node(np.maximum(self.data, 0.0), (self,))
-        if out._parents:
-            out._backward = lambda g: self._accumulate(g * (self.data > 0.0))
+        x = self.data
+        out, (s,) = _record(np.maximum(x, 0.0), self)
+        if out.requires_grad:
+            out._slot._backward = lambda g: s._accumulate(g * (x > 0.0))
         return out
 
     def softplus(self):
-        out = _node(np.log1p(np.exp(-np.abs(self.data))) + np.maximum(self.data, 0.0),
-                    (self,))
-        if out._parents:
-            out._backward = lambda g: self._accumulate(g * _sigmoid(self.data))
+        x = self.data
+        out, (s,) = _record(np.log1p(np.exp(-np.abs(x))) + np.maximum(x, 0.0), self)
+        if out.requires_grad:
+            out._slot._backward = lambda g: s._accumulate(g * _sigmoid(x))
         return out
 
     def silu(self):
         x = self.data
         sig = _sigmoid(x)
-        out = _node(x * sig, (self,))
-        if out._parents:
-            out._backward = lambda g: self._accumulate(_silu_backward(g, x, sig))
+        out, (s,) = _record(x * sig, self)
+        if out.requires_grad:
+            out._slot._backward = lambda g: s._accumulate(_silu_backward(g, x, sig))
         return out
 
     # -- reductions ----------------------------------------------------------------
 
     def sum(self, axis: int | None = None):
-        out = _node(self.data.sum(axis=axis), (self,))
-        if out._parents:
+        shape = self.data.shape
+        out, (s,) = _record(self.data.sum(axis=axis), self)
+        if out.requires_grad:
             def bw(g):
                 if axis is not None:
                     g = np.expand_dims(g, axis)
-                self._accumulate(np.broadcast_to(g, self.data.shape))
-            out._backward = bw
+                s._accumulate(np.broadcast_to(g, shape))
+            out._slot._backward = bw
         return out
 
     def mean(self):
@@ -322,28 +376,32 @@ class Tensor:
     # -- shape manipulation ----------------------------------------------------------
 
     def reshape(self, *shape):
-        out = _node(self.data.reshape(shape), (self,))
-        if out._parents:
-            out._backward = lambda g: self._accumulate(g.reshape(self.data.shape))
+        before = self.data.shape
+        out, (s,) = _record(self.data.reshape(shape), self)
+        if out.requires_grad:
+            out._slot._backward = lambda g: s._accumulate(g.reshape(before))
         return out
 
     def transpose(self, *axes):
-        out = _node(self.data.transpose(axes), (self,))
-        if out._parents:
+        out, (s,) = _record(self.data.transpose(axes), self)
+        if out.requires_grad:
             inv = tuple(np.argsort(axes))
-            out._backward = lambda g: self._accumulate(g.transpose(inv))
+            out._slot._backward = lambda g: s._accumulate(g.transpose(inv))
         return out
 
     def __getitem__(self, idx):
-        picked = self.data[idx]
+        src = self.data
+        picked = src[idx]
         # a basic index returns a view; the node owns its data
-        basic = isinstance(picked, np.ndarray) and np.may_share_memory(picked, self.data)
+        basic = isinstance(picked, np.ndarray) and np.may_share_memory(picked, src)
         if basic:
             picked = picked.copy()
-        out = _node(picked, (self,))
-        if out._parents:
+        out, (s,) = _record(picked, self)
+        if out.requires_grad:
+            shape, dtype = src.shape, src.dtype
+
             def bw(g):
-                buf = np.zeros_like(self.data)
+                buf = np.zeros(shape, dtype=dtype)
                 # a basic index picks each element once, so adding into its
                 # view is ``add.at``'s ``0 + g`` without the unbuffered loop;
                 # integer-array and boolean ids may repeat and must accumulate
@@ -351,20 +409,42 @@ class Tensor:
                     buf[idx] += g
                 else:
                     np.add.at(buf, idx, g)
-                self._accumulate(buf)
-            out._backward = bw
+                s._accumulate(buf)
+            out._slot._backward = bw
         return out
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
+def _record(data: np.ndarray, *inputs: Tensor | None) -> tuple[Tensor, list]:
+    """A result holding ``data``, computed from ``inputs``, and each input's
+    slot: the one its gradient is added into, None for an input that takes
+    no gradient (or is None) and for every input while recording is off.
+    The result takes a ``_Slot`` over the inputs' slots when any is not
+    None; its op then sets the slot's closure."""
+    out = Tensor(data)
+    if not _grad_enabled:
+        return out, [None] * len(inputs)
+    # a plain loop: this runs once per recorded op
+    slots, parents = [], []
+    for t in inputs:
+        if t is not None and t.requires_grad:
+            s = t if t._slot is None else t._slot
+            slots.append(s)
+            parents.append(s)
+        else:
+            slots.append(None)
+    if parents:
+        out.requires_grad = True
+        out._slot = _Slot(tuple(parents))
+    return out, slots
+
+
 def _node(data: np.ndarray, parents: Sequence[Tensor]) -> Tensor:
-    req = _grad_enabled and any(p.requires_grad for p in parents)
-    out = Tensor(data, requires_grad=req)
-    if req:
-        out._parents = tuple(parents)
-    return out
+    """``_record``'s result alone, for a caller whose closure reads its
+    inputs through ``Tensor._accumulate``."""
+    return _record(data, *parents)[0]
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -399,18 +479,17 @@ def _softmax_backward(y: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     tensors = [Tensor.ensure(t) for t in tensors]
-    out = _node(np.concatenate([t.data for t in tensors], axis=axis), tensors)
-    if out._parents:
-        sizes = [t.data.shape[axis] for t in tensors]
-        offsets = np.cumsum([0] + sizes)
+    out, slots = _record(np.concatenate([t.data for t in tensors], axis=axis), *tensors)
+    if out.requires_grad:
+        offsets = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
 
         def bw(g):
-            for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-                if t.requires_grad:
+            for s, lo, hi in zip(slots, offsets[:-1], offsets[1:]):
+                if s is not None:
                     sl = [slice(None)] * g.ndim
                     sl[axis] = slice(lo, hi)
-                    t._accumulate(g[tuple(sl)])
-        out._backward = bw
+                    s._accumulate(g[tuple(sl)])
+        out._slot._backward = bw
     return out
 
 
@@ -434,17 +513,16 @@ def selective_scan(delta: Tensor, a: Tensor, b_in: Tensor, c_out: Tensor,
     each input its gradient in closed form.
     """
     inputs = tuple(Tensor.ensure(t) for t in (delta, a, b_in, c_out, x))
-    delta, a, b_in, c_out, x = inputs
-    dt, b, c, xs = delta.data, b_in.data, c_out.data, x.data
+    dt, ad, b, c, xs = (t.data for t in inputs)
     record = _grad_enabled and any(t.requires_grad for t in inputs)
     # every product and sum runs in the order of a step-by-step evaluation,
     # (delta B) x, exp(delta a) h + delta B x, then a sum over n, so y is
     # bit-identical to composing the recurrence from per-timestep ops
-    h = np.zeros(a.data.shape, dtype=np.result_type(dt, b))
+    h = np.zeros(ad.shape, dtype=np.result_type(dt, b))
     a_bars, blocks, ys = [], [], []
     for lo in range(0, len(dt), _SCAN_ROWS):
         rows = slice(lo, lo + _SCAN_ROWS)
-        a_bar = dt[rows, :, None] * a.data                 # (rows, d, n)
+        a_bar = dt[rows, :, None] * ad                     # (rows, d, n)
         np.exp(a_bar, out=a_bar)
         states = dt[rows, :, None] * b[rows, None, :]       # delta B x, then h_t
         states *= xs[rows, :, None]
@@ -455,44 +533,47 @@ def selective_scan(delta: Tensor, a: Tensor, b_in: Tensor, c_out: Tensor,
         if record:
             a_bars.append(a_bar)
             blocks.append(states)
-    out = _node(np.concatenate(ys), inputs)
-    if out._parents:
+    out, (s_delta, s_a, s_b, s_c, s_x) = _record(np.concatenate(ys), *inputs)
+    if out.requires_grad:
         def bw(g):
             a_bar, states = np.concatenate(a_bars), np.concatenate(blocks)
             gh = g[:, :, None] * c[:, None, :]              # (L, d, n)
             for t in range(len(gh) - 2, -1, -1):
                 gh[t] += a_bar[t + 1] * gh[t + 1]
-            if c_out.requires_grad:
-                c_out._accumulate((g[:, None, :] @ states)[:, 0, :])
+            if s_c is not None:
+                s_c._accumulate((g[:, None, :] @ states)[:, 0, :])
             # adjoint of the exponent delta a: gH_t h_{t-1} exp(delta_t a)
             gz = gh * a_bar
             gz[0] = 0.0
             gz[1:] *= states[:-1]
             gbx = (gh @ b[:, :, None])[:, :, 0]             # sum_n gH_t B_t
-            if delta.requires_grad:
-                delta._accumulate((gz * a.data).sum(axis=2) + gbx * xs)
-            if a.requires_grad:
-                a._accumulate(np.einsum("ldn,ld->dn", gz, dt))
-            if b_in.requires_grad:
-                b_in._accumulate(((dt * xs)[:, None, :] @ gh)[:, 0, :])
-            if x.requires_grad:
-                x._accumulate(gbx * dt)
-        out._backward = bw
+            if s_delta is not None:
+                s_delta._accumulate((gz * ad).sum(axis=2) + gbx * xs)
+            if s_a is not None:
+                s_a._accumulate(np.einsum("ldn,ld->dn", gz, dt))
+            if s_b is not None:
+                s_b._accumulate(((dt * xs)[:, None, :] @ gh)[:, 0, :])
+            if s_x is not None:
+                s_x._accumulate(gbx * dt)
+        out._slot._backward = bw
     return out
 
 
-def _linear_backward(x: Tensor, w: Tensor, b: Tensor | None, g: np.ndarray) -> None:
-    """``linear``'s backward for ``g``, the gradient of ``x @ w + b``: the
-    bias (if any), the input, then the weight."""
-    xd, wd = x.data, w.data
-    if b is not None and b.requires_grad:
-        b._accumulate(_unbroadcast(g, b.data.shape))
+def _linear_backward(g: np.ndarray, xd: np.ndarray, wd: np.ndarray, slots: tuple,
+                     b_shape: tuple[int, ...]) -> None:
+    """``linear``'s backward for ``g``, the gradient of ``x @ w + b`` given
+    the arrays ``xd`` and ``wd`` of ``x`` and ``w``, their slots and the
+    bias's (``slots``, each None when it takes no gradient) and the bias's
+    shape: the bias, the input, then the weight."""
+    sx, sw, sb = slots
+    if sb is not None:
+        sb._accumulate(_unbroadcast(g, b_shape))
     # the batch axes fold into rows: one 2-D product per gradient
     g2 = g.reshape(-1, wd.shape[1])
-    if x.requires_grad:
-        x._accumulate((g2 @ wd.T).reshape(xd.shape))
-    if w.requires_grad:
-        w._accumulate(xd.reshape(-1, xd.shape[-1]).T @ g2)
+    if sx is not None:
+        sx._accumulate((g2 @ wd.T).reshape(xd.shape))
+    if sw is not None:
+        sw._accumulate(xd.reshape(-1, xd.shape[-1]).T @ g2)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
@@ -501,12 +582,14 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     x = Tensor.ensure(x)
     if x.data.ndim < 2:
         raise ValueError("matmul operands must be at least 2-D")
-    y = x.data @ w.data
+    xd, wd = x.data, w.data
+    y = xd @ wd
     if b is not None:
         y += b.data
-    out = _node(y, (x, w) if b is None else (x, w, b))
-    if out._parents:
-        out._backward = lambda g: _linear_backward(x, w, b, g)
+    out, slots = _record(y, x, w, b)
+    if out.requires_grad:
+        b_shape = b.data.shape if b is not None else ()
+        out._slot._backward = lambda g: _linear_backward(g, xd, wd, slots, b_shape)
     return out
 
 
@@ -525,21 +608,24 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
     c = xd + (-mu)
     sd = np.sqrt((c * c).sum(axis=-1, keepdims=True) / n + eps)
     xh = np.divide(c, sd, out=c)
-    out = _node(xh * gamma.data + beta.data, (x, gamma, beta))
-    if out._parents:
+    gd = gamma.data
+    out, (sx, s_gamma, s_beta) = _record(xh * gd + beta.data, x, gamma, beta)
+    if out.requires_grad:
+        beta_shape = beta.data.shape
+
         def bw(g):
-            if beta.requires_grad:
-                beta._accumulate(_unbroadcast(g, beta.data.shape))
-            if gamma.requires_grad:
-                gamma._accumulate(_unbroadcast(g * xh, gamma.data.shape))
-            if x.requires_grad:
-                gxh = g * gamma.data
+            if s_beta is not None:
+                s_beta._accumulate(_unbroadcast(g, beta_shape))
+            if s_gamma is not None:
+                s_gamma._accumulate(_unbroadcast(g * xh, gd.shape))
+            if sx is not None:
+                gxh = g * gd
                 gx = gxh - gxh.sum(axis=-1, keepdims=True) / n
                 gxh *= xh
                 gx -= xh * (gxh.sum(axis=-1, keepdims=True) / n)
                 gx /= sd
-                x._accumulate(gx)
-        out._backward = bw
+                sx._accumulate(gx)
+        out._slot._backward = bw
     return out
 
 
@@ -551,9 +637,9 @@ def softmax(x: Tensor) -> Tensor:
     xd = x.data
     y = np.exp(xd + (-xd.max(axis=-1, keepdims=True)))
     y /= y.sum(axis=-1, keepdims=True)
-    out = _node(y, (x,))
-    if out._parents:
-        out._backward = lambda g: x._accumulate(_softmax_backward(y, g))
+    out, (s,) = _record(y, x)
+    if out.requires_grad:
+        out._slot._backward = lambda g: s._accumulate(_softmax_backward(y, g))
     return out
 
 
@@ -628,9 +714,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | None,
     wts = np.exp(z, out=z)
     wts /= wts.sum(axis=-1, keepdims=True)
     heads = (wts @ v4).transpose(0, 2, 1, 3)
-    out = _node(heads.reshape(qd.shape) if rows is None else heads[marked].reshape(-1, d),
-                (q, k, v))
-    if out._parents:
+    out, (sq, sk, sv) = _record(
+        heads.reshape(qd.shape) if rows is None else heads[marked].reshape(-1, d), q, k, v)
+    if out.requires_grad:
+        q_shape, k_shape, v_shape = qd.shape, kd.shape, vd.shape
+
         def bw(g):
             if rows is not None:
                 g = _scatter_rows(g, marked, rows.shape)
@@ -638,19 +726,19 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | None,
             gz = _softmax_backward(wts, g4 @ v4.swapaxes(-1, -2))
             gz /= scale
             # (B, L, h, dh) gradient heads: the marked rows of packed inputs
-            if q.requires_grad:
+            if sq is not None:
                 gq = (gz @ k4).transpose(0, 2, 1, 3)
-                q._accumulate(gq.reshape(qd.shape) if rows is None
-                              else gq[marked].reshape(-1, d))
-            if k.requires_grad:
+                sq._accumulate(gq.reshape(q_shape) if rows is None
+                               else gq[marked].reshape(-1, d))
+            if sk is not None:
                 gk = (q4.swapaxes(-1, -2) @ gz).transpose(0, 3, 1, 2)
-                k._accumulate(gk[marked].reshape(-1, d) if kv_packed
-                              else gk.reshape(kd.shape))
-            if v.requires_grad:
+                sk._accumulate(gk[marked].reshape(-1, d) if kv_packed
+                               else gk.reshape(k_shape))
+            if sv is not None:
                 gv = (wts.swapaxes(-1, -2) @ g4).transpose(0, 2, 1, 3)
-                v._accumulate(gv[marked].reshape(-1, d) if kv_packed
-                              else gv.reshape(vd.shape))
-        out._backward = bw
+                sv._accumulate(gv[marked].reshape(-1, d) if kv_packed
+                               else gv.reshape(v_shape))
+        out._slot._backward = bw
     return out
 
 
@@ -660,22 +748,25 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> T
     It keeps the pre-activation ``h`` and its sigmoid; the backward
     recomputes the activation ``h * sigmoid(h)`` for ``w2``'s gradient.
     """
-    h = x.data @ w1.data
+    xd, w1d, w2d = x.data, w1.data, w2.data
+    h = xd @ w1d
     h += b1.data
     sig = _sigmoid(h)
-    y = (h * sig) @ w2.data
+    y = (h * sig) @ w2d
     y += b2.data
-    out = _node(y, (x, w1, b1, w2, b2))
-    if out._parents:
+    out, (sx, sw1, sb1, sw2, sb2) = _record(y, x, w1, b1, w2, b2)
+    if out.requires_grad:
+        b1_shape, b2_shape = b1.data.shape, b2.data.shape
+
         def bw(g):
-            if b2.requires_grad:
-                b2._accumulate(_unbroadcast(g, b2.data.shape))
-            g2 = g.reshape(-1, w2.data.shape[1])
-            if w2.requires_grad:
-                w2._accumulate((h * sig).reshape(-1, h.shape[-1]).T @ g2)
-            gh = _silu_backward((g2 @ w2.data.T).reshape(h.shape), h, sig)
-            _linear_backward(x, w1, b1, gh)
-        out._backward = bw
+            if sb2 is not None:
+                sb2._accumulate(_unbroadcast(g, b2_shape))
+            g2 = g.reshape(-1, w2d.shape[1])
+            if sw2 is not None:
+                sw2._accumulate((h * sig).reshape(-1, h.shape[-1]).T @ g2)
+            gh = _silu_backward((g2 @ w2d.T).reshape(h.shape), h, sig)
+            _linear_backward(gh, xd, w1d, (sx, sw1, sb1), b1_shape)
+        out._slot._backward = bw
     return out
 
 
@@ -695,7 +786,8 @@ def linear_cross_entropy(x: Tensor, w: Tensor, b: Tensor, targets: np.ndarray) -
     v = w.data.shape[1]
     targets = np.asarray(targets, dtype=np.intp).reshape(-1)
     count = float(targets.size)
-    y = x.data @ w.data
+    xd, wd = x.data, w.data
+    y = xd @ wd
     y += b.data
     shape = y.shape
     e = y.reshape(-1, v)
@@ -705,14 +797,16 @@ def linear_cross_entropy(x: Tensor, w: Tensor, b: Tensor, targets: np.ndarray) -
     np.exp(e, out=e)
     total = e.sum(axis=1, keepdims=True)
     picked -= np.log(total[:, 0])
-    out = _node(-(picked.sum() / count), (x, w, b))
-    if out._parents:
+    out, slots = _record(-(picked.sum() / count), x, w, b)
+    if out.requires_grad:
+        b_shape = b.data.shape
+
         def bw(g):
             grad = np.divide(e, total, out=e)
             grad[rows, targets] -= 1.0
             grad *= g / count
-            _linear_backward(x, w, b, grad.reshape(shape))
-        out._backward = bw
+            _linear_backward(grad.reshape(shape), xd, wd, slots, b_shape)
+        out._slot._backward = bw
     return out
 
 
@@ -726,7 +820,8 @@ def linear_bce(x: Tensor, w: Tensor, b: Tensor, targets: np.ndarray) -> Tensor:
     ``(sigmoid(z) - t) g / N`` into those two buffers and hands it to
     ``linear``'s backward.
     """
-    z = x.data @ w.data
+    xd, wd = x.data, w.data
+    z = xd @ wd
     z += b.data
     t = _as_array(targets)
     n = _as_array(float(z.size))
@@ -734,14 +829,16 @@ def linear_bce(x: Tensor, w: Tensor, b: Tensor, targets: np.ndarray) -> Tensor:
     sp = np.log1p(e)
     sp += np.maximum(z, 0.0)
     sp -= t * z
-    out = _node(sp.sum() / n, (x, w, b))
-    if out._parents:
+    out, slots = _record(sp.sum() / n, x, w, b)
+    if out.requires_grad:
+        b_shape = b.data.shape
+
         def bw(g):
             # sigmoid(z) as ``_sigmoid`` takes it, from the forward's exp(-|z|)
             sig = np.exp(np.minimum(z, 0.0, out=z), out=z)
             sig /= np.add(e, 1.0, out=e)
             sig -= t
             sig *= g / n
-            _linear_backward(x, w, b, sig)
-        out._backward = bw
+            _linear_backward(sig, xd, wd, slots, b_shape)
+        out._slot._backward = bw
     return out

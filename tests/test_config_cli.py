@@ -601,7 +601,6 @@ def test_os_errors_exit_two_naming_the_path(trained_env, tmp_path, capsys, case)
     assert err.startswith("data error: ") and str(path) in err and "Traceback" not in err
 
 
-@pytest.mark.filterwarnings("ignore:overflow|invalid value:RuntimeWarning")
 def test_diverging_phase1_fit_exits_three_writing_no_artifacts(run_env, capsys):
     tmp_path, _, cfg = run_env
     cfg = json.loads(json.dumps(cfg))
@@ -611,9 +610,28 @@ def test_diverging_phase1_fit_exits_three_writing_no_artifacts(run_env, capsys):
     cfg_path.write_text(json.dumps(cfg))
     assert execute_command(["prepare", "--config", str(cfg_path)]) == 3
     err = capsys.readouterr().err
+    # the one-line message alone, with no numpy warning ahead of it
+    assert len(err.splitlines()) == 1
     assert re.search(r"non-finite training loss at epoch \d+", err)
     # the symptom autoencoder is the first fit left with mlfie off
     assert "fr_sym: non-finite training loss" in err
+    for name in ("phase1.ckpt", "unified.csv"):
+        assert not (tmp_path / "work" / name).exists()
+
+
+def test_phase1_whose_last_step_diverges_exits_three_writing_no_artifacts(run_env,
+                                                                         capsys):
+    # one epoch per autoencoder: its only loss is finite, and its only step
+    # overflows the weights that compress the features into the table
+    tmp_path, _, cfg = run_env
+    cfg = json.loads(json.dumps(cfg))
+    cfg["ablation"] = {"mlfie": False}
+    cfg["train"].update(lr=1e36, fr_epochs=1)
+    cfg_path = tmp_path / "diverge.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert execute_command(["prepare", "--config", str(cfg_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["numeric failure: fr_sym: non-finite features after training"]
     for name in ("phase1.ckpt", "unified.csv"):
         assert not (tmp_path / "work" / name).exists()
 
@@ -1416,7 +1434,6 @@ _EDITS = st.lists(st.tuples(
     st.integers(1, 255)), min_size=1, max_size=4)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(derandomize=True, deadline=None, max_examples=100)
 @given(edits=_EDITS)
 def test_mutated_head_checkpoints_serve_as_a_first_load(trained_env, edits):
@@ -1558,7 +1575,6 @@ def short_trained_env(tmp_path_factory):
     return root, cfg_path
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(name=st.sampled_from(sorted(_READERS)), edits=_BYTE_EDITS)
 def test_mutated_pipeline_inputs_exit_cleanly_naming_the_file(short_trained_env,

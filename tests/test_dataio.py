@@ -13,7 +13,7 @@ from fmash.dataio import (HeteroGraph, PrescriptionInstance, build_graph,
 from fmash.errors import DataError, SchemaError
 
 from degree_oracle import loop_degrees_of_graph
-from memory_probe import traced
+from memory_probe import FULL_CORPUS, traced
 
 CORPUS_FILES = ("symptoms.jsonl", "herbs.jsonl", "prescriptions.jsonl")
 
@@ -229,9 +229,10 @@ def test_full_scale_corpus_keeps_its_bytes(tmp_path, full_scale_corpus):
 
 def _assert_shared(prescriptions):
     """Equal ids across all records, symptoms and herbs alike, are one int
-    object, and equal symptom sets one frozenset; some set repeats."""
+    object, and equal symptom sets one ascending tuple; some set repeats."""
     ids, sets = {}, {}
     for p in prescriptions:
+        assert type(p.symptoms) is tuple and list(p.symptoms) == sorted(set(p.symptoms))
         assert sets.setdefault(p.symptoms, p.symptoms) is p.symptoms
         for i in [*p.symptoms, *p.herbs]:
             assert ids.setdefault(i, i) is i
@@ -251,14 +252,24 @@ def test_loaded_records_share_ids_and_equal_symptom_sets(tmp_path):
 
 
 def test_loaded_full_scale_corpus_stays_within_its_memory(tmp_path, full_scale_corpus):
-    """``load_corpus`` keeps 371 bytes per prescription of the full-scale
+    """``load_corpus`` keeps 236 bytes per prescription of the full-scale
     corpus (``tests/memory_probe.py``); the bound adds 10%, as the ranked
-    head's does.  With an int object per id and a frozenset per record it
-    kept 683 bytes (and peaked at 1,366 with the whole file parsed before
-    any record was built)."""
+    head's does.  With a record ``__dict__``, a herb list and a frozenset
+    per symptom set it kept 371 bytes; with an int object per id as well,
+    683 (and peaked at 1,366 with the whole file parsed before any record
+    was built)."""
     save_corpus(tmp_path, *full_scale_corpus)
     held, _ = traced(lambda: load_corpus(tmp_path))
-    assert held < 1.1 * 371 * len(full_scale_corpus[2])
+    assert held < 1.1 * 236 * len(full_scale_corpus[2])
+
+
+def test_drawn_full_scale_corpus_stays_within_its_memory():
+    """``generate_synthetic`` keeps 263 bytes per prescription of the
+    full-scale corpus, its vocabulary included (``tests/memory_probe.py``);
+    the bound adds 10%.  With the records of ``load_corpus`` before slotted
+    tuples it kept 399."""
+    held, _ = traced(lambda: generate_synthetic(**FULL_CORPUS, seed=1))
+    assert held < 1.1 * 263 * FULL_CORPUS["n_prescriptions"]
 
 
 def test_synthetic_infeasible_clusters():
@@ -434,7 +445,7 @@ def test_duplicate_herbs_deduped_keeping_first(tmp_path):
     with open(tmp_path / "prescriptions.jsonl", "w", encoding="utf-8") as fh:
         fh.write(json.dumps({"symptoms": [0, 1], "herbs": [3, 1, 3, 2, 1]}) + "\n")
     _, _, pres = load_corpus(tmp_path)
-    assert pres[0].herbs == [3, 1, 2]
+    assert pres[0].herbs == (3, 1, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -7,15 +7,18 @@ backward is the composite's, against that composite bit for bit
 (``tests/loss_oracle.py``); and the node count, gradient reach and memory
 of one loss graph per head."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
-from fmash.dataio import PrescriptionInstance
+from fmash import nn
+from fmash.dataio import PrescriptionInstance, generate_synthetic
 from fmash.nn import NEG_INF, causal_bias, key_mask_bias
 from fmash.recsys import GelramParams, make_rs_params, multi_hot, rs_logits
-from fmash.refine import UnifiedEmbedding
+from fmash.refine import UNIFIED_DIM, UnifiedEmbedding
 from fmash.seqgen import Seq2SeqParams, make_batch, sequence_loss
 from fmash.tape import (Tensor, attention, feed_forward, layer_norm, linear, linear_bce,
                         linear_cross_entropy, softmax)
@@ -543,3 +546,50 @@ def test_one_training_step_stays_within_its_memory_per_instance(head, bound_mib)
     head's decoder running its padding positions too, the sequence head took
     0.260."""
     assert step_peak_per_instance(head, 128) < bound_mib * 2 ** 20
+
+
+def test_a_loss_graph_pins_no_output_its_backward_does_not_read(monkeypatch):
+    """After the forward of one training loss per head on the acceptance
+    corpus, and before its ``backward()``, the arrays of the residual
+    stream (each layer norm's input), of each attention output projection
+    and feed-forward block, and of each packed query projection, which the
+    attention node copies, are freed: no backward reads them, and the graph
+    keeps only what its closures read."""
+    _, _, instances = generate_synthetic(40, 60, 5, 200, seed=7)
+    instances = instances[:16]
+    emb = UnifiedEmbedding(np.random.default_rng(0).normal(size=(100, UNIFIED_DIM)),
+                           n_sym=40)
+    kept = {"residual": [], "attention output": [], "feed-forward output": [],
+            "packed query": []}
+
+    def watch(fn, key, pick):
+        def wrapped(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            arr = pick(out, *args, **kwargs)
+            if arr is not None:
+                kept[key].append(weakref.ref(arr))
+            return out
+        return wrapped
+
+    monkeypatch.setattr(nn.LayerNorm, "__call__", watch(
+        nn.LayerNorm.__call__, "residual", lambda out, self, x: x.data))
+    monkeypatch.setattr(nn.MultiHeadAttention, "attend", watch(
+        nn.MultiHeadAttention.attend, "attention output", lambda out, *a, **k: out.data))
+    monkeypatch.setattr(nn.FeedForward, "__call__", watch(
+        nn.FeedForward.__call__, "feed-forward output", lambda out, self, x: out.data))
+    monkeypatch.setattr(nn, "attention", watch(
+        nn.attention, "packed query",
+        lambda out, q, k, v, bias, n_heads, rows=None: None if rows is None else q.data))
+    seq = Seq2SeqParams(emb, 0)
+    rs = make_rs_params(emb, 0)
+    losses = [sequence_loss(make_batch(instances, seq.vocab), seq),
+              rs_logits([i.symptoms for i in instances], emb, rs,
+                        targets=multi_hot([i.herbs for i in instances], emb.n_herb))]
+    gc.collect()
+    assert all(kept.values())
+    assert {key: sum(ref() is not None for ref in refs) for key, refs in kept.items()} \
+        == dict.fromkeys(kept, 0)
+    for loss in losses:
+        loss.backward()
+    assert all(p.grad is not None and np.isfinite(p.grad).all()
+               for p in seq.parameters() + rs.parameters())

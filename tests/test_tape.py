@@ -1,6 +1,5 @@
 """Finite-difference certification of every autodiff primitive."""
 
-import ctypes
 import tracemalloc
 
 import numpy as np
@@ -13,6 +12,7 @@ from fmash.nn import (NEG_INF, Adam, LayerNorm, Linear, MultiHeadAttention, caus
 from fmash.tape import (Tensor, concat, feed_forward, linear_bce,
                         linear_cross_entropy, selective_scan, softmax)
 from gradcheck import as_float64, max_relative_error
+from memory_probe import mallinfo2
 
 RTOL = 1e-6
 
@@ -543,9 +543,12 @@ def test_backward_frees_each_layer_once_it_has_run():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # one layer's activations: its linear output, its saved sigmoid, its output
-    layer = (after_forward - start) / n_layers
-    assert layer >= 3 * b * d * 4
+    # one layer's activations: its linear output and its sigmoid, which
+    # silu's backward reads, and its output, which the next linear's reads;
+    # the last output, which no backward reads, went with ``h``
+    array = b * d * 4
+    layer = 3 * array
+    assert n_layers * layer - array <= after_forward - start < n_layers * layer
     assert peak - after_forward < 3 * layer
     assert all(w.grad is not None and w.grad.shape == (d, d) for w in weights)
 
@@ -621,27 +624,18 @@ def test_attention_row_max_keeps_the_reduction_bits(shape, slice_wise, dtype):
                                       np.exp(z - expected).view(bits))
 
 
-class _MallInfo2(ctypes.Structure):
-    _fields_ = [(name, ctypes.c_size_t) for name in (
-        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks",
-        "uordblks", "fordblks", "keepcost")]
-
-
 def test_freed_training_memory_stays_on_the_heap():
     """After ``import fmash.tape`` arrays below ``MMAP_THRESHOLD`` come from
     the heap and freeing them returns nothing to the system, so the next
     step reuses the pages instead of faulting them in again.  Under glibc's
     default thresholds the arrays are mapped one by one, or the freed top of
     the heap (more than its 64 MiB maximum here) is trimmed."""
-    libc = ctypes.CDLL(None)
-    if not hasattr(libc, "mallinfo2"):
+    if mallinfo2() is None:
         pytest.skip("needs glibc 2.33 or later")
-    libc.mallinfo2.argtypes = []
-    libc.mallinfo2.restype = _MallInfo2
     size = (tape.MMAP_THRESHOLD * 3 // 4) // 8
-    mapped = libc.mallinfo2().hblkhd
+    mapped = mallinfo2().hblkhd
     arrays = [np.ones(size) for _ in range(4)]
-    assert libc.mallinfo2().hblkhd == mapped
-    heap = libc.mallinfo2().arena
+    assert mallinfo2().hblkhd == mapped
+    heap = mallinfo2().arena
     del arrays
-    assert libc.mallinfo2().arena == heap
+    assert mallinfo2().arena == heap
