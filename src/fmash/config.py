@@ -13,6 +13,7 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigError
+from .nn import N_HEADS
 
 
 @dataclass
@@ -120,8 +121,8 @@ def _validate(cfg: RunConfig) -> RunConfig:
         raise ConfigError("train.ratio: must be three positive numbers")
     if abs(sum(cfg.train.ratio) - 1.0) > 1e-9:
         raise ConfigError(f"train.ratio: must sum to 1, got {sum(cfg.train.ratio)}")
-    if cfg.dims.d_enc % 4 != 0:
-        raise ConfigError("dims.d_enc: must be divisible by the 4 attention heads")
+    if cfg.dims.d_enc % N_HEADS != 0:
+        raise ConfigError(f"dims.d_enc: must be divisible by the {N_HEADS} attention heads")
     return cfg
 
 

@@ -116,6 +116,10 @@ def causal_bias(lq: int, past: int, dtype) -> np.ndarray:
     return np.triu(np.full((lq, past + lq), NEG_INF, dtype=dtype), k=1 + past)
 
 
+# every attention of both heads splits its width into this many heads
+N_HEADS = 4
+
+
 class MultiHeadAttention(Module):
     """Scaled dot-product attention over (B, L, d) inputs, one ``attention``
     tape node per call between the projections.

@@ -21,8 +21,8 @@ import numpy as np
 
 from .dataio import symptom_batch
 from .errors import DataError, NumericError
-from .nn import (EncoderLayer, Linear, Module, TrainResult, fit, key_mask_bias, parameter,
-                 stage_rng)
+from .nn import (N_HEADS, EncoderLayer, Linear, Module, TrainResult, fit, key_mask_bias,
+                 parameter, stage_rng)
 from .refine import UnifiedEmbedding
 from .tape import Tensor, concat, linear, linear_bce, no_grad, softmax
 
@@ -32,13 +32,11 @@ from .tape import Tensor, concat, linear, linear_bce, no_grad, softmax
 # ---------------------------------------------------------------------------
 
 class GelramParams(Module):
-    def __init__(self, d: int, n_herb: int, seed: int, d_enc: int = 64,
-                 n_layers: int = 2, n_heads: int = 4):
+    def __init__(self, d: int, n_herb: int, seed: int, d_enc: int = 64):
         rng = stage_rng(seed, "rs.gelram")
         self.input_proj = Linear(2 * d, d_enc, rng)
         self.tok_proj = Linear(d, d_enc, rng)
-        self.layers = [EncoderLayer(d_enc, n_heads, 4 * d_enc, rng)
-                       for _ in range(n_layers)]
+        self.layers = [EncoderLayer(d_enc, N_HEADS, 4 * d_enc, rng) for _ in range(2)]
         self.out = Linear(d_enc, n_herb, rng)
 
 
@@ -66,6 +64,15 @@ def make_rs_params(emb: UnifiedEmbedding, seed: int, *, gelram: bool = True,
 # scoring
 # ---------------------------------------------------------------------------
 
+def weighted_herb(s: Tensor, herb_t: Tensor) -> Tensor:
+    """The first-pass matcher: the (B, d) summed symptom vectors ``s`` give
+    occurrence probabilities ``softmax(s · Hᵀ / √d)`` over the herb rows
+    ``H``, and the result is the probability-weighted herb vector
+    ``h_w = p @ H``, (B, d)."""
+    logits = (s @ herb_t.transpose(1, 0)) / math.sqrt(herb_t.shape[1])
+    return softmax(logits) @ herb_t
+
+
 def rs_logits(symptom_sets: list, emb: UnifiedEmbedding, params: RsParams,
               sym_table: Tensor | None = None, herb_table: Tensor | None = None,
               targets: np.ndarray | None = None) -> Tensor:
@@ -82,8 +89,7 @@ def rs_logits(symptom_sets: list, emb: UnifiedEmbedding, params: RsParams,
     sym_t = sym_table if sym_table is not None else Tensor(emb.sym())
     herb_t = herb_table if herb_table is not None else Tensor(emb.herb())
     ids, mask = symptom_batch(symptom_sets, sym_t.shape[0])
-    b, width = ids.shape
-    d = sym_t.shape[1]
+    b = ids.shape[0]
 
     tokens = sym_t[ids]                                   # (B, W, d)
     masked = tokens * mask[:, :, None]
@@ -92,21 +98,17 @@ def rs_logits(symptom_sets: list, emb: UnifiedEmbedding, params: RsParams,
     if isinstance(params, PlainScorerParams):
         x, w, bias = params.bilinear(s), herb_t.transpose(1, 0), params.bias
     else:
-        logits = (s @ herb_t.transpose(1, 0)) / math.sqrt(d)
-        p = softmax(logits)                               # (B, H)
-        h_w = p @ herb_t                                  # (B, d)
-
+        h_w = weighted_herb(s, herb_t)                    # (B, d)
         cls = params.input_proj(concat([h_w, s], axis=1))  # (B, d_enc)
         tok = params.tok_proj(tokens)                     # (B, W, d_enc)
         seq = concat([cls.reshape(b, 1, -1), tok], axis=1)
         key_bias = key_mask_bias(np.concatenate([np.ones((b, 1), dtype=bool), mask],
                                                 axis=1), seq.data.dtype)
-        layers = params.layers
-        for layer in layers[:-1]:
+        for layer in params.layers[:-1]:
             seq = layer(seq, key_bias)
         # the [CLS] state (B, d_enc) through the output projection; the last
         # layer computes that row alone
-        x = layers[-1](seq, key_bias, first_only=True) if layers else seq[:, 0, :]
+        x = params.layers[-1](seq, key_bias, first_only=True)
         w, bias = params.out.weight, params.out.bias
     if targets is None:
         return linear(x, w, bias)

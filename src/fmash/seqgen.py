@@ -32,7 +32,7 @@ import numpy as np
 
 from .dataio import symptom_batch
 from .errors import DataError, NumericError
-from .nn import (DecoderLayer, EncoderLayer, LayerNorm, Linear, Module,
+from .nn import (N_HEADS, DecoderLayer, EncoderLayer, LayerNorm, Linear, Module,
                  MultiHeadAttention, TrainResult, fit, key_mask_bias, parameter,
                  sinusoidal_positions, stage_rng)
 from .refine import UnifiedEmbedding
@@ -71,8 +71,7 @@ class IntegrationLayer(Module):
 
 
 class Seq2SeqParams(Module):
-    def __init__(self, emb: UnifiedEmbedding, seed: int, n_heads: int = 4,
-                 n_enc_layers: int = 2, n_dec_layers: int = 2):
+    def __init__(self, emb: UnifiedEmbedding, seed: int):
         d = emb.dim
         self.vocab = TokenVocab(emb.n_herb)
         rng = stage_rng(seed, "seq")
@@ -85,12 +84,10 @@ class Seq2SeqParams(Module):
         self.tok_embed = parameter(np.concatenate(
             [emb.herb(), rng.normal(0.0, 0.1, size=(1, d))], axis=0, dtype=np.float32))
         self.positions = sinusoidal_positions(max(emb.n_sym, emb.n_herb + 1), d)
-        self.enc_layers = [EncoderLayer(d, n_heads, 4 * d, rng)
-                           for _ in range(n_enc_layers)]
+        self.enc_layers = [EncoderLayer(d, N_HEADS, 4 * d, rng) for _ in range(2)]
         self.enc_ln = LayerNorm(d)
-        self.integration = IntegrationLayer(d, n_heads, rng)
-        self.dec_layers = [DecoderLayer(d, n_heads, 4 * d, rng)
-                           for _ in range(n_dec_layers)]
+        self.integration = IntegrationLayer(d, N_HEADS, rng)
+        self.dec_layers = [DecoderLayer(d, N_HEADS, 4 * d, rng) for _ in range(2)]
         self.dec_ln = LayerNorm(d)
         self.out = Linear(d, emb.n_herb + 1, rng)    # the herbs, then EOS
 

@@ -46,7 +46,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import math
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -190,22 +190,13 @@ class Tensor:
     def _backward(self):
         return None if self._slot is None else self._slot._backward
 
-    @_backward.setter
-    def _backward(self, fn) -> None:
-        self._slot._backward = fn
-
     def _accumulate(self, g: np.ndarray) -> None:
         # a leaf adds into its own gradient, a result into its slot's
         _Slot._accumulate(self if self._slot is None else self._slot, g)
 
-    def backward(self, grad: np.ndarray | float | None = None) -> None:
+    def backward(self, grad: np.ndarray | float) -> None:
         """Run the recorded graph backward from this tensor, seeded with
-        ``grad`` (ones for a scalar when omitted), cast to this tensor's
-        dtype and broadcast to its shape."""
-        if grad is None:
-            if self.data.size != 1:
-                raise ValueError("backward() without an explicit gradient needs a scalar")
-            grad = 1.0
+        ``grad`` cast to this tensor's dtype and broadcast to its shape."""
         grad = np.broadcast_to(np.asarray(grad, dtype=self.data.dtype), self.data.shape)
         root = self if self._slot is None else self._slot
         topo: list = []
@@ -413,9 +404,6 @@ class Tensor:
             out._slot._backward = bw
         return out
 
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
 
 def _record(data: np.ndarray, *inputs: Tensor | None) -> tuple[Tensor, list]:
     """A result holding ``data``, computed from ``inputs``, and each input's
@@ -439,12 +427,6 @@ def _record(data: np.ndarray, *inputs: Tensor | None) -> tuple[Tensor, list]:
         out.requires_grad = True
         out._slot = _Slot(tuple(parents))
     return out, slots
-
-
-def _node(data: np.ndarray, parents: Sequence[Tensor]) -> Tensor:
-    """``_record``'s result alone, for a caller whose closure reads its
-    inputs through ``Tensor._accumulate``."""
-    return _record(data, *parents)[0]
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:

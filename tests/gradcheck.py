@@ -26,6 +26,17 @@ def as_float64(item: Module | Tensor) -> Module | Tensor:
     return item
 
 
+def one_layer_per_stack(head: Module) -> Module:
+    """``head`` cut in place to the first layer of each layer stack it has
+    (``layers``; ``enc_layers`` and ``dec_layers``): the depth that a
+    finite-difference check over every parameter, or a long decode, can
+    afford."""
+    for name in ("layers", "enc_layers", "dec_layers"):
+        if hasattr(head, name):
+            setattr(head, name, getattr(head, name)[:1])
+    return head
+
+
 def finite_difference_grads(loss_fn: Callable[[], Tensor],
                             params: Sequence[Tensor],
                             h: float = 1e-5) -> list[np.ndarray]:
@@ -55,7 +66,7 @@ def max_relative_error(loss_fn: Callable[[], Tensor],
     """Worst-case relative error between tape and finite-difference gradients.
 
     The tape's gradients are those ``backward()`` leaves in ``params``, by
-    default ``loss_fn().backward()``; pass another to certify a different
+    default ``loss_fn().backward(1.0)``; pass another to certify a different
     backward pass of the same loss (``nn.accumulate_gradients``).  Each
     entry is compared relative to the larger of the two gradients, floored
     at a small fraction of the tensor's overall gradient scale so that
@@ -70,7 +81,7 @@ def max_relative_error(loss_fn: Callable[[], Tensor],
         raise TypeError(f"gradient checks run in float64; the loss or a "
                         f"parameter is {sorted(map(str, dtypes))}")
     if backward is None:
-        loss.backward()
+        loss.backward(1.0)
     else:
         backward()
     analytic = [p.grad.copy() if p.grad is not None else np.zeros_like(p.data)

@@ -5,7 +5,7 @@ and in every gradient."""
 
 import numpy as np
 
-from fmash.tape import Tensor, _node
+from fmash.tape import Tensor, _record
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
@@ -21,12 +21,14 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     e = np.exp(shift, out=shift)
     total = e.sum(axis=1, keepdims=True)
     picked -= np.log(total[:, 0])
-    out = _node(-(picked.sum() / count), (logits,))
-    if out._parents:
+    out, (s,) = _record(-(picked.sum() / count), logits)
+    if out.requires_grad:
+        shape = logits.shape
+
         def bw(g):
             grad = np.divide(e, total, out=e)
             grad[rows, targets] -= 1.0
             grad *= g / count
-            logits._accumulate(grad.reshape(logits.shape))
-        out._backward = bw
+            s._accumulate(grad.reshape(shape))
+        out._slot._backward = bw
     return out

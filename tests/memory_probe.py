@@ -131,7 +131,7 @@ def graph_held(head: str, batch: int, seed: int = 0) -> int:
 def step_peak_per_instance(head: str, batch: int, seed: int = 0) -> float:
     """Peak bytes of one ``head`` loss plus ``backward()`` per instance."""
     loss_fn = _loss_fn(head, *_setup(head, batch, seed))
-    return traced(lambda: loss_fn().backward())[1] / batch
+    return traced(lambda: loss_fn().backward(1.0))[1] / batch
 
 
 def fit_step_peak(head: str, batch: int, seed: int = 0) -> int:

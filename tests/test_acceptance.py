@@ -37,7 +37,7 @@ from fmash.recsys import export_predictions as export_rs_predictions
 from fmash.refine import UnifiedEmbedding
 from fmash.seqgen import Seq2SeqParams, generate, make_batch, sequence_loss, train_seq
 from fmash.tape import Tensor
-from gradcheck import as_float64, max_relative_error
+from gradcheck import as_float64, max_relative_error, one_layer_per_stack
 
 GRAD_TOL = 1e-4
 
@@ -155,7 +155,7 @@ def test_c2_gradient_suite():
         lambda: vae_loss(p_in, v_in, vae, eps=eps)[0], vae.parameters())
 
     emb = UnifiedEmbedding(matrix=rng.normal(size=(9, 4)), n_sym=4)
-    rs = as_float64(GelramParams(4, 5, seed=105, d_enc=8, n_layers=1, n_heads=2))
+    rs = one_layer_per_stack(as_float64(GelramParams(4, 5, seed=105, d_enc=8)))
     sym_t = as_float64(Tensor(emb.sym(), requires_grad=True))
     herb_t = as_float64(Tensor(emb.herb(), requires_grad=True))
     sets = [[0, 2], [1, 3]]
@@ -165,8 +165,7 @@ def test_c2_gradient_suite():
                           targets=rs_targets),
         [sym_t, herb_t] + rs.parameters())
 
-    seq_params = as_float64(Seq2SeqParams(emb, seed=106, n_heads=2, n_enc_layers=1,
-                                          n_dec_layers=1))
+    seq_params = one_layer_per_stack(as_float64(Seq2SeqParams(emb, seed=106)))
     from fmash.dataio import PrescriptionInstance
     batch = make_batch(
         [PrescriptionInstance(0, frozenset({0, 2}), [1, 4]),

@@ -16,7 +16,7 @@ from fmash.refine import UnifiedEmbedding
 from fmash.seqgen import Seq2SeqParams, make_batch, sequence_loss
 from fmash.tape import Tensor
 
-from gradcheck import as_float64, max_relative_error
+from gradcheck import as_float64, max_relative_error, one_layer_per_stack
 from memory_probe import fit_step_peak
 
 N_SYM, N_HERB, D = 6, 9, 4
@@ -42,7 +42,7 @@ def _rs_head(instances):
     """Float64 ranked head with its tables as leaves; the loss of a selection
     and its share (instances), as ``train_rs`` builds them."""
     emb = _emb(1)
-    params = as_float64(GelramParams(D, N_HERB, seed=3, d_enc=8, n_layers=1, n_heads=2))
+    params = one_layer_per_stack(as_float64(GelramParams(D, N_HERB, seed=3, d_enc=8)))
     sym_t = as_float64(Tensor(emb.sym(), requires_grad=True))
     herb_t = as_float64(Tensor(emb.herb(), requires_grad=True))
     sets = [sorted(inst.symptoms) for inst in instances]
@@ -58,8 +58,7 @@ def _rs_head(instances):
 def _seq_head(instances):
     """Float64 sequence head; the loss of a selection and its share (target
     tokens), as ``train_seq`` builds them."""
-    params = as_float64(Seq2SeqParams(_emb(2), seed=4, n_heads=2, n_enc_layers=1,
-                                      n_dec_layers=1))
+    params = one_layer_per_stack(as_float64(Seq2SeqParams(_emb(2), seed=4)))
     tokens = np.array([len(inst.herbs) + 1 for inst in instances])
 
     def loss(sel):
@@ -83,7 +82,7 @@ def test_chunked_step_equals_one_unchunked_backward(head, batch):
     leaves, loss_fn, share = head(_instances(batch, seed=batch))
     sel = np.random.default_rng(batch).permutation(batch)
     whole = loss_fn(sel)
-    whole.backward()
+    whole.backward(1.0)
     expected = _grads(leaves)
     for leaf in leaves:
         leaf.grad = None

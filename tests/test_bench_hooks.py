@@ -107,9 +107,9 @@ def test_training_runs_the_forward_spans_the_traced_benchmark_reads():
     try:
         workloads.install_patches(rec, full=True)
         recsys.train_rs(instances, emb, epochs=2, seed=0, params=recsys.GelramParams(
-            emb.dim, emb.n_herb, 0, d_enc=8, n_heads=2))
+            emb.dim, emb.n_herb, 0, d_enc=8))
         seqgen.train_seq(instances, emb, epochs=2, seed=0,
-                         params=seqgen.Seq2SeqParams(emb, 0, n_heads=2))
+                         params=seqgen.Seq2SeqParams(emb, 0))
     finally:
         rec.close()
     assert len(rec.named("recsys.forward", under="recsys.train")) == 2
@@ -122,7 +122,7 @@ def test_generate_calls_the_decoder_once_per_step(eos_bias, n_formula):
     """The traced benchmark checks decoder calls against this count."""
     max_len = 6
     emb = UnifiedEmbedding(np.random.default_rng(0).normal(size=(16, 8)), n_sym=6)
-    params = seqgen.Seq2SeqParams(emb, 0, n_heads=2)
+    params = seqgen.Seq2SeqParams(emb, 0)
     params.out.bias.data[params.vocab.eos] = eos_bias
     rec = spans.Recorder("t")
     try:

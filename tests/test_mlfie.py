@@ -493,7 +493,7 @@ def test_padded_slots_get_zero_weight_and_zero_gradient():
     pooled = aggregate_attention_batch(mol, props, params.attention, mask)
     np.testing.assert_array_equal(pooled.data, clean)
     probe = np.random.default_rng(24).normal(size=pooled.shape)
-    (pooled * probe).sum().backward()
+    (pooled * probe).sum().backward(1.0)
     assert np.all(mol.grad[~mask] == 0.0)
     assert np.any(mol.grad[mask] != 0.0)
 

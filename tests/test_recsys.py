@@ -4,7 +4,7 @@ import pytest
 from fmash.dataio import PrescriptionInstance, generate_synthetic
 from fmash.errors import DataError
 from fmash.recsys import (GelramParams, PlainScorerParams, gelram_score, multi_hot,
-                          recommend, rs_logits, train_rs)
+                          recommend, rs_logits, train_rs, weighted_herb)
 from fmash.refine import UnifiedEmbedding
 from fmash.tape import Tensor
 from gradcheck import as_float64, max_relative_error
@@ -20,30 +20,20 @@ def _inst(i, syms, herbs):
 
 
 # ---------------------------------------------------------------------------
-# first-pass matcher, read through rs_logits
+# first-pass matcher
 # ---------------------------------------------------------------------------
 
 def _weighted_herb(s, herb_table):
-    """The probability-weighted herb vector h_w that ``rs_logits`` forms for
-    one symptom set whose summed embedding is ``s``.  The head has no encoder
-    layers, its [CLS] projection keeps the h_w half of [h_w | s] and its
-    output layer is the identity, so the scores are h_w's first n_herb
-    entries."""
-    n_herb, d = herb_table.shape
-    emb = UnifiedEmbedding(matrix=np.vstack([s, herb_table]), n_sym=1)
-    params = GelramParams(d, n_herb, seed=0, d_enc=d, n_layers=0)
-    params.input_proj.weight.data = np.vstack([np.eye(d), np.zeros((d, d))])
-    params.input_proj.bias.data[:] = 0.0
-    params.out.weight.data = np.eye(d, n_herb)
-    params.out.bias.data[:] = 0.0
-    return rs_logits([[0]], emb, params).data[0, :d]
+    """The probability-weighted herb vector h_w that the first-pass matcher
+    of ``rs_logits`` forms for one symptom set whose summed embedding is
+    ``s``."""
+    return weighted_herb(Tensor(np.asarray(s)[None]), Tensor(herb_table)).data[0]
 
 
 def test_orthogonal_rows_give_uniform_probabilities():
     table = np.eye(4)[:3]          # rows orthogonal to s
     s = np.array([0.0, 0.0, 0.0, 5.0])
-    np.testing.assert_allclose(_weighted_herb(s, table), table.mean(axis=0)[:3],
-                               atol=1e-12)
+    np.testing.assert_allclose(_weighted_herb(s, table), table.mean(axis=0), atol=1e-12)
 
 
 def test_aligned_row_concentrates_probability():
@@ -83,7 +73,7 @@ def test_weighted_herb_examples():
 
 def test_scores_invariant_to_symptom_order():
     emb = _emb()
-    params = GelramParams(8, 10, seed=1, d_enc=16, n_layers=1, n_heads=2)
+    params = GelramParams(8, 10, seed=1, d_enc=16)
     a = gelram_score([3, 1, 4], emb, params)
     b = gelram_score([4, 3, 1], emb, params)
     np.testing.assert_array_equal(a.scores, b.scores)
@@ -92,7 +82,7 @@ def test_scores_invariant_to_symptom_order():
 
 def test_zero_head_gives_constant_half_and_identity_ranking():
     emb = _emb()
-    params = GelramParams(8, 10, seed=2, d_enc=16, n_layers=1, n_heads=2)
+    params = GelramParams(8, 10, seed=2, d_enc=16)
     params.out.weight.data[:] = 0.0
     params.out.bias.data[:] = 0.0
     result = gelram_score([0, 1], emb, params)
@@ -102,7 +92,7 @@ def test_zero_head_gives_constant_half_and_identity_ranking():
 
 def test_ranking_is_permutation_and_topk_prefix_consistent():
     emb = _emb(seed=5)
-    params = GelramParams(8, 10, seed=3, d_enc=16, n_layers=1, n_heads=2)
+    params = GelramParams(8, 10, seed=3, d_enc=16)
     result = gelram_score([2, 5], emb, params)
     assert sorted(result.ranking.tolist()) == list(range(10))
     for k in range(1, 10):
@@ -113,7 +103,7 @@ def test_ranking_is_permutation_and_topk_prefix_consistent():
 
 def test_recommend_k_bounds():
     emb = _emb()
-    params = GelramParams(8, 10, seed=4, d_enc=16, n_layers=1, n_heads=2)
+    params = GelramParams(8, 10, seed=4, d_enc=16)
     assert len(recommend([1], 10, params, emb)) == 10
     top1 = recommend([1], 1, params, emb)
     full = gelram_score([1], emb, params)
@@ -126,7 +116,7 @@ def test_recommend_k_bounds():
 
 def test_unknown_symptom_rejected():
     emb = _emb()
-    params = GelramParams(8, 10, seed=5, d_enc=16, n_layers=1, n_heads=2)
+    params = GelramParams(8, 10, seed=5, d_enc=16)
     with pytest.raises(DataError):
         gelram_score([99], emb, params)
 
@@ -152,7 +142,7 @@ def _toy_training_setup(seed=0):
 
 
 def _small_head(emb, seed):
-    return GelramParams(emb.dim, emb.n_herb, seed, d_enc=16, n_layers=1, n_heads=2)
+    return GelramParams(emb.dim, emb.n_herb, seed, d_enc=16)
 
 
 def test_training_loss_decreases_smoothed():
@@ -175,7 +165,7 @@ def test_all_positive_targets_saturate_scores():
 
 def test_zero_epochs_returns_initialization():
     pres, emb = _toy_training_setup(seed=3)
-    init = GelramParams(8, 12, seed=9, d_enc=16, n_layers=1, n_heads=2)
+    init = GelramParams(8, 12, seed=9, d_enc=16)
     before = init.state_dict()
     result = train_rs(pres, emb, epochs=0, params=init)
     assert result.losses == []
@@ -219,11 +209,11 @@ class _FullLayer:
         return out[:, 0] if first_only else out
 
 
-@pytest.mark.parametrize("n_layers", [1, 2, 3])
+@pytest.mark.parametrize("n_layers", [1, 2])
 def test_cls_only_last_layer_matches_running_every_row(n_layers):
     emb = _emb(n_sym=7, n_herb=9, d=8, seed=14)
-    params = as_float64(GelramParams(8, 9, seed=15, d_enc=16, n_layers=n_layers,
-                                     n_heads=2))
+    params = as_float64(GelramParams(8, 9, seed=15, d_enc=16))
+    params.layers = params.layers[:n_layers]
     sets = [[0, 2, 5], [1], [0, 1, 3, 4, 6], [6, 2]]
     targets = multi_hot([[0, 3], [2], [1, 4, 8], [7]], 9)
     got = [rs_logits(sets, emb, params, sym_table=Tensor(emb.sym()),
@@ -246,8 +236,8 @@ def test_cls_only_last_layer_matches_running_every_row(n_layers):
 def test_rs_loss_gradients_match_finite_differences(n_layers):
     """With two layers, a full layer feeds the [CLS]-only last one."""
     emb = _emb(n_sym=4, n_herb=5, d=4, seed=8)
-    params = as_float64(GelramParams(4, 5, seed=12, d_enc=8, n_layers=n_layers,
-                                     n_heads=2))
+    params = as_float64(GelramParams(4, 5, seed=12, d_enc=8))
+    params.layers = params.layers[:n_layers]
     sets = [[0, 2], [1], [0, 1, 3]]
     targets = multi_hot([[0, 3], [2], [1, 4]], 5)
     sym_t = as_float64(Tensor(emb.sym(), requires_grad=True))

@@ -10,7 +10,7 @@ from fmash.seqgen import (Seq2SeqParams, TokenVocab, decoder_cache,
                           decoder_logits, encode_batch, generate, make_batch,
                           sequence_loss, train_seq)
 from fmash.tape import no_grad
-from gradcheck import as_float64, max_relative_error
+from gradcheck import as_float64, max_relative_error, one_layer_per_stack
 
 
 def _emb(n_sym=6, n_herb=8, d=8, seed=0):
@@ -101,8 +101,7 @@ def test_teacher_forcing_causality_exact():
 
 def test_sequence_loss_gradients_match_finite_differences():
     emb = _emb(n_sym=4, n_herb=5, d=4, seed=7)
-    params = as_float64(Seq2SeqParams(emb, seed=7, n_heads=2, n_enc_layers=1,
-                                      n_dec_layers=1))
+    params = one_layer_per_stack(as_float64(Seq2SeqParams(emb, seed=7)))
     instances = [_inst(0, {0, 2}, [1, 4]), _inst(1, {1}, [0, 2, 3])]
     batch = make_batch(instances, params.vocab)
 
@@ -117,7 +116,7 @@ def test_a_mixed_length_batch_is_the_token_weighted_mean_of_its_instances():
     of the batch: a batch's loss and every gradient equal the
     token-weighted mean of its instances run one at a time."""
     emb = _emb(seed=8)
-    params = as_float64(Seq2SeqParams(emb, seed=8, n_heads=2))
+    params = as_float64(Seq2SeqParams(emb, seed=8))
     instances = [_inst(0, {0, 2}, [1, 4, 6, 0, 3]), _inst(1, {1}, [2]),
                  _inst(2, {3, 4, 5}, [7, 5, 1]), _inst(3, {2, 5}, [0, 6])]
     names = [name for name, t in params.named_tensors() if t.requires_grad]
@@ -127,7 +126,7 @@ def test_a_mixed_length_batch_is_the_token_weighted_mean_of_its_instances():
         for p in params.parameters():
             p.grad = None
         loss = sequence_loss(make_batch(batch, params.vocab), params)
-        loss.backward()
+        loss.backward(1.0)
         return loss.item(), [p.grad.copy() for p in params.parameters()]
 
     loss, grads = run(instances)
@@ -151,19 +150,15 @@ def _training_setup(seed=0):
     return pres, emb
 
 
-def _small_head(emb, seed):
-    return Seq2SeqParams(emb, seed, n_heads=2)
-
-
 def test_training_reduces_loss():
     pres, emb = _training_setup()
-    result = train_seq(pres, emb, epochs=40, lr=3e-3, seed=1, params=_small_head(emb, 1))
+    result = train_seq(pres, emb, epochs=40, lr=3e-3, seed=1, params=Seq2SeqParams(emb, 1))
     assert result.losses[-1] < result.losses[0]
 
 
 def test_zero_epochs_returns_init():
     pres, emb = _training_setup(seed=2)
-    init = Seq2SeqParams(emb, seed=9, n_heads=2)
+    init = Seq2SeqParams(emb, seed=9)
     before = init.state_dict()
     result = train_seq(pres, emb, epochs=0, params=init)
     assert result.losses == []
@@ -173,8 +168,8 @@ def test_zero_epochs_returns_init():
 
 def test_training_deterministic():
     pres, emb = _training_setup(seed=3)
-    r1 = train_seq(pres, emb, epochs=8, seed=4, params=_small_head(emb, 4), batch_size=8)
-    r2 = train_seq(pres, emb, epochs=8, seed=4, params=_small_head(emb, 4), batch_size=8)
+    r1 = train_seq(pres, emb, epochs=8, seed=4, params=Seq2SeqParams(emb, 4), batch_size=8)
+    r2 = train_seq(pres, emb, epochs=8, seed=4, params=Seq2SeqParams(emb, 4), batch_size=8)
     assert r1.losses == r2.losses
 
 
@@ -233,8 +228,7 @@ def test_suppressed_eos_decodes_up_to_the_last_position():
     follows the last one: that step's input, the last herb, sits at
     position n_herb, the last one a target sequence can reach."""
     n_herb = 600
-    params = Seq2SeqParams(_emb(n_herb=n_herb, d=4), seed=15, n_heads=2,
-                           n_enc_layers=1, n_dec_layers=1)
+    params = one_layer_per_stack(Seq2SeqParams(_emb(n_herb=n_herb, d=4), seed=15))
     assert params.positions.shape[0] == n_herb + 1
     params.out.bias.data[params.vocab.eos] = -1e3
     seq = generate([0, 1], params, max_len=n_herb + 5)
@@ -242,8 +236,7 @@ def test_suppressed_eos_decodes_up_to_the_last_position():
 
 
 def test_a_step_past_the_last_position_raises_instead_of_returning_no_rows():
-    params = Seq2SeqParams(_emb(d=4), seed=15, n_heads=2, n_enc_layers=1,
-                           n_dec_layers=1)
+    params = one_layer_per_stack(Seq2SeqParams(_emb(d=4), seed=15))
     with no_grad():
         cache = decoder_cache(*encode_batch([[0]], params), params)
         decoder_logits(cache, np.zeros((1, 9), dtype=np.intp), params)
@@ -252,8 +245,7 @@ def test_a_step_past_the_last_position_raises_instead_of_returning_no_rows():
 
 
 def test_positions_cover_a_symptom_set_longer_than_any_target():
-    params = Seq2SeqParams(_emb(n_sym=12, n_herb=3, d=4), seed=15, n_heads=2,
-                           n_enc_layers=1, n_dec_layers=1)
+    params = one_layer_per_stack(Seq2SeqParams(_emb(n_sym=12, n_herb=3, d=4), seed=15))
     assert params.positions.shape[0] == 12
     memory, bias = encode_batch([range(12)], params)
     assert memory.shape == (1, 12, 4) and not bias.any()
@@ -342,7 +334,7 @@ def test_a_cached_decoding_step_stays_within_its_tensor_budget(monkeypatch):
 def test_memorizes_small_fixture():
     pres, emb = _training_setup(seed=5)
     subset = pres[:8]
-    result = train_seq(subset, emb, epochs=220, lr=3e-3, seed=6, params=_small_head(emb, 6))
+    result = train_seq(subset, emb, epochs=220, lr=3e-3, seed=6, params=Seq2SeqParams(emb, 6))
     exact = sum(generate(p.symptoms, result.params, max_len=12) == list(p.herbs)
                 for p in subset)
     assert exact >= 7

@@ -196,7 +196,7 @@ def test_masked_cross_entropy_matches_log_softmax_pick():
         return linear_cross_entropy(x[mask], w, b, targets[mask])
 
     loss = loss_fn()
-    loss.backward()
+    loss.backward(1.0)
     picked = np.take_along_axis(_log_softmax(x.data @ w.data + b.data),
                                 targets[..., None], axis=-1)[..., 0]
     assert abs(loss.item() + picked[mask].mean()) < 1e-12
@@ -266,12 +266,12 @@ def test_selective_scan_grads_across_forward_blocks(leaf, monkeypatch):
     which its backward joins: the gradients keep the bits of the one-block
     run and match finite differences."""
     loss, leaves = _scan_grad_case(leaf)
-    loss().backward()
+    loss().backward(1.0)
     whole = [t.grad.copy() for t in leaves]
     monkeypatch.setattr(tape, "_SCAN_ROWS", 4)
     for t in leaves:
         t.grad = None
-    loss().backward()
+    loss().backward(1.0)
     assert all(t.grad.tobytes() == g.tobytes() for t, g in zip(leaves, whole))
     assert max_relative_error(loss, leaves) < RTOL
 
@@ -403,7 +403,7 @@ def test_adam_minimizes_quadratic():
         opt.zero_grad()
         diff = p - Tensor(target)
         loss = (diff * diff).sum()
-        loss.backward()
+        loss.backward(1.0)
         opt.step()
     np.testing.assert_allclose(p.data, target, atol=1e-4)
 
@@ -491,7 +491,7 @@ def test_no_grad_blocks_graph_recording():
         y = (x * 2.0).sum()
     assert not y.requires_grad
     z = (x * 2.0).sum()
-    z.backward()
+    z.backward(1.0)
     np.testing.assert_array_equal(x.grad, np.full(3, 2.0))
 
 
@@ -499,7 +499,7 @@ def test_backward_accumulates_through_shared_subgraph():
     x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
     y = x * 3.0
     loss = (y * y).sum() + y.sum()
-    loss.backward()
+    loss.backward(1.0)
     np.testing.assert_allclose(x.grad, 2 * 9 * x.data + 3.0)
 
 
@@ -513,7 +513,7 @@ def test_gradients_shared_between_leaves_are_never_written_in_place(loss):
     a = Tensor(np.zeros(3), requires_grad=True)
     b = Tensor(np.zeros(3), requires_grad=True)
     for _ in range(2):
-        loss(a, b).backward()
+        loss(a, b).backward(1.0)
     np.testing.assert_array_equal(a.grad, np.full(3, 2.0))
     np.testing.assert_array_equal(b.grad, np.full(3, 2.0))
 
@@ -539,7 +539,7 @@ def test_backward_frees_each_layer_once_it_has_run():
         del h
         after_forward = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        loss.backward()
+        loss.backward(1.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -571,7 +571,7 @@ def test_masked_cross_entropy_forward_allocates_one_logits_buffer():
         tracemalloc.stop()
     # one (N, V) buffer plus O(N): the row maxima, the picked entries, sums
     assert peak - before < n * v * 4 + 64 * n
-    loss.backward()
+    loss.backward(1.0)
     assert x.grad.shape == (n, d) and w.grad.shape == (d, v)
 
 
