@@ -34,8 +34,8 @@ herb = next(h for h in herbs if len(h.molecules) >= 3)
 one = molecule_batch([herb], 32)
 embs, p_h = Tensor(one.embs), Tensor(one.props)
 with no_grad():
-    alpha = attention_weights_batch(embs, p_h, params.attention).data[0]
-    pooled = aggregate_attention_batch(embs, p_h, params.attention)
+    alpha = attention_weights_batch(embs, p_h, params.attention, one.mask).data[0]
+    pooled = aggregate_attention_batch(embs, p_h, params.attention, one.mask)
 print(f"{herb.name}: {len(herb.molecules)} molecules, attention weights "
       f"{np.round(alpha, 3)} (sum {alpha.sum():.6f})")
 print(f"pooled vector stays inside the componentwise hull: "
@@ -61,7 +61,7 @@ vae_losses = train_vae((props, targets), vae, epochs=250, lr=5e-3, seed=7)
 print(f"VAE loss {vae_losses[0]:.3f} -> {vae_losses[-1]:.3f}")
 
 missing = next(h for h in herbs if not h.molecules)
-imputed = impute_missing(missing.properties, vae)
+imputed = impute_missing(missing.properties[None], vae)[0]
 print(f"{missing.name} (no molecules): imputed vector, first 5 dims "
       f"{np.round(imputed[:5], 3)}")
 
@@ -73,7 +73,7 @@ print(f"\nall {len(herbs)} herbs represented: matrix {reprs.shape}, "
 
 # sanity: imputation error on held-out complete herbs is train-like
 with no_grad():
-    errs = [float(((impute_missing(p, vae) - t) ** 2).sum())
+    errs = [float(((impute_missing(p[None], vae)[0] - t) ** 2).sum())
             for p, t in zip(props, targets)]
 print(f"median squared reconstruction error over complete herbs: "
       f"{np.median(errs):.3f}")

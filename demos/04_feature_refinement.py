@@ -53,7 +53,7 @@ print(f"  MSE after the last step: {reconstruction_mse(matrix, params):.3g}; "
       f"the curve's last entry, {losses[-1]:.3g}, is the MSE before it")
 
 print("\nwith refinement ablated, a trained linear projection stands in:")
-linear = AutoencoderParams(80, stage_rng(1, "refine.ae"), hidden=None)
+linear = AutoencoderParams(80, stage_rng(1, "refine.ae"), linear=True)
 train_autoencoder(matrix, linear, epochs=200, lr=1e-2)
 print(f"  linear variant: {len(linear.enc)} encoder layer, "
       f"output {compress(matrix, linear).shape}")

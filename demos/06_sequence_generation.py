@@ -46,7 +46,7 @@ print(f"max_len=3 -> {capped}, the first {len(capped)} herbs of the uncapped "
       f"formula: {capped == seq[:3]}; all distinct: {len(set(seq)) == len(seq)}")
 
 print("\n-- no mixing of alternative formulas --")
-csym, cherbs, cpres = generate_conflicting_corpus(6, 6, seed=3)
+csym, cherbs, cpres = generate_conflicting_corpus(6, seed=3)
 cemb = UnifiedEmbedding(
     matrix=stage_rng(3, "demo.conflict").normal(size=(len(csym) + len(cherbs), 64)),
     n_sym=len(csym))

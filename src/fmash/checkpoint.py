@@ -5,7 +5,8 @@ Layout: magic line, 8-byte little-endian header length, JSON header (version,
 a ``config_hash`` key that is empty if no reader checks one, per-tensor name,
 shape, dtype, offset and byte count), then raw little-endian C-order blobs.
 Each tensor is stored in its own dtype, ``float32`` for everything fmash
-trains; a header dtype other than ``float32``/``float64``, or a byte count
+trains; a header dtype other than ``float32``/``float64``, a dimension,
+offset or byte count that is not a non-negative integer, or a byte count
 that does not match the shape, is rejected.  No timestamps or other
 environment-dependent bytes, so identical inputs give identical files.
 """
@@ -25,6 +26,12 @@ MAGIC = b"FMASHCKPT1\n"
 VERSION = 1
 # header dtype name -> little-endian storage type
 _DTYPES = {"float32": np.dtype("<f4"), "float64": np.dtype("<f8")}
+
+
+def _size(value) -> bool:
+    """Whether a header's dimension, offset or byte count is a non-negative
+    int: ``frombuffer`` reads a count of -1 to the end of the file."""
+    return type(value) is int and value >= 0
 
 
 def save_checkpoint(path: str | Path, tensors: dict[str, np.ndarray],
@@ -79,14 +86,19 @@ def load_checkpoint(path: str | Path, raw: bytes | None = None,
             if dtype is None:
                 raise SchemaError(f"{path}: tensor {name!r} has unknown dtype "
                                   f"{rec['dtype']!r}")
-            count = math.prod(rec["shape"])
-            if rec["nbytes"] != count * dtype.itemsize:
-                raise SchemaError(f"{path}: tensor {name!r} holds {rec['nbytes']} "
-                                  f"bytes, but shape {rec['shape']} of "
+            shape, offset, nbytes = rec["shape"], rec["offset"], rec["nbytes"]
+            if not (isinstance(shape, list) and all(map(_size, shape))
+                    and _size(offset) and _size(nbytes)):
+                raise SchemaError(f"{path}: tensor {name!r} has shape {shape!r}, offset "
+                                  f"{offset!r} and nbytes {nbytes!r}; each size must "
+                                  f"be a non-negative integer")
+            count = math.prod(shape)
+            if nbytes != count * dtype.itemsize:
+                raise SchemaError(f"{path}: tensor {name!r} holds {nbytes} "
+                                  f"bytes, but shape {shape} of "
                                   f"{rec['dtype']} needs {count * dtype.itemsize}")
             tensors[name] = np.frombuffer(raw, dtype=dtype, count=count,
-                                          offset=base + rec["offset"]
-                                          ).reshape(rec["shape"]).copy()
+                                          offset=base + offset).reshape(shape).copy()
         return tensors, header.get("config_hash", "")
     except (struct.error, ValueError, KeyError, TypeError, AttributeError,
             OverflowError) as exc:

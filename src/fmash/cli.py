@@ -314,9 +314,8 @@ def _cmd_synth(args) -> int:
         raise UsageError(f"--missing-mol-fraction must be in [0, 1], "
                          f"got {args.missing_mol_fraction}")
     if args.mode == "conflicting":
-        sym, herbs, pres = generate_conflicting_corpus(
-            n_pairs=args.n_prescriptions // 2, herbs_per_formula=6,
-            seed=args.seed, p_dim=23)
+        sym, herbs, pres = generate_conflicting_corpus(args.n_prescriptions // 2,
+                                                       seed=args.seed)
     else:
         for flag, value, per in (("--n-sym", args.n_sym, 2), ("--n-herb", args.n_herb, 5)):
             if value < per * args.n_syndromes:

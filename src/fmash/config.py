@@ -12,6 +12,7 @@ import json
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
+from .dataio import SYNTHETIC_P
 from .errors import ConfigError
 from .nn import N_HEADS
 
@@ -29,7 +30,7 @@ class DimsCfg:
     d_k: int = 16        # attention key width
     d_enc: int = 64      # fusion encoder width
     d_z: int = 16        # VAE latent width
-    p: int = 23          # herb property vector length
+    p: int = SYNTHETIC_P  # herb property vector length
     d_state: int = 16    # selective-scan state size
 
 

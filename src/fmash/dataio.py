@@ -414,6 +414,10 @@ def split_dataset(prescriptions: Sequence[PrescriptionInstance],
 _MOL_FRAGMENTS = ["C", "CC", "N", "O", "CO", "C(=O)O", "c1ccccc1", "Cl",
                   "C(N)", "OC", "S", "C=C"]
 
+# the property vector length of every synthetic herb, and of the config's
+# default corpus
+SYNTHETIC_P = 23
+
 
 def _cluster_blocks(n: int, k: int) -> list[np.ndarray]:
     bounds = np.linspace(0, n, k + 1).astype(int)
@@ -428,7 +432,7 @@ def distinct_symptom_sets(n_sym: int, n_syndromes: int) -> int:
 
 
 def generate_synthetic(n_sym: int, n_herb: int, n_syndromes: int, n_prescriptions: int,
-                       seed: int, *, p_dim: int = 23, missing_mol_fraction: float = 0.2,
+                       seed: int, *, missing_mol_fraction: float = 0.2,
                        unique_symptom_sets: bool = True,
                        ) -> tuple[list[SymptomRecord], list[HerbRecord],
                                   list[PrescriptionInstance]]:
@@ -457,7 +461,7 @@ def generate_synthetic(n_sym: int, n_herb: int, n_syndromes: int, n_prescription
         raise DataError("herb clusters too small: need >= 5 herbs per syndrome")
 
     rng = stage_rng(seed, "synth")
-    prop_proto = rng.normal(0.0, 1.0, size=(n_syndromes, p_dim))
+    prop_proto = rng.normal(0.0, 1.0, size=(n_syndromes, SYNTHETIC_P))
     mol_pools = []
     for c in range(n_syndromes):
         pool = []
@@ -478,7 +482,7 @@ def generate_synthetic(n_sym: int, n_herb: int, n_syndromes: int, n_prescription
     herbs = []
     for i in range(n_herb):
         c = herb_of[i]
-        props = prop_proto[c] + 0.15 * rng.normal(size=p_dim)
+        props = prop_proto[c] + 0.15 * rng.normal(size=SYNTHETIC_P)
         mols: list[str] = []
         if i not in missing_ids:
             k = int(rng.integers(1, 5))
@@ -515,29 +519,30 @@ def generate_synthetic(n_sym: int, n_herb: int, n_syndromes: int, n_prescription
     return symptoms, herbs, prescriptions
 
 
-def generate_conflicting_corpus(n_pairs: int, herbs_per_formula: int, seed: int, *,
-                                p_dim: int = 23,
+def generate_conflicting_corpus(n_pairs: int, seed: int,
                                 ) -> tuple[list[SymptomRecord], list[HerbRecord],
                                            list[PrescriptionInstance]]:
-    """Every symptom set appears twice, mapped to two disjoint herb formulas.
+    """Every symptom set appears twice, mapped to two disjoint formulas of
+    6 herbs each.
 
     Used to verify that generated sequences never blend the two ground
     truths for the same input.
     """
+    size = 6    # herbs per formula
     rng = stage_rng(seed, "synth.conflict")
     n_sym = 2 * n_pairs
-    n_herb = 2 * n_pairs * herbs_per_formula
+    n_herb = 2 * n_pairs * size
     symptoms = [SymptomRecord(id=i, name=f"sym-{i:03d}") for i in range(n_sym)]
     herbs = [HerbRecord(id=i, name=f"herb-{i:03d}",
-                        properties=rng.normal(size=p_dim),
+                        properties=rng.normal(size=SYNTHETIC_P),
                         molecules=["".join(rng.choice(_MOL_FRAGMENTS, size=4))])
              for i in range(n_herb)]
     prescriptions = []
     for p in range(n_pairs):
         sym_ids = (2 * p, 2 * p + 1)
-        base = 2 * p * herbs_per_formula
-        formula_a = list(range(base, base + herbs_per_formula))
-        formula_b = list(range(base + herbs_per_formula, base + 2 * herbs_per_formula))
+        base = 2 * p * size
+        formula_a = list(range(base, base + size))
+        formula_b = list(range(base + size, base + 2 * size))
         rng.shuffle(formula_a)
         rng.shuffle(formula_b)
         prescriptions.append(PrescriptionInstance(

@@ -188,9 +188,9 @@ def group_instances(instances, predictions: dict[int, list[int]],
 
 
 def evaluate_run(prediction_path: str | Path, instances, ks: Sequence[int],
-                 head: str = "rs", model: str = "", split: str = "test",
+                 head: str = "rs", model: str = "",
                  config: dict | None = None) -> MetricReport:
-    """Score a prediction export against a split.
+    """Score a prediction export against the test split's ``instances``.
 
     The ranking head gets macro-averaged per-instance P/R/F1 plus grouped
     BMP; the sequence head gets BMP only.
@@ -208,7 +208,7 @@ def evaluate_run(prediction_path: str | Path, instances, ks: Sequence[int],
                         f"{missing[:5]}"
                         + ("..." if len(missing) > 5 else ""))
 
-    report = MetricReport(model=model or head, split=split, ks=ks,
+    report = MetricReport(model=model or head, split="test", ks=ks,
                           n_instances=len(instances), config=config or {})
     groups = group_instances(instances, predictions)
     report.n_groups = len(groups)

@@ -110,7 +110,7 @@ class AttentionParams(Module):
 
 
 def attention_weights_batch(mol_embs: Tensor, props: Tensor, params: AttentionParams,
-                            mask: np.ndarray | None = None) -> Tensor:
+                            mask: np.ndarray) -> Tensor:
     """``(H, K)`` softmax weights of H herbs over their ``(H, K, d_m)``
     molecules, queried by their ``(H, P)`` property vectors.
 
@@ -121,15 +121,14 @@ def attention_weights_batch(mol_embs: Tensor, props: Tensor, params: AttentionPa
     q = (props @ params.w_q).reshape(h, -1, 1)                               # (H, d_k, 1)
     keys = (mol_embs.reshape(h * k, d_m) @ params.w_k).reshape(h, k, -1)    # (H, K, d_k)
     logits = (keys @ q).reshape(h, k) / math.sqrt(params.d_k)
-    if mask is not None:
-        logits = logits + Tensor(np.where(mask, 0.0, NEG_INF).astype(logits.data.dtype))
+    logits = logits + Tensor(np.where(mask, 0.0, NEG_INF).astype(logits.data.dtype))
     return softmax(logits)
 
 
 def aggregate_attention_batch(mol_embs: Tensor, props: Tensor,
-                              params: AttentionParams,
-                              mask: np.ndarray | None = None) -> Tensor:
-    """``(H, d_m)`` property-guided attention pools of H herbs."""
+                              params: AttentionParams, mask: np.ndarray) -> Tensor:
+    """``(H, d_m)`` property-guided attention pools of H herbs over the
+    molecule slots their ``(H, K)`` ``mask`` marks."""
     h, k, _ = mol_embs.shape
     alpha = attention_weights_batch(mol_embs, props, params, mask)
     return (alpha.reshape(h, k, 1) * mol_embs).sum(axis=1)
@@ -157,8 +156,8 @@ class VaeParams(Module):
     """Encoder p -> (mu, log sigma^2), decoder z -> v; two 64-unit hidden
     layers on each side."""
 
-    def __init__(self, p_dim: int, d_m: int, d_z: int, rng: np.random.Generator,
-                 hidden: int = 64):
+    def __init__(self, p_dim: int, d_m: int, d_z: int, rng: np.random.Generator):
+        hidden = 64
         self.p_dim, self.d_m, self.d_z = p_dim, d_m, d_z
         self.enc1 = Linear(p_dim, hidden, rng)
         self.enc2 = Linear(hidden, hidden, rng)
@@ -176,20 +175,20 @@ class VaeParams(Module):
         return self.dec_out(self.dec2(self.dec1(z).silu()).silu())
 
 
-def vae_loss(p_h, v_target, params: VaeParams, eps: np.ndarray | None = None,
+def vae_loss(p_h, v_target, params: VaeParams, eps: np.ndarray,
              ) -> tuple[Tensor, Tensor, Tensor]:
-    """ELBO-style loss: squared-error reconstruction plus closed-form KL to
-    the standard normal, both averaged over the batch.
+    """ELBO-style loss of ``(N, P)`` property rows against ``(N, d_m)``
+    targets: squared-error reconstruction plus closed-form KL to the
+    standard normal, both averaged over the batch.
 
-    ``eps`` supplies the reparameterization noise; ``None`` decodes from the
-    posterior mean (deterministic).
+    ``eps``, ``(N, d_z)``, supplies the reparameterization noise.
     """
-    p = Tensor.ensure(np.atleast_2d(p_h))
-    v = Tensor.ensure(np.atleast_2d(v_target))
+    p = Tensor.ensure(p_h)
+    v = Tensor.ensure(v_target)
     mu, logvar = params.encode(p)
     sigma2 = logvar.exp()
     kl = (0.5 * (mu * mu + sigma2 - 1.0 - logvar).sum(axis=1)).mean()
-    z = mu if eps is None else mu + (0.5 * logvar).exp() * Tensor(np.atleast_2d(eps))
+    z = mu + (0.5 * logvar).exp() * Tensor(eps)
     recon_err = params.decode(z) - v
     recon = (recon_err * recon_err).sum(axis=1).mean()
     return recon + kl, kl, recon
@@ -215,20 +214,19 @@ def train_vae(complete_pairs: tuple[np.ndarray, np.ndarray], params: VaeParams, 
 
 
 def impute_missing(p_h: np.ndarray, params: VaeParams) -> np.ndarray:
-    """Algorithm: encode the property vector, take the posterior mean, decode
-    to the molecular embedding space.
+    """Algorithm: encode the property vectors, take the posterior means,
+    decode to the molecular embedding space.
 
-    ``p_h`` is one property vector ``(P,)`` or a batch ``(N, P)``; the result
-    is ``(d_m,)`` or ``(N, d_m)`` to match, in float32.
+    ``p_h`` is a batch ``(N, P)`` of property vectors; the result is
+    ``(N, d_m)``, in float32.
     """
     p_h = np.asarray(p_h, dtype=np.float32)
-    if p_h.ndim not in (1, 2) or p_h.shape[-1] != params.p_dim:
-        raise SchemaError(f"property vector has shape {p_h.shape}, "
-                          f"expected ({params.p_dim},) or (N, {params.p_dim})")
-    p = p_h.reshape(-1, params.p_dim)
+    if p_h.ndim != 2 or p_h.shape[1] != params.p_dim:
+        raise SchemaError(f"property vectors have shape {p_h.shape}, "
+                          f"expected (N, {params.p_dim})")
     with no_grad():
-        mu, _ = params.encode(Tensor(p))
-        return params.decode(mu).data.reshape(p_h.shape[:-1] + (params.d_m,))
+        mu, _ = params.encode(Tensor(p_h))
+        return params.decode(mu).data
 
 
 # ---------------------------------------------------------------------------

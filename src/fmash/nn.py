@@ -135,12 +135,13 @@ class MultiHeadAttention(Module):
     zero in float32 as in float64, so padded keys neither change values nor
     receive gradient.  The decoder projects its memory once per decode and
     extends cached self-attention keys and values step by step.
+
+    The width splits into ``N_HEADS`` heads.
     """
 
-    def __init__(self, d_model: int, n_heads: int, rng: np.random.Generator):
-        if d_model % n_heads:
-            raise ValueError("d_model must be divisible by n_heads")
-        self.n_heads = n_heads
+    def __init__(self, d_model: int, rng: np.random.Generator):
+        if d_model % N_HEADS:
+            raise ValueError(f"d_model must be divisible by the {N_HEADS} attention heads")
         self.wq = Linear(d_model, d_model, rng)
         self.wk = parameter(rng.normal(0.0, 1.0 / math.sqrt(d_model),
                                        size=(d_model, d_model)))
@@ -158,15 +159,16 @@ class MultiHeadAttention(Module):
         ``bias`` (None for none) is added to the (B, h, Lq, Lk) scores by
         broadcasting.  With ``rows``, a (B, T) mask, the query holds the
         packed rows of the positions it marks (``tape.attention``)."""
-        return self.wo(attention(self.wq(query), k, v, bias, self.n_heads, rows))
+        return self.wo(attention(self.wq(query), k, v, bias, N_HEADS, rows))
 
 
 class FeedForward(Module):
-    """``lin2(silu(lin1(x)))`` as one ``tape.feed_forward`` node."""
+    """``lin2(silu(lin1(x)))`` as one ``tape.feed_forward`` node, through a
+    hidden width of ``4 * d_model``, as in every layer of both heads."""
 
-    def __init__(self, d_model: int, d_hidden: int, rng: np.random.Generator):
-        self.lin1 = Linear(d_model, d_hidden, rng)
-        self.lin2 = Linear(d_hidden, d_model, rng)
+    def __init__(self, d_model: int, rng: np.random.Generator):
+        self.lin1 = Linear(d_model, 4 * d_model, rng)
+        self.lin2 = Linear(4 * d_model, d_model, rng)
 
     def __call__(self, x: Tensor) -> Tensor:
         return feed_forward(x, self.lin1.weight, self.lin1.bias,
@@ -185,11 +187,11 @@ class EncoderLayer(Module):
     function, without the rows it would throw away.
     """
 
-    def __init__(self, d_model: int, n_heads: int, d_ff: int, rng: np.random.Generator):
+    def __init__(self, d_model: int, rng: np.random.Generator):
         self.ln1 = LayerNorm(d_model)
-        self.attn = MultiHeadAttention(d_model, n_heads, rng)
+        self.attn = MultiHeadAttention(d_model, rng)
         self.ln2 = LayerNorm(d_model)
-        self.ff = FeedForward(d_model, d_ff, rng)
+        self.ff = FeedForward(d_model, rng)
 
     def __call__(self, x: Tensor, bias: np.ndarray, first_only: bool = False,
                  ) -> Tensor:
@@ -219,13 +221,13 @@ class DecoderLayer(Module):
     from every marked query.
     """
 
-    def __init__(self, d_model: int, n_heads: int, d_ff: int, rng: np.random.Generator):
+    def __init__(self, d_model: int, rng: np.random.Generator):
         self.ln1 = LayerNorm(d_model)
-        self.self_attn = MultiHeadAttention(d_model, n_heads, rng)
+        self.self_attn = MultiHeadAttention(d_model, rng)
         self.ln2 = LayerNorm(d_model)
-        self.cross_attn = MultiHeadAttention(d_model, n_heads, rng)
+        self.cross_attn = MultiHeadAttention(d_model, rng)
         self.ln3 = LayerNorm(d_model)
-        self.ff = FeedForward(d_model, d_ff, rng)
+        self.ff = FeedForward(d_model, rng)
 
     def __call__(self, x: Tensor, memory_kv: tuple[Tensor, Tensor],
                  memory_bias: np.ndarray, past: tuple[Tensor, Tensor] | None = None,

@@ -78,14 +78,13 @@ def run_phase1(symptoms: list[SymptomRecord], herbs: list[HerbRecord],
     sym_matrix, herb_matrix = assemble_features(
         graph_features, symptoms, herbs, text_rows(symptoms), herb_reprs)
 
-    hidden = 128 if cfg.ablation.fr else None
     fr_final: dict[str, float] = {}
     compressed = {}
     for name, matrix, source in (("sym", sym_matrix, SYMPTOMS_FILE),
                                  ("herb", herb_matrix, HERBS_FILE)):
         params = AutoencoderParams(matrix.shape[1],
                                    stage_rng(seed, f"refine.ae.{name}"),
-                                   hidden=hidden)
+                                   linear=not cfg.ablation.fr)
         key = f"fr_{name}"
         try:
             histories[key] = train_autoencoder(

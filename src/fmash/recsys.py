@@ -21,8 +21,8 @@ import numpy as np
 
 from .dataio import symptom_batch
 from .errors import DataError, NumericError
-from .nn import (N_HEADS, EncoderLayer, Linear, Module, TrainResult, fit, key_mask_bias,
-                 parameter, stage_rng)
+from .nn import (EncoderLayer, Linear, Module, TrainResult, fit, key_mask_bias, parameter,
+                 stage_rng)
 from .refine import UnifiedEmbedding
 from .tape import Tensor, concat, linear, linear_bce, no_grad, softmax
 
@@ -36,7 +36,7 @@ class GelramParams(Module):
         rng = stage_rng(seed, "rs.gelram")
         self.input_proj = Linear(2 * d, d_enc, rng)
         self.tok_proj = Linear(d, d_enc, rng)
-        self.layers = [EncoderLayer(d_enc, N_HEADS, 4 * d_enc, rng) for _ in range(2)]
+        self.layers = [EncoderLayer(d_enc, rng) for _ in range(2)]
         self.out = Linear(d_enc, n_herb, rng)
 
 
@@ -92,16 +92,13 @@ def rs_logits(symptom_sets: list, emb: UnifiedEmbedding, params: RsParams,
     b = ids.shape[0]
 
     tokens = sym_t[ids]                                   # (B, W, d)
-    masked = tokens * mask[:, :, None]
-    s = masked.sum(axis=1)                                # (B, d)
+    s = (tokens * mask[:, :, None]).sum(axis=1)           # (B, d)
 
     if isinstance(params, PlainScorerParams):
         x, w, bias = params.bilinear(s), herb_t.transpose(1, 0), params.bias
     else:
-        h_w = weighted_herb(s, herb_t)                    # (B, d)
-        cls = params.input_proj(concat([h_w, s], axis=1))  # (B, d_enc)
-        tok = params.tok_proj(tokens)                     # (B, W, d_enc)
-        seq = concat([cls.reshape(b, 1, -1), tok], axis=1)
+        cls = params.input_proj(concat([weighted_herb(s, herb_t), s], axis=1))  # (B, d_enc)
+        seq = concat([cls.reshape(b, 1, -1), params.tok_proj(tokens)], axis=1)
         key_bias = key_mask_bias(np.concatenate([np.ones((b, 1), dtype=bool), mask],
                                                 axis=1), seq.data.dtype)
         for layer in params.layers[:-1]:

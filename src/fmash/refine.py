@@ -95,15 +95,15 @@ def assemble_features(hgre_out: np.ndarray, symptoms: list[SymptomRecord],
 
 class AutoencoderParams(Module):
     """Encoder to a fixed 64-d latent and mirror decoder: ``Linear`` layers
-    through the widths ``[d_in, hidden, 64]`` and back, SiLU between layers.
+    through the widths ``[d_in, 128, 64]`` and back, SiLU between layers.
 
-    ``hidden=None`` gives the widths ``[d_in, 64]``, the linear variant (one
+    ``linear=True`` gives the widths ``[d_in, 64]``, the linear variant (one
     matrix each way), used as the learned projection when refinement is
     switched off.
     """
 
-    def __init__(self, d_in: int, rng: np.random.Generator, hidden: int | None = 128):
-        widths = [w for w in (d_in, hidden, UNIFIED_DIM) if w is not None]
+    def __init__(self, d_in: int, rng: np.random.Generator, linear: bool = False):
+        widths = [d_in, UNIFIED_DIM] if linear else [d_in, 128, UNIFIED_DIM]
         self.enc = [Linear(a, b, rng) for a, b in zip(widths, widths[1:])]
         back = widths[::-1]
         self.dec = [Linear(a, b, rng) for a, b in zip(back, back[1:])]

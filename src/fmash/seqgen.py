@@ -32,7 +32,7 @@ import numpy as np
 
 from .dataio import symptom_batch
 from .errors import DataError, NumericError
-from .nn import (N_HEADS, DecoderLayer, EncoderLayer, LayerNorm, Linear, Module,
+from .nn import (DecoderLayer, EncoderLayer, LayerNorm, Linear, Module,
                  MultiHeadAttention, TrainResult, fit, key_mask_bias, parameter,
                  sinusoidal_positions, stage_rng)
 from .refine import UnifiedEmbedding
@@ -61,9 +61,9 @@ class TokenVocab:
 class IntegrationLayer(Module):
     """Cross-attention-only block bridging target embeddings and memory."""
 
-    def __init__(self, d_model: int, n_heads: int, rng):
+    def __init__(self, d_model: int, rng: np.random.Generator):
         self.ln = LayerNorm(d_model)
-        self.cross = MultiHeadAttention(d_model, n_heads, rng)
+        self.cross = MultiHeadAttention(d_model, rng)
 
     def __call__(self, x: Tensor, memory_kv: tuple[Tensor, Tensor],
                  memory_bias: np.ndarray, rows: np.ndarray | None = None) -> Tensor:
@@ -84,10 +84,10 @@ class Seq2SeqParams(Module):
         self.tok_embed = parameter(np.concatenate(
             [emb.herb(), rng.normal(0.0, 0.1, size=(1, d))], axis=0, dtype=np.float32))
         self.positions = sinusoidal_positions(max(emb.n_sym, emb.n_herb + 1), d)
-        self.enc_layers = [EncoderLayer(d, N_HEADS, 4 * d, rng) for _ in range(2)]
+        self.enc_layers = [EncoderLayer(d, rng) for _ in range(2)]
         self.enc_ln = LayerNorm(d)
-        self.integration = IntegrationLayer(d, N_HEADS, rng)
-        self.dec_layers = [DecoderLayer(d, N_HEADS, 4 * d, rng) for _ in range(2)]
+        self.integration = IntegrationLayer(d, rng)
+        self.dec_layers = [DecoderLayer(d, rng) for _ in range(2)]
         self.dec_ln = LayerNorm(d)
         self.out = Linear(d, emb.n_herb + 1, rng)    # the herbs, then EOS
 

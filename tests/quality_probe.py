@@ -25,7 +25,8 @@ artifacts and output are byte-identical to the parent's.  For each of four
 ``ablation`` variants (as is, ``fr: false``, ``mlfie: false`` and
 ``gelram: false``) it runs, on the default ``fmash synth`` corpus with the
 ``run_env`` config of ``tests/test_config_cli.py`` (``train.epochs`` 40),
-one process per tree in the same directory: ``synth``, ``prepare``,
+one process per tree in the same directory: ``synth``, ``synth --mode
+conflicting`` (into its own directory, compared with the rest), ``prepare``,
 ``train-rs``, ``train-seq``, both ``evaluate`` runs, ``impute-mol``, and
 three ``recommend --k 10`` and three ``generate`` queries.  It prints every
 file and every exit code, stdout or stderr line that differs; for a
@@ -38,7 +39,7 @@ serves the parent's checkpoints (``rs.ckpt``, ``seq.ckpt``,
 BLAS runs on 1 thread.
 
 Neither mode is part of the test suite; a run of both trees takes about 6
-minutes on 2 cores::
+minutes on 2 cores, and about 20 seconds with ``--contract``::
 
     python tests/quality_probe.py PARENT_TREE [CHANGED_TREE]
     python tests/quality_probe.py --contract PARENT_TREE CHANGED_TREE
@@ -48,6 +49,7 @@ from __future__ import annotations
 
 import contextlib
 import difflib
+import inspect
 import io
 import json
 import os
@@ -134,7 +136,10 @@ def _no_mixing() -> dict:
     from fmash.refine import UnifiedEmbedding
     from fmash.seqgen import generate, train_seq
 
-    symptoms, herbs, prescriptions = generate_conflicting_corpus(10, 6, seed=3)
+    # a tree from before the formula size was fixed at 6 takes it as an argument
+    size = ({"herbs_per_formula": 6} if "herbs_per_formula"
+            in inspect.signature(generate_conflicting_corpus).parameters else {})
+    symptoms, herbs, prescriptions = generate_conflicting_corpus(10, seed=3, **size)
     emb = UnifiedEmbedding(matrix=stage_rng(3, "acc.conflict.emb").normal(
         size=(len(symptoms) + len(herbs), 64)), n_sym=len(symptoms))
     params = train_seq(prescriptions, emb, epochs=250, lr=3e-3, seed=C6_SEED).params
@@ -154,6 +159,7 @@ def _contract_commands(root: Path, serve_only: bool) -> list[list[str]]:
     if serve_only:
         return serve
     return [["synth", "--out", str(root / "corpus")],
+            ["synth", "--mode", "conflicting", "--out", str(root / "conflicting")],
             ["prepare", "--config", cfg], ["train-rs", "--config", cfg],
             ["train-seq", "--config", cfg],
             ["evaluate", "--config", cfg, "--pred", str(work / "rs_predictions.tsv")],

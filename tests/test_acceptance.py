@@ -136,7 +136,8 @@ def test_c2_gradient_suite():
     props = Tensor(np.random.default_rng(6).normal(size=(1, 3)), requires_grad=True)
     probe3 = np.random.default_rng(7).normal(size=(1, 4))
     errors["aggregate_attention_batch"] = max_relative_error(
-        lambda: (aggregate_attention_batch(mol, props, attn) * probe3).sum(),
+        lambda: (aggregate_attention_batch(mol, props, attn, np.ones((1, 4), dtype=bool))
+                 * probe3).sum(),
         [mol, props, attn.w_q, attn.w_k])
 
     gate = as_float64(Linear(3, 3, stage_rng(103, "acc.gate")))
@@ -147,12 +148,12 @@ def test_c2_gradient_suite():
         lambda: (fuse_gate_batch(v, he, gate) * probe4).sum(),
         [v, he, gate.weight, gate.bias])
 
-    vae = as_float64(VaeParams(3, 4, 2, stage_rng(104, "acc.vae"), hidden=8))
+    vae = as_float64(VaeParams(3, 4, 2, stage_rng(104, "acc.vae")))
     rng = np.random.default_rng(10)
     p_in, v_in = rng.normal(size=(2, 3)), rng.normal(size=(2, 4))
     eps = rng.standard_normal((2, 2))
     errors["vae_loss"] = max_relative_error(
-        lambda: vae_loss(p_in, v_in, vae, eps=eps)[0], vae.parameters())
+        lambda: vae_loss(p_in, v_in, vae, eps)[0], vae.parameters())
 
     emb = UnifiedEmbedding(matrix=rng.normal(size=(9, 4)), n_sym=4)
     rs = one_layer_per_stack(as_float64(GelramParams(4, 5, seed=105, d_enc=8)))
@@ -226,7 +227,7 @@ def test_c3_structural_invariants():
     for _ in range(100):
         e = rng.normal(size=(1, int(rng.integers(1, 9)), 5))
         alpha = attention_weights_batch(Tensor(e), Tensor(rng.normal(size=(1, 3))),
-                                        attn).data
+                                        attn, np.ones(e.shape[:2], dtype=bool)).data
         assert np.all(alpha >= 0)
         assert abs(alpha.sum() - 1.0) <= 1e-9
 
@@ -240,14 +241,15 @@ def test_c3_structural_invariants():
 
     # KL non-negativity, exactly zero at the standard-normal posterior
     vae = VaeParams(3, 4, 2, stage_rng(213, "acc.kl"))
+    no_noise = np.zeros((1, 2))
     for _ in range(50):
-        _, kl, _ = vae_loss(rng.normal(size=3), rng.normal(size=4), vae)
+        _, kl, _ = vae_loss(rng.normal(size=(1, 3)), rng.normal(size=(1, 4)), vae, no_noise)
         assert kl.item() >= 0.0
     vae.enc_mu.weight.data[:] = 0.0
     vae.enc_mu.bias.data[:] = 0.0
     vae.enc_logvar.weight.data[:] = 0.0
     vae.enc_logvar.bias.data[:] = 0.0
-    _, kl, _ = vae_loss(np.ones(3), np.zeros(4), vae)
+    _, kl, _ = vae_loss(np.ones((1, 3)), np.zeros((1, 4)), vae, no_noise)
     assert kl.item() == 0.0
     _report("structural invariants", started, 60.0,
             "sort/unsort, equivariance, causality, simplex, convexity, KL")
@@ -312,7 +314,7 @@ def test_c5_seq_memorization(split, phase1):
 
 def test_c6_no_mixing_property():
     started = time.monotonic()
-    symptoms, herbs, prescriptions = generate_conflicting_corpus(10, 6, seed=3)
+    symptoms, herbs, prescriptions = generate_conflicting_corpus(10, seed=3)
     emb = UnifiedEmbedding(
         matrix=stage_rng(3, "acc.conflict.emb").normal(
             size=(len(symptoms) + len(herbs), 64)),
@@ -393,9 +395,9 @@ def test_c8_vae_imputation_holdout(corpus):
     hold_p, hold_v = props[-n_hold:], targets[-n_hold:]
     vae = VaeParams(23, 32, 16, stage_rng(7, "mlfie.vae"))
     train_vae((fit_p, fit_v), vae, epochs=250, lr=5e-3, seed=7)
-    train_err = np.median([((impute_missing(p, vae) - v) ** 2).sum()
+    train_err = np.median([((impute_missing(p[None], vae)[0] - v) ** 2).sum()
                            for p, v in zip(fit_p, fit_v)])
-    hold_err = np.median([((impute_missing(p, vae) - v) ** 2).sum()
+    hold_err = np.median([((impute_missing(p[None], vae)[0] - v) ** 2).sum()
                           for p, v in zip(hold_p, hold_v)])
     assert hold_err <= 2.0 * train_err, \
         f"held-out median {hold_err:.4g} > 2x train median {train_err:.4g}"

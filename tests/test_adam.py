@@ -116,7 +116,7 @@ def test_matches_per_tensor_adam_on_broadcast_and_shared_gradients():
 
 
 def test_a_parameter_without_a_gradient_is_refused_naming_it():
-    params, twins = _twins(AutoencoderParams(11, nn.stage_rng(5, "refine.ae"), hidden=None))
+    params, twins = _twins(AutoencoderParams(11, nn.stage_rng(5, "refine.ae"), linear=True))
     rng = np.random.default_rng(3)
     # two steps first, so that the moments are nonzero
     opt, _ = _run_both(params, twins, lambda _: _random_grads(params, rng), steps=2)

@@ -235,6 +235,24 @@ def test_checkpoint_header_dtype_and_byte_count_checked(tmp_path, field, value, 
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("edit", [
+    {"shape": [-1], "nbytes": -4},      # count -1 would read to the end of the file
+    {"shape": [True, 6]},
+    {"shape": [6.0]},
+    {"shape": 6},
+    {"offset": -4},
+    {"nbytes": 24.0},
+])
+def test_checkpoint_header_sizes_must_be_non_negative_ints(tmp_path, edit):
+    path = tmp_path / "edited.ckpt"
+    save_checkpoint(path, {"a": np.arange(6, dtype=np.float32),
+                           "b": np.ones(3, dtype=np.float32)})
+    path.write_bytes(_edit_header(path.read_bytes(),
+                                  lambda records: records[0].update(edit)))
+    with pytest.raises(SchemaError, match="edited.ckpt: tensor 'a' has shape "):
+        load_checkpoint(path)
+
+
 def test_checkpoint_rejects_garbage(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(b"not a checkpoint")

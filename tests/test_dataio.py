@@ -6,6 +6,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from fmash.cli import execute_command
 from fmash.dataio import (HeteroGraph, PrescriptionInstance, build_graph,
                           distinct_symptom_sets, generate_conflicting_corpus,
                           generate_synthetic, load_corpus, save_corpus,
@@ -227,6 +228,20 @@ def test_full_scale_corpus_keeps_its_bytes(tmp_path, full_scale_corpus):
         == "1b9273f22882419ac87d9c772827845cdf81ddea8eb2e9efb6cedece398c438e"
 
 
+def test_conflicting_corpus_keeps_its_bytes(tmp_path):
+    assert _corpus_sha256(tmp_path, generate_conflicting_corpus(10, seed=3)) \
+        == "da9b428f9976adf52aeedd9b8a694eddbbc36cf8f6a89d09f423099699b4c1de"
+
+
+def test_synth_conflicting_keeps_its_bytes(tmp_path):
+    assert execute_command(["synth", "--mode", "conflicting", "--out", str(tmp_path)]) == 0
+    digest = hashlib.sha256()
+    for fname in CORPUS_FILES:
+        digest.update((tmp_path / fname).read_bytes())
+    assert digest.hexdigest() \
+        == "9166a83e73cc059854963fa5ae1177082be1568eaa803ffe513dff9240ec13a1"
+
+
 def _assert_shared(prescriptions):
     """Equal ids across all records, symptoms and herbs alike, are one int
     object, and equal symptom sets one ascending tuple; some set repeats."""
@@ -290,7 +305,7 @@ def test_synthetic_names_the_distinct_symptom_sets_when_drawing_runs_out():
 
 
 def test_conflicting_corpus_structure():
-    sym, herb, pres = generate_conflicting_corpus(4, 6, seed=3)
+    sym, herb, pres = generate_conflicting_corpus(4, seed=3)
     assert len(pres) == 8
     for a, b in zip(pres[::2], pres[1::2]):
         assert a.symptoms == b.symptoms

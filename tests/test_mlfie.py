@@ -82,13 +82,18 @@ def test_stub_encoder_rejects_empty_string():
 # attention pooling
 # ---------------------------------------------------------------------------
 
+def _every_slot(e) -> np.ndarray:
+    """The mask of an ``(H, K, d_m)`` batch whose every molecule slot is real."""
+    return np.ones(e.shape[:2], dtype=bool)
+
+
 def test_single_molecule_gets_full_weight():
     params = AttentionParams(4, 6, 3, stage_rng(0, "attn"))
     e = Tensor(np.random.default_rng(0).normal(size=(1, 1, 6)))
     p = Tensor(np.random.default_rng(1).normal(size=(1, 4)))
-    v = aggregate_attention_batch(e, p, params)
+    v = aggregate_attention_batch(e, p, params, _every_slot(e))
     np.testing.assert_allclose(v.data, e.data[:, 0], atol=1e-12)
-    alpha = attention_weights_batch(e, p, params)
+    alpha = attention_weights_batch(e, p, params, _every_slot(e))
     np.testing.assert_allclose(alpha.data, [[1.0]], atol=1e-15)
 
 
@@ -97,7 +102,8 @@ def test_zero_query_gives_uniform_mean():
     params.w_q.data[:] = 0.0
     rng = np.random.default_rng(2)
     e = rng.normal(size=(1, 5, 6))
-    v = aggregate_attention_batch(Tensor(e), Tensor(rng.normal(size=(1, 4))), params)
+    v = aggregate_attention_batch(Tensor(e), Tensor(rng.normal(size=(1, 4))), params,
+                                  _every_slot(e))
     np.testing.assert_allclose(v.data, e.mean(axis=1), atol=1e-12)
 
 
@@ -108,9 +114,9 @@ def test_hand_built_logits_give_expected_softmax():
     params.w_k.data = np.array([[1.0], [0.0]])
     e = np.array([[[0.0, 5.0], [np.log(2.0), -1.0]]])
     p = Tensor(np.array([[1.0]]))
-    alpha = attention_weights_batch(Tensor(e), p, params)
+    alpha = attention_weights_batch(Tensor(e), p, params, _every_slot(e))
     np.testing.assert_allclose(alpha.data, [[1.0 / 3.0, 2.0 / 3.0]], atol=1e-12)
-    v = aggregate_attention_batch(Tensor(e), p, params)
+    v = aggregate_attention_batch(Tensor(e), p, params, _every_slot(e))
     np.testing.assert_allclose(v.data, [(e[0, 0] + 2.0 * e[0, 1]) / 3.0], atol=1e-12)
 
 
@@ -121,10 +127,10 @@ def test_attention_simplex_and_convex_hull(k, seed):
     params = AttentionParams(3, 5, 4, np.random.default_rng(seed + 1))
     e = Tensor(rng.normal(size=(1, k, 5)))
     p = Tensor(rng.normal(size=(1, 3)))
-    alpha = attention_weights_batch(e, p, params).data
+    alpha = attention_weights_batch(e, p, params, _every_slot(e)).data
     assert np.all(alpha >= 0.0)
     assert abs(alpha.sum() - 1.0) <= 1e-9
-    v = aggregate_attention_batch(e, p, params).data
+    v = aggregate_attention_batch(e, p, params, _every_slot(e)).data
     assert np.all(v >= e.data.min(axis=1) - 1e-12)
     assert np.all(v <= e.data.max(axis=1) + 1e-12)
 
@@ -134,9 +140,9 @@ def test_attention_invariant_to_molecule_order():
     params = AttentionParams(3, 5, 4, stage_rng(3, "attn"))
     e = rng.normal(size=(1, 6, 5))
     p = Tensor(rng.normal(size=(1, 3)))
-    v1 = aggregate_attention_batch(Tensor(e), p, params).data
+    v1 = aggregate_attention_batch(Tensor(e), p, params, _every_slot(e)).data
     perm = rng.permutation(6)
-    v2 = aggregate_attention_batch(Tensor(e[:, perm]), p, params).data
+    v2 = aggregate_attention_batch(Tensor(e[:, perm]), p, params, _every_slot(e)).data
     np.testing.assert_allclose(v1, v2, atol=1e-12)
 
 
@@ -154,7 +160,7 @@ def test_attention_gradients():
     probe = np.random.default_rng(8).normal(size=(1, 4))
 
     def loss():
-        return (aggregate_attention_batch(e, p, params) * probe).sum()
+        return (aggregate_attention_batch(e, p, params, _every_slot(e)) * probe).sum()
 
     assert max_relative_error(loss, [e, p, params.w_q, params.w_k]) < 1e-4
 
@@ -225,26 +231,32 @@ def _forced_encoder(params: VaeParams, mu_value: float) -> VaeParams:
     return params
 
 
+def _no_noise(n: int, params: VaeParams, dtype=np.float64) -> np.ndarray:
+    """Zero reparameterization noise for ``n`` rows: ``vae_loss`` then
+    decodes the posterior means."""
+    return np.zeros((n, params.d_z), dtype=dtype)
+
+
 def test_kl_zero_at_standard_normal_posterior():
     params = _forced_encoder(VaeParams(3, 4, 2, stage_rng(12, "vae")), 0.0)
-    _, kl, _ = vae_loss(np.ones(3), np.zeros(4), params)
+    _, kl, _ = vae_loss(np.ones((1, 3)), np.zeros((1, 4)), params, _no_noise(1, params))
     assert kl.item() == 0.0
 
 
 def test_kl_closed_form_value():
     params = _forced_encoder(VaeParams(3, 4, 1, stage_rng(13, "vae")), 1.0)
-    _, kl, _ = vae_loss(np.ones(3), np.zeros(4), params)
+    _, kl, _ = vae_loss(np.ones((1, 3)), np.zeros((1, 4)), params, _no_noise(1, params))
     assert abs(kl.item() - 0.5) < 1e-12
 
 
 def test_perfect_reconstruction_zeroes_recon_term():
     params = VaeParams(3, 4, 2, stage_rng(14, "vae"))
-    p = np.random.default_rng(15).normal(size=3)
+    p = np.random.default_rng(15).normal(size=(1, 3))
     from fmash.tape import no_grad
     with no_grad():
-        mu, _ = params.encode(Tensor(p.reshape(1, -1)))
-        target = params.decode(mu).data.reshape(-1)
-    _, _, recon = vae_loss(p, target, params)
+        mu, _ = params.encode(Tensor(p))
+        target = params.decode(mu).data
+    _, _, recon = vae_loss(p, target, params, _no_noise(1, params))
     assert recon.item() < 1e-24
 
 
@@ -252,19 +264,20 @@ def test_kl_nonnegative_on_random_inputs():
     params = VaeParams(5, 4, 3, stage_rng(15, "vae"))
     rng = np.random.default_rng(16)
     for _ in range(50):
-        _, kl, _ = vae_loss(rng.normal(size=5), rng.normal(size=4), params)
+        _, kl, _ = vae_loss(rng.normal(size=(1, 5)), rng.normal(size=(1, 4)), params,
+                            _no_noise(1, params))
         assert kl.item() >= 0.0
 
 
 def test_vae_loss_gradients():
-    params = as_float64(VaeParams(3, 4, 2, stage_rng(16, "vae"), hidden=8))
+    params = as_float64(VaeParams(3, 4, 2, stage_rng(16, "vae")))
     rng = np.random.default_rng(17)
     p = rng.normal(size=(2, 3))
     v = rng.normal(size=(2, 4))
     eps = rng.standard_normal((2, 2))
 
     def loss():
-        return vae_loss(p, v, params, eps=eps)[0]
+        return vae_loss(p, v, params, eps)[0]
 
     assert max_relative_error(loss, params.parameters()) < 1e-4
 
@@ -314,9 +327,10 @@ def test_train_vae_runs_one_loss_per_epoch_and_records_it(monkeypatch):
 
 def test_train_vae_lowers_the_noise_free_objective():
     props, targets, vae = _vae_fixture()
-    before = vae_loss(props, targets, vae)[0].item()
+    no_noise = _no_noise(len(props), vae, props.dtype)
+    before = vae_loss(props, targets, vae, no_noise)[0].item()
     losses = train_vae((props, targets), vae, epochs=150, lr=5e-3, seed=3)
-    after = vae_loss(props, targets, vae)[0].item()
+    after = vae_loss(props, targets, vae, no_noise)[0].item()
     assert after <= 0.5 * before
     assert losses[-1] < losses[0]
 
@@ -351,15 +365,16 @@ def test_train_vae_needs_enough_pairs():
 
 def test_impute_deterministic_in_mean_mode():
     params = VaeParams(4, 6, 3, stage_rng(17, "vae"))
-    p = np.random.default_rng(18).normal(size=4)
+    p = np.random.default_rng(18).normal(size=(1, 4))
     np.testing.assert_array_equal(impute_missing(p, params),
                                   impute_missing(p, params))
 
 
 def test_impute_rejects_wrong_property_length():
     params = VaeParams(4, 6, 3, stage_rng(18, "vae"))
-    with pytest.raises(SchemaError):
-        impute_missing(np.zeros(5), params)
+    for shape in ((2, 5), (4,), (1, 2, 4)):
+        with pytest.raises(SchemaError, match=r"expected \(N, 4\)"):
+            impute_missing(np.zeros(shape), params)
 
 
 def test_holdout_imputation_error_within_twice_train_median():
@@ -373,9 +388,9 @@ def test_holdout_imputation_error_within_twice_train_median():
     fit_p, fit_v = props[:-n_hold], targets[:-n_hold]
     vae = VaeParams(23, 16, 8, stage_rng(3, "mlfie.vae"))
     train_vae((fit_p, fit_v), vae, epochs=250, lr=5e-3, seed=3)
-    train_err = [float(((impute_missing(p, vae) - v) ** 2).sum())
+    train_err = [float(((impute_missing(p[None], vae)[0] - v) ** 2).sum())
                  for p, v in zip(fit_p, fit_v)]
-    hold_err = [float(((impute_missing(p, vae) - v) ** 2).sum())
+    hold_err = [float(((impute_missing(p[None], vae)[0] - v) ** 2).sum())
                 for p, v in zip(hold_p, hold_v)]
     assert np.median(hold_err) <= 2.0 * np.median(train_err)
 

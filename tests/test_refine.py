@@ -167,7 +167,7 @@ def test_reported_error_recomputes_as_mse():
 
 def test_linear_variant_is_learned_projection():
     matrix = np.random.default_rng(10).normal(size=(20, 70))
-    params = AutoencoderParams(70, stage_rng(12, "refine.ae"), hidden=None)
+    params = AutoencoderParams(70, stage_rng(12, "refine.ae"), linear=True)
     losses = train_autoencoder(matrix, params, epochs=60)
     assert len(params.enc) == len(params.dec) == 1
     assert compress(matrix, params).shape == (20, 64)

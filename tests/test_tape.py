@@ -328,7 +328,7 @@ def test_layernorm_and_linear_grads():
 
 def test_multihead_attention_grads_and_masking():
     rng = stage_rng(0, "test.attn")
-    mha = MultiHeadAttention(8, 2, rng)
+    mha = MultiHeadAttention(8, rng)
     x = Tensor(np.random.default_rng(12).normal(size=(2, 4, 8)), requires_grad=True)
     mask = np.array([[True, True, True, False], [True, True, False, False]])
 
@@ -374,7 +374,7 @@ def test_attention_node_grads_with_causal_bias_and_cached_keys(lq, lk, causal):
 
 def test_causal_attention_prefix_invariance():
     rng = stage_rng(0, "test.causal")
-    mha = MultiHeadAttention(8, 2, rng)
+    mha = MultiHeadAttention(8, rng)
     x = np.random.default_rng(13).normal(size=(1, 5, 8))
     y = x.copy()
     y[0, -1] += 10.0
