@@ -18,7 +18,7 @@ from fmash.refine import (AutoencoderParams, compress, reconstruction_mse,
 from fmash.nn import stage_rng
 
 symptoms, herbs, prescriptions = generate_synthetic(40, 60, 5, 200, seed=7)
-split = split_dataset(prescriptions, seed=42)
+split = split_dataset(prescriptions, (0.7, 0.1, 0.2), seed=42)
 graph = build_graph(split.train, 40, 60, tau_s=2, tau_h=2)
 
 cfg = RunConfig()
@@ -41,7 +41,7 @@ for node_type in ("sym", "herb"):
 
 print("\ncompression is row-wise and deterministic:")
 matrix = stage_rng(0, "demo.fr").normal(size=(30, 80))
-params = AutoencoderParams(80, stage_rng(1, "refine.ae"))
+params = AutoencoderParams(80, stage_rng(1, "refine.ae"), linear=False)
 losses = train_autoencoder(matrix, params, epochs=200, lr=1e-2)
 z = compress(matrix, params)
 perm = np.random.default_rng(0).permutation(30)

@@ -16,13 +16,13 @@ from fmash.pipeline import run_phase1
 from fmash.recsys import export_predictions, gelram_score, recommend, train_rs
 
 symptoms, herbs, prescriptions = generate_synthetic(40, 60, 5, 200, seed=7)
-split = split_dataset(prescriptions, seed=42)
+split = split_dataset(prescriptions, (0.7, 0.1, 0.2), seed=42)
 graph = build_graph(split.train, 40, 60, tau_s=2, tau_h=2)
 phase1 = run_phase1(symptoms, herbs, graph, RunConfig())
 emb = phase1.unified
 
 print("-- training (multi-label BCE) --")
-result = train_rs(split.train, emb, epochs=200, lr=1e-2, seed=42)
+result = train_rs(split.train, emb, epochs=200, lr=1e-2, batch_size=None, seed=42)
 print(f"loss {result.losses[0]:.4f} -> {result.losses[-1]:.4f} "
       f"over {len(result.losses)} epochs")
 

@@ -20,12 +20,13 @@ from fmash.refine import UnifiedEmbedding
 from fmash.seqgen import generate, train_seq
 
 symptoms, herbs, prescriptions = generate_synthetic(40, 60, 5, 200, seed=7)
-split = split_dataset(prescriptions, seed=42)
+split = split_dataset(prescriptions, (0.7, 0.1, 0.2), seed=42)
 graph = build_graph(split.train, 40, 60, tau_s=2, tau_h=2)
 phase1 = run_phase1(symptoms, herbs, graph, RunConfig())
 
 print("-- teacher-forced training on [herbs..., EOS] --")
-result = train_seq(split.train, phase1.unified, epochs=300, lr=3e-3, seed=42)
+result = train_seq(split.train, phase1.unified, epochs=300, lr=3e-3, batch_size=None,
+                   seed=42)
 print(f"loss {result.losses[0]:.3f} -> {result.losses[-1]:.3f}")
 
 inst = split.train[0]
@@ -50,7 +51,7 @@ csym, cherbs, cpres = generate_conflicting_corpus(6, seed=3)
 cemb = UnifiedEmbedding(
     matrix=stage_rng(3, "demo.conflict").normal(size=(len(csym) + len(cherbs), 64)),
     n_sym=len(csym))
-conflict = train_seq(cpres, cemb, epochs=250, lr=3e-3, seed=5)
+conflict = train_seq(cpres, cemb, epochs=250, lr=3e-3, batch_size=None, seed=5)
 for a, b in list(zip(cpres[::2], cpres[1::2]))[:3]:
     out = generate(a.symptoms, conflict.params, max_len=15)
     which = "A" if set(out) <= set(a.herbs) else ("B" if set(out) <= set(b.herbs)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -74,6 +75,15 @@ _SECTION_TYPES = {"paths": PathsCfg, "dims": DimsCfg, "graph": GraphCfg,
                   "train": TrainCfg, "ablation": AblationCfg}
 
 
+def _finite(path: str, number: int | float) -> float:
+    """``number`` as a float.  JSON spells NaN, the infinities and ints
+    beyond the float range, and every comparison with NaN is false, so no
+    range check in ``_validate`` would refuse them: they are refused here."""
+    if not abs(number) <= sys.float_info.max:
+        raise ConfigError(f"{path}: expected a finite number, got {number!r}")
+    return float(number)
+
+
 def _coerce(section: str, key: str, value, annotation: str):
     path = f"{section}.{key}"
     if annotation == "bool":
@@ -87,7 +97,7 @@ def _coerce(section: str, key: str, value, annotation: str):
     if annotation == "float":
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{path}: expected a number, got {value!r}")
-        return float(value)
+        return _finite(path, value)
     if annotation == "str":
         if not isinstance(value, str):
             raise ConfigError(f"{path}: expected a string, got {value!r}")
@@ -97,7 +107,7 @@ def _coerce(section: str, key: str, value, annotation: str):
                 or any(isinstance(v, bool) or not isinstance(v, (int, float))
                        for v in value)):
             raise ConfigError(f"{path}: expected a list of numbers, got {value!r}")
-        return [float(v) for v in value]
+        return [_finite(path, v) for v in value]
     raise ConfigError(f"{path}: unsupported config type {annotation!r}")
 
 

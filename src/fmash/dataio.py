@@ -350,7 +350,7 @@ def property_matrix(herbs: Sequence[HerbRecord]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def build_graph(prescriptions: Sequence[PrescriptionInstance], n_sym: int, n_herb: int,
-                tau_s: int = 2, tau_h: int = 2) -> HeteroGraph:
+                tau_s: int, tau_h: int) -> HeteroGraph:
     """Co-occurrence graph: a within-type edge needs >= tau shared
     prescriptions, a symptom-herb edge needs one."""
     if tau_s < 1 or tau_h < 1:
@@ -389,8 +389,7 @@ def split_sizes(n: int, ratio: tuple[float, float, float]) -> tuple[int, int, in
 
 
 def split_dataset(prescriptions: Sequence[PrescriptionInstance],
-                  ratio: tuple[float, float, float] = (0.7, 0.1, 0.2),
-                  seed: int = 42) -> DatasetSplit:
+                  ratio: tuple[float, float, float], seed: int) -> DatasetSplit:
     if len(ratio) != 3 or any(r <= 0 for r in ratio):
         raise DataError("split ratio must be three positive numbers")
     if abs(sum(ratio) - 1.0) > 1e-9:

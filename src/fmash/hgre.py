@@ -100,7 +100,7 @@ class SsmDirection(Module):
 
 
 class SsmParams(Module):
-    def __init__(self, d: int, rng: np.random.Generator, d_state: int = 16):
+    def __init__(self, d: int, rng: np.random.Generator, d_state: int):
         self.d_state = d_state
         self.dt_rank = max(1, math.ceil(d / 16))
         self.fwd = SsmDirection(d, d_state, self.dt_rank, rng)
@@ -171,7 +171,7 @@ class HgreParams(Module):
     """Parameter bundle: one GCN + scan block per subgraph plus the global
     pair; the global scan gets a doubled state size."""
 
-    def __init__(self, d: int, seed: int, d_state: int = 16):
+    def __init__(self, d: int, seed: int, d_state: int):
         self.gcn_sym = Linear(d, d, stage_rng(seed, "hgre.gcn.sym"))
         self.gcn_herb = Linear(d, d, stage_rng(seed, "hgre.gcn.herb"))
         self.gcn_global = Linear(d, d, stage_rng(seed, "hgre.gcn.global"))

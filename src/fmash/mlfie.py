@@ -195,7 +195,7 @@ def vae_loss(p_h, v_target, params: VaeParams, eps: np.ndarray,
 
 
 def train_vae(complete_pairs: tuple[np.ndarray, np.ndarray], params: VaeParams, *,
-              epochs: int = 200, lr: float = 1e-2, seed: int = 42) -> list[float]:
+              epochs: int, lr: float, seed: int) -> list[float]:
     """Fit the imputation VAE on (property, pooled-molecular) pairs; returns
     the per-epoch losses, each the sampled ELBO before that epoch's step
     (its noise drawn from the ``mlfie.vae.noise`` stream), so the first is
@@ -256,7 +256,7 @@ def alignment_loss(batch: MoleculeBatch, params: MlfieParams) -> Tensor:
 
 
 def train_property_alignment(batch: MoleculeBatch, params: MlfieParams, *,
-                             epochs: int = 100, lr: float = 1e-2) -> list[float]:
+                             epochs: int, lr: float) -> list[float]:
     """Pretrain the pooling attention, gate and latent table by regressing
     the fused herb vector onto the herb's property vector through a linear
     probe (the only per-herb supervision available before the heads train);

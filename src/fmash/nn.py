@@ -287,7 +287,7 @@ class Adam:
 
     b1, b2, eps = 0.9, 0.999, 1e-8
 
-    def __init__(self, params: list[Tensor], lr: float = 1e-3):
+    def __init__(self, params: list[Tensor], lr: float):
         self.params = list(params)
         self.lr = lr
         self.t = 0

@@ -32,7 +32,7 @@ from .tape import Tensor, concat, linear, linear_bce, no_grad, softmax
 # ---------------------------------------------------------------------------
 
 class GelramParams(Module):
-    def __init__(self, d: int, n_herb: int, seed: int, d_enc: int = 64):
+    def __init__(self, d: int, n_herb: int, seed: int, d_enc: int):
         rng = stage_rng(seed, "rs.gelram")
         self.input_proj = Linear(2 * d, d_enc, rng)
         self.tok_proj = Linear(d, d_enc, rng)
@@ -155,8 +155,8 @@ def multi_hot(herb_lists: list[list[int]], n_herb: int) -> np.ndarray:
     return t
 
 
-def train_rs(instances, emb: UnifiedEmbedding, *, epochs: int = 300,
-             lr: float = 3e-3, batch_size: int | None = None, seed: int = 42,
+def train_rs(instances, emb: UnifiedEmbedding, *, epochs: int, lr: float,
+             batch_size: int | None, seed: int,
              params: RsParams | None = None) -> TrainResult:
     """Fit ``params``, else the default fusion head drawn from ``seed``, with
     multi-label binary cross-entropy over all herbs; each chunk of a batch

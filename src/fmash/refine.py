@@ -102,7 +102,7 @@ class AutoencoderParams(Module):
     switched off.
     """
 
-    def __init__(self, d_in: int, rng: np.random.Generator, linear: bool = False):
+    def __init__(self, d_in: int, rng: np.random.Generator, linear: bool):
         widths = [d_in, UNIFIED_DIM] if linear else [d_in, 128, UNIFIED_DIM]
         self.enc = [Linear(a, b, rng) for a, b in zip(widths, widths[1:])]
         back = widths[::-1]
@@ -133,8 +133,7 @@ def reconstruction_mse(matrix: np.ndarray, params: AutoencoderParams) -> float:
 
 
 def train_autoencoder(matrix: np.ndarray, params: AutoencoderParams, *,
-                      epochs: int = 200, lr: float = 1e-2, name: str = "fr",
-                      ) -> list[float]:
+                      epochs: int, lr: float, name: str = "fr") -> list[float]:
     """Fit the compression autoencoder on assembled rows by MSE and return
     the per-epoch losses, each the full-batch MSE before that epoch's step,
     so the first is the MSE of the initialization; ``name`` is its history

@@ -198,8 +198,8 @@ def sequence_loss(batch: SeqBatch, params: Seq2SeqParams) -> Tensor:
                                 batch.targets)
 
 
-def train_seq(instances, emb: UnifiedEmbedding, *, epochs: int = 300,
-              lr: float = 3e-3, batch_size: int | None = None, seed: int = 42,
+def train_seq(instances, emb: UnifiedEmbedding, *, epochs: int, lr: float,
+              batch_size: int | None, seed: int,
               params: Seq2SeqParams | None = None) -> TrainResult:
     """Fit ``params``, else the default head drawn from ``seed``, teacher-forced
     on [herbs..., EOS] in source order; each chunk of a batch weighs in by

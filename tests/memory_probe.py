@@ -139,7 +139,8 @@ def fit_step_peak(head: str, batch: int, seed: int = 0) -> int:
     instances, Adam included."""
     instances, emb, params = _setup(head, batch, seed)
     train = train_seq if head == "seq" else train_rs
-    return traced(lambda: train(instances, emb, epochs=1, params=params))[1]
+    return traced(lambda: train(instances, emb, epochs=1, lr=3e-3, batch_size=None,
+                                seed=42, params=params))[1]
 
 
 def fit_step_heap(head: str, batch: int, seed: int = 0) -> int | None:
@@ -147,7 +148,8 @@ def fit_step_heap(head: str, batch: int, seed: int = 0) -> int | None:
     ``head`` on ``batch`` instances in this process: the heap's high-water
     so far.  None without glibc 2.33 or later."""
     instances, emb, params = _setup(head, batch, seed)
-    (train_seq if head == "seq" else train_rs)(instances, emb, epochs=1, params=params)
+    (train_seq if head == "seq" else train_rs)(instances, emb, epochs=1, lr=3e-3,
+                                                 batch_size=None, seed=42, params=params)
     info = mallinfo2()
     return None if info is None else info.arena
 
@@ -163,7 +165,7 @@ def _fresh_fit_step_heap(head: str, batch: int) -> int | None:
 def hgre_peak(graph, seed: int = 0) -> int:
     """Peak bytes of one untrained HGRE pass over ``graph``, under
     ``no_grad`` as phase 1 runs it, on random 64-d float32 features."""
-    params = HgreParams(UNIFIED_DIM, seed)
+    params = HgreParams(UNIFIED_DIM, seed, d_state=16)
     x = Tensor(np.random.default_rng(seed).normal(
         size=(graph.n_sym + graph.n_herb, UNIFIED_DIM)).astype(np.float32))
 
@@ -191,7 +193,7 @@ def main() -> None:
               f"{held / MIB:.1f} MiB ({held / n:.0f} bytes/prescription), "
               f"peak {peak / MIB:.1f} MiB")
     _, _, prescriptions = generate_synthetic(**FULL_CORPUS, seed=1)
-    graph = build_graph(prescriptions, N_SYM, N_HERB)
+    graph = build_graph(prescriptions, N_SYM, N_HERB, tau_s=2, tau_h=2)
     print(f"untrained HGRE pass, full-scale graph ({N_SYM + N_HERB} nodes): "
           f"peak {hgre_peak(graph) / MIB:.1f} MiB")
     for head in ("seq", "rs"):

@@ -97,7 +97,7 @@ def _memorization(seed: int) -> dict:
     unified = run_phase1(symptoms, herbs, graph, cfg).unified
     train = split.train
 
-    rs = train_rs(train, unified, epochs=300, lr=1e-2, seed=seed)
+    rs = train_rs(train, unified, epochs=300, lr=1e-2, batch_size=None, seed=seed)
     contained, p5 = 0, 0.0
     for inst in train:
         ranking = gelram_score(inst.symptoms, unified, rs.params).ranking
@@ -105,7 +105,7 @@ def _memorization(seed: int) -> dict:
         contained += set(ranking[:len(truth)].tolist()) == truth
         p5 += topk_metrics(ranking.tolist(), truth, 5)[0]
 
-    seq = train_seq(train, unified, epochs=300, lr=3e-3, seed=seed)
+    seq = train_seq(train, unified, epochs=300, lr=3e-3, batch_size=None, seed=seed)
     vocab = seq.params.vocab
 
     def decoded(instances):
@@ -142,7 +142,8 @@ def _no_mixing() -> dict:
     symptoms, herbs, prescriptions = generate_conflicting_corpus(10, seed=3, **size)
     emb = UnifiedEmbedding(matrix=stage_rng(3, "acc.conflict.emb").normal(
         size=(len(symptoms) + len(herbs), 64)), n_sym=len(symptoms))
-    params = train_seq(prescriptions, emb, epochs=250, lr=3e-3, seed=C6_SEED).params
+    params = train_seq(prescriptions, emb, epochs=250, lr=3e-3, batch_size=None,
+                       seed=C6_SEED).params
     pure = 0
     for a, b in zip(prescriptions[::2], prescriptions[1::2]):
         formula = set(generate(a.symptoms, params, max_len=15))

@@ -261,7 +261,8 @@ def test_c3_structural_invariants():
 
 def test_c4_rs_memorization(split, phase1):
     started = time.monotonic()
-    result = train_rs(split.train, phase1.unified, epochs=300, lr=1e-2, seed=42)
+    result = train_rs(split.train, phase1.unified, epochs=300, lr=1e-2, batch_size=None,
+                      seed=42)
     assert len(result.losses) <= 500
     contained = 0
     p5_sum = 0.0
@@ -286,7 +287,8 @@ def test_c4_rs_memorization(split, phase1):
 
 def test_c5_seq_memorization(split, phase1):
     started = time.monotonic()
-    result = train_seq(split.train, phase1.unified, epochs=300, lr=3e-3, seed=42)
+    result = train_seq(split.train, phase1.unified, epochs=300, lr=3e-3, batch_size=None,
+                       seed=42)
     assert len(result.losses) <= 500
     vocab = result.params.vocab
     exact = 0
@@ -319,7 +321,7 @@ def test_c6_no_mixing_property():
         matrix=stage_rng(3, "acc.conflict.emb").normal(
             size=(len(symptoms) + len(herbs), 64)),
         n_sym=len(symptoms))
-    result = train_seq(prescriptions, emb, epochs=250, lr=3e-3, seed=5)
+    result = train_seq(prescriptions, emb, epochs=250, lr=3e-3, batch_size=None, seed=5)
     clean = 0
     for a, b in zip(prescriptions[::2], prescriptions[1::2]):
         seq = generate(a.symptoms, result.params, max_len=15)
@@ -365,7 +367,7 @@ def test_c7_ablation_harness(corpus, split, tmp_path):
                 assert final <= 0.5 * initial, \
                     f"{name}/{node_type}: MSE {initial:.4g} -> {final:.4g}"
         result = train_rs(split.train, phase1.unified, epochs=cfg.train.epochs,
-                          lr=cfg.train.lr, seed=cfg.train.seed,
+                          lr=cfg.train.lr, batch_size=None, seed=cfg.train.seed,
                           params=make_rs_params(phase1.unified, cfg.train.seed,
                                                 gelram=flags["gelram"]))
         pred_path = tmp_path / f"pred_{name}.tsv"

@@ -88,7 +88,7 @@ def test_matches_per_tensor_adam_on_a_float32_vae():
 
 
 def test_matches_per_tensor_adam_in_float64():
-    module = as_float64(AutoencoderParams(19, nn.stage_rng(4, "refine.ae")))
+    module = as_float64(AutoencoderParams(19, nn.stage_rng(4, "refine.ae"), linear=False))
     params, twins = _twins(module)
     assert {p.data.dtype for p in params} == {np.dtype(np.float64)}
     rng = np.random.default_rng(1)
@@ -164,14 +164,14 @@ def test_mismatched_gradients_are_refused_naming_the_parameter():
 def test_mixed_parameter_dtypes_are_refused_at_construction():
     params = [nn.parameter(np.ones(3)), Tensor(np.ones(2), requires_grad=True)]
     with pytest.raises(TypeError, match="float32.*float64"):
-        nn.Adam(params)
+        nn.Adam(params, lr=1e-3)
 
 
 def test_after_fit_parameters_are_disjoint_views_of_one_buffer():
     matrix = np.random.default_rng(7).normal(size=(12, 9)).astype(np.float32)
-    module = AutoencoderParams(9, nn.stage_rng(7, "refine.ae"))
+    module = AutoencoderParams(9, nn.stage_rng(7, "refine.ae"), linear=False)
     params = module.parameters()
-    losses = train_autoencoder(matrix, module, epochs=5)
+    losses = train_autoencoder(matrix, module, epochs=5, lr=1e-2)
 
     buffer = params[0].data.base
     assert buffer is not None
@@ -184,9 +184,9 @@ def test_after_fit_parameters_are_disjoint_views_of_one_buffer():
     state = module.state_dict()
     assert not any(np.shares_memory(arr, buffer) for arr in state.values())
 
-    fresh = AutoencoderParams(9, nn.stage_rng(8, "refine.ae"))
+    fresh = AutoencoderParams(9, nn.stage_rng(8, "refine.ae"), linear=False)
     fresh.load_state_dict(state)
-    again = train_autoencoder(matrix, fresh, epochs=5)
+    again = train_autoencoder(matrix, fresh, epochs=5, lr=1e-2)
     assert again[0] == pytest.approx(reconstruction_mse(matrix, module), rel=1e-6)
     assert again[0] < losses[0]
     moved = fresh.state_dict()

@@ -38,7 +38,7 @@ def test_every_benchmark_patch_installs_and_restores():
 def test_molecular_stage_spans_nest_under_phase1():
     sym, herbs, pres = generate_synthetic(10, 30, 3, 30, seed=3,
                                         unique_symptom_sets=False)
-    graph = build_graph(pres, len(sym), len(herbs))
+    graph = build_graph(pres, len(sym), len(herbs), tau_s=2, tau_h=2)
     cfg = RunConfig()
     cfg.dims.d, cfg.dims.d_m, cfg.dims.d_k, cfg.dims.d_z = 16, 8, 4, 4
     cfg.train.mlfie_epochs = cfg.train.vae_epochs = cfg.train.fr_epochs = 2
@@ -106,9 +106,9 @@ def test_training_runs_the_forward_spans_the_traced_benchmark_reads():
     rec = spans.Recorder("t")
     try:
         workloads.install_patches(rec, full=True)
-        recsys.train_rs(instances, emb, epochs=2, seed=0, params=recsys.GelramParams(
-            emb.dim, emb.n_herb, 0, d_enc=8))
-        seqgen.train_seq(instances, emb, epochs=2, seed=0,
+        recsys.train_rs(instances, emb, epochs=2, lr=3e-3, batch_size=None, seed=0,
+                        params=recsys.GelramParams(emb.dim, emb.n_herb, 0, d_enc=8))
+        seqgen.train_seq(instances, emb, epochs=2, lr=3e-3, batch_size=None, seed=0,
                          params=seqgen.Seq2SeqParams(emb, 0))
     finally:
         rec.close()

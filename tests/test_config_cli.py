@@ -93,6 +93,47 @@ def test_every_config_key_is_read():
     assert unread == []
 
 
+# the library defaults that may shadow a run setting, each with its reason
+SHADOWING_DEFAULTS = {
+    "recsys.make_rs_params.gelram": "the default head that train_rs builds without "
+                                    "params, which only the bench's tuning uses",
+    "recsys.make_rs_params.d_enc": "the width of that same default head",
+}
+
+
+def _defaulted_parameters(node: ast.AST, prefix: str):
+    """``module.Qualified.name.param`` for each parameter with a default of
+    every def under ``node``, methods and nested defs included."""
+    for child in ast.iter_child_nodes(node):
+        name = prefix
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            name = f"{prefix}.{child.name}"
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = child.args
+            positional = args.posonlyargs + args.args
+            defaulted = positional[len(positional) - len(args.defaults):]
+            defaulted += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d]
+            yield from (f"{name}.{a.arg}" for a in defaulted)
+        yield from _defaulted_parameters(child, name)
+
+
+def test_no_library_default_shadows_a_run_setting():
+    """``RunConfig`` holds the one default of each run setting: outside
+    ``config``, no parameter named after a ``RunConfig`` field has a default,
+    except those in ``SHADOWING_DEFAULTS``, which must all still exist."""
+    package = Path(fmash.__file__).parent
+    cfg = RunConfig()
+    settings = {key.name for section in fields(cfg)
+                for key in fields(getattr(cfg, section.name))}
+    shadowing = {qualified for path in sorted(package.glob("*.py"))
+                 if path.name != "config.py"
+                 for qualified in _defaulted_parameters(
+                     ast.parse(path.read_text(encoding="utf-8")), path.stem)
+                 if qualified.rsplit(".", 1)[1] in settings}
+    assert sorted(shadowing - set(SHADOWING_DEFAULTS)) == []
+    assert sorted(set(SHADOWING_DEFAULTS) - shadowing) == []
+
+
 def _public_names(node: ast.stmt) -> list[str]:
     """The public names a top-level statement defines: a def or class, or
     the UPPER_CASE names of an assignment (a module constant)."""
@@ -466,6 +507,24 @@ def test_prepare_refuses_a_ratio_that_leaves_a_split_empty(run_env, capsys, rati
     assert "prescriptions.jsonl" in err and "train.ratio" in err
     assert f"leaves the {part} split" in err and "Traceback" not in err
     assert not (tmp_path / "work" / "splits.json").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("lr", float("nan")), ("lr", float("inf")), ("lr", float("-inf")), ("lr", 10 ** 400),
+    ("ratio", [float("nan"), 0.1, 0.2]), ("ratio", [0.7, float("nan"), 0.2]),
+    ("ratio", [0.7, 0.1, float("nan")])],
+    ids=["lr-nan", "lr-inf", "lr-minus-inf", "lr-beyond-float", "ratio-nan-0", "ratio-nan-1",
+         "ratio-nan-2"])
+def test_prepare_refuses_a_non_finite_number_naming_its_key(run_env, capsys, key, value):
+    # json writes NaN and Infinity, and every comparison with NaN is false
+    tmp_path, cfg_path, cfg = run_env
+    cfg["train"][key] = value
+    cfg_path.write_text(json.dumps(cfg))
+    assert execute_command(["prepare", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"train.{key}: expected a" in err and "finite" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "work").exists()
 
 
 def _tiny_env(tmp_path, synth_args, mlfie=True):

@@ -79,8 +79,8 @@ def test_graph_invariant_to_prescription_order():
         syms = rng.choice(6, size=3, replace=False)
         herbs = rng.choice(9, size=4, replace=False)
         prescriptions.append(_inst(i, syms.tolist(), herbs.tolist()))
-    g1 = build_graph(prescriptions, 6, 9)
-    g2 = build_graph(list(reversed(prescriptions)), 6, 9)
+    g1 = build_graph(prescriptions, 6, 9, tau_s=2, tau_h=2)
+    g2 = build_graph(list(reversed(prescriptions)), 6, 9, tau_s=2, tau_h=2)
     np.testing.assert_array_equal(g1.edges_ss, g2.edges_ss)
     np.testing.assert_array_equal(g1.edges_hh, g2.edges_hh)
     np.testing.assert_array_equal(g1.edges_sh, g2.edges_sh)
@@ -129,26 +129,26 @@ def test_split_full_scale_counts():
 
 def test_split_deterministic_and_partitioning():
     _, _, prescriptions = generate_synthetic(10, 20, 2, 50, seed=3)
-    s1 = split_dataset(prescriptions, seed=7)
-    s2 = split_dataset(prescriptions, seed=7)
+    s1 = split_dataset(prescriptions, (0.7, 0.1, 0.2), seed=7)
+    s2 = split_dataset(prescriptions, (0.7, 0.1, 0.2), seed=7)
     ids = lambda part: [p.instance_id for p in part]
     assert ids(s1.train) == ids(s2.train)
     assert ids(s1.valid) == ids(s2.valid)
     assert ids(s1.test) == ids(s2.test)
     all_ids = sorted(ids(s1.train) + ids(s1.valid) + ids(s1.test))
     assert all_ids == list(range(50))
-    s3 = split_dataset(prescriptions, seed=8)
+    s3 = split_dataset(prescriptions, (0.7, 0.1, 0.2), seed=8)
     assert ids(s1.train) != ids(s3.train)
 
 
 def test_split_validation():
     prescriptions = [_inst(i, {0}, [0]) for i in range(10)]
     with pytest.raises(DataError):
-        split_dataset(prescriptions, (0.5, 0.2, 0.2))
+        split_dataset(prescriptions, (0.5, 0.2, 0.2), seed=42)
     with pytest.raises(DataError):
-        split_dataset(prescriptions[:2])
+        split_dataset(prescriptions[:2], (0.7, 0.1, 0.2), seed=42)
     with pytest.raises(DataError):
-        split_dataset(prescriptions, (0.7, -0.1, 0.4))
+        split_dataset(prescriptions, (0.7, -0.1, 0.4), seed=42)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ def one_step_run():
         step(self)
 
     symptoms, herbs, prescriptions = generate_synthetic(12, 14, 2, 30, seed=9)
-    split = split_dataset(prescriptions, seed=9)
+    split = split_dataset(prescriptions, (0.7, 0.1, 0.2), seed=9)
     graph = build_graph(split.train, 12, 14, tau_s=1, tau_h=1)
     cfg = config_from_dict({
         "dims": {"d": 16, "d_m": 8, "d_k": 4, "d_z": 4, "d_state": 4,
@@ -42,9 +42,10 @@ def one_step_run():
         mp.setattr(nn.Adam, "step", recording_step)
         calls = record_calls(mp, pipeline)
         phase1 = run_phase1(symptoms, herbs, graph, cfg)
-        rs = train_rs(split.train, phase1.unified, epochs=1,
-                      params=make_rs_params(phase1.unified, 42, d_enc=16)).params
-        seq = train_seq(split.train, phase1.unified, epochs=1).params
+        rs = train_rs(split.train, phase1.unified, epochs=1, lr=3e-3, batch_size=None,
+                      seed=42, params=make_rs_params(phase1.unified, 42, d_enc=16)).params
+        seq = train_seq(split.train, phase1.unified, epochs=1, lr=3e-3, batch_size=None,
+                        seed=42).params
     return phase1, rs, seq, split.test, optimizers, calls
 
 

@@ -542,4 +542,5 @@ def test_untrained_pass_at_full_scale_stays_within_its_memory(full_scale_corpus)
     out of place as well (two more 1200 x 1200 float64 arrays) and the
     scan's output contracted in one (L, d, n) product, at 33.9 MiB."""
     _, _, prescriptions = full_scale_corpus
-    assert hgre_peak(build_graph(prescriptions, 400, 800)) < 1.1 * 7.46 * 2 ** 20
+    graph = build_graph(prescriptions, 400, 800, tau_s=2, tau_h=2)
+    assert hgre_peak(graph) < 1.1 * 7.46 * 2 ** 20

@@ -269,19 +269,6 @@ def test_kl_nonnegative_on_random_inputs():
         assert kl.item() >= 0.0
 
 
-def test_vae_loss_gradients():
-    params = as_float64(VaeParams(3, 4, 2, stage_rng(16, "vae")))
-    rng = np.random.default_rng(17)
-    p = rng.normal(size=(2, 3))
-    v = rng.normal(size=(2, 4))
-    eps = rng.standard_normal((2, 2))
-
-    def loss():
-        return vae_loss(p, v, params, eps)[0]
-
-    assert max_relative_error(loss, params.parameters()) < 1e-4
-
-
 def _fixture_corpus():
     return generate_synthetic(10, 60, 5, 40, seed=7, missing_mol_fraction=0.2,
                               unique_symptom_sets=False)
@@ -340,8 +327,8 @@ def test_train_vae_deterministic_under_seed():
     params = MlfieParams(60, 23, 16, 8, 8, seed=3)
     props, targets = complete_pairs(_batch(herbs, params), params)
     v1, v2 = (VaeParams(23, 16, 8, stage_rng(9, "mlfie.vae")) for _ in range(2))
-    assert train_vae((props, targets), v1, epochs=30, seed=9) == \
-        train_vae((props, targets), v2, epochs=30, seed=9)
+    assert train_vae((props, targets), v1, epochs=30, lr=1e-2, seed=9) == \
+        train_vae((props, targets), v2, epochs=30, lr=1e-2, seed=9)
     for k, a in v1.state_dict().items():
         np.testing.assert_array_equal(a, v2.state_dict()[k])
 
@@ -352,7 +339,7 @@ def test_train_vae_zero_epochs_returns_init():
     props, targets = complete_pairs(_batch(herbs, params), params)
     init = VaeParams(23, 16, 8, stage_rng(5, "mlfie.vae"))
     before = init.state_dict()
-    assert train_vae((props, targets), init, epochs=0) == []
+    assert train_vae((props, targets), init, epochs=0, lr=1e-2, seed=42) == []
     for k, a in init.state_dict().items():
         np.testing.assert_array_equal(a, before[k])
 
@@ -360,7 +347,8 @@ def test_train_vae_zero_epochs_returns_init():
 def test_train_vae_needs_enough_pairs():
     with pytest.raises(DataError):
         train_vae((np.zeros((5, 3)), np.zeros((5, 4))),
-                  VaeParams(3, 4, 2, stage_rng(0, "mlfie.vae")))
+                  VaeParams(3, 4, 2, stage_rng(0, "mlfie.vae")),
+                  epochs=200, lr=1e-2, seed=42)
 
 
 def test_impute_deterministic_in_mean_mode():

@@ -12,7 +12,7 @@ from phase1_calls import initial_features, record_calls
 @pytest.fixture(scope="module")
 def small_corpus():
     symptoms, herbs, prescriptions = generate_synthetic(12, 14, 2, 30, seed=9)
-    split = split_dataset(prescriptions, seed=9)
+    split = split_dataset(prescriptions, (0.7, 0.1, 0.2), seed=9)
     graph = build_graph(split.train, 12, 14, tau_s=1, tau_h=1)
     return symptoms, herbs, graph
 

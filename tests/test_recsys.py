@@ -147,7 +147,8 @@ def _small_head(emb, seed):
 
 def test_training_loss_decreases_smoothed():
     pres, emb = _toy_training_setup()
-    result = train_rs(pres, emb, epochs=60, lr=5e-3, seed=1, params=_small_head(emb, 1))
+    result = train_rs(pres, emb, epochs=60, lr=5e-3, batch_size=None, seed=1,
+                      params=_small_head(emb, 1))
     ma = np.convolve(result.losses, np.ones(10) / 10, mode="valid")
     assert np.all(np.diff(ma) <= 1e-9)
     assert result.losses[-1] < result.losses[0]
@@ -157,7 +158,8 @@ def test_all_positive_targets_saturate_scores():
     pres, emb = _toy_training_setup(seed=2)
     every_herb = list(range(emb.n_herb))
     pres = [_inst(p.instance_id, p.symptoms, every_herb) for p in pres]
-    result = train_rs(pres, emb, epochs=120, lr=1e-2, seed=2, params=_small_head(emb, 2))
+    result = train_rs(pres, emb, epochs=120, lr=1e-2, batch_size=None, seed=2,
+                      params=_small_head(emb, 2))
     mean_score = np.mean([gelram_score(p.symptoms, emb, result.params).scores.mean()
                           for p in pres[:8]])
     assert mean_score > 0.9
@@ -167,7 +169,7 @@ def test_zero_epochs_returns_initialization():
     pres, emb = _toy_training_setup(seed=3)
     init = GelramParams(8, 12, seed=9, d_enc=16)
     before = init.state_dict()
-    result = train_rs(pres, emb, epochs=0, params=init)
+    result = train_rs(pres, emb, epochs=0, lr=3e-3, batch_size=None, seed=42, params=init)
     assert result.losses == []
     for k, v in result.params.state_dict().items():
         np.testing.assert_array_equal(v, before[k])
@@ -175,8 +177,8 @@ def test_zero_epochs_returns_initialization():
 
 def test_training_deterministic_under_seed():
     pres, emb = _toy_training_setup(seed=4)
-    r1 = train_rs(pres, emb, epochs=15, seed=11, params=_small_head(emb, 11), batch_size=8)
-    r2 = train_rs(pres, emb, epochs=15, seed=11, params=_small_head(emb, 11), batch_size=8)
+    r1, r2 = (train_rs(pres, emb, epochs=15, lr=3e-3, batch_size=8, seed=11,
+                       params=_small_head(emb, 11)) for _ in range(2))
     assert r1.losses == r2.losses
     for k, v in r1.params.state_dict().items():
         np.testing.assert_array_equal(v, r2.params.state_dict()[k])
@@ -185,12 +187,12 @@ def test_training_deterministic_under_seed():
 def test_empty_split_rejected():
     _, emb = _toy_training_setup(seed=5)
     with pytest.raises(DataError):
-        train_rs([], emb)
+        train_rs([], emb, epochs=300, lr=3e-3, batch_size=None, seed=42)
 
 
 def test_plain_scorer_trains():
     pres, emb = _toy_training_setup(seed=6)
-    result = train_rs(pres, emb, epochs=40, lr=1e-2, seed=6,
+    result = train_rs(pres, emb, epochs=40, lr=1e-2, batch_size=None, seed=6,
                       params=PlainScorerParams(emb.dim, emb.n_herb, 6))
     assert isinstance(result.params, PlainScorerParams)
     assert result.losses[-1] < result.losses[0]

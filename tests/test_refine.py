@@ -90,7 +90,7 @@ def test_small_input_reaches_near_zero_mse():
     # assembled width <= latent width: the identity map is representable
     rng = np.random.default_rng(4)
     matrix = rng.normal(size=(30, 20))
-    params = AutoencoderParams(20, stage_rng(4, "refine.ae"))
+    params = AutoencoderParams(20, stage_rng(4, "refine.ae"), linear=False)
     losses = train_autoencoder(matrix, params, epochs=400, lr=1e-2)
     assert losses[-1] <= 1e-3
     assert reconstruction_mse(matrix, params) <= 1e-3
@@ -99,39 +99,39 @@ def test_small_input_reaches_near_zero_mse():
 def test_zero_epochs_returns_initialization():
     rng = np.random.default_rng(5)
     matrix = rng.normal(size=(10, 6))
-    init = AutoencoderParams(6, stage_rng(9, "ae"))
+    init = AutoencoderParams(6, stage_rng(9, "ae"), linear=False)
     before = init.state_dict()
-    assert train_autoencoder(matrix, init, epochs=0) == []
+    assert train_autoencoder(matrix, init, epochs=0, lr=1e-2) == []
     for k, v in init.state_dict().items():
         np.testing.assert_array_equal(v, before[k])
 
 
 def test_training_deterministic_under_seed():
     matrix = np.random.default_rng(6).normal(size=(12, 9))
-    p1, p2 = (AutoencoderParams(9, stage_rng(11, "refine.ae")) for _ in range(2))
-    assert train_autoencoder(matrix, p1, epochs=50) == \
-        train_autoencoder(matrix, p2, epochs=50)
+    p1, p2 = (AutoencoderParams(9, stage_rng(11, "refine.ae"), linear=False) for _ in range(2))
+    assert train_autoencoder(matrix, p1, epochs=50, lr=1e-2) == \
+        train_autoencoder(matrix, p2, epochs=50, lr=1e-2)
     for k, v in p1.state_dict().items():
         np.testing.assert_array_equal(v, p2.state_dict()[k])
 
 
 def test_degenerate_identical_rows_warn_but_train():
     matrix = np.tile(np.arange(5.0), (10, 1))
-    params = AutoencoderParams(5, stage_rng(42, "refine.ae"))
+    params = AutoencoderParams(5, stage_rng(42, "refine.ae"), linear=False)
     with pytest.warns(UserWarning):
-        losses = train_autoencoder(matrix, params, epochs=5)
+        losses = train_autoencoder(matrix, params, epochs=5, lr=1e-2)
     assert len(losses) == 5
 
 
 def test_too_few_rows_rejected():
-    params = AutoencoderParams(3, stage_rng(42, "refine.ae"))
+    params = AutoencoderParams(3, stage_rng(42, "refine.ae"), linear=False)
     with pytest.raises(DataError):
-        train_autoencoder(np.zeros((4, 3)), params)
+        train_autoencoder(np.zeros((4, 3)), params, epochs=200, lr=1e-2)
 
 
 def test_training_halves_initial_mse():
     _, herb_m = _assembled(seed=7)
-    params = AutoencoderParams(herb_m.shape[1], stage_rng(13, "ae"))
+    params = AutoencoderParams(herb_m.shape[1], stage_rng(13, "ae"), linear=False)
     initial = reconstruction_mse(herb_m, params)
     train_autoencoder(herb_m, params, epochs=300, lr=1e-2)
     assert reconstruction_mse(herb_m, params) <= 0.5 * initial
@@ -139,8 +139,8 @@ def test_training_halves_initial_mse():
 
 def test_compress_is_64d_rowwise_and_deterministic():
     sym_m, _ = _assembled(seed=8)
-    params = AutoencoderParams(sym_m.shape[1], stage_rng(8, "refine.ae"))
-    train_autoencoder(sym_m, params, epochs=30)
+    params = AutoencoderParams(sym_m.shape[1], stage_rng(8, "refine.ae"), linear=False)
+    train_autoencoder(sym_m, params, epochs=30, lr=1e-2)
     z = compress(sym_m, params)
     assert z.shape == (sym_m.shape[0], 64)
     np.testing.assert_array_equal(z, compress(sym_m, params))
@@ -155,8 +155,8 @@ def test_compress_is_64d_rowwise_and_deterministic():
 
 def test_reported_error_recomputes_as_mse():
     matrix = np.random.default_rng(9).normal(size=(15, 10))
-    params = AutoencoderParams(10, stage_rng(10, "refine.ae"))
-    train_autoencoder(matrix, params, epochs=40)
+    params = AutoencoderParams(10, stage_rng(10, "refine.ae"), linear=False)
+    train_autoencoder(matrix, params, epochs=40, lr=1e-2)
     from fmash.tape import Tensor, no_grad
     with no_grad():
         x = Tensor(matrix)
@@ -168,7 +168,7 @@ def test_reported_error_recomputes_as_mse():
 def test_linear_variant_is_learned_projection():
     matrix = np.random.default_rng(10).normal(size=(20, 70))
     params = AutoencoderParams(70, stage_rng(12, "refine.ae"), linear=True)
-    losses = train_autoencoder(matrix, params, epochs=60)
+    losses = train_autoencoder(matrix, params, epochs=60, lr=1e-2)
     assert len(params.enc) == len(params.dec) == 1
     assert compress(matrix, params).shape == (20, 64)
     assert losses[-1] < losses[0]

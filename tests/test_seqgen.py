@@ -152,7 +152,8 @@ def _training_setup(seed=0):
 
 def test_training_reduces_loss():
     pres, emb = _training_setup()
-    result = train_seq(pres, emb, epochs=40, lr=3e-3, seed=1, params=Seq2SeqParams(emb, 1))
+    result = train_seq(pres, emb, epochs=40, lr=3e-3, batch_size=None, seed=1,
+                       params=Seq2SeqParams(emb, 1))
     assert result.losses[-1] < result.losses[0]
 
 
@@ -160,7 +161,7 @@ def test_zero_epochs_returns_init():
     pres, emb = _training_setup(seed=2)
     init = Seq2SeqParams(emb, seed=9)
     before = init.state_dict()
-    result = train_seq(pres, emb, epochs=0, params=init)
+    result = train_seq(pres, emb, epochs=0, lr=3e-3, batch_size=None, seed=42, params=init)
     assert result.losses == []
     for k, v in result.params.state_dict().items():
         np.testing.assert_array_equal(v, before[k])
@@ -168,15 +169,15 @@ def test_zero_epochs_returns_init():
 
 def test_training_deterministic():
     pres, emb = _training_setup(seed=3)
-    r1 = train_seq(pres, emb, epochs=8, seed=4, params=Seq2SeqParams(emb, 4), batch_size=8)
-    r2 = train_seq(pres, emb, epochs=8, seed=4, params=Seq2SeqParams(emb, 4), batch_size=8)
+    r1, r2 = (train_seq(pres, emb, epochs=8, lr=3e-3, batch_size=8, seed=4,
+                        params=Seq2SeqParams(emb, 4)) for _ in range(2))
     assert r1.losses == r2.losses
 
 
 def test_empty_split_rejected():
     _, emb = _training_setup(seed=4)
     with pytest.raises(DataError):
-        train_seq([], emb)
+        train_seq([], emb, epochs=300, lr=3e-3, batch_size=None, seed=42)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +335,8 @@ def test_a_cached_decoding_step_stays_within_its_tensor_budget(monkeypatch):
 def test_memorizes_small_fixture():
     pres, emb = _training_setup(seed=5)
     subset = pres[:8]
-    result = train_seq(subset, emb, epochs=220, lr=3e-3, seed=6, params=Seq2SeqParams(emb, 6))
+    result = train_seq(subset, emb, epochs=220, lr=3e-3, batch_size=None, seed=6,
+                       params=Seq2SeqParams(emb, 6))
     exact = sum(generate(p.symptoms, result.params, max_len=12) == list(p.herbs)
                 for p in subset)
     assert exact >= 7
