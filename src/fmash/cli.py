@@ -47,6 +47,10 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
+# the largest vocabulary ``synth`` draws; refused before an index array of
+# that length is requested
+SYNTH_MAX_VOCAB = 100_000
+
 SPLITS_FILE = "splits.json"
 PHASE1_FILE = "phase1.ckpt"
 
@@ -321,6 +325,10 @@ def _cmd_synth(args) -> int:
             if value < per * args.n_syndromes:
                 raise UsageError(f"{flag} must be >= {per} per syndrome "
                                  f"({per * args.n_syndromes}), got {value}")
+            if value > SYNTH_MAX_VOCAB:
+                raise DataError(f"{flag} must be <= {SYNTH_MAX_VOCAB} (125 times the 800 "
+                                f"herbs of the full-scale corpus), so that its arrays "
+                                f"fit in memory; got {value}")
         sets = distinct_symptom_sets(args.n_sym, args.n_syndromes)
         if args.n_prescriptions > sets:
             raise UsageError(f"--n-prescriptions must be <= {sets}, the distinct symptom "
@@ -503,7 +511,11 @@ def execute_command(argv: list[str]) -> int:
         # a non-finite value, so numpy's overflow and invalid-value warnings
         # would only print ahead of that one-line message
         with np.errstate(all="ignore"):
-            return _COMMANDS[args.command](args)
+            try:
+                return _COMMANDS[args.command](args)
+            except MemoryError as exc:
+                raise DataError(f"{args.command}: the host cannot allocate an array "
+                                f"it needs ({exc})") from exc
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

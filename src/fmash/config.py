@@ -111,10 +111,22 @@ def _coerce(section: str, key: str, value, annotation: str):
     raise ConfigError(f"{path}: unsupported config type {annotation!r}")
 
 
+# the widest ``dims`` width a run takes, 64 times the default ``d``: a stage
+# holds width x width float64 matrices (128 MiB each at this width) and the
+# heads an Adam moment pair per matrix, so a wider one is refused here, before
+# any array of it is requested; a host that overcommits would hand out such
+# an array lazily and kill the process on the writes that follow
+MAX_WIDTH = 4096
+
+
 def _validate(cfg: RunConfig) -> RunConfig:
     for name in ("d", "d_m", "d_k", "d_enc", "d_z", "p", "d_state"):
         if getattr(cfg.dims, name) < 1:
             raise ConfigError(f"dims.{name}: must be >= 1, "
+                              f"got {getattr(cfg.dims, name)}")
+        if name != "p" and getattr(cfg.dims, name) > MAX_WIDTH:
+            raise ConfigError(f"dims.{name}: must be <= {MAX_WIDTH}, 64 times the "
+                              f"default width, so that its arrays fit in memory; "
                               f"got {getattr(cfg.dims, name)}")
     for name in ("tau_s", "tau_h"):
         if getattr(cfg.graph, name) < 1:

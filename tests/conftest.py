@@ -1,7 +1,7 @@
 import pytest
 
 from fmash import cli
-from fmash.dataio import generate_synthetic
+from fmash.dataio import generate_synthetic, save_corpus
 
 from memory_probe import FULL_CORPUS
 
@@ -21,3 +21,12 @@ def full_scale_corpus():
     """The full-scale benchmark corpus (``memory_probe.FULL_CORPUS``) at
     seed 1, drawn once per session; its records are read-only."""
     return generate_synthetic(**FULL_CORPUS, seed=1)
+
+
+@pytest.fixture(scope="session")
+def full_scale_corpus_dir(tmp_path_factory, full_scale_corpus):
+    """``full_scale_corpus`` as ``save_corpus`` writes it, saved once per
+    session; its files are read-only."""
+    root = tmp_path_factory.mktemp("full_scale_corpus")
+    save_corpus(root, *full_scale_corpus)
+    return root

@@ -18,7 +18,11 @@ tracemalloc figures, each above what was allocated before it:
 - ``hgre_peak(graph)``: the peak of phase 1's untrained HGRE pass (under
   ``no_grad``) over ``graph`` with random 64-d float32 features;
 - ``traced(fn)``: what ``fn()`` keeps (its result) and its peak, as
-  ``corpus_memory`` reports for ``generate_synthetic`` and ``load_corpus``.
+  ``corpus_memory`` reports for ``generate_synthetic`` and ``load_corpus``
+  beside ``walked`` of their results.
+
+``walked(obj)`` counts the bytes of every object reachable from ``obj``
+instead, without tracing a call: what the corpus-memory tests bound.
 
 On glibc, ``fit_step_heap(head, batch)`` reads the heap arena with
 ``mallinfo2`` after one fit step.  ``tape._keep_freed_memory`` keeps
@@ -91,6 +95,33 @@ def traced(fn) -> tuple[int, int]:
         tracemalloc.stop()
     del result
     return held - base, peak - base
+
+
+def walked(obj) -> int:
+    """Bytes of each distinct object reachable from ``obj``, by
+    ``sys.getsizeof``.  CPython's cached small ints, ``None`` and the bools
+    are shared by every program and left out; classes are not data and are
+    not followed.  An instance's attributes are counted as its ``__dict__``,
+    which reading it makes a dict where CPython kept them inline.  A numpy
+    array that does not own its data is counted through its ``base``.
+    Memory a call keeps outside its result, say in a module-level cache, is
+    not seen."""
+    seen, todo, total = set(), [obj], 0
+    while todo:
+        o = todo.pop()
+        if (id(o) in seen or o is None or type(o) is bool or isinstance(o, type)
+                or (type(o) is int and -5 <= o <= 256)):
+            continue
+        seen.add(id(o))
+        total += sys.getsizeof(o)
+        if isinstance(o, np.ndarray):
+            if o.base is not None:
+                todo.append(o.base)
+        else:
+            todo.extend(gc.get_referents(o))
+            if isinstance(getattr(o, "__dict__", None), dict):
+                todo.append(o.__dict__)
+    return total
 
 
 def _loss_fn(head: str, instances, emb: UnifiedEmbedding, params):
@@ -175,23 +206,30 @@ def hgre_peak(graph, seed: int = 0) -> int:
     return traced(run)[1]
 
 
-def corpus_memory(seed: int = 1) -> dict[str, tuple[int, int]]:
-    """Bytes kept and peak bytes of ``generate_synthetic`` drawing the
-    full-scale corpus and of ``load_corpus`` reading it back."""
-    figures = {"generate_synthetic": traced(
+def _kept(fn) -> tuple[int, int, int]:
+    """``traced(fn)``, then ``walked`` of what ``fn()`` returned."""
+    result = []
+    held, peak = traced(lambda: result.append(fn()))
+    return held, peak, walked(result[0])
+
+
+def corpus_memory(seed: int = 1) -> dict[str, tuple[int, int, int]]:
+    """Bytes kept, peak bytes and bytes walked of ``generate_synthetic``
+    drawing the full-scale corpus and of ``load_corpus`` reading it back."""
+    figures = {"generate_synthetic": _kept(
         lambda: generate_synthetic(**FULL_CORPUS, seed=seed))}
     with tempfile.TemporaryDirectory() as corpus:
         save_corpus(corpus, *generate_synthetic(**FULL_CORPUS, seed=seed))
-        figures["load_corpus"] = traced(lambda: load_corpus(corpus))
+        figures["load_corpus"] = _kept(lambda: load_corpus(corpus))
     return figures
 
 
 def main() -> None:
     n = FULL_CORPUS["n_prescriptions"]
-    for name, (held, peak) in corpus_memory().items():
+    for name, (held, peak, walk) in corpus_memory().items():
         print(f"{name}, full-scale corpus ({n:,} prescriptions): keeps "
-              f"{held / MIB:.1f} MiB ({held / n:.0f} bytes/prescription), "
-              f"peak {peak / MIB:.1f} MiB")
+              f"{held / MIB:.1f} MiB ({held / n:.1f} bytes/prescription; walked "
+              f"{walk / n:.1f}), peak {peak / MIB:.1f} MiB")
     _, _, prescriptions = generate_synthetic(**FULL_CORPUS, seed=1)
     graph = build_graph(prescriptions, N_SYM, N_HERB, tau_s=2, tau_h=2)
     print(f"untrained HGRE pass, full-scale graph ({N_SYM + N_HERB} nodes): "

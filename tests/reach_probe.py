@@ -16,13 +16,15 @@ One process, traced with ``sys.settrace`` (only frames whose code lives in
 - then the inputs that steer a command down a path of its own: ``synth``
   at the distinct symptom-set limit (its fallback draw), ``prepare`` with
   a co-occurrence threshold above every count (no edges), a query under
-  ``FMASH_SEED``, an unknown symptom name, a usage error and a config
-  whose learning rate diverges.
+  ``FMASH_SEED``, an unknown symptom name, a usage error, a config whose
+  learning rate diverges, and a ``generate`` query on a sequence head
+  whose EOS bias of 1e3 ends every formula before its first herb.
 
-Every command declares the exit code it should give; one that gives
-another is reported with its message.  Then, per module, come the
-outermost statements that never ran (a compound statement that never ran
-stands for its whole body), leaving out ``raise`` statements::
+Every command declares the exit code it should give, and some a line it
+should print; one that gives another code or misses its line is reported
+with its message.  Then, per module, come the outermost statements that
+never ran (a compound statement that never ran stands for its whole
+body), leaving out ``raise`` statements::
 
     python tests/reach_probe.py [--entries] [TREE]
 
@@ -190,6 +192,12 @@ def _commands(root: Path, run) -> None:
     run(["synth", "--out", str(root / "none"), "--n-syndromes", "0"], expect=1)
     run(["prepare", *config("diverging", _config(corpora[0], root / "diverging", 0, on,
                                                  train={"lr": 1e308}))], expect=3)
+    from fmash.checkpoint import load_checkpoint, save_checkpoint    # under the tracer
+    ckpt = root / "work0" / "seq.ckpt"
+    state, _ = load_checkpoint(ckpt)
+    state["seq.out.bias"][-1] = 1e3        # EOS is the column after the herbs
+    save_checkpoint(ckpt, state)
+    run(["generate", *conf, "--symptoms", "sym-000"], out="(empty formula)")
 
 
 def probe(tree: Path) -> tuple[list[str], list[Finding]]:
@@ -217,12 +225,14 @@ def probe(tree: Path) -> tuple[list[str], list[Finding]]:
         try:
             from fmash.cli import execute_command
 
-            def run(argv, expect=0):
-                with contextlib.redirect_stdout(io.StringIO()), \
+            def run(argv, expect=0, out=None):
+                with contextlib.redirect_stdout(io.StringIO()) as printed, \
                         contextlib.redirect_stderr(io.StringIO()) as err:
                     code = execute_command(argv)
-                if code != expect:
-                    failures.append(f"exit {code}, expected {expect}: {' '.join(argv)}: "
+                if code != expect or out not in [None, *printed.getvalue().splitlines()]:
+                    failures.append(f"exit {code}, expected {expect}"
+                                    + (f" printing {out!r}" if out else "")
+                                    + f": {' '.join(argv)}: "
                                     f"{err.getvalue().strip()}".replace(tmp, "$TMP"))
 
             _commands(Path(tmp), run)

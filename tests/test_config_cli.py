@@ -527,6 +527,44 @@ def test_prepare_refuses_a_non_finite_number_naming_its_key(run_env, capsys, key
     assert not (tmp_path / "work").exists()
 
 
+@pytest.mark.parametrize("key, command", [
+    ("d", "prepare"), ("d_m", "prepare"), ("d_k", "prepare"), ("d_z", "prepare"),
+    ("d_state", "prepare"), ("d_enc", "train-rs")])    # only the heads read d_enc
+def test_a_width_the_host_cannot_allocate_exits_two_naming_its_key(
+        trained_env, tmp_path, capsys, key, command):
+    _, _, cfg = trained_env
+    shutil.copytree(cfg["paths"]["workdir"], tmp_path / "work")
+    cfg_path = tmp_path / "wide.json"
+    wide = {**cfg, "dims": {**cfg["dims"], key: 10 ** 12},
+            "paths": {**cfg["paths"], "workdir": str(tmp_path / "work")}}
+    cfg_path.write_text(json.dumps(wide))
+    files = lambda: {p: p.stat().st_mtime_ns for p in tmp_path.rglob("*")}
+    before = files()
+    assert execute_command([command, "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: dims.{key}: must be <=") and "Traceback" not in err
+    assert files() == before
+
+
+@pytest.mark.parametrize("flag", ["--n-sym", "--n-herb"])
+def test_synth_size_the_host_cannot_allocate_exits_two_naming_its_flag(tmp_path, capsys,
+                                                                      flag):
+    out = tmp_path / "corpus"
+    assert execute_command(["synth", "--out", str(out), flag, str(10 ** 12)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {flag} must be <=") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_a_memory_error_exits_two_naming_the_command(tmp_path, capsys, monkeypatch):
+    def exhausted(args):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+    monkeypatch.setitem(cli._COMMANDS, "synth", exhausted)
+    assert execute_command(["synth", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: synth: ") and len(err.splitlines()) == 1
+
+
 def _tiny_env(tmp_path, synth_args, mlfie=True):
     """A synthetic corpus from ``synth_args`` and a config of the smallest
     dims and one epoch per fit."""
@@ -995,15 +1033,17 @@ def test_bad_splits_file_exits_two(run_env, capsys, text, what):
     assert str(path) in err and what in err
 
 
-def test_serving_needs_no_prescriptions_file(run_env, capsys):
-    tmp_path, cfg_path, _ = run_env
-    for cmd in ("prepare", "train-rs", "train-seq"):
-        execute_command([cmd, "--config", str(cfg_path)])
-    (tmp_path / "corpus" / "prescriptions.jsonl").unlink()
-    assert execute_command(["recommend", "--config", str(cfg_path),
-                            "--symptoms", "sym-001", "--k", "2"]) == 0
-    assert execute_command(["generate", "--config", str(cfg_path),
-                            "--symptoms", "sym-001"]) == 0
+def test_serving_needs_no_prescriptions_file(trained_env, tmp_path, capsys):
+    root, cfg_path, _ = trained_env
+    path = root / "corpus" / "prescriptions.jsonl"
+    shutil.move(path, tmp_path / path.name)
+    try:
+        assert execute_command(["recommend", "--config", str(cfg_path),
+                                "--symptoms", "sym-001", "--k", "2"]) == 0
+        assert execute_command(["generate", "--config", str(cfg_path),
+                                "--symptoms", "sym-001"]) == 0
+    finally:
+        shutil.move(tmp_path / path.name, path)
 
 
 def test_truncated_checkpoint_exits_two(run_env, capsys):
@@ -1218,10 +1258,9 @@ def test_serving_output_does_not_depend_on_the_run_seed(trained_env, capsys,
 
 @pytest.mark.parametrize("n_sym, n_herb", [(12, 10), (8, 12), (12, 20)],
                          ids=["fewer-herbs", "fewer-symptoms", "more-herbs"])
-def test_serving_another_vocabulary_exits_two(run_env, capsys, n_sym, n_herb):
-    tmp_path, cfg_path, cfg = run_env
-    for cmd in ("prepare", "train-rs", "train-seq"):
-        assert execute_command([cmd, "--config", str(cfg_path)]) == 0
+def test_serving_another_vocabulary_exits_two(trained_env, tmp_path, capsys, n_sym,
+                                              n_herb):
+    root, cfg_path, cfg = trained_env
     other_corpus = tmp_path / "other_corpus"
     assert execute_command(["synth", "--out", str(other_corpus),
                             "--n-sym", str(n_sym), "--n-herb", str(n_herb),
@@ -1242,7 +1281,7 @@ def test_serving_another_vocabulary_exits_two(run_env, capsys, n_sym, n_herb):
             if code == 0:
                 continue
             assert "Traceback" not in err
-            assert str(tmp_path / "work" / f"{head}.ckpt") in err
+            assert str(root / "work" / f"{head}.ckpt") in err
             assert str(other_corpus) in err
             assert "12 symptoms and 12 herbs" in err
             assert f"{n_sym} symptoms and {n_herb} herbs" in err

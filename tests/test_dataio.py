@@ -14,7 +14,7 @@ from fmash.dataio import (HeteroGraph, PrescriptionInstance, build_graph,
 from fmash.errors import DataError, SchemaError
 
 from degree_oracle import loop_degrees_of_graph
-from memory_probe import FULL_CORPUS, traced
+from memory_probe import walked
 
 CORPUS_FILES = ("symptoms.jsonl", "herbs.jsonl", "prescriptions.jsonl")
 
@@ -202,10 +202,8 @@ def test_synthetic_prescription_shape_and_uniqueness():
         seen.add(p.symptoms)
 
 
-def _corpus_sha256(root, corpus) -> str:
-    """sha256 of ``corpus`` as ``save_corpus`` writes it, its three files in
-    order."""
-    save_corpus(root, *corpus)
+def _files_sha256(root) -> str:
+    """sha256 of the corpus saved in ``root``, its three files in order."""
     digest = hashlib.sha256()
     for fname in CORPUS_FILES:
         digest.update((root / fname).read_bytes())
@@ -220,25 +218,24 @@ def _corpus_sha256(root, corpus) -> str:
     (11, "2a06871bd251275f9178daab7214e581622a48a025f94de17759f45f3ed2321a"),
 ])
 def test_acceptance_corpora_keep_their_bytes(tmp_path, seed, sha256):
-    assert _corpus_sha256(tmp_path, generate_synthetic(40, 60, 5, 200, seed=seed)) == sha256
+    save_corpus(tmp_path, *generate_synthetic(40, 60, 5, 200, seed=seed))
+    assert _files_sha256(tmp_path) == sha256
 
 
-def test_full_scale_corpus_keeps_its_bytes(tmp_path, full_scale_corpus):
-    assert _corpus_sha256(tmp_path, full_scale_corpus) \
+def test_full_scale_corpus_keeps_its_bytes(full_scale_corpus_dir):
+    assert _files_sha256(full_scale_corpus_dir) \
         == "1b9273f22882419ac87d9c772827845cdf81ddea8eb2e9efb6cedece398c438e"
 
 
 def test_conflicting_corpus_keeps_its_bytes(tmp_path):
-    assert _corpus_sha256(tmp_path, generate_conflicting_corpus(10, seed=3)) \
+    save_corpus(tmp_path, *generate_conflicting_corpus(10, seed=3))
+    assert _files_sha256(tmp_path) \
         == "da9b428f9976adf52aeedd9b8a694eddbbc36cf8f6a89d09f423099699b4c1de"
 
 
 def test_synth_conflicting_keeps_its_bytes(tmp_path):
     assert execute_command(["synth", "--mode", "conflicting", "--out", str(tmp_path)]) == 0
-    digest = hashlib.sha256()
-    for fname in CORPUS_FILES:
-        digest.update((tmp_path / fname).read_bytes())
-    assert digest.hexdigest() \
+    assert _files_sha256(tmp_path) \
         == "9166a83e73cc059854963fa5ae1177082be1568eaa803ffe513dff9240ec13a1"
 
 
@@ -266,25 +263,20 @@ def test_loaded_records_share_ids_and_equal_symptom_sets(tmp_path):
     _assert_shared(load_corpus(tmp_path)[2])
 
 
-def test_loaded_full_scale_corpus_stays_within_its_memory(tmp_path, full_scale_corpus):
-    """``load_corpus`` keeps 236 bytes per prescription of the full-scale
-    corpus (``tests/memory_probe.py``); the bound adds 10%, as the ranked
-    head's does.  With a record ``__dict__``, a herb list and a frozenset
-    per symptom set it kept 371 bytes; with an int object per id as well,
-    683 (and peaked at 1,366 with the whole file parsed before any record
-    was built)."""
-    save_corpus(tmp_path, *full_scale_corpus)
-    held, _ = traced(lambda: load_corpus(tmp_path))
-    assert held < 1.1 * 236 * len(full_scale_corpus[2])
+def test_loaded_full_scale_corpus_stays_within_its_memory(full_scale_corpus_dir):
+    """What ``load_corpus`` returns for the full-scale corpus, vocabulary
+    included, walks to 237 bytes per prescription (``memory_probe.walked``);
+    the bound adds 10% to 236, what tracemalloc read for the call.  With a
+    record ``__dict__`` it took 333."""
+    corpus = load_corpus(full_scale_corpus_dir)
+    assert walked(corpus) < 1.1 * 236 * len(corpus[2])
 
 
-def test_drawn_full_scale_corpus_stays_within_its_memory():
-    """``generate_synthetic`` keeps 263 bytes per prescription of the
-    full-scale corpus, its vocabulary included (``tests/memory_probe.py``);
-    the bound adds 10%.  With the records of ``load_corpus`` before slotted
-    tuples it kept 399."""
-    held, _ = traced(lambda: generate_synthetic(**FULL_CORPUS, seed=1))
-    assert held < 1.1 * 263 * FULL_CORPUS["n_prescriptions"]
+def test_drawn_full_scale_corpus_stays_within_its_memory(full_scale_corpus):
+    """What ``generate_synthetic`` returns for the full-scale corpus,
+    vocabulary included, walks to 239 bytes per prescription; the bound adds
+    10%.  With a symptom tuple per record, not one per distinct set, 278."""
+    assert walked(full_scale_corpus) < 1.1 * 239 * len(full_scale_corpus[2])
 
 
 def test_synthetic_infeasible_clusters():

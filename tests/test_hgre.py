@@ -269,17 +269,6 @@ def test_block_single_position_branches_agree():
     assert f.shape == b.shape == (1, 4)
 
 
-def test_block_gradients_match_finite_differences():
-    params = as_float64(SsmParams(3, stage_rng(11, "ssm"), d_state=2))
-    x = Tensor(np.random.default_rng(11).normal(size=(4, 3)), requires_grad=True)
-    probe = np.random.default_rng(12).normal(size=(4, 3))
-
-    def loss():
-        return (bidirectional_block(x, params) * probe).sum()
-
-    assert max_relative_error(loss, [x] + params.parameters()) < 1e-4
-
-
 def _graph_size(out: Tensor) -> int:
     seen, todo = set(), [out]
     while todo:

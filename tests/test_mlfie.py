@@ -153,18 +153,6 @@ def test_attention_requires_molecules():
         molecule_batch(herbs, 5)
 
 
-def test_attention_gradients():
-    params = as_float64(AttentionParams(3, 4, 2, stage_rng(5, "attn")))
-    e = Tensor(np.random.default_rng(6).normal(size=(1, 4, 4)), requires_grad=True)
-    p = Tensor(np.random.default_rng(7).normal(size=(1, 3)), requires_grad=True)
-    probe = np.random.default_rng(8).normal(size=(1, 4))
-
-    def loss():
-        return (aggregate_attention_batch(e, p, params, _every_slot(e)) * probe).sum()
-
-    assert max_relative_error(loss, [e, p, params.w_q, params.w_k]) < 1e-4
-
-
 # ---------------------------------------------------------------------------
 # gate fusion
 # ---------------------------------------------------------------------------
@@ -205,18 +193,6 @@ def test_gate_convexity_bounds_1000_random_inputs():
         out = fuse_gate_batch(Tensor(v), Tensor(h), params).data
         lo, hi = np.minimum(v, h), np.maximum(v, h)
         assert np.all(out >= lo - 1e-12) and np.all(out <= hi + 1e-12)
-
-
-def test_gate_gradients():
-    params = as_float64(Linear(3, 3, stage_rng(11, "gate")))
-    v = Tensor(np.random.default_rng(12).normal(size=(1, 3)), requires_grad=True)
-    h = Tensor(np.random.default_rng(13).normal(size=(1, 3)), requires_grad=True)
-    probe = np.random.default_rng(14).normal(size=(1, 3))
-
-    def loss():
-        return (fuse_gate_batch(v, h, params) * probe).sum()
-
-    assert max_relative_error(loss, [v, h, params.weight, params.bias]) < 1e-4
 
 
 # ---------------------------------------------------------------------------
